@@ -68,9 +68,11 @@ from .carleman import (
     tau_sweep_vanishing,
 )
 from .stabilize import (
+    FeedbackDesign,
     FeedbackGain,
     SimulationTrace,
     UnstableProjection,
+    design_feedback,
     measure_decay,
     project_unstable,
     simulate_closed_loop,

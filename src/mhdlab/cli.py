@@ -7,12 +7,16 @@ with a status that encodes the failure class:
     0 success          2 configuration/geometry error
     3 numerical error  4 uncontrollable (rank condition failed)
     5 other deliberate failure
+
+The stages of one invocation share one ``Run``, so ``all`` solves the
+forward and the adjoint spectrum once each.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ from .carleman import (
     make_test_field,
 )
 from .config import RunConfig
+from .equilibria import Equilibrium
 from .errors import (
     ConfigurationError,
     GeometryError,
@@ -33,25 +38,21 @@ from .errors import (
     NumericalError,
     UncontrollableError,
 )
-from .fields import StateVector, restrict
-from .geometry import build_cutoff, build_weight
-from .operators import assemble_adjoint, assemble_generator
+from .fields import StateVector
+from .geometry import RegionSet, build_cutoff, build_weight
+from .grid import Grid
+from .operators import GeneratorOperator, MhdSystem
 from .reports import write_summary, write_table
 from .spectral import (
     EigenPair,
+    SpectrumReport,
     adjoint_spectrum,
     compute_spectrum,
     kalman_rank,
     select_actuators,
     ucp_gram_test,
 )
-from .stabilize import (
-    control_fields,
-    measure_decay,
-    project_unstable,
-    simulate_closed_loop,
-    synthesize_feedback,
-)
+from .stabilize import design_feedback, measure_decay, simulate_closed_loop
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,17 +65,56 @@ def _meta(cfg: RunConfig) -> dict:
     return {"config_hash": cfg.hash, "version": __version__}
 
 
-def _spectra(cfg: RunConfig):
-    grid = cfg.build_grid()
-    eq = cfg.build_equilibrium(grid)
-    opts = cfg.spectral_options()
-    A = assemble_generator(eq, cfg.sigma)
-    rep = compute_spectrum(A, opts["count"], opts["strategy"])
-    return grid, eq, A, rep, opts
+class Run:
+    """The inputs the stages of one invocation share, each built on first
+    use and at most once.
+
+    One MhdSystem backs both the forward and the adjoint generator, so the
+    ambient blocks are assembled once, and each spectrum is solved once no
+    matter how many stages read it.  Stages treat everything here as
+    read-only.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def grid(self) -> Grid:
+        return self.cfg.build_grid()
+
+    @cached_property
+    def equilibrium(self) -> Equilibrium:
+        return self.cfg.build_equilibrium(self.grid)
+
+    @cached_property
+    def regions(self) -> RegionSet:
+        return self.cfg.build_regions(self.grid)
+
+    @cached_property
+    def system(self) -> MhdSystem:
+        return MhdSystem(self.equilibrium, self.cfg.sigma)
+
+    @cached_property
+    def generator(self) -> GeneratorOperator:
+        return GeneratorOperator(self.system, False, "Atilde")
+
+    @cached_property
+    def adjoint(self) -> GeneratorOperator:
+        return GeneratorOperator(self.system, True, "Atilde_adj")
+
+    @cached_property
+    def spectrum(self) -> SpectrumReport:
+        opts = self.cfg.spectral_options()
+        return compute_spectrum(self.generator, opts["count"], opts["strategy"])
+
+    @cached_property
+    def adjoint_spectrum(self) -> SpectrumReport:
+        opts = self.cfg.spectral_options()
+        return adjoint_spectrum(self.adjoint, opts["count"], opts["strategy"])
 
 
-def run_spectrum(cfg: RunConfig, outdir: Path) -> dict:
-    grid, eq, A, rep, opts = _spectra(cfg)
+def run_spectrum(run: Run, outdir: Path) -> dict:
+    cfg, rep = run.cfg, run.spectrum
     rows = [
         [p.lam.real, p.lam.imag, p.residual, cid, rep.ell[cid] if cid < rep.M else 0]
         for p, cid in zip(rep.pairs, rep.cluster_ids)
@@ -118,16 +158,11 @@ def _degenerate_clusters(clusters: list[list[EigenPair]], omega) -> list[list[Ei
     return out
 
 
-def run_ucp(cfg: RunConfig, outdir: Path) -> dict:
-    grid = cfg.build_grid()
-    eq = cfg.build_equilibrium(grid)
-    opts = cfg.spectral_options()
-    regions = cfg.build_regions(grid)
-    omega = regions.omega
-    A_adj = assemble_adjoint(eq, cfg.sigma)
-    arep = adjoint_spectrum(A_adj, opts["count"], opts["strategy"])
+def run_ucp(run: Run, outdir: Path) -> dict:
+    cfg, arep = run.cfg, run.adjoint_spectrum
+    omega = run.regions.omega
     clusters = arep.unstable_clusters()
-    if opts["degenerate_fixture"]:
+    if cfg.spectral_options()["degenerate_fixture"]:
         clusters = _degenerate_clusters(clusters, omega)
 
     rows, cluster_summaries = [], []
@@ -195,9 +230,8 @@ def run_ucp(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
-def run_carleman(cfg: RunConfig, outdir: Path) -> dict:
-    grid = cfg.build_grid()
-    regions = cfg.build_regions(grid)
+def run_carleman(run: Run, outdir: Path) -> dict:
+    cfg, regions = run.cfg, run.regions
     chi = build_cutoff(regions)
     psi = build_weight(regions)
     opts = cfg.carleman_options(regions)
@@ -255,17 +289,11 @@ def run_carleman(cfg: RunConfig, outdir: Path) -> dict:
     return summary
 
 
-def run_stabilize(cfg: RunConfig, outdir: Path) -> dict:
-    grid, eq, A, rep, opts = _spectra(cfg)
+def run_stabilize(run: Run, outdir: Path) -> dict:
+    cfg, A, rep = run.cfg, run.generator, run.spectrum
     sopts = cfg.stabilize_options()
-    regions = cfg.build_regions(grid)
-    omega = regions.omega
-    A_adj = assemble_adjoint(eq, cfg.sigma)
-    arep = adjoint_spectrum(A_adj, opts["count"], opts["strategy"])
+    omega = run.regions.omega
     rng = np.random.default_rng(cfg.seed)
-
-    fwd = [p for p in rep.pairs if p.unstable]
-    adj = [p for p in arep.pairs if p.unstable]
     summary = dict(_meta(cfg), N=rep.N, M=rep.M, K=rep.K, gamma=sopts["gamma"])
 
     if rep.N == 0:
@@ -280,10 +308,10 @@ def run_stabilize(cfg: RunConfig, outdir: Path) -> dict:
         write_summary(outdir / "stabilize_summary.json", summary)
         return summary
 
+    arep = run.adjoint_spectrum
     clusters = arep.unstable_clusters()
-    if opts["degenerate_fixture"]:
+    if cfg.spectral_options()["degenerate_fixture"]:
         clusters = _degenerate_clusters(clusters, omega)
-    proj = project_unstable(fwd, adj)
     actuators = select_actuators(clusters, omega, arep.K)
     km = kalman_rank(actuators, clusters, omega)
     if not all(k.passed for k in km):
@@ -291,12 +319,15 @@ def run_stabilize(cfg: RunConfig, outdir: Path) -> dict:
             f"Kalman rank defect: {[(k.rank, k.ell) for k in km]}"
         )
 
-    fields = control_fields(actuators, omega)
-    Bmap = np.zeros((proj.N, len(fields)))
-    for j, f in enumerate(fields):
-        Bmap[:, j] = proj.coords(np.real(A.from_state(f)))
-    lam_block = _real_block(proj.lambdas, proj, A)
-    gain = synthesize_feedback(lam_block, Bmap, sopts["gamma"]) if sopts["gain_on"] else None
+    design = design_feedback(
+        A,
+        [p for p in rep.pairs if p.unstable],
+        [p for p in arep.pairs if p.unstable],
+        actuators,
+        omega,
+        sopts["gamma"] if sopts["gain_on"] else None,
+    )
+    proj, gain = design.proj, design.gain
 
     x0 = 0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N)
     y0 = A.to_state(x0)
@@ -329,17 +360,6 @@ def run_stabilize(cfg: RunConfig, outdir: Path) -> dict:
         )
     write_summary(outdir / "stabilize_summary.json", summary)
     return summary
-
-
-def _real_block(lams: np.ndarray, proj, A) -> np.ndarray:
-    """Unstable block in the real basis: diagonal for real spectra, else the
-    projected operator itself."""
-    if np.all(np.abs(np.imag(lams)) < 1e-10):
-        return np.diag(np.real(lams))
-    AV = np.column_stack([A.matvec(proj.V[:, j]) for j in range(proj.N)])
-    import scipy.linalg as sla
-
-    return np.real(sla.solve(proj.pairing, proj.W.T @ AV))
 
 
 def _write_trace(outdir: Path, trace, cfg: RunConfig):
@@ -403,8 +423,9 @@ def main(argv: list[str] | None = None) -> int:
         outdir = args.out
         outdir.mkdir(parents=True, exist_ok=True)
         stages = list(RUNNERS) if args.command == "all" else [args.command]
+        run = Run(cfg)
         for stage in stages:
-            summary = RUNNERS[stage](cfg, outdir)
+            summary = RUNNERS[stage](run, outdir)
             keyline = {
                 k: summary[k]
                 for k in ("N", "M", "K", "tau0", "decay_rate", "all_pass")

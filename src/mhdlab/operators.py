@@ -191,7 +191,9 @@ class MhdSystem:
             if basis.state_dim() > _DENSE_STATE_LIMIT:
                 raise ConfigurationError(
                     f"reduced state dimension {basis.state_dim()} exceeds the dense "
-                    f"cap {_DENSE_STATE_LIMIT}; use the shift_invert strategy"
+                    f"cap {_DENSE_STATE_LIMIT}: the closed-loop simulation and the "
+                    "dense spectral strategy materialize the reduced matrix, so "
+                    "neither runs on this grid"
                 )
             Z = basis.dense()
             dA = self.grid.cell_area

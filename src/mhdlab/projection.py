@@ -20,7 +20,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .fields import (
-    ScalarField,
     StateVector,
     VectorField2,
     divergence_matrix,
@@ -139,13 +138,6 @@ def helmholtz_project(v: VectorField2) -> VectorField2:
 
 def project_state(s: StateVector) -> StateVector:
     return StateVector(helmholtz_project(s.phi), helmholtz_project(s.xi))
-
-
-def projection_pressure(v: VectorField2) -> ScalarField:
-    """The scalar potential removed by the projection (zero-mean gauge)."""
-    g = v.grid
-    q = _solver(g).solve(divergence_matrix(g) @ v.ravel())[0]
-    return ScalarField(g, q.reshape(g.shape))
 
 
 def divergence_residual(v: VectorField2) -> float:

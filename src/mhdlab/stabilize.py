@@ -200,6 +200,47 @@ def synthesize_feedback(
     return FeedbackGain(gain, gamma, targets, achieved, closed)
 
 
+def _real_block(proj: UnstableProjection, A: GeneratorOperator) -> np.ndarray:
+    """Unstable block in the real basis: diagonal for real spectra, else the
+    projected operator itself."""
+    if np.all(np.abs(np.imag(proj.lambdas)) < 1e-10):
+        return np.diag(np.real(proj.lambdas))
+    AV = np.column_stack([A.matvec(proj.V[:, j]) for j in range(proj.N)])
+    return np.real(sla.solve(proj.pairing, proj.W.T @ AV))
+
+
+@dataclass
+class FeedbackDesign:
+    proj: UnstableProjection
+    input_map: np.ndarray       # (N, K) unstable coords of the applied fields
+    block: np.ndarray           # (N, N) open-loop unstable block, real basis
+    gain: FeedbackGain | None   # None when no gain was asked for
+
+
+def design_feedback(
+    A: GeneratorOperator,
+    forward_pairs: list[EigenPair],
+    adjoint_pairs: list[EigenPair],
+    actuators: list[StateVector],
+    m_mask: np.ndarray,
+    gamma: float | None,
+) -> FeedbackDesign:
+    """Unstable projection, input map and block, and the gain placing the
+    block's poles below -gamma (no gain when gamma is None: open loop).
+
+    The input map holds the unstable coordinates of the fields the loop
+    actually applies (``control_fields``), not of the raw actuators.
+    """
+    proj = project_unstable(forward_pairs, adjoint_pairs)
+    fields = control_fields(actuators, m_mask)
+    input_map = np.zeros((proj.N, len(fields)))
+    for j, f in enumerate(fields):
+        input_map[:, j] = proj.coords(np.real(A.from_state(f)))
+    block = _real_block(proj, A)
+    gain = synthesize_feedback(block, input_map, gamma) if gamma is not None else None
+    return FeedbackDesign(proj, input_map, block, gain)
+
+
 @dataclass
 class SimulationTrace:
     times: np.ndarray

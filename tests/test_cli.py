@@ -1,14 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mhdlab
 from mhdlab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_UNCONTROLLABLE,
+    Run,
     main,
     run_carleman,
     run_spectrum,
@@ -31,7 +35,7 @@ def _cfg(**over):
 class TestRunSpectrum:
     def test_stable_config_has_no_unstable_modes(self, tmp_path):
         cfg = _cfg(physics={"sigma": 0.0}, **FAST_SPECTRAL)
-        summary = run_spectrum(cfg, tmp_path)
+        summary = run_spectrum(Run(cfg), tmp_path)
         assert summary["N"] == 0
         assert (tmp_path / "spectrum.txt").exists()
         data = json.loads((tmp_path / "spectrum_summary.json").read_text())
@@ -40,7 +44,7 @@ class TestRunSpectrum:
 
     def test_shifted_config_matches_fourier_count(self, tmp_path):
         cfg = _cfg(physics={"sigma": 1.5}, **FAST_SPECTRAL)
-        summary = run_spectrum(cfg, tmp_path)
+        summary = run_spectrum(Run(cfg), tmp_path)
         # sigma - |k|^2 >= 0 only for |k|^2 = 1: four wavevectors, two fields
         assert summary["N"] == 8
 
@@ -56,13 +60,13 @@ class TestRunSpectrum:
 class TestRunUcp:
     def test_vacuous_pass_when_stable(self, tmp_path):
         cfg = _cfg(physics={"sigma": 0.0}, **FAST_SPECTRAL)
-        summary = run_ucp(cfg, tmp_path)
+        summary = run_ucp(Run(cfg), tmp_path)
         assert summary["vacuous"] is True
         assert summary["all_kalman_passed"] is True
 
     def test_standard_box_full_rank(self, tmp_path):
         cfg = _cfg(physics={"sigma": 1.5}, **FAST_SPECTRAL)
-        summary = run_ucp(cfg, tmp_path)
+        summary = run_ucp(Run(cfg), tmp_path)
         assert summary["all_gram_passed"] and summary["all_kalman_passed"]
         for cl in summary["clusters"]:
             assert cl["kalman_rank"] == cl["ell"]
@@ -73,7 +77,7 @@ class TestRunUcp:
             spectral={"count": 10, "strategy": "shift_invert", "degenerate_fixture": True},
         )
         with pytest.raises(UncontrollableError):
-            run_ucp(cfg, tmp_path)
+            run_ucp(Run(cfg), tmp_path)
         data = json.loads((tmp_path / "ucp_summary.json").read_text())
         assert data["failed_clusters"] == [0]
 
@@ -94,7 +98,7 @@ class TestRunUcp:
 class TestRunCarleman:
     def test_default_sweep_records_tau0(self, tmp_path):
         cfg = _cfg(carleman={"n_fields": 5})
-        summary = run_carleman(cfg, tmp_path)
+        summary = run_carleman(Run(cfg), tmp_path)
         assert summary["tau0"] is not None
         assert summary["all_pass"]
         table = (tmp_path / "carleman_sweep.txt").read_text().splitlines()
@@ -109,7 +113,7 @@ class TestRunCarleman:
 
     def test_calibrated_correction_recorded(self, tmp_path):
         cfg = _cfg(carleman={"n_fields": 3, "tau_grid": [1.0, 4.0], "calibrate_tau2": True})
-        summary = run_carleman(cfg, tmp_path)
+        summary = run_carleman(Run(cfg), tmp_path)
         assert summary["tau2_bound"] >= 0.0
 
     def test_tau_list_flag_overrides(self, tmp_path):
@@ -142,7 +146,7 @@ STAB_GEOM = {
 class TestRunStabilize:
     def test_closed_loop_summary(self, tmp_path):
         cfg = _cfg(geometry=STAB_GEOM, physics={"sigma": 1.5}, **FAST_SPECTRAL)
-        summary = run_stabilize(cfg, tmp_path)
+        summary = run_stabilize(Run(cfg), tmp_path)
         assert summary["N"] == 4
         assert max(summary["achieved_poles"]) <= -1.0 + 1e-8
         target = summary["energy_rate_target"]
@@ -157,7 +161,7 @@ class TestRunStabilize:
             stabilize={"gain_on": False, "T": 2.0},
             **FAST_SPECTRAL,
         )
-        summary = run_stabilize(cfg, tmp_path)
+        summary = run_stabilize(Run(cfg), tmp_path)
         assert summary["mode"] == "open_loop"
         assert summary["open_loop_growth"] is True
 
@@ -227,7 +231,7 @@ class TestDeterminism:
 
     def test_reports_embed_hash_and_version(self, tmp_path):
         cfg = _cfg(carleman={"n_fields": 2, "tau_grid": [1.0]})
-        summary = run_carleman(cfg, tmp_path)
+        summary = run_carleman(Run(cfg), tmp_path)
         from mhdlab import __version__
 
         assert summary["version"] == __version__
@@ -262,6 +266,9 @@ def test_all_subcommand_runs_every_stage(tmp_path):
 def test_console_entry_point(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"spectral": {"count": 8, "strategy": "shift_invert"}}))
+    # the child interpreter imports the same mhdlab as this test process
+    src = str(Path(mhdlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [
             sys.executable,
@@ -275,6 +282,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "spectrum: ok" in proc.stdout
@@ -283,3 +291,90 @@ def test_console_entry_point(tmp_path):
 def test_default_config_validates():
     RunConfig.from_dict().validate()
     assert "geometry" in DEFAULT_CONFIG
+
+
+# the default square box supports every stage
+SHARED_CFG = {
+    "spectral": {"count": 10, "strategy": "shift_invert"},
+    "carleman": {"n_fields": 2, "tau_grid": [1.0, 4.0]},
+    "stabilize": {"T": 1.0},
+}
+STAGES = ("spectrum", "ucp", "carleman", "stabilize")
+
+
+def _snapshot(rep):
+    return [
+        (
+            p.lam,
+            p.residual,
+            [a.copy() for a in (p.coeffs, p.Phi.phi.u1, p.Phi.phi.u2, p.Phi.xi.u1, p.Phi.xi.u2)],
+        )
+        for p in rep.pairs
+    ]
+
+
+def _assert_same(rep, snap):
+    now = _snapshot(rep)
+    assert len(now) == len(snap)
+    for (lam, res, arrays), (lam0, res0, arrays0) in zip(now, snap):
+        assert (lam, res) == (lam0, res0)
+        for a, a0 in zip(arrays, arrays0):
+            assert np.array_equal(a, a0)
+
+
+class TestSharedRun:
+    @pytest.mark.parametrize(
+        "command, forward, adjoint",
+        [("all", 1, 1), ("spectrum", 1, 0), ("ucp", 0, 1), ("carleman", 0, 0), ("stabilize", 1, 1)],
+    )
+    def test_eigensolves_per_command(self, tmp_path, monkeypatch, command, forward, adjoint):
+        cli = mhdlab.cli
+        calls = {"forward": 0, "adjoint": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "compute_spectrum", counted("forward", cli.compute_spectrum))
+        monkeypatch.setattr(cli, "adjoint_spectrum", counted("adjoint", cli.adjoint_spectrum))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(SHARED_CFG))
+        code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert calls == {"forward": forward, "adjoint": adjoint}
+
+    def test_all_matches_stages_run_separately(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(SHARED_CFG))
+        args = ["--config", str(cfgfile), "--seed", "5"]
+        together, apart = tmp_path / "all", tmp_path / "apart"
+        assert main(["all", *args, "--out", str(together)]) == EXIT_OK
+        for stage in STAGES:
+            assert main([stage, *args, "--out", str(apart)]) == EXIT_OK
+        names = sorted(f.name for f in together.iterdir())
+        assert names == sorted(f.name for f in apart.iterdir())
+        assert {f"{s}_summary.json" for s in STAGES} | {"gain.txt", "trace.txt"} <= set(names)
+        for name in names:
+            assert (together / name).read_bytes() == (apart / name).read_bytes(), name
+
+    def test_stages_leave_shared_spectra_unchanged(self, tmp_path):
+        run = Run(_cfg(**SHARED_CFG))
+        fwd, adj = _snapshot(run.spectrum), _snapshot(run.adjoint_spectrum)
+        for runner in (run_spectrum, run_ucp, run_carleman, run_stabilize):
+            runner(run, tmp_path)
+        _assert_same(run.spectrum, fwd)
+        _assert_same(run.adjoint_spectrum, adj)
+
+    def test_degenerate_fixture_leaves_adjoint_pairs_unchanged(self, tmp_path):
+        spectral = dict(SHARED_CFG["spectral"], degenerate_fixture=True)
+        run = Run(_cfg(**dict(SHARED_CFG, spectral=spectral)))
+        adj = _snapshot(run.adjoint_spectrum)
+        with pytest.raises(UncontrollableError):
+            run_ucp(run, tmp_path)
+        _assert_same(run.adjoint_spectrum, adj)
+        with pytest.raises(UncontrollableError):
+            run_stabilize(run, tmp_path)
+        _assert_same(run.adjoint_spectrum, adj)

@@ -22,13 +22,12 @@ from mhdlab import (
     build_grid,
     build_nested_regions,
     compute_spectrum,
+    design_feedback,
     kalman_rank,
     make_equilibrium,
     measure_decay,
-    project_unstable,
     select_actuators,
     simulate_closed_loop,
-    synthesize_feedback,
     ucp_gram_test,
 )
 from mhdlab.stabilize import control_fields
@@ -135,18 +134,9 @@ def test_uniform_field_closed_loop():
 
     fwd = [p for p in rep.pairs if p.unstable]
     adj = [p for p in arep.pairs if p.unstable]
-    proj = project_unstable(fwd, adj)
+    design = design_feedback(A, fwd, adj, actuators, omega, gamma)
+    proj, gain = design.proj, design.gain
     assert proj.N == 8
-    fields = control_fields(actuators, omega)
-    B = np.zeros((proj.N, len(fields)))
-    for j, f in enumerate(fields):
-        B[:, j] = proj.coords(np.real(A.from_state(f)))
-    # complex pairs fold into real blocks: build the block from the operator
-    AV = np.column_stack([A.matvec(proj.V[:, j]) for j in range(proj.N)])
-    import scipy.linalg as sla
-
-    block = np.real(sla.solve(proj.pairing, proj.W.T @ AV))
-    gain = synthesize_feedback(block, B, gamma)
     assert np.max(gain.achieved_poles.real) <= -gamma + 1e-8
 
     rng = np.random.default_rng(21)
@@ -159,5 +149,5 @@ def test_uniform_field_closed_loop():
     # realized actuator signals are real and the applied fields stay in omega
     assert np.isrealobj(trace.amplitudes)
     outside = ~omega
-    for f in fields:
+    for f in control_fields(actuators, omega):
         assert np.all(f.phi.u1[outside] == 0.0)

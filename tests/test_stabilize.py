@@ -226,3 +226,15 @@ class TestMeasureDecay:
         trace = SimulationTrace(t, e, e, np.zeros((50, 0)))
         with pytest.raises(FitError):
             measure_decay(trace, (0.0, 1.0))
+
+
+def test_dense_cap_names_the_closed_loop_constraint():
+    # 48x48 gives a reduced state of 4 * (48**2 - 1) = 9212 coefficients
+    g = build_grid(L, L, 48, 48)
+    A = assemble_generator(make_equilibrium("zero", g), 1.5)
+    y0 = A.to_state(np.zeros(A.dim))
+    mask = np.zeros(g.shape, dtype=bool)
+    with pytest.raises(ConfigurationError, match="dense cap") as exc:
+        simulate_closed_loop(A, None, [], mask, y0, 1.0, 0.01)
+    assert "closed-loop simulation" in str(exc.value)
+    assert "shift_invert" not in str(exc.value)
