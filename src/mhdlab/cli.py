@@ -299,9 +299,7 @@ def run_stabilize(run: Run, outdir: Path) -> dict:
     if rep.N == 0:
         x0 = rng.normal(size=A.dim)
         y0 = A.to_state(x0 / np.linalg.norm(x0))
-        trace = simulate_closed_loop(
-            A, None, [], omega, y0, sopts["T"], sopts["dt"], None
-        )
+        trace = simulate_closed_loop(A, None, y0, sopts["T"], sopts["dt"])
         rate, hw = measure_decay(trace, (sopts["T"] / 2, sopts["T"]))
         summary.update(mode="open_loop_stable", decay_rate=rate, rate_half_width=hw)
         _write_trace(outdir, trace, cfg)
@@ -331,9 +329,7 @@ def run_stabilize(run: Run, outdir: Path) -> dict:
 
     x0 = 0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N)
     y0 = A.to_state(x0)
-    trace = simulate_closed_loop(
-        A, gain, actuators, omega, y0, sopts["T"], sopts["dt"], proj
-    )
+    trace = simulate_closed_loop(A, design, y0, sopts["T"], sopts["dt"])
     window = (sopts["T"] / 2, sopts["T"])
     rate, hw = measure_decay(trace, window)
     lam_next = rep.lambda_next_stable()
@@ -345,7 +341,7 @@ def run_stabilize(run: Run, outdir: Path) -> dict:
         energy_rate_target=2.0 * target,
         achieved_poles=[p.real for p in np.atleast_1d(gain.achieved_poles)] if gain else [],
         pairing_cond=proj.cond,
-        control_support_leakage=trace.control_support_leakage,
+        control_support_leakage=design.leakage,
         open_loop_growth=bool(trace.energies[-1] > trace.energies[0])
         if not sopts["gain_on"]
         else None,

@@ -242,6 +242,8 @@ class FeedbackDesign:
     input_map: np.ndarray       # (N, K) unstable coords of the applied fields
     block: np.ndarray           # (N, N) open-loop unstable block, real basis
     gain: FeedbackGain | None   # None when no gain was asked for
+    drive: np.ndarray           # (dim, K) reduced coords of the applied fields
+    leakage: list[float]        # share of each applied field outside the reduced space
 
 
 def design_feedback(
@@ -256,16 +258,24 @@ def design_feedback(
     block's poles below -gamma (no gain when gamma is None: open loop).
 
     The input map holds the unstable coordinates of the fields the loop
-    actually applies (``control_fields``), not of the raw actuators.
+    actually applies (``control_fields``), not of the raw actuators; their
+    reduced coordinates and leakage are kept for the closed loop.
     """
     proj = project_unstable(forward_pairs, adjoint_pairs)
     fields = control_fields(actuators, m_mask)
+    drive = np.zeros((A.dim, len(fields)))
     input_map = np.zeros((proj.N, len(fields)))
+    leakage = []
     for j, f in enumerate(fields):
-        input_map[:, j] = proj.coords(np.real(A.from_state(f)))
+        b = np.real(A.from_state(f))
+        drive[:, j] = b
+        input_map[:, j] = proj.coords(b)
+        nf = f.norm()
+        recon = A.to_state(b)
+        leakage.append(float(np.sqrt(max(nf**2 - recon.norm() ** 2, 0.0)) / nf) if nf else 0.0)
     block = _real_block(proj, A)
     gain = synthesize_feedback(block, input_map, gamma) if gamma is not None else None
-    return FeedbackDesign(proj, input_map, block, gain)
+    return FeedbackDesign(proj, input_map, block, gain, drive, leakage)
 
 
 @dataclass
@@ -275,7 +285,6 @@ class SimulationTrace:
     energies_unstable: np.ndarray
     amplitudes: np.ndarray          # (nsteps+1, K)
     states: np.ndarray | None = field(default=None, repr=False)
-    control_support_leakage: list[float] = field(default_factory=list)
 
     def validate(self):
         if np.any(np.diff(self.times) <= 0):
@@ -302,26 +311,25 @@ def control_fields(
 
 def simulate_closed_loop(
     A: GeneratorOperator,
-    gain: FeedbackGain | None,
-    actuators: list[StateVector],
-    m_mask: np.ndarray,
+    design: FeedbackDesign | None,
     y0: StateVector,
     T: float,
     dt: float,
-    proj: UnstableProjection | None = None,
     store_states: bool = False,
 ) -> SimulationTrace:
     """March d/dt x = A x + sum_j b_j alpha_j, alpha = -gain * coords(x).
 
-    Implicit in the stiff generator, explicit in the (bounded) control
-    coupling; dt must resolve the fastest retained closed-loop rate.
+    The drive b_j, the projection and the gain come from ``design``; without
+    a gain the applied amplitudes are zero, and without a design the loop is
+    open with no unstable projection.  Implicit in the stiff generator,
+    explicit in the (bounded) control coupling; dt must resolve the fastest
+    retained closed-loop rate.
     """
     if T <= 0 or dt <= 0:
         raise ConfigurationError("simulation horizon and step must be positive")
-    closed_loop = gain is not None and gain.N > 0
-    if closed_loop and proj is None:
-        raise ConfigurationError("closed-loop simulation needs the unstable projection")
-    if closed_loop:
+    proj = design.proj if design is not None else None
+    gain = design.gain if design is not None else None
+    if gain is not None:
         rate = max(np.max(np.abs(gain.achieved_poles.real)), np.max(np.abs(proj.lambdas.real)))
         if dt * rate > 0.5:
             raise ConfigurationError(
@@ -331,16 +339,7 @@ def simulate_closed_loop(
     Ared = A.dense()
     dim = Ared.shape[0]
     lu = sla.lu_factor(np.eye(dim) - dt * Ared)
-
-    applied = control_fields(actuators, m_mask) if actuators else []
-    drive = np.zeros((dim, len(applied)))
-    leakage = []
-    for j, f in enumerate(applied):
-        b = A.from_state(f)
-        drive[:, j] = np.real(b)
-        recon = A.to_state(np.real(b))
-        nf = f.norm()
-        leakage.append(float(np.sqrt(max(nf**2 - recon.norm() ** 2, 0.0)) / nf) if nf else 0.0)
+    drive = design.drive if design is not None else np.zeros((dim, 0))
 
     x = np.real(A.from_state(y0))
     nsteps = int(round(T / dt))
@@ -352,17 +351,17 @@ def simulate_closed_loop(
     states = np.zeros((nsteps + 1, dim)) if store_states else None
 
     e0 = float(x @ x)
+    alpha = np.zeros(K)
     for k in range(nsteps + 1):
         times[k] = k * dt
         energies[k] = float(x @ x)
         if proj is not None:
-            xu = proj.apply(x)
+            c = proj.coords(x)
+            xu = proj.V @ c
             energies_unstable[k] = float(xu @ xu)
-        if closed_loop:
-            alpha = -gain.gain @ proj.coords(x)
-            amplitudes[k, : alpha.size] = alpha
-        else:
-            alpha = np.zeros(K)
+            if gain is not None:
+                alpha = -gain.gain @ c
+                amplitudes[k] = alpha
         if states is not None:
             states[k] = x
         if energies[k] > BLOWUP_FACTOR * max(e0, 1e-300):
@@ -375,9 +374,7 @@ def simulate_closed_loop(
         rhs = x + dt * (drive @ alpha) if K else x.copy()
         x = sla.lu_solve(lu, rhs)
 
-    trace = SimulationTrace(
-        times, energies, energies_unstable, amplitudes, states, leakage
-    )
+    trace = SimulationTrace(times, energies, energies_unstable, amplitudes, states)
     trace.validate()
     return trace
 

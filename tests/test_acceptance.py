@@ -21,6 +21,7 @@ from mhdlab import (
     build_commutators,
     coefficients,
     compute_spectrum,
+    design_feedback,
     gradient,
     helmholtz_project,
     integrated_inequality_check,
@@ -30,11 +31,9 @@ from mhdlab import (
     make_test_field,
     measure_decay,
     oseen_plus,
-    project_unstable,
     rot,
     select_actuators,
     simulate_closed_loop,
-    synthesize_feedback,
     tau_sweep_vanishing,
     ucp_gram_test,
 )
@@ -42,7 +41,6 @@ from mhdlab.carleman import find_tau0, halving_exponents
 from mhdlab.fields import divergence_matrix, dx_matrix, dy_matrix, wide_laplacian_matrix
 from mhdlab.projection import divergence_residual
 from mhdlab.spectral import EigenPair
-from mhdlab.stabilize import control_fields
 
 L = 2 * np.pi
 
@@ -310,20 +308,16 @@ def test_criterion_10_closed_loop():
     omega = regions.omega
     fwd = [p for p in rep.pairs if p.unstable]
     adj = [p for p in arep.pairs if p.unstable]
-    proj = project_unstable(fwd, adj)
     clusters = arep.unstable_clusters()
     actuators = select_actuators(clusters, omega)
     assert all(k.passed for k in kalman_rank(actuators, clusters, omega))
-    fields = control_fields(actuators, omega)
-    B = np.zeros((proj.N, len(fields)))
-    for j, f in enumerate(fields):
-        B[:, j] = proj.coords(np.real(A.from_state(f)))
-    gain = synthesize_feedback(np.diag(proj.lambdas.real), B, gamma)
+    design = design_feedback(A, fwd, adj, actuators, omega, gamma)
+    proj, gain = design.proj, design.gain
 
     rng = np.random.default_rng(8)
     y0 = A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
-    open_trace = simulate_closed_loop(A, None, [], omega, y0, 2.0, 0.01)
-    closed_trace = simulate_closed_loop(A, gain, actuators, omega, y0, 8.0, 0.01, proj)
+    open_trace = simulate_closed_loop(A, None, y0, 2.0, 0.01)
+    closed_trace = simulate_closed_loop(A, design, y0, 8.0, 0.01)
     rate, _ = measure_decay(closed_trace, (4.0, 8.0))
     lam_next = abs(rep.lambda_next_stable().real)
     target = 2.0 * min(gamma, lam_next)

@@ -145,7 +145,7 @@ def test_uniform_field_closed_loop():
 
     rng = np.random.default_rng(21)
     y0 = A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
-    trace = simulate_closed_loop(A, gain, actuators, omega, y0, 8.0, 0.01, proj)
+    trace = simulate_closed_loop(A, design, y0, 8.0, 0.01)
     rate, _ = measure_decay(trace, (4.0, 8.0))
     lam_next = abs(rep.lambda_next_stable().real)
     target = 2.0 * min(gamma, lam_next)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mhdlab import (
     build_grid,
     build_nested_regions,
     compute_spectrum,
+    design_feedback,
     make_equilibrium,
     measure_decay,
     project_unstable,
@@ -49,15 +51,12 @@ def loop24():
     omega = regions.omega
     fwd = [p for p in rep.pairs if p.unstable]
     adj = [p for p in arep.pairs if p.unstable]
-    proj = project_unstable(fwd, adj)
     clusters = arep.unstable_clusters()
     acts = select_actuators(clusters, omega)
-    fields = control_fields(acts, omega)
-    B = np.zeros((proj.N, len(fields)))
-    for j, f in enumerate(fields):
-        B[:, j] = proj.coords(np.real(A.from_state(f)))
+    design = design_feedback(A, fwd, adj, acts, omega, 1.0)
     return dict(
-        grid=g, A=A, rep=rep, arep=arep, omega=omega, proj=proj, acts=acts, B=B
+        grid=g, A=A, rep=rep, arep=arep, omega=omega, proj=design.proj, acts=acts,
+        B=design.input_map, design=design,
     )
 
 
@@ -150,7 +149,7 @@ class TestSimulation:
         rep = compute_spectrum(A, 2, "shift_invert")
         pair = rep.pairs[0]
         y0 = A.to_state(np.real(pair.coeffs))
-        trace = simulate_closed_loop(A, None, [], np.zeros(box16.shape, bool), y0, 3.0, 0.005)
+        trace = simulate_closed_loop(A, None, y0, 3.0, 0.005)
         rate, hw = measure_decay(trace, (0.5, 3.0))
         assert rate == pytest.approx(2.0 * abs(pair.lam.real), rel=2e-2)
         assert rate == pytest.approx(2.0, rel=2.5e-2)
@@ -159,17 +158,14 @@ class TestSimulation:
         A, proj = loop24["A"], loop24["proj"]
         rng = np.random.default_rng(1)
         y0 = A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
-        trace = simulate_closed_loop(A, None, [], loop24["omega"], y0, 2.0, 0.01)
+        trace = simulate_closed_loop(A, None, y0, 2.0, 0.01)
         assert trace.energies[-1] > trace.energies[0]
 
     def test_closed_loop_decay_rate(self, loop24):
-        A, proj, B = loop24["A"], loop24["proj"], loop24["B"]
-        gain = synthesize_feedback(np.diag(proj.lambdas.real), B, gamma=1.0)
+        A, proj = loop24["A"], loop24["proj"]
         rng = np.random.default_rng(2)
         y0 = A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
-        trace = simulate_closed_loop(
-            A, gain, loop24["acts"], loop24["omega"], y0, 8.0, 0.01, proj
-        )
+        trace = simulate_closed_loop(A, loop24["design"], y0, 8.0, 0.01)
         rate, _ = measure_decay(trace, (4.0, 8.0))
         lam_next = loop24["rep"].lambda_next_stable()
         target = 2.0 * min(1.0, abs(lam_next.real))
@@ -187,14 +183,10 @@ class TestSimulation:
             assert np.all(f.xi.u2[outside] == 0.0)
 
     def test_stable_complement_variation_of_constants(self, loop24):
-        A, proj, B = loop24["A"], loop24["proj"], loop24["B"]
-        gain = synthesize_feedback(np.diag(proj.lambdas.real), B, gamma=1.0)
+        A, proj = loop24["A"], loop24["proj"]
         rng = np.random.default_rng(3)
         y0 = A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
-        trace = simulate_closed_loop(
-            A, gain, loop24["acts"], loop24["omega"], y0, 1.0, 0.01, proj,
-            store_states=True,
-        )
+        trace = simulate_closed_loop(A, loop24["design"], y0, 1.0, 0.01, store_states=True)
         assert stable_complement_residual(trace, A, proj, 0.01) <= 1e-6
 
     def test_dt_guard(self, loop24):
@@ -202,7 +194,7 @@ class TestSimulation:
         gain = synthesize_feedback(np.diag(proj.lambdas.real), B, gamma=30.0)
         y0 = A.to_state(proj.V @ np.ones(proj.N))
         with pytest.raises(ConfigurationError):
-            simulate_closed_loop(A, gain, loop24["acts"], loop24["omega"], y0, 1.0, 0.05, proj)
+            simulate_closed_loop(A, replace(loop24["design"], gain=gain), y0, 1.0, 0.05)
 
     def test_blowup_guard(self, box16):
         eq = make_equilibrium("zero", box16)
@@ -210,7 +202,7 @@ class TestSimulation:
         rep = compute_spectrum(A, 2, "shift_invert")
         y0 = A.to_state(np.real(rep.pairs[0].coeffs))
         with pytest.raises(NumericalError):
-            simulate_closed_loop(A, None, [], np.zeros(box16.shape, bool), y0, 6.0, 0.01)
+            simulate_closed_loop(A, None, y0, 6.0, 0.01)
 
 
 class TestMeasureDecay:
@@ -254,8 +246,7 @@ def test_dense_cap_names_the_closed_loop_constraint():
     g = build_grid(L, L, 48, 48)
     A = assemble_generator(make_equilibrium("zero", g), 1.5)
     y0 = A.to_state(np.zeros(A.dim))
-    mask = np.zeros(g.shape, dtype=bool)
     with pytest.raises(ConfigurationError, match="dense cap") as exc:
-        simulate_closed_loop(A, None, [], mask, y0, 1.0, 0.01)
+        simulate_closed_loop(A, None, y0, 1.0, 0.01)
     assert "closed-loop simulation" in str(exc.value)
     assert "shift_invert" not in str(exc.value)
