@@ -45,6 +45,7 @@ from .operators import GeneratorOperator, MhdSystem
 from .reports import write_summary, write_table
 from .spectral import (
     EigenPair,
+    KalmanMatrix,
     SpectrumReport,
     adjoint_spectrum,
     compute_spectrum,
@@ -65,14 +66,32 @@ def _meta(cfg: RunConfig) -> dict:
     return {"config_hash": cfg.hash, "version": __version__}
 
 
+def _degenerate_clusters(clusters: list[list[EigenPair]], omega) -> list[list[EigenPair]]:
+    """Fixture: overwrite one eigenfunction on omega with a copy of another."""
+    out = [list(c) for c in clusters]
+    for cl in out:
+        if len(cl) >= 2:
+            a, b = cl[0], cl[1]
+            phi = b.Phi.phi.copy()
+            xi = b.Phi.xi.copy()
+            phi.u1[omega] = a.Phi.phi.u1[omega]
+            phi.u2[omega] = a.Phi.phi.u2[omega]
+            xi.u1[omega] = a.Phi.xi.u1[omega]
+            xi.u2[omega] = a.Phi.xi.u2[omega]
+            cl[1] = EigenPair(b.lam, StateVector(phi, xi), b.residual, b.coeffs)
+            break
+    return out
+
+
 class Run:
     """The inputs the stages of one invocation share, each built on first
     use and at most once.
 
     One MhdSystem backs both the forward and the adjoint generator, so the
     ambient blocks are assembled once, and each spectrum is solved once no
-    matter how many stages read it.  Stages treat everything here as
-    read-only.
+    matter how many stages read it; the same holds for the actuators and the
+    Kalman reports that ``ucp`` and ``stabilize`` both need.  Stages treat
+    everything here as read-only.
     """
 
     def __init__(self, cfg: RunConfig):
@@ -112,6 +131,22 @@ class Run:
         opts = self.cfg.spectral_options()
         return adjoint_spectrum(self.adjoint, opts["count"], opts["strategy"])
 
+    @cached_property
+    def clusters(self) -> list[list[EigenPair]]:
+        """Unstable adjoint clusters, with the degenerate fixture applied."""
+        clusters = self.adjoint_spectrum.unstable_clusters()
+        if self.cfg.spectral_options()["degenerate_fixture"]:
+            clusters = _degenerate_clusters(clusters, self.regions.omega)
+        return clusters
+
+    @cached_property
+    def actuators(self) -> list[StateVector]:
+        return select_actuators(self.clusters, self.regions.omega, self.adjoint_spectrum.K)
+
+    @cached_property
+    def kalman(self) -> list[KalmanMatrix]:
+        return kalman_rank(self.actuators, self.clusters, self.regions.omega)
+
 
 def run_spectrum(run: Run, outdir: Path) -> dict:
     cfg, rep = run.cfg, run.spectrum
@@ -141,34 +176,12 @@ def run_spectrum(run: Run, outdir: Path) -> dict:
     return summary
 
 
-def _degenerate_clusters(clusters: list[list[EigenPair]], omega) -> list[list[EigenPair]]:
-    """Fixture: overwrite one eigenfunction on omega with a copy of another."""
-    out = [list(c) for c in clusters]
-    for cl in out:
-        if len(cl) >= 2:
-            a, b = cl[0], cl[1]
-            phi = b.Phi.phi.copy()
-            xi = b.Phi.xi.copy()
-            phi.u1[omega] = a.Phi.phi.u1[omega]
-            phi.u2[omega] = a.Phi.phi.u2[omega]
-            xi.u1[omega] = a.Phi.xi.u1[omega]
-            xi.u2[omega] = a.Phi.xi.u2[omega]
-            cl[1] = EigenPair(b.lam, StateVector(phi, xi), b.residual, b.coeffs)
-            break
-    return out
-
-
 def run_ucp(run: Run, outdir: Path) -> dict:
     cfg, arep = run.cfg, run.adjoint_spectrum
-    omega = run.regions.omega
-    clusters = arep.unstable_clusters()
-    if cfg.spectral_options()["degenerate_fixture"]:
-        clusters = _degenerate_clusters(clusters, omega)
-
     rows, cluster_summaries = [], []
     all_gram = True
-    for ci, cl in enumerate(clusters):
-        gm = ucp_gram_test(cl, omega)
+    for ci, cl in enumerate(run.clusters):
+        gm = ucp_gram_test(cl, run.regions.omega)
         all_gram &= gm.passed
         cluster_summaries.append(
             {
@@ -179,14 +192,10 @@ def run_ucp(run: Run, outdir: Path) -> dict:
                 "gram_passed": gm.passed,
             }
         )
-    kalman_rows = []
     if arep.N > 0 and all_gram:
-        actuators = select_actuators(clusters, omega, arep.K)
-        km = kalman_rank(actuators, clusters, omega)
-        for ci, k in enumerate(km):
+        for ci, k in enumerate(run.kalman):
             cluster_summaries[ci]["kalman_rank"] = k.rank
             cluster_summaries[ci]["kalman_passed"] = k.passed
-            kalman_rows.append([ci, k.lam.real, k.lam.imag, k.rank, k.ell, k.passed])
     for cs in cluster_summaries:
         rows.append(
             [
@@ -307,11 +316,7 @@ def run_stabilize(run: Run, outdir: Path) -> dict:
         return summary
 
     arep = run.adjoint_spectrum
-    clusters = arep.unstable_clusters()
-    if cfg.spectral_options()["degenerate_fixture"]:
-        clusters = _degenerate_clusters(clusters, omega)
-    actuators = select_actuators(clusters, omega, arep.K)
-    km = kalman_rank(actuators, clusters, omega)
+    km = run.kalman
     if not all(k.passed for k in km):
         raise UncontrollableError(
             f"Kalman rank defect: {[(k.rank, k.ell) for k in km]}"
@@ -321,7 +326,7 @@ def run_stabilize(run: Run, outdir: Path) -> dict:
         A,
         [p for p in rep.pairs if p.unstable],
         [p for p in arep.pairs if p.unstable],
-        actuators,
+        run.actuators,
         omega,
         sopts["gamma"] if sopts["gain_on"] else None,
     )

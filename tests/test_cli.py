@@ -346,6 +346,31 @@ class TestSharedRun:
         assert code == EXIT_OK
         assert calls == {"forward": forward, "adjoint": adjoint}
 
+    @pytest.mark.parametrize(
+        "command, calls",
+        [("all", 1), ("spectrum", 0), ("ucp", 1), ("carleman", 0), ("stabilize", 1)],
+    )
+    def test_actuators_and_kalman_per_command(self, tmp_path, monkeypatch, command, calls):
+        cli = mhdlab.cli
+        counts = {"select_actuators": 0, "kalman_rank": 0}
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(cli, name, counted(name))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(SHARED_CFG))
+        code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert counts == {"select_actuators": calls, "kalman_rank": calls}
+
     def test_all_matches_stages_run_separately(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(SHARED_CFG))
