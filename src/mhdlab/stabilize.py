@@ -3,9 +3,10 @@
 The unstable component is isolated with the biorthogonal forward/adjoint
 eigenbasis; complex conjugate pairs are folded into real columns so gains
 and actuator signals stay real.  Feedback places the poles of the reduced
-unstable block at or below -gamma; the loop is closed through omega-localized
-actuator fields and simulated with an implicit step for the stiff generator
-and an explicit step for the control coupling.
+unstable block at or below -gamma with one Sylvester solve; the loop is
+closed through omega-localized actuator fields and simulated with an
+implicit step for the stiff generator and an explicit step for the control
+coupling.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.signal import place_poles
 
 from .errors import (
     ConfigurationError,
@@ -26,7 +26,7 @@ from .errors import (
 from .fields import StateVector, restrict
 from .operators import GeneratorOperator
 from .projection import project_state
-from .spectral import EigenPair
+from .spectral import CLUSTER_RTOL, EigenPair
 
 COND_LIMIT = 1e10
 POLE_TOL = 1e-8
@@ -34,6 +34,8 @@ BLOWUP_FACTOR = 1e6
 # A mode reached by less than this share of ||B|| needs gains whose rounding
 # in the closed block comes within two orders of POLE_TOL.
 HAUTUS_RTOL = 1e-6
+# Relative spacing of the pole targets below -gamma.
+POLE_SPREAD = 0.02
 
 
 @dataclass
@@ -58,28 +60,38 @@ class UnstableProjection:
 
 
 def _realify(pairs: list[EigenPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Real column basis from eigenpairs; conjugate pairs give (Re, Im)."""
+    """Real column basis from eigenpairs; conjugate pairs give (Re, Im).
+
+    The ell pairs of one real cluster (eigenvalues equal within CLUSTER_RTOL)
+    give the first ell left singular vectors of [Re C, Im C], C their
+    eigenvectors: an orthonormal real basis of the cluster's eigenspace
+    whichever complex basis of it the eigensolver returned.
+    """
+    tol = CLUSTER_RTOL * max(1.0, max(abs(p.lam) for p in pairs))
     cols, lams = [], []
     used = [False] * len(pairs)
     for i, p in enumerate(pairs):
         if used[i]:
             continue
-        c = p.coeffs
         if abs(p.lam.imag) < 1e-10:
-            v = np.real(c)
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-8:  # purely imaginary vector of a real eigenvalue
-                v = np.imag(c)
-                nrm = np.linalg.norm(v)
-            cols.append(v / nrm)
-            lams.append(p.lam.real)
-            used[i] = True
+            members = [
+                j for j in range(i, len(pairs))
+                if not used[j] and abs(pairs[j].lam.imag) < 1e-10
+                and abs(pairs[j].lam - p.lam) <= tol
+            ]
+            C = np.column_stack([pairs[j].coeffs for j in members])
+            U = np.linalg.svd(np.hstack([np.real(C), np.imag(C)]), full_matrices=False)[0]
+            cols.extend(U[:, : len(members)].T)
+            lam = float(np.mean([pairs[j].lam.real for j in members]))
+            lams.extend([lam] * len(members))
+            for j in members:
+                used[j] = True
         else:
             for j in range(i + 1, len(pairs)):
                 if not used[j] and abs(pairs[j].lam - np.conj(p.lam)) < 1e-8:
                     used[j] = True
                     break
-            re, im = np.real(c), np.imag(c)
+            re, im = np.real(p.coeffs), np.imag(p.coeffs)
             cols.append(re / np.linalg.norm(re))
             cols.append(im / np.linalg.norm(im))
             lams.extend([p.lam, np.conj(p.lam)])
@@ -128,7 +140,7 @@ class FeedbackGain:
         return self.gain.shape[1]
 
 
-def _pole_targets(open_loop: np.ndarray, gamma: float, spread: float) -> np.ndarray:
+def _pole_targets(open_loop: np.ndarray, gamma: float) -> np.ndarray:
     """Distinct targets with real parts <= -gamma, keeping pair frequencies.
 
     Real eigenvalues move to spread real targets; complex pairs keep their
@@ -142,7 +154,7 @@ def _pole_targets(open_loop: np.ndarray, gamma: float, spread: float) -> np.ndar
         if used[i]:
             continue
         if abs(lam.imag) < 1e-9:
-            targets.append(-gamma * (1.0 + spread * slot))
+            targets.append(-gamma * (1.0 + POLE_SPREAD * slot))
             used[i] = True
             slot += 1
         else:
@@ -150,8 +162,8 @@ def _pole_targets(open_loop: np.ndarray, gamma: float, spread: float) -> np.ndar
                 if not used[j] and abs(open_loop[j] - np.conj(lam)) < 1e-7:
                     used[j] = True
                     break
-            re = -gamma * (1.0 + spread * slot)
-            im = abs(lam.imag) * (1.0 + 0.5 * spread * slot)
+            re = -gamma * (1.0 + POLE_SPREAD * slot)
+            im = abs(lam.imag) * (1.0 + 0.5 * POLE_SPREAD * slot)
             targets.extend([re + 1j * im, re - 1j * im])
             used[i] = True
             slot += 1
@@ -185,11 +197,26 @@ def _hautus_check(A: np.ndarray, B: np.ndarray, eigenvalues: np.ndarray) -> None
             )
 
 
+def _target_matrix(targets: np.ndarray) -> np.ndarray:
+    """Real matrix with the given spectrum: a diagonal entry per real target
+    and a block [[re, im], [-im, re]] per conjugate pair (adjacent targets)."""
+    F = np.zeros((len(targets), len(targets)))
+    i = 0
+    while i < len(targets):
+        re, im = targets[i].real, targets[i].imag
+        if im == 0.0:
+            F[i, i] = re
+            i += 1
+        else:
+            F[i : i + 2, i : i + 2] = [[re, im], [-im, re]]
+            i += 2
+    return F
+
+
 def synthesize_feedback(
     unstable_block: np.ndarray,
     input_map: np.ndarray,
     gamma: float,
-    pole_spread: float = 0.02,
 ) -> FeedbackGain:
     """Pole placement moving the unstable block below -gamma.
 
@@ -198,8 +225,12 @@ def synthesize_feedback(
     placement.  Real parts of the targets are distinct values <= -gamma;
     conjugate-pair symmetry is preserved so the gain (and the realized
     control) is real.
-    The closed-loop block A - B*gain is verified to satisfy
-    Re(lambda) <= -gamma + 1e-8.
+
+    Placement is exact by Sylvester's equation (Bhattacharyya and de Souza,
+    Systems & Control Letters 1982): with F a real matrix whose eigenvalues
+    are the targets and G = B^T, the solution X of A X - X F = B G gives
+    gain = G X^-1 and A - B gain = X F X^-1.  The closed-loop block is
+    verified to satisfy Re(lambda) <= -gamma + POLE_TOL.
     """
     A = np.atleast_2d(np.asarray(unstable_block, dtype=float))
     N = A.shape[0]
@@ -212,17 +243,19 @@ def synthesize_feedback(
         raise ConfigurationError("target decay rate gamma must be positive")
     open_loop = np.linalg.eigvals(A)
     _hautus_check(A, B, open_loop)
-    targets = _pole_targets(open_loop, gamma, pole_spread)
+    targets = _pole_targets(open_loop, gamma)
+    G = B.T
+    X = sla.solve_sylvester(A, -_target_matrix(targets), B @ G)
     try:
-        placed = place_poles(A, B, targets)
-        gain = placed.gain_matrix
-    except ValueError as exc:
+        gain = sla.solve(X.T, G.T).T
+    except sla.LinAlgError as exc:
         raise UncontrollableError(f"pole placement failed: {exc}") from exc
     closed = A - B @ gain
     achieved = np.linalg.eigvals(closed)
     if np.max(achieved.real) > -gamma + POLE_TOL:
         raise UncontrollableError(
-            f"closed-loop block kept an eigenvalue at {np.max(achieved.real):.6f}"
+            f"closed-loop block kept an eigenvalue at {np.max(achieved.real):.6f} "
+            f"(Sylvester solution cond {np.linalg.cond(X):.3e})"
         )
     return FeedbackGain(gain, gamma, targets, achieved, closed)
 

@@ -288,6 +288,21 @@ def test_console_entry_point(tmp_path):
     assert "spectrum: ok" in proc.stdout
 
 
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # pole placement needs only scipy.linalg; scipy.signal alone costs about a
+    # second of start-up on every run
+    src = str(Path(mhdlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mhdlab.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_default_config_validates():
     RunConfig.from_dict().validate()
     assert "geometry" in DEFAULT_CONFIG

@@ -129,7 +129,7 @@ class TestSynthesizeFeedback:
         def no_placement(*args, **kwargs):
             raise AssertionError("pole placement ran on an uncontrollable pair")
 
-        monkeypatch.setattr(stabilize, "place_poles", no_placement)
+        monkeypatch.setattr(stabilize.sla, "solve_sylvester", no_placement)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UncontrollableError, match=r"eigenvalue 0\.2"):
