@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .fields import StateVector, VectorField2
@@ -195,6 +196,30 @@ class SolenoidalBasis:
             vals *= ns * dA
             out[self.spec_col] = vals if cplx else vals.real
         return out
+
+    def synthesis_matrix(self) -> sp.csr_matrix:
+        """``to_field`` as a sparse (2*ncells, dim) map from coefficients to
+        the stacked amplitudes [fft2(u1); fft2(u2)].
+
+        By Parseval ``to_coeffs`` is cell_area/ncells times its conjugate
+        transpose (real part for real fields).
+        """
+        n = self.grid.ncells
+        nc, ns = self._norms
+        rows, cols, vals = [], [], []
+        for comp in (0, 1):
+            t = (0.5 * nc * n) * self.pair_t[:, comp]
+            for kflat, sign in ((self.pair_kflat, -1j), (self.pair_negkflat, 1j)):
+                rows += [comp * n + kflat] * 2
+                cols += [self.pair_cos_col, self.pair_sin_col]
+                vals += [t, sign * t]
+        rows.append(self.spec_dir * n + self.spec_kflat)
+        cols.append(self.spec_col)
+        vals.append(np.full(self.spec_col.size, ns * n))
+        return sp.csr_matrix(
+            (np.concatenate(vals).astype(complex), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(2 * n, self.dim),
+        )
 
     def dense(self) -> np.ndarray:
         """Materialize the basis as a (2*ncells, dim) array (small grids)."""

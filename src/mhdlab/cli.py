@@ -38,7 +38,7 @@ from .errors import (
     NumericalError,
     UncontrollableError,
 )
-from .fields import StateVector
+from .fields import StateVector, VectorField2
 from .geometry import RegionSet, build_cutoff, build_weight
 from .grid import Grid
 from .operators import GeneratorOperator, MhdSystem
@@ -66,18 +66,24 @@ def _meta(cfg: RunConfig) -> dict:
     return {"config_hash": cfg.hash, "version": __version__}
 
 
+def _overwrite_on(mask, dst: VectorField2, src: VectorField2) -> VectorField2:
+    """Copy of dst holding src on mask, in the dtype both fit in."""
+    comps = []
+    for d, s in ((dst.u1, src.u1), (dst.u2, src.u2)):
+        c = d.astype(np.result_type(d, s))
+        c[mask] = s[mask]
+        comps.append(c)
+    return VectorField2(dst.grid, *comps, dst.bc_tag)
+
+
 def _degenerate_clusters(clusters: list[list[EigenPair]], omega) -> list[list[EigenPair]]:
     """Fixture: overwrite one eigenfunction on omega with a copy of another."""
     out = [list(c) for c in clusters]
     for cl in out:
         if len(cl) >= 2:
             a, b = cl[0], cl[1]
-            phi = b.Phi.phi.copy()
-            xi = b.Phi.xi.copy()
-            phi.u1[omega] = a.Phi.phi.u1[omega]
-            phi.u2[omega] = a.Phi.phi.u2[omega]
-            xi.u1[omega] = a.Phi.xi.u1[omega]
-            xi.u2[omega] = a.Phi.xi.u2[omega]
+            phi = _overwrite_on(omega, b.Phi.phi, a.Phi.phi)
+            xi = _overwrite_on(omega, b.Phi.xi, a.Phi.xi)
             cl[1] = EigenPair(b.lam, StateVector(phi, xi), b.residual, b.coeffs)
             break
     return out

@@ -22,6 +22,7 @@ second-order field operators; all other blocks are second order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +45,13 @@ from .geometry import CutoffField
 from .grid import Grid
 from .projection import _solver
 
-_DENSE_STATE_LIMIT = 4400  # reduced state dimension cap for materialization
+_DENSE_STATE_LIMIT = 4400  # reduced state dimension cap for the dense strategy
+# Fourier modes of a coefficient field, and entries of the reduced matrix,
+# below this share of the largest one are roundoff of exact zeros.
+_ROUNDOFF_RTOL = 1e-14
+# Entries per part of the Fourier-space ambient matrix; bounds the memory of
+# the assembly when an equilibrium carries many modes.
+_PART_ENTRIES = 1 << 21
 
 
 @dataclass
@@ -104,6 +111,52 @@ def export_coo(op: LinearOperator | sp.spmatrix, path) -> None:
         fh.write("# row col real imag\n")
         for r, c, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{r} {c} {v.real:.12e} {complex(v).imag:.12e}\n")
+
+
+def _fourier_parts(amb: sp.spmatrix, grid: Grid) -> Iterator[sp.csr_matrix]:
+    """``amb`` with every ncells x ncells block conjugated by fft2, as a sum
+    of sparse parts of at most about _PART_ENTRIES entries each.
+
+    A block is a periodic stencil, sum_s diag(a_s) shift_s over offsets s.
+    Under fft2 the shift is the phase exp(2 pi i q.s/n) on amplitude q and
+    diag(a_s) the cyclic convolution with fft2(a_s)/ncells, so amplitude q
+    feeds amplitude q + m for each mode m of a_s.  Modes below _ROUNDOFF_RTOL
+    times the largest of their field are dropped.
+    """
+    nx, ny = grid.shape
+    n = grid.ncells
+    nblk = amb.shape[1] // n
+    coo = sp.coo_matrix(amb)
+    coo.sum_duplicates()
+    rb, r = np.divmod(coo.row, n)
+    cb, c = np.divmod(coo.col, n)
+    # one coefficient field per (block, offset) term
+    offset = ((c // ny - r // ny) % nx) * ny + (c - r) % ny
+    terms, term = np.unique((rb * nblk + cb) * n + offset, return_inverse=True)
+    coef = np.zeros((terms.size, n))
+    coef[term, r] = coo.data
+    modes = np.fft.fft2(coef.reshape(-1, nx, ny)).reshape(terms.size, n) / n
+    t, m = np.nonzero(np.abs(modes) >= _ROUNDOFF_RTOL * np.abs(modes).max(axis=1, keepdims=True))
+
+    def signed(flat):
+        kx, ky = np.divmod(flat, ny)
+        return (kx + nx // 2) % nx - nx // 2, (ky + ny // 2) % ny - ny // 2
+
+    # signed offsets and frequencies make the phase at -q the exact
+    # conjugate of the one at q
+    (sx, sy), (qx, qy) = signed(terms % n), signed(np.arange(n))
+    phase = np.exp(2j * np.pi * (np.outer(sx, qx) / nx + np.outer(sy, qy) / ny))
+    # the terms of one block that carry mode m act on amplitude q together
+    groups, group = np.unique((terms[t] // n) * n + m, return_inverse=True)
+    weights = sp.csr_matrix((modes[t, m], (group, t)), shape=(groups.size, terms.size))
+    (rblk, cblk), (mx, my) = np.divmod(groups // n, nblk), np.divmod(groups % n, ny)
+    q = np.arange(n)
+    step = max(1, _PART_ENTRIES // n)
+    for g in (slice(lo, lo + step) for lo in range(0, groups.size, step)):
+        rows = rblk[g, None] * n + ((q // ny + mx[g, None]) % nx) * ny + (q + my[g, None]) % ny
+        cols = cblk[g, None] * n + q
+        vals = weights[g] @ phase
+        yield sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=amb.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -185,28 +238,24 @@ class MhdSystem:
         y = np.concatenate([basis.to_coeffs(sout.phi), basis.to_coeffs(sout.xi)])
         return y + self.sigma * np.asarray(x)
 
-    def reduced_matrix(self) -> np.ndarray:
+    def reduced_matrix(self) -> sp.csr_matrix:
+        """Reduced generator (shift included) as a sparse matrix.
+
+        In the fft2 amplitudes of its fields the ambient matrix couples a
+        mode only to the modes its coefficient fields shift it by
+        (``_fourier_parts``); the basis' synthesis map and its Parseval
+        adjoint carry that to basis coefficients, so the basis itself is
+        never materialized.
+        """
         if "reduced" not in self._cache:
-            basis = self.basis
-            if basis.state_dim() > _DENSE_STATE_LIMIT:
-                raise ConfigurationError(
-                    f"reduced state dimension {basis.state_dim()} exceeds the dense "
-                    f"cap {_DENSE_STATE_LIMIT}: the closed-loop simulation and the "
-                    "dense spectral strategy materialize the reduced matrix, so "
-                    "neither runs on this grid"
-                )
-            Z = basis.dense()
-            dA = self.grid.cell_area
-            amb = self.ambient_matrix()
-            n2 = 2 * self.grid.ncells
-            blocks = [[None, None], [None, None]]
-            for i in range(2):
-                for j in range(2):
-                    sub = amb[i * n2:(i + 1) * n2, j * n2:(j + 1) * n2]
-                    blocks[i][j] = dA * (Z.T @ (sub @ Z))
-            red = np.block(blocks)
-            red += self.sigma * np.eye(red.shape[0])
-            self._cache["reduced"] = red
+            g = self.grid
+            synth = sp.block_diag([self.basis.synthesis_matrix()] * 2, format="csr")
+            red = sp.csr_matrix((synth.shape[1],) * 2)
+            for part in _fourier_parts(self.ambient_matrix(), g):
+                red += ((g.cell_area / g.ncells) * (synth.conj().T @ (part @ synth))).real
+            red.data[np.abs(red.data) < _ROUNDOFF_RTOL * np.abs(red.data).max(initial=0.0)] = 0.0
+            red.eliminate_zeros()
+            self._cache["reduced"] = (red + self.sigma * sp.identity(red.shape[0])).tocsr()
         return self._cache["reduced"]
 
     def diffusion_symbol_state(self) -> np.ndarray:
@@ -323,12 +372,18 @@ class GeneratorOperator:
         return self.system.reduced_matvec(x, adjoint=self.adjoint)
 
     def dense(self) -> np.ndarray:
-        red = self.system.reduced_matrix()
-        return red.T.conj() if self.adjoint else red
+        """The reduced matrix as an array, for the dense spectral strategy."""
+        if self.dim > _DENSE_STATE_LIMIT:
+            raise ConfigurationError(
+                f"reduced state dimension {self.dim} exceeds the dense cap "
+                f"{_DENSE_STATE_LIMIT} of the dense spectral strategy"
+            )
+        return self.matrix.toarray()
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.dense())
+        red = self.system.reduced_matrix()
+        return red.T.tocsr() if self.adjoint else red
 
     @property
     def dom(self) -> str:

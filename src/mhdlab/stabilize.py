@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (
     ConfigurationError,
@@ -342,6 +344,11 @@ def control_fields(
     return out
 
 
+def _implicit_step(A: GeneratorOperator, dt: float) -> spla.SuperLU:
+    """Sparse LU of I - dt*A, the backward Euler step of the reduced generator."""
+    return spla.splu(sp.identity(A.dim, format="csc") - dt * A.matrix.tocsc())
+
+
 def simulate_closed_loop(
     A: GeneratorOperator,
     design: FeedbackDesign | None,
@@ -369,9 +376,8 @@ def simulate_closed_loop(
                 f"dt*max|Re lambda| = {dt * rate:.3f} > 0.5; refine the time step"
             )
 
-    Ared = A.dense()
-    dim = Ared.shape[0]
-    lu = sla.lu_factor(np.eye(dim) - dt * Ared)
+    lu = _implicit_step(A, dt)
+    dim = A.dim
     drive = design.drive if design is not None else np.zeros((dim, 0))
 
     x = np.real(A.from_state(y0))
@@ -405,7 +411,7 @@ def simulate_closed_loop(
         if k == nsteps:
             break
         rhs = x + dt * (drive @ alpha) if K else x.copy()
-        x = sla.lu_solve(lu, rhs)
+        x = lu.solve(rhs)
 
     trace = SimulationTrace(times, energies, energies_unstable, amplitudes, states)
     trace.validate()
@@ -452,9 +458,7 @@ def stable_complement_residual(
     """
     if trace.states is None:
         raise ConfigurationError("trace was not stored with states")
-    Ared = A.dense()
-    dim = Ared.shape[0]
-    lu = sla.lu_factor(np.eye(dim) - dt * Ared)
+    lu = _implicit_step(A, dt)
     worst = 0.0
     for k in range(len(trace.times) - 1):
         x = trace.states[k]
@@ -462,7 +466,7 @@ def stable_complement_residual(
         zeta = x - proj.apply(x)
         zeta_next = xnext - proj.apply(xnext)
         # control drive enters the complement only through its stable part
-        step_in = trace.states[k + 1] - sla.lu_solve(lu, trace.states[k])
-        pred = sla.lu_solve(lu, zeta) + (step_in - proj.apply(step_in))
+        step_in = trace.states[k + 1] - lu.solve(trace.states[k])
+        pred = lu.solve(zeta) + (step_in - proj.apply(step_in))
         worst = max(worst, float(np.max(np.abs(pred - zeta_next))))
     return worst

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from mhdlab.cli import (
     EXIT_OK,
     EXIT_UNCONTROLLABLE,
     Run,
+    _degenerate_clusters,
     main,
     run_carleman,
     run_spectrum,
@@ -21,6 +23,8 @@ from mhdlab.cli import (
 )
 from mhdlab.config import DEFAULT_CONFIG, RunConfig
 from mhdlab.errors import UncontrollableError
+from mhdlab.fields import StateVector, VectorField2
+from mhdlab.spectral import EigenPair
 
 FAST_SPECTRAL = {"spectral": {"count": 10, "strategy": "shift_invert"}}
 
@@ -418,3 +422,27 @@ class TestSharedRun:
         with pytest.raises(UncontrollableError):
             run_stabilize(run, tmp_path)
         _assert_same(run.adjoint_spectrum, adj)
+
+
+def test_degenerate_fixture_copies_complex_values_exactly():
+    g = mhdlab.build_grid(2 * np.pi, 2 * np.pi, 16, 16)
+    rng = np.random.default_rng(4)
+
+    def pair(imag):
+        u = rng.normal(size=(4, *g.shape)) + imag * rng.normal(size=(4, *g.shape))
+        return EigenPair(0.5, StateVector(VectorField2(g, u[0], u[1]), VectorField2(g, u[2], u[3])), 0.0)
+
+    first, second = pair(1j), pair(0.0)
+    omega = np.zeros(g.shape, dtype=bool)
+    omega[3:7, 4:10] = True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((kept, copied),) = _degenerate_clusters([[first, second]], omega)
+    assert kept is first
+    for field, a, b in (
+        (copied.Phi.phi, first.Phi.phi, second.Phi.phi),
+        (copied.Phi.xi, first.Phi.xi, second.Phi.xi),
+    ):
+        for got, on, off in ((field.u1, a.u1, b.u1), (field.u2, a.u2, b.u2)):
+            assert np.array_equal(got[omega], on[omega])
+            assert np.array_equal(got[~omega], off[~omega])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mhdlab import (
     ScalarField,
@@ -147,6 +148,61 @@ class TestGenerator:
         eq = make_equilibrium("zero", box16)
         with pytest.raises(ConfigurationError):
             assemble_generator(eq, -0.1)
+
+
+def _smooth_random(grid, rng, kmax=3):
+    """Random real trigonometric polynomial with modes |kx|, |ky| <= kmax."""
+    X, Y = grid.meshgrid()
+    out = np.zeros(grid.shape)
+    for kx in range(-kmax, kmax + 1):
+        for ky in range(kmax + 1):
+            arg = 2 * np.pi * (kx * X / grid.Lx + ky * Y / grid.Ly)
+            a, b = rng.normal(size=2)
+            out += a * np.cos(arg) + b * np.sin(arg)
+    return out
+
+
+def _sparse_case(kind, nx, ny):
+    g = build_grid(L, 0.75 * L, nx, ny) if nx != ny else build_grid(L, L, nx, ny)
+    if kind == "uniform_B":
+        ones = np.ones(g.shape)
+        return make_equilibrium("custom", g, {"B_e": (ones, 0.5 * ones)})
+    if kind == "random":
+        rng = np.random.default_rng(11)
+        fields = {name: (_smooth_random(g, rng), _smooth_random(g, rng)) for name in ("y_e", "B_e")}
+        return make_equilibrium("custom", g, fields)
+    return make_equilibrium(kind, g)
+
+
+class TestSparseReducedMatrix:
+    @pytest.mark.parametrize(
+        "kind,nx,ny",
+        [
+            ("zero", 16, 16),
+            ("shear", 16, 16),
+            ("taylor_vortex", 16, 16),
+            ("uniform_B", 16, 16),
+            ("random", 16, 16),
+            ("random", 16, 12),
+            ("shear", 32, 32),
+        ],
+    )
+    def test_matches_matvec(self, kind, nx, ny):
+        eq = _sparse_case(kind, nx, ny)
+        rng = np.random.default_rng(2)
+        for A in (assemble_generator(eq, 0.4), assemble_adjoint(eq, 0.4)):
+            R = A.matrix
+            assert sp.issparse(R)
+            for x in rng.normal(size=(3, A.dim)):
+                want = A.matvec(x)
+                assert np.linalg.norm(R @ x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_sparse_in_the_basis(self, box32):
+        nnz = {
+            kind: assemble_generator(make_equilibrium(kind, box32), 0.0).matrix.nnz
+            for kind in ("zero", "shear", "taylor_vortex")
+        }
+        assert nnz == {"zero": 2052, "shear": 5882, "taylor_vortex": 9684}
 
 
 class TestAdjoint:

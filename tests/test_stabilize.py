@@ -28,6 +28,7 @@ from mhdlab.errors import (
     UncontrollableError,
 )
 from mhdlab import stabilize
+from mhdlab.operators import GeneratorOperator
 from mhdlab.stabilize import SimulationTrace, control_fields, stable_complement_residual
 
 L = 2 * np.pi
@@ -241,12 +242,33 @@ class TestMeasureDecay:
             measure_decay(trace, (0.0, 1.0))
 
 
-def test_dense_cap_names_the_closed_loop_constraint():
-    # 48x48 gives a reduced state of 4 * (48**2 - 1) = 9212 coefficients
+def test_closed_loop_runs_past_the_dense_cap():
+    # 48x48 gives a reduced state of 2 * (48**2 + 2) = 4612 coefficients
     g = build_grid(L, L, 48, 48)
     A = assemble_generator(make_equilibrium("zero", g), 1.5)
-    y0 = A.to_state(np.zeros(A.dim))
-    with pytest.raises(ConfigurationError, match="dense cap") as exc:
-        simulate_closed_loop(A, None, y0, 1.0, 0.01)
-    assert "closed-loop simulation" in str(exc.value)
-    assert "shift_invert" not in str(exc.value)
+    assert A.dim == 4612
+    # on the zero equilibrium every basis column is an eigenvector, so a
+    # backward Euler step scales it by exactly 1 / (1 - dt * lambda)
+    lam = 1.5 + A.system.diffusion_symbol_state()[0]
+    x0 = np.zeros(A.dim)
+    x0[0] = 1.0
+    trace = simulate_closed_loop(A, None, A.to_state(x0), 1.0, 0.01)
+    expect = (1.0 - 0.01 * lam) ** (-2.0 * np.arange(101))
+    assert np.abs(trace.energies / expect - 1.0).max() < 1e-10
+    for refused in (A.dense, lambda: compute_spectrum(A, 4, "dense")):
+        with pytest.raises(ConfigurationError, match="dense cap") as exc:
+            refused()
+        assert "dense spectral strategy" in str(exc.value)
+        assert "closed-loop" not in str(exc.value)
+
+
+def test_closed_loop_never_materializes_the_reduced_matrix(loop24, monkeypatch):
+    def refuse(self):
+        raise AssertionError("GeneratorOperator.dense called")
+
+    monkeypatch.setattr(GeneratorOperator, "dense", refuse)
+    A, design = loop24["A"], loop24["design"]
+    y0 = A.to_state(design.proj.V @ np.ones(design.proj.N))
+    trace = simulate_closed_loop(A, design, y0, 1.0, 0.01, store_states=True)
+    assert trace.energies[-1] < trace.energies[0]
+    assert stable_complement_residual(trace, A, design.proj, 0.01) <= 1e-6
