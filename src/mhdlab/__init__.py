@@ -63,6 +63,7 @@ from .carleman import (
     coefficients,
     final_estimate_eval,
     integrated_inequality_check,
+    integrated_inequality_sweep,
     make_omega_vanishing_state,
     make_test_field,
     tau_sweep_vanishing,

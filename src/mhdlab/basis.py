@@ -142,60 +142,65 @@ class SolenoidalBasis:
         area = self.grid.Lx * self.grid.Ly
         return np.sqrt(2.0 / area), np.sqrt(1.0 / area)
 
-    def to_field(self, coeffs: np.ndarray) -> VectorField2:
-        """Synthesize the vector field with the given basis coefficients."""
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Fields of stacked coefficient vectors: (..., dim) -> (..., 2, nx, ny).
+
+        One ifft2 over the last two axes serves the whole stack; every entry
+        gets the same scatter and arithmetic as a single vector would, so a
+        stack equals its rows transformed one at a time, bit for bit.
+        """
         g = self.grid
         nc, ns = self._norms
         coeffs = np.asarray(coeffs)
-        S1 = np.zeros(g.shape, dtype=complex).ravel()
-        S2 = np.zeros(g.shape, dtype=complex).ravel()
+        S = np.zeros(coeffs.shape[:-1] + (2, g.ncells), dtype=complex)
         if self.pair_kflat.size:
-            a = coeffs[self.pair_cos_col]
-            b = coeffs[self.pair_sin_col]
-            wp = 0.5 * nc * (a - 1j * b)
-            wm = 0.5 * nc * (a + 1j * b)
-            t1, t2 = self.pair_t[:, 0], self.pair_t[:, 1]
-            S1[self.pair_kflat] = wp * t1
-            S2[self.pair_kflat] = wp * t2
-            S1[self.pair_negkflat] = wm * t1
-            S2[self.pair_negkflat] = wm * t2
+            a = coeffs[..., self.pair_cos_col]
+            b = coeffs[..., self.pair_sin_col]
+            wp = (0.5 * nc * (a - 1j * b))[..., None, :]
+            wm = (0.5 * nc * (a + 1j * b))[..., None, :]
+            t = self.pair_t.T
+            S[..., self.pair_kflat] = wp * t
+            S[..., self.pair_negkflat] = wm * t
         if self.spec_kflat.size:
-            c = coeffs[self.spec_col] * ns
-            xsel = self.spec_dir == 0
-            S1[self.spec_kflat[xsel]] = c[xsel]
-            S2[self.spec_kflat[~xsel]] = c[~xsel]
-        scale = g.nx * g.ny
-        u1 = np.fft.ifft2(S1.reshape(g.shape)) * scale
-        u2 = np.fft.ifft2(S2.reshape(g.shape)) * scale
-        if not np.iscomplexobj(coeffs):
-            u1, u2 = u1.real, u2.real
-        return VectorField2(g, u1, u2)
+            S[..., self.spec_dir, self.spec_kflat] = coeffs[..., self.spec_col] * ns
+        u = np.fft.ifft2(S.reshape(S.shape[:-1] + g.shape)) * (g.nx * g.ny)
+        return u if np.iscomplexobj(coeffs) else u.real
 
-    def to_coeffs(self, v: VectorField2) -> np.ndarray:
-        """Expand a field over the basis (adjoint of to_field); linear in v."""
+    def analyze(self, fields: np.ndarray) -> np.ndarray:
+        """Basis coefficients of stacked fields: (..., 2, nx, ny) -> (..., dim).
+
+        The adjoint of ``synthesize``, linear in the fields, with one fft2
+        for the whole stack; real fields give real coefficients.
+        """
         g = self.grid
         nc, ns = self._norms
         dA = g.cell_area
-        V1 = np.fft.fft2(v.u1).ravel()
-        V2 = np.fft.fft2(v.u2).ravel()
-        cplx = np.iscomplexobj(v.u1) or np.iscomplexobj(v.u2)
-        out = np.zeros(self.dim, dtype=complex if cplx else float)
+        fields = np.asarray(fields)
+        V = np.fft.fft2(fields).reshape(fields.shape[:-2] + (g.ncells,))
+        V1, V2 = V[..., 0, :], V[..., 1, :]
+        cplx = np.iscomplexobj(fields)
+        out = np.zeros(fields.shape[:-3] + (self.dim,), dtype=complex if cplx else float)
         if self.pair_kflat.size:
             t1, t2 = self.pair_t[:, 0], self.pair_t[:, 1]
-            Vp = t1 * V1[self.pair_kflat] + t2 * V2[self.pair_kflat]
-            Vm = t1 * V1[self.pair_negkflat] + t2 * V2[self.pair_negkflat]
+            Vp = t1 * V1[..., self.pair_kflat] + t2 * V2[..., self.pair_kflat]
+            Vm = t1 * V1[..., self.pair_negkflat] + t2 * V2[..., self.pair_negkflat]
             ccos = nc * dA * 0.5 * (Vm + Vp)
             csin = nc * dA * (Vm - Vp) / 2j
-            out[self.pair_cos_col] = ccos if cplx else ccos.real
-            out[self.pair_sin_col] = csin if cplx else csin.real
+            out[..., self.pair_cos_col] = ccos if cplx else ccos.real
+            out[..., self.pair_sin_col] = csin if cplx else csin.real
         if self.spec_kflat.size:
-            xsel = self.spec_dir == 0
-            vals = np.empty(self.spec_kflat.size, dtype=complex)
-            vals[xsel] = V1[self.spec_kflat[xsel]]
-            vals[~xsel] = V2[self.spec_kflat[~xsel]]
+            vals = V[..., self.spec_dir, self.spec_kflat]
             vals *= ns * dA
-            out[self.spec_col] = vals if cplx else vals.real
+            out[..., self.spec_col] = vals if cplx else vals.real
         return out
+
+    def to_field(self, coeffs: np.ndarray) -> VectorField2:
+        """Synthesize the vector field with the given basis coefficients."""
+        return VectorField2(self.grid, *self.synthesize(coeffs))
+
+    def to_coeffs(self, v: VectorField2) -> np.ndarray:
+        """Expand a field over the basis (adjoint of to_field); linear in v."""
+        return self.analyze(np.stack([v.u1, v.u2]))
 
     def synthesis_matrix(self) -> sp.csr_matrix:
         """``to_field`` as a sparse (2*ncells, dim) map from coefficients to
@@ -254,8 +259,8 @@ class SolenoidalBasis:
         return 2 * self.dim
 
     def state_to_coeffs(self, s: StateVector) -> np.ndarray:
-        return np.concatenate([self.to_coeffs(s.phi), self.to_coeffs(s.xi)])
+        return self.analyze(np.array([[s.phi.u1, s.phi.u2], [s.xi.u1, s.xi.u2]])).reshape(-1)
 
     def coeffs_to_state(self, x: np.ndarray) -> StateVector:
-        m = self.dim
-        return StateVector(self.to_field(x[:m]), self.to_field(x[m:]))
+        phi, xi = self.synthesize(np.asarray(x).reshape(2, self.dim))
+        return StateVector(VectorField2(self.grid, *phi), VectorField2(self.grid, *xi))

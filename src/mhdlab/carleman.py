@@ -30,6 +30,7 @@ from .fields import (
     ScalarField,
     StateVector,
     VectorField2,
+    density,
     gradient,
     laplacian,
     weighted_norm2,
@@ -124,7 +125,19 @@ def _dilate(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_cauchy(w, region: np.ndarray) -> None:
+def _band_weight(psi: WeightField, G: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+    """The normalized weight at tau on the cells of G, and its shift; built
+    once per (G, tau) and kept on psi."""
+    key = (G.tobytes(), tau)
+    if key not in psi._cache:
+        Wn, shift = _normalized_weight(psi.psi, tau, G)
+        psi._cache[key] = (Wn[G], shift)
+    return psi._cache[key]
+
+
+def _check_cauchy(w, grads: list[VectorField2], region: np.ndarray) -> None:
+    """Raise unless w and its gradient (``grads``, one per component) vanish
+    on the boundary rings of the region."""
     ring = _boundary_rings(region)
     mag = w.magnitude() if isinstance(w, VectorField2) else np.abs(w.values)
     scale = max(float(mag.max()), 1e-300)
@@ -132,16 +145,71 @@ def _check_cauchy(w, region: np.ndarray) -> None:
         raise CauchyDataError(
             "field trace on the region boundary exceeds tolerance"
         )
-    if isinstance(w, VectorField2):
-        g1, g2 = gradient(ScalarField(w.grid, w.u1)), gradient(ScalarField(w.grid, w.u2))
-        gm = np.maximum(g1.magnitude(), g2.magnitude())
-    else:
-        gm = gradient(w).magnitude()
+    gm = np.maximum.reduce([gr.magnitude() for gr in grads])
     gscale = max(float(gm.max()), 1e-300)
     if float(gm[ring].max(initial=0.0)) > CAUCHY_TOL * gscale:
         raise CauchyDataError(
             "normal-derivative trace on the region boundary exceeds tolerance"
         )
+
+
+def integrated_inequality_sweep(
+    w: ScalarField | VectorField2,
+    psi: WeightField,
+    params_seq: list[CarlemanParams],
+    region: np.ndarray | None = None,
+    check_cauchy: bool = True,
+) -> list[EstimateReport]:
+    """Weighted inequality over G for a field with zero Cauchy data on dG,
+    one report per entry of params_seq.
+
+    The Cauchy data, the gradient, the Laplacian and the squared integrands
+    on G depend only on the field, so they are computed once; each tau then
+    reduces its weight against them.  Every sum runs over the same terms in
+    the same order as a single check would, so the reports are the same to
+    the bit.
+    """
+    G = psi.regions.G if region is None else region
+    if isinstance(w, VectorField2):
+        grads = [gradient(ScalarField(w.grid, w.u1)), gradient(ScalarField(w.grid, w.u2))]
+    else:
+        grads = [gradient(w)]
+    if check_cauchy:
+        _check_cauchy(w, grads, G)
+    dA = w.grid.cell_area
+    dens_grad = [density(gr)[G] for gr in grads]
+    dens_zero = density(w)[G]
+    dens_rhs = density(laplacian(w))[G]
+
+    reports = []
+    for params in params_seq:
+        tau = params.tau
+        Wg, shift = _band_weight(psi, G, tau)
+        I_grad = sum(float(np.sum(Wg * d) * dA) for d in dens_grad)
+        I_zero = float(np.sum(Wg * dens_zero) * dA)
+        I_rhs = float(np.sum(Wg * dens_rhs) * dA)
+
+        c_grad, c_zero, c_rhs = coefficients(params)
+        c_zero_eff = max(c_zero - params.tau2_bound * tau**2, 0.0)
+        lhs_grad = c_grad * I_grad
+        lhs_zero = c_zero_eff * I_zero
+        rhs_main = c_rhs * I_rhs
+        margin = rhs_main - (lhs_grad + lhs_zero)
+        reports.append(EstimateReport(
+            tau_used=tau,
+            lhs_grad=lhs_grad,
+            lhs_zero=lhs_zero,
+            rhs_main=rhs_main,
+            margin=margin,
+            passed=bool(margin >= -PASS_SLACK * max(rhs_main, 1e-300)),
+            tau_too_small=bool(c_grad <= 0),
+            tau2_bound=params.tau2_bound,
+            weight_shift=shift,
+            integral_grad=I_grad,
+            integral_zero=I_zero,
+            integral_rhs=I_rhs,
+        ))
+    return reports
 
 
 def integrated_inequality_check(
@@ -152,43 +220,7 @@ def integrated_inequality_check(
     check_cauchy: bool = True,
 ) -> EstimateReport:
     """Weighted inequality over G for a field with zero Cauchy data on dG."""
-    G = psi.regions.G if region is None else region
-    if check_cauchy:
-        _check_cauchy(w, G)
-    tau = params.tau
-    Wn, shift = _normalized_weight(psi.psi, tau, G)
-    Wfield = ScalarField(psi.grid, Wn)
-
-    if isinstance(w, VectorField2):
-        grads = [gradient(ScalarField(w.grid, w.u1)), gradient(ScalarField(w.grid, w.u2))]
-        I_grad = sum(weighted_norm2(gr, Wfield, G) for gr in grads)
-        lap = laplacian(w)
-    else:
-        I_grad = weighted_norm2(gradient(w), Wfield, G)
-        lap = laplacian(w)
-    I_zero = weighted_norm2(w, Wfield, G)
-    I_rhs = weighted_norm2(lap, Wfield, G)
-
-    c_grad, c_zero, c_rhs = coefficients(params)
-    c_zero_eff = max(c_zero - params.tau2_bound * tau**2, 0.0)
-    lhs_grad = c_grad * I_grad
-    lhs_zero = c_zero_eff * I_zero
-    rhs_main = c_rhs * I_rhs
-    margin = rhs_main - (lhs_grad + lhs_zero)
-    return EstimateReport(
-        tau_used=tau,
-        lhs_grad=lhs_grad,
-        lhs_zero=lhs_zero,
-        rhs_main=rhs_main,
-        margin=margin,
-        passed=bool(margin >= -PASS_SLACK * max(rhs_main, 1e-300)),
-        tau_too_small=bool(c_grad <= 0),
-        tau2_bound=params.tau2_bound,
-        weight_shift=shift,
-        integral_grad=I_grad,
-        integral_zero=I_zero,
-        integral_rhs=I_rhs,
-    )
+    return integrated_inequality_sweep(w, psi, [params], region, check_cauchy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +317,10 @@ def calibrate_tau2_bound(
     library after weakening the zero-order coefficient by c2*tau^2."""
     rng = np.random.default_rng(seed)
     need = 0.0
+    params = [CarlemanParams.for_weight(tau, psi, delta0, epsilon) for tau in tau_list]
     for _ in range(n_fields):
         w = make_test_field(psi.regions, rng, "scalar")
-        for tau in tau_list:
-            par = CarlemanParams.for_weight(tau, psi, delta0, epsilon)
-            rep = integrated_inequality_check(w, psi, par)
+        for tau, rep in zip(tau_list, integrated_inequality_sweep(w, psi, params)):
             if rep.margin < 0 and rep.integral_zero > 0:
                 need = max(need, -rep.margin / (tau**2 * rep.integral_zero))
     return 1.05 * need

@@ -26,7 +26,7 @@ from .carleman import (
     CarlemanParams,
     calibrate_tau2_bound,
     find_tau0,
-    integrated_inequality_check,
+    integrated_inequality_sweep,
     make_test_field,
 )
 from .config import RunConfig
@@ -254,15 +254,15 @@ def run_carleman(run: Run, outdir: Path) -> dict:
     c2 = opts["tau2_bound"]
     if opts["calibrate_tau2"]:
         c2 = max(c2, calibrate_tau2_bound(psi, taus, opts["delta0"], opts["epsilon"]))
+    params = [
+        CarlemanParams.for_weight(t, psi, opts["delta0"], opts["epsilon"], c2) for t in taus
+    ]
     rng = np.random.default_rng(cfg.seed)
     by_tau = {t: [] for t in taus}
     for _ in range(opts["n_fields"]):
         w = make_test_field(regions, rng)
-        for t in taus:
-            params = CarlemanParams.for_weight(
-                t, psi, opts["delta0"], opts["epsilon"], c2
-            )
-            by_tau[t].append(integrated_inequality_check(w, psi, params))
+        for t, rep in zip(taus, integrated_inequality_sweep(w, psi, params)):
+            by_tau[t].append(rep)
     rows = []
     for t in taus:
         reps = by_tau[t]

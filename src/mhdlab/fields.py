@@ -310,6 +310,13 @@ def apply_bc(v: VectorField2, tag: BcTag | str) -> VectorField2:
 # Quadrature helpers
 # ---------------------------------------------------------------------------
 
+def density(f: ScalarField | VectorField2) -> np.ndarray:
+    """Pointwise |f|^2 (summed over components)."""
+    if isinstance(f, VectorField2):
+        return np.abs(f.u1) ** 2 + np.abs(f.u2) ** 2
+    return np.abs(f.values) ** 2
+
+
 def weighted_norm2(
     f: ScalarField | VectorField2 | StateVector,
     weight: ScalarField | np.ndarray | float = 1.0,
@@ -320,11 +327,7 @@ def weighted_norm2(
         return weighted_norm2(f.phi, weight, region) + weighted_norm2(f.xi, weight, region)
     g = f.grid
     w = weight.values if isinstance(weight, ScalarField) else np.asarray(weight)
-    if isinstance(f, VectorField2):
-        dens = np.abs(f.u1) ** 2 + np.abs(f.u2) ** 2
-    else:
-        dens = np.abs(f.values) ** 2
-    integrand = w * dens
+    integrand = w * density(f)
     if region is not None:
         if region.shape != g.shape:
             raise ShapeError("region mask shape does not match grid")

@@ -254,6 +254,9 @@ class WeightField:
     stretch: tuple[float, float] = (1.0, 1.0)
     sign_violations_omega1: int = 0
     sign_violations_outer: int = 0
+    # derived arrays (Carleman band weights per tau); a copy made with
+    # dataclasses.replace starts empty
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid:

@@ -228,15 +228,30 @@ class MhdSystem:
 
     # -- reduced operator ---------------------------------------------------
     def reduced_matvec(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Reduced generator (or its adjoint) times x, through the ambient
+        matrix: one synthesis and one analysis of the (phi, xi) stack."""
         basis = self.basis
-        m = basis.dim
-        s = basis.coeffs_to_state(x)
-        flat = s.ravel()
-        amb = self.ambient_matrix()
-        out = (amb.T if adjoint else amb) @ flat
-        sout = StateVector.from_flat(self.grid, out)
-        y = np.concatenate([basis.to_coeffs(sout.phi), basis.to_coeffs(sout.xi)])
-        return y + self.sigma * np.asarray(x)
+        x = np.asarray(x)
+        flat = basis.synthesize(x.reshape(2, basis.dim)).reshape(-1)
+        out = self._ambient_operand(adjoint, flat.dtype) @ flat
+        y = basis.analyze(out.reshape((2, 2) + self.grid.shape)).reshape(-1)
+        return y + self.sigma * x
+
+    def _ambient_operand(self, adjoint: bool, dtype) -> sp.csr_matrix:
+        """The ambient matrix (or its transpose) as CSR in the dtype of the
+        vectors it multiplies, built once.
+
+        scipy would otherwise copy the real data to complex on every
+        complex product, and multiply the transpose column by column; either
+        way each output entry sums the same terms in the same order, so the
+        products are the same to the bit.
+        """
+        key = ("ambient_operand", adjoint, np.dtype(dtype).kind == "c")
+        if key not in self._cache:
+            amb = self.ambient_matrix()
+            mat = amb.T.tocsr() if adjoint else amb
+            self._cache[key] = mat.astype(np.result_type(mat.dtype, dtype), copy=False)
+        return self._cache[key]
 
     def reduced_matrix(self) -> sp.csr_matrix:
         """Reduced generator (shift included) as a sparse matrix.

@@ -98,6 +98,19 @@ def _cluster(lams: list[complex]) -> tuple[list[int], list[complex]]:
     return ids, reps
 
 
+def _complete_clusters(lams: np.ndarray, how_many: int) -> np.ndarray:
+    """Indices, in sort order, of the first how_many eigenvalues and of
+    every other one within the cluster tolerance of one of them.
+
+    Members of a cluster need not be adjacent in sort order (roundoff in
+    the real parts interleaves conjugate clusters), so truncating at
+    how_many must not split one.
+    """
+    tol = CLUSTER_RTOL * max(1.0, float(np.abs(lams).max()))
+    dist = np.abs(lams[:, None] - lams[None, :how_many]).min(axis=1)
+    return np.flatnonzero(dist <= tol)
+
+
 def _dense_eig(A: GeneratorOperator, how_many: int):
     mat = A.dense()
     lams, vecs = sla.eig(mat)
@@ -111,14 +124,11 @@ def _shift_invert_eig(A: GeneratorOperator, how_many: int):
     si = A.sigma + A.system.eq.grad_bound + 1.0
     pre = A.shift_invert_preconditioner(si)
     iter_log = {"gmres_calls": 0, "gmres_failures": 0}
+    op = spla.LinearOperator((dim, dim), matvec=lambda x: A.matvec(x) - si * x, dtype=complex)
+    M = spla.LinearOperator((dim, dim), matvec=lambda x: pre * x, dtype=complex)
 
     def solve_shifted(b):
-        b = np.asarray(b)
-        op = spla.LinearOperator(
-            (dim, dim), matvec=lambda x: A.matvec(x) - si * x, dtype=complex
-        )
-        M = spla.LinearOperator((dim, dim), matvec=lambda x: pre * x, dtype=complex)
-        x, info = spla.gmres(op, b, M=M, rtol=1e-12, atol=0.0, maxiter=400)
+        x, info = spla.gmres(op, np.asarray(b), M=M, rtol=1e-12, atol=0.0, maxiter=400)
         iter_log["gmres_calls"] += 1
         if info != 0:
             iter_log["gmres_failures"] += 1
@@ -129,9 +139,7 @@ def _shift_invert_eig(A: GeneratorOperator, how_many: int):
         return x
 
     opinv = spla.LinearOperator((dim, dim), matvec=solve_shifted, dtype=complex)
-    aop = spla.LinearOperator(
-        (dim, dim), matvec=lambda x: A.matvec(x), dtype=complex
-    )
+    aop = spla.LinearOperator((dim, dim), matvec=A.matvec, dtype=complex)
     k = min(how_many + 8, dim - 2)
     v0 = np.cos(0.7 * np.arange(dim)) + 0.3  # deterministic start vector
     try:
@@ -161,12 +169,8 @@ def compute_spectrum(
     else:
         raise ConfigurationError(f"unknown spectral strategy {strategy!r}")
 
-    # complete the trailing cluster before truncating to how_many
-    n_keep = min(how_many, len(lams))
-    tol = CLUSTER_RTOL * max(1.0, float(np.abs(lams).max()))
-    while n_keep < len(lams) and abs(lams[n_keep] - lams[n_keep - 1]) <= tol:
-        n_keep += 1
-    lams, vecs = lams[:n_keep], vecs[:, :n_keep]
+    keep = _complete_clusters(lams, how_many)
+    lams, vecs = lams[keep], vecs[:, keep]
 
     pairs = []
     for i, lam in enumerate(lams):

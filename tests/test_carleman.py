@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,21 @@ from mhdlab import (
     compute_spectrum,
     final_estimate_eval,
     integrated_inequality_check,
+    integrated_inequality_sweep,
     make_omega_vanishing_state,
     make_test_field,
     tau_sweep_vanishing,
 )
-from mhdlab.carleman import calibrate_tau2_bound, find_tau0, halving_exponents
+from mhdlab.carleman import (
+    PASS_SLACK,
+    EstimateReport,
+    calibrate_tau2_bound,
+    coefficients,
+    find_tau0,
+    halving_exponents,
+)
 from mhdlab.errors import CauchyDataError, ConfigurationError
+from mhdlab.fields import gradient, laplacian, weighted_norm2
 from mhdlab.geometry import CutoffField
 
 
@@ -177,6 +188,81 @@ class TestIntegratedInequality:
         par = CarlemanParams.for_weight(2.0, psi32, tau2_bound=c2)
         rep = integrated_inequality_check(w, psi32, par)
         assert rep.tau2_bound == c2
+
+
+def _reference_check(w, psi, params):
+    """One (field, tau) check written out with full-grid weighted norms."""
+    G, tau = psi.regions.G, params.tau
+    shift = float(psi.psi[G].max())
+    W = ScalarField(psi.grid, np.exp(2.0 * tau * (psi.psi - shift)))
+    if isinstance(w, VectorField2):
+        grads = [gradient(ScalarField(w.grid, w.u1)), gradient(ScalarField(w.grid, w.u2))]
+        I_grad = sum(weighted_norm2(gr, W, G) for gr in grads)
+    else:
+        I_grad = weighted_norm2(gradient(w), W, G)
+    I_zero = weighted_norm2(w, W, G)
+    I_rhs = weighted_norm2(laplacian(w), W, G)
+    c_grad, c_zero, c_rhs = coefficients(params)
+    lhs_grad = c_grad * I_grad
+    lhs_zero = max(c_zero - params.tau2_bound * tau**2, 0.0) * I_zero
+    rhs_main = c_rhs * I_rhs
+    margin = rhs_main - (lhs_grad + lhs_zero)
+    return EstimateReport(
+        tau, lhs_grad, lhs_zero, rhs_main, margin,
+        bool(margin >= -PASS_SLACK * max(rhs_main, 1e-300)), bool(c_grad <= 0),
+        params.tau2_bound, shift, I_grad, I_zero, I_rhs,
+    )
+
+
+def _bits(reports):
+    return [
+        tuple(float(v).hex() if isinstance(v, float) else v for v in vars(r).values())
+        for r in reports
+    ]
+
+
+class TestInequalitySweep:
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_sweep_equals_single_tau_checks(self, regions32, psi32, kind):
+        rng = np.random.default_rng(47)
+        params = [CarlemanParams.for_weight(t, psi32, tau2_bound=0.3) for t in tau_grid(regions32)]
+        for _ in range(3):
+            w = make_test_field(regions32, rng, kind)
+            swept = integrated_inequality_sweep(w, psi32, params)
+            assert len(swept) == 7
+            singles = [integrated_inequality_sweep(w, psi32, [p])[0] for p in params]
+            assert _bits(swept) == _bits(singles)
+            checks = [integrated_inequality_check(w, psi32, p) for p in params]
+            assert _bits(checks) == _bits(swept)
+            assert _bits([_reference_check(w, psi32, p) for p in params]) == _bits(swept)
+
+    def test_boundary_trace_raises(self, regions32, psi32):
+        w = ScalarField(regions32.grid, np.ones(regions32.grid.shape))
+        params = [CarlemanParams.for_weight(t, psi32) for t in tau_grid(regions32)]
+        with pytest.raises(CauchyDataError):
+            integrated_inequality_sweep(w, psi32, params)
+
+    def test_calibration_matches_single_checks(self, regions32, psi32):
+        # the disc weight passes every check, so calibrate against a flat
+        # weight with the same rho and kgrad, under which the large taus
+        # fail; psi32's weights are cached first, and the copy must not
+        # reuse them
+        calibrate_tau2_bound(psi32, tau_grid(regions32), n_fields=1)
+        flat = replace(psi32, psi=np.zeros_like(psi32.psi))
+        taus = tau_grid(regions32)
+        rng = np.random.default_rng(9)
+        need = 0.0
+        for _ in range(5):
+            w = make_test_field(regions32, rng, "scalar")
+            for t in taus:
+                par = CarlemanParams.for_weight(t, flat)
+                rep = integrated_inequality_check(w, flat, par)
+                assert _bits([rep]) == _bits([_reference_check(w, flat, par)])
+                if rep.margin < 0 and rep.integral_zero > 0:
+                    need = max(need, -rep.margin / (t**2 * rep.integral_zero))
+        assert need > 0
+        c2 = calibrate_tau2_bound(flat, taus, n_fields=5, seed=9)
+        assert c2.hex() == (1.05 * need).hex()
 
 
 class TestChiSystem:

@@ -123,3 +123,30 @@ class TestSolenoidalBasis:
             lf = VectorField2.from_flat(box16, lap @ f.ravel())
             back = b.to_coeffs(lf)
             assert np.abs(back - sym * c).max() < 1e-9
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_stacked_transforms_equal_single_vectors(self, cplx):
+        # batching must not change a bit: one ifft2/fft2 over the stack does
+        # exactly what k separate transforms do
+        g = build_grid(L, 0.75 * L, 16, 12)
+        b = SolenoidalBasis.for_grid(g)
+        rng = np.random.default_rng(20)
+        C = rng.normal(size=(3, b.dim))
+        if cplx:
+            C = C + 1j * rng.normal(size=C.shape)
+        F = b.synthesize(C)
+        assert F.shape == (3, 2) + g.shape
+        singles = np.stack([b.synthesize(c) for c in C])
+        assert F.dtype == singles.dtype and F.tobytes() == singles.tobytes()
+        for c, f in zip(C, F):
+            v = b.to_field(c)
+            assert np.stack([v.u1, v.u2]).tobytes() == f.tobytes()
+
+        fields = [_random_field(g, rng, cplx) for _ in range(3)]
+        stack = np.stack([[v.u1, v.u2] for v in fields])
+        coeffs = b.analyze(stack)
+        singles = np.stack([b.to_coeffs(v) for v in fields])
+        assert coeffs.dtype == singles.dtype and coeffs.tobytes() == singles.tobytes()
+        nested = b.analyze(stack.reshape((1, 3, 2) + g.shape))[0]
+        assert nested.tobytes() == coeffs.tobytes()
+

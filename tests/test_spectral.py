@@ -18,7 +18,7 @@ from mhdlab import (
     ucp_gram_test,
 )
 from mhdlab.errors import ConfigurationError, UncontrollableError
-from mhdlab.spectral import EigenPair
+from mhdlab.spectral import EigenPair, _cluster, _complete_clusters, _sort_key
 
 L = 2 * np.pi
 
@@ -87,6 +87,25 @@ class TestSpectrum:
             assert np.array_equal(p1.coeffs, p2.coeffs)
         res = [p.lam.real for p in r1.pairs]
         assert res == sorted(res, reverse=True)
+
+    def test_truncation_keeps_interleaved_cluster_members(self):
+        # roundoff in the real parts interleaves a conjugate pair of 2-fold
+        # clusters in sort order as +, -, -, +; cutting after the first "-"
+        # must still keep the trailing "+"
+        lams = np.array([
+            0.5,
+            -0.03996 + 2e-15 + 0.4604j,
+            -0.03996 + 1e-15 - 0.4604j,
+            -0.03996 - 1e-15 - 0.4604j,
+            -0.03996 - 2e-15 + 0.4604j,
+            -0.9,
+        ])
+        assert sorted(lams, key=_sort_key) == list(lams)
+        kept = {1: [0], 2: [0, 1, 4], 3: [0, 1, 2, 3, 4], 5: [0, 1, 2, 3, 4], 6: list(range(6))}
+        for how_many, want in kept.items():
+            assert _complete_clusters(lams, how_many).tolist() == want
+        ids, _ = _cluster(list(lams[_complete_clusters(lams, 3)]))
+        assert ids == [0, 1, 2, 2, 1]
 
     def test_how_many_validation(self, box16):
         eq = make_equilibrium("zero", box16)
