@@ -49,6 +49,7 @@ from .spectral import (
     GramMatrix,
     KalmanMatrix,
     SpectrumReport,
+    adjoint_eigenpairs,
     adjoint_spectrum,
     compute_spectrum,
     kalman_rank,

@@ -9,7 +9,7 @@ with a status that encodes the failure class:
     5 other deliberate failure
 
 The stages of one invocation share one ``Run``, so ``all`` solves the
-forward and the adjoint spectrum once each.
+forward spectrum once and derives the adjoint eigenfunctions from it once.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .spectral import (
     EigenPair,
     KalmanMatrix,
     SpectrumReport,
-    adjoint_spectrum,
+    adjoint_eigenpairs,
     compute_spectrum,
     kalman_rank,
     select_actuators,
@@ -94,9 +94,10 @@ class Run:
     use and at most once.
 
     One MhdSystem backs both the forward and the adjoint generator, so the
-    ambient blocks are assembled once, and each spectrum is solved once no
-    matter how many stages read it; the same holds for the actuators and the
-    Kalman reports that ``ucp`` and ``stabilize`` both need.  Stages treat
+    ambient blocks are assembled once.  The forward spectrum is solved once
+    and the adjoint eigenpairs are derived from it once, no matter how many
+    stages read them; the same holds for the actuators and the Kalman
+    reports that ``ucp`` and ``stabilize`` both need.  Stages treat
     everything here as read-only.
     """
 
@@ -134,8 +135,7 @@ class Run:
 
     @cached_property
     def adjoint_spectrum(self) -> SpectrumReport:
-        opts = self.cfg.spectral_options()
-        return adjoint_spectrum(self.adjoint, opts["count"], opts["strategy"])
+        return adjoint_eigenpairs(self.adjoint, self.spectrum)
 
     @cached_property
     def clusters(self) -> list[list[EigenPair]]:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 from .errors import GeometryError, ResolutionError, WeightConstructionError
 from .fields import ScalarField
@@ -35,6 +34,9 @@ from .grid import BcKind, Grid
 CHI_ONE_LAYER_CELLS = 2   # guard >= max stencil half-width seen by commutators
 CHI_ZERO_LAYER_CELLS = 3  # layer of OmegaStar bordering Omega0 where chi == 0
 MIN_TRANSITION_CELLS = 3
+# (edge cell, outside cell) distances computed at once; bounds the memory of
+# the distance to omega on large grids.
+_DISTANCE_CHUNK = 1 << 20
 
 
 class GeometryCase(str, Enum):
@@ -142,6 +144,30 @@ def _omega_mask(grid: Grid, spec: OmegaSpec, case: GeometryCase) -> np.ndarray:
     return mask
 
 
+def _distance_to(omega: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """Euclidean distance from each cell centre to the nearest omega cell
+    centre, 0 on omega; the grid is not wrapped.
+
+    The nearest omega cell is always an edge cell (one with an in-grid
+    4-neighbour outside omega): from any other omega cell a step toward the
+    target stays in omega and gets closer.  Each candidate's squared
+    distance is ((bi - i) hx)^2 + ((bj - j) hy)^2, with one square root of
+    the minimum, as scipy.ndimage.distance_transform_edt computes it.
+    """
+    full = np.pad(omega, 1, constant_values=True)
+    interior = full[:-2, 1:-1] & full[2:, 1:-1] & full[1:-1, :-2] & full[1:-1, 2:]
+    bi, bj = np.nonzero(omega & ~interior)
+    oi, oj = np.nonzero(~omega)
+    d2 = np.full(oi.size, np.inf)
+    step = max(1, _DISTANCE_CHUNK // max(1, oi.size))
+    for lo in range(0, bi.size, step):
+        ci, cj = bi[lo : lo + step, None], bj[lo : lo + step, None]
+        d2 = np.minimum(d2, (((ci - oi) * hx) ** 2 + ((cj - oj) * hy) ** 2).min(axis=0))
+    d = np.zeros(omega.shape)
+    d[oi, oj] = np.sqrt(d2)
+    return d
+
+
 def build_nested_regions(
     grid: Grid,
     omega_spec: OmegaSpec,
@@ -158,7 +184,7 @@ def build_nested_regions(
     if not omega.any():
         raise GeometryError("omega is empty at this resolution")
 
-    d = distance_transform_edt(~omega, sampling=(grid.hx, grid.hy))
+    d = _distance_to(omega, grid.hx, grid.hy)
     omega1 = (d > 0) & (d <= w1)
     omega_star = (d > w1) & (d <= w1 + ws)
     omega0 = d > w1 + ws

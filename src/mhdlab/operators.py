@@ -26,6 +26,7 @@ from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .basis import SolenoidalBasis
 from .equilibria import Equilibrium
@@ -399,6 +400,11 @@ class GeneratorOperator:
     def matrix(self) -> sp.csr_matrix:
         red = self.system.reduced_matrix()
         return red.T.tocsr() if self.adjoint else red
+
+    def lu(self, a: complex, b: float) -> spla.SuperLU:
+        """Sparse LU of a*I + b*matrix, the shifted solve shared by implicit
+        time stepping and inverse iteration."""
+        return spla.splu(a * sp.identity(self.dim, format="csc") + b * self.matrix.tocsc())
 
     @property
     def dom(self) -> str:

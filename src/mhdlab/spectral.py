@@ -1,12 +1,15 @@
 """Eigenanalysis of the coupled generator and the rank tests behind the
 unique continuation property.
 
-The spectrum is computed either densely (exact, small grids) or by a
-shift-inverted Arnoldi iteration whose inner solves are GMRES preconditioned
-with the exact diffusive symbol, so only the advective coupling has to be
-iterated on.  Eigenvalues are clustered into distinct values with a relative
-tolerance, giving the unstable count N, the number of distinct unstable
-values M, their geometric multiplicities, and K = max multiplicity.
+The forward spectrum is computed either densely (exact, small grids) or by
+a shift-inverted Arnoldi iteration whose inner solves are GMRES
+preconditioned with the exact diffusive symbol, so only the advective
+coupling has to be iterated on.  GMRES serves only this forward solve: the
+adjoint eigenfunctions are derived from the forward clusters by inverse
+iteration on one sparse LU per cluster.  Eigenvalues are clustered into
+distinct values with a relative tolerance, giving the unstable count N, the
+number of distinct unstable values M, their geometric multiplicities, and
+K = max multiplicity.
 
 The continuation test itself is algebraic: a cluster's adjoint eigenfunctions
 restricted to the control patch omega must stay linearly independent (their
@@ -30,6 +33,10 @@ from .operators import GeneratorOperator
 RESIDUAL_BOUND = 1e-8
 CLUSTER_RTOL = 1e-6
 RANK_RTOL = 1e-8
+# The adjoint inverse iteration shifts off a cluster mean lam by this share
+# of max(1, |lam|), and takes a fixed number of steps.
+ADJOINT_SHIFT_RTOL = 1e-5
+ADJOINT_STEPS = 3
 
 
 @dataclass
@@ -170,8 +177,13 @@ def compute_spectrum(
         raise ConfigurationError(f"unknown spectral strategy {strategy!r}")
 
     keep = _complete_clusters(lams, how_many)
-    lams, vecs = lams[keep], vecs[:, keep]
+    return _report(A, lams[keep], vecs[:, keep], strategy)
 
+
+def _report(
+    A: GeneratorOperator, lams: np.ndarray, vecs: np.ndarray, strategy: str
+) -> SpectrumReport:
+    """Checked, normalized eigenpairs and their cluster structure."""
     pairs = []
     for i, lam in enumerate(lams):
         c = _phase_fix(vecs[:, i])
@@ -186,8 +198,8 @@ def compute_spectrum(
             c = c.real.astype(float)
         pairs.append(EigenPair(complex(lam), A.to_state(c), res, c))
 
-    # sorting puts unstable pairs first, so clusters are numbered from the
-    # most unstable downward and the unstable ones occupy ids 0..M-1
+    # unstable pairs come first, so clusters are numbered from the most
+    # unstable downward and the unstable ones occupy ids 0..M-1
     ids, reps = _cluster([p.lam for p in pairs])
     M = len({ci for p, ci in zip(pairs, ids) if p.unstable})
     ell = [sum(1 for p, c in zip(pairs, ids) if c == i and p.unstable) for i in range(M)]
@@ -206,13 +218,55 @@ def compute_spectrum(
     )
 
 
+def adjoint_eigenpairs(A_adj: GeneratorOperator, forward: SpectrumReport) -> SpectrumReport:
+    """Adjoint eigenpairs at the eigenvalues of a forward spectrum of the
+    same system, cluster by cluster.
+
+    R is real, so R^T has the same eigenvalues as R, and a left eigenvector w
+    pairs with the right one v at the same eigenvalue under the bilinear form
+    w^T v.  The conjugates of a cluster's forward eigenvectors therefore
+    start with a nonzero component on each wanted adjoint eigenvector (the
+    pairing v^T conj(v) is ||v||^2).  A few steps of block inverse iteration
+    with one sparse LU of R^T - mu I, mu just off the cluster mean, converge
+    onto the cluster's invariant subspace; the Schur vectors of the
+    projected ell x ell matrix give an orthonormal basis of it, with the
+    diagonal of the Schur form as the eigenvalues.  Clusters keep the
+    forward order, and every pair passes the same checks as a forward one.
+    """
+    if not A_adj.adjoint:
+        raise ConfigurationError("adjoint_eigenpairs expects the adjoint operator")
+    Rt = A_adj.matrix
+    ids = np.asarray(forward.cluster_ids)
+    lams, vecs = [], []
+    for ci in range(ids.max() + 1):
+        members = np.flatnonzero(ids == ci)
+        lam = np.mean([forward.pairs[i].lam for i in members])
+        mu = lam + ADJOINT_SHIFT_RTOL * max(1.0, abs(lam))
+        lu = A_adj.lu(-mu, 1.0)
+        Q = np.column_stack([forward.pairs[i].coeffs for i in members]).conj()
+        Q = np.linalg.qr(Q.astype(complex))[0]
+        for _ in range(ADJOINT_STEPS):
+            Q = np.linalg.qr(lu.solve(Q))[0]
+        T, Z = sla.schur(Q.conj().T @ (Rt @ Q), output="complex")
+        lams.append(np.diag(T))
+        vecs.append(Q @ Z)
+    return _report(A_adj, np.concatenate(lams), np.hstack(vecs), forward.strategy)
+
+
 def adjoint_spectrum(
     A_adj: GeneratorOperator, how_many: int, strategy: str = "dense"
 ) -> SpectrumReport:
-    """Eigenpairs of the adjoint; eigenvalues are conjugates of the forward ones."""
+    """Eigenpairs of the adjoint at the leading eigenvalues of the generator.
+
+    R is real, so the adjoint R^T has the same eigenvalues as R (not their
+    conjugates).  The forward spectrum of the same system is solved with
+    ``strategy`` and the adjoint eigenvectors derived from it by
+    ``adjoint_eigenpairs``.
+    """
     if not A_adj.adjoint:
         raise ConfigurationError("adjoint_spectrum expects the adjoint operator")
-    return compute_spectrum(A_adj, how_many, strategy)
+    A = GeneratorOperator(A_adj.system, False, "Atilde")
+    return adjoint_eigenpairs(A_adj, compute_spectrum(A, how_many, strategy))
 
 
 # ---------------------------------------------------------------------------

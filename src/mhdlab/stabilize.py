@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     ConfigurationError,
@@ -344,11 +342,6 @@ def control_fields(
     return out
 
 
-def _implicit_step(A: GeneratorOperator, dt: float) -> spla.SuperLU:
-    """Sparse LU of I - dt*A, the backward Euler step of the reduced generator."""
-    return spla.splu(sp.identity(A.dim, format="csc") - dt * A.matrix.tocsc())
-
-
 def simulate_closed_loop(
     A: GeneratorOperator,
     design: FeedbackDesign | None,
@@ -376,7 +369,7 @@ def simulate_closed_loop(
                 f"dt*max|Re lambda| = {dt * rate:.3f} > 0.5; refine the time step"
             )
 
-    lu = _implicit_step(A, dt)
+    lu = A.lu(1.0, -dt)  # backward Euler step I - dt*A
     dim = A.dim
     drive = design.drive if design is not None else np.zeros((dim, 0))
 
@@ -458,7 +451,7 @@ def stable_complement_residual(
     """
     if trace.states is None:
         raise ConfigurationError("trace was not stored with states")
-    lu = _implicit_step(A, dt)
+    lu = A.lu(1.0, -dt)  # backward Euler step I - dt*A
     worst = 0.0
     for k in range(len(trace.times) - 1):
         x = trace.states[k]

@@ -15,7 +15,7 @@ from mhdlab.errors import (
     ResolutionError,
     WeightConstructionError,
 )
-from mhdlab.geometry import RegionSet
+from mhdlab.geometry import RegionSet, _distance_to
 
 L = 2 * np.pi
 
@@ -102,6 +102,43 @@ class TestRegions:
         regions.validate()
         X, _ = channel.meshgrid()
         assert not regions.omega[X < 0.2 * channel.Lx].any()
+
+    @pytest.mark.parametrize(
+        "grid_args, spec, case",
+        [
+            ((L, L, 32, 32), OmegaSpec(shape="disc", radius=0.15 * L), "interior_patch"),
+            ((L, 4.0, 40, 24), OmegaSpec(shape="disc", radius=0.5), "interior_patch"),
+            ((L, 2.0, 32, 16, "periodic", "wall"), OmegaSpec(shape="collar", width=0.25), "full_collar"),
+            ((3.0, 2.0, 36, 20, "wall", "wall"), OmegaSpec(shape="collar", width=0.3), "full_collar"),
+            (
+                (L, 2.0, 32, 16, "periodic", "wall"),
+                OmegaSpec(shape="collar", width=0.25, side="y0", span=(0.25, 0.75)),
+                "partial_collar",
+            ),
+            (
+                (2.0, 3.0, 20, 28, "wall", "periodic"),
+                OmegaSpec(shape="collar", width=0.3, side="x1", span=(0.1, 0.6)),
+                "partial_collar",
+            ),
+        ],
+    )
+    def test_distance_equals_scipy_edt(self, grid_args, spec, case):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        grid = build_grid(*grid_args)
+        regions = build_nested_regions(grid, spec, case)
+        ref = ndimage.distance_transform_edt(~regions.omega, sampling=(grid.hx, grid.hy))
+        assert np.array_equal(regions.dist_to_omega, ref)
+
+    def test_distance_equals_scipy_edt_on_random_masks(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            shape = tuple(rng.integers(3, 40, size=2))
+            hx, hy = rng.uniform(0.05, 1.0, size=2)
+            mask = rng.random(shape) < rng.uniform(0.02, 0.9)
+            mask[rng.integers(shape[0]), rng.integers(shape[1])] = True
+            ref = ndimage.distance_transform_edt(~mask, sampling=(hx, hy))
+            assert np.array_equal(_distance_to(mask, hx, hy), ref)
 
     def test_omega_too_large(self, box32):
         with pytest.raises(GeometryError):

@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from mhdlab import (
+    GeneratorOperator,
     OmegaSpec,
     StateVector,
     VectorField2,
     adjoint_spectrum,
     assemble_adjoint,
     assemble_generator,
+    build_grid,
     build_nested_regions,
     compute_spectrum,
     inner,
@@ -18,7 +23,15 @@ from mhdlab import (
     ucp_gram_test,
 )
 from mhdlab.errors import ConfigurationError, UncontrollableError
-from mhdlab.spectral import EigenPair, _cluster, _complete_clusters, _sort_key
+from mhdlab.spectral import (
+    CLUSTER_RTOL,
+    RESIDUAL_BOUND,
+    EigenPair,
+    _cluster,
+    _complete_clusters,
+    _sort_key,
+    adjoint_eigenpairs,
+)
 
 L = 2 * np.pi
 
@@ -144,6 +157,118 @@ class TestAdjointSpectrum:
     def test_requires_adjoint_operator(self, gen_shifted32):
         with pytest.raises(ConfigurationError):
             adjoint_spectrum(gen_shifted32, 4)
+
+    def test_derivation_requires_adjoint_operator(self, gen_shifted32, spectrum_shifted32):
+        with pytest.raises(ConfigurationError):
+            adjoint_eigenpairs(gen_shifted32, spectrum_shifted32)
+
+
+def _uniform_b_eq(grid):
+    ones = np.ones(grid.shape)
+    return make_equilibrium("custom", grid, {"B_e": (ones, 0.0 * ones)})
+
+
+# equilibrium, grid size, sigma.  The unstable clusters are real of
+# multiplicity 8 (zero) and 6 (shear); conjugate singles and real pairs
+# (taylor_vortex); conjugate pairs and a real 4-fold cluster (uniform B, the
+# closed-loop fixture of test_coupled_modes).  Shear and taylor_vortex are
+# not normal, so there the forward eigenvectors are not the adjoint ones.
+ADJOINT_CASES = {
+    "zero": ("zero", 16, 1.5),
+    "shear": ("shear", 16, 1.5),
+    "taylor_vortex": ("taylor_vortex", 16, 1.5),
+    "uniform_B": (_uniform_b_eq, 24, 1.2),
+}
+
+
+def _by_cluster(rep):
+    ids = np.asarray(rep.cluster_ids)
+    return [[rep.pairs[i] for i in np.flatnonzero(ids == ci)] for ci in range(ids.max() + 1)]
+
+
+@pytest.fixture(scope="module", params=list(ADJOINT_CASES))
+def derived(request):
+    kind, n, sigma = ADJOINT_CASES[request.param]
+    grid = build_grid(L, L, n, n)
+    eq = kind(grid) if callable(kind) else make_equilibrium(kind, grid)
+    A = assemble_generator(eq, sigma)
+    Aadj = GeneratorOperator(A.system, True, "Atilde_adj")
+    fwd = compute_spectrum(A, 12, "dense")
+    Rt = Aadj.dense()
+    lams, vecs = sla.eig(Rt)
+    return dict(
+        grid=grid,
+        Aadj=Aadj,
+        fwd=fwd,
+        adj=adjoint_eigenpairs(Aadj, fwd),
+        Rt=Rt,
+        oracle_lams=lams,
+        oracle_vecs=vecs,
+    )
+
+
+class TestDerivedAdjoint:
+    """The adjoint derived from the forward clusters against a dense
+    eigendecomposition of R^T."""
+
+    def _oracle(self, d, cluster):
+        lam = np.mean([p.lam for p in cluster])
+        tol = CLUSTER_RTOL * max(1.0, max(abs(p.lam) for p in d["adj"].pairs))
+        idx = np.flatnonzero(np.abs(d["oracle_lams"] - lam) <= tol)
+        assert idx.size == len(cluster)
+        return d["oracle_lams"][idx], d["oracle_vecs"][:, idx]
+
+    def test_counts_equal_forward(self, derived):
+        fwd, adj = derived["fwd"], derived["adj"]
+        assert (adj.N, adj.M, adj.ell, adj.K) == (fwd.N, fwd.M, fwd.ell, fwd.K)
+        assert len(adj.pairs) == len(fwd.pairs)
+        assert adj.N > 0
+
+    def test_eigenvalues_match_oracle(self, derived):
+        for cl in _by_cluster(derived["adj"]):
+            lams, _ = self._oracle(derived, cl)
+            got = np.sort_complex(np.array([p.lam for p in cl]))
+            assert np.abs(got - np.sort_complex(lams)).max() <= 1e-10
+
+    def test_eigenspaces_match_oracle(self, derived):
+        for cl in _by_cluster(derived["adj"]):
+            _, vecs = self._oracle(derived, cl)
+            C = np.column_stack([p.coeffs for p in cl])
+            assert np.max(sla.subspace_angles(C, vecs)) <= 1e-8
+
+    def test_residuals_within_bound(self, derived):
+        Rt = derived["Rt"]
+        for p in derived["adj"].pairs:
+            assert p.residual <= RESIDUAL_BOUND
+            assert np.linalg.norm(Rt @ p.coeffs - p.lam * p.coeffs) <= RESIDUAL_BOUND
+
+    def test_cluster_bases_orthonormal(self, derived):
+        for cl in _by_cluster(derived["adj"]):
+            C = np.column_stack([p.coeffs for p in cl])
+            assert np.abs(C.conj().T @ C - np.eye(len(cl))).max() <= 1e-12
+
+    def test_gram_independent_of_forward_cluster_basis(self, derived):
+        # mixing each forward cluster by a unitary matrix changes the start
+        # of the inverse iteration, not the subspace it converges to
+        fwd, Aadj = derived["fwd"], derived["Aadj"]
+        X, Y = derived["grid"].meshgrid()
+        omega = (X - 0.5 * L) ** 2 + (Y - 0.45 * L) ** 2 <= (0.2 * L) ** 2
+        rng = np.random.default_rng(3)
+        pairs = []
+        for cl in _by_cluster(fwd):
+            ell = len(cl)
+            U = sla.qr(rng.normal(size=(ell, ell)) + 1j * rng.normal(size=(ell, ell)))[0]
+            mixed = np.column_stack([p.coeffs for p in cl]) @ U
+            pairs += [
+                replace(p, Phi=Aadj.to_state(c), coeffs=c) for p, c in zip(cl, mixed.T)
+            ]
+        ids = sorted(fwd.cluster_ids)
+        again = adjoint_eigenpairs(Aadj, replace(fwd, pairs=pairs, cluster_ids=ids))
+        assert again.ell == derived["adj"].ell
+        for a, b in zip(derived["adj"].unstable_clusters(), again.unstable_clusters()):
+            s0 = ucp_gram_test(a, omega).sigma_min
+            s1 = ucp_gram_test(b, omega).sigma_min
+            assert abs(s1 - s0) <= 1e-10 * s0
 
 
 def _synthetic_pair(grid, lam, seed):
