@@ -30,7 +30,13 @@ import scipy.sparse.linalg as spla
 
 from .basis import SolenoidalBasis
 from .equilibria import Equilibrium
-from .errors import AssemblyError, CommutatorSupportError, ConfigurationError, ShapeError
+from .errors import (
+    AssemblyError,
+    CommutatorSupportError,
+    ConfigurationError,
+    NumericalError,
+    ShapeError,
+)
 from .fields import (
     ScalarField,
     StateVector,
@@ -397,14 +403,22 @@ class GeneratorOperator:
         return self.matrix.toarray()
 
     @property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> sp.csr_matrix | sp.csc_matrix:
+        """The cached sparse R, or for the adjoint its transpose: a CSC view
+        of R's arrays, built without a copy."""
         red = self.system.reduced_matrix()
-        return red.T.tocsr() if self.adjoint else red
+        return red.T if self.adjoint else red
 
     def lu(self, a: complex, b: float) -> spla.SuperLU:
-        """Sparse LU of a*I + b*matrix, the shifted solve shared by implicit
-        time stepping and inverse iteration."""
-        return spla.splu(a * sp.identity(self.dim, format="csc") + b * self.matrix.tocsc())
+        """Sparse LU of a*I + b*matrix, the shifted solve shared by
+        shift-invert Arnoldi, inverse iteration and implicit time stepping."""
+        shifted = a * sp.identity(self.dim, format="csc") + b * self.matrix.tocsc()
+        try:
+            return spla.splu(shifted)
+        except RuntimeError as exc:  # splu: "Factor is exactly singular"
+            raise NumericalError(
+                f"shifted generator a*I + b*R is singular: {exc}", detail={"a": a, "b": b}
+            ) from exc
 
     @property
     def dom(self) -> str:
@@ -417,13 +431,6 @@ class GeneratorOperator:
 
     def from_state(self, s: StateVector) -> np.ndarray:
         return self.system.basis.state_to_coeffs(s)
-
-    def shift_invert_preconditioner(self, si: float) -> np.ndarray:
-        """Diagonal (in the basis) inverse of (diffusion + sigma - si)."""
-        diag = self.system.diffusion_symbol_state() + self.sigma - si
-        if np.any(np.abs(diag) < 1e-12):
-            diag = np.where(np.abs(diag) < 1e-12, 1e-12, diag)
-        return 1.0 / diag
 
 
 def assemble_generator(

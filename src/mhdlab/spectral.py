@@ -2,11 +2,13 @@
 unique continuation property.
 
 The forward spectrum is computed either densely (exact, small grids) or by
-a shift-inverted Arnoldi iteration whose inner solves are GMRES
-preconditioned with the exact diffusive symbol, so only the advective
-coupling has to be iterated on.  GMRES serves only this forward solve: the
-adjoint eigenfunctions are derived from the forward clusters by inverse
-iteration on one sparse LU per cluster.  Eigenvalues are clustered into
+a shift-inverted Arnoldi iteration whose inner solves are GMRES on the FFT
+matvec, preconditioned by the shared sparse LU of R - si I
+(``GeneratorOperator.lu``, also used by the closed loop): the LU solves the
+shifted system, advection included, and GMRES takes one refinement step of
+it against the matvec.  GMRES serves only this forward solve: the adjoint
+eigenfunctions are derived from the forward clusters by inverse iteration
+on one sparse LU per cluster.  Eigenvalues are clustered into
 distinct values with a relative tolerance, giving the unstable count N, the
 number of distinct unstable values M, their geometric multiplicities, and
 K = max multiplicity.
@@ -129,10 +131,14 @@ def _dense_eig(A: GeneratorOperator, how_many: int):
 def _shift_invert_eig(A: GeneratorOperator, how_many: int):
     dim = A.dim
     si = A.sigma + A.system.eq.grad_bound + 1.0
-    pre = A.shift_invert_preconditioner(si)
+    # si is real, so R - si I is real: one real LU solves the real and
+    # imaginary parts, and GMRES refines it against the FFT matvec.
+    lu = A.lu(-si, 1.0)
     iter_log = {"gmres_calls": 0, "gmres_failures": 0}
     op = spla.LinearOperator((dim, dim), matvec=lambda x: A.matvec(x) - si * x, dtype=complex)
-    M = spla.LinearOperator((dim, dim), matvec=lambda x: pre * x, dtype=complex)
+    M = spla.LinearOperator(
+        (dim, dim), matvec=lambda x: lu.solve(x.real) + 1j * lu.solve(x.imag), dtype=complex
+    )
 
     def solve_shifted(b):
         x, info = spla.gmres(op, np.asarray(b), M=M, rtol=1e-12, atol=0.0, maxiter=400)

@@ -12,6 +12,7 @@ coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -52,8 +53,12 @@ class UnstableProjection:
     def N(self) -> int:
         return self.V.shape[1]
 
+    @cached_property
+    def _pairing_lu(self):
+        return sla.lu_factor(self.pairing)
+
     def coords(self, x: np.ndarray) -> np.ndarray:
-        return sla.solve(self.pairing, self.W.T @ x)
+        return sla.lu_solve(self._pairing_lu, self.W.T @ x)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.V @ self.coords(x)
@@ -266,7 +271,7 @@ def _real_block(proj: UnstableProjection, A: GeneratorOperator) -> np.ndarray:
     if np.all(np.abs(np.imag(proj.lambdas)) < 1e-10):
         return np.diag(np.real(proj.lambdas))
     AV = np.column_stack([A.matvec(proj.V[:, j]) for j in range(proj.N)])
-    return np.real(sla.solve(proj.pairing, proj.W.T @ AV))
+    return np.real(proj.coords(AV))
 
 
 @dataclass

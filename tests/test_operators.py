@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from mhdlab import (
+    GeneratorOperator,
     ScalarField,
     StateVector,
     VectorField2,
@@ -19,7 +20,7 @@ from mhdlab import (
     oseen_plus,
     rot,
 )
-from mhdlab.errors import CommutatorSupportError, ConfigurationError
+from mhdlab.errors import CommutatorSupportError, ConfigurationError, NumericalError
 from mhdlab.fields import dx_matrix, dy_matrix, inner
 from mhdlab.geometry import CutoffField, OmegaSpec
 from mhdlab.operators import export_coo
@@ -196,6 +197,22 @@ class TestSparseReducedMatrix:
             for x in rng.normal(size=(3, A.dim)):
                 want = A.matvec(x)
                 assert np.linalg.norm(R @ x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_adjoint_is_a_view_of_r(self, box16):
+        A = assemble_generator(make_equilibrium("shear", box16), 0.4)
+        R = A.matrix
+        Rt = GeneratorOperator(A.system, True).matrix
+        assert Rt.format == "csc" and np.shares_memory(Rt.data, R.data)
+        assert (Rt != R.T.tocsr()).nnz == 0
+
+    def test_singular_shift_is_a_numerical_error(self, box16):
+        # on the zero equilibrium R is diagonal, so shifting by one of its
+        # entries leaves a zero pivot
+        A = assemble_generator(make_equilibrium("zero", box16), 1.5)
+        a = -A.matrix[0, 0]
+        with pytest.raises(NumericalError, match="singular") as exc:
+            A.lu(a, 1.0)
+        assert exc.value.detail == {"a": a, "b": 1.0}
 
     def test_sparse_in_the_basis(self, box32):
         nnz = {
