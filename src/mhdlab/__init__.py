@@ -60,9 +60,12 @@ from .carleman import (
     CarlemanParams,
     Coefficients,
     EstimateReport,
+    FieldStack,
     assemble_chi_system_residual,
     coefficients,
+    draw_test_fields,
     final_estimate_eval,
+    inequality_sweep_stack,
     integrated_inequality_check,
     integrated_inequality_sweep,
     make_omega_vanishing_state,

@@ -20,26 +20,35 @@ shifts of psi and the normalization keeps every exponential in range.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CauchyDataError, ConfigurationError
 from .fields import (
     ScalarField,
     StateVector,
     VectorField2,
-    density,
+    dx_matrix,
+    dy_matrix,
     gradient,
     laplacian,
+    laplacian_matrix,
     weighted_norm2,
 )
 from .geometry import CutoffField, RegionSet, WeightField
+from .grid import Grid
 from .operators import MhdSystem, build_commutators
 
 PASS_SLACK = 1e-8
 CAUCHY_TOL = 1e-10
+# Test fields are drawn and checked in stacks of at most about this many
+# grid cells (fields x components x cells), so the memory of a sweep does
+# not grow with the number of fields.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -135,22 +144,134 @@ def _band_weight(psi: WeightField, G: np.ndarray, tau: float) -> tuple[np.ndarra
     return psi._cache[key]
 
 
-def _check_cauchy(w, grads: list[VectorField2], region: np.ndarray) -> None:
-    """Raise unless w and its gradient (``grads``, one per component) vanish
-    on the boundary rings of the region."""
-    ring = _boundary_rings(region)
-    mag = w.magnitude() if isinstance(w, VectorField2) else np.abs(w.values)
-    scale = max(float(mag.max()), 1e-300)
-    if float(mag[ring].max(initial=0.0)) > CAUCHY_TOL * scale:
-        raise CauchyDataError(
-            "field trace on the region boundary exceeds tolerance"
+def _band_rings(psi: WeightField, G: np.ndarray) -> np.ndarray:
+    """The boundary rings of G as a flat cell mask; built once per G and
+    kept on psi."""
+    key = ("rings", G.tobytes())
+    if key not in psi._cache:
+        psi._cache[key] = _boundary_rings(G).ravel()
+    return psi._cache[key]
+
+
+def _stencils(grid: Grid) -> sp.csr_matrix:
+    """[Dx; Dy; Lap] stacked by rows, cached on the grid.  A product with
+    fields as columns gives all their gradients and Laplacians at once, and
+    every row keeps its entries in order, so each column is the product
+    with that field alone."""
+    key = "carleman_stencils"
+    if key not in grid._cache:
+        grid._cache[key] = sp.vstack(
+            [dx_matrix(grid), dy_matrix(grid), laplacian_matrix(grid)], format="csr"
         )
-    gm = np.maximum.reduce([gr.magnitude() for gr in grads])
-    gscale = max(float(gm.max()), 1e-300)
-    if float(gm[ring].max(initial=0.0)) > CAUCHY_TOL * gscale:
+    return grid._cache[key]
+
+
+@dataclass
+class FieldStack:
+    """Fields of one kind on one grid, stacked as (field, component, x, y):
+    one component for scalar fields, two (u1, u2) for vector fields."""
+
+    grid: Grid
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, w: ScalarField | VectorField2) -> "FieldStack":
+        comps = [w.u1, w.u2] if isinstance(w, VectorField2) else [w.values]
+        return cls(w.grid, np.stack(comps)[None])
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def field(self, i: int) -> ScalarField | VectorField2:
+        v = self.values[i]
+        if len(v) == 1:
+            return ScalarField(self.grid, v[0])
+        return VectorField2(self.grid, v[0], v[1])
+
+
+def _density(v: np.ndarray) -> np.ndarray:
+    """Pointwise |f|^2, summed over the component axis 1."""
+    return (np.abs(v) ** 2).sum(axis=1)
+
+
+def _check_cauchy(mag: np.ndarray, gmag: np.ndarray, ring: np.ndarray) -> None:
+    """Raise unless each field's magnitude ``mag`` and gradient magnitude
+    ``gmag`` (cells x fields) vanish on the ring cells, relative to their
+    maxima; the first failing field decides the message."""
+
+    def on_ring(m):
+        scale = np.maximum(m.max(axis=0), 1e-300)
+        return m[ring].max(axis=0, initial=0.0) > CAUCHY_TOL * scale
+
+    trace, normal = on_ring(mag), on_ring(gmag)
+    failed = np.flatnonzero(trace | normal)
+    if failed.size and trace[failed[0]]:
+        raise CauchyDataError("field trace on the region boundary exceeds tolerance")
+    if failed.size:
         raise CauchyDataError(
             "normal-derivative trace on the region boundary exceeds tolerance"
         )
+
+
+def inequality_sweep_stack(
+    fields: FieldStack,
+    psi: WeightField,
+    params_seq: list[CarlemanParams],
+    region: np.ndarray | None = None,
+    check_cauchy: bool = True,
+) -> list[list[EstimateReport]]:
+    """Weighted inequality over G for every field of a stack, each with zero
+    Cauchy data on dG: one list per field, one report per entry of
+    params_seq.
+
+    One sparse product gives the gradients and Laplacians of the whole
+    stack, held as cells x components x fields.  The squared integrands on
+    G become the C-contiguous rows of one array, and each tau reduces its
+    weight against every row, so each sum runs over the same terms in the
+    same order as for the field alone: the reports do not depend on how
+    the fields are stacked.
+    """
+    g = fields.grid
+    G = psi.regions.G if region is None else region
+    n, ncomp = fields.values.shape[:2]
+    cols = fields.values.reshape(n, ncomp, g.ncells).transpose(2, 1, 0)
+    dx, dy, lap = (_stencils(g) @ cols.reshape(g.ncells, -1)).reshape(3, *cols.shape)
+    grad2 = np.abs(dx) ** 2 + np.abs(dy) ** 2  # |grad w_c|^2 per component c
+    if check_cauchy:
+        mag = np.abs(cols[:, 0]) if ncomp == 1 else np.sqrt(_density(cols))
+        _check_cauchy(mag, np.sqrt(grad2).max(axis=1), _band_rings(psi, G))
+    # per field: |grad w_c|^2 for each c, |w|^2, |lap w|^2, on the cells of G
+    on_G = G.ravel()
+    rows = np.concatenate(
+        [grad2[on_G], _density(cols[on_G])[:, None], _density(lap[on_G])[:, None]], axis=1
+    )
+    rows = np.ascontiguousarray(rows.transpose(2, 1, 0))
+    prod = np.empty_like(rows)
+
+    dA = g.cell_area
+    reports = [[] for _ in range(n)]
+    for params in params_seq:
+        tau = params.tau
+        Wg, shift = _band_weight(psi, G, tau)
+        S = np.multiply(Wg, rows, out=prod).sum(axis=2) * dA
+        I_grad, I_zero, I_rhs = S[:, :ncomp].sum(axis=1), S[:, ncomp], S[:, ncomp + 1]
+        c_grad, c_zero, c_rhs = coefficients(params)
+        c_zero_eff = max(c_zero - params.tau2_bound * tau**2, 0.0)
+        lhs_grad = c_grad * I_grad
+        lhs_zero = c_zero_eff * I_zero
+        rhs_main = c_rhs * I_rhs
+        margin = rhs_main - (lhs_grad + lhs_zero)
+        passed = margin >= -PASS_SLACK * np.maximum(rhs_main, 1e-300)
+        per_field = zip(
+            lhs_grad.tolist(), lhs_zero.tolist(), rhs_main.tolist(), margin.tolist(),
+            passed.tolist(), I_grad.tolist(), I_zero.tolist(), I_rhs.tolist(),
+        )
+        for field_reports, (lg, lz, rm, mg, ok, ig, iz, ir) in zip(reports, per_field):
+            field_reports.append(EstimateReport(
+                tau, lg, lz, rm, mg, ok, bool(c_grad <= 0), params.tau2_bound, shift,
+                ig, iz, ir,
+            ))
+    return reports
 
 
 def integrated_inequality_sweep(
@@ -161,55 +282,9 @@ def integrated_inequality_sweep(
     check_cauchy: bool = True,
 ) -> list[EstimateReport]:
     """Weighted inequality over G for a field with zero Cauchy data on dG,
-    one report per entry of params_seq.
-
-    The Cauchy data, the gradient, the Laplacian and the squared integrands
-    on G depend only on the field, so they are computed once; each tau then
-    reduces its weight against them.  Every sum runs over the same terms in
-    the same order as a single check would, so the reports are the same to
-    the bit.
-    """
-    G = psi.regions.G if region is None else region
-    if isinstance(w, VectorField2):
-        grads = [gradient(ScalarField(w.grid, w.u1)), gradient(ScalarField(w.grid, w.u2))]
-    else:
-        grads = [gradient(w)]
-    if check_cauchy:
-        _check_cauchy(w, grads, G)
-    dA = w.grid.cell_area
-    dens_grad = [density(gr)[G] for gr in grads]
-    dens_zero = density(w)[G]
-    dens_rhs = density(laplacian(w))[G]
-
-    reports = []
-    for params in params_seq:
-        tau = params.tau
-        Wg, shift = _band_weight(psi, G, tau)
-        I_grad = sum(float(np.sum(Wg * d) * dA) for d in dens_grad)
-        I_zero = float(np.sum(Wg * dens_zero) * dA)
-        I_rhs = float(np.sum(Wg * dens_rhs) * dA)
-
-        c_grad, c_zero, c_rhs = coefficients(params)
-        c_zero_eff = max(c_zero - params.tau2_bound * tau**2, 0.0)
-        lhs_grad = c_grad * I_grad
-        lhs_zero = c_zero_eff * I_zero
-        rhs_main = c_rhs * I_rhs
-        margin = rhs_main - (lhs_grad + lhs_zero)
-        reports.append(EstimateReport(
-            tau_used=tau,
-            lhs_grad=lhs_grad,
-            lhs_zero=lhs_zero,
-            rhs_main=rhs_main,
-            margin=margin,
-            passed=bool(margin >= -PASS_SLACK * max(rhs_main, 1e-300)),
-            tau_too_small=bool(c_grad <= 0),
-            tau2_bound=params.tau2_bound,
-            weight_shift=shift,
-            integral_grad=I_grad,
-            integral_zero=I_zero,
-            integral_rhs=I_rhs,
-        ))
-    return reports
+    one report per entry of params_seq: the one-field case of
+    ``inequality_sweep_stack``."""
+    return inequality_sweep_stack(FieldStack.of(w), psi, params_seq, region, check_cauchy)[0]
 
 
 def integrated_inequality_check(
@@ -253,6 +328,53 @@ def _band_mollifier(
     return prof
 
 
+def _cosine_sums(
+    grid: Grid, rng: np.random.Generator, count: int, n_modes: int, kmax: int
+) -> np.ndarray:
+    """count random smooth fields, each a sum of n_modes cosine modes.
+
+    The draws come sum by sum and, per mode, as integers (the wavevector),
+    uniform (the phase), normal (the amplitude).  The cosines are then
+    evaluated on the whole (count, nx, ny) stack, mode by mode; the x and y
+    parts of each phase are formed on the axes and meet in one sum.
+    """
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij", sparse=True)
+    draws = np.array([
+        (*rng.integers(-kmax, kmax + 1, size=2), rng.uniform(0, 2 * np.pi), rng.normal())
+        for _ in range(count * n_modes)
+    ]).reshape(count, n_modes, 4)
+    f = np.zeros((count, *grid.shape))
+    for kx, ky, phase, amp in draws.transpose(1, 2, 0)[..., None, None]:
+        f += amp * np.cos(2 * np.pi * (kx * X / grid.Lx + ky * Y / grid.Ly) + phase)
+    return f
+
+
+def draw_test_fields(
+    regions: RegionSet,
+    rng: np.random.Generator,
+    n_fields: int,
+    kind: str = "scalar",
+    n_modes: int = 6,
+    kmax: int = 4,
+    margin_cells: float = 2.5,
+    h_ref: float | None = None,
+) -> Iterator[FieldStack]:
+    """n_fields random smooth bumps compactly supported in G with zero
+    Cauchy data, in stacks of at most about _BLOCK_CELLS cells.
+
+    A vector field draws u1 before u2.  The fields, and the draws they take
+    from rng, do not depend on the block size.
+    """
+    g = regions.grid
+    moll = _band_mollifier(regions, margin_cells, h_ref)
+    ncomp = 1 if kind == "scalar" else 2
+    step = max(1, _BLOCK_CELLS // (ncomp * g.ncells))
+    for lo in range(0, n_fields, step):
+        n = min(step, n_fields - lo)
+        f = _cosine_sums(g, rng, n * ncomp, n_modes, kmax)
+        yield FieldStack(g, moll * f.reshape(n, ncomp, *g.shape))
+
+
 def make_test_field(
     regions: RegionSet,
     rng: np.random.Generator,
@@ -262,22 +384,10 @@ def make_test_field(
     margin_cells: float = 2.5,
     h_ref: float | None = None,
 ) -> ScalarField | VectorField2:
-    """Random smooth bump compactly supported in G with zero Cauchy data."""
-    g = regions.grid
-    X, Y = g.meshgrid()
-    moll = _band_mollifier(regions, margin_cells, h_ref)
-
-    def smooth():
-        f = np.zeros(g.shape)
-        for _ in range(n_modes):
-            kx, ky = rng.integers(-kmax, kmax + 1, size=2)
-            phase = rng.uniform(0, 2 * np.pi)
-            f += rng.normal() * np.cos(2 * np.pi * (kx * X / g.Lx + ky * Y / g.Ly) + phase)
-        return f
-
-    if kind == "scalar":
-        return ScalarField(g, moll * smooth())
-    return VectorField2(g, moll * smooth(), moll * smooth())
+    """Random smooth bump compactly supported in G with zero Cauchy data:
+    the one-field case of ``draw_test_fields``."""
+    fields = draw_test_fields(regions, rng, 1, kind, n_modes, kmax, margin_cells, h_ref)
+    return next(fields).field(0)
 
 
 def make_omega_vanishing_state(
@@ -289,20 +399,8 @@ def make_omega_vanishing_state(
     d = regions.dist_to_omega
     t = np.clip((d - margin_cells * h) / (4 * h), 0.0, 1.0)
     rise = np.where(d > margin_cells * h, 10 * t**3 - 15 * t**4 + 6 * t**5, 0.0)
-    X, Y = g.meshgrid()
-
-    def smooth():
-        f = np.zeros(g.shape)
-        for _ in range(5):
-            kx, ky = rng.integers(-3, 4, size=2)
-            phase = rng.uniform(0, 2 * np.pi)
-            f += rng.normal() * np.cos(2 * np.pi * (kx * X / g.Lx + ky * Y / g.Ly) + phase)
-        return f
-
-    phi = VectorField2(g, rise * smooth(), rise * smooth())
-    xi = VectorField2(g, rise * smooth(), rise * smooth())
-    p = ScalarField(g, rise * smooth())
-    return StateVector(phi, xi), p
+    phi1, phi2, xi1, xi2, p = rise * _cosine_sums(g, rng, 5, 5, 3)
+    return StateVector(VectorField2(g, phi1, phi2), VectorField2(g, xi1, xi2)), ScalarField(g, p)
 
 
 def calibrate_tau2_bound(
@@ -318,11 +416,11 @@ def calibrate_tau2_bound(
     rng = np.random.default_rng(seed)
     need = 0.0
     params = [CarlemanParams.for_weight(tau, psi, delta0, epsilon) for tau in tau_list]
-    for _ in range(n_fields):
-        w = make_test_field(psi.regions, rng, "scalar")
-        for tau, rep in zip(tau_list, integrated_inequality_sweep(w, psi, params)):
-            if rep.margin < 0 and rep.integral_zero > 0:
-                need = max(need, -rep.margin / (tau**2 * rep.integral_zero))
+    for fields in draw_test_fields(psi.regions, rng, n_fields):
+        for reports in inequality_sweep_stack(fields, psi, params):
+            for tau, rep in zip(tau_list, reports):
+                if rep.margin < 0 and rep.integral_zero > 0:
+                    need = max(need, -rep.margin / (tau**2 * rep.integral_zero))
     return 1.05 * need
 
 
@@ -354,8 +452,6 @@ def assemble_chi_system_residual(
     For an exact discrete eigen-solution the residual equals chi times the
     bare eigen-residual, so it inherits the eigensolver tolerance.
     """
-    import scipy.sparse as sp
-
     from .fields import gradient_matrix
 
     g = system.grid

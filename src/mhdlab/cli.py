@@ -8,8 +8,10 @@ with a status that encodes the failure class:
     3 numerical error  4 uncontrollable (rank condition failed)
     5 other deliberate failure
 
-The stages of one invocation share one ``Run``, so ``all`` solves the
-forward spectrum once and derives the adjoint eigenfunctions from it once.
+The stages of one invocation share one ``Run``, so ``all`` builds the grid,
+equilibrium and regions once (in validation), solves the forward spectrum
+once and derives the adjoint eigenfunctions of its unstable clusters from it
+once.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from . import __version__
 from .carleman import (
     CarlemanParams,
     calibrate_tau2_bound,
+    draw_test_fields,
     find_tau0,
-    integrated_inequality_sweep,
-    make_test_field,
+    inequality_sweep_stack,
 )
-from .config import RunConfig
+from .config import RunConfig, Validated
 from .equilibria import Equilibrium
 from .errors import (
     ConfigurationError,
@@ -98,11 +100,16 @@ class Run:
     and the adjoint eigenpairs are derived from it once, no matter how many
     stages read them; the same holds for the actuators and the Kalman
     reports that ``ucp`` and ``stabilize`` both need.  Stages treat
-    everything here as read-only.
+    everything here as read-only.  The grid, equilibrium and regions that
+    ``RunConfig.validate`` built can be passed in and are then not built
+    again.
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, validated: Validated | None = None):
         self.cfg = cfg
+        if validated is not None:
+            # an instance attribute shadows the cached property of its name
+            self.grid, self.equilibrium, self.regions = validated
 
     @cached_property
     def grid(self) -> Grid:
@@ -135,7 +142,13 @@ class Run:
 
     @cached_property
     def adjoint_spectrum(self) -> SpectrumReport:
-        return adjoint_eigenpairs(self.adjoint, self.spectrum)
+        """Adjoint pairs of the unstable forward clusters only: the stages
+        read no others.  With none there is nothing to derive, and the
+        empty forward part (N = M = K = 0) stands for the adjoint one."""
+        unstable = self.spectrum.unstable_part()
+        if not unstable.pairs:
+            return unstable
+        return adjoint_eigenpairs(self.adjoint, unstable)
 
     @cached_property
     def clusters(self) -> list[list[EigenPair]]:
@@ -259,10 +272,10 @@ def run_carleman(run: Run, outdir: Path) -> dict:
     ]
     rng = np.random.default_rng(cfg.seed)
     by_tau = {t: [] for t in taus}
-    for _ in range(opts["n_fields"]):
-        w = make_test_field(regions, rng)
-        for t, rep in zip(taus, integrated_inequality_sweep(w, psi, params)):
-            by_tau[t].append(rep)
+    for fields in draw_test_fields(regions, rng, opts["n_fields"]):
+        for reports in inequality_sweep_stack(fields, psi, params):
+            for t, rep in zip(taus, reports):
+                by_tau[t].append(rep)
     rows = []
     for t in taus:
         reps = by_tau[t]
@@ -426,11 +439,11 @@ def main(argv: list[str] | None = None) -> int:
             cfg.raw["carleman"]["tau_scale"] = "absolute"
         if args.gamma is not None:
             cfg.raw["stabilize"]["gamma"] = float(args.gamma)
-        cfg.validate()
+        validated = cfg.validate()
         outdir = args.out
         outdir.mkdir(parents=True, exist_ok=True)
         stages = list(RUNNERS) if args.command == "all" else [args.command]
-        run = Run(cfg)
+        run = Run(cfg, validated)
         for stage in stages:
             summary = RUNNERS[stage](run, outdir)
             keyline = {

@@ -12,6 +12,7 @@ import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,14 @@ def _merge(base: dict, override: dict) -> dict:
         else:
             out[key] = copy.deepcopy(val)
     return out
+
+
+class Validated(NamedTuple):
+    """The objects ``RunConfig.validate`` builds, for the run to reuse."""
+
+    grid: Grid
+    equilibrium: Equilibrium
+    regions: RegionSet
 
 
 @dataclass
@@ -193,11 +202,14 @@ class RunConfig:
         epsilon = float(cconf.get("epsilon", 0.5))
         if not (0 < delta0 < 1) or epsilon <= 0:
             raise ConfigurationError("need 0 < delta0 < 1 and epsilon > 0")
+        n_fields = int(cconf.get("n_fields", 100))
+        if n_fields < 1:
+            raise ConfigurationError("carleman n_fields must be >= 1")
         return {
             "delta0": delta0,
             "epsilon": epsilon,
             "tau_list": taus,
-            "n_fields": int(cconf.get("n_fields", 100)),
+            "n_fields": n_fields,
             "tau2_bound": float(cconf.get("tau2_bound", 0.0)),
             "calibrate_tau2": bool(cconf.get("calibrate_tau2", False)),
         }
@@ -216,12 +228,14 @@ class RunConfig:
             "gain_on": bool(sconf.get("gain_on", True)),
         }
 
-    def validate(self) -> None:
-        """Exercise every block's preconditions before any computation."""
+    def validate(self) -> Validated:
+        """Exercise every block's preconditions before any computation, and
+        return the grid, equilibrium and regions that built."""
         grid = self.build_grid()
-        self.build_equilibrium(grid)
+        equilibrium = self.build_equilibrium(grid)
         regions = self.build_regions(grid)
         _ = self.sigma
         _ = self.spectral_options()
         _ = self.carleman_options(regions)
         _ = self.stabilize_options()
+        return Validated(grid, equilibrium, regions)

@@ -22,7 +22,7 @@ finite-dimensional controllability condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,6 +64,16 @@ class SpectrumReport:
     K: int
     sigma: float = 0.0
     strategy: str = "dense"
+
+    def unstable_part(self) -> "SpectrumReport":
+        """The report cut to its clusters 0..M-1, each whole: those with an
+        unstable pair.  N, M, ell and K are unchanged."""
+        keep = [i for i, c in enumerate(self.cluster_ids) if c < self.M]
+        return replace(
+            self,
+            pairs=[self.pairs[i] for i in keep],
+            cluster_ids=[self.cluster_ids[i] for i in keep],
+        )
 
     def unstable_clusters(self) -> list[list[EigenPair]]:
         out = []

@@ -18,13 +18,16 @@ from mhdlab import (
     make_test_field,
     tau_sweep_vanishing,
 )
+from mhdlab import carleman
 from mhdlab.carleman import (
     PASS_SLACK,
     EstimateReport,
     calibrate_tau2_bound,
     coefficients,
+    draw_test_fields,
     find_tau0,
     halving_exponents,
+    inequality_sweep_stack,
 )
 from mhdlab.errors import CauchyDataError, ConfigurationError
 from mhdlab.fields import gradient, laplacian, weighted_norm2
@@ -263,6 +266,127 @@ class TestInequalitySweep:
         assert need > 0
         c2 = calibrate_tau2_bound(flat, taus, n_fields=5, seed=9)
         assert c2.hex() == (1.05 * need).hex()
+
+
+def _reference_field(regions, rng, kind="scalar", n_modes=6, kmax=4):
+    """One test field drawn mode by mode on the full meshgrid."""
+    g = regions.grid
+    X, Y = g.meshgrid()
+    moll = carleman._band_mollifier(regions)
+
+    def smooth():
+        f = np.zeros(g.shape)
+        for _ in range(n_modes):
+            kx, ky = rng.integers(-kmax, kmax + 1, size=2)
+            phase = rng.uniform(0, 2 * np.pi)
+            f += rng.normal() * np.cos(2 * np.pi * (kx * X / g.Lx + ky * Y / g.Ly) + phase)
+        return f
+
+    if kind == "scalar":
+        return ScalarField(g, moll * smooth())
+    return VectorField2(g, moll * smooth(), moll * smooth())
+
+
+def _components(w):
+    return [w.u1, w.u2] if isinstance(w, VectorField2) else [w.values]
+
+
+def _swept(regions, psi, params, n_fields, seed):
+    """Per-field report lists of n_fields stacked test fields, and the
+    generator state after the draws."""
+    rng = np.random.default_rng(seed)
+    reports = [
+        r for fields in draw_test_fields(regions, rng, n_fields)
+        for r in inequality_sweep_stack(fields, psi, params)
+    ]
+    return [_bits(r) for r in reports], rng.bit_generator.state
+
+
+class TestFieldStacks:
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_stacks_equal_fields_drawn_one_at_a_time(self, regions32, kind):
+        rng = np.random.default_rng(5)
+        blocks = list(draw_test_fields(regions32, rng, 20, kind))
+        assert len(blocks) > 1 and 20 % len(blocks[0]) != 0
+        stacked = [fields.field(i) for fields in blocks for i in range(len(fields))]
+        one, ref = np.random.default_rng(5), np.random.default_rng(5)
+        singles = [make_test_field(regions32, one, kind) for _ in range(20)]
+        refs = [_reference_field(regions32, ref, kind) for _ in range(20)]
+        assert len(stacked) == 20
+        for w, single, r in zip(stacked, singles, refs):
+            assert type(w) is type(r)
+            for a, b, c in zip(_components(w), _components(single), _components(r)):
+                assert np.array_equal(a, b) and np.array_equal(a, c)
+        assert rng.bit_generator.state == one.bit_generator.state == ref.bit_generator.state
+
+    def test_omega_vanishing_state_matches_mode_by_mode_draws(self, regions32):
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        s, p = make_omega_vanishing_state(regions32, rng)
+        g = regions32.grid
+        X, Y = g.meshgrid()
+        h = max(g.hx, g.hy)
+        d = regions32.dist_to_omega
+        t = np.clip((d - 2.0 * h) / (4 * h), 0.0, 1.0)
+        rise = np.where(d > 2.0 * h, 10 * t**3 - 15 * t**4 + 6 * t**5, 0.0)
+        for got in (s.phi.u1, s.phi.u2, s.xi.u1, s.xi.u2, p.values):
+            f = np.zeros(g.shape)
+            for _ in range(5):
+                kx, ky = ref.integers(-3, 4, size=2)
+                phase = ref.uniform(0, 2 * np.pi)
+                f += ref.normal() * np.cos(2 * np.pi * (kx * X / g.Lx + ky * Y / g.Ly) + phase)
+            assert np.array_equal(got, rise * f)
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_stacked_sweep_equals_per_field_reports(self, regions32, psi32, kind):
+        params = [CarlemanParams.for_weight(t, psi32, tau2_bound=0.3) for t in tau_grid(regions32)]
+        for fields in draw_test_fields(regions32, np.random.default_rng(6), 12, kind):
+            stacked = inequality_sweep_stack(fields, psi32, params)
+            assert len(stacked) == len(fields)
+            for i, reports in enumerate(stacked):
+                w = fields.field(i)
+                assert _bits(reports) == _bits(integrated_inequality_sweep(w, psi32, params))
+                assert _bits(reports) == _bits([_reference_check(w, psi32, p) for p in params])
+
+    def test_first_failing_field_names_the_error(self, regions32, psi32):
+        # one cell layer inside the inner ring: zero on the rings, but the
+        # centered gradient on the inner ring sees it
+        G = regions32.G
+        eroded = carleman._erode(G)
+        layer = eroded & ~carleman._erode(eroded)
+        assert layer.any() and not (layer & carleman._boundary_rings(G)).any()
+        params = [CarlemanParams.for_weight(1.0, psi32)]
+        fields = next(draw_test_fields(regions32, np.random.default_rng(7), 3))
+        fields.values[1, 0] += layer
+        fields.values[2, 0] += 1.0
+        with pytest.raises(CauchyDataError, match="normal-derivative"):
+            inequality_sweep_stack(fields, psi32, params)
+        fields.values[[1, 2]] = fields.values[[2, 1]]
+        with pytest.raises(CauchyDataError, match="field trace"):
+            inequality_sweep_stack(fields, psi32, params)
+
+    @pytest.mark.parametrize("fields_per_block", [1, 3, 20])
+    def test_reports_do_not_depend_on_block_size(
+        self, regions32, psi32, monkeypatch, fields_per_block
+    ):
+        params = [CarlemanParams.for_weight(t, psi32, tau2_bound=0.3) for t in tau_grid(regions32)]
+        ref = _swept(regions32, psi32, params, 20, 8)
+        monkeypatch.setattr(
+            carleman, "_BLOCK_CELLS", fields_per_block * regions32.grid.ncells
+        )
+        assert len(next(draw_test_fields(regions32, np.random.default_rng(0), 20))) == fields_per_block
+        assert _swept(regions32, psi32, params, 20, 8) == ref
+
+    @pytest.mark.parametrize("fields_per_block", [1, 3])
+    def test_calibration_does_not_depend_on_block_size(
+        self, regions32, psi32, monkeypatch, fields_per_block
+    ):
+        flat = replace(psi32, psi=np.zeros_like(psi32.psi))
+        ref = calibrate_tau2_bound(flat, tau_grid(regions32), n_fields=7, seed=9)
+        assert ref > 0
+        monkeypatch.setattr(
+            carleman, "_BLOCK_CELLS", fields_per_block * regions32.grid.ncells
+        )
+        assert calibrate_tau2_bound(flat, tau_grid(regions32), n_fields=7, seed=9).hex() == ref.hex()
 
 
 class TestChiSystem:

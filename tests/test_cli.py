@@ -24,7 +24,7 @@ from mhdlab.cli import (
 from mhdlab.config import DEFAULT_CONFIG, RunConfig
 from mhdlab.errors import UncontrollableError
 from mhdlab.fields import StateVector, VectorField2
-from mhdlab.spectral import EigenPair
+from mhdlab.spectral import EigenPair, adjoint_eigenpairs
 
 FAST_SPECTRAL = {"spectral": {"count": 10, "strategy": "shift_invert"}}
 
@@ -114,6 +114,28 @@ class TestRunCarleman:
         cfgfile.write_text(json.dumps({"carleman": {"tau_grid": []}}))
         code = main(["carleman", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("n_fields", [0, -3])
+    def test_no_test_fields_is_config_error(self, tmp_path, n_fields):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"carleman": {"n_fields": n_fields}}))
+        out = tmp_path / "o"
+        code = main(["carleman", "--config", str(cfgfile), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config_error"
+        assert "n_fields" in error["message"]
+
+    def test_tables_do_not_depend_on_block_size(self, tmp_path, monkeypatch):
+        cfg = _cfg(carleman={"n_fields": 7})
+        default, blocked = tmp_path / "default", tmp_path / "blocked"
+        default.mkdir()
+        blocked.mkdir()
+        run_carleman(Run(cfg), default)
+        monkeypatch.setattr(mhdlab.carleman, "_BLOCK_CELLS", 3 * 32 * 32)
+        run_carleman(Run(cfg), blocked)
+        for name in ("carleman_sweep.txt", "carleman_summary.json"):
+            assert (default / name).read_bytes() == (blocked / name).read_bytes()
 
     def test_calibrated_correction_recorded(self, tmp_path):
         cfg = _cfg(carleman={"n_fields": 3, "tau_grid": [1.0, 4.0], "calibrate_tau2": True})
@@ -425,6 +447,27 @@ class TestSharedRun:
         assert {f"{s}_summary.json" for s in STAGES} | {"gain.txt", "trace.txt"} <= set(names)
         for name in names:
             assert (together / name).read_bytes() == (apart / name).read_bytes(), name
+
+    @pytest.mark.parametrize("kind", ["zero", "shear"])
+    def test_adjoint_pairs_are_the_unstable_clusters_of_the_full_derivation(self, kind):
+        run = Run(_cfg(**dict(SHARED_CFG, equilibrium={"kind": kind})))
+        full = adjoint_eigenpairs(run.adjoint, run.spectrum)
+        adj = run.adjoint_spectrum
+        n = len(adj.pairs)
+        assert 0 < n < len(full.pairs)
+        assert (adj.N, adj.M, adj.ell, adj.K) == (full.N, full.M, full.ell, full.K)
+        assert adj.cluster_ids == full.cluster_ids[:n]
+        assert adj.distinct == full.distinct
+        for a, b in zip(adj.pairs, full.pairs[:n]):
+            assert (a.lam, a.residual) == (b.lam, b.residual)
+            assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_validated_objects_are_reused(self):
+        cfg = _cfg(**SHARED_CFG)
+        validated = cfg.validate()
+        run = Run(cfg, validated)
+        assert (run.grid, run.equilibrium, run.regions) == tuple(validated)
+        assert run.system.eq is validated.equilibrium
 
     def test_stages_leave_shared_spectra_unchanged(self, tmp_path):
         run = Run(_cfg(**SHARED_CFG))
