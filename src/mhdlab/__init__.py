@@ -60,7 +60,6 @@ from .carleman import (
     CarlemanParams,
     Coefficients,
     EstimateReport,
-    FieldStack,
     assemble_chi_system_residual,
     coefficients,
     draw_test_fields,

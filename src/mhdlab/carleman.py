@@ -166,29 +166,6 @@ def _stencils(grid: Grid) -> sp.csr_matrix:
     return grid._cache[key]
 
 
-@dataclass
-class FieldStack:
-    """Fields of one kind on one grid, stacked as (field, component, x, y):
-    one component for scalar fields, two (u1, u2) for vector fields."""
-
-    grid: Grid
-    values: np.ndarray
-
-    @classmethod
-    def of(cls, w: ScalarField | VectorField2) -> "FieldStack":
-        comps = [w.u1, w.u2] if isinstance(w, VectorField2) else [w.values]
-        return cls(w.grid, np.stack(comps)[None])
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def field(self, i: int) -> ScalarField | VectorField2:
-        v = self.values[i]
-        if len(v) == 1:
-            return ScalarField(self.grid, v[0])
-        return VectorField2(self.grid, v[0], v[1])
-
-
 def _density(v: np.ndarray) -> np.ndarray:
     """Pointwise |f|^2, summed over the component axis 1."""
     return (np.abs(v) ** 2).sum(axis=1)
@@ -214,7 +191,7 @@ def _check_cauchy(mag: np.ndarray, gmag: np.ndarray, ring: np.ndarray) -> None:
 
 
 def inequality_sweep_stack(
-    fields: FieldStack,
+    fields: np.ndarray,
     psi: WeightField,
     params_seq: list[CarlemanParams],
     region: np.ndarray | None = None,
@@ -222,7 +199,8 @@ def inequality_sweep_stack(
 ) -> list[list[EstimateReport]]:
     """Weighted inequality over G for every field of a stack, each with zero
     Cauchy data on dG: one list per field, one report per entry of
-    params_seq.
+    params_seq.  The stack is (field, component, x, y) on psi's grid, with
+    one component for scalar fields and two (u1, u2) for vector fields.
 
     One sparse product gives the gradients and Laplacians of the whole
     stack, held as cells x components x fields.  The squared integrands on
@@ -231,10 +209,10 @@ def inequality_sweep_stack(
     same order as for the field alone: the reports do not depend on how
     the fields are stacked.
     """
-    g = fields.grid
+    g = psi.regions.grid
     G = psi.regions.G if region is None else region
-    n, ncomp = fields.values.shape[:2]
-    cols = fields.values.reshape(n, ncomp, g.ncells).transpose(2, 1, 0)
+    n, ncomp = fields.shape[:2]
+    cols = fields.reshape(n, ncomp, g.ncells).transpose(2, 1, 0)
     dx, dy, lap = (_stencils(g) @ cols.reshape(g.ncells, -1)).reshape(3, *cols.shape)
     grad2 = np.abs(dx) ** 2 + np.abs(dy) ** 2  # |grad w_c|^2 per component c
     if check_cauchy:
@@ -284,7 +262,8 @@ def integrated_inequality_sweep(
     """Weighted inequality over G for a field with zero Cauchy data on dG,
     one report per entry of params_seq: the one-field case of
     ``inequality_sweep_stack``."""
-    return inequality_sweep_stack(FieldStack.of(w), psi, params_seq, region, check_cauchy)[0]
+    comps = [w.u1, w.u2] if isinstance(w, VectorField2) else [w.values]
+    return inequality_sweep_stack(np.stack(comps)[None], psi, params_seq, region, check_cauchy)[0]
 
 
 def integrated_inequality_check(
@@ -358,9 +337,10 @@ def draw_test_fields(
     kmax: int = 4,
     margin_cells: float = 2.5,
     h_ref: float | None = None,
-) -> Iterator[FieldStack]:
+) -> Iterator[np.ndarray]:
     """n_fields random smooth bumps compactly supported in G with zero
-    Cauchy data, in stacks of at most about _BLOCK_CELLS cells.
+    Cauchy data, in (field, component, x, y) stacks of at most about
+    _BLOCK_CELLS cells.
 
     A vector field draws u1 before u2.  The fields, and the draws they take
     from rng, do not depend on the block size.
@@ -372,7 +352,7 @@ def draw_test_fields(
     for lo in range(0, n_fields, step):
         n = min(step, n_fields - lo)
         f = _cosine_sums(g, rng, n * ncomp, n_modes, kmax)
-        yield FieldStack(g, moll * f.reshape(n, ncomp, *g.shape))
+        yield moll * f.reshape(n, ncomp, *g.shape)
 
 
 def make_test_field(
@@ -386,8 +366,9 @@ def make_test_field(
 ) -> ScalarField | VectorField2:
     """Random smooth bump compactly supported in G with zero Cauchy data:
     the one-field case of ``draw_test_fields``."""
-    fields = draw_test_fields(regions, rng, 1, kind, n_modes, kmax, margin_cells, h_ref)
-    return next(fields).field(0)
+    g = regions.grid
+    w = next(draw_test_fields(regions, rng, 1, kind, n_modes, kmax, margin_cells, h_ref))[0]
+    return ScalarField(g, w[0]) if len(w) == 1 else VectorField2(g, w[0], w[1])
 
 
 def make_omega_vanishing_state(

@@ -31,8 +31,7 @@ from .carleman import (
     find_tau0,
     inequality_sweep_stack,
 )
-from .config import RunConfig, Validated
-from .equilibria import Equilibrium
+from .config import RunConfig
 from .errors import (
     ConfigurationError,
     GeometryError,
@@ -41,8 +40,7 @@ from .errors import (
     UncontrollableError,
 )
 from .fields import StateVector, VectorField2
-from .geometry import RegionSet, build_cutoff, build_weight
-from .grid import Grid
+from .geometry import build_cutoff, build_weight
 from .operators import GeneratorOperator, MhdSystem
 from .reports import write_summary, write_table
 from .spectral import (
@@ -100,28 +98,13 @@ class Run:
     and the adjoint eigenpairs are derived from it once, no matter how many
     stages read them; the same holds for the actuators and the Kalman
     reports that ``ucp`` and ``stabilize`` both need.  Stages treat
-    everything here as read-only.  The grid, equilibrium and regions that
-    ``RunConfig.validate`` built can be passed in and are then not built
-    again.
+    everything here as read-only.  The grid, equilibrium and regions are
+    the ones ``RunConfig.validate`` builds when the Run is made.
     """
 
-    def __init__(self, cfg: RunConfig, validated: Validated | None = None):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        if validated is not None:
-            # an instance attribute shadows the cached property of its name
-            self.grid, self.equilibrium, self.regions = validated
-
-    @cached_property
-    def grid(self) -> Grid:
-        return self.cfg.build_grid()
-
-    @cached_property
-    def equilibrium(self) -> Equilibrium:
-        return self.cfg.build_equilibrium(self.grid)
-
-    @cached_property
-    def regions(self) -> RegionSet:
-        return self.cfg.build_regions(self.grid)
+        self.grid, self.equilibrium, self.regions = cfg.validate()
 
     @cached_property
     def system(self) -> MhdSystem:
@@ -439,11 +422,10 @@ def main(argv: list[str] | None = None) -> int:
             cfg.raw["carleman"]["tau_scale"] = "absolute"
         if args.gamma is not None:
             cfg.raw["stabilize"]["gamma"] = float(args.gamma)
-        validated = cfg.validate()
+        run = Run(cfg)
         outdir = args.out
         outdir.mkdir(parents=True, exist_ok=True)
         stages = list(RUNNERS) if args.command == "all" else [args.command]
-        run = Run(cfg, validated)
         for stage in stages:
             summary = RUNNERS[stage](run, outdir)
             keyline = {

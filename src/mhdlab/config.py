@@ -12,7 +12,6 @@ import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,14 +59,6 @@ def _merge(base: dict, override: dict) -> dict:
         else:
             out[key] = copy.deepcopy(val)
     return out
-
-
-class Validated(NamedTuple):
-    """The objects ``RunConfig.validate`` builds, for the run to reuse."""
-
-    grid: Grid
-    equilibrium: Equilibrium
-    regions: RegionSet
 
 
 @dataclass
@@ -228,7 +219,7 @@ class RunConfig:
             "gain_on": bool(sconf.get("gain_on", True)),
         }
 
-    def validate(self) -> Validated:
+    def validate(self) -> tuple[Grid, Equilibrium, RegionSet]:
         """Exercise every block's preconditions before any computation, and
         return the grid, equilibrium and regions that built."""
         grid = self.build_grid()
@@ -238,4 +229,4 @@ class RunConfig:
         _ = self.spectral_options()
         _ = self.carleman_options(regions)
         _ = self.stabilize_options()
-        return Validated(grid, equilibrium, regions)
+        return grid, equilibrium, regions

@@ -291,6 +291,11 @@ def _components(w):
     return [w.u1, w.u2] if isinstance(w, VectorField2) else [w.values]
 
 
+def _as_field(grid, v):
+    """One (component, x, y) entry of a stack as a scalar or vector field."""
+    return ScalarField(grid, v[0]) if len(v) == 1 else VectorField2(grid, v[0], v[1])
+
+
 def _swept(regions, psi, params, n_fields, seed):
     """Per-field report lists of n_fields stacked test fields, and the
     generator state after the draws."""
@@ -308,7 +313,7 @@ class TestFieldStacks:
         rng = np.random.default_rng(5)
         blocks = list(draw_test_fields(regions32, rng, 20, kind))
         assert len(blocks) > 1 and 20 % len(blocks[0]) != 0
-        stacked = [fields.field(i) for fields in blocks for i in range(len(fields))]
+        stacked = [_as_field(regions32.grid, v) for fields in blocks for v in fields]
         one, ref = np.random.default_rng(5), np.random.default_rng(5)
         singles = [make_test_field(regions32, one, kind) for _ in range(20)]
         refs = [_reference_field(regions32, ref, kind) for _ in range(20)]
@@ -343,7 +348,7 @@ class TestFieldStacks:
             stacked = inequality_sweep_stack(fields, psi32, params)
             assert len(stacked) == len(fields)
             for i, reports in enumerate(stacked):
-                w = fields.field(i)
+                w = _as_field(regions32.grid, fields[i])
                 assert _bits(reports) == _bits(integrated_inequality_sweep(w, psi32, params))
                 assert _bits(reports) == _bits([_reference_check(w, psi32, p) for p in params])
 
@@ -356,11 +361,11 @@ class TestFieldStacks:
         assert layer.any() and not (layer & carleman._boundary_rings(G)).any()
         params = [CarlemanParams.for_weight(1.0, psi32)]
         fields = next(draw_test_fields(regions32, np.random.default_rng(7), 3))
-        fields.values[1, 0] += layer
-        fields.values[2, 0] += 1.0
+        fields[1, 0] += layer
+        fields[2, 0] += 1.0
         with pytest.raises(CauchyDataError, match="normal-derivative"):
             inequality_sweep_stack(fields, psi32, params)
-        fields.values[[1, 2]] = fields.values[[2, 1]]
+        fields[[1, 2]] = fields[[2, 1]]
         with pytest.raises(CauchyDataError, match="field trace"):
             inequality_sweep_stack(fields, psi32, params)
 

@@ -462,12 +462,19 @@ class TestSharedRun:
             assert (a.lam, a.residual) == (b.lam, b.residual)
             assert np.array_equal(a.coeffs, b.coeffs)
 
-    def test_validated_objects_are_reused(self):
-        cfg = _cfg(**SHARED_CFG)
-        validated = cfg.validate()
-        run = Run(cfg, validated)
-        assert (run.grid, run.equilibrium, run.regions) == tuple(validated)
-        assert run.system.eq is validated.equilibrium
+    def test_validated_objects_are_reused(self, monkeypatch):
+        built = []
+        validate = RunConfig.validate
+
+        def counted(cfg):
+            built.append(validate(cfg))
+            return built[-1]
+
+        monkeypatch.setattr(RunConfig, "validate", counted)
+        run = Run(_cfg(**SHARED_CFG))
+        assert len(built) == 1
+        assert (run.grid, run.equilibrium, run.regions) == built[0]
+        assert run.system.eq is run.equilibrium
 
     def test_stages_leave_shared_spectra_unchanged(self, tmp_path):
         run = Run(_cfg(**SHARED_CFG))
