@@ -35,7 +35,6 @@ from .equilibria import Equilibrium, make_equilibrium
 from .operators import (
     CommutatorForcing,
     GeneratorOperator,
-    LinearOperator,
     MhdSystem,
     assemble_adjoint,
     assemble_generator,
@@ -50,7 +49,6 @@ from .spectral import (
     KalmanMatrix,
     SpectrumReport,
     adjoint_eigenpairs,
-    adjoint_spectrum,
     compute_spectrum,
     kalman_rank,
     select_actuators,
@@ -72,10 +70,12 @@ from .carleman import (
     tau_sweep_vanishing,
 )
 from .stabilize import (
+    ClosedLoop,
     FeedbackDesign,
     FeedbackGain,
     SimulationTrace,
     UnstableProjection,
+    closed_loop,
     design_feedback,
     measure_decay,
     project_unstable,

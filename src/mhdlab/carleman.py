@@ -437,9 +437,7 @@ def assemble_chi_system_residual(
 
     g = system.grid
     b = system.blocks()
-    forcing = build_commutators(
-        chi, s, p, system.eq, diffusion_order=system.diffusion_order
-    )
+    forcing = build_commutators(chi, s, p, system)
     lam = system.elliptic_eigenvalue(lam_generator)
     chi2 = np.concatenate([chi.values.ravel()] * 2)
     chi1 = chi.values.ravel()

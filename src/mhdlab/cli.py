@@ -11,7 +11,9 @@ with a status that encodes the failure class:
 The stages of one invocation share one ``Run``, so ``all`` builds the grid,
 equilibrium and regions once (in validation), solves the forward spectrum
 once and derives the adjoint eigenfunctions of its unstable clusters from it
-once.
+once.  The computing is the library's: a stage reads what the Run holds,
+calls the library (``stabilize`` gates on the Kalman reports and runs
+``stabilize.closed_loop``), and writes the tables and the summary.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .spectral import (
     select_actuators,
     ucp_gram_test,
 )
-from .stabilize import design_feedback, measure_decay, simulate_closed_loop
+from .stabilize import closed_loop
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,11 +114,11 @@ class Run:
 
     @cached_property
     def generator(self) -> GeneratorOperator:
-        return GeneratorOperator(self.system, False, "Atilde")
+        return GeneratorOperator(self.system, False)
 
     @cached_property
     def adjoint(self) -> GeneratorOperator:
-        return GeneratorOperator(self.system, True, "Atilde_adj")
+        return GeneratorOperator(self.system, True)
 
     @cached_property
     def spectrum(self) -> SpectrumReport:
@@ -126,12 +128,8 @@ class Run:
     @cached_property
     def adjoint_spectrum(self) -> SpectrumReport:
         """Adjoint pairs of the unstable forward clusters only: the stages
-        read no others.  With none there is nothing to derive, and the
-        empty forward part (N = M = K = 0) stands for the adjoint one."""
-        unstable = self.spectrum.unstable_part()
-        if not unstable.pairs:
-            return unstable
-        return adjoint_eigenpairs(self.adjoint, unstable)
+        read no others."""
+        return adjoint_eigenpairs(self.adjoint, self.spectrum.unstable_part())
 
     @cached_property
     def clusters(self) -> list[list[EigenPair]]:
@@ -301,72 +299,28 @@ def run_carleman(run: Run, outdir: Path) -> dict:
 
 
 def run_stabilize(run: Run, outdir: Path) -> dict:
-    cfg, A, rep = run.cfg, run.generator, run.spectrum
+    cfg, rep = run.cfg, run.spectrum
     sopts = cfg.stabilize_options()
-    omega = run.regions.omega
-    rng = np.random.default_rng(cfg.seed)
-    summary = dict(_meta(cfg), N=rep.N, M=rep.M, K=rep.K, gamma=sopts["gamma"])
-
-    if rep.N == 0:
-        x0 = rng.normal(size=A.dim)
-        y0 = A.to_state(x0 / np.linalg.norm(x0))
-        trace = simulate_closed_loop(A, None, y0, sopts["T"], sopts["dt"])
-        rate, hw = measure_decay(trace, (sopts["T"] / 2, sopts["T"]))
-        summary.update(mode="open_loop_stable", decay_rate=rate, rate_half_width=hw)
-        _write_trace(outdir, trace, cfg)
-        write_summary(outdir / "stabilize_summary.json", summary)
-        return summary
-
-    arep = run.adjoint_spectrum
-    km = run.kalman
-    if not all(k.passed for k in km):
+    if not all(k.passed for k in run.kalman):
         raise UncontrollableError(
-            f"Kalman rank defect: {[(k.rank, k.ell) for k in km]}"
+            f"Kalman rank defect: {[(k.rank, k.ell) for k in run.kalman]}"
         )
-
-    design = design_feedback(
-        A,
-        [p for p in rep.pairs if p.unstable],
-        [p for p in arep.pairs if p.unstable],
+    out = closed_loop(
+        run.generator,
+        rep,
+        run.adjoint_spectrum,
         run.actuators,
-        omega,
+        run.regions.omega,
         sopts["gamma"] if sopts["gain_on"] else None,
+        sopts["T"],
+        sopts["dt"],
+        np.random.default_rng(cfg.seed),
     )
-    proj, gain = design.proj, design.gain
-
-    x0 = 0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N)
-    y0 = A.to_state(x0)
-    trace = simulate_closed_loop(A, design, y0, sopts["T"], sopts["dt"])
-    window = (sopts["T"] / 2, sopts["T"])
-    rate, hw = measure_decay(trace, window)
-    lam_next = rep.lambda_next_stable()
-    target = min(sopts["gamma"], abs(lam_next.real)) if lam_next else sopts["gamma"]
+    summary = dict(_meta(cfg), N=rep.N, M=rep.M, K=rep.K, gamma=sopts["gamma"])
     summary.update(
-        mode="closed_loop" if sopts["gain_on"] else "open_loop",
-        decay_rate=rate,
-        rate_half_width=hw,
-        energy_rate_target=2.0 * target,
-        achieved_poles=[p.real for p in np.atleast_1d(gain.achieved_poles)] if gain else [],
-        pairing_cond=proj.cond,
-        control_support_leakage=design.leakage,
-        open_loop_growth=bool(trace.energies[-1] > trace.energies[0])
-        if not sopts["gain_on"]
-        else None,
+        mode="open_loop_stable", decay_rate=out.decay_rate, rate_half_width=out.rate_half_width
     )
-    _write_trace(outdir, trace, cfg)
-    if gain is not None:
-        write_table(
-            outdir / "gain.txt",
-            [f"c{j}" for j in range(gain.gain.shape[1])],
-            [list(r) for r in gain.gain],
-            _meta(cfg),
-        )
-    write_summary(outdir / "stabilize_summary.json", summary)
-    return summary
-
-
-def _write_trace(outdir: Path, trace, cfg: RunConfig):
-    K = trace.amplitudes.shape[1]
+    trace = out.trace
     rows = [
         [trace.times[k], trace.energies[k], trace.energies_unstable[k]]
         + list(trace.amplitudes[k])
@@ -374,10 +328,32 @@ def _write_trace(outdir: Path, trace, cfg: RunConfig):
     ]
     write_table(
         outdir / "trace.txt",
-        ["t", "energy_total", "energy_unstable"] + [f"a{j}" for j in range(K)],
+        ["t", "energy_total", "energy_unstable"]
+        + [f"a{j}" for j in range(trace.amplitudes.shape[1])],
         rows,
         _meta(cfg),
     )
+    if out.design is not None:
+        gain = out.design.gain
+        summary.update(
+            mode="closed_loop" if sopts["gain_on"] else "open_loop",
+            energy_rate_target=out.energy_rate_target,
+            achieved_poles=[p.real for p in np.atleast_1d(gain.achieved_poles)] if gain else [],
+            pairing_cond=out.design.proj.cond,
+            control_support_leakage=out.design.leakage,
+            open_loop_growth=bool(trace.energies[-1] > trace.energies[0])
+            if not sopts["gain_on"]
+            else None,
+        )
+        if gain is not None:
+            write_table(
+                outdir / "gain.txt",
+                [f"c{j}" for j in range(gain.gain.shape[1])],
+                [list(r) for r in gain.gain],
+                _meta(cfg),
+            )
+    write_summary(outdir / "stabilize_summary.json", summary)
+    return summary
 
 
 RUNNERS = {

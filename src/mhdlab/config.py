@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import copy
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +51,17 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+@contextmanager
+def _reading(block: str):
+    """Turn the errors of reading a missing or mistyped key of one config
+    block into a ConfigurationError.  Only reading and checking the block
+    run inside it, never the numerics its values feed."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad {block} block: {exc}") from exc
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
@@ -86,142 +97,148 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
+        with _reading("seed"):
+            return int(self.raw["seed"])
 
     # -- builders -----------------------------------------------------------
     def build_grid(self) -> Grid:
-        gconf = self.raw["geometry"]
-        try:
+        with _reading("geometry"):
+            gconf = self.raw["geometry"]
             return build_grid(
                 float(gconf["Lx"]),
                 float(gconf["Ly"]),
                 int(gconf["nx"]),
                 int(gconf["ny"]),
-                gconf.get("bc_x", "periodic"),
-                gconf.get("bc_y", "periodic"),
+                gconf["bc_x"],
+                gconf["bc_y"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad geometry block: {exc}") from exc
 
     def omega_spec(self, grid: Grid) -> OmegaSpec:
-        oconf = self.raw["geometry"].get("omega", {})
-        shape = oconf.get("shape", "disc")
-        radius = oconf.get("radius")
-        if radius is None and oconf.get("radius_frac") is not None:
-            radius = float(oconf["radius_frac"]) * grid.Lx
-        width = oconf.get("width")
-        if width is None and oconf.get("width_frac") is not None:
-            width = float(oconf["width_frac"]) * min(grid.Lx, grid.Ly)
-        center = oconf.get("center")
-        return OmegaSpec(
-            shape=shape,
-            center=tuple(center) if center else None,
-            radius=radius,
-            width=width,
-            side=oconf.get("side", "all"),
-            span=tuple(oconf.get("span", (0.0, 1.0))),
-        )
+        with _reading("geometry.omega"):
+            oconf = self.raw["geometry"]["omega"]
+            radius = oconf.get("radius")
+            if radius is not None:
+                radius = float(radius)
+            elif oconf["radius_frac"] is not None:
+                radius = float(oconf["radius_frac"]) * grid.Lx
+            width = oconf.get("width")
+            if width is not None:
+                width = float(width)
+            elif oconf.get("width_frac") is not None:
+                width = float(oconf["width_frac"]) * min(grid.Lx, grid.Ly)
+            center = oconf.get("center")
+            return OmegaSpec(
+                shape=oconf["shape"],
+                center=tuple(center) if center else None,
+                radius=radius,
+                width=width,
+                side=oconf.get("side", "all"),
+                span=tuple(oconf.get("span", (0.0, 1.0))),
+            )
 
     def build_regions(self, grid: Grid | None = None) -> RegionSet:
         grid = grid or self.build_grid()
-        gconf = self.raw["geometry"]
-        minL = min(grid.Lx, grid.Ly)
-        w1 = gconf.get("omega1_width")
-        if w1 is None:
-            w1 = float(gconf.get("omega1_width_frac", 0.07)) * minL
-        ws = gconf.get("omega_star_width")
-        if ws is None:
-            ws = float(gconf.get("omega_star_width_frac", 0.26)) * minL
-        try:
-            case = GeometryCase(gconf.get("case", "interior_patch"))
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
-        return build_nested_regions(grid, self.omega_spec(grid), case, w1, ws)
+        spec = self.omega_spec(grid)
+        with _reading("geometry"):
+            gconf = self.raw["geometry"]
+            minL = min(grid.Lx, grid.Ly)
+            w1 = gconf.get("omega1_width")
+            w1 = float(gconf["omega1_width_frac"]) * minL if w1 is None else float(w1)
+            ws = gconf.get("omega_star_width")
+            ws = float(gconf["omega_star_width_frac"]) * minL if ws is None else float(ws)
+            case = GeometryCase(gconf["case"])
+        return build_nested_regions(grid, spec, case, w1, ws)
 
     def build_equilibrium(self, grid: Grid | None = None) -> Equilibrium:
         grid = grid or self.build_grid()
-        econf = self.raw["equilibrium"]
-        phys = self.raw["physics"]
-        kind = econf.get("kind", "zero")
+        with _reading("equilibrium"):
+            kind = self.raw["equilibrium"]["kind"]
+            params = dict(self.raw["equilibrium"]["params"])
+        with _reading("physics"):
+            nu = float(self.raw["physics"]["nu"])
+            eta = float(self.raw["physics"]["eta"])
         if kind == "custom":
             raise ConfigurationError(
                 "custom equilibria are API-only; configs use zero/shear/taylor_vortex"
             )
-        return make_equilibrium(
-            kind, grid, econf.get("params", {}), float(phys["nu"]), float(phys["eta"])
-        )
+        return make_equilibrium(kind, grid, params, nu, eta)
 
     @property
     def sigma(self) -> float:
-        s = float(self.raw["physics"].get("sigma", 0.0))
-        if s < 0:
-            raise ConfigurationError("sigma must be >= 0")
-        return s
+        with _reading("physics"):
+            s = float(self.raw["physics"]["sigma"])
+            if s < 0:
+                raise ConfigurationError("sigma must be >= 0")
+            return s
 
     def spectral_options(self) -> dict:
-        sconf = self.raw["spectral"]
-        count = int(sconf.get("count", 16))
-        if count < 1:
-            raise ConfigurationError("spectral count must be >= 1")
-        strategy = sconf.get("strategy", "dense")
-        if strategy not in ("dense", "shift_invert"):
-            raise ConfigurationError(f"unknown spectral strategy {strategy!r}")
-        return {
-            "count": count,
-            "strategy": strategy,
-            "degenerate_fixture": bool(sconf.get("degenerate_fixture", False)),
-        }
+        with _reading("spectral"):
+            sconf = self.raw["spectral"]
+            count = int(sconf["count"])
+            if count < 1:
+                raise ConfigurationError("spectral count must be >= 1")
+            strategy = sconf["strategy"]
+            if strategy not in ("dense", "shift_invert"):
+                raise ConfigurationError(f"unknown spectral strategy {strategy!r}")
+            return {
+                "count": count,
+                "strategy": strategy,
+                "degenerate_fixture": bool(sconf["degenerate_fixture"]),
+            }
 
     def carleman_options(self, regions: RegionSet) -> dict:
-        cconf = self.raw["carleman"]
-        grid_vals = [float(t) for t in cconf.get("tau_grid", [])]
-        if not grid_vals:
-            raise ConfigurationError("carleman tau_grid must be nonempty")
-        if any(t <= 0 for t in grid_vals):
-            raise ConfigurationError("tau values must be positive")
-        scale = cconf.get("tau_scale", "4_over_diam")
-        if scale == "4_over_diam":
-            spec = regions.omega_spec
-            outer = (spec.radius or spec.width or 0.0) + regions.omega1_width + regions.omega_star_width
-            diam = 2.0 * outer
-            taus = [t * 4.0 / diam for t in grid_vals]
-        elif scale == "absolute":
-            taus = grid_vals
-        else:
-            raise ConfigurationError(f"unknown tau_scale {scale!r}")
-        delta0 = float(cconf.get("delta0", 0.5))
-        epsilon = float(cconf.get("epsilon", 0.5))
-        if not (0 < delta0 < 1) or epsilon <= 0:
-            raise ConfigurationError("need 0 < delta0 < 1 and epsilon > 0")
-        n_fields = int(cconf.get("n_fields", 100))
-        if n_fields < 1:
-            raise ConfigurationError("carleman n_fields must be >= 1")
-        return {
-            "delta0": delta0,
-            "epsilon": epsilon,
-            "tau_list": taus,
-            "n_fields": n_fields,
-            "tau2_bound": float(cconf.get("tau2_bound", 0.0)),
-            "calibrate_tau2": bool(cconf.get("calibrate_tau2", False)),
-        }
+        with _reading("carleman"):
+            cconf = self.raw["carleman"]
+            grid_vals = [float(t) for t in cconf["tau_grid"]]
+            if not grid_vals:
+                raise ConfigurationError("carleman tau_grid must be nonempty")
+            if any(t <= 0 for t in grid_vals):
+                raise ConfigurationError("tau values must be positive")
+            scale = cconf["tau_scale"]
+            if scale == "4_over_diam":
+                spec = regions.omega_spec
+                outer = (spec.radius or spec.width or 0.0) + regions.omega1_width + regions.omega_star_width
+                diam = 2.0 * outer
+                taus = [t * 4.0 / diam for t in grid_vals]
+            elif scale == "absolute":
+                taus = grid_vals
+            else:
+                raise ConfigurationError(f"unknown tau_scale {scale!r}")
+            delta0 = float(cconf["delta0"])
+            epsilon = float(cconf["epsilon"])
+            if not (0 < delta0 < 1) or epsilon <= 0:
+                raise ConfigurationError("need 0 < delta0 < 1 and epsilon > 0")
+            n_fields = int(cconf["n_fields"])
+            if n_fields < 1:
+                raise ConfigurationError("carleman n_fields must be >= 1")
+            return {
+                "delta0": delta0,
+                "epsilon": epsilon,
+                "tau_list": taus,
+                "n_fields": n_fields,
+                "tau2_bound": float(cconf["tau2_bound"]),
+                "calibrate_tau2": bool(cconf["calibrate_tau2"]),
+            }
 
     def stabilize_options(self) -> dict:
-        sconf = self.raw["stabilize"]
-        gamma = float(sconf.get("gamma", 1.0))
-        T = float(sconf.get("T", 8.0))
-        dt = float(sconf.get("dt", 0.01))
-        if gamma <= 0 or T <= 0 or dt <= 0:
-            raise ConfigurationError("gamma, T and dt must be positive")
-        return {
-            "gamma": gamma,
-            "T": T,
-            "dt": dt,
-            "gain_on": bool(sconf.get("gain_on", True)),
-        }
+        with _reading("stabilize"):
+            sconf = self.raw["stabilize"]
+            gamma = float(sconf["gamma"])
+            T = float(sconf["T"])
+            dt = float(sconf["dt"])
+            if gamma <= 0 or T <= 0 or dt <= 0:
+                raise ConfigurationError("gamma, T and dt must be positive")
+            return {
+                "gamma": gamma,
+                "T": T,
+                "dt": dt,
+                "gain_on": bool(sconf["gain_on"]),
+            }
 
     def validate(self) -> tuple[Grid, Equilibrium, RegionSet]:
         """Exercise every block's preconditions before any computation, and
         return the grid, equilibrium and regions that built."""
+        _ = self.seed
         grid = self.build_grid()
         equilibrium = self.build_equilibrium(grid)
         regions = self.build_regions(grid)

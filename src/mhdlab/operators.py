@@ -21,7 +21,7 @@ second-order field operators; all other blocks are second order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -61,22 +61,6 @@ _ROUNDOFF_RTOL = 1e-14
 _PART_ENTRIES = 1 << 21
 
 
-@dataclass
-class LinearOperator:
-    """Sparse operator with shape descriptors and a symbol tag."""
-
-    matrix: sp.spmatrix
-    dom: str
-    codom: str
-    label: str
-
-    def apply(self, flat: np.ndarray) -> np.ndarray:
-        return self.matrix @ flat
-
-    def apply_field(self, v: VectorField2) -> VectorField2:
-        return VectorField2.from_flat(v.grid, self.matrix @ v.ravel())
-
-
 def _block_advection(e: VectorField2, grid: Grid) -> sp.csr_matrix:
     """(e . grad) acting on stacked [v1; v2]."""
     adv = sp.diags(e.u1.ravel()) @ dx_matrix(grid) + sp.diags(e.u2.ravel()) @ dy_matrix(grid)
@@ -96,23 +80,20 @@ def _gradient_coupling(e: VectorField2, grid: Grid) -> sp.csr_matrix:
     )
 
 
-def oseen_plus(e: VectorField2, label: str = "L1") -> LinearOperator:
-    """First-order Oseen operator v -> (e.grad)v + (v.grad)e."""
+def oseen_plus(e: VectorField2) -> sp.csr_matrix:
+    """First-order Oseen operator v -> (e.grad)v + (v.grad)e on stacked [v1; v2]."""
     g = e.grid
-    mat = _block_advection(e, g) + _gradient_coupling(e, g)
-    return LinearOperator(mat, "vector2", "vector2", label)
+    return _block_advection(e, g) + _gradient_coupling(e, g)
 
 
-def oseen_minus(e: VectorField2, label: str = "M1") -> LinearOperator:
-    """Sign-flipped Oseen operator v -> (e.grad)v - (v.grad)e."""
+def oseen_minus(e: VectorField2) -> sp.csr_matrix:
+    """Sign-flipped Oseen operator v -> (e.grad)v - (v.grad)e on stacked [v1; v2]."""
     g = e.grid
-    mat = _block_advection(e, g) - _gradient_coupling(e, g)
-    return LinearOperator(mat, "vector2", "vector2", label)
+    return _block_advection(e, g) - _gradient_coupling(e, g)
 
 
-def export_coo(op: LinearOperator | sp.spmatrix, path) -> None:
+def export_coo(mat: sp.spmatrix, path) -> None:
     """Write (row, col, real, imag) rows for external inspection."""
-    mat = op.matrix if isinstance(op, LinearOperator) else op
     coo = sp.coo_matrix(mat)
     with open(path, "w") as fh:
         fh.write("# row col real imag\n")
@@ -214,10 +195,10 @@ class MhdSystem:
             vlap = sp.block_diag([lap, lap], format="csr")
             self._cache["blocks"] = {
                 "vlap": vlap,
-                "L1": oseen_plus(self.eq.y_e, "L1").matrix,
-                "L2": oseen_plus(self.eq.B_e, "L2").matrix,
-                "M1": oseen_minus(self.eq.y_e, "M1").matrix,
-                "M2": oseen_minus(self.eq.B_e, "M2").matrix,
+                "L1": oseen_plus(self.eq.y_e),
+                "L2": oseen_plus(self.eq.B_e),
+                "M1": oseen_minus(self.eq.y_e),
+                "M2": oseen_minus(self.eq.B_e),
             }
         return self._cache["blocks"]
 
@@ -300,8 +281,6 @@ class MhdSystem:
         ref = (np.linalg.norm(adv1) + np.linalg.norm(adv2)) * 2.0 / min(g.hx, g.hy)
         p, res = solver.solve(rhs, ref)
         if res > solver.tol and np.linalg.norm(rhs) > 0:
-            from .errors import NumericalError
-
             raise NumericalError(
                 "pressure Poisson solve did not converge", detail={"residual": res}
             )
@@ -376,7 +355,6 @@ class GeneratorOperator:
 
     system: MhdSystem
     adjoint: bool = False
-    label: str = "Atilde"
 
     @property
     def dim(self) -> int:
@@ -385,10 +363,6 @@ class GeneratorOperator:
     @property
     def sigma(self) -> float:
         return self.system.sigma
-
-    @property
-    def grid(self) -> Grid:
-        return self.system.grid
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.system.reduced_matvec(x, adjoint=self.adjoint)
@@ -420,12 +394,6 @@ class GeneratorOperator:
                 f"shifted generator a*I + b*R is singular: {exc}", detail={"a": a, "b": b}
             ) from exc
 
-    @property
-    def dom(self) -> str:
-        return "projected stacked state (phi, xi)"
-
-    codom = dom
-
     def to_state(self, x: np.ndarray) -> StateVector:
         return self.system.basis.coeffs_to_state(x)
 
@@ -438,15 +406,13 @@ def assemble_generator(
 ) -> GeneratorOperator:
     if shift < 0:
         raise ConfigurationError("the spectral shift sigma must be >= 0")
-    return GeneratorOperator(MhdSystem(eq, float(shift), diffusion_order), False, "Atilde")
+    return GeneratorOperator(MhdSystem(eq, float(shift), diffusion_order), False)
 
 
 def assemble_adjoint(
     eq: Equilibrium, shift: float = 0.0, diffusion_order: int | None = None
 ) -> GeneratorOperator:
-    if shift < 0:
-        raise ConfigurationError("the spectral shift sigma must be >= 0")
-    return GeneratorOperator(MhdSystem(eq, float(shift), diffusion_order), True, "Atilde_adj")
+    return replace(assemble_generator(eq, shift, diffusion_order), adjoint=True)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +440,7 @@ def build_commutators(
     chi: CutoffField,
     s: StateVector,
     p: ScalarField,
-    eq: Equilibrium,
-    diffusion_order: int | None = None,
+    system: MhdSystem,
     support_tol: float = 1e-12,
     check_support: bool = True,
 ) -> CommutatorForcing:
@@ -486,25 +451,20 @@ def build_commutators(
     T = [Lap_p,chi]p + [divL1,chi]phi - [divL2,chi]xi
 
     with [chi,A]f = chi(Af) - A(chi f) and [A,chi]f = A(chi f) - chi(Af);
-    Lap_p is the composed pressure Laplacian.  All three vanish identically
-    wherever chi is constant across the stencil, hence inside omega, Omega1,
-    Omega0 and the guard layers; leakage beyond the transition band raises.
+    Lap_p is the composed pressure Laplacian, and Lap, L1, L2, M1, M2 are the
+    system's cached blocks.  All three vanish identically wherever chi is
+    constant across the stencil, hence inside omega, Omega1, Omega0 and the
+    guard layers; leakage beyond the transition band raises.
     """
     g = s.grid
     if not chi.grid.same_as(g) or not p.grid.same_as(g):
         raise ShapeError("cutoff, state and pressure must share one grid")
-    if diffusion_order is None:
-        diffusion_order = 4 if g.fully_periodic else 2
-    nu, eta = eq.nu, eq.eta
+    nu, eta = system.nu, system.eta
     chi2 = np.concatenate([chi.values.ravel()] * 2)
     chi1 = chi.values.ravel()
 
-    lap = laplacian_matrix(g, diffusion_order)
-    vlap = sp.block_diag([lap, lap], format="csr")
-    L1 = oseen_plus(eq.y_e, "L1").matrix
-    L2 = oseen_plus(eq.B_e, "L2").matrix
-    M1 = oseen_minus(eq.y_e, "M1").matrix
-    M2 = oseen_minus(eq.B_e, "M2").matrix
+    b = system.blocks()
+    vlap, L1, L2, M1, M2 = b["vlap"], b["L1"], b["L2"], b["M1"], b["M2"]
     D = divergence_matrix(g)
     Grad = gradient_matrix(g)
     lap_p = wide_laplacian_matrix(g)

@@ -29,7 +29,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericalError, UncontrollableError
-from .fields import StateVector, inner, restrict
+from .fields import StateVector, VectorField2, inner, restrict
 from .operators import GeneratorOperator
 
 RESIDUAL_BOUND = 1e-8
@@ -248,9 +248,14 @@ def adjoint_eigenpairs(A_adj: GeneratorOperator, forward: SpectrumReport) -> Spe
     projected ell x ell matrix give an orthonormal basis of it, with the
     diagonal of the Schur form as the eigenvalues.  Clusters keep the
     forward order, and every pair passes the same checks as a forward one.
+    A forward report without pairs (such as the unstable part of a stable
+    spectrum, N = M = K = 0) has nothing to derive and stands for its
+    adjoint.
     """
     if not A_adj.adjoint:
         raise ConfigurationError("adjoint_eigenpairs expects the adjoint operator")
+    if not forward.pairs:
+        return forward
     Rt = A_adj.matrix
     ids = np.asarray(forward.cluster_ids)
     lams, vecs = [], []
@@ -267,22 +272,6 @@ def adjoint_eigenpairs(A_adj: GeneratorOperator, forward: SpectrumReport) -> Spe
         lams.append(np.diag(T))
         vecs.append(Q @ Z)
     return _report(A_adj, np.concatenate(lams), np.hstack(vecs), forward.strategy)
-
-
-def adjoint_spectrum(
-    A_adj: GeneratorOperator, how_many: int, strategy: str = "dense"
-) -> SpectrumReport:
-    """Eigenpairs of the adjoint at the leading eigenvalues of the generator.
-
-    R is real, so the adjoint R^T has the same eigenvalues as R (not their
-    conjugates).  The forward spectrum of the same system is solved with
-    ``strategy`` and the adjoint eigenvectors derived from it by
-    ``adjoint_eigenpairs``.
-    """
-    if not A_adj.adjoint:
-        raise ConfigurationError("adjoint_spectrum expects the adjoint operator")
-    A = GeneratorOperator(A_adj.system, False, "Atilde")
-    return adjoint_eigenpairs(A_adj, compute_spectrum(A, how_many, strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +385,6 @@ def select_actuators(
 
 
 def _real_part(st: StateVector) -> StateVector:
-    from .fields import VectorField2
-
     phi, xi = st.phi, st.xi
     return StateVector(
         VectorField2(phi.grid, np.real(phi.u1), np.real(phi.u2), phi.bc_tag),
@@ -406,8 +393,6 @@ def _real_part(st: StateVector) -> StateVector:
 
 
 def _axpy_state(v: StateVector, u: StateVector, a) -> StateVector:
-    from .fields import VectorField2
-
     return StateVector(
         VectorField2(v.grid, v.phi.u1 + a * u.phi.u1, v.phi.u2 + a * u.phi.u2),
         VectorField2(v.grid, v.xi.u1 + a * u.xi.u1, v.xi.u2 + a * u.xi.u2),
@@ -415,8 +400,6 @@ def _axpy_state(v: StateVector, u: StateVector, a) -> StateVector:
 
 
 def _scale_state(v: StateVector, a) -> StateVector:
-    from .fields import VectorField2
-
     return StateVector(
         VectorField2(v.grid, a * v.phi.u1, a * v.phi.u2),
         VectorField2(v.grid, a * v.xi.u1, a * v.xi.u2),

@@ -6,7 +6,8 @@ and actuator signals stay real.  Feedback places the poles of the reduced
 unstable block at or below -gamma with one Sylvester solve; the loop is
 closed through omega-localized actuator fields and simulated with an
 implicit step for the stiff generator and an explicit step for the control
-coupling.
+coupling.  ``closed_loop`` runs the whole stabilization experiment from a
+forward spectrum and its derived adjoint.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 from .fields import StateVector, restrict
 from .operators import GeneratorOperator
 from .projection import project_state
-from .spectral import CLUSTER_RTOL, EigenPair
+from .spectral import CLUSTER_RTOL, EigenPair, SpectrumReport
 
 COND_LIMIT = 1e10
 POLE_TOL = 1e-8
@@ -444,6 +445,68 @@ def measure_decay(
     else:
         se = 0.0
     return float(-slope), float(1.96 * se)
+
+
+def initial_state(
+    A: GeneratorOperator, proj: UnstableProjection | None, rng: np.random.Generator
+) -> StateVector:
+    """Start of the stabilization experiment: every unstable mode at unit
+    amplitude plus a 0.01 normal perturbation, or a random unit state when
+    there is no unstable projection."""
+    if proj is None:
+        x0 = rng.normal(size=A.dim)
+        return A.to_state(x0 / np.linalg.norm(x0))
+    return A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
+
+
+@dataclass
+class ClosedLoop:
+    design: FeedbackDesign | None       # None without unstable pairs
+    trace: SimulationTrace
+    decay_rate: float
+    rate_half_width: float
+    energy_rate_target: float | None    # None without a gain
+
+
+def closed_loop(
+    A: GeneratorOperator,
+    forward: SpectrumReport,
+    adjoint: SpectrumReport,
+    actuators: list[StateVector],
+    m_mask: np.ndarray,
+    gamma: float | None,
+    T: float,
+    dt: float,
+    rng: np.random.Generator,
+) -> ClosedLoop:
+    """The stabilization experiment on the unstable pairs of a forward
+    spectrum and its adjoint.
+
+    Designs the feedback (no gain when gamma is None: open loop), starts
+    from ``initial_state`` drawn from rng, marches to T and fits the energy
+    decay over (T/2, T).  The energy of the closed loop decays at twice its
+    slowest rate, the placed -gamma or the first stable eigenvalue, so the
+    target is 2 min(gamma, |Re lambda_next|).  Without unstable pairs
+    nothing is designed and the loop runs open.
+    """
+    design = None
+    if forward.N > 0:
+        design = design_feedback(
+            A,
+            [p for p in forward.pairs if p.unstable],
+            [p for p in adjoint.pairs if p.unstable],
+            actuators,
+            m_mask,
+            gamma,
+        )
+    y0 = initial_state(A, design.proj if design is not None else None, rng)
+    trace = simulate_closed_loop(A, design, y0, T, dt)
+    rate, hw = measure_decay(trace, (T / 2, T))
+    target = None
+    if design is not None and gamma is not None:
+        lam_next = forward.lambda_next_stable()
+        target = 2.0 * (min(gamma, abs(lam_next.real)) if lam_next is not None else gamma)
+    return ClosedLoop(design, trace, rate, hw, target)
 
 
 def stable_complement_residual(

@@ -68,7 +68,7 @@ def spectrum_shifted32(gen_shifted32):
 
 
 @pytest.fixture(scope="session")
-def adj_spectrum_shifted32(adj_shifted32):
-    from mhdlab import adjoint_spectrum
+def adj_spectrum_shifted32(adj_shifted32, spectrum_shifted32):
+    from mhdlab import adjoint_eigenpairs
 
-    return adjoint_spectrum(adj_shifted32, 16, "shift_invert")
+    return adjoint_eigenpairs(adj_shifted32, spectrum_shifted32)

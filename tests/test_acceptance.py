@@ -9,19 +9,20 @@ import pytest
 
 from mhdlab import (
     CarlemanParams,
+    MhdSystem,
     OmegaSpec,
     ScalarField,
     StateVector,
     VectorField2,
-    adjoint_spectrum,
+    adjoint_eigenpairs,
     assemble_adjoint,
     assemble_generator,
     build_grid,
     build_nested_regions,
     build_commutators,
+    closed_loop,
     coefficients,
     compute_spectrum,
-    design_feedback,
     gradient,
     helmholtz_project,
     integrated_inequality_check,
@@ -29,11 +30,9 @@ from mhdlab import (
     make_equilibrium,
     make_omega_vanishing_state,
     make_test_field,
-    measure_decay,
     oseen_plus,
     rot,
     select_actuators,
-    simulate_closed_loop,
     tau_sweep_vanishing,
     ucp_gram_test,
 )
@@ -224,13 +223,13 @@ def test_criterion_7_commutator_support(box32, regions32, chi32, gen_shifted32):
             rot(ScalarField(box32, rng.normal(size=box32.shape))),
         )
         p = ScalarField(box32, rng.normal(size=box32.shape))
-        f = build_commutators(chi32, s, p, eq_coupled)
+        f = build_commutators(chi32, s, p, MhdSystem(eq_coupled))
         worst = max(worst, f.max_outside_omega_star / f.scale)
     rep = compute_spectrum(gen_shifted32, 4, "shift_invert")
     pair = rep.pairs[0]
     sys = gen_shifted32.system
     p = sys.pressure_from_state(pair.Phi)
-    f = build_commutators(chi32, pair.Phi, p, sys.eq, diffusion_order=sys.diffusion_order)
+    f = build_commutators(chi32, pair.Phi, p, sys)
     worst = max(worst, f.max_outside_omega_star / f.scale)
     ok = worst <= 1e-12
     _report(7, ok, f"max |F|,|G|,|T| outside the transition band {worst:.2e} x scale (<=1e-12)")
@@ -255,7 +254,7 @@ def test_criterion_8_pressure_identity():
         res = np.abs(wide_laplacian_matrix(g) @ p.values.ravel() - rhs).max()
         worst_res = max(worst_res, res / max(np.abs(rhs).max(), 1.0))
         # first-order form of div L1: discrete double-sum oracle
-        lhs = D @ (oseen_plus(eq.y_e).matrix @ phi.ravel())
+        lhs = D @ (oseen_plus(eq.y_e) @ phi.ravel())
         Dx, Dy = dx_matrix(g), dy_matrix(g)
         d = lambda a, m: m @ a.ravel()
         oracle = 2.0 * (
@@ -297,7 +296,7 @@ def test_criterion_10_closed_loop():
     A = assemble_generator(eq, sigma)
     Aadj = assemble_adjoint(eq, sigma)
     rep = compute_spectrum(A, 12, "shift_invert")
-    arep = adjoint_spectrum(Aadj, 12, "shift_invert")
+    arep = adjoint_eigenpairs(Aadj, rep)
     N = rep.N
     regions = build_nested_regions(
         grid,
@@ -306,21 +305,18 @@ def test_criterion_10_closed_loop():
         omega_star_width=0.08 * L,
     )
     omega = regions.omega
-    fwd = [p for p in rep.pairs if p.unstable]
-    adj = [p for p in arep.pairs if p.unstable]
     clusters = arep.unstable_clusters()
     actuators = select_actuators(clusters, omega)
     assert all(k.passed for k in kalman_rank(actuators, clusters, omega))
-    design = design_feedback(A, fwd, adj, actuators, omega, gamma)
-    proj, gain = design.proj, design.gain
 
-    rng = np.random.default_rng(8)
-    y0 = A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
-    open_trace = simulate_closed_loop(A, None, y0, 2.0, 0.01)
-    closed_trace = simulate_closed_loop(A, design, y0, 8.0, 0.01)
-    rate, _ = measure_decay(closed_trace, (4.0, 8.0))
-    lam_next = abs(rep.lambda_next_stable().real)
-    target = 2.0 * min(gamma, lam_next)
+    def experiment(g, T):
+        # one seed, so the open and the closed loop start from the same state
+        rng = np.random.default_rng(8)
+        return closed_loop(A, rep, arep, actuators, omega, g, T, 0.01, rng)
+
+    closed, opened = experiment(gamma, 8.0), experiment(None, 2.0)
+    gain, rate, target = closed.design.gain, closed.decay_rate, closed.energy_rate_target
+    open_trace = opened.trace
     runtime = time.perf_counter() - t0
 
     ok = (

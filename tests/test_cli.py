@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -347,6 +348,54 @@ def test_cli_import_leaves_scipy_ndimage_unloaded():
 def test_default_config_validates():
     RunConfig.from_dict().validate()
     assert "geometry" in DEFAULT_CONFIG
+
+
+# each value has the wrong type for its key; reading it raised AttributeError,
+# ValueError or TypeError (an absolute radius failed inside the region build)
+MISTYPED_CONFIGS = [
+    {"spectral": 5},
+    {"carleman": None},
+    {"stabilize": []},
+    {"equilibrium": 3},
+    {"geometry": {"omega": 5}},
+    {"seed": "x"},
+    {"physics": {"sigma": "abc"}},
+    {"spectral": {"count": "x"}},
+    {"geometry": {"omega": {"radius_frac": "a"}}},
+    {"geometry": {"omega": {"radius": "a"}}},
+    {"carleman": {"tau_grid": 5}},
+    {"equilibrium": {"kind": "shear", "params": 3}},
+]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "carleman"])
+@pytest.mark.parametrize("config", MISTYPED_CONFIGS, ids=json.dumps)
+def test_mistyped_config_value_is_config_error(tmp_path, command, config):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert json.loads((out / "error.json").read_text())["error_kind"] == "config_error"
+
+
+def _leaves(tree: dict, path=()):
+    for key, val in tree.items():
+        if isinstance(val, dict) and val:
+            yield from _leaves(val, path + (key,))
+        else:
+            yield path + (key,), val
+
+
+def test_readme_schema_shows_every_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    shown = json.loads(re.sub(r"//[^\n]*", "", block))
+    for path, default in _leaves(DEFAULT_CONFIG):
+        node = shown
+        for key in path:
+            assert key in node, f"README schema lacks {'.'.join(path)}"
+            node = node[key]
+        assert node == default, f"README shows {'.'.join(path)} = {node!r}, default {default!r}"
 
 
 # the default square box supports every stage

@@ -18,18 +18,17 @@ import pytest
 
 from mhdlab import (
     OmegaSpec,
-    adjoint_spectrum,
+    adjoint_eigenpairs,
     assemble_adjoint,
     assemble_generator,
     build_grid,
     build_nested_regions,
+    closed_loop,
     compute_spectrum,
     design_feedback,
     kalman_rank,
     make_equilibrium,
-    measure_decay,
     select_actuators,
-    simulate_closed_loop,
     ucp_gram_test,
 )
 from mhdlab.fields import StateVector, restrict
@@ -122,7 +121,7 @@ def test_uniform_field_closed_loop():
     A = assemble_generator(eq, sigma)
     Aadj = assemble_adjoint(eq, sigma)
     rep = compute_spectrum(A, 12, "dense")
-    arep = adjoint_spectrum(Aadj, 12, "dense")
+    arep = adjoint_eigenpairs(Aadj, rep)
     regions = build_nested_regions(
         grid,
         OmegaSpec(shape="disc", radius=0.15 * L),
@@ -136,22 +135,13 @@ def test_uniform_field_closed_loop():
     actuators = select_actuators(clusters, omega)
     assert all(k.passed for k in kalman_rank(actuators, clusters, omega))
 
-    fwd = [p for p in rep.pairs if p.unstable]
-    adj = [p for p in arep.pairs if p.unstable]
-    design = design_feedback(A, fwd, adj, actuators, omega, gamma)
-    proj, gain = design.proj, design.gain
-    assert proj.N == 8
-    assert np.max(gain.achieved_poles.real) <= -gamma + 1e-8
-
-    rng = np.random.default_rng(21)
-    y0 = A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
-    trace = simulate_closed_loop(A, design, y0, 8.0, 0.01)
-    rate, _ = measure_decay(trace, (4.0, 8.0))
-    lam_next = abs(rep.lambda_next_stable().real)
-    target = 2.0 * min(gamma, lam_next)
-    assert abs(rate - target) <= 0.2 * target
+    out = closed_loop(A, rep, arep, actuators, omega, gamma, 8.0, 0.01, np.random.default_rng(21))
+    assert out.design.proj.N == 8
+    assert np.max(out.design.gain.achieved_poles.real) <= -gamma + 1e-8
+    target = out.energy_rate_target
+    assert abs(out.decay_rate - target) <= 0.2 * target
     # realized actuator signals are real and the applied fields stay in omega
-    assert np.isrealobj(trace.amplitudes)
+    assert np.isrealobj(out.trace.amplitudes)
     outside = ~omega
     for f in control_fields(actuators, omega):
         assert np.all(f.phi.u1[outside] == 0.0)
@@ -165,7 +155,7 @@ def uniform24():
     A = assemble_generator(eq, 1.2)
     Aadj = assemble_adjoint(eq, 1.2)
     rep = compute_spectrum(A, 12, "dense")
-    arep = adjoint_spectrum(Aadj, 12, "dense")
+    arep = adjoint_eigenpairs(Aadj, rep)
     regions = build_nested_regions(
         grid,
         OmegaSpec(shape="disc", radius=0.15 * L),

@@ -6,13 +6,13 @@ import pytest
 
 from mhdlab import (
     OmegaSpec,
-    adjoint_spectrum,
+    adjoint_eigenpairs,
     assemble_adjoint,
     assemble_generator,
     build_grid,
     build_nested_regions,
+    closed_loop,
     compute_spectrum,
-    design_feedback,
     make_equilibrium,
     measure_decay,
     project_unstable,
@@ -29,20 +29,26 @@ from mhdlab.errors import (
 )
 from mhdlab import stabilize
 from mhdlab.operators import GeneratorOperator
-from mhdlab.stabilize import SimulationTrace, control_fields, stable_complement_residual
+from mhdlab.stabilize import (
+    SimulationTrace,
+    control_fields,
+    initial_state,
+    stable_complement_residual,
+)
 
 L = 2 * np.pi
 
 
 @pytest.fixture(scope="module")
 def loop24():
-    """Unstable rectangle with N=4, actuators, projection, and gain."""
+    """Unstable rectangle with N=4, actuators, projection, gain, and the
+    closed-loop experiment at gamma = 1 (seed 2)."""
     g = build_grid(L, L / 2, 24, 24)
     eq = make_equilibrium("zero", g)
     A = assemble_generator(eq, 1.5)
     Aadj = assemble_adjoint(eq, 1.5)
     rep = compute_spectrum(A, 10, "shift_invert")
-    arep = adjoint_spectrum(Aadj, 10, "shift_invert")
+    arep = adjoint_eigenpairs(Aadj, rep)
     regions = build_nested_regions(
         g,
         OmegaSpec(shape="disc", radius=0.08 * L),
@@ -50,14 +56,12 @@ def loop24():
         omega_star_width=0.08 * L,
     )
     omega = regions.omega
-    fwd = [p for p in rep.pairs if p.unstable]
-    adj = [p for p in arep.pairs if p.unstable]
-    clusters = arep.unstable_clusters()
-    acts = select_actuators(clusters, omega)
-    design = design_feedback(A, fwd, adj, acts, omega, 1.0)
+    acts = select_actuators(arep.unstable_clusters(), omega)
+    closed = closed_loop(A, rep, arep, acts, omega, 1.0, 8.0, 0.01, np.random.default_rng(2))
+    design = closed.design
     return dict(
         grid=g, A=A, rep=rep, arep=arep, omega=omega, proj=design.proj, acts=acts,
-        B=design.input_map, design=design,
+        B=design.input_map, design=design, closed=closed,
     )
 
 
@@ -156,22 +160,17 @@ class TestSimulation:
         assert rate == pytest.approx(2.0, rel=2.5e-2)
 
     def test_open_loop_growth(self, loop24):
-        A, proj = loop24["A"], loop24["proj"]
+        rep, arep, acts, omega = (loop24[k] for k in ("rep", "arep", "acts", "omega"))
         rng = np.random.default_rng(1)
-        y0 = A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
-        trace = simulate_closed_loop(A, None, y0, 2.0, 0.01)
-        assert trace.energies[-1] > trace.energies[0]
+        out = closed_loop(loop24["A"], rep, arep, acts, omega, None, 2.0, 0.01, rng)
+        assert out.design.gain is None and out.energy_rate_target is None
+        assert out.trace.energies[-1] > out.trace.energies[0]
 
     def test_closed_loop_decay_rate(self, loop24):
-        A, proj = loop24["A"], loop24["proj"]
-        rng = np.random.default_rng(2)
-        y0 = A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
-        trace = simulate_closed_loop(A, loop24["design"], y0, 8.0, 0.01)
-        rate, _ = measure_decay(trace, (4.0, 8.0))
-        lam_next = loop24["rep"].lambda_next_stable()
-        target = 2.0 * min(1.0, abs(lam_next.real))
-        assert abs(rate - target) <= 0.15 * target
-        rate_u, _ = measure_decay(trace, (4.0, 8.0), use_unstable=True)
+        out = loop24["closed"]
+        target = out.energy_rate_target
+        assert abs(out.decay_rate - target) <= 0.15 * target
+        rate_u, _ = measure_decay(out.trace, (4.0, 8.0), use_unstable=True)
         assert rate_u >= 2.0 * 1.0 * (1 - 0.1)
 
     def test_control_localization_bitwise(self, loop24):
@@ -185,8 +184,7 @@ class TestSimulation:
 
     def test_stable_complement_variation_of_constants(self, loop24):
         A, proj = loop24["A"], loop24["proj"]
-        rng = np.random.default_rng(3)
-        y0 = A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
+        y0 = initial_state(A, proj, np.random.default_rng(3))
         trace = simulate_closed_loop(A, loop24["design"], y0, 1.0, 0.01, store_states=True)
         assert stable_complement_residual(trace, A, proj, 0.01) <= 1e-6
 
