@@ -67,6 +67,8 @@ class CarlemanParams:
             raise ConfigurationError("epsilon must be positive")
         if self.tau <= 0.0:
             raise ConfigurationError("tau must be positive")
+        if self.tau2_bound < 0.0:
+            raise ConfigurationError("tau2_bound must be >= 0")
 
     @classmethod
     def for_weight(cls, tau: float, weight: WeightField, delta0=0.5, epsilon=0.5, tau2_bound=0.0):
@@ -433,33 +435,16 @@ def assemble_chi_system_residual(
     For an exact discrete eigen-solution the residual equals chi times the
     bare eigen-residual, so it inherits the eigensolver tolerance.
     """
-    from .fields import gradient_matrix
-
     g = system.grid
-    b = system.blocks()
     forcing = build_commutators(chi, s, p, system)
     lam = system.elliptic_eigenvalue(lam_generator)
-    chi2 = np.concatenate([chi.values.ravel()] * 2)
     chi1 = chi.values.ravel()
-    phi_c = chi2 * s.phi.ravel()
-    xi_c = chi2 * s.xi.ravel()
-    p_c = chi1 * p.values.ravel()
-
-    r_phi = (
-        -system.nu * (b["vlap"] @ phi_c)
-        + b["L1"] @ phi_c
-        - b["L2"] @ xi_c
-        + gradient_matrix(g) @ p_c
-        - lam * phi_c
-        - forcing.F_chi.ravel()
+    chi2 = np.concatenate([chi1] * 2)
+    r_phi, r_xi = system.steady_rows(
+        lam, chi2 * s.phi.ravel(), chi2 * s.xi.ravel(), chi1 * p.values.ravel()
     )
-    r_xi = (
-        -system.eta * (b["vlap"] @ xi_c)
-        + b["M1"] @ xi_c
-        - b["M2"] @ phi_c
-        - lam * xi_c
-        - forcing.G_chi.ravel()
-    )
+    r_phi = r_phi - forcing.F_chi.ravel()
+    r_xi = r_xi - forcing.G_chi.ravel()
     scale = max(s.norm(), 1e-300)
     dA = np.sqrt(g.cell_area)
     return {
@@ -476,6 +461,25 @@ def assemble_chi_system_residual(
 # ---------------------------------------------------------------------------
 # Final band estimate and tau-sweep
 # ---------------------------------------------------------------------------
+
+def _grad_energy(v: VectorField2, W: ScalarField | float, region: np.ndarray) -> float:
+    """Weighted squared gradients of both components of v over region."""
+    g1 = gradient(ScalarField(v.grid, v.u1))
+    g2 = gradient(ScalarField(v.grid, v.u2))
+    return weighted_norm2(g1, W, region) + weighted_norm2(g2, W, region)
+
+
+def _star_integrals(
+    s: StateVector, p: ScalarField, W: ScalarField | float, star: np.ndarray
+) -> tuple[float, float]:
+    """The transition-region integrals of |grad p|^2 + |p|^2 + |phi|^2 +
+    |xi|^2 and of |grad phi|^2 + |grad xi|^2 + |phi|^2 + |xi|^2 + |p|^2,
+    summed in that order with weight W."""
+    n_p, n_phi, n_xi = (weighted_norm2(f, W, star) for f in (p, s.phi, s.xi))
+    I_p = weighted_norm2(gradient(p), W, star) + n_p + n_phi + n_xi
+    I_u = _grad_energy(s.phi, W, star) + _grad_energy(s.xi, W, star) + n_phi + n_xi + n_p
+    return I_p, I_u
+
 
 def _default_constants(system: MhdSystem, chi: CutoffField, lam: complex) -> dict:
     """Explicit, recorded stand-ins for the implicit constants of the final
@@ -517,7 +521,6 @@ def final_estimate_eval(
     g = system.grid
     regions = psi.regions
     G = regions.G
-    star = regions.omega_star
     tau = params.tau
     lam = system.elliptic_eigenvalue(lam_generator)
     consts = constants or _default_constants(system, chi, lam)
@@ -530,28 +533,10 @@ def final_estimate_eval(
     xi_c = VectorField2(g, chi_arr * s.xi.u1, chi_arr * s.xi.u2)
     p_c = ScalarField(g, chi_arr * p_field.values)
 
-    def grad_energy(v: VectorField2, region):
-        g1 = gradient(ScalarField(g, v.u1))
-        g2 = gradient(ScalarField(g, v.u2))
-        return weighted_norm2(g1, Wf, region) + weighted_norm2(g2, Wf, region)
-
-    I_grad_chi = grad_energy(phi_c, G) + grad_energy(xi_c, G)
+    I_grad_chi = _grad_energy(phi_c, Wf, G) + _grad_energy(xi_c, Wf, G)
     I_zero_chi = weighted_norm2(phi_c, Wf, G) + weighted_norm2(xi_c, Wf, G)
     I_p_chi = weighted_norm2(p_c, Wf, G)
-
-    I_star_p = (
-        weighted_norm2(gradient(p_field), Wf, star)
-        + weighted_norm2(p_field, Wf, star)
-        + weighted_norm2(s.phi, Wf, star)
-        + weighted_norm2(s.xi, Wf, star)
-    )
-    I_star_u = (
-        grad_energy(s.phi, star)
-        + grad_energy(s.xi, star)
-        + weighted_norm2(s.phi, Wf, star)
-        + weighted_norm2(s.xi, Wf, star)
-        + weighted_norm2(p_field, Wf, star)
-    )
+    I_star_p, I_star_u = _star_integrals(s, p_field, Wf, regions.omega_star)
 
     rho, kk, d0, eps = params.rho, params.kgrad, params.delta0, params.epsilon
     base = d0 * (2 * rho * tau - eps / 2)  # the divided constant of the estimate
@@ -591,7 +576,6 @@ def tau_sweep_vanishing(
     """
     if not tau_list:
         raise ConfigurationError("tau sweep needs a nonempty tau list")
-    g = s.grid
     omega = regions.omega
     scale = max(s.phi.magnitude().max(), s.xi.magnitude().max(),
                 np.abs(p_field.values).max(), 1e-300)
@@ -603,26 +587,7 @@ def tau_sweep_vanishing(
     if on_omega > 1e-12 * scale:
         raise CauchyDataError("state does not vanish on omega")
 
-    star = regions.omega_star
-    gradp = gradient(p_field)
-    def grad_energy(v: VectorField2, region):
-        g1 = gradient(ScalarField(g, v.u1))
-        g2 = gradient(ScalarField(g, v.u2))
-        return weighted_norm2(g1, 1.0, region) + weighted_norm2(g2, 1.0, region)
-
-    C1 = (
-        weighted_norm2(gradp, 1.0, star)
-        + weighted_norm2(p_field, 1.0, star)
-        + weighted_norm2(s.phi, 1.0, star)
-        + weighted_norm2(s.xi, 1.0, star)
-    )
-    C2 = (
-        grad_energy(s.phi, star)
-        + grad_energy(s.xi, star)
-        + weighted_norm2(s.phi, 1.0, star)
-        + weighted_norm2(s.xi, 1.0, star)
-        + weighted_norm2(p_field, 1.0, star)
-    )
+    C1, C2 = _star_integrals(s, p_field, 1.0, regions.omega_star)
     taus = sorted(float(t) for t in tau_list)
     rows = [
         {

@@ -62,6 +62,14 @@ def _reading(block: str):
         raise ConfigurationError(f"bad {block} block: {exc}") from exc
 
 
+def _flag(block: dict, key: str) -> bool:
+    """A config flag, which only a JSON boolean sets."""
+    val = block[key]
+    if not isinstance(val, bool):
+        raise ConfigurationError(f"{key} must be true or false, got {val!r}")
+    return val
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
@@ -183,7 +191,7 @@ class RunConfig:
             return {
                 "count": count,
                 "strategy": strategy,
-                "degenerate_fixture": bool(sconf["degenerate_fixture"]),
+                "degenerate_fixture": _flag(sconf, "degenerate_fixture"),
             }
 
     def carleman_options(self, regions: RegionSet) -> dict:
@@ -211,13 +219,16 @@ class RunConfig:
             n_fields = int(cconf["n_fields"])
             if n_fields < 1:
                 raise ConfigurationError("carleman n_fields must be >= 1")
+            tau2_bound = float(cconf["tau2_bound"])
+            if tau2_bound < 0:
+                raise ConfigurationError("carleman tau2_bound must be >= 0")
             return {
                 "delta0": delta0,
                 "epsilon": epsilon,
                 "tau_list": taus,
                 "n_fields": n_fields,
-                "tau2_bound": float(cconf["tau2_bound"]),
-                "calibrate_tau2": bool(cconf["calibrate_tau2"]),
+                "tau2_bound": tau2_bound,
+                "calibrate_tau2": _flag(cconf, "calibrate_tau2"),
             }
 
     def stabilize_options(self) -> dict:
@@ -232,7 +243,7 @@ class RunConfig:
                 "gamma": gamma,
                 "T": T,
                 "dt": dt,
-                "gain_on": bool(sconf["gain_on"]),
+                "gain_on": _flag(sconf, "gain_on"),
             }
 
     def validate(self) -> tuple[Grid, Equilibrium, RegionSet]:

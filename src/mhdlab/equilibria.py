@@ -10,6 +10,7 @@ involved.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,38 +44,42 @@ class Equilibrium:
     grad_bound: float = 0.0
     kind: str = "custom"
 
-    @property
-    def is_zero(self) -> bool:
-        return self.y_e.norm() == 0.0 and self.B_e.norm() == 0.0
-
     def sup_fields(self) -> float:
         return float(max(self.y_e.magnitude().max(), self.B_e.magnitude().max(), 0.0))
 
 
-def _advect(e: VectorField2, v: VectorField2) -> VectorField2:
-    """(e . grad) v with centered first derivatives."""
+def _partials(v: VectorField2) -> list[np.ndarray]:
+    """Centered d/dx and d/dy of u1, then of u2."""
     g = v.grid
     Dx, Dy = dx_matrix(g), dy_matrix(g)
-    def d(arr, m):
-        return (m @ arr.ravel()).reshape(g.shape)
-    return VectorField2(
-        g,
-        e.u1 * d(v.u1, Dx) + e.u2 * d(v.u1, Dy),
-        e.u1 * d(v.u2, Dx) + e.u2 * d(v.u2, Dy),
-    )
+    return [(m @ u.ravel()).reshape(g.shape) for u in (v.u1, v.u2) for m in (Dx, Dy)]
+
+
+def _advect(e: VectorField2, v: VectorField2) -> VectorField2:
+    """(e . grad) v with centered first derivatives."""
+    u1x, u1y, u2x, u2y = _partials(v)
+    return VectorField2(v.grid, e.u1 * u1x + e.u2 * u1y, e.u1 * u2x + e.u2 * u2y)
 
 
 def _grad_mag(v: VectorField2) -> np.ndarray:
-    g = v.grid
-    Dx, Dy = dx_matrix(g), dy_matrix(g)
-    def d(arr, m):
-        return (m @ arr.ravel()).reshape(g.shape)
-    return np.sqrt(
-        np.abs(d(v.u1, Dx)) ** 2
-        + np.abs(d(v.u1, Dy)) ** 2
-        + np.abs(d(v.u2, Dx)) ** 2
-        + np.abs(d(v.u2, Dy)) ** 2
-    )
+    return np.sqrt(sum(np.abs(d) ** 2 for d in _partials(v)))
+
+
+def _number(params: dict, name: str) -> float:
+    """params[name], default 1, as a float; only a real number is taken."""
+    val = params.get(name, 1.0)
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        raise ConfigurationError(f"equilibrium param {name!r} must be a number, got {val!r}")
+    return float(val)
+
+
+def _mode(params: dict, name: str) -> int:
+    """params[name], default 1, as an int; only an integral number is taken."""
+    if not _number(params, name).is_integer():
+        raise ConfigurationError(
+            f"equilibrium param {name!r} must be an integer, got {params[name]!r}"
+        )
+    return int(params.get(name, 1))
 
 
 def make_equilibrium(
@@ -95,14 +100,14 @@ def make_equilibrium(
         ye = VectorField2(grid, zeros.copy(), zeros.copy())
         Be = VectorField2(grid, zeros.copy(), zeros.copy())
     elif kind == "shear":
-        amp = float(params.get("amplitude", 1.0))
-        q = int(params.get("mode", 1))
+        amp = _number(params, "amplitude")
+        q = _mode(params, "mode")
         ye = VectorField2(grid, amp * np.sin(2 * np.pi * q * Y / grid.Ly), zeros.copy())
         Be = VectorField2(grid, zeros.copy(), zeros.copy())
     elif kind == "taylor_vortex":
-        amp = float(params.get("amplitude", 1.0))
-        p = int(params.get("mode_x", 1))
-        q = int(params.get("mode_y", 1))
+        amp = _number(params, "amplitude")
+        p = _mode(params, "mode_x")
+        q = _mode(params, "mode_y")
         a, b = 2 * np.pi * p / grid.Lx, 2 * np.pi * q / grid.Ly
         ye = VectorField2(
             grid,
@@ -115,10 +120,7 @@ def make_equilibrium(
             val = params.get(name)
             if val is None:
                 return VectorField2(grid, zeros.copy(), zeros.copy())
-            if callable(val):
-                u1, u2 = val(X, Y)
-                return VectorField2(grid, np.asarray(u1, float), np.asarray(u2, float))
-            u1, u2 = val
+            u1, u2 = val(X, Y) if callable(val) else val
             return VectorField2(grid, np.asarray(u1, float), np.asarray(u2, float))
         ye = pick("y_e")
         Be = pick("B_e")

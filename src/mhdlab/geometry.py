@@ -75,21 +75,6 @@ class RegionSet:
         """Working band Omega1 u OmegaStar."""
         return self.omega1 | self.omega_star
 
-    def facets_D(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """Facets of the boundary of Omega1 u OmegaStar (cell-pair list)."""
-        g = self.G
-        out = []
-        nx, ny = self.grid.shape
-        for axis, (di, dj) in enumerate(((1, 0), (0, 1))):
-            for i in range(nx - di):
-                for j in range(ny - dj):
-                    a, b = g[i, j], g[i + di, j + dj]
-                    if a != b:
-                        inside = (i, j) if a else (i + di, j + dj)
-                        outside = (i + di, j + dj) if a else (i, j)
-                        out.append((inside, outside))
-        return out
-
     def validate(self) -> None:
         total = (
             self.omega.astype(int)

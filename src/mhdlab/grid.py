@@ -84,17 +84,6 @@ class Grid:
             mask[:, -1] = True
         return mask
 
-    def boundary_facets(self) -> list[tuple[str, int]]:
-        """Wall facets as (side, running index) pairs, enumerated row-major."""
-        facets: list[tuple[str, int]] = []
-        if self.bc_x is BcKind.wall:
-            facets += [("x=0", j) for j in range(self.ny)]
-            facets += [("x=Lx", j) for j in range(self.ny)]
-        if self.bc_y is BcKind.wall:
-            facets += [("y=0", i) for i in range(self.nx)]
-            facets += [("y=Ly", i) for i in range(self.nx)]
-        return facets
-
     def same_as(self, other: "Grid") -> bool:
         return (
             self.shape == other.shape

@@ -261,11 +261,6 @@ class MhdSystem:
             self._cache["reduced"] = (red + self.sigma * sp.identity(red.shape[0])).tocsr()
         return self._cache["reduced"]
 
-    def diffusion_symbol_state(self) -> np.ndarray:
-        """Exact diagonal of the decoupled diffusive part in the basis."""
-        sym = self.basis.diffusion_symbol(self.diffusion_order)
-        return np.concatenate([self.nu * sym, self.eta * sym])
-
     # -- pressure and residuals ----------------------------------------------
     def pressure_from_state(self, s: StateVector) -> ScalarField:
         """Solve div(grad p) = -div L1 phi + div L2 xi, zero-mean gauge."""
@@ -296,30 +291,36 @@ class MhdSystem:
         """
         return self.sigma - lam_generator
 
+    def steady_rows(
+        self, lam: complex, phi: np.ndarray, xi: np.ndarray, p: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Both rows of the steady eigen-system at elliptic eigenvalue lam,
+        applied to flat (phi, xi, p)."""
+        b = self.blocks()
+        r_phi = (
+            -self.nu * (b["vlap"] @ phi)
+            + b["L1"] @ phi
+            - b["L2"] @ xi
+            + gradient_matrix(self.grid) @ p
+            - lam * phi
+        )
+        r_xi = (
+            -self.eta * (b["vlap"] @ xi)
+            + b["M1"] @ xi
+            - b["M2"] @ phi
+            - lam * xi
+        )
+        return r_phi, r_xi
+
     def pde_residual(
         self, lam_generator: complex, s: StateVector, p: ScalarField | None = None
     ) -> dict:
         """Residual of the steady eigen-system rows for a computed pair."""
         g = self.grid
-        b = self.blocks()
         if p is None:
             p = self.pressure_from_state(s)
         lam = self.elliptic_eigenvalue(lam_generator)
-        phi_f, xi_f = s.phi.ravel(), s.xi.ravel()
-        Gp = gradient_matrix(g) @ p.values.ravel()
-        r_phi = (
-            -self.nu * (b["vlap"] @ phi_f)
-            + b["L1"] @ phi_f
-            - b["L2"] @ xi_f
-            + Gp
-            - lam * phi_f
-        )
-        r_xi = (
-            -self.eta * (b["vlap"] @ xi_f)
-            + b["M1"] @ xi_f
-            - b["M2"] @ phi_f
-            - lam * xi_f
-        )
+        r_phi, r_xi = self.steady_rows(lam, s.phi.ravel(), s.xi.ravel(), p.values.ravel())
         dA = np.sqrt(g.cell_area)
         norm = s.norm()
         res_phi = float(np.linalg.norm(r_phi) * dA)

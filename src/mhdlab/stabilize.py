@@ -132,10 +132,7 @@ def project_unstable(
 @dataclass
 class FeedbackGain:
     gain: np.ndarray            # (K, N) actuator amplitudes from unstable coords
-    gamma: float
-    target_poles: np.ndarray
     achieved_poles: np.ndarray
-    closed_block: np.ndarray
 
     @property
     def K(self) -> int:
@@ -241,7 +238,7 @@ def synthesize_feedback(
     A = np.atleast_2d(np.asarray(unstable_block, dtype=float))
     N = A.shape[0]
     if N == 0:
-        return FeedbackGain(np.zeros((0, 0)), gamma, np.zeros(0), np.zeros(0), A)
+        return FeedbackGain(np.zeros((0, 0)), np.zeros(0))
     B = np.atleast_2d(np.asarray(input_map, dtype=float))
     if B.shape[0] != N:
         raise ConfigurationError("input map row count must match the block size")
@@ -256,14 +253,13 @@ def synthesize_feedback(
         gain = sla.solve(X.T, G.T).T
     except sla.LinAlgError as exc:
         raise UncontrollableError(f"pole placement failed: {exc}") from exc
-    closed = A - B @ gain
-    achieved = np.linalg.eigvals(closed)
+    achieved = np.linalg.eigvals(A - B @ gain)
     if np.max(achieved.real) > -gamma + POLE_TOL:
         raise UncontrollableError(
             f"closed-loop block kept an eigenvalue at {np.max(achieved.real):.6f} "
             f"(Sylvester solution cond {np.linalg.cond(X):.3e})"
         )
-    return FeedbackGain(gain, gamma, targets, achieved, closed)
+    return FeedbackGain(gain, achieved)
 
 
 def _real_block(proj: UnstableProjection, A: GeneratorOperator) -> np.ndarray:
@@ -279,7 +275,6 @@ def _real_block(proj: UnstableProjection, A: GeneratorOperator) -> np.ndarray:
 class FeedbackDesign:
     proj: UnstableProjection
     input_map: np.ndarray       # (N, K) unstable coords of the applied fields
-    block: np.ndarray           # (N, N) open-loop unstable block, real basis
     gain: FeedbackGain | None   # None when no gain was asked for
     drive: np.ndarray           # (dim, K) reduced coords of the applied fields
     leakage: list[float]        # share of each applied field outside the reduced space
@@ -314,7 +309,7 @@ def design_feedback(
         leakage.append(float(np.sqrt(max(nf**2 - recon.norm() ** 2, 0.0)) / nf) if nf else 0.0)
     block = _real_block(proj, A)
     gain = synthesize_feedback(block, input_map, gamma) if gamma is not None else None
-    return FeedbackDesign(proj, input_map, block, gain, drive, leakage)
+    return FeedbackDesign(proj, input_map, gain, drive, leakage)
 
 
 @dataclass

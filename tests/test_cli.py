@@ -22,8 +22,9 @@ from mhdlab.cli import (
     run_stabilize,
     run_ucp,
 )
+from mhdlab.carleman import CarlemanParams
 from mhdlab.config import DEFAULT_CONFIG, RunConfig
-from mhdlab.errors import UncontrollableError
+from mhdlab.errors import ConfigurationError, UncontrollableError
 from mhdlab.fields import StateVector, VectorField2
 from mhdlab.spectral import EigenPair, adjoint_eigenpairs
 
@@ -126,6 +127,18 @@ class TestRunCarleman:
         error = json.loads((out / "error.json").read_text())
         assert error["error_kind"] == "config_error"
         assert "n_fields" in error["message"]
+
+    @pytest.mark.parametrize("tau2_bound", [-50, -1e-3])
+    def test_negative_tau2_bound_is_config_error(self, tmp_path, tau2_bound):
+        # a negative correction would enlarge c_zero instead of shrinking it
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"carleman": {"tau2_bound": tau2_bound}}))
+        out = tmp_path / "o"
+        code = main(["carleman", "--config", str(cfgfile), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "tau2_bound" in json.loads((out / "error.json").read_text())["message"]
+        with pytest.raises(ConfigurationError, match="tau2_bound"):
+            CarlemanParams(1.0, tau2_bound=tau2_bound)
 
     def test_tables_do_not_depend_on_block_size(self, tmp_path, monkeypatch):
         cfg = _cfg(carleman={"n_fields": 7})
@@ -351,7 +364,9 @@ def test_default_config_validates():
 
 
 # each value has the wrong type for its key; reading it raised AttributeError,
-# ValueError or TypeError (an absolute radius failed inside the region build)
+# ValueError or TypeError (an absolute radius failed inside the region build),
+# a flag took any non-empty string as true, and an equilibrium param failed
+# outside the config's error handling or was truncated to an int
 MISTYPED_CONFIGS = [
     {"spectral": 5},
     {"carleman": None},
@@ -365,6 +380,11 @@ MISTYPED_CONFIGS = [
     {"geometry": {"omega": {"radius": "a"}}},
     {"carleman": {"tau_grid": 5}},
     {"equilibrium": {"kind": "shear", "params": 3}},
+    {"stabilize": {"gain_on": "false"}},
+    {"spectral": {"degenerate_fixture": "no"}},
+    {"carleman": {"calibrate_tau2": 1}},
+    {"equilibrium": {"kind": "shear", "params": {"amplitude": "x"}}},
+    {"equilibrium": {"kind": "taylor_vortex", "params": {"mode_x": 1.5}}},
 ]
 
 

@@ -37,7 +37,6 @@ class TestBuildGrid:
         assert g.hx == pytest.approx(1 / 32)
         assert g.hy == pytest.approx(1 / 32)
         assert g.boundary_mask().sum() == 2 * 64 + 2 * 32 - 4
-        assert len(g.boundary_facets()) == 2 * 32 + 2 * 64
 
     def test_nonpositive_extent(self):
         with pytest.raises(ConfigurationError):
@@ -66,14 +65,6 @@ class TestRegions:
             grown |= np.roll(regions32.omega, sh, axis=ax)
         ring = grown & ~regions32.omega
         assert np.all(regions32.omega1[ring])
-
-    def test_facets_D_separate(self, regions32):
-        G = regions32.G
-        facets = regions32.facets_D()
-        assert facets
-        for inside, outside in facets:
-            assert G[inside]
-            assert not G[outside]
 
     def test_full_collar_ordered_inward(self, channel):
         regions = build_nested_regions(

@@ -31,7 +31,8 @@ L = 2 * np.pi
 
 class TestEquilibria:
     def test_zero(self, box32, eq_zero32):
-        assert eq_zero32.is_zero
+        assert eq_zero32.y_e.norm() == 0.0
+        assert eq_zero32.B_e.norm() == 0.0
         assert eq_zero32.f.norm() == 0.0
         assert eq_zero32.g.norm() == 0.0
         assert eq_zero32.grad_bound == 0.0
@@ -66,6 +67,19 @@ class TestEquilibria:
     def test_unknown_kind(self, box32):
         with pytest.raises(ConfigurationError):
             make_equilibrium("vortex_street", box32)
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"amplitude": "2"}, {"amplitude": True}, {"amplitude": None}, {"mode": 1.5}, {"mode": "1"}],
+    )
+    def test_bad_params_are_config_errors(self, box32, params):
+        with pytest.raises(ConfigurationError, match=next(iter(params))):
+            make_equilibrium("shear", box32, params)
+
+    def test_integral_float_mode_is_the_int(self, box32):
+        a = make_equilibrium("shear", box32, {"mode": 2.0, "amplitude": 3})
+        b = make_equilibrium("shear", box32, {"mode": 2, "amplitude": 3.0})
+        assert np.array_equal(a.y_e.u1, b.y_e.u1)
 
     def test_channel_shear_respects_walls(self, channel):
         X, Y = channel.meshgrid()

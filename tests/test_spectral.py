@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +61,38 @@ def fourier_generator_eigenvalues(Lx, Ly, nu, eta, sigma, count, kmax=8):
 FROZEN_LEADING_12 = [-1.0] * 8 + [-2.0] * 4
 
 
+def _strategy_case(kind: str, n: int, sigma: float):
+    """The shifted generator on the n x n box; "uniform_field" is the
+    API-only constant magnetic equilibrium B_e = (1, 0)."""
+    grid = build_grid(L, L, n, n)
+    if kind == "uniform_field":
+        ones = np.ones(grid.shape)
+        return assemble_generator(make_equilibrium("custom", grid, {"B_e": (ones, 0 * ones)}), sigma)
+    return assemble_generator(make_equilibrium(kind, grid), sigma)
+
+
+# (kind, n, sigma) where shift-invert Arnoldi, asked for 12 values with one
+# BLAS thread, returns fewer members of a degenerate stable cluster than the
+# dense solve
+CLUSTER_GAP_CASES = [("zero", 16, 1.5), ("taylor_vortex", 16, 1.5), ("uniform_field", 24, 1.2)]
+
+
+def _cluster_members(case) -> list[tuple[float, float, int, int]]:
+    """Per eigenvalue of the dense spectrum (count 12): its real and
+    imaginary part, and how many members its cluster has in the dense and
+    in the shift-invert spectrum."""
+    A = _strategy_case(*case)
+    dense, si = (
+        np.array([p.lam for p in compute_spectrum(A, 12, s).pairs])
+        for s in ("dense", "shift_invert")
+    )
+    tol = CLUSTER_RTOL * max(1.0, np.abs(dense).max())
+    return [
+        (lam.real, lam.imag, *(int(np.sum(np.abs(lams - lam) <= tol)) for lams in (dense, si)))
+        for lam in dense
+    ]
+
+
 class TestSpectrum:
     def test_fourier_ground_truth_16(self, box16):
         eq = make_equilibrium("zero", box16)
@@ -67,18 +104,50 @@ class TestSpectrum:
         assert np.abs((got - np.array(oracle)) / np.array(oracle)).max() < 5e-3
         assert np.abs(np.array([p.lam.imag for p in rep.pairs][:12])).max() < 1e-10
 
-    def test_shift_invert_matches_dense(self, box16):
+    def test_shift_invert_matches_dense(self):
         # compared as multisets: the order inside a degenerate cluster
         # follows roundoff, and a cut at 10 may take different members of a
         # conjugate cluster, so each side's first 10 are matched one to one
-        # into the other side's whole list
-        for kind in ("zero", "shear", "taylor_vortex"):
-            A = assemble_generator(make_equilibrium(kind, box16), 1.5)
-            dense = np.array([p.lam for p in compute_spectrum(A, 10, "dense").pairs])
-            si = np.array([p.lam for p in compute_spectrum(A, 10, "shift_invert").pairs])
-            for a, b in ((dense[:10], si), (si[:10], dense)):
+        # into the other side's whole list.  On the uniform field that
+        # fails in the stable clusters (the FOUND the xfail below pins), so
+        # there only the unstable pairs are matched.  The order of clusters
+        # with equal real parts follows roundoff too, so ell is compared
+        # sorted.
+        for case in [("shear", 16, 1.5), *CLUSTER_GAP_CASES]:
+            A = _strategy_case(*case)
+            dense, si = (compute_spectrum(A, 10, s) for s in ("dense", "shift_invert"))
+            a_all, b_all = (np.array([p.lam for p in r.pairs]) for r in (dense, si))
+            cut = dense.N if case[0] == "uniform_field" else 10
+            for a, b in ((a_all[:cut], b_all), (b_all[:cut], a_all)):
                 dist = np.abs(a[:, None] - b[None, :])
-                assert dist[linear_sum_assignment(dist)].max() < 1e-9, kind
+                assert dist[linear_sum_assignment(dist)].max() < 1e-9, case
+            counts = [(r.N, r.M, sorted(r.ell), r.K) for r in (dense, si)]
+            assert counts[0] == counts[1], case
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="FOUND (CHANGES.md): shift-invert Arnoldi misses members of degenerate "
+        "stable clusters inside its disc, not only where k cuts a cluster",
+    )
+    @pytest.mark.parametrize("case", CLUSTER_GAP_CASES, ids=lambda c: f"{c[0]}{c[1]}")
+    def test_shift_invert_returns_whole_clusters(self, case):
+        # in a fresh interpreter with one BLAS thread, as measured: the
+        # zero16 gap depends on the roundoff of the thread count
+        here = Path(__file__).resolve().parent
+        path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join(filter(None, path)),
+        )
+        code = f"import json, test_spectral as t; print(json.dumps(t._cluster_members({case!r})))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        for re_lam, im_lam, in_dense, in_si in json.loads(proc.stdout):
+            assert in_si == in_dense, f"cluster at {re_lam:.4f}{im_lam:+.4f}i"
 
     def test_shift_invert_inner_solves_take_few_matvecs(self, box16, monkeypatch):
         # the sparse LU preconditioner solves the shifted system, advection
