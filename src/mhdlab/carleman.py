@@ -566,7 +566,6 @@ def tau_sweep_vanishing(
     p_field: ScalarField,
     regions: RegionSet,
     tau_list: list[float],
-    psi: WeightField | None = None,
 ) -> dict:
     """Decay table of the band bounds for an omega-vanishing solution.
 

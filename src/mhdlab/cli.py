@@ -41,7 +41,7 @@ from .errors import (
     NumericalError,
     UncontrollableError,
 )
-from .fields import StateVector, VectorField2
+from .fields import StateVector
 from .geometry import build_cutoff, build_weight
 from .operators import GeneratorOperator, MhdSystem
 from .reports import write_summary, write_table
@@ -66,29 +66,6 @@ EXIT_OTHER = 5
 
 def _meta(cfg: RunConfig) -> dict:
     return {"config_hash": cfg.hash, "version": __version__}
-
-
-def _overwrite_on(mask, dst: VectorField2, src: VectorField2) -> VectorField2:
-    """Copy of dst holding src on mask, in the dtype both fit in."""
-    comps = []
-    for d, s in ((dst.u1, src.u1), (dst.u2, src.u2)):
-        c = d.astype(np.result_type(d, s))
-        c[mask] = s[mask]
-        comps.append(c)
-    return VectorField2(dst.grid, *comps, dst.bc_tag)
-
-
-def _degenerate_clusters(clusters: list[list[EigenPair]], omega) -> list[list[EigenPair]]:
-    """Fixture: overwrite one eigenfunction on omega with a copy of another."""
-    out = [list(c) for c in clusters]
-    for cl in out:
-        if len(cl) >= 2:
-            a, b = cl[0], cl[1]
-            phi = _overwrite_on(omega, b.Phi.phi, a.Phi.phi)
-            xi = _overwrite_on(omega, b.Phi.xi, a.Phi.xi)
-            cl[1] = EigenPair(b.lam, StateVector(phi, xi), b.residual, b.coeffs)
-            break
-    return out
 
 
 class Run:
@@ -133,11 +110,7 @@ class Run:
 
     @cached_property
     def clusters(self) -> list[list[EigenPair]]:
-        """Unstable adjoint clusters, with the degenerate fixture applied."""
-        clusters = self.adjoint_spectrum.unstable_clusters()
-        if self.cfg.spectral_options()["degenerate_fixture"]:
-            clusters = _degenerate_clusters(clusters, self.regions.omega)
-        return clusters
+        return self.adjoint_spectrum.unstable_clusters()
 
     @cached_property
     def actuators(self) -> list[StateVector]:
@@ -388,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig.from_dict()
         if args.seed is not None:
-            cfg.raw["seed"] = int(args.seed)
+            cfg.raw["seed"] = args.seed
         if args.tau_list is not None:
             try:
                 taus = [float(t) for t in args.tau_list.split(",") if t.strip()]

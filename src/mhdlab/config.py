@@ -1,6 +1,7 @@
 """Run configuration: one self-describing JSON document per run.
 
-The schema is documented in the README; fractions (``*_frac``) are resolved
+DEFAULT_CONFIG is the schema: a config may set only its keys, each to a
+value of the kind of its default.  Fractions (``*_frac``) are resolved
 against the domain size so one configuration scales across resolutions.
 Validation constructs the actual geometry/equilibrium objects eagerly so that
 every precondition fires before any expensive computation starts.
@@ -8,18 +9,17 @@ every precondition fires before any expensive computation starts.
 
 from __future__ import annotations
 
-import copy
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import Equilibrium, make_equilibrium
+from .equilibria import Equilibrium, config_int, config_number, make_equilibrium
 from .errors import ConfigurationError
 from .geometry import GeometryCase, OmegaSpec, RegionSet, build_nested_regions
 from .grid import Grid, build_grid
 from .reports import config_hash
+from .stabilize import MIN_FIT_SAMPLES
 
 DEFAULT_CONFIG: dict = {
     "seed": 1234,
@@ -31,13 +31,24 @@ DEFAULT_CONFIG: dict = {
         "bc_x": "periodic",
         "bc_y": "periodic",
         "case": "interior_patch",
-        "omega": {"shape": "disc", "radius_frac": 0.15},
+        "omega": {
+            "shape": "disc",
+            "radius_frac": 0.15,
+            "radius": None,
+            "center": None,
+            "width_frac": None,
+            "width": None,
+            "side": "all",
+            "span": [0.0, 1.0],
+        },
         "omega1_width_frac": 0.07,
+        "omega1_width": None,
         "omega_star_width_frac": 0.26,
+        "omega_star_width": None,
     },
     "equilibrium": {"kind": "zero", "params": {}},
     "physics": {"nu": 1.0, "eta": 1.0, "sigma": 1.5},
-    "spectral": {"count": 16, "strategy": "shift_invert", "degenerate_fixture": False},
+    "spectral": {"count": 16, "strategy": "shift_invert"},
     "carleman": {
         "delta0": 0.5,
         "epsilon": 0.5,
@@ -50,38 +61,72 @@ DEFAULT_CONFIG: dict = {
     "stabilize": {"gamma": 1.0, "T": 8.0, "dt": 0.01, "gain_on": True},
 }
 
-
-@contextmanager
-def _reading(block: str):
-    """Turn the errors of reading a missing or mistyped key of one config
-    block into a ConfigurationError.  Only reading and checking the block
-    run inside it, never the numerics its values feed."""
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad {block} block: {exc}") from exc
-
-
-def _flag(block: dict, key: str) -> bool:
-    """A config flag, which only a JSON boolean sets."""
-    val = block[key]
-    if not isinstance(val, bool):
-        raise ConfigurationError(f"{key} must be true or false, got {val!r}")
-    return val
+# the values each string key takes
+_CHOICES = {
+    "bc_x": ("periodic", "wall"),
+    "bc_y": ("periodic", "wall"),
+    "case": tuple(c.value for c in GeometryCase),
+    "shape": ("disc", "collar"),
+    "side": ("all", "x0", "x1", "y0", "y1"),
+    "kind": ("zero", "shear", "taylor_vortex"),
+    "strategy": ("dense", "shift_invert"),
+    "tau_scale": ("4_over_diam", "absolute"),
+}
+_PAIRS = ("center", "span")  # lists of exactly two numbers
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+def _checked(default, val, path: tuple = ()):
+    """val checked against the kind of its default, as a new tree in which
+    every missing key holds its default and every number is a float or an
+    int as its default is.  An empty default object takes any object: the
+    equilibrium params, which make_equilibrium checks."""
+    name = ".".join(path) or "config"
+    key = path[-1] if path else None
+    if isinstance(default, dict):
+        if not isinstance(val, dict):
+            raise ConfigurationError(f"{name} must be an object, got {val!r}")
+        if not default:
+            return dict(val)
+        for k in val:
+            if k not in default:
+                raise ConfigurationError(f"unknown config key {'.'.join(path + (k,))}")
+        return {k: _checked(d, val.get(k, d), path + (k,)) for k, d in default.items()}
+    if default is None:
+        if val is None:
+            return None
+        default = [0.0, 0.0] if key in _PAIRS else 0.0
+    if isinstance(default, bool):
+        if not isinstance(val, bool):
+            raise ConfigurationError(f"{name} must be true or false, got {val!r}")
+        return val
+    if isinstance(default, str):
+        if val not in _CHOICES[key]:
+            raise ConfigurationError(f"{name} must be one of {_CHOICES[key]}, got {val!r}")
+        return val
+    if isinstance(default, list):
+        if not isinstance(val, list) or (key in _PAIRS and len(val) != 2):
+            size = "two" if key in _PAIRS else "a list of"
+            raise ConfigurationError(f"{name} must be {size} numbers, got {val!r}")
+        return [config_number(v, name) for v in val]
+    if isinstance(default, int):
+        return config_int(val, name)
+    return config_number(val, name)
+
+
+def _length(block: dict, key: str, scale: float) -> float | None:
+    """block[key], or else block[key + "_frac"] of scale; None if both are null."""
+    if block[key] is not None:
+        return block[key]
+    frac = block[key + "_frac"]
+    return None if frac is None else frac * scale
 
 
 @dataclass
 class RunConfig:
+    """A run's config, every block filled in and checked against
+    DEFAULT_CONFIG.  ``validate`` checks it again, so values set on ``raw``
+    after loading (the CLI overrides) are held to the same schema."""
+
     raw: dict
 
     @classmethod
@@ -91,13 +136,11 @@ class RunConfig:
                 user = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigurationError("config root must be a JSON object")
-        return cls(_merge(DEFAULT_CONFIG, user))
+        return cls(_checked(DEFAULT_CONFIG, user))
 
     @classmethod
     def from_dict(cls, user: dict | None = None) -> "RunConfig":
-        return cls(_merge(DEFAULT_CONFIG, user or {}))
+        return cls(_checked(DEFAULT_CONFIG, user or {}))
 
     @property
     def hash(self) -> str:
@@ -105,150 +148,89 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        with _reading("seed"):
-            return int(self.raw["seed"])
+        seed = self.raw["seed"]
+        if seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
+        return seed
 
     # -- builders -----------------------------------------------------------
     def build_grid(self) -> Grid:
-        with _reading("geometry"):
-            gconf = self.raw["geometry"]
-            return build_grid(
-                float(gconf["Lx"]),
-                float(gconf["Ly"]),
-                int(gconf["nx"]),
-                int(gconf["ny"]),
-                gconf["bc_x"],
-                gconf["bc_y"],
-            )
-
-    def omega_spec(self, grid: Grid) -> OmegaSpec:
-        with _reading("geometry.omega"):
-            oconf = self.raw["geometry"]["omega"]
-            radius = oconf.get("radius")
-            if radius is not None:
-                radius = float(radius)
-            elif oconf["radius_frac"] is not None:
-                radius = float(oconf["radius_frac"]) * grid.Lx
-            width = oconf.get("width")
-            if width is not None:
-                width = float(width)
-            elif oconf.get("width_frac") is not None:
-                width = float(oconf["width_frac"]) * min(grid.Lx, grid.Ly)
-            center = oconf.get("center")
-            return OmegaSpec(
-                shape=oconf["shape"],
-                center=tuple(center) if center else None,
-                radius=radius,
-                width=width,
-                side=oconf.get("side", "all"),
-                span=tuple(oconf.get("span", (0.0, 1.0))),
-            )
+        g = self.raw["geometry"]
+        return build_grid(g["Lx"], g["Ly"], g["nx"], g["ny"], g["bc_x"], g["bc_y"])
 
     def build_regions(self, grid: Grid | None = None) -> RegionSet:
         grid = grid or self.build_grid()
-        spec = self.omega_spec(grid)
-        with _reading("geometry"):
-            gconf = self.raw["geometry"]
-            minL = min(grid.Lx, grid.Ly)
-            w1 = gconf.get("omega1_width")
-            w1 = float(gconf["omega1_width_frac"]) * minL if w1 is None else float(w1)
-            ws = gconf.get("omega_star_width")
-            ws = float(gconf["omega_star_width_frac"]) * minL if ws is None else float(ws)
-            case = GeometryCase(gconf["case"])
-        return build_nested_regions(grid, spec, case, w1, ws)
+        g, o = self.raw["geometry"], self.raw["geometry"]["omega"]
+        minL = min(grid.Lx, grid.Ly)
+        spec = OmegaSpec(
+            shape=o["shape"],
+            center=None if o["center"] is None else tuple(o["center"]),
+            radius=_length(o, "radius", grid.Lx),
+            width=_length(o, "width", minL),
+            side=o["side"],
+            span=tuple(o["span"]),
+        )
+        w1, ws = _length(g, "omega1_width", minL), _length(g, "omega_star_width", minL)
+        return build_nested_regions(grid, spec, g["case"], w1, ws)
 
     def build_equilibrium(self, grid: Grid | None = None) -> Equilibrium:
         grid = grid or self.build_grid()
-        with _reading("equilibrium"):
-            kind = self.raw["equilibrium"]["kind"]
-            params = dict(self.raw["equilibrium"]["params"])
-        with _reading("physics"):
-            nu = float(self.raw["physics"]["nu"])
-            eta = float(self.raw["physics"]["eta"])
-        if kind == "custom":
-            raise ConfigurationError(
-                "custom equilibria are API-only; configs use zero/shear/taylor_vortex"
-            )
-        return make_equilibrium(kind, grid, params, nu, eta)
+        e, p = self.raw["equilibrium"], self.raw["physics"]
+        return make_equilibrium(e["kind"], grid, e["params"], p["nu"], p["eta"])
 
     @property
     def sigma(self) -> float:
-        with _reading("physics"):
-            s = float(self.raw["physics"]["sigma"])
-            if s < 0:
-                raise ConfigurationError("sigma must be >= 0")
-            return s
+        if self.raw["physics"]["sigma"] < 0:
+            raise ConfigurationError("sigma must be >= 0")
+        return self.raw["physics"]["sigma"]
 
     def spectral_options(self) -> dict:
-        with _reading("spectral"):
-            sconf = self.raw["spectral"]
-            count = int(sconf["count"])
-            if count < 1:
-                raise ConfigurationError("spectral count must be >= 1")
-            strategy = sconf["strategy"]
-            if strategy not in ("dense", "shift_invert"):
-                raise ConfigurationError(f"unknown spectral strategy {strategy!r}")
-            return {
-                "count": count,
-                "strategy": strategy,
-                "degenerate_fixture": _flag(sconf, "degenerate_fixture"),
-            }
+        if self.raw["spectral"]["count"] < 1:
+            raise ConfigurationError("spectral count must be >= 1")
+        return dict(self.raw["spectral"])
 
     def carleman_options(self, regions: RegionSet) -> dict:
-        with _reading("carleman"):
-            cconf = self.raw["carleman"]
-            grid_vals = [float(t) for t in cconf["tau_grid"]]
-            if not grid_vals:
-                raise ConfigurationError("carleman tau_grid must be nonempty")
-            if any(t <= 0 for t in grid_vals):
-                raise ConfigurationError("tau values must be positive")
-            scale = cconf["tau_scale"]
-            if scale == "4_over_diam":
-                spec = regions.omega_spec
-                outer = (spec.radius or spec.width or 0.0) + regions.omega1_width + regions.omega_star_width
-                diam = 2.0 * outer
-                taus = [t * 4.0 / diam for t in grid_vals]
-            elif scale == "absolute":
-                taus = grid_vals
-            else:
-                raise ConfigurationError(f"unknown tau_scale {scale!r}")
-            delta0 = float(cconf["delta0"])
-            epsilon = float(cconf["epsilon"])
-            if not (0 < delta0 < 1) or epsilon <= 0:
-                raise ConfigurationError("need 0 < delta0 < 1 and epsilon > 0")
-            n_fields = int(cconf["n_fields"])
-            if n_fields < 1:
-                raise ConfigurationError("carleman n_fields must be >= 1")
-            tau2_bound = float(cconf["tau2_bound"])
-            if tau2_bound < 0:
-                raise ConfigurationError("carleman tau2_bound must be >= 0")
-            return {
-                "delta0": delta0,
-                "epsilon": epsilon,
-                "tau_list": taus,
-                "n_fields": n_fields,
-                "tau2_bound": tau2_bound,
-                "calibrate_tau2": _flag(cconf, "calibrate_tau2"),
-            }
+        """The carleman block, with ``tau_list`` the tau grid as scaled."""
+        c = self.raw["carleman"]
+        taus = c["tau_grid"]
+        if not taus:
+            raise ConfigurationError("carleman tau_grid must be nonempty")
+        if any(t <= 0 for t in taus):
+            raise ConfigurationError("tau values must be positive")
+        if c["tau_scale"] == "4_over_diam":
+            spec = regions.omega_spec
+            outer = (spec.radius or spec.width or 0.0) + regions.omega1_width + regions.omega_star_width
+            diam = 2.0 * outer
+            taus = [t * 4.0 / diam for t in taus]
+        if not (0 < c["delta0"] < 1) or c["epsilon"] <= 0:
+            raise ConfigurationError("need 0 < delta0 < 1 and epsilon > 0")
+        if c["n_fields"] < 1:
+            raise ConfigurationError("carleman n_fields must be >= 1")
+        if c["tau2_bound"] < 0:
+            raise ConfigurationError("carleman tau2_bound must be >= 0")
+        return dict(c, tau_list=taus)
 
     def stabilize_options(self) -> dict:
-        with _reading("stabilize"):
-            sconf = self.raw["stabilize"]
-            gamma = float(sconf["gamma"])
-            T = float(sconf["T"])
-            dt = float(sconf["dt"])
-            if gamma <= 0 or T <= 0 or dt <= 0:
-                raise ConfigurationError("gamma, T and dt must be positive")
-            return {
-                "gamma": gamma,
-                "T": T,
-                "dt": dt,
-                "gain_on": _flag(sconf, "gain_on"),
-            }
+        s = self.raw["stabilize"]
+        T, dt = s["T"], s["dt"]
+        if s["gamma"] <= 0 or T <= 0 or dt <= 0:
+            raise ConfigurationError("gamma, T and dt must be positive")
+        # measure_decay fits the samples of the simulated time grid k * dt
+        # that lie in (T/2, T); from 4 * MIN_FIT_SAMPLES steps on it has enough
+        if T / dt < 4 * MIN_FIT_SAMPLES:
+            times = np.arange(int(round(T / dt)) + 1) * dt
+            if np.count_nonzero((times >= T / 2) & (times <= T)) < MIN_FIT_SAMPLES:
+                raise ConfigurationError(
+                    f"stabilize.T = {T} and stabilize.dt = {dt} leave fewer than "
+                    f"{MIN_FIT_SAMPLES} samples in the decay fit window (T/2, T)"
+                )
+        return dict(s)
 
     def validate(self) -> tuple[Grid, Equilibrium, RegionSet]:
-        """Exercise every block's preconditions before any computation, and
-        return the grid, equilibrium and regions that built."""
+        """Check the whole config against DEFAULT_CONFIG and every block's
+        ranges before any computation, and return the grid, equilibrium and
+        regions that built."""
+        self.raw = _checked(DEFAULT_CONFIG, self.raw)
         _ = self.seed
         grid = self.build_grid()
         equilibrium = self.build_equilibrium(grid)

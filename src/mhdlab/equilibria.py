@@ -11,6 +11,7 @@ involved.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,21 +66,33 @@ def _grad_mag(v: VectorField2) -> np.ndarray:
     return np.sqrt(sum(np.abs(d) ** 2 for d in _partials(v)))
 
 
-def _number(params: dict, name: str) -> float:
-    """params[name], default 1, as a float; only a real number is taken."""
-    val = params.get(name, 1.0)
-    if isinstance(val, bool) or not isinstance(val, numbers.Real):
-        raise ConfigurationError(f"equilibrium param {name!r} must be a number, got {val!r}")
+def config_number(val, name: str) -> float:
+    """val as a float; only a finite real number that is not a bool is taken."""
+    finite = isinstance(val, numbers.Real) and abs(val) <= sys.float_info.max
+    if isinstance(val, bool) or not finite:
+        raise ConfigurationError(f"{name} must be a finite number, got {val!r}")
     return float(val)
 
 
-def _mode(params: dict, name: str) -> int:
-    """params[name], default 1, as an int; only an integral number is taken."""
-    if not _number(params, name).is_integer():
-        raise ConfigurationError(
-            f"equilibrium param {name!r} must be an integer, got {params[name]!r}"
-        )
-    return int(params.get(name, 1))
+def config_int(val, name: str) -> int:
+    """val as an int; only an integral config_number is taken."""
+    if not config_number(val, name).is_integer():
+        raise ConfigurationError(f"{name} must be an integer, got {val!r}")
+    return int(val)
+
+
+# the params each kind reads; any other is a ConfigurationError
+_PARAMS = {
+    "zero": (),
+    "shear": ("amplitude", "mode"),
+    "taylor_vortex": ("amplitude", "mode_x", "mode_y"),
+    "custom": ("y_e", "B_e"),
+}
+
+
+def _param(params: dict, name: str, read=config_number):
+    """params[name], default 1, read strictly."""
+    return read(params.get(name, 1), f"equilibrium param {name!r}")
 
 
 def make_equilibrium(
@@ -91,6 +104,11 @@ def make_equilibrium(
 ) -> Equilibrium:
     """Build one of the stock equilibria (zero, shear, taylor_vortex, custom)."""
     params = dict(params or {})
+    if kind not in _PARAMS:
+        raise ConfigurationError(f"unknown equilibrium kind {kind!r}")
+    for name in params:
+        if name not in _PARAMS[kind]:
+            raise ConfigurationError(f"{kind} equilibria take no param {name!r}")
     if nu <= 0 or eta <= 0:
         raise ConfigurationError("viscosity and resistivity must be positive")
     X, Y = grid.meshgrid()
@@ -100,14 +118,14 @@ def make_equilibrium(
         ye = VectorField2(grid, zeros.copy(), zeros.copy())
         Be = VectorField2(grid, zeros.copy(), zeros.copy())
     elif kind == "shear":
-        amp = _number(params, "amplitude")
-        q = _mode(params, "mode")
+        amp = _param(params, "amplitude")
+        q = _param(params, "mode", config_int)
         ye = VectorField2(grid, amp * np.sin(2 * np.pi * q * Y / grid.Ly), zeros.copy())
         Be = VectorField2(grid, zeros.copy(), zeros.copy())
     elif kind == "taylor_vortex":
-        amp = _number(params, "amplitude")
-        p = _mode(params, "mode_x")
-        q = _mode(params, "mode_y")
+        amp = _param(params, "amplitude")
+        p = _param(params, "mode_x", config_int)
+        q = _param(params, "mode_y", config_int)
         a, b = 2 * np.pi * p / grid.Lx, 2 * np.pi * q / grid.Ly
         ye = VectorField2(
             grid,
@@ -115,7 +133,7 @@ def make_equilibrium(
             -amp * (a / b) * np.cos(a * X) * np.sin(b * Y),
         )
         Be = VectorField2(grid, zeros.copy(), zeros.copy())
-    elif kind == "custom":
+    else:  # custom
         def pick(name):
             val = params.get(name)
             if val is None:
@@ -124,8 +142,6 @@ def make_equilibrium(
             return VectorField2(grid, np.asarray(u1, float), np.asarray(u2, float))
         ye = pick("y_e")
         Be = pick("B_e")
-    else:
-        raise ConfigurationError(f"unknown equilibrium kind {kind!r}")
 
     if not grid.fully_periodic:
         ye = apply_bc(ye, BcTag.velocity_dirichlet)

@@ -231,9 +231,7 @@ def _quintic(t: np.ndarray) -> np.ndarray:
     return 1.0 - (10 * t**3 - 15 * t**4 + 6 * t**5)
 
 
-def build_cutoff(regions: RegionSet, profile: str = "quintic") -> CutoffField:
-    if profile != "quintic":
-        raise GeometryError(f"unknown cutoff profile {profile!r}")
+def build_cutoff(regions: RegionSet) -> CutoffField:
     g = regions.grid
     hmax = max(g.hx, g.hy)
     d = regions.dist_to_omega
@@ -311,8 +309,8 @@ def _gradient_min(psi_exact_grad: tuple[np.ndarray, np.ndarray], mask: np.ndarra
     return float(mag[mask].min())
 
 
-def build_weight(regions: RegionSet, grid: Grid | None = None) -> WeightField:
-    g = grid if grid is not None else regions.grid
+def build_weight(regions: RegionSet) -> WeightField:
+    g = regions.grid
     X, Y = g.meshgrid()
     case = regions.geometry_case
     spec = regions.omega_spec

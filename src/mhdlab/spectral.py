@@ -35,6 +35,7 @@ from .operators import GeneratorOperator
 RESIDUAL_BOUND = 1e-8
 CLUSTER_RTOL = 1e-6
 RANK_RTOL = 1e-8
+GRAM_THRESHOLD = 1e-6  # least omega-Gram singular value that passes UCP
 # The adjoint inverse iteration shifts off a cluster mean lam by this share
 # of max(1, |lam|), and takes a fixed number of steps.
 ADJOINT_SHIFT_RTOL = 1e-5
@@ -304,14 +305,12 @@ def _omega_inner(a: StateVector, b: StateVector, omega: np.ndarray) -> complex:
     return inner(ra, rb) + inner(xa, xb)
 
 
-def ucp_gram_test(
-    cluster_pairs: list[EigenPair], omega: np.ndarray, threshold: float = 1e-6
-) -> GramMatrix:
+def ucp_gram_test(cluster_pairs: list[EigenPair], omega: np.ndarray) -> GramMatrix:
     """Gram matrix of one cluster's eigenfunctions restricted to omega.
 
     A nearly singular Gram means some combination of eigenfunctions almost
     vanishes on omega, i.e. numerical failure of unique continuation; the
-    test passes when the smallest singular value stays above the threshold.
+    test passes when the smallest singular value is at least GRAM_THRESHOLD.
     """
     if not cluster_pairs:
         raise ConfigurationError("ucp_gram_test needs at least one eigenpair")
@@ -326,8 +325,8 @@ def ucp_gram_test(
         lam=cluster_pairs[0].lam,
         entries=G,
         sigma_min=sigma_min,
-        threshold=threshold,
-        passed=bool(sigma_min >= threshold),
+        threshold=GRAM_THRESHOLD,
+        passed=bool(sigma_min >= GRAM_THRESHOLD),
     )
 
 
@@ -335,7 +334,6 @@ def select_actuators(
     unstable_clusters: list[list[EigenPair]],
     omega: np.ndarray,
     K: int | None = None,
-    gram_threshold: float = 1e-6,
 ) -> list[StateVector]:
     """Build K = max ell localized control fields, one per in-cluster index.
 
@@ -351,7 +349,7 @@ def select_actuators(
     if not unstable_clusters or all(not c for c in unstable_clusters):
         return []
     for cl in unstable_clusters:
-        if cl and not ucp_gram_test(cl, omega, gram_threshold).passed:
+        if cl and not ucp_gram_test(cl, omega).passed:
             raise UncontrollableError(
                 f"omega-Gram of cluster at {cl[0].lam:.4g} is numerically singular; "
                 "cannot build independent actuators"

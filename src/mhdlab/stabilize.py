@@ -31,6 +31,7 @@ from .projection import project_state
 from .spectral import CLUSTER_RTOL, EigenPair, SpectrumReport
 
 COND_LIMIT = 1e10
+MIN_FIT_SAMPLES = 10  # samples measure_decay needs in its window
 POLE_TOL = 1e-8
 BLOWUP_FACTOR = 1e6
 # A mode reached by less than this share of ||B|| needs gains whose rounding
@@ -423,8 +424,8 @@ def measure_decay(
     """
     t0, t1 = window
     sel = (trace.times >= t0) & (trace.times <= t1)
-    if int(sel.sum()) < 10:
-        raise FitError("decay window holds fewer than 10 samples")
+    if int(sel.sum()) < MIN_FIT_SAMPLES:
+        raise FitError(f"decay window holds fewer than {MIN_FIT_SAMPLES} samples")
     e = (trace.energies_unstable if use_unstable else trace.energies)[sel]
     if np.any(e <= 0):
         raise FitError("energies in the fit window must be positive")

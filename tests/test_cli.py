@@ -1,9 +1,9 @@
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,6 @@ from mhdlab.cli import (
     EXIT_OK,
     EXIT_UNCONTROLLABLE,
     Run,
-    _degenerate_clusters,
     main,
     run_carleman,
     run_spectrum,
@@ -24,11 +23,15 @@ from mhdlab.cli import (
 )
 from mhdlab.carleman import CarlemanParams
 from mhdlab.config import DEFAULT_CONFIG, RunConfig
-from mhdlab.errors import ConfigurationError, UncontrollableError
-from mhdlab.fields import StateVector, VectorField2
-from mhdlab.spectral import EigenPair, adjoint_eigenpairs
+from mhdlab.errors import ConfigurationError, FitError, UncontrollableError
+from mhdlab.spectral import adjoint_eigenpairs
+from mhdlab.stabilize import SimulationTrace, measure_decay
 
 FAST_SPECTRAL = {"spectral": {"count": 10, "strategy": "shift_invert"}}
+# omega is the one cell at the domain centre: its 4 field values cannot tell
+# apart the eigenfunctions of a cluster of multiplicity above 4, so the Gram
+# test fails there and the run is uncontrollable
+ONE_CELL_OMEGA = {"omega": {"radius_frac": 0.01}}
 
 
 def _cfg(**over):
@@ -77,28 +80,22 @@ class TestRunUcp:
         for cl in summary["clusters"]:
             assert cl["kalman_rank"] == cl["ell"]
 
-    def test_degenerate_fixture_fails_with_cluster_id(self, tmp_path):
-        cfg = _cfg(
-            physics={"sigma": 1.5},
-            spectral={"count": 10, "strategy": "shift_invert", "degenerate_fixture": True},
-        )
+    def test_one_cell_omega_fails_with_cluster_id(self, tmp_path):
+        cfg = _cfg(geometry=ONE_CELL_OMEGA, physics={"sigma": 1.5}, **FAST_SPECTRAL)
         with pytest.raises(UncontrollableError):
             run_ucp(Run(cfg), tmp_path)
         data = json.loads((tmp_path / "ucp_summary.json").read_text())
         assert data["failed_clusters"] == [0]
+        (cluster,) = data["clusters"]
+        assert cluster["ell"] == 8 and cluster["sigma_min"] < 1e-12
 
     def test_cli_exit_uncontrollable(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(
-            json.dumps(
-                {
-                    "physics": {"sigma": 1.5},
-                    "spectral": {"count": 10, "strategy": "shift_invert", "degenerate_fixture": True},
-                }
-            )
-        )
-        code = main(["ucp", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        cfgfile.write_text(json.dumps(dict(FAST_SPECTRAL, geometry=ONE_CELL_OMEGA)))
+        out = tmp_path / "o"
+        code = main(["ucp", "--config", str(cfgfile), "--out", str(out)])
         assert code == EXIT_UNCONTROLLABLE
+        assert json.loads((out / "error.json").read_text())["error_kind"] == "uncontrollable"
 
 
 class TestRunCarleman:
@@ -226,23 +223,42 @@ class TestRunStabilize:
         assert data["gamma"] == 1.4
         assert max(data["achieved_poles"]) <= -1.4 + 1e-8
 
-    def test_rank_failure_fixture_uncontrollable(self, tmp_path):
+    def test_one_cell_omega_stabilize_uncontrollable(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(
             json.dumps(
-                {
-                    "geometry": STAB_GEOM,
-                    "physics": {"sigma": 1.5},
-                    "spectral": {
-                        "count": 10,
-                        "strategy": "shift_invert",
-                        "degenerate_fixture": True,
-                    },
-                }
+                dict(FAST_SPECTRAL, geometry=dict(STAB_GEOM, **ONE_CELL_OMEGA), physics={"sigma": 1.5})
             )
         )
         code = main(["stabilize", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == EXIT_UNCONTROLLABLE
+
+    def test_fit_window_needs_ten_samples(self, tmp_path):
+        # with dt = 0.01 the window (T/2, T) holds 10 samples at T = 0.18 and
+        # 9 at T = 0.17; the first runs to a fitted rate, the second is
+        # refused before anything is computed
+        over = dict(FAST_SPECTRAL, geometry=STAB_GEOM, physics={"sigma": 1.5})
+        summary = run_stabilize(Run(_cfg(**over, stabilize={"T": 0.18})), tmp_path)
+        assert np.isfinite(summary["decay_rate"])
+        with pytest.raises(ConfigurationError, match="stabilize.T"):
+            Run(_cfg(**over, stabilize={"T": 0.17}))
+
+    @pytest.mark.parametrize("dt", [0.003, 0.01, 0.07, 0.1])
+    def test_fit_window_check_agrees_with_measure_decay(self, dt):
+        for T in np.round(np.linspace(dt, 50 * dt, 150), 12):
+            try:
+                RunConfig.from_dict({"stabilize": {"T": float(T), "dt": dt}}).stabilize_options()
+                accepted = True
+            except ConfigurationError:
+                accepted = False
+            times = np.array([k * dt for k in range(int(round(T / dt)) + 1)])
+            trace = SimulationTrace(times, np.exp(-times), np.exp(-times), np.zeros((times.size, 1)))
+            try:
+                measure_decay(trace, (T / 2, T))
+                fitted = True
+            except FitError:
+                fitted = False
+            assert accepted == fitted, (T, dt)
 
 
 class TestDeterminism:
@@ -363,38 +379,95 @@ def test_default_config_validates():
     assert "geometry" in DEFAULT_CONFIG
 
 
-# each value has the wrong type for its key; reading it raised AttributeError,
-# ValueError or TypeError (an absolute radius failed inside the region build),
-# a flag took any non-empty string as true, and an equilibrium param failed
-# outside the config's error handling or was truncated to an int
+def _bad(config, key):
+    return pytest.param(config, key, id=json.dumps(config))
+
+
+# each config sets a key DEFAULT_CONFIG does not have, or a value of another
+# kind than the key's default, or one out of its range; the error names the key
 MISTYPED_CONFIGS = [
-    {"spectral": 5},
-    {"carleman": None},
-    {"stabilize": []},
-    {"equilibrium": 3},
-    {"geometry": {"omega": 5}},
-    {"seed": "x"},
-    {"physics": {"sigma": "abc"}},
-    {"spectral": {"count": "x"}},
-    {"geometry": {"omega": {"radius_frac": "a"}}},
-    {"geometry": {"omega": {"radius": "a"}}},
-    {"carleman": {"tau_grid": 5}},
-    {"equilibrium": {"kind": "shear", "params": 3}},
-    {"stabilize": {"gain_on": "false"}},
-    {"spectral": {"degenerate_fixture": "no"}},
-    {"carleman": {"calibrate_tau2": 1}},
-    {"equilibrium": {"kind": "shear", "params": {"amplitude": "x"}}},
-    {"equilibrium": {"kind": "taylor_vortex", "params": {"mode_x": 1.5}}},
+    _bad({"spectral": 5}, "spectral"),
+    _bad({"carleman": None}, "carleman"),
+    _bad({"stabilize": []}, "stabilize"),
+    _bad({"equilibrium": 3}, "equilibrium"),
+    _bad({"geometry": {"omega": 5}}, "omega"),
+    _bad({"seed": "x"}, "seed"),
+    _bad({"physics": {"sigma": "abc"}}, "sigma"),
+    _bad({"spectral": {"count": "x"}}, "count"),
+    _bad({"geometry": {"omega": {"radius_frac": "a"}}}, "radius_frac"),
+    _bad({"geometry": {"omega": {"radius": "a"}}}, "radius"),
+    _bad({"carleman": {"tau_grid": 5}}, "tau_grid"),
+    _bad({"equilibrium": {"kind": "shear", "params": 3}}, "params"),
+    _bad({"stabilize": {"gain_on": "false"}}, "gain_on"),
+    _bad({"spectral": {"degenerate_fixture": "no"}}, "degenerate_fixture"),
+    _bad({"carleman": {"calibrate_tau2": 1}}, "calibrate_tau2"),
+    _bad({"equilibrium": {"kind": "shear", "params": {"amplitude": "x"}}}, "amplitude"),
+    _bad({"equilibrium": {"kind": "taylor_vortex", "params": {"mode_x": 1.5}}}, "mode_x"),
+    # misspelled or retired keys
+    _bad({"physics": {"sigmaa": 0.0}}, "sigmaa"),
+    _bad({"physic": {"sigma": 0.0}}, "physic"),
+    _bad({"spectral": {"degenerate_fixtur": True}}, "degenerate_fixtur"),
+    _bad({"spectral": {"degenerate_fixture": True}}, "degenerate_fixture"),
+    _bad({"equilibrium": {"kind": "shear", "params": {"amplitud": 5}}}, "amplitud"),
+    # values that ended in a traceback
+    _bad({"geometry": {"omega": {"center": ["a", "b"]}}}, "center"),
+    _bad({"geometry": {"omega": {"center": [1.0]}}}, "center"),
+    _bad(
+        {
+            "geometry": {
+                "bc_y": "wall",
+                "case": "partial_collar",
+                "omega": {"shape": "collar", "width_frac": 0.1, "span": ["x", 1]},
+            }
+        },
+        "span",
+    ),
+    _bad({"seed": -3}, "seed"),
+    # values that were coerced
+    _bad({"geometry": {"Lx": "6.28"}}, "Lx"),
+    _bad({"seed": "7"}, "seed"),
+    _bad({"geometry": {"nx": 32.7}}, "nx"),
+    _bad({"carleman": {"n_fields": 2.9}}, "n_fields"),
+    _bad({"seed": 1.5}, "seed"),
+    _bad({"spectral": {"count": True}}, "count"),
+    _bad({"stabilize": {"gamma": True}}, "gamma"),
+    _bad({"carleman": {"tau_grid": [1, float("nan")]}}, "tau_grid"),
+    # non-finite values that failed in the numerics
+    _bad({"physics": {"nu": "inf"}}, "nu"),
+    _bad({"physics": {"sigma": float("nan")}}, "sigma"),
+    _bad({"stabilize": {"dt": float("nan")}}, "dt"),
+    # a fit window too short for measure_decay
+    _bad({"stabilize": {"T": 0.05}}, "stabilize.T"),
+    # choice strings
+    _bad({"geometry": {"case": "bogus"}}, "case"),
+    _bad({"geometry": {"bc_x": "bogus"}}, "bc_x"),
 ]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "carleman"])
-@pytest.mark.parametrize("config", MISTYPED_CONFIGS, ids=json.dumps)
-def test_mistyped_config_value_is_config_error(tmp_path, command, config):
+@pytest.mark.parametrize("config, key", MISTYPED_CONFIGS)
+def test_mistyped_config_value_is_config_error(tmp_path, command, config, key):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(config))
     out = tmp_path / "o"
     assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    error = json.loads((out / "error.json").read_text())
+    assert error["error_kind"] == "config_error"
+    assert key in error["message"]
+
+
+def test_negative_seed_flag_is_config_error(tmp_path):
+    out = tmp_path / "o"
+    assert main(["carleman", "--seed", "-3", "--out", str(out)]) == EXIT_CONFIG
+    assert "seed" in json.loads((out / "error.json").read_text())["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--tau-list", "1,nan"), ("--gamma", "inf"), ("--gamma", "nan")]
+)
+def test_nonfinite_flag_is_config_error(tmp_path, flag, value):
+    out = tmp_path / "o"
+    assert main(["spectrum", flag, value, "--out", str(out)]) == EXIT_CONFIG
     assert json.loads((out / "error.json").read_text())["error_kind"] == "config_error"
 
 
@@ -407,15 +480,26 @@ def _leaves(tree: dict, path=()):
 
 
 def test_readme_schema_shows_every_default():
+    # both ways: every key of DEFAULT_CONFIG with its default, and no other
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
     shown = json.loads(re.sub(r"//[^\n]*", "", block))
-    for path, default in _leaves(DEFAULT_CONFIG):
-        node = shown
-        for key in path:
-            assert key in node, f"README schema lacks {'.'.join(path)}"
-            node = node[key]
-        assert node == default, f"README shows {'.'.join(path)} = {node!r}, default {default!r}"
+    assert dict(_leaves(shown)) == dict(_leaves(DEFAULT_CONFIG))
+
+
+def test_perfbench_setup_targets_resolve():
+    # perfbench times config loading and checking through these spans; a
+    # refactor that moves that work elsewhere would shrink setup_s unseen
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SETUP_TARGETS
+    for name, module, attr, *_ in spans.SETUP_TARGETS:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), name
 
 
 # the default square box supports every stage
@@ -553,9 +637,8 @@ class TestSharedRun:
         _assert_same(run.spectrum, fwd)
         _assert_same(run.adjoint_spectrum, adj)
 
-    def test_degenerate_fixture_leaves_adjoint_pairs_unchanged(self, tmp_path):
-        spectral = dict(SHARED_CFG["spectral"], degenerate_fixture=True)
-        run = Run(_cfg(**dict(SHARED_CFG, spectral=spectral)))
+    def test_failed_gram_leaves_adjoint_pairs_unchanged(self, tmp_path):
+        run = Run(_cfg(**dict(SHARED_CFG, geometry=ONE_CELL_OMEGA)))
         adj = _snapshot(run.adjoint_spectrum)
         with pytest.raises(UncontrollableError):
             run_ucp(run, tmp_path)
@@ -563,27 +646,3 @@ class TestSharedRun:
         with pytest.raises(UncontrollableError):
             run_stabilize(run, tmp_path)
         _assert_same(run.adjoint_spectrum, adj)
-
-
-def test_degenerate_fixture_copies_complex_values_exactly():
-    g = mhdlab.build_grid(2 * np.pi, 2 * np.pi, 16, 16)
-    rng = np.random.default_rng(4)
-
-    def pair(imag):
-        u = rng.normal(size=(4, *g.shape)) + imag * rng.normal(size=(4, *g.shape))
-        return EigenPair(0.5, StateVector(VectorField2(g, u[0], u[1]), VectorField2(g, u[2], u[3])), 0.0)
-
-    first, second = pair(1j), pair(0.0)
-    omega = np.zeros(g.shape, dtype=bool)
-    omega[3:7, 4:10] = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ((kept, copied),) = _degenerate_clusters([[first, second]], omega)
-    assert kept is first
-    for field, a, b in (
-        (copied.Phi.phi, first.Phi.phi, second.Phi.phi),
-        (copied.Phi.xi, first.Phi.xi, second.Phi.xi),
-    ):
-        for got, on, off in ((field.u1, a.u1, b.u1), (field.u2, a.u2, b.u2)):
-            assert np.array_equal(got[omega], on[omega])
-            assert np.array_equal(got[~omega], off[~omega])

@@ -76,6 +76,19 @@ class TestEquilibria:
         with pytest.raises(ConfigurationError, match=next(iter(params))):
             make_equilibrium("shear", box32, params)
 
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("zero", "amplitude"), ("shear", "mode_x"), ("taylor_vortex", "mode"), ("custom", "amplitude")],
+    )
+    def test_param_the_kind_does_not_read_is_config_error(self, box32, kind, name):
+        with pytest.raises(ConfigurationError, match=name):
+            make_equilibrium(kind, box32, {name: 1})
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
+    def test_nonfinite_param_is_config_error(self, box32, amplitude):
+        with pytest.raises(ConfigurationError, match="amplitude"):
+            make_equilibrium("shear", box32, {"amplitude": amplitude})
+
     def test_integral_float_mode_is_the_int(self, box32):
         a = make_equilibrium("shear", box32, {"mode": 2.0, "amplitude": 3})
         b = make_equilibrium("shear", box32, {"mode": 2, "amplitude": 3.0})
