@@ -2,16 +2,18 @@
 unique continuation property.
 
 The forward spectrum is computed either densely (exact, small grids) or by
-a shift-inverted Arnoldi iteration whose inner solves are GMRES on the FFT
-matvec, preconditioned by the shared sparse LU of R - si I
-(``GeneratorOperator.lu``, also used by the closed loop): the LU solves the
-shifted system, advection included, and GMRES takes one refinement step of
-it against the matvec.  GMRES serves only this forward solve: the adjoint
-eigenfunctions are derived from the forward clusters by inverse iteration
-on one sparse LU per cluster.  Eigenvalues are clustered into
-distinct values with a relative tolerance, giving the unstable count N, the
-number of distinct unstable values M, their geometric multiplicities, and
-K = max multiplicity.
+a shift-inverted Arnoldi iteration whose inner solve is one refinement step
+of the shared sparse LU of R - si I (``GeneratorOperator.lu``, also used by
+the closed loop) against the FFT matvec, with its residual checked on the
+sparse R: the LU solves the shifted system, advection included.  The step
+is the first iteration of scipy's GMRES with the LU as preconditioner, bit
+for bit.  Passing the bare LU to ARPACK instead would reorder a degenerate
+complex cluster, so it waits until the benchmark compares eigenvalues in
+any order.  The adjoint eigenfunctions are derived from the forward
+clusters by inverse iteration on one sparse LU per cluster.  Eigenvalues
+are clustered into distinct values with a relative tolerance, giving the
+unstable count N, the number of distinct unstable values M, their
+geometric multiplicities, and K = max multiplicity.
 
 The continuation test itself is algebraic: a cluster's adjoint eigenfunctions
 restricted to the control patch omega must stay linearly independent (their
@@ -40,6 +42,9 @@ GRAM_THRESHOLD = 1e-6  # least omega-Gram singular value that passes UCP
 # of max(1, |lam|), and takes a fixed number of steps.
 ADJOINT_SHIFT_RTOL = 1e-5
 ADJOINT_STEPS = 3
+# Relative tolerance of each inner solve of the shift-invert Arnoldi.
+INNER_RTOL = 1e-12
+_LARTG = sla.get_lapack_funcs("lartg", dtype=complex)
 
 
 @dataclass
@@ -139,28 +144,75 @@ def _dense_eig(A: GeneratorOperator, how_many: int):
     return lams[keep], vecs[:, keep]
 
 
+def _lu_solve(lu: spla.SuperLU, x: np.ndarray) -> np.ndarray:
+    """A real LU applied to the real and imaginary parts of a complex x."""
+    return lu.solve(x.real) + 1j * lu.solve(x.imag)
+
+
+def _refine_shifted_solve(
+    A: GeneratorOperator, lu: spla.SuperLU, si: float, b: np.ndarray
+) -> np.ndarray:
+    """x with (R - si I) x = b: one refinement step of the real LU of
+    R - si I against the FFT matvec.
+
+    This is the first iteration of scipy's GMRES (1.17.1) with the LU as
+    left preconditioner and b as right-hand side, in its arithmetic and
+    operation order, so the Arnoldi iteration gets the same bits; it only
+    solves with the LU for b once and makes one FFT matvec.  Both of
+    GMRES's tests must pass: the preconditioned residual (|s| beta, or an
+    exact breakdown of the Krylov space) and the true residual, the latter
+    on the sparse R the LU factors.  A miss raises NumericalError.
+    """
+    b = np.asarray(b, dtype=complex)
+    bnorm = np.linalg.norm(b)
+    atol = INNER_RTOL * bnorm
+    v = _lu_solve(lu, b)
+    beta = np.linalg.norm(v)
+    v *= 1 / beta
+    w = _lu_solve(lu, A.matvec(v) - si * v)
+    h0 = np.linalg.norm(w)
+    h = np.vdot(v, w)
+    w -= h * v
+    h1 = np.linalg.norm(w)
+    breakdown = h1 <= np.finfo(float).eps * h0
+    c, s, mag = _LARTG(h, 0.0 if breakdown else h1)
+    S0 = np.complex128(beta)
+    presid = np.abs(-np.conjugate(s) * S0)
+    # scipy's back substitution and x += y @ v[:1], on zero x
+    y = np.array([c * S0 if mag != 0 else 0], dtype=complex)
+    if y[0] != 0:
+        y[0] /= np.complex128(mag)
+    x = np.zeros_like(v)
+    x += y @ v[None, :]
+    rnorm = np.linalg.norm(b - (A.matrix @ x - si * x))
+    if not ((presid <= beta * min(1.0, atol / bnorm) or breakdown) and rnorm <= atol):
+        raise NumericalError(
+            f"inner solve of the shift-inverted operator missed its tolerance {INNER_RTOL}",
+            detail={
+                "preconditioned_residual": float(presid / beta),
+                "residual": float(rnorm / bnorm),
+            },
+        )
+    return x
+
+
 def _shift_invert_eig(A: GeneratorOperator, how_many: int):
     dim = A.dim
     si = A.sigma + A.system.eq.grad_bound + 1.0
     # si is real, so R - si I is real: one real LU solves the real and
-    # imaginary parts, and GMRES refines it against the FFT matvec.
+    # imaginary parts, and one refinement step against the FFT matvec
+    # finishes each inner solve (_refine_shifted_solve).
     lu = A.lu(-si, 1.0)
-    iter_log = {"gmres_calls": 0, "gmres_failures": 0}
-    op = spla.LinearOperator((dim, dim), matvec=lambda x: A.matvec(x) - si * x, dtype=complex)
-    M = spla.LinearOperator(
-        (dim, dim), matvec=lambda x: lu.solve(x.real) + 1j * lu.solve(x.imag), dtype=complex
-    )
+    solves = 0
 
     def solve_shifted(b):
-        x, info = spla.gmres(op, np.asarray(b), M=M, rtol=1e-12, atol=0.0, maxiter=400)
-        iter_log["gmres_calls"] += 1
-        if info != 0:
-            iter_log["gmres_failures"] += 1
-            raise NumericalError(
-                "inner GMRES for the shift-inverted operator failed",
-                detail=dict(iter_log, info=info),
-            )
-        return x
+        nonlocal solves
+        solves += 1
+        try:
+            return _refine_shifted_solve(A, lu, si, b)
+        except NumericalError as exc:
+            exc.detail["solves"] = solves
+            raise
 
     opinv = spla.LinearOperator((dim, dim), matvec=solve_shifted, dtype=complex)
     aop = spla.LinearOperator((dim, dim), matvec=A.matvec, dtype=complex)
@@ -172,7 +224,7 @@ def _shift_invert_eig(A: GeneratorOperator, how_many: int):
         )
     except spla.ArpackNoConvergence as exc:
         raise NumericalError(
-            "shift-invert Arnoldi did not converge", detail=dict(iter_log, k=k)
+            "shift-invert Arnoldi did not converge", detail={"solves": solves, "k": k}
         ) from exc
     order = sorted(range(len(lams)), key=lambda i: _sort_key(lams[i]))
     return lams[order], vecs[:, order]

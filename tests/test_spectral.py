@@ -28,7 +28,8 @@ from mhdlab import (
     select_actuators,
     ucp_gram_test,
 )
-from mhdlab.errors import ConfigurationError, UncontrollableError
+from mhdlab import spectral
+from mhdlab.errors import ConfigurationError, NumericalError, UncontrollableError
 from mhdlab.spectral import (
     CLUSTER_RTOL,
     RESIDUAL_BOUND,
@@ -150,27 +151,77 @@ class TestSpectrum:
             assert in_si == in_dense, f"cluster at {re_lam:.4f}{im_lam:+.4f}i"
 
     def test_shift_invert_inner_solves_take_few_matvecs(self, box16, monkeypatch):
-        # the sparse LU preconditioner solves the shifted system, advection
-        # included, so GMRES needs about one refinement step per solve
+        # the sparse LU solves the shifted system, advection included, so
+        # each inner solve is one refinement step: one FFT matvec, no GMRES
         A = assemble_generator(make_equilibrium("shear", box16), 1.5)
-        calls = {"matvec": 0}
+        calls = {"matvec": 0, "gmres": 0}
         per_solve = []
-        matvec, gmres = A.matvec, spla.gmres
+        matvec, refine, gmres = A.matvec, spectral._refine_shifted_solve, spla.gmres
 
         def counting_matvec(x):
             calls["matvec"] += 1
             return matvec(x)
 
-        def counting_gmres(*args, **kwargs):
+        def counting_refine(*args):
             before = calls["matvec"]
-            out = gmres(*args, **kwargs)
+            out = refine(*args)
             per_solve.append(calls["matvec"] - before)
             return out
 
+        def counting_gmres(*args, **kwargs):
+            calls["gmres"] += 1
+            return gmres(*args, **kwargs)
+
         monkeypatch.setattr(A, "matvec", counting_matvec)
+        monkeypatch.setattr(spectral, "_refine_shifted_solve", counting_refine)
         monkeypatch.setattr(spla, "gmres", counting_gmres)
         compute_spectrum(A, 10, "shift_invert")
-        assert per_solve and max(per_solve) <= 3
+        assert calls["gmres"] == 0
+        assert per_solve and set(per_solve) == {1}
+
+    def test_refine_shifted_solve_is_first_gmres_iteration(self, box16, monkeypatch):
+        # oracle: the inner solve it replaces, scipy's GMRES preconditioned
+        # by the same LU; on every right-hand side ARPACK passes, the one
+        # refinement step must give the same bits
+        A = assemble_generator(make_equilibrium("shear", box16), 1.5)
+        rhs = []
+        refine = spectral._refine_shifted_solve
+
+        def recording(A_, lu, si, b):
+            rhs.append((lu, si, np.array(b)))
+            return refine(A_, lu, si, b)
+
+        monkeypatch.setattr(spectral, "_refine_shifted_solve", recording)
+        compute_spectrum(A, 10, "shift_invert")
+        assert rhs
+        dim = A.dim
+        for lu, si, b in rhs:
+            op = spla.LinearOperator(
+                (dim, dim), matvec=lambda x: A.matvec(x) - si * x, dtype=complex
+            )
+            M = spla.LinearOperator(
+                (dim, dim), matvec=lambda x: lu.solve(x.real) + 1j * lu.solve(x.imag), dtype=complex
+            )
+            x, info = spla.gmres(op, b, M=M, rtol=1e-12, atol=0.0, maxiter=400)
+            assert info == 0
+            assert np.array_equal(refine(A, lu, si, b), x)
+
+    def test_inner_solve_miss_is_numerical_error(self, box16, monkeypatch):
+        # an LU of the wrong shift leaves a residual far above the inner
+        # tolerance: one step cannot close it, and the run stops (exit 3)
+        A = assemble_generator(make_equilibrium("shear", box16), 1.5)
+        si = A.sigma + A.system.eq.grad_bound + 1.0
+        b = np.cos(0.7 * np.arange(A.dim)) + 0.3 + 0j
+        with pytest.raises(NumericalError, match="inner solve") as exc:
+            spectral._refine_shifted_solve(A, A.lu(-1.01 * si, 1.0), si, b)
+        assert exc.value.detail["residual"] > 1e-12
+        assert exc.value.detail["preconditioned_residual"] > 1e-12
+
+        lu = A.lu
+        monkeypatch.setattr(A, "lu", lambda a, b: lu(1.01 * a, b))
+        with pytest.raises(NumericalError, match="inner solve") as exc:
+            compute_spectrum(A, 10, "shift_invert")
+        assert exc.value.detail["solves"] == 1
 
     def test_unstable_counts_shifted(self, spectrum_shifted32):
         rep = spectrum_shifted32
