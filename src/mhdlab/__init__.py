@@ -63,10 +63,7 @@ from .carleman import (
     draw_test_fields,
     final_estimate_eval,
     inequality_sweep_stack,
-    integrated_inequality_check,
-    integrated_inequality_sweep,
     make_omega_vanishing_state,
-    make_test_field,
     tau_sweep_vanishing,
 )
 from .stabilize import (

@@ -49,6 +49,11 @@ CAUCHY_TOL = 1e-10
 # grid cells (fields x components x cells), so the memory of a sweep does
 # not grow with the number of fields.
 _BLOCK_CELLS = 1 << 14
+# Seeded test fields: cosine modes per component, their largest wavenumber,
+# and the cells next to dG on which a field and its gradient vanish.
+_FIELD_MODES = 6
+_FIELD_KMAX = 4
+_MARGIN_CELLS = 2.5
 
 
 @dataclass
@@ -196,8 +201,6 @@ def inequality_sweep_stack(
     fields: np.ndarray,
     psi: WeightField,
     params_seq: list[CarlemanParams],
-    region: np.ndarray | None = None,
-    check_cauchy: bool = True,
 ) -> list[list[EstimateReport]]:
     """Weighted inequality over G for every field of a stack, each with zero
     Cauchy data on dG: one list per field, one report per entry of
@@ -212,14 +215,13 @@ def inequality_sweep_stack(
     the fields are stacked.
     """
     g = psi.regions.grid
-    G = psi.regions.G if region is None else region
+    G = psi.regions.G
     n, ncomp = fields.shape[:2]
     cols = fields.reshape(n, ncomp, g.ncells).transpose(2, 1, 0)
     dx, dy, lap = (_stencils(g) @ cols.reshape(g.ncells, -1)).reshape(3, *cols.shape)
     grad2 = np.abs(dx) ** 2 + np.abs(dy) ** 2  # |grad w_c|^2 per component c
-    if check_cauchy:
-        mag = np.abs(cols[:, 0]) if ncomp == 1 else np.sqrt(_density(cols))
-        _check_cauchy(mag, np.sqrt(grad2).max(axis=1), _band_rings(psi, G))
+    mag = np.abs(cols[:, 0]) if ncomp == 1 else np.sqrt(_density(cols))
+    _check_cauchy(mag, np.sqrt(grad2).max(axis=1), _band_rings(psi, G))
     # per field: |grad w_c|^2 for each c, |w|^2, |lap w|^2, on the cells of G
     on_G = G.ravel()
     rows = np.concatenate(
@@ -254,39 +256,12 @@ def inequality_sweep_stack(
     return reports
 
 
-def integrated_inequality_sweep(
-    w: ScalarField | VectorField2,
-    psi: WeightField,
-    params_seq: list[CarlemanParams],
-    region: np.ndarray | None = None,
-    check_cauchy: bool = True,
-) -> list[EstimateReport]:
-    """Weighted inequality over G for a field with zero Cauchy data on dG,
-    one report per entry of params_seq: the one-field case of
-    ``inequality_sweep_stack``."""
-    comps = [w.u1, w.u2] if isinstance(w, VectorField2) else [w.values]
-    return inequality_sweep_stack(np.stack(comps)[None], psi, params_seq, region, check_cauchy)[0]
-
-
-def integrated_inequality_check(
-    w: ScalarField | VectorField2,
-    psi: WeightField,
-    params: CarlemanParams,
-    region: np.ndarray | None = None,
-    check_cauchy: bool = True,
-) -> EstimateReport:
-    """Weighted inequality over G for a field with zero Cauchy data on dG."""
-    return integrated_inequality_sweep(w, psi, [params], region, check_cauchy)[0]
-
-
 # ---------------------------------------------------------------------------
 # Seeded test fields
 # ---------------------------------------------------------------------------
 
-def _band_mollifier(
-    regions: RegionSet, margin_cells: float = 2.5, h_ref: float | None = None
-) -> np.ndarray:
-    """C^2 bump over the band G, exactly zero within the margin of dG.
+def _band_mollifier(regions: RegionSet, h_ref: float | None = None) -> np.ndarray:
+    """C^2 bump over the band G, exactly zero within _MARGIN_CELLS cells of dG.
 
     h_ref sets the cell size the margin is measured in; the default (the
     larger spacing) is safe for isotropic nests, while strongly anisotropic
@@ -295,8 +270,8 @@ def _band_mollifier(
     g = regions.grid
     h = h_ref if h_ref is not None else max(g.hx, g.hy)
     d = regions.dist_to_omega
-    lo = margin_cells * h
-    hi = regions.omega1_width + regions.omega_star_width - margin_cells * h
+    lo = _MARGIN_CELLS * h
+    hi = regions.omega1_width + regions.omega_star_width - _MARGIN_CELLS * h
     if hi - lo <= 0:
         raise ConfigurationError(
             "band too thin for the requested Cauchy margin; widen the bands "
@@ -335,53 +310,37 @@ def draw_test_fields(
     rng: np.random.Generator,
     n_fields: int,
     kind: str = "scalar",
-    n_modes: int = 6,
-    kmax: int = 4,
-    margin_cells: float = 2.5,
     h_ref: float | None = None,
 ) -> Iterator[np.ndarray]:
     """n_fields random smooth bumps compactly supported in G with zero
     Cauchy data, in (field, component, x, y) stacks of at most about
-    _BLOCK_CELLS cells.
+    _BLOCK_CELLS cells.  Each component is a sum of _FIELD_MODES cosines
+    with wavenumbers up to _FIELD_KMAX, times the band mollifier.
 
     A vector field draws u1 before u2.  The fields, and the draws they take
     from rng, do not depend on the block size.
     """
     g = regions.grid
-    moll = _band_mollifier(regions, margin_cells, h_ref)
+    moll = _band_mollifier(regions, h_ref)
     ncomp = 1 if kind == "scalar" else 2
     step = max(1, _BLOCK_CELLS // (ncomp * g.ncells))
     for lo in range(0, n_fields, step):
         n = min(step, n_fields - lo)
-        f = _cosine_sums(g, rng, n * ncomp, n_modes, kmax)
+        f = _cosine_sums(g, rng, n * ncomp, _FIELD_MODES, _FIELD_KMAX)
         yield moll * f.reshape(n, ncomp, *g.shape)
 
 
-def make_test_field(
-    regions: RegionSet,
-    rng: np.random.Generator,
-    kind: str = "scalar",
-    n_modes: int = 6,
-    kmax: int = 4,
-    margin_cells: float = 2.5,
-    h_ref: float | None = None,
-) -> ScalarField | VectorField2:
-    """Random smooth bump compactly supported in G with zero Cauchy data:
-    the one-field case of ``draw_test_fields``."""
-    g = regions.grid
-    w = next(draw_test_fields(regions, rng, 1, kind, n_modes, kmax, margin_cells, h_ref))[0]
-    return ScalarField(g, w[0]) if len(w) == 1 else VectorField2(g, w[0], w[1])
-
-
 def make_omega_vanishing_state(
-    regions: RegionSet, rng: np.random.Generator, margin_cells: float = 2.0
+    regions: RegionSet, rng: np.random.Generator
 ) -> tuple[StateVector, ScalarField]:
-    """Synthetic (state, pressure) pair that is exactly zero on omega."""
+    """Synthetic (state, pressure) pair that is exactly zero on omega and
+    within two cells of it."""
     g = regions.grid
     h = max(g.hx, g.hy)
     d = regions.dist_to_omega
-    t = np.clip((d - margin_cells * h) / (4 * h), 0.0, 1.0)
-    rise = np.where(d > margin_cells * h, 10 * t**3 - 15 * t**4 + 6 * t**5, 0.0)
+    lo = 2.0 * h
+    t = np.clip((d - lo) / (4 * h), 0.0, 1.0)
+    rise = np.where(d > lo, 10 * t**3 - 15 * t**4 + 6 * t**5, 0.0)
     phi1, phi2, xi1, xi2, p = rise * _cosine_sums(g, rng, 5, 5, 3)
     return StateVector(VectorField2(g, phi1, phi2), VectorField2(g, xi1, xi2)), ScalarField(g, p)
 

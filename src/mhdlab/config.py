@@ -16,7 +16,14 @@ import numpy as np
 
 from .equilibria import Equilibrium, config_int, config_number, make_equilibrium
 from .errors import ConfigurationError
-from .geometry import GeometryCase, OmegaSpec, RegionSet, build_nested_regions
+from .geometry import (
+    OMEGA1_WIDTH_FRAC,
+    OMEGA_STAR_WIDTH_FRAC,
+    GeometryCase,
+    OmegaSpec,
+    RegionSet,
+    build_nested_regions,
+)
 from .grid import Grid, build_grid
 from .reports import config_hash
 from .stabilize import MIN_FIT_SAMPLES
@@ -41,9 +48,9 @@ DEFAULT_CONFIG: dict = {
             "side": "all",
             "span": [0.0, 1.0],
         },
-        "omega1_width_frac": 0.07,
+        "omega1_width_frac": OMEGA1_WIDTH_FRAC,
         "omega1_width": None,
-        "omega_star_width_frac": 0.26,
+        "omega_star_width_frac": OMEGA_STAR_WIDTH_FRAC,
         "omega_star_width": None,
     },
     "equilibrium": {"kind": "zero", "params": {}},

@@ -34,6 +34,9 @@ from .grid import BcKind, Grid
 CHI_ONE_LAYER_CELLS = 2   # guard >= max stencil half-width seen by commutators
 CHI_ZERO_LAYER_CELLS = 3  # layer of OmegaStar bordering Omega0 where chi == 0
 MIN_TRANSITION_CELLS = 3
+# Default widths of Omega1 and OmegaStar, as fractions of the shorter side.
+OMEGA1_WIDTH_FRAC = 0.07
+OMEGA_STAR_WIDTH_FRAC = 0.26
 # (edge cell, outside cell) distances computed at once; bounds the memory of
 # the distance to omega on large grids.
 _DISTANCE_CHUNK = 1 << 20
@@ -162,8 +165,8 @@ def build_nested_regions(
 ) -> RegionSet:
     case = GeometryCase(case)
     minL = min(grid.Lx, grid.Ly)
-    w1 = omega1_width if omega1_width is not None else 0.07 * minL
-    ws = omega_star_width if omega_star_width is not None else 0.26 * minL
+    w1 = omega1_width if omega1_width is not None else OMEGA1_WIDTH_FRAC * minL
+    ws = omega_star_width if omega_star_width is not None else OMEGA_STAR_WIDTH_FRAC * minL
 
     omega = _omega_mask(grid, omega_spec, case)
     if not omega.any():

@@ -14,9 +14,10 @@ remainder of the xi row is exposed as a reported leakage diagnostic).
 sigma is an explicit artificial spectral shift used to manufacture unstable
 spectra on demand; it commutes with everything downstream.
 
-The diffusion blocks default to a fourth-order stencil on fully periodic
-grids so that computed eigenvalues carry more accuracy than the generic
-second-order field operators; all other blocks are second order.
+The diffusion blocks take a fourth-order stencil on fully periodic grids so
+that computed eigenvalues carry more accuracy than the generic second-order
+field operators, and a second-order one with walls; all other blocks are
+second order.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .fields import (
     dx_matrix,
     dy_matrix,
     gradient_matrix,
-    laplacian_matrix,
+    vector_laplacian_matrix,
     wide_laplacian_matrix,
 )
 from .geometry import CutoffField
@@ -157,15 +158,7 @@ class MhdSystem:
 
     eq: Equilibrium
     sigma: float = 0.0
-    diffusion_order: int | None = None
     _cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        g = self.grid
-        if self.diffusion_order is None:
-            self.diffusion_order = 4 if g.fully_periodic else 2
-        if self.diffusion_order == 4 and not g.fully_periodic:
-            raise ConfigurationError("order-4 diffusion needs a fully periodic grid")
 
     @property
     def grid(self) -> Grid:
@@ -191,10 +184,8 @@ class MhdSystem:
     def blocks(self) -> dict[str, sp.csr_matrix]:
         if "blocks" not in self._cache:
             g = self.grid
-            lap = laplacian_matrix(g, self.diffusion_order)
-            vlap = sp.block_diag([lap, lap], format="csr")
             self._cache["blocks"] = {
-                "vlap": vlap,
+                "vlap": vector_laplacian_matrix(g, 4 if g.fully_periodic else 2),
                 "L1": oseen_plus(self.eq.y_e),
                 "L2": oseen_plus(self.eq.B_e),
                 "M1": oseen_minus(self.eq.y_e),
@@ -402,18 +393,14 @@ class GeneratorOperator:
         return self.system.basis.state_to_coeffs(s)
 
 
-def assemble_generator(
-    eq: Equilibrium, shift: float = 0.0, diffusion_order: int | None = None
-) -> GeneratorOperator:
+def assemble_generator(eq: Equilibrium, shift: float = 0.0) -> GeneratorOperator:
     if shift < 0:
         raise ConfigurationError("the spectral shift sigma must be >= 0")
-    return GeneratorOperator(MhdSystem(eq, float(shift), diffusion_order), False)
+    return GeneratorOperator(MhdSystem(eq, float(shift)), False)
 
 
-def assemble_adjoint(
-    eq: Equilibrium, shift: float = 0.0, diffusion_order: int | None = None
-) -> GeneratorOperator:
-    return replace(assemble_generator(eq, shift, diffusion_order), adjoint=True)
+def assemble_adjoint(eq: Equilibrium, shift: float = 0.0) -> GeneratorOperator:
+    return replace(assemble_generator(eq, shift), adjoint=True)
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,10 @@ def _dense_eig(A: GeneratorOperator, how_many: int):
 
 
 def _lu_solve(lu: spla.SuperLU, x: np.ndarray) -> np.ndarray:
-    """A real LU applied to the real and imaginary parts of a complex x."""
-    return lu.solve(x.real) + 1j * lu.solve(x.imag)
+    """A real LU applied to the real and imaginary parts of a complex x, as
+    the two columns of one solve."""
+    y = lu.solve(np.column_stack([x.real, x.imag]))
+    return y[:, 0] + 1j * y[:, 1]
 
 
 def _refine_shifted_solve(

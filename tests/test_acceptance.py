@@ -25,18 +25,16 @@ from mhdlab import (
     compute_spectrum,
     gradient,
     helmholtz_project,
-    integrated_inequality_check,
     kalman_rank,
     make_equilibrium,
     make_omega_vanishing_state,
-    make_test_field,
     oseen_plus,
     rot,
     select_actuators,
     tau_sweep_vanishing,
     ucp_gram_test,
 )
-from mhdlab.carleman import find_tau0, halving_exponents
+from mhdlab.carleman import draw_test_fields, find_tau0, halving_exponents, inequality_sweep_stack
 from mhdlab.fields import divergence_matrix, dx_matrix, dy_matrix, wide_laplacian_matrix
 from mhdlab.projection import divergence_residual
 from mhdlab.spectral import EigenPair
@@ -174,19 +172,18 @@ def carleman_sweep(regions32, psi32):
     diam = 2 * (spec.radius + regions32.omega1_width + regions32.omega_star_width)
     taus = [c * 4.0 / diam for c in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
     rng = np.random.default_rng(777)
-    fields = [make_test_field(regions32, rng) for _ in range(100)]
-    by_tau = {
-        t: [
-            integrated_inequality_check(w, psi32, CarlemanParams.for_weight(t, psi32))
-            for w in fields
-        ]
-        for t in taus
-    }
-    return taus, fields, by_tau
+    params = [CarlemanParams.for_weight(t, psi32) for t in taus]
+    per_field = [
+        reports
+        for fields in draw_test_fields(regions32, rng, 100)
+        for reports in inequality_sweep_stack(fields, psi32, params)
+    ]
+    by_tau = {t: [reports[i] for reports in per_field] for i, t in enumerate(taus)}
+    return taus, by_tau
 
 
 def test_criterion_6_integrated_inequality(carleman_sweep, psi32):
-    taus, fields, by_tau = carleman_sweep
+    taus, by_tau = carleman_sweep
     tau0 = find_tau0(by_tau)
     pass_above = tau0 is not None and all(
         r.passed for t in taus if t >= tau0 for r in by_tau[t]

@@ -12,10 +12,7 @@ from mhdlab import (
     coefficients,
     compute_spectrum,
     final_estimate_eval,
-    integrated_inequality_check,
-    integrated_inequality_sweep,
     make_omega_vanishing_state,
-    make_test_field,
     tau_sweep_vanishing,
 )
 from mhdlab import carleman
@@ -89,8 +86,8 @@ class TestCoefficients:
 
 class TestIntegratedInequality:
     def test_zero_field_passes(self, regions32, psi32):
-        w = ScalarField(regions32.grid, np.zeros(regions32.grid.shape))
-        rep = integrated_inequality_check(w, psi32, CarlemanParams.for_weight(1.0, psi32))
+        w = np.zeros((1, 1, *regions32.grid.shape))
+        rep = inequality_sweep_stack(w, psi32, [CarlemanParams.for_weight(1.0, psi32)])[0][0]
         assert rep.passed
         assert rep.margin == 0.0
 
@@ -98,12 +95,11 @@ class TestIntegratedInequality:
         rng = np.random.default_rng(42)
         taus = tau_grid(regions32)
         by_tau = {t: [] for t in taus}
-        for _ in range(30):
-            w = make_test_field(regions32, rng)
-            for t in taus:
-                by_tau[t].append(
-                    integrated_inequality_check(w, psi32, CarlemanParams.for_weight(t, psi32))
-                )
+        params = [CarlemanParams.for_weight(t, psi32) for t in taus]
+        for fields in draw_test_fields(regions32, rng, 30):
+            for reports in inequality_sweep_stack(fields, psi32, params):
+                for t, rep in zip(taus, reports):
+                    by_tau[t].append(rep)
         tau0 = find_tau0(by_tau)
         assert tau0 is not None
         for t in taus:
@@ -112,11 +108,12 @@ class TestIntegratedInequality:
 
     def test_zero_order_scales_as_tau_cubed(self, regions32, psi32):
         rng = np.random.default_rng(43)
-        w = make_test_field(regions32, rng)
+        w = next(draw_test_fields(regions32, rng, 1))
         taus = tau_grid(regions32)
+        params = [CarlemanParams.for_weight(t, psi32) for t in taus]
+        reports = inequality_sweep_stack(w, psi32, params)
         logs_t, logs_v = [], []
-        for t in taus:
-            rep = integrated_inequality_check(w, psi32, CarlemanParams.for_weight(t, psi32))
+        for t, rep in zip(taus, reports[0]):
             logs_t.append(np.log(t))
             logs_v.append(np.log(rep.lhs_zero / rep.integral_zero))
         slope = np.polyfit(logs_t, logs_v, 1)[0]
@@ -126,11 +123,12 @@ class TestIntegratedInequality:
         # for a fixed bump, rhs/lhs_zero = (weight-shift factor) / (c_zero(tau));
         # dividing out the measured integral drift leaves an exact -3 slope
         rng = np.random.default_rng(44)
-        w = make_test_field(regions32, rng)
+        w = next(draw_test_fields(regions32, rng, 1))
         taus = tau_grid(regions32)
+        params = [CarlemanParams.for_weight(t, psi32) for t in taus]
+        reports = inequality_sweep_stack(w, psi32, params)
         logs_t, logs_r = [], []
-        for t in taus:
-            rep = integrated_inequality_check(w, psi32, CarlemanParams.for_weight(t, psi32))
+        for t, rep in zip(taus, reports[0]):
             ratio = rep.rhs_main / rep.lhs_zero
             weight_shift = rep.integral_rhs / rep.integral_zero
             logs_t.append(np.log(t))
@@ -139,14 +137,14 @@ class TestIntegratedInequality:
         assert slope == pytest.approx(-3.0, abs=0.2)
 
     def test_cauchy_precondition_enforced(self, regions32, psi32):
-        w = ScalarField(regions32.grid, np.ones(regions32.grid.shape))
+        w = np.ones((1, 1, *regions32.grid.shape))
         with pytest.raises(CauchyDataError):
-            integrated_inequality_check(w, psi32, CarlemanParams.for_weight(1.0, psi32))
+            inequality_sweep_stack(w, psi32, [CarlemanParams.for_weight(1.0, psi32)])
 
     def test_vector_fields_supported(self, regions32, psi32):
         rng = np.random.default_rng(45)
-        w = make_test_field(regions32, rng, kind="vector")
-        rep = integrated_inequality_check(w, psi32, CarlemanParams.for_weight(2.0, psi32))
+        w = next(draw_test_fields(regions32, rng, 1, kind="vector"))
+        rep = inequality_sweep_stack(w, psi32, [CarlemanParams.for_weight(2.0, psi32)])[0][0]
         assert rep.rhs_main > 0
 
     def test_collar_geometry_inequality(self):
@@ -167,29 +165,28 @@ class TestIntegratedInequality:
         rng = np.random.default_rng(50)
         taus = [c * 4.0 / 1.8 for c in (1.0, 2.0, 4.0, 8.0, 16.0)]
         by_tau = {t: [] for t in taus}
-        for _ in range(10):
-            w = make_test_field(regions, rng, h_ref=g.hy)
-            for t in taus:
-                by_tau[t].append(
-                    integrated_inequality_check(w, psi, CarlemanParams.for_weight(t, psi))
-                )
+        params = [CarlemanParams.for_weight(t, psi) for t in taus]
+        for fields in draw_test_fields(regions, rng, 10, h_ref=g.hy):
+            for reports in inequality_sweep_stack(fields, psi, params):
+                for t, rep in zip(taus, reports):
+                    by_tau[t].append(rep)
         tau0 = find_tau0(by_tau)
         assert tau0 is not None
         # small rho: the gradient coefficient flags tau-too-small low in the grid
-        low = integrated_inequality_check(
-            make_test_field(regions, rng, h_ref=g.hy),
+        low = inequality_sweep_stack(
+            next(draw_test_fields(regions, rng, 1, h_ref=g.hy)),
             psi,
-            CarlemanParams.for_weight(0.05, psi),
-        )
+            [CarlemanParams.for_weight(0.05, psi)],
+        )[0][0]
         assert low.tau_too_small
 
     def test_calibrated_tau2_bound_nonnegative(self, regions32, psi32):
         c2 = calibrate_tau2_bound(psi32, tau_grid(regions32)[:4], n_fields=5)
         assert c2 >= 0.0
         rng = np.random.default_rng(46)
-        w = make_test_field(regions32, rng)
+        w = next(draw_test_fields(regions32, rng, 1))
         par = CarlemanParams.for_weight(2.0, psi32, tau2_bound=c2)
-        rep = integrated_inequality_check(w, psi32, par)
+        rep = inequality_sweep_stack(w, psi32, [par])[0][0]
         assert rep.tau2_bound == c2
 
 
@@ -230,20 +227,19 @@ class TestInequalitySweep:
         rng = np.random.default_rng(47)
         params = [CarlemanParams.for_weight(t, psi32, tau2_bound=0.3) for t in tau_grid(regions32)]
         for _ in range(3):
-            w = make_test_field(regions32, rng, kind)
-            swept = integrated_inequality_sweep(w, psi32, params)
+            w = next(draw_test_fields(regions32, rng, 1, kind))
+            swept = inequality_sweep_stack(w, psi32, params)[0]
             assert len(swept) == 7
-            singles = [integrated_inequality_sweep(w, psi32, [p])[0] for p in params]
+            singles = [inequality_sweep_stack(w, psi32, [p])[0][0] for p in params]
             assert _bits(swept) == _bits(singles)
-            checks = [integrated_inequality_check(w, psi32, p) for p in params]
-            assert _bits(checks) == _bits(swept)
-            assert _bits([_reference_check(w, psi32, p) for p in params]) == _bits(swept)
+            ref = _as_field(regions32.grid, w[0])
+            assert _bits([_reference_check(ref, psi32, p) for p in params]) == _bits(swept)
 
     def test_boundary_trace_raises(self, regions32, psi32):
-        w = ScalarField(regions32.grid, np.ones(regions32.grid.shape))
+        w = np.ones((1, 1, *regions32.grid.shape))
         params = [CarlemanParams.for_weight(t, psi32) for t in tau_grid(regions32)]
         with pytest.raises(CauchyDataError):
-            integrated_inequality_sweep(w, psi32, params)
+            inequality_sweep_stack(w, psi32, params)
 
     def test_calibration_matches_single_checks(self, regions32, psi32):
         # the disc weight passes every check, so calibrate against a flat
@@ -256,11 +252,12 @@ class TestInequalitySweep:
         rng = np.random.default_rng(9)
         need = 0.0
         for _ in range(5):
-            w = make_test_field(regions32, rng, "scalar")
+            w = next(draw_test_fields(regions32, rng, 1, "scalar"))
             for t in taus:
                 par = CarlemanParams.for_weight(t, flat)
-                rep = integrated_inequality_check(w, flat, par)
-                assert _bits([rep]) == _bits([_reference_check(w, flat, par)])
+                rep = inequality_sweep_stack(w, flat, [par])[0][0]
+                ref = _reference_check(_as_field(regions32.grid, w[0]), flat, par)
+                assert _bits([rep]) == _bits([ref])
                 if rep.margin < 0 and rep.integral_zero > 0:
                     need = max(need, -rep.margin / (t**2 * rep.integral_zero))
         assert need > 0
@@ -315,7 +312,10 @@ class TestFieldStacks:
         assert len(blocks) > 1 and 20 % len(blocks[0]) != 0
         stacked = [_as_field(regions32.grid, v) for fields in blocks for v in fields]
         one, ref = np.random.default_rng(5), np.random.default_rng(5)
-        singles = [make_test_field(regions32, one, kind) for _ in range(20)]
+        singles = [
+            _as_field(regions32.grid, next(draw_test_fields(regions32, one, 1, kind))[0])
+            for _ in range(20)
+        ]
         refs = [_reference_field(regions32, ref, kind) for _ in range(20)]
         assert len(stacked) == 20
         for w, single, r in zip(stacked, singles, refs):
@@ -349,7 +349,8 @@ class TestFieldStacks:
             assert len(stacked) == len(fields)
             for i, reports in enumerate(stacked):
                 w = _as_field(regions32.grid, fields[i])
-                assert _bits(reports) == _bits(integrated_inequality_sweep(w, psi32, params))
+                alone = inequality_sweep_stack(fields[i][None], psi32, params)[0]
+                assert _bits(reports) == _bits(alone)
                 assert _bits(reports) == _bits([_reference_check(w, psi32, p) for p in params])
 
     def test_first_failing_field_names_the_error(self, regions32, psi32):

@@ -395,12 +395,13 @@ class TestCommutators:
 
     def test_laplacian_commutator_matches_leibniz(self, regions32, chi32, eq_zero32):
         # [chi,Lap]phi = -phi Lap chi - 2 grad chi . grad phi + O(h^2),
-        # compared on the transition band where all fields are smooth
+        # compared on the transition band where all fields are smooth; walls
+        # in y give the system the second-order Laplacian of the expansion
         from mhdlab import gradient, laplacian
 
         errs = {}
         for n in (32, 64):
-            g = build_grid(L, L, n, n)
+            g = build_grid(L, L, n, n, "periodic", "wall")
             regions = build_nested_regions(g, OmegaSpec(shape="disc", radius=0.15 * L))
             chi = build_cutoff(regions)
             eq = make_equilibrium("zero", g)
@@ -410,7 +411,7 @@ class TestCommutators:
                 VectorField2.zeros(g),
             )
             p = ScalarField(g, np.zeros(g.shape))
-            f = build_commutators(chi, s, p, MhdSystem(eq, 0.0, 2))
+            f = build_commutators(chi, s, p, MhdSystem(eq))
             chi_s = chi.as_scalar()
             lap_chi = laplacian(chi_s).values
             gchi = gradient(chi_s)

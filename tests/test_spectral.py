@@ -182,7 +182,8 @@ class TestSpectrum:
     def test_refine_shifted_solve_is_first_gmres_iteration(self, box16, monkeypatch):
         # oracle: the inner solve it replaces, scipy's GMRES preconditioned
         # by the same LU; on every right-hand side ARPACK passes, the one
-        # refinement step must give the same bits
+        # refinement step must give the same bits, and the one two-column LU
+        # solve the bits of two one-column solves
         A = assemble_generator(make_equilibrium("shear", box16), 1.5)
         rhs = []
         refine = spectral._refine_shifted_solve
@@ -205,6 +206,8 @@ class TestSpectrum:
             x, info = spla.gmres(op, b, M=M, rtol=1e-12, atol=0.0, maxiter=400)
             assert info == 0
             assert np.array_equal(refine(A, lu, si, b), x)
+            two_solves = lu.solve(b.real) + 1j * lu.solve(b.imag)
+            assert np.array_equal(spectral._lu_solve(lu, b), two_solves)
 
     def test_inner_solve_miss_is_numerical_error(self, box16, monkeypatch):
         # an LU of the wrong shift leaves a residual far above the inner
