@@ -39,7 +39,6 @@ from .operators import (
     assemble_adjoint,
     assemble_generator,
     build_commutators,
-    export_coo,
     oseen_minus,
     oseen_plus,
 )

@@ -11,8 +11,10 @@ with a status that encodes the failure class:
 The stages of one invocation share one ``Run``, so ``all`` builds the grid,
 equilibrium and regions once (in validation), solves the forward spectrum
 once and derives the adjoint eigenfunctions of its unstable clusters from it
-once.  The computing is the library's: a stage reads what the Run holds,
-calls the library (``stabilize`` gates on the Kalman reports and runs
+once.  A command that runs the carleman stage checks the width of the
+cutoff's transition band before the first stage writes anything.  The
+computing is the library's: a stage reads what the Run holds, calls the
+library (``stabilize`` gates on the Kalman reports and runs
 ``stabilize.closed_loop``), and writes the tables and the summary.
 """
 
@@ -42,7 +44,7 @@ from .errors import (
     UncontrollableError,
 )
 from .fields import StateVector
-from .geometry import build_cutoff, build_weight
+from .geometry import build_weight, transition_band
 from .operators import GeneratorOperator, MhdSystem
 from .reports import write_summary, write_table
 from .spectral import (
@@ -214,7 +216,6 @@ def run_ucp(run: Run, outdir: Path) -> dict:
 
 def run_carleman(run: Run, outdir: Path) -> dict:
     cfg, regions = run.cfg, run.regions
-    chi = build_cutoff(regions)
     psi = build_weight(regions)
     opts = cfg.carleman_options(regions)
     taus = opts["tau_list"]
@@ -372,9 +373,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.gamma is not None:
             cfg.raw["stabilize"]["gamma"] = float(args.gamma)
         run = Run(cfg)
+        stages = list(RUNNERS) if args.command == "all" else [args.command]
+        if "carleman" in stages:
+            # the cutoff's width test, before any stage writes a file
+            transition_band(run.regions)
         outdir = args.out
         outdir.mkdir(parents=True, exist_ok=True)
-        stages = list(RUNNERS) if args.command == "all" else [args.command]
         for stage in stages:
             summary = RUNNERS[stage](run, outdir)
             keyline = {

@@ -354,31 +354,3 @@ def restrict(v: VectorField2 | StateVector, region: np.ndarray):
     m = region.astype(v.u1.dtype if np.iscomplexobj(v.u1) else float)
     return VectorField2(v.grid, v.u1 * m, v.u2 * m, v.bc_tag)
 
-
-# ---------------------------------------------------------------------------
-# Columnar snapshot export: index, x, y, components
-# ---------------------------------------------------------------------------
-
-def save_field_table(path, grid: Grid, components: dict[str, np.ndarray]) -> None:
-    X, Y = grid.meshgrid()
-    names = list(components)
-    cols = [np.arange(grid.ncells), X.ravel(), Y.ravel()]
-    for name in names:
-        arr = components[name]
-        if arr.shape != grid.shape:
-            raise ShapeError(f"component {name!r} shape mismatch")
-        cols.append(arr.ravel())
-    with open(path, "w") as fh:
-        fh.write("# index x y " + " ".join(names) + "\n")
-        for row in zip(*cols):
-            fh.write(
-                f"{int(row[0])} "
-                + " ".join(_fmt(val) for val in row[1:])
-                + "\n"
-            )
-
-
-def _fmt(val) -> str:
-    if np.iscomplexobj(val):
-        return f"{val.real:.12e}{val.imag:+.12e}j"
-    return f"{float(val):.12e}"

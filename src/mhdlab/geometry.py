@@ -234,10 +234,12 @@ def _quintic(t: np.ndarray) -> np.ndarray:
     return 1.0 - (10 * t**3 - 15 * t**4 + 6 * t**5)
 
 
-def build_cutoff(regions: RegionSet) -> CutoffField:
+def transition_band(regions: RegionSet) -> tuple[float, float]:
+    """Distances (lo, hi) from omega over which the cutoff falls from 1 to
+    0, inside the guard layers of OmegaStar; raises ResolutionError when the
+    band is narrower than MIN_TRANSITION_CELLS cells."""
     g = regions.grid
     hmax = max(g.hx, g.hy)
-    d = regions.dist_to_omega
     lo = regions.omega1_width + CHI_ONE_LAYER_CELLS * hmax
     hi = regions.omega1_width + regions.omega_star_width - CHI_ZERO_LAYER_CELLS * hmax
     if hi - lo < MIN_TRANSITION_CELLS * hmax:
@@ -245,7 +247,12 @@ def build_cutoff(regions: RegionSet) -> CutoffField:
             f"cutoff transition band is {(hi - lo) / hmax:.2f} cells wide; "
             f"need at least {MIN_TRANSITION_CELLS} (widen omega_star or refine)"
         )
-    chi = _quintic((d - lo) / (hi - lo))
+    return lo, hi
+
+
+def build_cutoff(regions: RegionSet) -> CutoffField:
+    lo, hi = transition_band(regions)
+    chi = _quintic((regions.dist_to_omega - lo) / (hi - lo))
     chi[regions.omega | regions.omega1] = 1.0
     chi[regions.omega0] = 0.0
     return CutoffField(regions, chi, lo, hi)

@@ -93,15 +93,6 @@ def oseen_minus(e: VectorField2) -> sp.csr_matrix:
     return _block_advection(e, g) - _gradient_coupling(e, g)
 
 
-def export_coo(mat: sp.spmatrix, path) -> None:
-    """Write (row, col, real, imag) rows for external inspection."""
-    coo = sp.coo_matrix(mat)
-    with open(path, "w") as fh:
-        fh.write("# row col real imag\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v.real:.12e} {complex(v).imag:.12e}\n")
-
-
 def _fourier_parts(amb: sp.spmatrix, grid: Grid) -> Iterator[sp.csr_matrix]:
     """``amb`` with every ncells x ncells block conjugated by fft2, as a sum
     of sparse parts of at most about _PART_ENTRIES entries each.
@@ -206,30 +197,29 @@ class MhdSystem:
         return self._cache["ambient"]
 
     # -- reduced operator ---------------------------------------------------
-    def reduced_matvec(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Reduced generator (or its adjoint) times x, through the ambient
-        matrix: one synthesis and one analysis of the (phi, xi) stack."""
+    def reduced_matvec(self, x: np.ndarray) -> np.ndarray:
+        """Reduced generator times x through the ambient matrix, with one
+        synthesis and one analysis of the (phi, xi) stack: the FFT path,
+        independent of the sparse ``reduced_matrix``."""
         basis = self.basis
         x = np.asarray(x)
         flat = basis.synthesize(x.reshape(2, basis.dim)).reshape(-1)
-        out = self._ambient_operand(adjoint, flat.dtype) @ flat
+        out = self._ambient_operand(flat.dtype) @ flat
         y = basis.analyze(out.reshape((2, 2) + self.grid.shape)).reshape(-1)
         return y + self.sigma * x
 
-    def _ambient_operand(self, adjoint: bool, dtype) -> sp.csr_matrix:
-        """The ambient matrix (or its transpose) as CSR in the dtype of the
-        vectors it multiplies, built once.
+    def _ambient_operand(self, dtype) -> sp.csr_matrix:
+        """The ambient matrix in the dtype of the vectors it multiplies,
+        built once.
 
-        scipy would otherwise copy the real data to complex on every
-        complex product, and multiply the transpose column by column; either
-        way each output entry sums the same terms in the same order, so the
-        products are the same to the bit.
+        scipy would otherwise copy the real data to complex on every complex
+        product; either way each output entry sums the same terms in the
+        same order, so the products are the same to the bit.
         """
-        key = ("ambient_operand", adjoint, np.dtype(dtype).kind == "c")
+        key = ("ambient_operand", np.dtype(dtype).kind == "c")
         if key not in self._cache:
             amb = self.ambient_matrix()
-            mat = amb.T.tocsr() if adjoint else amb
-            self._cache[key] = mat.astype(np.result_type(mat.dtype, dtype), copy=False)
+            self._cache[key] = amb.astype(np.result_type(amb.dtype, dtype), copy=False)
         return self._cache[key]
 
     def reduced_matrix(self) -> sp.csr_matrix:
@@ -343,7 +333,9 @@ class MhdSystem:
 
 @dataclass
 class GeneratorOperator:
-    """Reduced generator (or its adjoint) exposed to the spectral module."""
+    """Reduced generator (or its adjoint) exposed to the spectral module:
+    its sparse ``matrix`` is the operator the pipeline multiplies by and
+    factors."""
 
     system: MhdSystem
     adjoint: bool = False
@@ -355,9 +347,6 @@ class GeneratorOperator:
     @property
     def sigma(self) -> float:
         return self.system.sigma
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.system.reduced_matvec(x, adjoint=self.adjoint)
 
     def dense(self) -> np.ndarray:
         """The reduced matrix as an array, for the dense spectral strategy."""

@@ -4,16 +4,19 @@ unique continuation property.
 The forward spectrum is computed either densely (exact, small grids) or by
 a shift-inverted Arnoldi iteration whose inner solve is one refinement step
 of the shared sparse LU of R - si I (``GeneratorOperator.lu``, also used by
-the closed loop) against the FFT matvec, with its residual checked on the
-sparse R: the LU solves the shifted system, advection included.  The step
-is the first iteration of scipy's GMRES with the LU as preconditioner, bit
-for bit.  Passing the bare LU to ARPACK instead would reorder a degenerate
-complex cluster, so it waits until the benchmark compares eigenvalues in
-any order.  The adjoint eigenfunctions are derived from the forward
-clusters by inverse iteration on one sparse LU per cluster.  Eigenvalues
-are clustered into distinct values with a relative tolerance, giving the
-unstable count N, the number of distinct unstable values M, their
-geometric multiplicities, and K = max multiplicity.
+the closed loop) against the FFT matvec ``MhdSystem.reduced_matvec``, with
+its residual checked on the sparse R: the LU solves the shifted system,
+advection included.  The step is the first iteration of scipy's GMRES with
+the LU as preconditioner, bit for bit, and the pipeline's one FFT product;
+the eigen-residuals are taken on R, the operator the closed loop steps.
+Passing the bare LU to ARPACK instead would reorder a degenerate complex
+cluster, so it waits until the benchmark compares eigenvalues in any order.
+Shift-invert solves the forward operator only: the adjoint eigenfunctions
+are derived from the forward clusters by inverse iteration on one sparse LU
+per cluster.  Eigenvalues are clustered into distinct values with a
+relative tolerance, giving the unstable count N, the number of distinct
+unstable values M, their geometric multiplicities, and K = max
+multiplicity.
 
 The continuation test itself is algebraic: a cluster's adjoint eigenfunctions
 restricted to the control patch omega must stay linearly independent (their
@@ -171,7 +174,7 @@ def _refine_shifted_solve(
     v = _lu_solve(lu, b)
     beta = np.linalg.norm(v)
     v *= 1 / beta
-    w = _lu_solve(lu, A.matvec(v) - si * v)
+    w = _lu_solve(lu, A.system.reduced_matvec(v) - si * v)
     h0 = np.linalg.norm(w)
     h = np.vdot(v, w)
     w -= h * v
@@ -217,7 +220,9 @@ def _shift_invert_eig(A: GeneratorOperator, how_many: int):
             raise
 
     opinv = spla.LinearOperator((dim, dim), matvec=solve_shifted, dtype=complex)
-    aop = spla.LinearOperator((dim, dim), matvec=A.matvec, dtype=complex)
+    # complex, so that ARPACK runs in complex arithmetic; in shift-invert
+    # mode it applies only OPinv and never calls this matvec
+    aop = spla.LinearOperator((dim, dim), matvec=A.matrix.dot, dtype=complex)
     k = min(how_many + 8, dim - 2)
     v0 = np.cos(0.7 * np.arange(dim)) + 0.3  # deterministic start vector
     try:
@@ -243,6 +248,11 @@ def compute_spectrum(
     if strategy == "dense":
         lams, vecs = _dense_eig(A, how_many)
     elif strategy == "shift_invert":
+        if A.adjoint:
+            raise ConfigurationError(
+                "shift_invert solves the forward operator only; derive adjoint "
+                "pairs from a forward spectrum with adjoint_eigenpairs"
+            )
         lams, vecs = _shift_invert_eig(A, how_many)
     else:
         raise ConfigurationError(f"unknown spectral strategy {strategy!r}")
@@ -254,12 +264,13 @@ def compute_spectrum(
 def _report(
     A: GeneratorOperator, lams: np.ndarray, vecs: np.ndarray, strategy: str
 ) -> SpectrumReport:
-    """Checked, normalized eigenpairs and their cluster structure."""
+    """Checked, normalized eigenpairs and their cluster structure; the
+    residuals of all pairs come from one product with R (or R^T)."""
+    cols = [c / np.linalg.norm(c) for c in map(_phase_fix, vecs.T)]
+    V = np.column_stack(cols)
+    residuals = np.linalg.norm(A.matrix @ V - V * lams, axis=0)
     pairs = []
-    for i, lam in enumerate(lams):
-        c = _phase_fix(vecs[:, i])
-        c = c / np.linalg.norm(c)
-        res = float(np.linalg.norm(A.matvec(c) - lam * c))
+    for lam, c, res in zip(lams, cols, residuals.tolist()):
         if res > RESIDUAL_BOUND:
             raise NumericalError(
                 f"eigenpair residual {res:.2e} exceeds {RESIDUAL_BOUND}",

@@ -268,8 +268,7 @@ def _real_block(proj: UnstableProjection, A: GeneratorOperator) -> np.ndarray:
     projected operator itself."""
     if np.all(np.abs(np.imag(proj.lambdas)) < 1e-10):
         return np.diag(np.real(proj.lambdas))
-    AV = np.column_stack([A.matvec(proj.V[:, j]) for j in range(proj.N)])
-    return np.real(proj.coords(AV))
+    return np.real(proj.coords(A.matrix @ proj.V))
 
 
 @dataclass

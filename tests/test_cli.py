@@ -486,6 +486,21 @@ def test_mistyped_config_value_is_config_error(tmp_path, command, config, key):
     assert key in error["message"]
 
 
+def test_thin_transition_band_stops_all_before_any_stage(tmp_path):
+    # the carleman stage's cutoff needs a 3-cell transition band: a command
+    # that runs the stage is refused before any stage writes, and one that
+    # does not run it is unaffected
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(dict(FAST_SPECTRAL, geometry={"omega_star_width_frac": 0.05})))
+    out = tmp_path / "all"
+    assert main(["all", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "spectrum.txt").exists()
+    error = json.loads((out / "error.json").read_text())
+    assert error["error_kind"] == "config_error"
+    assert "transition band" in error["message"]
+    assert main(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path / "s")]) == EXIT_OK
+
+
 def test_negative_seed_flag_is_config_error(tmp_path):
     out = tmp_path / "o"
     assert main(["carleman", "--seed", "-3", "--out", str(out)]) == EXIT_CONFIG

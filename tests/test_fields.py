@@ -15,7 +15,6 @@ from mhdlab import (
     weighted_norm2,
 )
 from mhdlab.errors import ShapeError
-from mhdlab.fields import save_field_table
 
 L = 2 * np.pi
 
@@ -158,14 +157,3 @@ class TestWeightedNorm:
         with pytest.warns(UserWarning):
             assert weighted_norm2(f, 1.0, empty) == 0.0
 
-
-def test_field_table_export(tmp_path, box16):
-    X, Y = box16.meshgrid()
-    path = tmp_path / "snap.txt"
-    save_field_table(path, box16, {"u1": np.sin(X), "u2": np.cos(Y)})
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# index x y u1 u2"
-    first = lines[1].split()
-    assert first[0] == "0"
-    assert float(first[1]) == pytest.approx(box16.x[0])
-    assert len(lines) == 1 + box16.ncells

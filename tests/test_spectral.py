@@ -156,7 +156,7 @@ class TestSpectrum:
         A = assemble_generator(make_equilibrium("shear", box16), 1.5)
         calls = {"matvec": 0, "gmres": 0}
         per_solve = []
-        matvec, refine, gmres = A.matvec, spectral._refine_shifted_solve, spla.gmres
+        matvec, refine, gmres = A.system.reduced_matvec, spectral._refine_shifted_solve, spla.gmres
 
         def counting_matvec(x):
             calls["matvec"] += 1
@@ -172,7 +172,7 @@ class TestSpectrum:
             calls["gmres"] += 1
             return gmres(*args, **kwargs)
 
-        monkeypatch.setattr(A, "matvec", counting_matvec)
+        monkeypatch.setattr(A.system, "reduced_matvec", counting_matvec)
         monkeypatch.setattr(spectral, "_refine_shifted_solve", counting_refine)
         monkeypatch.setattr(spla, "gmres", counting_gmres)
         compute_spectrum(A, 10, "shift_invert")
@@ -198,7 +198,7 @@ class TestSpectrum:
         dim = A.dim
         for lu, si, b in rhs:
             op = spla.LinearOperator(
-                (dim, dim), matvec=lambda x: A.matvec(x) - si * x, dtype=complex
+                (dim, dim), matvec=lambda x: A.system.reduced_matvec(x) - si * x, dtype=complex
             )
             M = spla.LinearOperator(
                 (dim, dim), matvec=lambda x: lu.solve(x.real) + 1j * lu.solve(x.imag), dtype=complex
@@ -285,6 +285,19 @@ class TestSpectrum:
         with pytest.raises(ConfigurationError):
             compute_spectrum(A, 4, "dense")
 
+    def test_residual_gate_names_the_eigenvalue(self, box16):
+        # a pair off its eigenvalue by 1e-6 has residual 1e-6 on R, above
+        # RESIDUAL_BOUND: the report refuses it and names the eigenvalue
+        A = assemble_generator(make_equilibrium("shear", box16), 0.4)
+        fwd = compute_spectrum(A, 4, "dense")
+        lams = np.array([p.lam for p in fwd.pairs])
+        vecs = np.column_stack([p.coeffs for p in fwd.pairs]).astype(complex)
+        assert [p.lam for p in spectral._report(A, lams, vecs, "dense").pairs] == list(lams)
+        lams[1] += 1e-6
+        with pytest.raises(NumericalError, match="residual") as exc:
+            spectral._report(A, lams, vecs, "dense")
+        assert exc.value.detail["lambda"] == lams[1]
+
 
 class TestAdjointSpectrum:
     def test_self_adjoint_case_identical(self, box16):
@@ -312,6 +325,11 @@ class TestAdjointSpectrum:
         unstable = compute_spectrum(A, 4, "dense").unstable_part()
         with pytest.raises(ConfigurationError):
             adjoint_eigenpairs(A, unstable)
+
+    def test_shift_invert_solves_the_forward_operator_only(self, box16):
+        Aadj = assemble_adjoint(make_equilibrium("shear", box16), 1.5)
+        with pytest.raises(ConfigurationError, match="adjoint_eigenpairs"):
+            compute_spectrum(Aadj, 4, "shift_invert")
 
     def test_derivation_requires_adjoint_operator(self, gen_shifted32, spectrum_shifted32):
         with pytest.raises(ConfigurationError):
