@@ -6,12 +6,10 @@ __version__ = "0.1.0"
 
 from .grid import BcKind, Grid, build_grid
 from .geometry import (
-    CutoffField,
     GeometryCase,
     OmegaSpec,
     RegionSet,
     WeightField,
-    build_cutoff,
     build_nested_regions,
     build_weight,
 )
@@ -21,24 +19,18 @@ from .fields import (
     StateVector,
     VectorField2,
     apply_bc,
-    curl2d,
     divergence,
-    gradient,
     inner,
     laplacian,
     restrict,
-    rot,
-    weighted_norm2,
 )
 from .projection import helmholtz_project, project_state
 from .equilibria import Equilibrium, make_equilibrium
 from .operators import (
-    CommutatorForcing,
     GeneratorOperator,
     MhdSystem,
     assemble_adjoint,
     assemble_generator,
-    build_commutators,
     oseen_minus,
     oseen_plus,
 )
@@ -57,13 +49,9 @@ from .carleman import (
     CarlemanParams,
     Coefficients,
     EstimateReport,
-    assemble_chi_system_residual,
     coefficients,
     draw_test_fields,
-    final_estimate_eval,
     inequality_sweep_stack,
-    make_omega_vanishing_state,
-    tau_sweep_vanishing,
 )
 from .stabilize import (
     ClosedLoop,

@@ -38,14 +38,10 @@ class SolenoidalBasis:
     pair_t: np.ndarray          # (npair, 2) polarization
     pair_cos_col: np.ndarray
     pair_sin_col: np.ndarray
-    pair_sym2: np.ndarray       # order-2 Laplacian symbol per pair
-    pair_sym4: np.ndarray
     # self-conjugate modes: one column per unit polarization
     spec_kflat: np.ndarray
     spec_dir: np.ndarray        # 0 -> e_x, 1 -> e_y
     spec_col: np.ndarray
-    spec_sym2: np.ndarray
-    spec_sym4: np.ndarray
 
     # ------------------------------------------------------------------
     @classmethod
@@ -57,16 +53,6 @@ class SolenoidalBasis:
         if "solenoidal_basis" not in grid._cache:
             grid._cache["solenoidal_basis"] = cls._build(grid)
         return grid._cache["solenoidal_basis"]
-
-    @staticmethod
-    def _lap_symbol(mx: int, my: int, grid: Grid, order: int) -> float:
-        def sym1d(m, n, h):
-            a = 2 * np.pi * m / n
-            if order == 2:
-                return (2 * np.cos(a) - 2) / h**2
-            return (-2 * np.cos(2 * a) + 32 * np.cos(a) - 30) / (12 * h**2)
-
-        return sym1d(mx, grid.nx, grid.hx) + sym1d(my, grid.ny, grid.hy)
 
     @classmethod
     def _build(cls, grid: Grid) -> "SolenoidalBasis":
@@ -88,14 +74,12 @@ class SolenoidalBasis:
         # deterministic ordering: by |k|^2 then integer components
         reps.sort(key=lambda r: (kx_int[r[0]] ** 2 + ky_int[r[1]] ** 2, kx_int[r[0]], ky_int[r[1]]))
 
-        p_kflat, p_nkflat, p_t, p_cos, p_sin, p_s2, p_s4 = [], [], [], [], [], [], []
-        s_kflat, s_dir, s_col, s_s2, s_s4 = [], [], [], [], []
+        p_kflat, p_nkflat, p_t, p_cos, p_sin = [], [], [], [], []
+        s_kflat, s_dir, s_col = [], [], []
         col = 0
         for mx, my, self_conj in reps:
             sx = np.sin(2 * np.pi * mx / nx) / hx
             sy = np.sin(2 * np.pi * my / ny) / hy
-            s2 = cls._lap_symbol(mx, my, grid, 2)
-            s4 = cls._lap_symbol(mx, my, grid, 4)
             flat = mx * ny + my
             if self_conj:
                 # symbol vanishes at self-conjugate points; keep both directions
@@ -103,8 +87,6 @@ class SolenoidalBasis:
                     s_kflat.append(flat)
                     s_dir.append(d)
                     s_col.append(col)
-                    s_s2.append(s2)
-                    s_s4.append(s4)
                     col += 1
             else:
                 s = np.hypot(sx, sy)
@@ -115,8 +97,6 @@ class SolenoidalBasis:
                 p_t.append(t)
                 p_cos.append(col)
                 p_sin.append(col + 1)
-                p_s2.append(s2)
-                p_s4.append(s4)
                 col += 2
 
         return cls(
@@ -127,13 +107,9 @@ class SolenoidalBasis:
             pair_t=np.array(p_t) if p_t else np.zeros((0, 2)),
             pair_cos_col=np.array(p_cos, dtype=np.intp),
             pair_sin_col=np.array(p_sin, dtype=np.intp),
-            pair_sym2=np.array(p_s2),
-            pair_sym4=np.array(p_s4),
             spec_kflat=np.array(s_kflat, dtype=np.intp),
             spec_dir=np.array(s_dir, dtype=np.intp),
             spec_col=np.array(s_col, dtype=np.intp),
-            spec_sym2=np.array(s_s2),
-            spec_sym4=np.array(s_s4),
         )
 
     # ------------------------------------------------------------------
@@ -238,21 +214,6 @@ class SolenoidalBasis:
             Z[:n2, j] = f.u1.ravel()
             Z[n2:, j] = f.u2.ravel()
         return Z
-
-    def diffusion_symbol(self, order: int) -> np.ndarray:
-        """Per-column Laplacian symbol (the basis diagonalizes it exactly)."""
-        sym = np.empty(self.dim)
-        if order == 2:
-            sym[self.pair_cos_col] = self.pair_sym2
-            sym[self.pair_sin_col] = self.pair_sym2
-            sym[self.spec_col] = self.spec_sym2
-        elif order == 4:
-            sym[self.pair_cos_col] = self.pair_sym4
-            sym[self.pair_sin_col] = self.pair_sym4
-            sym[self.spec_col] = self.spec_sym4
-        else:
-            raise ConfigurationError(f"no symbol for stencil order {order}")
-        return sym
 
     # state-level helpers -------------------------------------------------
     def state_dim(self) -> int:

@@ -1,17 +1,15 @@
 """Numerical verification of the weighted-estimate machinery.
 
-Four independent checks live here:
+Two checks live here:
 
 * coefficient formulas of the pointwise estimate (exact arithmetic in the
   inputs);
 * the integrated inequality over the working band G for fields with zero
   Cauchy data on its boundary, with an empirically located threshold tau0
-  and an optional calibrated tau^2 correction bound;
-* the cutoff-system residual: multiplying an eigen-solution by chi and
-  moving the commutator forcings to the right-hand side must reproduce the
-  bare eigen-residual exactly, in discrete algebra;
-* the final two-sided band estimate and the tau-sweep bounds whose decay
-  in tau forces the state to vanish on the inner band.
+  and an optional calibrated tau^2 correction bound.
+
+The cutoff-system residual and the tau-sweep bounds are test oracles, in
+the tests' ``oracles`` module.
 
 All weighted quadratures share the normalization exp(2*tau*(psi - max psi))
 over the integration region; the inequalities are invariant under constant
@@ -28,20 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CauchyDataError, ConfigurationError
-from .fields import (
-    ScalarField,
-    StateVector,
-    VectorField2,
-    dx_matrix,
-    dy_matrix,
-    gradient,
-    laplacian,
-    laplacian_matrix,
-    weighted_norm2,
-)
-from .geometry import CutoffField, RegionSet, WeightField
+from .fields import dx_matrix, dy_matrix, laplacian_matrix
+from .geometry import RegionSet, WeightField
 from .grid import Grid
-from .operators import MhdSystem, build_commutators
 
 PASS_SLACK = 1e-8
 CAUCHY_TOL = 1e-10
@@ -330,21 +317,6 @@ def draw_test_fields(
         yield moll * f.reshape(n, ncomp, *g.shape)
 
 
-def make_omega_vanishing_state(
-    regions: RegionSet, rng: np.random.Generator
-) -> tuple[StateVector, ScalarField]:
-    """Synthetic (state, pressure) pair that is exactly zero on omega and
-    within two cells of it."""
-    g = regions.grid
-    h = max(g.hx, g.hy)
-    d = regions.dist_to_omega
-    lo = 2.0 * h
-    t = np.clip((d - lo) / (4 * h), 0.0, 1.0)
-    rise = np.where(d > lo, 10 * t**3 - 15 * t**4 + 6 * t**5, 0.0)
-    phi1, phi2, xi1, xi2, p = rise * _cosine_sums(g, rng, 5, 5, 3)
-    return StateVector(VectorField2(g, phi1, phi2), VectorField2(g, xi1, xi2)), ScalarField(g, p)
-
-
 def calibrate_tau2_bound(
     psi: WeightField,
     tau_list: list[float],
@@ -353,8 +325,9 @@ def calibrate_tau2_bound(
     n_fields: int = 20,
     seed: int = 7,
 ) -> float:
-    """Smallest c2 >= 0 such that the inequality holds on a Gaussian-bump
-    library after weakening the zero-order coefficient by c2*tau^2."""
+    """Smallest c2 >= 0 such that the inequality holds on n_fields seeded
+    ``draw_test_fields`` fields (cosine sums times the band mollifier) after
+    weakening the zero-order coefficient by c2*tau^2."""
     rng = np.random.default_rng(seed)
     need = 0.0
     params = [CarlemanParams.for_weight(tau, psi, delta0, epsilon) for tau in tau_list]
@@ -376,205 +349,3 @@ def find_tau0(reports_by_tau: dict[float, list[EstimateReport]]) -> float | None
         else:
             break
     return tau0
-
-
-# ---------------------------------------------------------------------------
-# Cutoff-system residual
-# ---------------------------------------------------------------------------
-
-def assemble_chi_system_residual(
-    system: MhdSystem,
-    lam_generator: complex,
-    s: StateVector,
-    p: ScalarField,
-    chi: CutoffField,
-) -> dict:
-    """Residual of the chi-multiplied eigen-system with commutator forcings.
-
-    For an exact discrete eigen-solution the residual equals chi times the
-    bare eigen-residual, so it inherits the eigensolver tolerance.
-    """
-    g = system.grid
-    forcing = build_commutators(chi, s, p, system)
-    lam = system.elliptic_eigenvalue(lam_generator)
-    chi1 = chi.values.ravel()
-    chi2 = np.concatenate([chi1] * 2)
-    r_phi, r_xi = system.steady_rows(
-        lam, chi2 * s.phi.ravel(), chi2 * s.xi.ravel(), chi1 * p.values.ravel()
-    )
-    r_phi = r_phi - forcing.F_chi.ravel()
-    r_xi = r_xi - forcing.G_chi.ravel()
-    scale = max(s.norm(), 1e-300)
-    dA = np.sqrt(g.cell_area)
-    return {
-        "residual_phi": float(np.linalg.norm(r_phi) * dA),
-        "residual_xi": float(np.linalg.norm(r_xi) * dA),
-        "max_norm": float(max(np.abs(r_phi).max(), np.abs(r_xi).max())),
-        "relative": float(
-            (np.linalg.norm(r_phi) + np.linalg.norm(r_xi)) * dA / scale
-        ),
-        "forcing": forcing,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Final band estimate and tau-sweep
-# ---------------------------------------------------------------------------
-
-def _grad_energy(v: VectorField2, W: ScalarField | float, region: np.ndarray) -> float:
-    """Weighted squared gradients of both components of v over region."""
-    g1 = gradient(ScalarField(v.grid, v.u1))
-    g2 = gradient(ScalarField(v.grid, v.u2))
-    return weighted_norm2(g1, W, region) + weighted_norm2(g2, W, region)
-
-
-def _star_integrals(
-    s: StateVector, p: ScalarField, W: ScalarField | float, star: np.ndarray
-) -> tuple[float, float]:
-    """The transition-region integrals of |grad p|^2 + |p|^2 + |phi|^2 +
-    |xi|^2 and of |grad phi|^2 + |grad xi|^2 + |phi|^2 + |xi|^2 + |p|^2,
-    summed in that order with weight W."""
-    n_p, n_phi, n_xi = (weighted_norm2(f, W, star) for f in (p, s.phi, s.xi))
-    I_p = weighted_norm2(gradient(p), W, star) + n_p + n_phi + n_xi
-    I_u = _grad_energy(s.phi, W, star) + _grad_energy(s.xi, W, star) + n_phi + n_xi + n_p
-    return I_p, I_u
-
-
-def _default_constants(system: MhdSystem, chi: CutoffField, lam: complex) -> dict:
-    """Explicit, recorded stand-ins for the implicit constants of the final
-    estimate (7-term Cauchy-Schwarz split of the right-hand side)."""
-    eq = system.eq
-    sup_e = eq.sup_fields()
-    gb = eq.grad_bound
-    chi_s = chi.as_scalar()
-    grad_chi = gradient(chi_s).magnitude().max()
-    lap_chi = np.abs(laplacian(chi_s).values).max()
-    c_lambda_e = 7.0 * (sup_e**2 + 2.0 * gb**2 + abs(lam) ** 2 + 1.0)
-    c_ye_be = 16.0 * gb**2 + 1.0
-    c_chi = float((lap_chi + grad_chi * (2.0 + 2.0 * sup_e + 1.0)) ** 2 + 1.0)
-    return {
-        "C_lambda_e": float(c_lambda_e),
-        "C_ye_be": float(c_ye_be),
-        "C_chi": c_chi,
-        "c_chi": c_chi,
-    }
-
-
-def final_estimate_eval(
-    system: MhdSystem,
-    lam_generator: complex,
-    s: StateVector,
-    p_field: ScalarField,
-    chi: CutoffField,
-    psi: WeightField,
-    params: CarlemanParams,
-    constants: dict | None = None,
-) -> dict:
-    """Evaluate both sides of the combined band estimate at one tau.
-
-    LHS: three weighted integrals of the cutoff state/pressure over the band
-    G; RHS: two integrals over the transition region only.  The absorbed
-    constants have no canonical values, so explicit recorded stand-ins are
-    used and pass/fail is reported per tau rather than asserted.
-    """
-    g = system.grid
-    regions = psi.regions
-    G = regions.G
-    tau = params.tau
-    lam = system.elliptic_eigenvalue(lam_generator)
-    consts = constants or _default_constants(system, chi, lam)
-
-    Wn, shift = _normalized_weight(psi.psi, tau, G)
-    Wf = ScalarField(g, Wn)
-
-    chi_arr = chi.values
-    phi_c = VectorField2(g, chi_arr * s.phi.u1, chi_arr * s.phi.u2)
-    xi_c = VectorField2(g, chi_arr * s.xi.u1, chi_arr * s.xi.u2)
-    p_c = ScalarField(g, chi_arr * p_field.values)
-
-    I_grad_chi = _grad_energy(phi_c, Wf, G) + _grad_energy(xi_c, Wf, G)
-    I_zero_chi = weighted_norm2(phi_c, Wf, G) + weighted_norm2(xi_c, Wf, G)
-    I_p_chi = weighted_norm2(p_c, Wf, G)
-    I_star_p, I_star_u = _star_integrals(s, p_field, Wf, regions.omega_star)
-
-    rho, kk, d0, eps = params.rho, params.kgrad, params.delta0, params.epsilon
-    base = d0 * (2 * rho * tau - eps / 2)  # the divided constant of the estimate
-    zero3 = max(4 * rho * kk**2 * tau**3 * (1 - d0) - params.tau2_bound * tau**2, 0.0)
-    lhs1 = (base - consts["C_lambda_e"] - consts["C_ye_be"] / base) * I_grad_chi if base > 0 else 0.0
-    lhs2 = (zero3 - consts["C_lambda_e"] - consts["C_ye_be"] / base) * I_zero_chi if base > 0 else 0.0
-    lhs3 = (zero3 / base) * I_p_chi if base > 0 else 0.0
-    rhs = (consts["C_chi"] / base) * I_star_p + consts["c_chi"] * I_star_u if base > 0 else np.inf
-
-    lhs = lhs1 + lhs2 + lhs3
-    return {
-        "tau": tau,
-        "lhs_grad": lhs1,
-        "lhs_zero": lhs2,
-        "lhs_pressure": lhs3,
-        "lhs_total": lhs,
-        "rhs_total": rhs,
-        "passed": bool(lhs <= rhs + PASS_SLACK * max(abs(rhs), 1e-300)),
-        "constants": consts,
-        "weight_shift": shift,
-        "tau_positive": bool(base > 0),
-    }
-
-
-def tau_sweep_vanishing(
-    s: StateVector,
-    p_field: ScalarField,
-    regions: RegionSet,
-    tau_list: list[float],
-) -> dict:
-    """Decay table of the band bounds for an omega-vanishing solution.
-
-    The transition-region integrals are fixed numbers for a fixed solution;
-    the bounds C1/tau^4 + C2/tau^3 (state) and C1/tau^3 + C2/tau^2
-    (pressure) then decay monotonically, which is the vanishing mechanism.
-    """
-    if not tau_list:
-        raise ConfigurationError("tau sweep needs a nonempty tau list")
-    omega = regions.omega
-    scale = max(s.phi.magnitude().max(), s.xi.magnitude().max(),
-                np.abs(p_field.values).max(), 1e-300)
-    on_omega = max(
-        s.phi.magnitude()[omega].max(initial=0.0),
-        s.xi.magnitude()[omega].max(initial=0.0),
-        np.abs(p_field.values)[omega].max(initial=0.0),
-    )
-    if on_omega > 1e-12 * scale:
-        raise CauchyDataError("state does not vanish on omega")
-
-    C1, C2 = _star_integrals(s, p_field, 1.0, regions.omega_star)
-    taus = sorted(float(t) for t in tau_list)
-    rows = [
-        {
-            "tau": t,
-            "bound_state": C1 / t**4 + C2 / t**3,
-            "bound_pressure": C1 / t**3 + C2 / t**2,
-        }
-        for t in taus
-    ]
-    bs = [r["bound_state"] for r in rows]
-    bp = [r["bound_pressure"] for r in rows]
-    return {
-        "C1": C1,
-        "C2": C2,
-        "rows": rows,
-        "monotone_state": all(b2 < b1 for b1, b2 in zip(bs, bs[1:])),
-        "monotone_pressure": all(b2 < b1 for b1, b2 in zip(bp, bp[1:])),
-    }
-
-
-def halving_exponents(sweep: dict) -> tuple[float, float]:
-    """Observed decay exponents between tau and 2*tau rows (lower bounds)."""
-    rows = {r["tau"]: r for r in sweep["rows"]}
-    exps_s, exps_p = [], []
-    for t, r in rows.items():
-        r2 = rows.get(2 * t)
-        if r2 is not None:
-            exps_s.append(np.log2(r["bound_state"] / r2["bound_state"]))
-            exps_p.append(np.log2(r["bound_pressure"] / r2["bound_pressure"]))
-    if not exps_s:
-        raise ConfigurationError("tau list has no tau, 2*tau pairs")
-    return float(min(exps_s)), float(min(exps_p))

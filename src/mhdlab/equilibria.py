@@ -45,9 +45,6 @@ class Equilibrium:
     grad_bound: float = 0.0
     kind: str = "custom"
 
-    def sup_fields(self) -> float:
-        return float(max(self.y_e.magnitude().max(), self.B_e.magnitude().max(), 0.0))
-
 
 def _partials(v: VectorField2) -> list[np.ndarray]:
     """Centered d/dx and d/dy of u1, then of u2."""

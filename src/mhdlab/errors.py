@@ -47,10 +47,6 @@ class AssemblyError(MhdLabError):
     """Operator assembly produced non-finite entries."""
 
 
-class CommutatorSupportError(MhdLabError):
-    """Cutoff commutator leaked outside the transition region."""
-
-
 class CauchyDataError(MhdLabError):
     """Test field does not have vanishing Cauchy data where required."""
 

@@ -11,7 +11,6 @@ stacks [u1; u2], a state stacks [phi; xi].
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -234,27 +233,10 @@ def _apply(grid: Grid, mat: sp.csr_matrix, arr: np.ndarray) -> np.ndarray:
     return (mat @ arr.ravel()).reshape(grid.shape)
 
 
-def gradient(s: ScalarField) -> VectorField2:
-    g = s.grid
-    return VectorField2(g, _apply(g, dx_matrix(g), s.values), _apply(g, dy_matrix(g), s.values))
-
-
 def divergence(v: VectorField2) -> ScalarField:
     g = v.grid
     out = _apply(g, dx_matrix(g), v.u1) + _apply(g, dy_matrix(g), v.u2)
     return ScalarField(g, out)
-
-
-def curl2d(v: VectorField2) -> ScalarField:
-    g = v.grid
-    out = _apply(g, dx_matrix(g), v.u2) - _apply(g, dy_matrix(g), v.u1)
-    return ScalarField(g, out)
-
-
-def rot(s: ScalarField) -> VectorField2:
-    """Perpendicular gradient (d/dy, -d/dx); rot(curl2d(v)) = -lap v + grad div v."""
-    g = s.grid
-    return VectorField2(g, _apply(g, dy_matrix(g), s.values), -_apply(g, dx_matrix(g), s.values))
 
 
 def laplacian(f: ScalarField | VectorField2, order: int = 2):
@@ -307,36 +289,8 @@ def apply_bc(v: VectorField2, tag: BcTag | str) -> VectorField2:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature helpers
+# Inner products
 # ---------------------------------------------------------------------------
-
-def density(f: ScalarField | VectorField2) -> np.ndarray:
-    """Pointwise |f|^2 (summed over components)."""
-    if isinstance(f, VectorField2):
-        return np.abs(f.u1) ** 2 + np.abs(f.u2) ** 2
-    return np.abs(f.values) ** 2
-
-
-def weighted_norm2(
-    f: ScalarField | VectorField2 | StateVector,
-    weight: ScalarField | np.ndarray | float = 1.0,
-    region: np.ndarray | None = None,
-) -> float:
-    """Sum of weight * |f|^2 * cell area over a region (cell mask)."""
-    if isinstance(f, StateVector):
-        return weighted_norm2(f.phi, weight, region) + weighted_norm2(f.xi, weight, region)
-    g = f.grid
-    w = weight.values if isinstance(weight, ScalarField) else np.asarray(weight)
-    integrand = w * density(f)
-    if region is not None:
-        if region.shape != g.shape:
-            raise ShapeError("region mask shape does not match grid")
-        if not region.any():
-            warnings.warn("weighted_norm2 over an empty region", stacklevel=2)
-            return 0.0
-        integrand = integrand[region]
-    return float(np.sum(integrand) * g.cell_area)
-
 
 def inner(a, b) -> complex:
     """Grid L2 inner product, conjugate-linear in the first argument."""

@@ -1,4 +1,5 @@
-"""Nested subdomain decomposition, cutoff function, and Carleman weight.
+"""Nested subdomain decomposition, the cutoff's transition band, and the
+Carleman weight.
 
 The domain splits into four disjoint cell sets: the control patch omega, a
 band Omega1 that surrounds and borders it, a wider transition band OmegaStar
@@ -11,6 +12,8 @@ OmegaStar, exactly 0 on Omega0 and an outer guard layer of OmegaStar, and a
 quintic monotone transition in between.  Guard layers keep every stencil of
 half-width <= the layer size from seeing a non-constant chi outside the
 transition band, which is what confines commutator forcings to OmegaStar.
+The pipeline checks only that the band fits (``transition_band``); the
+cutoff and its commutators are test oracles.
 
 The weight psi is a shifted anchored quadratic |x - a|^2 - r0^2 (optionally
 axis-stretched), so its Hessian is constant and its only critical point is
@@ -28,7 +31,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import GeometryError, ResolutionError, WeightConstructionError
-from .fields import ScalarField
 from .grid import BcKind, Grid
 
 CHI_ONE_LAYER_CELLS = 2   # guard >= max stencil half-width seen by commutators
@@ -213,27 +215,6 @@ def build_nested_regions(
 # Cutoff
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CutoffField:
-    regions: RegionSet
-    values: np.ndarray
-    transition_lo: float  # distance where the quintic starts (chi = 1 before)
-    transition_hi: float  # distance where the quintic ends (chi = 0 after)
-
-    @property
-    def grid(self) -> Grid:
-        return self.regions.grid
-
-    def as_scalar(self) -> ScalarField:
-        return ScalarField(self.grid, self.values)
-
-
-def _quintic(t: np.ndarray) -> np.ndarray:
-    """C^2 monotone step from 1 at t=0 to 0 at t=1."""
-    t = np.clip(t, 0.0, 1.0)
-    return 1.0 - (10 * t**3 - 15 * t**4 + 6 * t**5)
-
-
 def transition_band(regions: RegionSet) -> tuple[float, float]:
     """Distances (lo, hi) from omega over which the cutoff falls from 1 to
     0, inside the guard layers of OmegaStar; raises ResolutionError when the
@@ -248,14 +229,6 @@ def transition_band(regions: RegionSet) -> tuple[float, float]:
             f"need at least {MIN_TRANSITION_CELLS} (widen omega_star or refine)"
         )
     return lo, hi
-
-
-def build_cutoff(regions: RegionSet) -> CutoffField:
-    lo, hi = transition_band(regions)
-    chi = _quintic((regions.dist_to_omega - lo) / (hi - lo))
-    chi[regions.omega | regions.omega1] = 1.0
-    chi[regions.omega0] = 0.0
-    return CutoffField(regions, chi, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +253,6 @@ class WeightField:
     @property
     def grid(self) -> Grid:
         return self.regions.grid
-
-    def as_scalar(self) -> ScalarField:
-        return ScalarField(self.grid, self.psi)
 
 
 def _discrete_hessian_min(psi: np.ndarray, g: Grid, mask: np.ndarray) -> float:

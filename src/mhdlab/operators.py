@@ -1,4 +1,4 @@
-"""Oseen blocks, the coupled generator, pressure recovery, and commutators.
+"""Oseen blocks and the coupled generator and its adjoint.
 
 The generator acts on stacked solenoidal states (phi, xi).  Its ambient form
 is the sparse block matrix
@@ -8,8 +8,8 @@ is the sparse block matrix
 
 and the operator actually analyzed is its restriction to the solenoidal
 basis, which realizes the Helmholtz-projected dynamics exactly (projecting
-either one or both rows coincides on that subspace; the off-subspace
-remainder of the xi row is exposed as a reported leakage diagnostic).
+either one or both rows coincides on that subspace; the tests measure the
+off-subspace remainder of the xi row as a leakage diagnostic).
 
 sigma is an explicit artificial spectral shift used to manufacture unstable
 spectra on demand; it commutes with everything downstream.
@@ -31,27 +31,9 @@ import scipy.sparse.linalg as spla
 
 from .basis import SolenoidalBasis
 from .equilibria import Equilibrium
-from .errors import (
-    AssemblyError,
-    CommutatorSupportError,
-    ConfigurationError,
-    NumericalError,
-    ShapeError,
-)
-from .fields import (
-    ScalarField,
-    StateVector,
-    VectorField2,
-    divergence_matrix,
-    dx_matrix,
-    dy_matrix,
-    gradient_matrix,
-    vector_laplacian_matrix,
-    wide_laplacian_matrix,
-)
-from .geometry import CutoffField
+from .errors import AssemblyError, ConfigurationError, NumericalError
+from .fields import StateVector, VectorField2, dx_matrix, dy_matrix, vector_laplacian_matrix
 from .grid import Grid
-from .projection import _solver
 
 _DENSE_STATE_LIMIT = 4400  # reduced state dimension cap for the dense strategy
 # Fourier modes of a coefficient field, and entries of the reduced matrix,
@@ -242,94 +224,6 @@ class MhdSystem:
             self._cache["reduced"] = (red + self.sigma * sp.identity(red.shape[0])).tocsr()
         return self._cache["reduced"]
 
-    # -- pressure and residuals ----------------------------------------------
-    def pressure_from_state(self, s: StateVector) -> ScalarField:
-        """Solve div(grad p) = -div L1 phi + div L2 xi, zero-mean gauge."""
-        g = self.grid
-        b = self.blocks()
-        D = divergence_matrix(g)
-        adv1 = b["L1"] @ s.phi.ravel()
-        adv2 = b["L2"] @ s.xi.ravel()
-        rhs = -(D @ adv1) + D @ adv2
-        solver = _solver(g)
-        # reference scale keeps the tolerance meaningful when the divergence
-        # of the advective terms is exactly zero (constant-coefficient cases)
-        ref = (np.linalg.norm(adv1) + np.linalg.norm(adv2)) * 2.0 / min(g.hx, g.hy)
-        p, res = solver.solve(rhs, ref)
-        if res > solver.tol and np.linalg.norm(rhs) > 0:
-            raise NumericalError(
-                "pressure Poisson solve did not converge", detail={"residual": res}
-            )
-        return ScalarField(g, p.reshape(g.shape))
-
-    def elliptic_eigenvalue(self, lam_generator: complex) -> complex:
-        """Eigenvalue of the steady (elliptic) form matching a generator mode.
-
-        The semigroup generator and the steady eigenvalue problem state the
-        same balance with opposite sign: a generator pair (lam, Phi) solves
-        the steady system with eigenvalue sigma - lam once the shift is
-        removed.
-        """
-        return self.sigma - lam_generator
-
-    def steady_rows(
-        self, lam: complex, phi: np.ndarray, xi: np.ndarray, p: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both rows of the steady eigen-system at elliptic eigenvalue lam,
-        applied to flat (phi, xi, p)."""
-        b = self.blocks()
-        r_phi = (
-            -self.nu * (b["vlap"] @ phi)
-            + b["L1"] @ phi
-            - b["L2"] @ xi
-            + gradient_matrix(self.grid) @ p
-            - lam * phi
-        )
-        r_xi = (
-            -self.eta * (b["vlap"] @ xi)
-            + b["M1"] @ xi
-            - b["M2"] @ phi
-            - lam * xi
-        )
-        return r_phi, r_xi
-
-    def pde_residual(
-        self, lam_generator: complex, s: StateVector, p: ScalarField | None = None
-    ) -> dict:
-        """Residual of the steady eigen-system rows for a computed pair."""
-        g = self.grid
-        if p is None:
-            p = self.pressure_from_state(s)
-        lam = self.elliptic_eigenvalue(lam_generator)
-        r_phi, r_xi = self.steady_rows(lam, s.phi.ravel(), s.xi.ravel(), p.values.ravel())
-        dA = np.sqrt(g.cell_area)
-        norm = s.norm()
-        res_phi = float(np.linalg.norm(r_phi) * dA)
-        res_xi = float(np.linalg.norm(r_xi) * dA)
-        return {
-            "residual_phi": res_phi,
-            "residual_xi": res_xi,
-            "relative": (res_phi + res_xi) / norm if norm else 0.0,
-            "elliptic_lambda": lam,
-        }
-
-    def xi_row_leakage(self, s: StateVector) -> float:
-        """Norm of the non-solenoidal remainder of the xi row (diagnostic).
-
-        The written equations apply the Helmholtz projection only where the
-        pressure is eliminated; on the discrete solenoidal subspace projecting
-        the xi row too changes nothing, and this reports the size of the
-        off-subspace component that choice discards.
-        """
-        g = self.grid
-        b = self.blocks()
-        rhs = self.eta * (b["vlap"] @ s.xi.ravel()) - b["M1"] @ s.xi.ravel() + b["M2"] @ s.phi.ravel()
-        v = VectorField2.from_flat(g, rhs)
-        coeffs = self.basis.to_coeffs(v)
-        recon = self.basis.to_field(coeffs)
-        diff = v.ravel() - recon.ravel()
-        return float(np.linalg.norm(diff) * np.sqrt(g.cell_area))
-
 
 @dataclass
 class GeneratorOperator:
@@ -390,102 +284,3 @@ def assemble_generator(eq: Equilibrium, shift: float = 0.0) -> GeneratorOperator
 
 def assemble_adjoint(eq: Equilibrium, shift: float = 0.0) -> GeneratorOperator:
     return replace(assemble_generator(eq, shift), adjoint=True)
-
-
-# ---------------------------------------------------------------------------
-# Cutoff commutators
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CommutatorForcing:
-    F_chi: VectorField2
-    G_chi: VectorField2
-    T_chi: ScalarField
-    max_outside_omega_star: float
-    scale: float
-
-
-def _chi_commutator(op: sp.spmatrix, chi_flat: np.ndarray, f_flat: np.ndarray, order: str):
-    """[chi, Op]f = chi*(Op f) - Op(chi*f) for order "chi_first", the reverse
-    for order "op_first"; both appear in the forcing formulas."""
-    if order == "chi_first":
-        return chi_flat * (op @ f_flat) - op @ (chi_flat * f_flat)
-    return op @ (chi_flat * f_flat) - chi_flat * (op @ f_flat)
-
-
-def build_commutators(
-    chi: CutoffField,
-    s: StateVector,
-    p: ScalarField,
-    system: MhdSystem,
-    support_tol: float = 1e-12,
-    check_support: bool = True,
-) -> CommutatorForcing:
-    """Literal operator-ordering differences driving the cutoff system.
-
-    F = nu*[chi,Lap]phi + [L1,chi]phi - [L2,chi]xi + [grad,chi]p
-    G = eta*[chi,Lap]xi + [M1,chi]xi  - [M2,chi]phi
-    T = [Lap_p,chi]p + [divL1,chi]phi - [divL2,chi]xi
-
-    with [chi,A]f = chi(Af) - A(chi f) and [A,chi]f = A(chi f) - chi(Af);
-    Lap_p is the composed pressure Laplacian, and Lap, L1, L2, M1, M2 are the
-    system's cached blocks.  All three vanish identically wherever chi is
-    constant across the stencil, hence inside omega, Omega1, Omega0 and the
-    guard layers; leakage beyond the transition band raises.
-    """
-    g = s.grid
-    if not chi.grid.same_as(g) or not p.grid.same_as(g):
-        raise ShapeError("cutoff, state and pressure must share one grid")
-    nu, eta = system.nu, system.eta
-    chi2 = np.concatenate([chi.values.ravel()] * 2)
-    chi1 = chi.values.ravel()
-
-    b = system.blocks()
-    vlap, L1, L2, M1, M2 = b["vlap"], b["L1"], b["L2"], b["M1"], b["M2"]
-    D = divergence_matrix(g)
-    Grad = gradient_matrix(g)
-    lap_p = wide_laplacian_matrix(g)
-    divL1 = (D @ L1).tocsr()
-    divL2 = (D @ L2).tocsr()
-
-    phi_f, xi_f, p_f = s.phi.ravel(), s.xi.ravel(), p.values.ravel()
-
-    F = (
-        nu * _chi_commutator(vlap, chi2, phi_f, "chi_first")
-        + _chi_commutator(L1, chi2, phi_f, "op_first")
-        - _chi_commutator(L2, chi2, xi_f, "op_first")
-        + (Grad @ (chi1 * p_f) - chi2 * (Grad @ p_f))
-    )
-    G = (
-        eta * _chi_commutator(vlap, chi2, xi_f, "chi_first")
-        + _chi_commutator(M1, chi2, xi_f, "op_first")
-        - _chi_commutator(M2, chi2, phi_f, "op_first")
-    )
-    # div L_i maps vector to scalar: chi acts as chi2 inside, chi1 outside
-    T = (
-        (lap_p @ (chi1 * p_f) - chi1 * (lap_p @ p_f))
-        + (divL1 @ (chi2 * phi_f) - chi1 * (divL1 @ phi_f))
-        - (divL2 @ (chi2 * xi_f) - chi1 * (divL2 @ xi_f))
-    )
-
-    Fv = VectorField2.from_flat(g, F)
-    Gv = VectorField2.from_flat(g, G)
-    Tv = ScalarField(g, T.reshape(g.shape))
-
-    regions = chi.regions
-    outside = ~regions.omega_star
-    out_max = max(
-        float(Fv.magnitude()[outside].max(initial=0.0)),
-        float(Gv.magnitude()[outside].max(initial=0.0)),
-        float(np.abs(Tv.values)[outside].max(initial=0.0)),
-    )
-    scale = max(
-        float(Fv.magnitude().max()), float(Gv.magnitude().max()),
-        float(np.abs(Tv.values).max()), 1e-300,
-    )
-    if check_support and out_max > support_tol * scale:
-        raise CommutatorSupportError(
-            f"commutator forcing leaks outside the transition band "
-            f"({out_max:.2e} vs scale {scale:.2e}); chi guard layers are too thin"
-        )
-    return CommutatorForcing(Fv, Gv, Tv, out_max, scale)

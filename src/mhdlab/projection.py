@@ -139,7 +139,3 @@ def helmholtz_project(v: VectorField2) -> VectorField2:
 def project_state(s: StateVector) -> StateVector:
     return StateVector(helmholtz_project(s.phi), helmholtz_project(s.xi))
 
-
-def divergence_residual(v: VectorField2) -> float:
-    g = v.grid
-    return float(np.max(np.abs(divergence_matrix(g) @ v.ravel())))

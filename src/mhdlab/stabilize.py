@@ -503,26 +503,3 @@ def closed_loop(
         target = 2.0 * (min(gamma, abs(lam_next.real)) if lam_next is not None else gamma)
     return ClosedLoop(design, trace, rate, hw, target)
 
-
-def stable_complement_residual(
-    trace: SimulationTrace, A: GeneratorOperator, proj: UnstableProjection, dt: float
-) -> float:
-    """Discrete variation-of-constants check for the stable complement.
-
-    Recomputes each implicit step restricted to the complement and returns
-    the largest mismatch against the stored trajectory.
-    """
-    if trace.states is None:
-        raise ConfigurationError("trace was not stored with states")
-    lu = A.lu(1.0, -dt)  # backward Euler step I - dt*A
-    worst = 0.0
-    for k in range(len(trace.times) - 1):
-        x = trace.states[k]
-        xnext = trace.states[k + 1]
-        zeta = x - proj.apply(x)
-        zeta_next = xnext - proj.apply(xnext)
-        # control drive enters the complement only through its stable part
-        step_in = trace.states[k + 1] - lu.solve(trace.states[k])
-        pred = lu.solve(zeta) + (step_in - proj.apply(step_in))
-        worst = max(worst, float(np.max(np.abs(pred - zeta_next))))
-    return worst

@@ -5,12 +5,12 @@ from mhdlab import (
     OmegaSpec,
     assemble_adjoint,
     assemble_generator,
-    build_cutoff,
     build_grid,
     build_nested_regions,
     build_weight,
     make_equilibrium,
 )
+from oracles import build_cutoff
 
 L = 2 * np.pi
 

@@ -8,12 +8,8 @@ from mhdlab import (
     ScalarField,
     StateVector,
     VectorField2,
-    assemble_chi_system_residual,
     coefficients,
     compute_spectrum,
-    final_estimate_eval,
-    make_omega_vanishing_state,
-    tau_sweep_vanishing,
 )
 from mhdlab import carleman
 from mhdlab.carleman import (
@@ -23,12 +19,13 @@ from mhdlab.carleman import (
     coefficients,
     draw_test_fields,
     find_tau0,
-    halving_exponents,
     inequality_sweep_stack,
 )
 from mhdlab.errors import CauchyDataError, ConfigurationError
-from mhdlab.fields import gradient, laplacian, weighted_norm2
-from mhdlab.geometry import CutoffField
+from mhdlab.fields import laplacian
+from oracles import CutoffField, assemble_chi_system_residual, gradient, halving_exponents
+from oracles import make_omega_vanishing_state, pde_residual, pressure_from_state
+from oracles import tau_sweep_vanishing, weighted_norm2
 
 
 def tau_grid(regions):
@@ -400,7 +397,7 @@ class TestChiSystem:
         rep = compute_spectrum(gen_shifted32, 6, "shift_invert")
         pair = rep.pairs[0]
         sys = gen_shifted32.system
-        p = sys.pressure_from_state(pair.Phi)
+        p = pressure_from_state(sys, pair.Phi)
         out = assemble_chi_system_residual(sys, pair.lam, pair.Phi, p, chi32)
         assert out["relative"] <= 1e-6
 
@@ -408,10 +405,10 @@ class TestChiSystem:
         rep = compute_spectrum(gen_shifted32, 4, "shift_invert")
         pair = rep.pairs[0]
         sys = gen_shifted32.system
-        p = sys.pressure_from_state(pair.Phi)
+        p = pressure_from_state(sys, pair.Phi)
         ones = CutoffField(regions32, np.ones(regions32.grid.shape), 0.0, 1.0)
         out = assemble_chi_system_residual(sys, pair.lam, pair.Phi, p, ones)
-        bare = sys.pde_residual(pair.lam, pair.Phi, p)
+        bare = pde_residual(sys, pair.lam, pair.Phi, p)
         assert out["residual_phi"] == pytest.approx(bare["residual_phi"], abs=1e-10)
         assert out["residual_xi"] == pytest.approx(bare["residual_xi"], abs=1e-10)
 
@@ -421,46 +418,6 @@ class TestChiSystem:
         p = ScalarField(sys.grid, np.zeros(sys.grid.shape))
         out = assemble_chi_system_residual(sys, 0.5, s, p, chi32)
         assert out["max_norm"] == 0.0
-
-
-class TestFinalEstimate:
-    def test_zero_state_trivial(self, gen_shifted32, chi32, psi32):
-        sys = gen_shifted32.system
-        s = StateVector.zeros(sys.grid)
-        p = ScalarField(sys.grid, np.zeros(sys.grid.shape))
-        out = final_estimate_eval(
-            sys, 0.5, s, p, chi32, psi32, CarlemanParams.for_weight(5.0, psi32)
-        )
-        assert out["lhs_total"] == 0.0
-        assert out["passed"]
-
-    def test_omega_vanishing_state_records_threshold(
-        self, gen_shifted32, chi32, psi32, regions32
-    ):
-        rng = np.random.default_rng(47)
-        s, p = make_omega_vanishing_state(regions32, rng)
-        taus = tau_grid(regions32)[3:]
-        results = [
-            final_estimate_eval(
-                gen_shifted32.system, 0.5, s, p, chi32, psi32,
-                CarlemanParams.for_weight(t, psi32),
-            )
-            for t in taus
-        ]
-        assert all(np.isfinite(r["lhs_total"]) for r in results)
-        assert results[-1]["passed"]  # large tau: band terms beat the LHS
-
-    def test_non_vanishing_state_still_evaluates(self, gen_shifted32, chi32, psi32):
-        rep = compute_spectrum(gen_shifted32, 4, "shift_invert")
-        pair = rep.pairs[0]
-        sys = gen_shifted32.system
-        p = sys.pressure_from_state(pair.Phi)
-        out = final_estimate_eval(
-            sys, pair.lam, pair.Phi, p, chi32, psi32,
-            CarlemanParams.for_weight(8.0, psi32),
-        )
-        assert np.isfinite(out["rhs_total"])
-        assert "constants" in out
 
 
 class TestTauSweep:

@@ -7,14 +7,11 @@ from mhdlab import (
     VectorField2,
     apply_bc,
     build_grid,
-    curl2d,
     divergence,
-    gradient,
     laplacian,
-    rot,
-    weighted_norm2,
 )
 from mhdlab.errors import ShapeError
+from oracles import curl2d, gradient, rot, weighted_norm2
 
 L = 2 * np.pi
 

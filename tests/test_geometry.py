@@ -4,7 +4,6 @@ import pytest
 from mhdlab import (
     GeometryCase,
     OmegaSpec,
-    build_cutoff,
     build_grid,
     build_nested_regions,
     build_weight,
@@ -16,6 +15,7 @@ from mhdlab.errors import (
     WeightConstructionError,
 )
 from mhdlab.geometry import RegionSet, _distance_to
+from oracles import build_cutoff
 
 L = 2 * np.pi
 

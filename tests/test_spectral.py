@@ -452,7 +452,8 @@ class TestDerivedAdjoint:
 
 def _synthetic_pair(grid, lam, seed):
     rng = np.random.default_rng(seed)
-    from mhdlab import ScalarField, rot
+    from mhdlab import ScalarField
+    from oracles import rot
 
     phi = rot(ScalarField(grid, rng.normal(size=grid.shape)))
     xi = rot(ScalarField(grid, rng.normal(size=grid.shape)))
