@@ -444,6 +444,26 @@ class TestTauSweep:
         assert sweep2["C1"] == sweep["C1"]
         assert sweep2["C2"] == sweep["C2"]
 
+    def test_halving_holds_for_any_nonnegative_integrals(self, regions32, monkeypatch):
+        # criterion 9 holds by construction: whatever C1, C2 >= 0 the
+        # transition band gives, doubling tau divides C1/tau^4 + C2/tau^3 by
+        # a factor in [8, 16] and C1/tau^3 + C2/tau^2 by one in [4, 8]
+        import oracles
+
+        g = regions32.grid
+        s = StateVector.zeros(g)
+        p = ScalarField(g, np.zeros(g.shape))
+        rng = np.random.default_rng(49)
+        pairs = [(1.0, 0.0), (0.0, 1.0), (1.0, 1e-8), (1e-8, 1.0)]
+        pairs += [tuple(10.0 ** rng.uniform(-6, 6, size=2)) for _ in range(20)]
+        for C1, C2 in pairs:
+            monkeypatch.setattr(oracles, "_star_integrals", lambda *a, c=(C1, C2): c)
+            sweep = tau_sweep_vanishing(s, p, regions32, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+            assert sweep["monotone_state"] and sweep["monotone_pressure"]
+            es, ep = halving_exponents(sweep)
+            assert 3.0 - 1e-12 <= es <= 4.0 + 1e-12
+            assert 2.0 - 1e-12 <= ep <= 3.0 + 1e-12
+
     def test_precondition_on_omega(self, regions32):
         g = regions32.grid
         ones = np.ones(g.shape)

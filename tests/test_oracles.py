@@ -1,0 +1,62 @@
+"""The package holds the pipeline and the oracles live in tests/oracles.py:
+each moved name is defined there only, and no pipeline or benchmark module
+imports the oracles."""
+
+import importlib
+from pathlib import Path
+
+import mhdlab
+import oracles
+from mhdlab.basis import SolenoidalBasis
+from mhdlab.equilibria import Equilibrium
+from mhdlab.geometry import WeightField
+from mhdlab.operators import MhdSystem
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# module of the package -> names that moved to the oracles
+MOVED = {
+    "operators": ["CommutatorForcing", "_chi_commutator", "build_commutators"],
+    "errors": ["CommutatorSupportError"],
+    "geometry": ["CutoffField", "build_cutoff"],
+    "carleman": ["assemble_chi_system_residual", "make_omega_vanishing_state",
+                 "tau_sweep_vanishing", "halving_exponents", "_star_integrals",
+                 "_grad_energy"],
+    "fields": ["gradient", "curl2d", "rot", "weighted_norm2"],
+    "projection": ["divergence_residual"],
+    "stabilize": ["stable_complement_residual"],
+}
+MOVED_METHODS = ["pressure_from_state", "steady_rows", "pde_residual", "xi_row_leakage"]
+
+
+def test_moved_names_live_in_the_oracles_only():
+    for module, names in MOVED.items():
+        mod = importlib.import_module(f"mhdlab.{module}")
+        for name in names:
+            assert hasattr(oracles, name), name
+            assert not hasattr(mod, name), f"mhdlab.{module}.{name}"
+            assert not hasattr(mhdlab, name), f"mhdlab.{name}"
+    for name in MOVED_METHODS + ["elliptic_eigenvalue"]:
+        assert not hasattr(MhdSystem, name), name
+        if name in MOVED_METHODS:
+            assert callable(getattr(oracles, name))
+    # deleted with no replacement, or built for no stage
+    assert not hasattr(importlib.import_module("mhdlab.carleman"), "final_estimate_eval")
+    assert not hasattr(Equilibrium, "sup_fields")
+    assert not hasattr(WeightField, "as_scalar")
+    assert not hasattr(SolenoidalBasis, "diffusion_symbol")
+
+
+def test_basis_builds_no_laplacian_symbols(box16):
+    b = SolenoidalBasis.for_grid(box16)
+    for name in ("pair_sym2", "pair_sym4", "spec_sym2", "spec_sym4"):
+        assert not hasattr(b, name), name
+
+
+def test_no_pipeline_or_benchmark_module_imports_the_oracles():
+    sources = list((ROOT / "src" / "mhdlab").glob("*.py"))
+    sources += list((ROOT / "perfbench").glob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text()
+        assert "import oracles" not in text and "from oracles" not in text, path
