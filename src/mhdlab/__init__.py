@@ -42,6 +42,7 @@ from .spectral import (
     adjoint_eigenpairs,
     compute_spectrum,
     kalman_rank,
+    omega_fields,
     select_actuators,
     ucp_gram_test,
 )

@@ -11,7 +11,9 @@ with a status that encodes the failure class:
 The stages of one invocation share one ``Run``, so ``all`` builds the grid,
 equilibrium and regions once (in validation), solves the forward spectrum
 once and derives the adjoint eigenfunctions of its unstable clusters from it
-once.  A command that runs the carleman stage checks the width of the
+once.  Each unstable adjoint cluster is synthesized on omega once, and its
+omega-Gram computed once, for the UCP report and the actuators alike.  A
+command that runs the carleman stage checks the width of the
 cutoff's transition band before the first stage writes anything.  The
 computing is the library's: a stage reads what the Run holds, calls the
 library (``stabilize`` gates on the Kalman reports and runs
@@ -43,17 +45,18 @@ from .errors import (
     NumericalError,
     UncontrollableError,
 )
-from .fields import StateVector
 from .geometry import build_weight, transition_band
 from .operators import GeneratorOperator, MhdSystem
 from .reports import write_summary, write_table
 from .spectral import (
     EigenPair,
+    GramMatrix,
     KalmanMatrix,
     SpectrumReport,
     adjoint_eigenpairs,
     compute_spectrum,
     kalman_rank,
+    omega_fields,
     select_actuators,
     ucp_gram_test,
 )
@@ -77,8 +80,9 @@ class Run:
     One MhdSystem backs both the forward and the adjoint generator, so the
     ambient blocks are assembled once.  The forward spectrum is solved once
     and the adjoint eigenpairs are derived from it once, no matter how many
-    stages read them; the same holds for the actuators and the Kalman
-    reports that ``ucp`` and ``stabilize`` both need.  Stages treat
+    stages read them; the same holds for the clusters' omega fields and
+    omega-Gram reports, the actuators and the Kalman reports that ``ucp``
+    and ``stabilize`` both need.  Stages treat
     everything here as read-only.  The grid, equilibrium and regions are
     the ones ``RunConfig.validate`` builds when the Run is made.
     """
@@ -115,12 +119,28 @@ class Run:
         return self.adjoint_spectrum.unstable_clusters()
 
     @cached_property
-    def actuators(self) -> list[StateVector]:
-        return select_actuators(self.clusters, self.regions.omega, self.adjoint_spectrum.K)
+    def cluster_fields(self) -> list[np.ndarray]:
+        """Each cluster's eigenfunctions restricted to omega, one array each."""
+        return [omega_fields(self.adjoint, cl, self.regions.omega) for cl in self.clusters]
+
+    @cached_property
+    def grams(self) -> list[GramMatrix]:
+        return [ucp_gram_test(F, self.grid.cell_area) for F in self.cluster_fields]
+
+    @cached_property
+    def actuators(self) -> np.ndarray:
+        """The actuators, once every cluster's omega-Gram has passed."""
+        for cl, gm in zip(self.clusters, self.grams):
+            if not gm.passed:
+                raise UncontrollableError(
+                    f"omega-Gram of cluster at {cl[0].lam:.4g} is numerically singular; "
+                    "cannot build independent actuators"
+                )
+        return select_actuators(self.cluster_fields, self.grid.cell_area, self.adjoint_spectrum.K)
 
     @cached_property
     def kalman(self) -> list[KalmanMatrix]:
-        return kalman_rank(self.actuators, self.clusters, self.regions.omega)
+        return kalman_rank(self.actuators, self.cluster_fields, self.grid.cell_area)
 
 
 def run_spectrum(run: Run, outdir: Path) -> dict:
@@ -155,13 +175,12 @@ def run_ucp(run: Run, outdir: Path) -> dict:
     cfg, arep = run.cfg, run.adjoint_spectrum
     rows, cluster_summaries = [], []
     all_gram = True
-    for ci, cl in enumerate(run.clusters):
-        gm = ucp_gram_test(cl, run.regions.omega)
+    for ci, (cl, gm) in enumerate(zip(run.clusters, run.grams)):
         all_gram &= gm.passed
         cluster_summaries.append(
             {
                 "cluster": ci,
-                "lambda": {"re": gm.lam.real, "im": gm.lam.imag},
+                "lambda": {"re": cl[0].lam.real, "im": cl[0].lam.imag},
                 "ell": len(cl),
                 "sigma_min": gm.sigma_min,
                 "gram_passed": gm.passed,

@@ -58,9 +58,6 @@ class VectorField2:
         if self.u1.shape != self.grid.shape or self.u2.shape != self.grid.shape:
             raise ShapeError("vector component shape does not match grid")
 
-    def copy(self) -> "VectorField2":
-        return VectorField2(self.grid, self.u1.copy(), self.u2.copy(), self.bc_tag)
-
     def ravel(self) -> np.ndarray:
         return np.concatenate([self.u1.ravel(), self.u2.ravel()])
 
@@ -94,23 +91,12 @@ class StateVector:
     def grid(self) -> Grid:
         return self.phi.grid
 
-    def ravel(self) -> np.ndarray:
-        return np.concatenate([self.phi.ravel(), self.xi.ravel()])
-
-    @classmethod
-    def from_flat(cls, grid: Grid, flat: np.ndarray):
-        m = 2 * grid.ncells
-        return cls(VectorField2.from_flat(grid, flat[:m]), VectorField2.from_flat(grid, flat[m:]))
-
     @classmethod
     def zeros(cls, grid: Grid, dtype=float):
         return cls(VectorField2.zeros(grid, dtype), VectorField2.zeros(grid, dtype))
 
     def norm(self) -> float:
         return float(np.sqrt(self.phi.norm() ** 2 + self.xi.norm() ** 2))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.phi.copy(), self.xi.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +287,8 @@ def inner(a, b) -> complex:
     return complex(np.vdot(av, bv) * g.cell_area)
 
 
-def restrict(v: VectorField2 | StateVector, region: np.ndarray):
+def restrict(v: VectorField2, region: np.ndarray) -> VectorField2:
     """Zero the field outside a cell mask (indicator multiplication)."""
-    if isinstance(v, StateVector):
-        return StateVector(restrict(v.phi, region), restrict(v.xi, region))
     m = region.astype(v.u1.dtype if np.iscomplexobj(v.u1) else float)
     return VectorField2(v.grid, v.u1 * m, v.u2 * m, v.bc_tag)
 

@@ -22,7 +22,9 @@ The continuation test itself is algebraic: a cluster's adjoint eigenfunctions
 restricted to the control patch omega must stay linearly independent (their
 omega-Gram matrix must be far from singular), and actuators built from those
 restrictions must give a full-rank pairing matrix per cluster, which is the
-finite-dimensional controllability condition.
+finite-dimensional controllability condition.  The three certificates read
+one array per cluster, its eigenfunctions synthesized at once and restricted
+to omega (``omega_fields``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericalError, UncontrollableError
-from .fields import StateVector, VectorField2, inner, restrict
 from .operators import GeneratorOperator
 
 RESIDUAL_BOUND = 1e-8
@@ -53,9 +54,8 @@ _LARTG = sla.get_lapack_funcs("lartg", dtype=complex)
 @dataclass
 class EigenPair:
     lam: complex
-    Phi: StateVector
     residual: float
-    coeffs: np.ndarray = field(repr=False, default=None)
+    coeffs: np.ndarray = field(repr=False)
 
     @property
     def unstable(self) -> bool:
@@ -278,7 +278,7 @@ def _report(
             )
         if np.max(np.abs(c.imag)) < 1e-12 * np.max(np.abs(c.real), initial=1e-300):
             c = c.real.astype(float)
-        pairs.append(EigenPair(complex(lam), A.to_state(c), res, c))
+        pairs.append(EigenPair(complex(lam), res, c))
 
     # unstable pairs come first, so clusters are numbered from the most
     # unstable downward and the unstable ones occupy ids 0..M-1
@@ -346,7 +346,6 @@ def adjoint_eigenpairs(A_adj: GeneratorOperator, forward: SpectrumReport) -> Spe
 
 @dataclass
 class GramMatrix:
-    lam: complex
     entries: np.ndarray
     sigma_min: float
     threshold: float
@@ -355,7 +354,6 @@ class GramMatrix:
 
 @dataclass
 class KalmanMatrix:
-    lam: complex
     entries: np.ndarray
     singular_values: np.ndarray
     rank: int
@@ -364,30 +362,37 @@ class KalmanMatrix:
     threshold: float
 
 
-def _omega_inner(a: StateVector, b: StateVector, omega: np.ndarray) -> complex:
-    ra, rb = restrict(a.phi, omega), restrict(b.phi, omega)
-    xa, xb = restrict(a.xi, omega), restrict(b.xi, omega)
-    return inner(ra, rb) + inner(xa, xb)
+def omega_fields(A: GeneratorOperator, pairs: list[EigenPair], omega: np.ndarray) -> np.ndarray:
+    """The eigenfunctions of one cluster times the indicator of omega, as one
+    (ell, 2, 2, nx, ny) array: pair, [phi, xi], component, grid.
+
+    One stacked synthesis serves the whole cluster.  It is real when every
+    coefficient vector is, and complex otherwise; a cluster whose vectors are
+    all real or all complex gets each pair's ``A.to_state`` field bit for bit.
+    """
+    C = np.stack([p.coeffs for p in pairs])
+    return A.system.basis.synthesize(C.reshape(len(pairs), 2, -1)) * omega
 
 
-def ucp_gram_test(cluster_pairs: list[EigenPair], omega: np.ndarray) -> GramMatrix:
-    """Gram matrix of one cluster's eigenfunctions restricted to omega.
+def _inner(a: np.ndarray, b: np.ndarray, cell_area: float) -> complex:
+    """Grid L2 product of two (2, 2, nx, ny) states, conjugate-linear in a:
+    the phi part, then the xi part."""
+    return complex(np.vdot(a[0], b[0]) * cell_area + np.vdot(a[1], b[1]) * cell_area)
+
+
+def ucp_gram_test(fields: np.ndarray, cell_area: float) -> GramMatrix:
+    """Gram matrix of one cluster's eigenfunctions restricted to omega, given
+    as the cluster's ``omega_fields``.
 
     A nearly singular Gram means some combination of eigenfunctions almost
     vanishes on omega, i.e. numerical failure of unique continuation; the
     test passes when the smallest singular value is at least GRAM_THRESHOLD.
     """
-    if not cluster_pairs:
+    if len(fields) == 0:
         raise ConfigurationError("ucp_gram_test needs at least one eigenpair")
-    ell = len(cluster_pairs)
-    G = np.empty((ell, ell), dtype=complex)
-    for a in range(ell):
-        for b in range(ell):
-            G[a, b] = _omega_inner(cluster_pairs[a].Phi, cluster_pairs[b].Phi, omega)
-    svals = sla.svdvals(G)
-    sigma_min = float(svals[-1]) if svals.size else 0.0
+    G = np.array([[_inner(a, b, cell_area) for b in fields] for a in fields])
+    sigma_min = float(sla.svdvals(G)[-1])
     return GramMatrix(
-        lam=cluster_pairs[0].lam,
         entries=G,
         sigma_min=sigma_min,
         threshold=GRAM_THRESHOLD,
@@ -396,85 +401,48 @@ def ucp_gram_test(cluster_pairs: list[EigenPair], omega: np.ndarray) -> GramMatr
 
 
 def select_actuators(
-    unstable_clusters: list[list[EigenPair]],
-    omega: np.ndarray,
-    K: int | None = None,
-) -> list[StateVector]:
-    """Build K = max ell localized control fields, one per in-cluster index.
+    cluster_fields: list[np.ndarray], cell_area: float, K: int | None = None
+) -> np.ndarray:
+    """K = max ell localized control fields, one per in-cluster index, as one
+    real (K, 2, 2, nx, ny) array.
 
-    Requires every cluster's Gram test to pass.  Actuator j is the sum over
-    clusters of the real part of that cluster's j-th adjoint eigenfunction,
-    restricted to omega, so each cluster of multiplicity ell is reached by ell
-    actuators whatever the other clusters hold: the K = max ell construction
-    of Barbu-Triggiani and Badra-Takahashi.  The K sums are orthonormalized
-    on omega in order; each returned field is real and exactly zero outside
+    ``cluster_fields`` holds the ``omega_fields`` of every unstable cluster,
+    each of which has passed its ``ucp_gram_test``.  Actuator j is the sum
+    over clusters of the real part of that cluster's j-th adjoint
+    eigenfunction on omega, so each cluster of multiplicity ell is reached by
+    ell actuators whatever the other clusters hold: the K = max ell
+    construction of Barbu-Triggiani and Badra-Takahashi.  The K sums are
+    orthonormalized on omega in order; each actuator is exactly zero outside
     omega.  Asking for fewer than max ell actuators leaves the larger
     clusters uncontrolled, which ``kalman_rank`` reports.
     """
-    if not unstable_clusters or all(not c for c in unstable_clusters):
-        return []
-    for cl in unstable_clusters:
-        if cl and not ucp_gram_test(cl, omega).passed:
-            raise UncontrollableError(
-                f"omega-Gram of cluster at {cl[0].lam:.4g} is numerically singular; "
-                "cannot build independent actuators"
-            )
-    max_ell = max(len(c) for c in unstable_clusters)
+    max_ell = max((len(F) for F in cluster_fields), default=0)
     if K is None:
         K = max_ell
     if K > max_ell:
         raise ConfigurationError(
             f"{K} actuators requested; the per-cluster sums give at most {max_ell}"
         )
-
-    actuators: list[StateVector] = []
+    actuators = []
     for j in range(K):
-        terms = [
-            restrict(_real_part(c[j].Phi), omega) for c in unstable_clusters if len(c) > j
-        ]
-        v = terms[0]
-        for t in terms[1:]:
-            v = _axpy_state(v, t, 1.0)
+        v = sum(np.real(F[j]) for F in cluster_fields if len(F) > j)
         for u in actuators:
-            v = _axpy_state(v, u, -_omega_inner(u, v, omega).real)
-        nrm = np.sqrt(abs(_omega_inner(v, v, omega)))
+            v = v - _inner(u, v, cell_area).real * u
+        nrm = np.sqrt(abs(_inner(v, v, cell_area)))
         if nrm <= 1e-8:
             raise UncontrollableError(
                 f"actuator {j}, the sum of each cluster's eigenfunction {j} on omega, "
                 "lies in the span of the previous actuators"
             )
-        actuators.append(_scale_state(v, 1.0 / nrm))
-    return actuators
-
-
-def _real_part(st: StateVector) -> StateVector:
-    phi, xi = st.phi, st.xi
-    return StateVector(
-        VectorField2(phi.grid, np.real(phi.u1), np.real(phi.u2), phi.bc_tag),
-        VectorField2(xi.grid, np.real(xi.u1), np.real(xi.u2), xi.bc_tag),
-    )
-
-
-def _axpy_state(v: StateVector, u: StateVector, a) -> StateVector:
-    return StateVector(
-        VectorField2(v.grid, v.phi.u1 + a * u.phi.u1, v.phi.u2 + a * u.phi.u2),
-        VectorField2(v.grid, v.xi.u1 + a * u.xi.u1, v.xi.u2 + a * u.xi.u2),
-    )
-
-
-def _scale_state(v: StateVector, a) -> StateVector:
-    return StateVector(
-        VectorField2(v.grid, a * v.phi.u1, a * v.phi.u2),
-        VectorField2(v.grid, a * v.xi.u1, a * v.xi.u2),
-    )
+        actuators.append((1.0 / nrm) * v)
+    return np.array(actuators)
 
 
 def kalman_rank(
-    actuators: list[StateVector],
-    unstable_clusters: list[list[EigenPair]],
-    omega: np.ndarray,
+    actuators: np.ndarray, cluster_fields: list[np.ndarray], cell_area: float
 ) -> list[KalmanMatrix]:
-    """Per-cluster pairing matrices (u_j, Phi*_ia) over omega and their ranks.
+    """Per-cluster pairing matrices (u_j, Phi*_ia) over omega and their ranks,
+    for each cluster's ``omega_fields``.
 
     The condition holds when each cluster's matrix has rank equal to its
     geometric multiplicity.  A singular value counts toward the rank when it
@@ -484,24 +452,18 @@ def kalman_rank(
     cluster (all singular values at rounding level) from passing on a purely
     relative test.
     """
-    u_scale = max((restrict(u, omega).norm() for u in actuators), default=0.0)
+    u_scale = max((np.sqrt(_inner(u, u, cell_area).real) for u in actuators), default=0.0)
     out = []
-    for cl in unstable_clusters:
-        if not cl:
-            continue
-        ell = len(cl)
-        M = np.empty((ell, len(actuators)), dtype=complex)
-        for a, p in enumerate(cl):
-            for j, u in enumerate(actuators):
-                M[a, j] = _omega_inner(u, p.Phi, omega)
-        svals = sla.svdvals(M) if actuators else np.zeros(0)
+    for F in cluster_fields:
+        ell = len(F)
+        M = np.array([[_inner(u, f, cell_area) for u in actuators] for f in F], dtype=complex)
+        svals = sla.svdvals(M) if M.size else np.zeros(0)
         smax = svals[0] if svals.size else 0.0
-        floor = u_scale * max(restrict(p.Phi, omega).norm() for p in cl)
+        floor = u_scale * max(np.sqrt(_inner(f, f, cell_area).real) for f in F)
         threshold = RANK_RTOL * max(smax, floor)
         rank = int(np.sum(svals > threshold))
         out.append(
             KalmanMatrix(
-                lam=cl[0].lam,
                 entries=M,
                 singular_values=svals,
                 rank=rank,

@@ -25,7 +25,8 @@ from .errors import (
     ProjectionConditionError,
     UncontrollableError,
 )
-from .fields import StateVector, restrict
+from .fields import StateVector, VectorField2, restrict
+from .grid import Grid
 from .operators import GeneratorOperator
 from .projection import project_state
 from .spectral import CLUSTER_RTOL, EigenPair, SpectrumReport
@@ -284,7 +285,7 @@ def design_feedback(
     A: GeneratorOperator,
     forward_pairs: list[EigenPair],
     adjoint_pairs: list[EigenPair],
-    actuators: list[StateVector],
+    actuators: np.ndarray,
     m_mask: np.ndarray,
     gamma: float | None,
 ) -> FeedbackDesign:
@@ -296,7 +297,7 @@ def design_feedback(
     reduced coordinates and leakage are kept for the closed loop.
     """
     proj = project_unstable(forward_pairs, adjoint_pairs)
-    fields = control_fields(actuators, m_mask)
+    fields = control_fields(A.system.grid, actuators, m_mask)
     drive = np.zeros((A.dim, len(fields)))
     input_map = np.zeros((proj.N, len(fields)))
     leakage = []
@@ -327,18 +328,17 @@ class SimulationTrace:
             raise ConfigurationError("trace energies must be nonnegative")
 
 
-def control_fields(
-    actuators: list[StateVector], m_mask: np.ndarray
-) -> list[StateVector]:
-    """Applied spatial profiles: indicator times projected actuator.
+def control_fields(grid: Grid, actuators: np.ndarray, m_mask: np.ndarray) -> list[StateVector]:
+    """Applied spatial profiles of the (K, 2, 2, nx, ny) actuator array:
+    indicator times projected actuator.
 
     Projection first (it spreads support), localization last, so the applied
     field is exactly zero outside omega; the discarded non-solenoidal part
     shows up as reported leakage of the reduced drive.
     """
     out = []
-    for u in actuators:
-        pu = project_state(u)
+    for phi, xi in actuators:
+        pu = project_state(StateVector(VectorField2(grid, *phi), VectorField2(grid, *xi)))
         out.append(StateVector(restrict(pu.phi, m_mask), restrict(pu.xi, m_mask)))
     return out
 
@@ -467,7 +467,7 @@ def closed_loop(
     A: GeneratorOperator,
     forward: SpectrumReport,
     adjoint: SpectrumReport,
-    actuators: list[StateVector],
+    actuators: np.ndarray,
     m_mask: np.ndarray,
     gamma: float | None,
     T: float,

@@ -25,13 +25,13 @@ from mhdlab import (
     helmholtz_project,
     kalman_rank,
     make_equilibrium,
+    omega_fields,
     oseen_plus,
     select_actuators,
     ucp_gram_test,
 )
 from mhdlab.carleman import draw_test_fields, find_tau0, inequality_sweep_stack
 from mhdlab.fields import divergence_matrix, dx_matrix, dy_matrix, wide_laplacian_matrix
-from mhdlab.spectral import EigenPair
 from oracles import build_commutators, divergence_residual, gradient, halving_exponents
 from oracles import make_omega_vanishing_state, pde_residual, pressure_from_state, rot
 from oracles import tau_sweep_vanishing
@@ -82,12 +82,13 @@ def test_criterion_2_eigenproblem_residual(ground_truth_spectra, gen_shifted32):
             break
         sys = A.system
         for pair in rep.pairs:
-            worst = max(worst, pde_residual(sys, pair.lam, pair.Phi)["relative"])
+            worst = max(worst, pde_residual(sys, pair.lam, A.to_state(pair.coeffs))["relative"])
             checked += 1
     rep_shift = compute_spectrum(gen_shifted32, 16, "shift_invert")
     sys = gen_shifted32.system
     for pair in rep_shift.pairs:
-        worst = max(worst, pde_residual(sys, pair.lam, pair.Phi)["relative"])
+        state = gen_shifted32.to_state(pair.coeffs)
+        worst = max(worst, pde_residual(sys, pair.lam, state)["relative"])
         checked += 1
     ok = worst <= 1e-6
     _report(2, ok, f"{checked} eigenpairs, max steady-form residual {worst:.2e} (<=1e-6)")
@@ -118,25 +119,23 @@ def test_criterion_3_helmholtz(box32):
     )
 
 
-def test_criterion_4_ucp_kalman(adj_spectrum_shifted32, regions32):
-    omega = regions32.omega
-    clusters = adj_spectrum_shifted32.unstable_clusters()
+def test_criterion_4_ucp_kalman(adj_shifted32, adj_spectrum_shifted32, regions32):
+    omega, dA = regions32.omega, regions32.grid.cell_area
+    clusters = [
+        omega_fields(adj_shifted32, cl, omega) for cl in adj_spectrum_shifted32.unstable_clusters()
+    ]
     sigma_mins = []
-    for cl in clusters:
-        gm = ucp_gram_test(cl, omega)
+    for F in clusters:
+        gm = ucp_gram_test(F, dA)
         sigma_mins.append(gm.sigma_min)
-    actuators = select_actuators(clusters, omega)
-    ranks_ok = all(k.passed for k in kalman_rank(actuators, clusters, omega))
+    actuators = select_actuators(clusters, dA)
+    ranks_ok = all(k.passed for k in kalman_rank(actuators, clusters, dA))
 
-    # synthetic omega-degenerate fixture must fail
-    cl = clusters[0]
-    a, b = cl[0], cl[1]
-    phi, xi = b.Phi.phi.copy(), b.Phi.xi.copy()
-    for src, dst in ((a.Phi.phi, phi), (a.Phi.xi, xi)):
-        dst.u1[omega] = src.u1[omega]
-        dst.u2[omega] = src.u2[omega]
-    degenerate = [a, EigenPair(b.lam, StateVector(phi, xi), b.residual, b.coeffs)]
-    gm_deg = ucp_gram_test(degenerate, omega)
+    # synthetic omega-degenerate fixture must fail: the second eigenfunction
+    # takes the first one's values on omega
+    degenerate = clusters[0][:2].copy()
+    degenerate[1][..., omega] = degenerate[0][..., omega]
+    gm_deg = ucp_gram_test(degenerate, dA)
     ok = (
         min(sigma_mins) > 1e-6
         and ranks_ok
@@ -222,8 +221,9 @@ def test_criterion_7_commutator_support(box32, regions32, chi32, gen_shifted32):
     rep = compute_spectrum(gen_shifted32, 4, "shift_invert")
     pair = rep.pairs[0]
     sys = gen_shifted32.system
-    p = pressure_from_state(sys, pair.Phi)
-    f = build_commutators(chi32, pair.Phi, p, sys)
+    state = gen_shifted32.to_state(pair.coeffs)
+    p = pressure_from_state(sys, state)
+    f = build_commutators(chi32, state, p, sys)
     worst = max(worst, f.max_outside_omega_star / f.scale)
     ok = worst <= 1e-12
     _report(7, ok, f"max |F|,|G|,|T| outside the transition band {worst:.2e} x scale (<=1e-12)")
@@ -299,9 +299,9 @@ def test_criterion_10_closed_loop():
         omega_star_width=0.08 * L,
     )
     omega = regions.omega
-    clusters = arep.unstable_clusters()
-    actuators = select_actuators(clusters, omega)
-    assert all(k.passed for k in kalman_rank(actuators, clusters, omega))
+    clusters = [omega_fields(Aadj, cl, omega) for cl in arep.unstable_clusters()]
+    actuators = select_actuators(clusters, grid.cell_area)
+    assert all(k.passed for k in kalman_rank(actuators, clusters, grid.cell_area))
 
     def experiment(g, T):
         # one seed, so the open and the closed loop start from the same state

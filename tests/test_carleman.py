@@ -397,18 +397,20 @@ class TestChiSystem:
         rep = compute_spectrum(gen_shifted32, 6, "shift_invert")
         pair = rep.pairs[0]
         sys = gen_shifted32.system
-        p = pressure_from_state(sys, pair.Phi)
-        out = assemble_chi_system_residual(sys, pair.lam, pair.Phi, p, chi32)
+        state = gen_shifted32.to_state(pair.coeffs)
+        p = pressure_from_state(sys, state)
+        out = assemble_chi_system_residual(sys, pair.lam, state, p, chi32)
         assert out["relative"] <= 1e-6
 
     def test_unit_cutoff_reduces_to_bare_residual(self, gen_shifted32, regions32):
         rep = compute_spectrum(gen_shifted32, 4, "shift_invert")
         pair = rep.pairs[0]
         sys = gen_shifted32.system
-        p = pressure_from_state(sys, pair.Phi)
+        state = gen_shifted32.to_state(pair.coeffs)
+        p = pressure_from_state(sys, state)
         ones = CutoffField(regions32, np.ones(regions32.grid.shape), 0.0, 1.0)
-        out = assemble_chi_system_residual(sys, pair.lam, pair.Phi, p, ones)
-        bare = pde_residual(sys, pair.lam, pair.Phi, p)
+        out = assemble_chi_system_residual(sys, pair.lam, state, p, ones)
+        bare = pde_residual(sys, pair.lam, state, p)
         assert out["residual_phi"] == pytest.approx(bare["residual_phi"], abs=1e-10)
         assert out["residual_xi"] == pytest.approx(bare["residual_xi"], abs=1e-10)
 

@@ -557,14 +557,7 @@ STAGES = ("spectrum", "ucp", "carleman", "stabilize")
 
 
 def _snapshot(rep):
-    return [
-        (
-            p.lam,
-            p.residual,
-            [a.copy() for a in (p.coeffs, p.Phi.phi.u1, p.Phi.phi.u2, p.Phi.xi.u1, p.Phi.xi.u2)],
-        )
-        for p in rep.pairs
-    ]
+    return [(p.lam, p.residual, [p.coeffs.copy()]) for p in rep.pairs]
 
 
 def _assert_same(rep, snap):
@@ -631,6 +624,25 @@ class TestSharedRun:
         code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == EXIT_OK
         assert counts == {"select_actuators": calls, "kalman_rank": calls}
+
+    def test_all_computes_each_cluster_gram_once(self, tmp_path, monkeypatch):
+        # the UCP report and the actuators' guard read the same Gram reports
+        calls = []
+        gram = mhdlab.spectral.ucp_gram_test
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gram(*args, **kwargs)
+
+        monkeypatch.setattr(mhdlab.cli, "ucp_gram_test", counted)
+        monkeypatch.setattr(mhdlab.spectral, "ucp_gram_test", counted)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(SHARED_CFG))
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+        M = json.loads((out / "ucp_summary.json").read_text())["M"]
+        assert M > 0
+        assert len(calls) == M
 
     def test_all_matches_stages_run_separately(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

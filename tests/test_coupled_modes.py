@@ -28,10 +28,10 @@ from mhdlab import (
     design_feedback,
     kalman_rank,
     make_equilibrium,
+    omega_fields,
     select_actuators,
     ucp_gram_test,
 )
-from mhdlab.fields import StateVector, restrict
 from mhdlab.spectral import EigenPair
 from mhdlab.stabilize import control_fields
 from oracles import pde_residual, xi_row_leakage
@@ -94,9 +94,10 @@ def test_uniform_field_pressure_and_residual_exact(box16):
     rep = compute_spectrum(A, 8, "dense")
     sys = A.system
     for pair in rep.pairs[:8]:
-        out = pde_residual(sys, pair.lam, pair.Phi)
+        state = A.to_state(pair.coeffs)
+        out = pde_residual(sys, pair.lam, state)
         assert out["relative"] < 1e-9
-        assert xi_row_leakage(sys, pair.Phi) < 1e-10
+        assert xi_row_leakage(sys, state) < 1e-10
 
 
 def test_uniform_field_complex_cluster_structure():
@@ -129,12 +130,12 @@ def test_uniform_field_closed_loop():
         omega1_width=0.06 * L,
         omega_star_width=0.12 * L,
     )
-    omega = regions.omega
-    clusters = arep.unstable_clusters()
-    for cl in clusters:
-        assert ucp_gram_test(cl, omega).passed
-    actuators = select_actuators(clusters, omega)
-    assert all(k.passed for k in kalman_rank(actuators, clusters, omega))
+    omega, dA = regions.omega, grid.cell_area
+    clusters = [omega_fields(Aadj, cl, omega) for cl in arep.unstable_clusters()]
+    for F in clusters:
+        assert ucp_gram_test(F, dA).passed
+    actuators = select_actuators(clusters, dA)
+    assert all(k.passed for k in kalman_rank(actuators, clusters, dA))
 
     out = closed_loop(A, rep, arep, actuators, omega, gamma, 8.0, 0.01, np.random.default_rng(21))
     assert out.design.proj.N == 8
@@ -144,7 +145,7 @@ def test_uniform_field_closed_loop():
     # realized actuator signals are real and the applied fields stay in omega
     assert np.isrealobj(out.trace.amplitudes)
     outside = ~omega
-    for f in control_fields(actuators, omega):
+    for f in control_fields(grid, actuators, omega):
         assert np.all(f.phi.u1[outside] == 0.0)
 
 
@@ -166,13 +167,10 @@ def uniform24():
     return dict(A=A, Aadj=Aadj, rep=rep, arep=arep, omega=regions.omega)
 
 
-def _mixed_cluster(cluster, Aadj, Q):
+def _mixed_cluster(cluster, Q):
     """The cluster's eigenbasis mixed by Q: new vector a is sum_b Q[b, a] v_b."""
     C = np.column_stack([p.coeffs for p in cluster]) @ Q
-    return [
-        EigenPair(p.lam, Aadj.to_state(C[:, a]), p.residual, C[:, a])
-        for a, p in enumerate(cluster)
-    ]
+    return [EigenPair(p.lam, p.residual, C[:, a]) for a, p in enumerate(cluster)]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -189,12 +187,14 @@ def test_closed_loop_independent_of_cluster_basis(uniform24, seed):
         else:
             Z = rng.normal(size=(ell, ell))
         Q, _ = np.linalg.qr(Z)
-        clusters.append(_mixed_cluster(cl, Aadj, Q))
+        clusters.append(_mixed_cluster(cl, Q))
     assert sorted(len(c) for c in clusters) == [2, 2, 4]
 
-    actuators = select_actuators(clusters, omega)
+    fields = [omega_fields(Aadj, cl, omega) for cl in clusters]
+    dA = Aadj.system.grid.cell_area
+    actuators = select_actuators(fields, dA)
     assert len(actuators) == 4
-    for km in kalman_rank(actuators, clusters, omega):
+    for km in kalman_rank(actuators, fields, dA):
         assert km.passed and km.rank == km.ell
 
     fwd = [p for p in uniform24["rep"].pairs if p.unstable]
@@ -209,21 +209,21 @@ def test_kalman_rejects_actuators_missing_a_cluster(uniform24):
     # the first four orthonormalized omega-restrictions, taken in cluster
     # order, all come from the complex clusters and leave the real 4-fold
     # cluster only rounding-level pairings; those must not count as rank
-    omega = uniform24["omega"]
+    omega, Aadj = uniform24["omega"], uniform24["Aadj"]
     clusters = uniform24["arep"].unstable_clusters()
-    complex_cls = [c for c in clusters if abs(c[0].lam.imag) > 1e-10]
-    real_cl = next(c for c in clusters if abs(c[0].lam.imag) <= 1e-10)
+    complex_cls = [omega_fields(Aadj, c, omega) for c in clusters if abs(c[0].lam.imag) > 1e-10]
+    real_cl = next(omega_fields(Aadj, c, omega) for c in clusters if abs(c[0].lam.imag) <= 1e-10)
     assert len(real_cl) == 4
     candidates = []
-    for p in (p for cl in complex_cls for p in cl):
-        r = restrict(p.Phi, omega).ravel()
+    for f in (f for F in complex_cls for f in F):
+        r = f.ravel()
         candidates += [r.real, r.imag]
     # Gram-Schmidt on omega (the restrictions vanish elsewhere)
     Q, _ = np.linalg.qr(np.column_stack(candidates[:4]))
-    grid = clusters[0][0].Phi.grid
-    actuators = [StateVector.from_flat(grid, Q[:, j]) for j in range(4)]
+    grid = Aadj.system.grid
+    actuators = Q.T.reshape((4, 2, 2) + grid.shape)
 
-    reports = kalman_rank(actuators, [real_cl, *complex_cls], omega)
+    reports = kalman_rank(actuators, [real_cl, *complex_cls], grid.cell_area)
     real_km = reports[0]
     assert real_km.ell == 4
     assert real_km.rank < 4

@@ -458,7 +458,7 @@ class TestPdeResidual:
         rep = compute_spectrum(gen_shifted32, 10, "shift_invert")
         sys = gen_shifted32.system
         for pair in rep.pairs[:4]:
-            out = pde_residual(sys, pair.lam, pair.Phi)
+            out = pde_residual(sys, pair.lam, gen_shifted32.to_state(pair.coeffs))
             assert out["relative"] <= 1e-6
 
     def test_xi_leakage_reported_for_coupled_equilibrium(self, box16):
@@ -470,6 +470,6 @@ class TestPdeResidual:
         )
         A = assemble_generator(eq, 0.0)
         rep = compute_spectrum(A, 4, "dense")
-        leak = xi_row_leakage(A.system, rep.pairs[0].Phi)
+        leak = xi_row_leakage(A.system, A.to_state(rep.pairs[0].coeffs))
         assert leak < 0.3  # O(h^2) scale, strictly a diagnostic
         assert leak > 0.0

@@ -24,6 +24,7 @@ from mhdlab import (
     inner,
     kalman_rank,
     make_equilibrium,
+    omega_fields,
     restrict,
     select_actuators,
     ucp_gram_test,
@@ -33,7 +34,6 @@ from mhdlab.errors import ConfigurationError, NumericalError, UncontrollableErro
 from mhdlab.spectral import (
     CLUSTER_RTOL,
     RESIDUAL_BOUND,
-    EigenPair,
     _cluster,
     _complete_clusters,
     _sort_key,
@@ -179,6 +179,22 @@ class TestSpectrum:
         assert calls["gmres"] == 0
         assert per_solve and set(per_solve) == {1}
 
+    @pytest.mark.parametrize("kind", ["zero", "shear", "taylor_vortex"])
+    def test_refine_shifted_solve_only_rescales_the_lu_solve(self, box32, kind):
+        # the refinement step returns s times the bare LU solve, s within
+        # rounding of 1: the LU already solves the shifted system
+        A = assemble_generator(make_equilibrium(kind, box32), 1.5)
+        si = A.sigma + A.system.eq.grad_bound + 1.0
+        lu = A.lu(-si, 1.0)
+        rng = np.random.default_rng(17)
+        for _ in range(4):
+            b = rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)
+            x = spectral._refine_shifted_solve(A, lu, si, b)
+            y = spectral._lu_solve(lu, b)
+            s = np.vdot(y, x) / np.vdot(y, y)
+            assert np.linalg.norm(x - s * y) <= 1e-14 * np.linalg.norm(x)
+            assert abs(s - 1) <= 1e-13
+
     def test_refine_shifted_solve_is_first_gmres_iteration(self, box16, monkeypatch):
         # oracle: the inner solve it replaces, scipy's GMRES preconditioned
         # by the same LU; on every right-hand side ARPACK passes, the one
@@ -236,10 +252,10 @@ class TestSpectrum:
         assert sum(rep.ell) == rep.N
         assert rep.distinct[0].real == pytest.approx(0.5, abs=1e-3)
 
-    def test_residual_bound_and_normalization(self, spectrum_shifted32):
+    def test_residual_bound_and_normalization(self, gen_shifted32, spectrum_shifted32):
         for p in spectrum_shifted32.pairs:
             assert p.residual <= 1e-8
-            assert p.Phi.norm() == pytest.approx(1.0, abs=1e-9)
+            assert gen_shifted32.to_state(p.coeffs).norm() == pytest.approx(1.0, abs=1e-9)
 
     def test_ordering_deterministic(self, box16):
         eq = make_equilibrium("shear", box16)
@@ -438,42 +454,90 @@ class TestDerivedAdjoint:
             ell = len(cl)
             U = sla.qr(rng.normal(size=(ell, ell)) + 1j * rng.normal(size=(ell, ell)))[0]
             mixed = np.column_stack([p.coeffs for p in cl]) @ U
-            pairs += [
-                replace(p, Phi=Aadj.to_state(c), coeffs=c) for p, c in zip(cl, mixed.T)
-            ]
+            pairs += [replace(p, coeffs=c) for p, c in zip(cl, mixed.T)]
         ids = sorted(fwd.cluster_ids)
         again = adjoint_eigenpairs(Aadj, replace(fwd, pairs=pairs, cluster_ids=ids))
         assert again.ell == derived["adj"].ell
         for a, b in zip(derived["adj"].unstable_clusters(), again.unstable_clusters()):
-            s0 = ucp_gram_test(a, omega).sigma_min
-            s1 = ucp_gram_test(b, omega).sigma_min
+            dA = derived["grid"].cell_area
+            s0 = ucp_gram_test(omega_fields(Aadj, a, omega), dA).sigma_min
+            s1 = ucp_gram_test(omega_fields(Aadj, b, omega), dA).sigma_min
             assert abs(s1 - s0) <= 1e-10 * s0
 
 
-def _synthetic_pair(grid, lam, seed):
+def _synthetic_field(grid, seed):
+    """A random solenoidal state of unit norm as a (2, 2, nx, ny) array."""
     rng = np.random.default_rng(seed)
     from mhdlab import ScalarField
     from oracles import rot
 
     phi = rot(ScalarField(grid, rng.normal(size=grid.shape)))
     xi = rot(ScalarField(grid, rng.normal(size=grid.shape)))
-    st = StateVector(phi, xi)
-    nrm = st.norm()
-    st = StateVector(
-        VectorField2(grid, phi.u1 / nrm, phi.u2 / nrm),
-        VectorField2(grid, xi.u1 / nrm, xi.u2 / nrm),
+    nrm = StateVector(phi, xi).norm()
+    return np.array([[phi.u1, phi.u2], [xi.u1, xi.u2]]) / nrm
+
+
+def _state(grid, f):
+    return StateVector(VectorField2(grid, *f[0]), VectorField2(grid, *f[1]))
+
+
+def _omega_inner_reference(a, b, omega):
+    """The omega inner product written with the field-level helpers."""
+    return inner(restrict(a.phi, omega), restrict(b.phi, omega)) + inner(
+        restrict(a.xi, omega), restrict(b.xi, omega)
     )
-    return EigenPair(lam, st, 0.0, None)
+
+
+class TestOmegaFields:
+    @pytest.fixture
+    def clusters(self, adj_spectrum_shifted32):
+        """The complex unstable cluster and a real one made of its real parts."""
+        cl = adj_spectrum_shifted32.unstable_clusters()[0]
+        return {"complex": cl, "real": [replace(p, coeffs=p.coeffs.real.copy()) for p in cl]}
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_each_pair_synthesized_alone_bit_for_bit(
+        self, adj_shifted32, regions32, clusters, kind
+    ):
+        omega = regions32.omega
+        cl = clusters[kind]
+        F = omega_fields(adj_shifted32, cl, omega)
+        assert F.shape == (len(cl), 2, 2) + omega.shape
+        assert np.isrealobj(F) == (kind == "real")
+        for f, p in zip(F, cl):
+            st = adj_shifted32.to_state(p.coeffs)
+            phi, xi = restrict(st.phi, omega), restrict(st.xi, omega)
+            for got, want in zip(f.reshape(4, *omega.shape), (phi.u1, phi.u2, xi.u1, xi.u2)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_gram_and_kalman_entries_match_field_inner_products(
+        self, adj_shifted32, regions32, clusters, kind
+    ):
+        omega, grid = regions32.omega, regions32.grid
+        cl = clusters[kind]
+        F = omega_fields(adj_shifted32, cl, omega)
+        states = [adj_shifted32.to_state(p.coeffs) for p in cl]
+        G = np.array([[_omega_inner_reference(a, b, omega) for b in states] for a in states])
+        assert np.array_equal(ucp_gram_test(F, grid.cell_area).entries, G)
+        acts = select_actuators([F], grid.cell_area)
+        assert acts.shape == F.shape and np.isrealobj(acts)
+        M = np.array(
+            [[_omega_inner_reference(_state(grid, u), a, omega) for u in acts] for a in states]
+        )
+        assert np.array_equal(kalman_rank(acts, [F], grid.cell_area)[0].entries, M)
 
 
 class TestGram:
     def test_single_mode_gram_is_norm(self, box16, regions16=None):
         regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
-        p = _synthetic_pair(box16, 0.5 + 0j, 1)
-        gm = ucp_gram_test([p], regions.omega)
+        f = _synthetic_field(box16, 1)
+        gm = ucp_gram_test((f * regions.omega)[None], box16.cell_area)
+        p = _state(box16, f)
         expect = (
-            inner(restrict(p.Phi.phi, regions.omega), restrict(p.Phi.phi, regions.omega))
-            + inner(restrict(p.Phi.xi, regions.omega), restrict(p.Phi.xi, regions.omega))
+            inner(restrict(p.phi, regions.omega), restrict(p.phi, regions.omega))
+            + inner(restrict(p.xi, regions.omega), restrict(p.xi, regions.omega))
         ).real
         assert gm.sigma_min == pytest.approx(expect, rel=1e-12)
         assert gm.passed
@@ -481,56 +545,33 @@ class TestGram:
     def test_degenerate_fixture_fails(self, box16):
         regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
         omega = regions.omega
-        a = _synthetic_pair(box16, 0.5 + 0j, 2)
-        b = _synthetic_pair(box16, 0.5 + 0j, 3)
-        phi = b.Phi.phi.copy()
-        xi = b.Phi.xi.copy()
-        phi.u1[omega] = a.Phi.phi.u1[omega]
-        phi.u2[omega] = a.Phi.phi.u2[omega]
-        xi.u1[omega] = a.Phi.xi.u1[omega]
-        xi.u2[omega] = a.Phi.xi.u2[omega]
-        b_deg = EigenPair(b.lam, StateVector(phi, xi), 0.0, None)
-        a_deg_phi = a.Phi.phi.copy()
-        a_deg_xi = a.Phi.xi.copy()
+        a = _synthetic_field(box16, 2)
+        b_deg = _synthetic_field(box16, 3)
+        b_deg[..., omega] = a[..., omega]
         mask = ~omega
-        a_on_omega = EigenPair(
-            a.lam,
-            StateVector(
-                VectorField2(box16, np.where(mask, 0.0, a_deg_phi.u1), np.where(mask, 0.0, a_deg_phi.u2)),
-                VectorField2(box16, np.where(mask, 0.0, a_deg_xi.u1), np.where(mask, 0.0, a_deg_xi.u2)),
-            ),
-            0.0,
-            None,
-        )
-        b_on_omega = EigenPair(
-            b.lam,
-            StateVector(
-                VectorField2(box16, np.where(mask, 0.0, phi.u1), np.where(mask, 0.0, phi.u2)),
-                VectorField2(box16, np.where(mask, 0.0, xi.u1), np.where(mask, 0.0, xi.u2)),
-            ),
-            0.0,
-            None,
-        )
-        gm = ucp_gram_test([a_on_omega, b_on_omega], omega)
+        a_on_omega = np.where(mask, 0.0, a)
+        b_on_omega = np.where(mask, 0.0, b_deg)
+        gm = ucp_gram_test(np.array([a_on_omega, b_on_omega]), box16.cell_area)
         assert gm.sigma_min <= 1e-10
         assert not gm.passed
-        gm_full = ucp_gram_test([a, b_deg], omega)
+        gm_full = ucp_gram_test(np.array([a, b_deg]) * omega, box16.cell_area)
         assert gm_full.sigma_min <= 1e-10
 
     def test_shifted_box_gram_vs_quadrature_oracle(
-        self, adj_spectrum_shifted32, regions32, box32
+        self, adj_shifted32, adj_spectrum_shifted32, regions32, box32
     ):
         cl = adj_spectrum_shifted32.unstable_clusters()[0]
-        gm = ucp_gram_test(cl, regions32.omega)
+        gm = ucp_gram_test(omega_fields(adj_shifted32, cl, regions32.omega), box32.cell_area)
         assert gm.passed and gm.sigma_min > 1e-6
         # quadrature oracle: raw cellwise sums, no package inner products
         omega = regions32.omega
         dA = box32.cell_area
         ell = len(cl)
+        states = [adj_shifted32.to_state(p.coeffs) for p in cl]
         G = np.zeros((ell, ell), dtype=complex)
         for a in range(ell):
             for b in range(ell):
-                pa, pb = cl[a].Phi, cl[b].Phi
+                pa, pb = states[a], states[b]
                 acc = 0.0
                 for fa, fb in ((pa.phi, pb.phi), (pa.xi, pb.xi)):
                     acc = acc + np.sum(
@@ -540,33 +581,32 @@ class TestGram:
         svals = np.linalg.svd(G, compute_uv=False)
         assert gm.sigma_min == pytest.approx(float(svals[-1]), rel=1e-10)
 
-    def test_gram_monotone_in_omega(self, adj_spectrum_shifted32, box32):
+    def test_gram_monotone_in_omega(self, adj_shifted32, adj_spectrum_shifted32, box32):
         cl = adj_spectrum_shifted32.unstable_clusters()[0]
         X, Y = box32.meshgrid()
         r = np.hypot(X - np.pi, Y - np.pi)
         small = r <= 0.12 * L
         big = r <= 0.18 * L
         assert np.all(big[small])
-        gm_small = ucp_gram_test(cl, small)
-        gm_big = ucp_gram_test(cl, big)
+        gm_small = ucp_gram_test(omega_fields(adj_shifted32, cl, small), box32.cell_area)
+        gm_big = ucp_gram_test(omega_fields(adj_shifted32, cl, big), box32.cell_area)
         assert gm_big.sigma_min >= gm_small.sigma_min - 1e-12
 
     def test_empty_cluster_rejected(self, box16):
-        regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
         with pytest.raises(ConfigurationError):
-            ucp_gram_test([], regions.omega)
+            ucp_gram_test(np.zeros((0, 2, 2) + box16.shape), box16.cell_area)
 
 
 class TestActuatorsAndKalman:
     def test_no_unstable_modes(self, regions32):
-        assert select_actuators([], regions32.omega) == []
+        assert len(select_actuators([], regions32.grid.cell_area)) == 0
 
     def test_single_mode_actuator(self, box16):
         regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
-        p = _synthetic_pair(box16, 0.3 + 0j, 4)
-        acts = select_actuators([[p]], regions.omega)
+        f = _synthetic_field(box16, 4)
+        acts = select_actuators([(f * regions.omega)[None]], box16.cell_area)
         assert len(acts) == 1
-        u = acts[0]
+        u = _state(box16, acts[0])
         outside = ~regions.omega
         assert np.all(u.phi.u1[outside] == 0.0)
         assert np.all(u.xi.u2[outside] == 0.0)
@@ -576,28 +616,33 @@ class TestActuatorsAndKalman:
         ).real
         assert nrm == pytest.approx(1.0, rel=1e-10)
 
-    def test_constructed_rank_full(self, adj_spectrum_shifted32, regions32):
-        clusters = adj_spectrum_shifted32.unstable_clusters()
-        acts = select_actuators(clusters, regions32.omega)
-        for km in kalman_rank(acts, clusters, regions32.omega):
+    def test_constructed_rank_full(self, adj_shifted32, adj_spectrum_shifted32, regions32):
+        clusters = [
+            omega_fields(adj_shifted32, cl, regions32.omega)
+            for cl in adj_spectrum_shifted32.unstable_clusters()
+        ]
+        dA = regions32.grid.cell_area
+        acts = select_actuators(clusters, dA)
+        for km in kalman_rank(acts, clusters, dA):
             assert km.passed and km.rank == km.ell
 
     def test_zeroed_actuators_rank_zero(self, box16):
         regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
-        p = _synthetic_pair(box16, 0.3 + 0j, 5)
-        zero_act = StateVector.zeros(box16)
-        km = kalman_rank([zero_act], [[p]], regions.omega)[0]
+        f = _synthetic_field(box16, 5) * regions.omega
+        zero_act = np.zeros((1, 2, 2) + box16.shape)
+        km = kalman_rank(zero_act, [f[None]], box16.cell_area)[0]
         assert km.rank == 0 and not km.passed
 
     def test_restricted_eigenfunction_row(self, box16):
         regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
         omega = regions.omega
-        p = _synthetic_pair(box16, 0.3 + 0j, 6)
-        u = StateVector(restrict(p.Phi.phi, omega), restrict(p.Phi.xi, omega))
-        km = kalman_rank([u], [[p]], omega)[0]
+        f = _synthetic_field(box16, 6)
+        u = (f * omega)[None]
+        km = kalman_rank(u, [u], box16.cell_area)[0]
+        p = _state(box16, f)
         norm_sq = (
-            inner(restrict(p.Phi.phi, omega), restrict(p.Phi.phi, omega))
-            + inner(restrict(p.Phi.xi, omega), restrict(p.Phi.xi, omega))
+            inner(restrict(p.phi, omega), restrict(p.phi, omega))
+            + inner(restrict(p.xi, omega), restrict(p.xi, omega))
         ).real
         assert km.entries[0, 0].real == pytest.approx(norm_sq, rel=1e-12)
         assert km.rank == 1
@@ -606,24 +651,22 @@ class TestActuatorsAndKalman:
         # two distinct clusters with ell = (2, 1): per-cluster rank equals ell
         regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
         omega = regions.omega
-        c1 = [_synthetic_pair(box16, 0.6 + 0j, 7), _synthetic_pair(box16, 0.6 + 0j, 8)]
-        c2 = [_synthetic_pair(box16, 0.2 + 0j, 9)]
-        acts = select_actuators([c1, c2], omega)
+        c1 = np.array([_synthetic_field(box16, 7), _synthetic_field(box16, 8)]) * omega
+        c2 = _synthetic_field(box16, 9)[None] * omega
+        acts = select_actuators([c1, c2], box16.cell_area)
         assert len(acts) == 2
-        for km, ell in zip(kalman_rank(acts, [c1, c2], omega), (2, 1)):
+        for km, ell in zip(kalman_rank(acts, [c1, c2], box16.cell_area), (2, 1)):
             assert km.ell == ell
             assert km.rank == ell
             assert km.passed
 
     def test_gram_failure_blocks_actuators(self, box16):
+        # an identical copy: the omega-Gram is singular and the second
+        # actuator lies in the span of the first
         regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
-        omega = regions.omega
-        a = _synthetic_pair(box16, 0.5 + 0j, 10)
-        phi = a.Phi.phi.copy()
-        xi = a.Phi.xi.copy()
-        b = EigenPair(a.lam, StateVector(phi, xi), 0.0, None)  # identical copy
+        a = _synthetic_field(box16, 10) * regions.omega
         with pytest.raises(UncontrollableError):
-            select_actuators([[a, b]], omega)
+            select_actuators([np.array([a, a.copy()])], box16.cell_area)
 
     def test_gram_kalman_agreement_randomized(self, box16):
         # with actuators = omega-restricted eigenfunctions, Kalman rank
@@ -634,22 +677,15 @@ class TestActuatorsAndKalman:
         agreements = 0
         for trial in range(20):
             ell = int(rng.integers(1, 4))
-            cluster = [
-                _synthetic_pair(box16, 0.4 + 0j, 100 + 10 * trial + j)
-                for j in range(ell)
-            ]
+            cluster = np.array(
+                [_synthetic_field(box16, 100 + 10 * trial + j) for j in range(ell)]
+            )
             degenerate = trial % 2 == 1 and ell >= 2
             if degenerate:
-                src, dst = cluster[0].Phi, cluster[1].Phi
-                for fs, fd in ((src.phi, dst.phi), (src.xi, dst.xi)):
-                    fd.u1[omega] = fs.u1[omega]
-                    fd.u2[omega] = fs.u2[omega]
-            gm = ucp_gram_test(cluster, omega)
-            acts = [
-                StateVector(restrict(p.Phi.phi, omega), restrict(p.Phi.xi, omega))
-                for p in cluster
-            ]
-            km = kalman_rank(acts, [cluster], omega)[0]
+                cluster[1][..., omega] = cluster[0][..., omega]
+            fields = cluster * omega
+            gm = ucp_gram_test(fields, box16.cell_area)
+            km = kalman_rank(fields, [fields], box16.cell_area)[0]
             assert km.passed == gm.passed
             agreements += 1
         assert agreements == 20

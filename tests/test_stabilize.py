@@ -15,6 +15,7 @@ from mhdlab import (
     compute_spectrum,
     make_equilibrium,
     measure_decay,
+    omega_fields,
     project_unstable,
     select_actuators,
     simulate_closed_loop,
@@ -56,7 +57,8 @@ def loop24():
         omega_star_width=0.08 * L,
     )
     omega = regions.omega
-    acts = select_actuators(arep.unstable_clusters(), omega)
+    clusters = [omega_fields(Aadj, cl, omega) for cl in arep.unstable_clusters()]
+    acts = select_actuators(clusters, g.cell_area)
     closed = closed_loop(A, rep, arep, acts, omega, 1.0, 8.0, 0.01, np.random.default_rng(2))
     design = closed.design
     return dict(
@@ -174,7 +176,7 @@ class TestSimulation:
         assert rate_u >= 2.0 * 1.0 * (1 - 0.1)
 
     def test_control_localization_bitwise(self, loop24):
-        fields = control_fields(loop24["acts"], loop24["omega"])
+        fields = control_fields(loop24["grid"], loop24["acts"], loop24["omega"])
         outside = ~loop24["omega"]
         for f in fields:
             assert np.all(f.phi.u1[outside] == 0.0)
