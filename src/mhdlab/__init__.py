@@ -24,7 +24,7 @@ from .fields import (
     laplacian,
     restrict,
 )
-from .projection import helmholtz_project, project_state
+from .projection import helmholtz_project
 from .equilibria import Equilibrium, make_equilibrium
 from .operators import (
     GeneratorOperator,

@@ -24,7 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError
-from .fields import StateVector, VectorField2
 from .grid import Grid
 
 
@@ -170,19 +169,11 @@ class SolenoidalBasis:
             out[..., self.spec_col] = vals if cplx else vals.real
         return out
 
-    def to_field(self, coeffs: np.ndarray) -> VectorField2:
-        """Synthesize the vector field with the given basis coefficients."""
-        return VectorField2(self.grid, *self.synthesize(coeffs))
-
-    def to_coeffs(self, v: VectorField2) -> np.ndarray:
-        """Expand a field over the basis (adjoint of to_field); linear in v."""
-        return self.analyze(np.stack([v.u1, v.u2]))
-
     def synthesis_matrix(self) -> sp.csr_matrix:
-        """``to_field`` as a sparse (2*ncells, dim) map from coefficients to
-        the stacked amplitudes [fft2(u1); fft2(u2)].
+        """``synthesize`` as a sparse (2*ncells, dim) map from coefficients
+        to the stacked amplitudes [fft2(u1); fft2(u2)].
 
-        By Parseval ``to_coeffs`` is cell_area/ncells times its conjugate
+        By Parseval ``analyze`` is cell_area/ncells times its conjugate
         transpose (real part for real fields).
         """
         n = self.grid.ncells
@@ -204,24 +195,7 @@ class SolenoidalBasis:
 
     def dense(self) -> np.ndarray:
         """Materialize the basis as a (2*ncells, dim) array (small grids)."""
-        g = self.grid
-        n2 = g.ncells
-        Z = np.empty((2 * n2, self.dim))
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = 1.0
-            f = self.to_field(e)
-            Z[:n2, j] = f.u1.ravel()
-            Z[n2:, j] = f.u2.ravel()
-        return Z
+        return self.synthesize(np.eye(self.dim)).reshape(self.dim, -1).T
 
-    # state-level helpers -------------------------------------------------
     def state_dim(self) -> int:
         return 2 * self.dim
-
-    def state_to_coeffs(self, s: StateVector) -> np.ndarray:
-        return self.analyze(np.array([[s.phi.u1, s.phi.u2], [s.xi.u1, s.xi.u2]])).reshape(-1)
-
-    def coeffs_to_state(self, x: np.ndarray) -> StateVector:
-        phi, xi = self.synthesize(np.asarray(x).reshape(2, self.dim))
-        return StateVector(VectorField2(self.grid, *phi), VectorField2(self.grid, *xi))

@@ -270,10 +270,10 @@ class GeneratorOperator:
             ) from exc
 
     def to_state(self, x: np.ndarray) -> StateVector:
-        return self.system.basis.coeffs_to_state(x)
-
-    def from_state(self, s: StateVector) -> np.ndarray:
-        return self.system.basis.state_to_coeffs(s)
+        """The (phi, xi) fields of reduced coefficients x."""
+        g = self.system.grid
+        phi, xi = self.system.basis.synthesize(np.asarray(x).reshape(2, -1))
+        return StateVector(VectorField2(g, *phi), VectorField2(g, *xi))
 
 
 def assemble_generator(eq: Equilibrium, shift: float = 0.0) -> GeneratorOperator:

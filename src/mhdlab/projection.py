@@ -20,7 +20,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .fields import (
-    StateVector,
     VectorField2,
     divergence_matrix,
     gradient_matrix,
@@ -134,8 +133,4 @@ def helmholtz_project(v: VectorField2) -> VectorField2:
     corr = gradient_matrix(g) @ q
     flat = v.ravel() - corr
     return VectorField2.from_flat(g, flat, v.bc_tag)
-
-
-def project_state(s: StateVector) -> StateVector:
-    return StateVector(helmholtz_project(s.phi), helmholtz_project(s.xi))
 

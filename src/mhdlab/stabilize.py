@@ -8,6 +8,11 @@ closed through omega-localized actuator fields and simulated with an
 implicit step for the stiff generator and an explicit step for the control
 coupling.  ``closed_loop`` runs the whole stabilization experiment from a
 forward spectrum and its derived adjoint.
+
+States are real arrays of reduced (basis) coefficients from the initial
+state to the trace, and the applied fields are one real (K, 2, 2, nx, ny)
+array computed with the solenoidal basis, so no state container is built
+and no pressure Poisson problem is solved.
 """
 
 from __future__ import annotations
@@ -25,10 +30,8 @@ from .errors import (
     ProjectionConditionError,
     UncontrollableError,
 )
-from .fields import StateVector, VectorField2, restrict
-from .grid import Grid
+from .basis import SolenoidalBasis
 from .operators import GeneratorOperator
-from .projection import project_state
 from .spectral import CLUSTER_RTOL, EigenPair, SpectrumReport
 
 COND_LIMIT = 1e10
@@ -297,17 +300,15 @@ def design_feedback(
     reduced coordinates and leakage are kept for the closed loop.
     """
     proj = project_unstable(forward_pairs, adjoint_pairs)
-    fields = control_fields(A.system.grid, actuators, m_mask)
-    drive = np.zeros((A.dim, len(fields)))
-    input_map = np.zeros((proj.N, len(fields)))
-    leakage = []
-    for j, f in enumerate(fields):
-        b = np.real(A.from_state(f))
-        drive[:, j] = b
-        input_map[:, j] = proj.coords(b)
-        nf = f.norm()
-        recon = A.to_state(b)
-        leakage.append(float(np.sqrt(max(nf**2 - recon.norm() ** 2, 0.0)) / nf) if nf else 0.0)
+    basis = A.system.basis
+    fields = control_fields(basis, actuators, m_mask)
+    drive = basis.analyze(fields).reshape(len(fields), A.dim).T
+    input_map = proj.coords(drive)
+    # the basis is orthonormal, so the kept part of a field has the norm of
+    # its coefficients (Parseval)
+    norms = np.sqrt(np.sum(fields**2, axis=(1, 2, 3, 4)) * basis.grid.cell_area)
+    lost = np.sqrt(np.maximum(norms**2 - np.sum(drive**2, axis=0), 0.0))
+    leakage = [float(lo / nf) if nf else 0.0 for lo, nf in zip(lost, norms)]
     block = _real_block(proj, A)
     gain = synthesize_feedback(block, input_map, gamma) if gamma is not None else None
     return FeedbackDesign(proj, input_map, gain, drive, leakage)
@@ -328,30 +329,34 @@ class SimulationTrace:
             raise ConfigurationError("trace energies must be nonnegative")
 
 
-def control_fields(grid: Grid, actuators: np.ndarray, m_mask: np.ndarray) -> list[StateVector]:
+def control_fields(basis: SolenoidalBasis, actuators: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Applied spatial profiles of the (K, 2, 2, nx, ny) actuator array:
-    indicator times projected actuator.
+    indicator of omega times the Leray projection of each actuator, as an
+    array of the same shape.
 
-    Projection first (it spreads support), localization last, so the applied
-    field is exactly zero outside omega; the discarded non-solenoidal part
-    shows up as reported leakage of the reduced drive.
+    On the torus the discrete Leray projector is the orthogonal projector
+    onto the kernel of the centered divergence.  That kernel is the span of
+    the solenoidal basis plus the componentwise means, which the basis
+    excludes, so the means are added back to the basis projection.
+    Projection first (it spreads support), localization last, so the
+    applied field is exactly zero outside omega; the discarded
+    non-solenoidal part (and the means) show up as reported leakage of the
+    reduced drive.
     """
-    out = []
-    for phi, xi in actuators:
-        pu = project_state(StateVector(VectorField2(grid, *phi), VectorField2(grid, *xi)))
-        out.append(StateVector(restrict(pu.phi, m_mask), restrict(pu.xi, m_mask)))
-    return out
+    projected = basis.synthesize(basis.analyze(actuators))
+    return omega * (projected + actuators.mean(axis=(-2, -1), keepdims=True))
 
 
 def simulate_closed_loop(
     A: GeneratorOperator,
     design: FeedbackDesign | None,
-    y0: StateVector,
+    x0: np.ndarray,
     T: float,
     dt: float,
     store_states: bool = False,
 ) -> SimulationTrace:
-    """March d/dt x = A x + sum_j b_j alpha_j, alpha = -gain * coords(x).
+    """March d/dt x = A x + sum_j b_j alpha_j, alpha = -gain * coords(x),
+    from the real reduced coefficients x0.
 
     The drive b_j, the projection and the gain come from ``design``; without
     a gain the applied amplitudes are zero, and without a design the loop is
@@ -374,7 +379,7 @@ def simulate_closed_loop(
     dim = A.dim
     drive = design.drive if design is not None else np.zeros((dim, 0))
 
-    x = np.real(A.from_state(y0))
+    x = np.asarray(x0, dtype=float)
     nsteps = int(round(T / dt))
     K = drive.shape[1]
     times = np.zeros(nsteps + 1)
@@ -444,14 +449,14 @@ def measure_decay(
 
 def initial_state(
     A: GeneratorOperator, proj: UnstableProjection | None, rng: np.random.Generator
-) -> StateVector:
-    """Start of the stabilization experiment: every unstable mode at unit
-    amplitude plus a 0.01 normal perturbation, or a random unit state when
-    there is no unstable projection."""
+) -> np.ndarray:
+    """Reduced coefficients of the start of the stabilization experiment:
+    every unstable mode at unit amplitude plus a 0.01 normal perturbation,
+    or a random unit state when there is no unstable projection."""
     if proj is None:
         x0 = rng.normal(size=A.dim)
-        return A.to_state(x0 / np.linalg.norm(x0))
-    return A.to_state(0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N))
+        return x0 / np.linalg.norm(x0)
+    return 0.01 * rng.normal(size=A.dim) + proj.V @ np.ones(proj.N)
 
 
 @dataclass
@@ -494,8 +499,8 @@ def closed_loop(
             m_mask,
             gamma,
         )
-    y0 = initial_state(A, design.proj if design is not None else None, rng)
-    trace = simulate_closed_loop(A, design, y0, T, dt)
+    x0 = initial_state(A, design.proj if design is not None else None, rng)
+    trace = simulate_closed_loop(A, design, x0, T, dt)
     rate, hw = measure_decay(trace, (T / 2, T))
     target = None
     if design is not None and gamma is not None:

@@ -18,10 +18,11 @@ from mhdlab.carleman import _cosine_sums
 from mhdlab.errors import CauchyDataError, ConfigurationError, MhdLabError, NumericalError
 from mhdlab.errors import ShapeError
 from mhdlab.fields import ScalarField, StateVector, VectorField2, _apply, divergence_matrix
-from mhdlab.fields import dx_matrix, dy_matrix, gradient_matrix, wide_laplacian_matrix
+from mhdlab.fields import dx_matrix, dy_matrix, gradient_matrix, restrict, wide_laplacian_matrix
 from mhdlab.geometry import RegionSet, transition_band
+from mhdlab.grid import Grid
 from mhdlab.operators import GeneratorOperator, MhdSystem
-from mhdlab.projection import _solver
+from mhdlab.projection import _solver, helmholtz_project
 from mhdlab.stabilize import SimulationTrace, UnstableProjection
 
 # commutator forcing outside the transition band, relative to its largest
@@ -118,6 +119,18 @@ def stable_complement_residual(
     return worst
 
 
+def poisson_control_fields(grid: Grid, actuators: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The applied control fields through the pressure Poisson problem:
+    ``helmholtz_project`` of each component of each actuator, then the
+    restriction to omega, in the (K, 2, 2, nx, ny) layout of the actuators."""
+    out = np.empty_like(actuators)
+    for j, actuator in enumerate(actuators):
+        for c, (u1, u2) in enumerate(actuator):
+            pv = restrict(helmholtz_project(VectorField2(grid, u1, u2)), omega)
+            out[j, c] = pv.u1, pv.u2
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Steady form of the eigenproblem
 # ---------------------------------------------------------------------------
@@ -198,10 +211,8 @@ def xi_row_leakage(system: MhdSystem, s: StateVector) -> float:
     g = system.grid
     b = system.blocks()
     rhs = system.eta * (b["vlap"] @ s.xi.ravel()) - b["M1"] @ s.xi.ravel() + b["M2"] @ s.phi.ravel()
-    v = VectorField2.from_flat(g, rhs)
-    coeffs = system.basis.to_coeffs(v)
-    recon = system.basis.to_field(coeffs)
-    diff = v.ravel() - recon.ravel()
+    v = rhs.reshape((2,) + g.shape)
+    diff = v - system.basis.synthesize(system.basis.analyze(v))
     return float(np.linalg.norm(diff) * np.sqrt(g.cell_area))
 
 

@@ -34,7 +34,7 @@ from mhdlab import (
 )
 from mhdlab.spectral import EigenPair
 from mhdlab.stabilize import control_fields
-from oracles import pde_residual, xi_row_leakage
+from oracles import pde_residual, poisson_control_fields, xi_row_leakage
 
 L = 2 * np.pi
 
@@ -144,9 +144,8 @@ def test_uniform_field_closed_loop():
     assert abs(out.decay_rate - target) <= 0.2 * target
     # realized actuator signals are real and the applied fields stay in omega
     assert np.isrealobj(out.trace.amplitudes)
-    outside = ~omega
-    for f in control_fields(grid, actuators, omega):
-        assert np.all(f.phi.u1[outside] == 0.0)
+    fields = control_fields(A.system.basis, actuators, omega)
+    assert np.all(fields[:, 0, 0][:, ~omega] == 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +164,16 @@ def uniform24():
         omega_star_width=0.12 * L,
     )
     return dict(A=A, Aadj=Aadj, rep=rep, arep=arep, omega=regions.omega)
+
+
+def test_uniform_field_control_fields_equal_the_poisson_projection(uniform24):
+    Aadj, omega = uniform24["Aadj"], uniform24["omega"]
+    grid = Aadj.system.grid
+    clusters = [omega_fields(Aadj, cl, omega) for cl in uniform24["arep"].unstable_clusters()]
+    actuators = select_actuators(clusters, grid.cell_area)
+    got = control_fields(Aadj.system.basis, actuators, omega)
+    ref = poisson_control_fields(grid, actuators, omega)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def _mixed_cluster(cluster, Q):

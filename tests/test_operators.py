@@ -255,11 +255,11 @@ class TestReducedMatvec:
         amb = system.ambient_matrix()
         xr = rng.normal(size=system.state_dim)
         for x in (xr, xr + 1j * rng.normal(size=system.state_dim)):
-            flat = np.concatenate([basis.to_field(x[:m]).ravel(), basis.to_field(x[m:]).ravel()])
+            flat = np.concatenate([basis.synthesize(x[:m]).ravel(), basis.synthesize(x[m:]).ravel()])
             out = amb @ flat
             want = np.concatenate([
-                basis.to_coeffs(VectorField2.from_flat(box16, out[:n])),
-                basis.to_coeffs(VectorField2.from_flat(box16, out[n:])),
+                basis.analyze(out[:n].reshape((2,) + box16.shape)),
+                basis.analyze(out[n:].reshape((2,) + box16.shape)),
             ]) + system.sigma * x
             got = system.reduced_matvec(x)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -9,6 +9,7 @@ from mhdlab import (
 )
 from mhdlab.basis import SolenoidalBasis
 from mhdlab.fields import divergence_matrix, vector_laplacian_matrix
+from mhdlab.stabilize import control_fields
 from oracles import divergence_residual, gradient, laplacian_symbol, rot
 
 L = 2 * np.pi
@@ -31,9 +32,8 @@ def _assert_symbol_diagonalizes_laplacian(grid):
         sym = laplacian_symbol(b, order)
         rng = np.random.default_rng(19)
         c = rng.normal(size=b.dim)
-        f = b.to_field(c)
-        lf = VectorField2.from_flat(grid, lap @ f.ravel())
-        back = b.to_coeffs(lf)
+        f = b.synthesize(c)
+        back = b.analyze((lap @ f.ravel()).reshape(f.shape))
         assert np.abs(back - sym * c).max() < 1e-9
 
 
@@ -91,6 +91,25 @@ class TestHelmholtz:
         assert np.linalg.norm(ppv.ravel() - pv.ravel()) <= 1e-7 * np.linalg.norm(v.ravel())
 
 
+@pytest.mark.parametrize("shape", [(np.pi, 16, 12), (L, 32, 32)])
+def test_leray_projection_is_the_basis_projection_plus_the_means(shape):
+    # on the torus the kernel of the centered divergence is the span of the
+    # solenoidal basis plus the componentwise means, so the Poisson
+    # projection keeps the means and projects the rest onto the basis
+    Ly, nx, ny = shape
+    g = build_grid(L, Ly, nx, ny)
+    b = SolenoidalBasis.for_grid(g)
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(3, 2, 2) + g.shape)
+    got = b.synthesize(b.analyze(a)) + a.mean(axis=(-2, -1), keepdims=True)
+    for f, pf in zip(a.reshape((-1, 2) + g.shape), got.reshape((-1, 2) + g.shape)):
+        pv = helmholtz_project(VectorField2(g, *f))
+        assert np.abs(pf - np.stack([pv.u1, pv.u2])).max() <= 1e-13 * np.abs(f).max()
+    # on the whole torus the applied control fields are that projection
+    whole = np.ones(g.shape, dtype=bool)
+    assert control_fields(b, a, whole).tobytes() == got.tobytes()
+
+
 class TestSolenoidalBasis:
     def test_dimension(self, box16):
         b = SolenoidalBasis.for_grid(box16)
@@ -109,7 +128,7 @@ class TestSolenoidalBasis:
         b = SolenoidalBasis.for_grid(box16)
         rng = np.random.default_rng(17)
         c = rng.normal(size=b.dim)
-        back = b.to_coeffs(b.to_field(c))
+        back = b.analyze(b.synthesize(c))
         assert np.abs(back - c).max() < 1e-12
 
     def test_expansion_is_projection_for_solenoidal_fields(self, box16):
@@ -117,8 +136,8 @@ class TestSolenoidalBasis:
         rng = np.random.default_rng(18)
         psi = ScalarField(box16, rng.normal(size=box16.shape))
         v = rot(psi)
-        recon = b = SolenoidalBasis.for_grid(box16)
-        w = recon.to_field(recon.to_coeffs(v))
+        b = SolenoidalBasis.for_grid(box16)
+        w = b.synthesize(b.analyze(np.stack([v.u1, v.u2])))
         assert np.abs(w.ravel() - v.ravel()).max() < 1e-11 * np.abs(v.ravel()).max()
 
     def test_diffusion_symbol_diagonalizes_laplacian(self, box16):
@@ -142,14 +161,11 @@ class TestSolenoidalBasis:
         assert F.shape == (3, 2) + g.shape
         singles = np.stack([b.synthesize(c) for c in C])
         assert F.dtype == singles.dtype and F.tobytes() == singles.tobytes()
-        for c, f in zip(C, F):
-            v = b.to_field(c)
-            assert np.stack([v.u1, v.u2]).tobytes() == f.tobytes()
 
         fields = [_random_field(g, rng, cplx) for _ in range(3)]
         stack = np.stack([[v.u1, v.u2] for v in fields])
         coeffs = b.analyze(stack)
-        singles = np.stack([b.to_coeffs(v) for v in fields])
+        singles = np.stack([b.analyze(f) for f in stack])
         assert coeffs.dtype == singles.dtype and coeffs.tobytes() == singles.tobytes()
         nested = b.analyze(stack.reshape((1, 3, 2) + g.shape))[0]
         assert nested.tobytes() == coeffs.tobytes()

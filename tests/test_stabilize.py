@@ -28,20 +28,22 @@ from mhdlab.errors import (
     ProjectionConditionError,
     UncontrollableError,
 )
-from mhdlab import stabilize
+from mhdlab import projection, stabilize
+from mhdlab.cli import Run
+from mhdlab.config import RunConfig
+from mhdlab.fields import StateVector
 from mhdlab.operators import GeneratorOperator
 from mhdlab.stabilize import (
     SimulationTrace,
     control_fields,
     initial_state,
 )
-from oracles import laplacian_symbol, stable_complement_residual
+from oracles import laplacian_symbol, poisson_control_fields, stable_complement_residual
 
 L = 2 * np.pi
 
 
-@pytest.fixture(scope="module")
-def loop24():
+def _zero_loop24():
     """Unstable rectangle with N=4, actuators, projection, gain, and the
     closed-loop experiment at gamma = 1 (seed 2)."""
     g = build_grid(L, L / 2, 24, 24)
@@ -65,6 +67,11 @@ def loop24():
         grid=g, A=A, rep=rep, arep=arep, omega=omega, proj=design.proj, acts=acts,
         B=design.input_map, design=design, closed=closed,
     )
+
+
+@pytest.fixture(scope="module")
+def loop24():
+    return _zero_loop24()
 
 
 class TestUnstableProjection:
@@ -155,8 +162,7 @@ class TestSimulation:
         A = assemble_generator(eq, 0.0)
         rep = compute_spectrum(A, 2, "shift_invert")
         pair = rep.pairs[0]
-        y0 = A.to_state(np.real(pair.coeffs))
-        trace = simulate_closed_loop(A, None, y0, 3.0, 0.005)
+        trace = simulate_closed_loop(A, None, np.real(pair.coeffs), 3.0, 0.005)
         rate, hw = measure_decay(trace, (0.5, 3.0))
         assert rate == pytest.approx(2.0 * abs(pair.lam.real), rel=2e-2)
         assert rate == pytest.approx(2.0, rel=2.5e-2)
@@ -169,41 +175,81 @@ class TestSimulation:
         assert out.trace.energies[-1] > out.trace.energies[0]
 
     def test_closed_loop_decay_rate(self, loop24):
-        out = loop24["closed"]
-        target = out.energy_rate_target
-        assert abs(out.decay_rate - target) <= 0.15 * target
-        rate_u, _ = measure_decay(out.trace, (4.0, 8.0), use_unstable=True)
-        assert rate_u >= 2.0 * 1.0 * (1 - 0.1)
+        _assert_decays_at_target(loop24["closed"])
+
+    def test_zero_closed_loop_solves_no_poisson_problem(self, monkeypatch):
+        # the applied fields come from the solenoidal basis and the zero
+        # equilibrium is never projected, so from the grid to the decay rate
+        # no pressure Poisson problem is set up and no state container built
+        def refuse(name):
+            def init(self, *args, **kwargs):
+                raise AssertionError(f"{name} built")
+            return init
+
+        monkeypatch.setattr(projection.PoissonSolver, "__init__", refuse("PoissonSolver"))
+        monkeypatch.setattr(StateVector, "__init__", refuse("StateVector"))
+        out = _zero_loop24()["closed"]
+        assert np.max(out.design.gain.achieved_poles.real) <= -1.0 + 1e-8
+        _assert_decays_at_target(out)
 
     def test_control_localization_bitwise(self, loop24):
-        fields = control_fields(loop24["grid"], loop24["acts"], loop24["omega"])
-        outside = ~loop24["omega"]
-        for f in fields:
-            assert np.all(f.phi.u1[outside] == 0.0)
-            assert np.all(f.phi.u2[outside] == 0.0)
-            assert np.all(f.xi.u1[outside] == 0.0)
-            assert np.all(f.xi.u2[outside] == 0.0)
+        fields = control_fields(loop24["A"].system.basis, loop24["acts"], loop24["omega"])
+        assert fields.shape == loop24["acts"].shape
+        assert np.all(fields[..., ~loop24["omega"]] == 0.0)
 
     def test_stable_complement_variation_of_constants(self, loop24):
         A, proj = loop24["A"], loop24["proj"]
-        y0 = initial_state(A, proj, np.random.default_rng(3))
-        trace = simulate_closed_loop(A, loop24["design"], y0, 1.0, 0.01, store_states=True)
+        x0 = initial_state(A, proj, np.random.default_rng(3))
+        trace = simulate_closed_loop(A, loop24["design"], x0, 1.0, 0.01, store_states=True)
         assert stable_complement_residual(trace, A, proj, 0.01) <= 1e-6
 
     def test_dt_guard(self, loop24):
         A, proj, B = loop24["A"], loop24["proj"], loop24["B"]
         gain = synthesize_feedback(np.diag(proj.lambdas.real), B, gamma=30.0)
-        y0 = A.to_state(proj.V @ np.ones(proj.N))
+        x0 = proj.V @ np.ones(proj.N)
         with pytest.raises(ConfigurationError):
-            simulate_closed_loop(A, replace(loop24["design"], gain=gain), y0, 1.0, 0.05)
+            simulate_closed_loop(A, replace(loop24["design"], gain=gain), x0, 1.0, 0.05)
 
     def test_blowup_guard(self, box16):
         eq = make_equilibrium("zero", box16)
         A = assemble_generator(eq, 4.0)  # growth rate 3 on the slowest mode
         rep = compute_spectrum(A, 2, "shift_invert")
-        y0 = A.to_state(np.real(rep.pairs[0].coeffs))
         with pytest.raises(NumericalError):
-            simulate_closed_loop(A, None, y0, 6.0, 0.01)
+            simulate_closed_loop(A, None, np.real(rep.pairs[0].coeffs), 6.0, 0.01)
+
+
+def _assert_decays_at_target(out):
+    target = out.energy_rate_target
+    assert abs(out.decay_rate - target) <= 0.15 * target
+    rate_u, _ = measure_decay(out.trace, (4.0, 8.0), use_unstable=True)
+    assert rate_u >= 2.0 * 1.0 * (1 - 0.1)
+
+
+class TestControlFields:
+    def test_equal_the_poisson_projection_on_zero(self, loop24):
+        acts, omega = loop24["acts"], loop24["omega"]
+        got = control_fields(loop24["A"].system.basis, acts, omega)
+        ref = poisson_control_fields(loop24["grid"], acts, omega)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_equal_the_poisson_projection_on_shear(self):
+        run = Run(RunConfig.from_dict({"equilibrium": {"kind": "shear"}}))
+        acts, omega = run.actuators, run.regions.omega
+        got = control_fields(run.system.basis, acts, omega)
+        ref = poisson_control_fields(run.grid, acts, omega)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_leakage_is_the_share_the_drive_misses(self, loop24):
+        # the drive keeps the basis coefficients of each applied field; the
+        # leakage is the norm of the rest, relative to the field's
+        design, basis = loop24["design"], loop24["A"].system.basis
+        dA = loop24["grid"].cell_area
+        fields = control_fields(basis, loop24["acts"], loop24["omega"])
+        assert len(design.leakage) == len(fields)
+        for f, b, leak in zip(fields, design.drive.T, design.leakage):
+            nf2 = np.sum(f**2) * dA
+            nb2 = np.sum(basis.synthesize(b.reshape(2, -1)) ** 2) * dA
+            assert abs(leak - np.sqrt(nf2 - nb2) / np.sqrt(nf2)) <= 1e-12
 
 
 class TestMeasureDecay:
@@ -252,7 +298,7 @@ def test_closed_loop_runs_past_the_dense_cap():
     lam = 1.5 + laplacian_symbol(A.system.basis, 4)[0]
     x0 = np.zeros(A.dim)
     x0[0] = 1.0
-    trace = simulate_closed_loop(A, None, A.to_state(x0), 1.0, 0.01)
+    trace = simulate_closed_loop(A, None, x0, 1.0, 0.01)
     expect = (1.0 - 0.01 * lam) ** (-2.0 * np.arange(101))
     assert np.abs(trace.energies / expect - 1.0).max() < 1e-10
     for refused in (A.dense, lambda: compute_spectrum(A, 4, "dense")):
@@ -268,7 +314,7 @@ def test_closed_loop_never_materializes_the_reduced_matrix(loop24, monkeypatch):
 
     monkeypatch.setattr(GeneratorOperator, "dense", refuse)
     A, design = loop24["A"], loop24["design"]
-    y0 = A.to_state(design.proj.V @ np.ones(design.proj.N))
-    trace = simulate_closed_loop(A, design, y0, 1.0, 0.01, store_states=True)
+    x0 = design.proj.V @ np.ones(design.proj.N)
+    trace = simulate_closed_loop(A, design, x0, 1.0, 0.01, store_states=True)
     assert trace.energies[-1] < trace.energies[0]
     assert stable_complement_residual(trace, A, design.proj, 0.01) <= 1e-6
