@@ -13,17 +13,7 @@ from .geometry import (
     build_nested_regions,
     build_weight,
 )
-from .fields import (
-    BcTag,
-    ScalarField,
-    StateVector,
-    VectorField2,
-    apply_bc,
-    divergence,
-    inner,
-    laplacian,
-    restrict,
-)
+from .fields import BcTag, apply_bc
 from .projection import helmholtz_project
 from .equilibria import Equilibrium, make_equilibrium
 from .operators import (

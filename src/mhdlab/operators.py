@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 from .basis import SolenoidalBasis
 from .equilibria import Equilibrium
 from .errors import AssemblyError, ConfigurationError, NumericalError
-from .fields import StateVector, VectorField2, dx_matrix, dy_matrix, vector_laplacian_matrix
+from .fields import dx_matrix, dy_matrix, vector_laplacian_matrix
 from .grid import Grid
 
 _DENSE_STATE_LIMIT = 4400  # reduced state dimension cap for the dense strategy
@@ -44,35 +44,35 @@ _ROUNDOFF_RTOL = 1e-14
 _PART_ENTRIES = 1 << 21
 
 
-def _block_advection(e: VectorField2, grid: Grid) -> sp.csr_matrix:
+def _block_advection(grid: Grid, e: np.ndarray) -> sp.csr_matrix:
     """(e . grad) acting on stacked [v1; v2]."""
-    adv = sp.diags(e.u1.ravel()) @ dx_matrix(grid) + sp.diags(e.u2.ravel()) @ dy_matrix(grid)
+    adv = sp.diags(e[0].ravel()) @ dx_matrix(grid) + sp.diags(e[1].ravel()) @ dy_matrix(grid)
     return sp.block_diag([adv, adv], format="csr")
 
 
-def _gradient_coupling(e: VectorField2, grid: Grid) -> sp.csr_matrix:
+def _gradient_coupling(grid: Grid, e: np.ndarray) -> sp.csr_matrix:
     """(v . grad) e as a multiplication operator on stacked [v1; v2]."""
     Dx, Dy = dx_matrix(grid), dy_matrix(grid)
     d = lambda arr, m: (m @ arr.ravel())
     return sp.bmat(
         [
-            [sp.diags(d(e.u1, Dx)), sp.diags(d(e.u1, Dy))],
-            [sp.diags(d(e.u2, Dx)), sp.diags(d(e.u2, Dy))],
+            [sp.diags(d(e[0], Dx)), sp.diags(d(e[0], Dy))],
+            [sp.diags(d(e[1], Dx)), sp.diags(d(e[1], Dy))],
         ],
         format="csr",
     )
 
 
-def oseen_plus(e: VectorField2) -> sp.csr_matrix:
-    """First-order Oseen operator v -> (e.grad)v + (v.grad)e on stacked [v1; v2]."""
-    g = e.grid
-    return _block_advection(e, g) + _gradient_coupling(e, g)
+def oseen_plus(grid: Grid, e: np.ndarray) -> sp.csr_matrix:
+    """First-order Oseen operator v -> (e.grad)v + (v.grad)e on stacked
+    [v1; v2], for a (2, nx, ny) coefficient field e."""
+    return _block_advection(grid, e) + _gradient_coupling(grid, e)
 
 
-def oseen_minus(e: VectorField2) -> sp.csr_matrix:
-    """Sign-flipped Oseen operator v -> (e.grad)v - (v.grad)e on stacked [v1; v2]."""
-    g = e.grid
-    return _block_advection(e, g) - _gradient_coupling(e, g)
+def oseen_minus(grid: Grid, e: np.ndarray) -> sp.csr_matrix:
+    """Sign-flipped Oseen operator v -> (e.grad)v - (v.grad)e on stacked
+    [v1; v2], for a (2, nx, ny) coefficient field e."""
+    return _block_advection(grid, e) - _gradient_coupling(grid, e)
 
 
 def _fourier_parts(amb: sp.spmatrix, grid: Grid) -> Iterator[sp.csr_matrix]:
@@ -159,10 +159,10 @@ class MhdSystem:
             g = self.grid
             self._cache["blocks"] = {
                 "vlap": vector_laplacian_matrix(g, 4 if g.fully_periodic else 2),
-                "L1": oseen_plus(self.eq.y_e),
-                "L2": oseen_plus(self.eq.B_e),
-                "M1": oseen_minus(self.eq.y_e),
-                "M2": oseen_minus(self.eq.B_e),
+                "L1": oseen_plus(g, self.eq.y_e),
+                "L2": oseen_plus(g, self.eq.B_e),
+                "M1": oseen_minus(g, self.eq.y_e),
+                "M2": oseen_minus(g, self.eq.B_e),
             }
         return self._cache["blocks"]
 
@@ -268,12 +268,6 @@ class GeneratorOperator:
             raise NumericalError(
                 f"shifted generator a*I + b*R is singular: {exc}", detail={"a": a, "b": b}
             ) from exc
-
-    def to_state(self, x: np.ndarray) -> StateVector:
-        """The (phi, xi) fields of reduced coefficients x."""
-        g = self.system.grid
-        phi, xi = self.system.basis.synthesize(np.asarray(x).reshape(2, -1))
-        return StateVector(VectorField2(g, *phi), VectorField2(g, *xi))
 
 
 def assemble_generator(eq: Equilibrium, shift: float = 0.0) -> GeneratorOperator:

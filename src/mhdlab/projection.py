@@ -19,12 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
-from .fields import (
-    VectorField2,
-    divergence_matrix,
-    gradient_matrix,
-    wide_laplacian_matrix,
-)
+from .fields import divergence_matrix, gradient_matrix, wide_laplacian_matrix
 from .grid import Grid
 
 _DENSE_LIMIT = 4100  # cells; wall-grid pseudo-inverse guard
@@ -117,20 +112,19 @@ def _solver(grid: Grid) -> PoissonSolver:
     return grid._cache["poisson"]
 
 
-def helmholtz_project(v: VectorField2) -> VectorField2:
-    """Project onto the discretely divergence-free subspace.
+def helmholtz_project(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Project a (2, nx, ny) field onto the discretely divergence-free
+    subspace; returns a new array of the same shape.
 
     Gradient fields map to zero; fields already in the range are returned
     unchanged to solver tolerance; the projector is idempotent.
     """
-    g = v.grid
-    solver = _solver(g)
-    div_v = divergence_matrix(g) @ v.ravel()
+    solver = _solver(grid)
+    flat = v.reshape(-1)
+    div_v = divergence_matrix(grid) @ flat
     # derivative-scaled reference keeps the tolerance meaningful for
     # already-solenoidal inputs whose divergence is roundoff
-    ref = float(np.linalg.norm(v.ravel())) * 2.0 / min(g.hx, g.hy)
-    q = solver.solve_checked(div_v, ref) if g.fully_periodic else solver.solve(div_v, ref)[0]
-    corr = gradient_matrix(g) @ q
-    flat = v.ravel() - corr
-    return VectorField2.from_flat(g, flat, v.bc_tag)
-
+    ref = float(np.linalg.norm(flat)) * 2.0 / min(grid.hx, grid.hy)
+    q = solver.solve_checked(div_v, ref) if grid.fully_periodic else solver.solve(div_v, ref)[0]
+    corr = gradient_matrix(grid) @ q
+    return (flat - corr).reshape(v.shape)

@@ -368,7 +368,8 @@ def omega_fields(A: GeneratorOperator, pairs: list[EigenPair], omega: np.ndarray
 
     One stacked synthesis serves the whole cluster.  It is real when every
     coefficient vector is, and complex otherwise; a cluster whose vectors are
-    all real or all complex gets each pair's ``A.to_state`` field bit for bit.
+    all real or all complex gets each pair's own ``basis.synthesize`` of
+    ``coeffs.reshape(2, -1)`` bit for bit.
     """
     C = np.stack([p.coeffs for p in pairs])
     return A.system.basis.synthesize(C.reshape(len(pairs), 2, -1)) * omega

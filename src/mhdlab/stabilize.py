@@ -66,9 +66,6 @@ class UnstableProjection:
     def coords(self, x: np.ndarray) -> np.ndarray:
         return sla.lu_solve(self._pairing_lu, self.W.T @ x)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.V @ self.coords(x)
-
 
 def _realify(pairs: list[EigenPair]) -> tuple[np.ndarray, np.ndarray]:
     """Real column basis from eigenpairs; conjugate pairs give (Re, Im).

@@ -1,8 +1,11 @@
 """Test oracles: the parts of the continuation argument that no pipeline
 stage runs (the stages certify the Gram/Kalman ranks and the integrated
-weighted inequality).  Field operators the stages never apply, the steady
-form of the eigenproblem, the quintic cutoff and its commutators, and the
-tau-sweep bounds back the acceptance criteria and unit tests.
+weighted inequality).  Field containers and the field operators the stages
+never apply, the equilibrium forcings, the steady form of the eigenproblem,
+the quintic cutoff and its commutators, and the tau-sweep bounds back the
+acceptance criteria and unit tests.  The package itself takes and returns
+plain (2, nx, ny) arrays; ``VectorField2.array`` and ``VectorField2(grid,
+*a)`` cross between the two.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from mhdlab.basis import SolenoidalBasis
 from mhdlab.carleman import _cosine_sums
 from mhdlab.errors import CauchyDataError, ConfigurationError, MhdLabError, NumericalError
 from mhdlab.errors import ShapeError
-from mhdlab.fields import ScalarField, StateVector, VectorField2, _apply, divergence_matrix
-from mhdlab.fields import dx_matrix, dy_matrix, gradient_matrix, restrict, wide_laplacian_matrix
+from mhdlab.equilibria import Equilibrium
+from mhdlab.fields import _apply, divergence_matrix, dx_matrix, dy_matrix, gradient_matrix
+from mhdlab.fields import laplacian_matrix, wide_laplacian_matrix
 from mhdlab.geometry import RegionSet, transition_band
 from mhdlab.grid import Grid
 from mhdlab.operators import GeneratorOperator, MhdSystem
@@ -31,8 +35,121 @@ COMMUTATOR_SUPPORT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
+# Field containers
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ScalarField:
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values)
+        if self.values.shape != self.grid.shape:
+            raise ShapeError(
+                f"scalar field shape {self.values.shape} != grid {self.grid.shape}"
+            )
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_area))
+
+
+@dataclass
+class VectorField2:
+    grid: Grid
+    u1: np.ndarray
+    u2: np.ndarray
+
+    def __post_init__(self):
+        self.u1 = np.asarray(self.u1)
+        self.u2 = np.asarray(self.u2)
+        if self.u1.shape != self.grid.shape or self.u2.shape != self.grid.shape:
+            raise ShapeError("vector component shape does not match grid")
+
+    def ravel(self) -> np.ndarray:
+        return np.concatenate([self.u1.ravel(), self.u2.ravel()])
+
+    def array(self) -> np.ndarray:
+        """The (2, nx, ny) array the package's functions take."""
+        return np.stack([self.u1, self.u2])
+
+    @classmethod
+    def from_flat(cls, grid: Grid, flat: np.ndarray):
+        n = grid.ncells
+        return cls(grid, flat[:n].reshape(grid.shape), flat[n:].reshape(grid.shape))
+
+    @classmethod
+    def zeros(cls, grid: Grid, dtype=float):
+        return cls(grid, np.zeros(grid.shape, dtype), np.zeros(grid.shape, dtype))
+
+    def norm(self) -> float:
+        s = np.sum(np.abs(self.u1) ** 2) + np.sum(np.abs(self.u2) ** 2)
+        return float(np.sqrt(s * self.grid.cell_area))
+
+    def magnitude(self) -> np.ndarray:
+        return np.sqrt(np.abs(self.u1) ** 2 + np.abs(self.u2) ** 2)
+
+
+@dataclass
+class StateVector:
+    phi: VectorField2
+    xi: VectorField2
+
+    def __post_init__(self):
+        if not self.phi.grid.same_as(self.xi.grid):
+            raise ShapeError("state components live on different grids")
+
+    @property
+    def grid(self) -> Grid:
+        return self.phi.grid
+
+    @classmethod
+    def zeros(cls, grid: Grid, dtype=float):
+        return cls(VectorField2.zeros(grid, dtype), VectorField2.zeros(grid, dtype))
+
+    def norm(self) -> float:
+        return float(np.sqrt(self.phi.norm() ** 2 + self.xi.norm() ** 2))
+
+
+def to_state(A: GeneratorOperator, x: np.ndarray) -> StateVector:
+    """The (phi, xi) fields of reduced coefficients x."""
+    g = A.system.grid
+    phi, xi = A.system.basis.synthesize(np.asarray(x).reshape(2, -1))
+    return StateVector(VectorField2(g, *phi), VectorField2(g, *xi))
+
+
+def inner(a, b) -> complex:
+    """Grid L2 inner product, conjugate-linear in the first argument."""
+    av, bv = a.ravel(), b.ravel()
+    if av.shape != bv.shape:
+        raise ShapeError("inner product of mismatched fields")
+    g = a.grid if hasattr(a, "grid") else b.grid
+    return complex(np.vdot(av, bv) * g.cell_area)
+
+
+def restrict(v: VectorField2, region: np.ndarray) -> VectorField2:
+    """Zero the field outside a cell mask (indicator multiplication)."""
+    m = region.astype(v.u1.dtype if np.iscomplexobj(v.u1) else float)
+    return VectorField2(v.grid, v.u1 * m, v.u2 * m)
+
+
+# ---------------------------------------------------------------------------
 # Field operators and quadrature
 # ---------------------------------------------------------------------------
+
+def divergence(v: VectorField2) -> ScalarField:
+    g = v.grid
+    out = _apply(g, dx_matrix(g), v.u1) + _apply(g, dy_matrix(g), v.u2)
+    return ScalarField(g, out)
+
+
+def laplacian(f: ScalarField | VectorField2, order: int = 2):
+    g = f.grid
+    lap = laplacian_matrix(g, order)
+    if isinstance(f, ScalarField):
+        return ScalarField(g, _apply(g, lap, f.values))
+    return VectorField2(g, _apply(g, lap, f.u1), _apply(g, lap, f.u2))
+
 
 def gradient(s: ScalarField) -> VectorField2:
     g = s.grid
@@ -70,9 +187,42 @@ def weighted_norm2(
     return float(np.sum(integrand) * f.grid.cell_area)
 
 
-def divergence_residual(v: VectorField2) -> float:
+def divergence_residual(grid: Grid, v: np.ndarray) -> float:
+    """Largest discrete divergence of a (2, nx, ny) field."""
+    return float(np.max(np.abs(divergence_matrix(grid) @ v.reshape(-1))))
+
+
+def _advect(e: VectorField2, v: VectorField2) -> VectorField2:
+    """(e . grad) v with centered first derivatives."""
     g = v.grid
-    return float(np.max(np.abs(divergence_matrix(g) @ v.ravel())))
+    Dx, Dy = dx_matrix(g), dy_matrix(g)
+    u1x, u1y, u2x, u2y = (_apply(g, m, u) for u in (v.u1, v.u2) for m in (Dx, Dy))
+    return VectorField2(g, e.u1 * u1x + e.u2 * u1y, e.u1 * u2x + e.u2 * u2y)
+
+
+def forcings(eq: Equilibrium) -> tuple[VectorField2, VectorField2]:
+    """Body forcings (f, g) that make the equilibrium steady: the residuals
+    of the steady momentum and induction balance, zero equilibrium pressure
+    gauge."""
+    grid = eq.grid
+    ye, Be = VectorField2(grid, *eq.y_e), VectorField2(grid, *eq.B_e)
+    lap_y = laplacian(ye)
+    lap_B = laplacian(Be)
+    adv_yy = _advect(ye, ye)
+    adv_BB = _advect(Be, Be)
+    adv_yB = _advect(ye, Be)
+    adv_By = _advect(Be, ye)
+    f = VectorField2(
+        grid,
+        -eq.nu * lap_y.u1 + adv_yy.u1 - adv_BB.u1,
+        -eq.nu * lap_y.u2 + adv_yy.u2 - adv_BB.u2,
+    )
+    g = VectorField2(
+        grid,
+        -eq.eta * lap_B.u1 + adv_yB.u1 - adv_By.u1,
+        -eq.eta * lap_B.u2 + adv_yB.u2 - adv_By.u2,
+    )
+    return f, g
 
 
 def laplacian_symbol(basis: SolenoidalBasis, order: int) -> np.ndarray:
@@ -97,6 +247,11 @@ def laplacian_symbol(basis: SolenoidalBasis, order: int) -> np.ndarray:
     return out
 
 
+def unstable_component(proj: UnstableProjection, x: np.ndarray) -> np.ndarray:
+    """The biorthogonal projection of x onto the unstable subspace."""
+    return proj.V @ proj.coords(x)
+
+
 def stable_complement_residual(
     trace: SimulationTrace, A: GeneratorOperator, proj: UnstableProjection, dt: float
 ) -> float:
@@ -110,11 +265,11 @@ def stable_complement_residual(
     for k in range(len(trace.times) - 1):
         x = trace.states[k]
         xnext = trace.states[k + 1]
-        zeta = x - proj.apply(x)
-        zeta_next = xnext - proj.apply(xnext)
+        zeta = x - unstable_component(proj, x)
+        zeta_next = xnext - unstable_component(proj, xnext)
         # control drive enters the complement only through its stable part
         step_in = trace.states[k + 1] - lu.solve(trace.states[k])
-        pred = lu.solve(zeta) + (step_in - proj.apply(step_in))
+        pred = lu.solve(zeta) + (step_in - unstable_component(proj, step_in))
         worst = max(worst, float(np.max(np.abs(pred - zeta_next))))
     return worst
 
@@ -125,9 +280,8 @@ def poisson_control_fields(grid: Grid, actuators: np.ndarray, omega: np.ndarray)
     restriction to omega, in the (K, 2, 2, nx, ny) layout of the actuators."""
     out = np.empty_like(actuators)
     for j, actuator in enumerate(actuators):
-        for c, (u1, u2) in enumerate(actuator):
-            pv = restrict(helmholtz_project(VectorField2(grid, u1, u2)), omega)
-            out[j, c] = pv.u1, pv.u2
+        for c, field in enumerate(actuator):
+            out[j, c] = helmholtz_project(grid, field) * omega
     return out
 
 

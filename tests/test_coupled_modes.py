@@ -34,7 +34,7 @@ from mhdlab import (
 )
 from mhdlab.spectral import EigenPair
 from mhdlab.stabilize import control_fields
-from oracles import pde_residual, poisson_control_fields, xi_row_leakage
+from oracles import pde_residual, poisson_control_fields, to_state, xi_row_leakage
 
 L = 2 * np.pi
 
@@ -94,7 +94,7 @@ def test_uniform_field_pressure_and_residual_exact(box16):
     rep = compute_spectrum(A, 8, "dense")
     sys = A.system
     for pair in rep.pairs[:8]:
-        state = A.to_state(pair.coeffs)
+        state = to_state(A, pair.coeffs)
         out = pde_residual(sys, pair.lam, state)
         assert out["relative"] < 1e-9
         assert xi_row_leakage(sys, state) < 1e-10

@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from mhdlab import (
-    BcTag,
-    ScalarField,
-    VectorField2,
-    apply_bc,
-    build_grid,
-    divergence,
-    laplacian,
-)
+from mhdlab import BcTag, apply_bc, build_grid
 from mhdlab.errors import ShapeError
-from oracles import curl2d, gradient, rot, weighted_norm2
+from oracles import ScalarField, VectorField2, curl2d, divergence, gradient, laplacian, rot
+from oracles import weighted_norm2
 
 L = 2 * np.pi
 
@@ -96,18 +89,18 @@ class TestWallClosures:
 class TestApplyBc:
     def test_velocity_dirichlet_zeroes_ring(self, channel):
         rng = np.random.default_rng(0)
-        v = VectorField2(channel, rng.normal(size=channel.shape), rng.normal(size=channel.shape))
-        out = apply_bc(v, BcTag.velocity_dirichlet)
+        v = rng.normal(size=(2,) + channel.shape)
+        out = apply_bc(channel, v, BcTag.velocity_dirichlet)
         ring = channel.boundary_mask()
-        assert np.all(out.u1[ring] == 0.0)
-        assert np.all(out.u2[ring] == 0.0)
+        assert np.all(out[0][ring] == 0.0)
+        assert np.all(out[1][ring] == 0.0)
         inner = ~ring
-        assert np.array_equal(out.u1[inner], v.u1[inner])
+        assert np.array_equal(out[0][inner], v[0][inner])
 
     def test_magnetic_tangential(self, channel):
         rng = np.random.default_rng(1)
-        v = VectorField2(channel, rng.normal(size=channel.shape), rng.normal(size=channel.shape))
-        out = apply_bc(v, BcTag.magnetic_tangential)
+        v = rng.normal(size=(2,) + channel.shape)
+        out = VectorField2(channel, *apply_bc(channel, v, BcTag.magnetic_tangential))
         ring = channel.boundary_mask()
         assert np.abs(out.u2[ring]).max() == 0.0  # normal component
         scale = out.magnitude().max()
@@ -115,17 +108,18 @@ class TestApplyBc:
 
     def test_periodic_noop(self, box32):
         rng = np.random.default_rng(2)
-        v = VectorField2(box32, rng.normal(size=box32.shape), rng.normal(size=box32.shape))
-        out = apply_bc(v, "velocity_dirichlet")
-        assert np.array_equal(out.u1, v.u1)
-        assert np.array_equal(out.u2, v.u2)
+        v = rng.normal(size=(2,) + box32.shape)
+        out = apply_bc(box32, v, "velocity_dirichlet")
+        assert out is not v
+        assert np.array_equal(out[0], v[0])
+        assert np.array_equal(out[1], v[1])
 
     def test_unknown_tag(self, box32):
         from mhdlab.errors import ConfigurationError
 
-        v = VectorField2.zeros(box32)
+        v = np.zeros((2,) + box32.shape)
         with pytest.raises(ConfigurationError):
-            apply_bc(v, "nonsense")
+            apply_bc(box32, v, "nonsense")
 
 
 class TestWeightedNorm:

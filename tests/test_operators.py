@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,52 +7,73 @@ import scipy.sparse as sp
 from mhdlab import (
     GeneratorOperator,
     MhdSystem,
-    ScalarField,
-    StateVector,
-    VectorField2,
     assemble_adjoint,
     assemble_generator,
     build_grid,
     build_nested_regions,
     compute_spectrum,
-    divergence,
     make_equilibrium,
     oseen_minus,
     oseen_plus,
 )
-from mhdlab.errors import ConfigurationError, NumericalError
+from mhdlab.errors import ConfigurationError, NumericalError, ShapeError
 from mhdlab.fields import dx_matrix, dy_matrix
 from mhdlab.geometry import OmegaSpec
-from oracles import CommutatorSupportError, CutoffField, build_commutators, build_cutoff
-from oracles import pde_residual, pressure_from_state, rot, xi_row_leakage
+from oracles import CommutatorSupportError, CutoffField, ScalarField, StateVector, VectorField2
+from oracles import build_commutators, build_cutoff, divergence, forcings, pde_residual
+from oracles import pressure_from_state, rot, to_state, xi_row_leakage
 
 L = 2 * np.pi
 
 
 class TestEquilibria:
     def test_zero(self, box32, eq_zero32):
-        assert eq_zero32.y_e.norm() == 0.0
-        assert eq_zero32.B_e.norm() == 0.0
-        assert eq_zero32.f.norm() == 0.0
-        assert eq_zero32.g.norm() == 0.0
+        assert not eq_zero32.y_e.any()
+        assert not eq_zero32.B_e.any()
         assert eq_zero32.grad_bound == 0.0
 
     def test_shear_divfree_and_forcing(self, box32):
         nu = 0.7
         eq = make_equilibrium("shear", box32, nu=nu)
-        assert np.abs(divergence(eq.y_e).values).max() < 1e-12
+        assert np.abs(divergence(VectorField2(box32, *eq.y_e)).values).max() < 1e-12
         _, Y = box32.meshgrid()
+        f, g = forcings(eq)
         # f = -nu * Lap y_e; the discrete symbol multiplies sin y by
         # (2 - 2cos h)/h^2, within O(h^2) of 1
-        assert np.abs(eq.f.u1 - nu * np.sin(Y)).max() < 5e-3 * nu
-        assert np.abs(eq.f.u2).max() < 1e-12
-        assert eq.g.norm() == 0.0
+        assert np.abs(f.u1 - nu * np.sin(Y)).max() < 5e-3 * nu
+        assert np.abs(f.u2).max() < 1e-12
+        assert g.norm() == 0.0
         assert eq.grad_bound == pytest.approx(1.0, rel=1e-2)
 
     def test_taylor_vortex_divfree(self, box32):
         eq = make_equilibrium("taylor_vortex", box32)
-        assert np.abs(divergence(eq.y_e).values).max() < 1e-12
+        assert np.abs(divergence(VectorField2(box32, *eq.y_e)).values).max() < 1e-12
         assert np.isfinite(eq.grad_bound)
+
+    @pytest.mark.parametrize("kind", ["zero", "shear", "taylor_vortex", "custom"])
+    def test_fields_are_arrays_and_forcings_an_oracle(self, box32, kind):
+        # y_e and B_e are real (2, nx, ny) arrays and the equilibrium keeps no
+        # forcings; the oracle's forcings hold the closed forms: shear drives
+        # f = -nu Lap y_e and the custom B = (sin y, 0) drives g = -eta Lap B_e,
+        # the same discrete sine, and the forcing of a vanishing field is zero
+        _, Y = box32.meshgrid()
+        nu, eta = 0.7, 0.6
+        params = {"B_e": (np.sin(Y), np.zeros(box32.shape))} if kind == "custom" else None
+        eq = make_equilibrium(kind, box32, params, nu=nu, eta=eta)
+        for v in (eq.y_e, eq.B_e):
+            assert type(v) is np.ndarray and v.dtype == np.float64
+            assert v.shape == (2,) + box32.shape
+        assert not {"f", "g"} & {fld.name for fld in dataclasses.fields(eq)}
+        assert not hasattr(eq, "f") and not hasattr(eq, "g")
+        f, g = forcings(eq)
+        if kind in ("shear", "custom"):
+            h, c = (f, nu) if kind == "shear" else (g, eta)
+            assert np.abs(h.u1 - c * np.sin(Y)).max() < 5e-3 * c
+            assert np.abs(h.u2).max() < 1e-12
+        if kind in ("zero", "custom"):
+            assert f.norm() == 0.0
+        if kind != "custom":
+            assert g.norm() == 0.0
 
     def test_custom_with_magnetic_part(self, box32):
         X, Y = box32.meshgrid()
@@ -59,8 +82,12 @@ class TestEquilibria:
             box32,
             {"B_e": (np.sin(Y), np.zeros(box32.shape))},
         )
-        assert eq.B_e.norm() > 0
-        assert np.abs(divergence(eq.B_e).values).max() < 1e-12
+        assert np.linalg.norm(eq.B_e) > 0
+        assert np.abs(divergence(VectorField2(box32, *eq.B_e)).values).max() < 1e-12
+
+    def test_custom_component_off_the_grid_is_shape_error(self, box32):
+        with pytest.raises(ShapeError, match="B_e"):
+            make_equilibrium("custom", box32, {"B_e": (np.ones((16, 16)), np.zeros(box32.shape))})
 
     def test_unknown_kind(self, box32):
         with pytest.raises(ConfigurationError):
@@ -90,7 +117,7 @@ class TestEquilibria:
     def test_integral_float_mode_is_the_int(self, box32):
         a = make_equilibrium("shear", box32, {"mode": 2.0, "amplitude": 3})
         b = make_equilibrium("shear", box32, {"mode": 2, "amplitude": 3.0})
-        assert np.array_equal(a.y_e.u1, b.y_e.u1)
+        assert np.array_equal(a.y_e[0], b.y_e[0])
 
     def test_channel_shear_respects_walls(self, channel):
         X, Y = channel.meshgrid()
@@ -99,34 +126,34 @@ class TestEquilibria:
             "custom", channel, {"y_e": (prof, np.zeros(channel.shape))}
         )
         ring = channel.boundary_mask()
-        assert np.abs(eq.y_e.u1[ring]).max() < 1e-8 * np.abs(eq.y_e.u1).max()
+        assert np.abs(eq.y_e[0][ring]).max() < 1e-8 * np.abs(eq.y_e[0]).max()
 
 
 class TestOseen:
     def test_zero_field_gives_zero_operator(self, box32):
-        e = VectorField2.zeros(box32)
-        assert oseen_plus(e).nnz == 0 or np.abs(oseen_plus(e).data).max() == 0
+        e = np.zeros((2,) + box32.shape)
+        assert oseen_plus(box32, e).nnz == 0 or np.abs(oseen_plus(box32, e).data).max() == 0
 
     def test_constant_field_is_advection(self, box32):
         ones = np.ones(box32.shape)
-        e = VectorField2(box32, ones, 0 * ones)
+        e = np.array([ones, 0 * ones])
         rng = np.random.default_rng(0)
         v = rng.normal(size=2 * box32.ncells)
         expect = np.concatenate(
             [dx_matrix(box32) @ v[: box32.ncells], dx_matrix(box32) @ v[box32.ncells :]]
         )
-        assert np.abs(oseen_plus(e) @ v - expect).max() < 1e-12
+        assert np.abs(oseen_plus(box32, e) @ v - expect).max() < 1e-12
         # zero-order term vanishes for constant fields: both variants agree
         assert np.abs(
-            oseen_plus(e) @ v - oseen_minus(e) @ v
+            oseen_plus(box32, e) @ v - oseen_minus(box32, e) @ v
         ).max() < 1e-12
 
     def test_shear_on_constant_state(self, box32):
         _, Y = box32.meshgrid()
-        e = VectorField2(box32, np.sin(Y), np.zeros(box32.shape))
+        e = np.array([np.sin(Y), np.zeros(box32.shape)])
         v = np.concatenate([np.zeros(box32.ncells), np.ones(box32.ncells)])
-        got_plus = oseen_plus(e) @ v
-        got_minus = oseen_minus(e) @ v
+        got_plus = oseen_plus(box32, e) @ v
+        got_minus = oseen_minus(box32, e) @ v
         cos_d = (dy_matrix(box32) @ np.sin(Y).ravel())  # discrete cos y
         assert np.abs(got_plus[: box32.ncells] - cos_d).max() < 1e-12
         assert np.abs(got_minus[: box32.ncells] + cos_d).max() < 1e-12
@@ -305,7 +332,7 @@ class TestPressure:
         rng = np.random.default_rng(6)
         sys = gen_shifted32.system
         x = rng.normal(size=gen_shifted32.dim)
-        s = gen_shifted32.to_state(x)
+        s = to_state(gen_shifted32, x)
         p = pressure_from_state(sys, s)
         assert np.abs(p.values).max() < 1e-12
 
@@ -337,15 +364,15 @@ class TestPressure:
             phi = VectorField2(g, np.sin(X) * np.cos(Y), -np.cos(X) * np.sin(Y))
             from mhdlab.fields import divergence_matrix
 
-            lhs = divergence_matrix(g) @ (oseen_plus(eq.y_e) @ phi.ravel())
+            lhs = divergence_matrix(g) @ (oseen_plus(g, eq.y_e) @ phi.ravel())
             Dx, Dy = dx_matrix(g), dy_matrix(g)
             d = lambda a, m: (m @ a.ravel())
             # independent oracle: the double sum 2 * (d_i e_j)(d_j phi_i)
             rhs = 2.0 * (
-                d(eq.y_e.u1, Dx) * d(phi.u1, Dx)
-                + d(eq.y_e.u2, Dx) * d(phi.u1, Dy)
-                + d(eq.y_e.u1, Dy) * d(phi.u2, Dx)
-                + d(eq.y_e.u2, Dy) * d(phi.u2, Dy)
+                d(eq.y_e[0], Dx) * d(phi.u1, Dx)
+                + d(eq.y_e[1], Dx) * d(phi.u1, Dy)
+                + d(eq.y_e[0], Dy) * d(phi.u2, Dx)
+                + d(eq.y_e[1], Dy) * d(phi.u2, Dy)
             )
             errs[n] = np.abs(lhs - rhs).max()
         order = np.log2(errs[32] / errs[64])
@@ -389,8 +416,7 @@ class TestCommutators:
         # [chi,Lap]phi = -phi Lap chi - 2 grad chi . grad phi + O(h^2),
         # compared on the transition band where all fields are smooth; walls
         # in y give the system the second-order Laplacian of the expansion
-        from mhdlab import laplacian
-        from oracles import gradient
+        from oracles import gradient, laplacian
 
         errs = {}
         for n in (32, 64):
@@ -458,7 +484,7 @@ class TestPdeResidual:
         rep = compute_spectrum(gen_shifted32, 10, "shift_invert")
         sys = gen_shifted32.system
         for pair in rep.pairs[:4]:
-            out = pde_residual(sys, pair.lam, gen_shifted32.to_state(pair.coeffs))
+            out = pde_residual(sys, pair.lam, to_state(gen_shifted32, pair.coeffs))
             assert out["relative"] <= 1e-6
 
     def test_xi_leakage_reported_for_coupled_equilibrium(self, box16):
@@ -470,6 +496,6 @@ class TestPdeResidual:
         )
         A = assemble_generator(eq, 0.0)
         rep = compute_spectrum(A, 4, "dense")
-        leak = xi_row_leakage(A.system, A.to_state(rep.pairs[0].coeffs))
+        leak = xi_row_leakage(A.system, to_state(A, rep.pairs[0].coeffs))
         assert leak < 0.3  # O(h^2) scale, strictly a diagnostic
         assert leak > 0.0

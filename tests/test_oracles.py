@@ -2,7 +2,9 @@
 each moved name is defined there only, and no pipeline or benchmark module
 imports the oracles."""
 
+import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import mhdlab
@@ -10,7 +12,8 @@ import oracles
 from mhdlab.basis import SolenoidalBasis
 from mhdlab.equilibria import Equilibrium
 from mhdlab.geometry import WeightField
-from mhdlab.operators import MhdSystem
+from mhdlab.operators import GeneratorOperator, MhdSystem
+from mhdlab.stabilize import UnstableProjection
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,11 +25,22 @@ MOVED = {
     "carleman": ["assemble_chi_system_residual", "make_omega_vanishing_state",
                  "tau_sweep_vanishing", "halving_exponents", "_star_integrals",
                  "_grad_energy"],
-    "fields": ["gradient", "curl2d", "rot", "weighted_norm2"],
+    "fields": ["gradient", "curl2d", "rot", "weighted_norm2", "ScalarField", "VectorField2",
+               "StateVector", "inner", "restrict", "divergence", "laplacian"],
+    "equilibria": ["_advect", "forcings"],
     "projection": ["divergence_residual"],
     "stabilize": ["stable_complement_residual"],
 }
 MOVED_METHODS = ["pressure_from_state", "steady_rows", "pde_residual", "xi_row_leakage"]
+# (class, method) -> the oracle function that replaced it
+MOVED_TO_FUNCTIONS = {(GeneratorOperator, "to_state"): "to_state",
+                      (UnstableProjection, "apply"): "unstable_component"}
+# a moved name as code names or calls it
+MOVED_USE = re.compile(
+    r"\b(ScalarField|VectorField2|StateVector)\b"
+    r"|\b(inner|restrict|divergence|laplacian|to_state|unstable_component|forcings)\("
+    r"|\.apply\("
+)
 
 
 def test_moved_names_live_in_the_oracles_only():
@@ -40,6 +54,12 @@ def test_moved_names_live_in_the_oracles_only():
         assert not hasattr(MhdSystem, name), name
         if name in MOVED_METHODS:
             assert callable(getattr(oracles, name))
+    for (cls, method), name in MOVED_TO_FUNCTIONS.items():
+        assert not hasattr(cls, method), f"{cls.__name__}.{method}"
+        assert callable(getattr(oracles, name)), name
+        assert not hasattr(mhdlab, name), f"mhdlab.{name}"
+    # the equilibrium keeps its fields, not the forcings that make them steady
+    assert not {"f", "g"} & {f.name for f in dataclasses.fields(Equilibrium)}
     # deleted with no replacement, or built for no stage
     assert not hasattr(importlib.import_module("mhdlab.carleman"), "final_estimate_eval")
     assert not hasattr(Equilibrium, "sup_fields")
@@ -60,3 +80,5 @@ def test_no_pipeline_or_benchmark_module_imports_the_oracles():
     for path in sources:
         text = path.read_text()
         assert "import oracles" not in text and "from oracles" not in text, path
+        use = MOVED_USE.search(text)
+        assert use is None, f"{path.name}: {use and use.group()}"

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from mhdlab import (
-    ScalarField,
-    VectorField2,
-    build_grid,
-    helmholtz_project,
-)
+from mhdlab import build_grid, helmholtz_project
 from mhdlab.basis import SolenoidalBasis
 from mhdlab.fields import divergence_matrix, vector_laplacian_matrix
 from mhdlab.stabilize import control_fields
-from oracles import divergence_residual, gradient, laplacian_symbol, rot
+from oracles import ScalarField, VectorField2, divergence_residual, gradient, laplacian_symbol
+from oracles import rot
 
 L = 2 * np.pi
 
@@ -22,7 +18,7 @@ def _random_field(grid, rng, cplx=False):
     if cplx:
         u1 = u1 + 1j * rng.normal(size=shape)
         u2 = u2 + 1j * rng.normal(size=shape)
-    return VectorField2(grid, u1, u2)
+    return np.array([u1, u2])
 
 
 def _assert_symbol_diagonalizes_laplacian(grid):
@@ -42,8 +38,8 @@ class TestHelmholtz:
         rng = np.random.default_rng(11)
         for _ in range(20):
             v = _random_field(box32, rng)
-            pv = helmholtz_project(v)
-            ppv = helmholtz_project(pv)
+            pv = helmholtz_project(box32, v)
+            ppv = helmholtz_project(box32, pv)
             num = np.linalg.norm(ppv.ravel() - pv.ravel())
             assert num <= 1e-10 * np.linalg.norm(v.ravel())
 
@@ -52,42 +48,40 @@ class TestHelmholtz:
         for _ in range(10):
             s = ScalarField(box32, rng.normal(size=box32.shape))
             gs = gradient(s)
-            pg = helmholtz_project(gs)
+            pg = VectorField2(box32, *helmholtz_project(box32, gs.array()))
             assert pg.norm() <= 1e-10 * max(gs.norm(), 1.0)
 
     def test_divergence_free_output(self, box32):
         rng = np.random.default_rng(13)
         for _ in range(10):
             v = _random_field(box32, rng)
-            pv = helmholtz_project(v)
-            assert divergence_residual(pv) <= 1e-10 * np.linalg.norm(v.ravel())
+            pv = helmholtz_project(box32, v)
+            assert divergence_residual(box32, pv) <= 1e-10 * np.linalg.norm(v.ravel())
 
     def test_fixes_divergence_free_fields(self, box32):
         # rot of a stream function is exactly divergence free and zero mean
         rng = np.random.default_rng(14)
         psi = ScalarField(box32, rng.normal(size=box32.shape))
-        v = rot(psi)
-        pv = helmholtz_project(v)
+        v = rot(psi).array()
+        pv = helmholtz_project(box32, v)
         assert np.abs(pv.ravel() - v.ravel()).max() <= 1e-10 * np.abs(v.ravel()).max()
 
     def test_complex_fields(self, box32):
         rng = np.random.default_rng(15)
         v = _random_field(box32, rng, cplx=True)
-        pv = helmholtz_project(v)
-        assert divergence_residual(pv) <= 1e-10 * np.linalg.norm(v.ravel())
+        pv = helmholtz_project(box32, v)
+        assert divergence_residual(box32, pv) <= 1e-10 * np.linalg.norm(v.ravel())
 
     def test_wall_grid_on_smooth_fields(self, channel):
         # wall grids go through the least-squares path: solenoidal to solver
         # accuracy for resolved fields, idempotent, residual reported
         X, Y = channel.meshgrid()
-        v = VectorField2(
-            channel, np.sin(X) * np.cos(Y) + 0.5 * np.cos(2 * X), np.cos(X) * Y * (2 - Y)
-        )
-        pv = helmholtz_project(v)
+        v = np.array([np.sin(X) * np.cos(Y) + 0.5 * np.cos(2 * X), np.cos(X) * Y * (2 - Y)])
+        pv = helmholtz_project(channel, v)
         before = np.abs(divergence_matrix(channel) @ v.ravel()).max()
         after = np.abs(divergence_matrix(channel) @ pv.ravel()).max()
         assert after < 1e-6 * before
-        ppv = helmholtz_project(pv)
+        ppv = helmholtz_project(channel, pv)
         assert np.linalg.norm(ppv.ravel() - pv.ravel()) <= 1e-7 * np.linalg.norm(v.ravel())
 
 
@@ -103,8 +97,8 @@ def test_leray_projection_is_the_basis_projection_plus_the_means(shape):
     a = rng.normal(size=(3, 2, 2) + g.shape)
     got = b.synthesize(b.analyze(a)) + a.mean(axis=(-2, -1), keepdims=True)
     for f, pf in zip(a.reshape((-1, 2) + g.shape), got.reshape((-1, 2) + g.shape)):
-        pv = helmholtz_project(VectorField2(g, *f))
-        assert np.abs(pf - np.stack([pv.u1, pv.u2])).max() <= 1e-13 * np.abs(f).max()
+        pv = helmholtz_project(g, f)
+        assert np.abs(pf - pv).max() <= 1e-13 * np.abs(f).max()
     # on the whole torus the applied control fields are that projection
     whole = np.ones(g.shape, dtype=bool)
     assert control_fields(b, a, whole).tobytes() == got.tobytes()
@@ -162,8 +156,7 @@ class TestSolenoidalBasis:
         singles = np.stack([b.synthesize(c) for c in C])
         assert F.dtype == singles.dtype and F.tobytes() == singles.tobytes()
 
-        fields = [_random_field(g, rng, cplx) for _ in range(3)]
-        stack = np.stack([[v.u1, v.u2] for v in fields])
+        stack = np.stack([_random_field(g, rng, cplx) for _ in range(3)])
         coeffs = b.analyze(stack)
         singles = np.stack([b.analyze(f) for f in stack])
         assert coeffs.dtype == singles.dtype and coeffs.tobytes() == singles.tobytes()
