@@ -39,7 +39,7 @@ from .spectral import (
 from .carleman import (
     CarlemanParams,
     Coefficients,
-    EstimateReport,
+    Sweep,
     coefficients,
     draw_test_fields,
     inequality_sweep_stack,

@@ -6,14 +6,19 @@ Two checks live here:
   inputs);
 * the integrated inequality over the working band G for fields with zero
   Cauchy data on its boundary, with an empirically located threshold tau0
-  and an optional calibrated tau^2 correction bound.
+  and an optional calibrated tau^2 correction bound.  ``sweep`` draws the
+  seeded test fields and checks them at every tau in one call, and returns
+  a ``Sweep`` of (tau, field) arrays.
 
 The cutoff-system residual and the tau-sweep bounds are test oracles, in
 the tests' ``oracles`` module.
 
 All weighted quadratures share the normalization exp(2*tau*(psi - max psi))
-over the integration region; the inequalities are invariant under constant
-shifts of psi and the normalization keeps every exponential in range.
+over the band G, evaluated on the cells of G only: the inequalities are
+invariant under constant shifts of psi, and the normalization keeps every
+exponential at most 1.  Far enough above the tau range the grid resolves, a
+field's weighted integrals underflow; the check then raises
+``NumericalError`` naming tau rather than pass on zeros.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CauchyDataError, ConfigurationError
+from .errors import CauchyDataError, ConfigurationError, NumericalError
 from .fields import dx_matrix, dy_matrix, laplacian_matrix
 from .geometry import RegionSet, WeightField
 from .grid import Grid
@@ -86,25 +91,20 @@ def coefficients(p: CarlemanParams) -> Coefficients:
     return Coefficients(c_grad, c_zero, c_rhs)
 
 
-@dataclass
-class EstimateReport:
-    tau_used: float
-    lhs_grad: float
-    lhs_zero: float
-    rhs_main: float
-    margin: float
-    passed: bool
-    tau_too_small: bool
-    tau2_bound: float
-    weight_shift: float
-    integral_grad: float = 0.0
-    integral_zero: float = 0.0
-    integral_rhs: float = 0.0
+class Sweep(NamedTuple):
+    """The weighted inequality per (tau, field): each entry is an
+    (n_tau, n_fields) array, row i for params_seq[i].  The lhs terms carry
+    their coefficients, the integrals over G do not; ``margin`` is rhs_main
+    minus both lhs terms."""
 
-
-def _normalized_weight(psi: np.ndarray, tau: float, region: np.ndarray) -> tuple[np.ndarray, float]:
-    shift = float(psi[region].max())
-    return np.exp(2.0 * tau * (psi - shift)), shift
+    lhs_grad: np.ndarray
+    lhs_zero: np.ndarray
+    rhs_main: np.ndarray
+    margin: np.ndarray
+    passed: np.ndarray
+    integral_grad: np.ndarray
+    integral_zero: np.ndarray
+    integral_rhs: np.ndarray
 
 
 def _boundary_rings(region: np.ndarray) -> np.ndarray:
@@ -128,13 +128,13 @@ def _dilate(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_weight(psi: WeightField, G: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
-    """The normalized weight at tau on the cells of G, and its shift; built
-    once per (G, tau) and kept on psi."""
+def _band_weight(psi: WeightField, G: np.ndarray, tau: float) -> np.ndarray:
+    """The normalized weight at tau on the cells of G; built once per
+    (G, tau) and kept on psi."""
     key = (G.tobytes(), tau)
     if key not in psi._cache:
-        Wn, shift = _normalized_weight(psi.psi, tau, G)
-        psi._cache[key] = (Wn[G], shift)
+        on_G = psi.psi[G]
+        psi._cache[key] = np.exp(2.0 * tau * (on_G - float(on_G.max())))
     return psi._cache[key]
 
 
@@ -188,18 +188,23 @@ def inequality_sweep_stack(
     fields: np.ndarray,
     psi: WeightField,
     params_seq: list[CarlemanParams],
-) -> list[list[EstimateReport]]:
+) -> Sweep:
     """Weighted inequality over G for every field of a stack, each with zero
-    Cauchy data on dG: one list per field, one report per entry of
-    params_seq.  The stack is (field, component, x, y) on psi's grid, with
-    one component for scalar fields and two (u1, u2) for vector fields.
+    Cauchy data on dG, at every entry of params_seq.  The stack is (field,
+    component, x, y) on psi's grid, with one component for scalar fields and
+    two (u1, u2) for vector fields.
 
     One sparse product gives the gradients and Laplacians of the whole
     stack, held as cells x components x fields.  The squared integrands on
     G become the C-contiguous rows of one array, and each tau reduces its
     weight against every row, so each sum runs over the same terms in the
-    same order as for the field alone: the reports do not depend on how
+    same order as for the field alone: the results do not depend on how
     the fields are stacked.
+
+    Raises NumericalError naming tau when a field's integral of |grad w|^2,
+    |w|^2 or |lap w|^2 over G is positive but its weighted integral at tau
+    underflows below the smallest normal float: the inequality would then
+    pass on zeros.
     """
     g = psi.regions.grid
     G = psi.regions.G
@@ -216,14 +221,22 @@ def inequality_sweep_stack(
     )
     rows = np.ascontiguousarray(rows.transpose(2, 1, 0))
     prod = np.empty_like(rows)
+    # the three integrals over G without the weight, per field
+    U = rows.sum(axis=2)
+    positive = np.stack([U[:, :ncomp].sum(axis=1), U[:, ncomp], U[:, ncomp + 1]]) > 0
 
     dA = g.cell_area
-    reports = [[] for _ in range(n)]
+    per_tau = []
     for params in params_seq:
         tau = params.tau
-        Wg, shift = _band_weight(psi, G, tau)
-        S = np.multiply(Wg, rows, out=prod).sum(axis=2) * dA
+        S = np.multiply(_band_weight(psi, G, tau), rows, out=prod).sum(axis=2) * dA
         I_grad, I_zero, I_rhs = S[:, :ncomp].sum(axis=1), S[:, ncomp], S[:, ncomp + 1]
+        if (positive & (np.stack([I_grad, I_zero, I_rhs]) < np.finfo(float).tiny)).any():
+            raise NumericalError(
+                f"weighted integrals over G underflow at tau = {tau:g}; "
+                "tau lies above the range this grid resolves",
+                {"tau": tau},
+            )
         c_grad, c_zero, c_rhs = coefficients(params)
         c_zero_eff = max(c_zero - params.tau2_bound * tau**2, 0.0)
         lhs_grad = c_grad * I_grad
@@ -231,16 +244,26 @@ def inequality_sweep_stack(
         rhs_main = c_rhs * I_rhs
         margin = rhs_main - (lhs_grad + lhs_zero)
         passed = margin >= -PASS_SLACK * np.maximum(rhs_main, 1e-300)
-        per_field = zip(
-            lhs_grad.tolist(), lhs_zero.tolist(), rhs_main.tolist(), margin.tolist(),
-            passed.tolist(), I_grad.tolist(), I_zero.tolist(), I_rhs.tolist(),
-        )
-        for field_reports, (lg, lz, rm, mg, ok, ig, iz, ir) in zip(reports, per_field):
-            field_reports.append(EstimateReport(
-                tau, lg, lz, rm, mg, ok, bool(c_grad <= 0), params.tau2_bound, shift,
-                ig, iz, ir,
-            ))
-    return reports
+        per_tau.append((lhs_grad, lhs_zero, rhs_main, margin, passed, I_grad, I_zero, I_rhs))
+    return Sweep(*(np.array(column) for column in zip(*per_tau)))
+
+
+def sweep(
+    psi: WeightField,
+    rng: np.random.Generator,
+    n_fields: int,
+    params_seq: list[CarlemanParams],
+    kind: str = "scalar",
+    h_ref: float | None = None,
+) -> Sweep:
+    """The weighted inequality for n_fields seeded ``draw_test_fields``
+    fields at every entry of params_seq: the stacks' sweeps joined along
+    the field axis, in draw order."""
+    stacks = [
+        inequality_sweep_stack(fields, psi, params_seq)
+        for fields in draw_test_fields(psi.regions, rng, n_fields, kind, h_ref)
+    ]
+    return Sweep(*(np.concatenate(column, axis=1) for column in zip(*stacks)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +351,21 @@ def calibrate_tau2_bound(
     """Smallest c2 >= 0 such that the inequality holds on n_fields seeded
     ``draw_test_fields`` fields (cosine sums times the band mollifier) after
     weakening the zero-order coefficient by c2*tau^2."""
-    rng = np.random.default_rng(seed)
-    need = 0.0
     params = [CarlemanParams.for_weight(tau, psi, delta0, epsilon) for tau in tau_list]
-    for fields in draw_test_fields(psi.regions, rng, n_fields):
-        for reports in inequality_sweep_stack(fields, psi, params):
-            for tau, rep in zip(tau_list, reports):
-                if rep.margin < 0 and rep.integral_zero > 0:
-                    need = max(need, -rep.margin / (tau**2 * rep.integral_zero))
-    return 1.05 * need
+    s = sweep(psi, np.random.default_rng(seed), n_fields, params)
+    tau2 = np.array([tau**2 for tau in tau_list])[:, None]
+    short = (s.margin < 0) & (s.integral_zero > 0)
+    need = (-s.margin[short] / (tau2 * s.integral_zero)[short]).max(initial=0.0)
+    return 1.05 * float(need)
 
 
-def find_tau0(reports_by_tau: dict[float, list[EstimateReport]]) -> float | None:
-    """Smallest tau from which every larger tau in the grid passes everywhere."""
-    taus = sorted(reports_by_tau)
+def find_tau0(taus: list[float], passed: np.ndarray) -> float | None:
+    """Smallest tau from which every larger tau in the grid passes
+    everywhere; ``passed`` is a Sweep's (tau, field) array, row i for
+    taus[i]."""
     tau0 = None
-    for tau in reversed(taus):
-        if all(r.passed for r in reports_by_tau[tau]):
-            tau0 = tau
-        else:
+    for tau, ok in sorted(zip(taus, passed.all(axis=1)), reverse=True):
+        if not ok:
             break
+        tau0 = tau
     return tau0

@@ -30,13 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .carleman import (
-    CarlemanParams,
-    calibrate_tau2_bound,
-    draw_test_fields,
-    find_tau0,
-    inequality_sweep_stack,
-)
+from .carleman import CarlemanParams, calibrate_tau2_bound, find_tau0, sweep
 from .config import RunConfig
 from .errors import (
     ConfigurationError,
@@ -244,33 +238,20 @@ def run_carleman(run: Run, outdir: Path) -> dict:
     params = [
         CarlemanParams.for_weight(t, psi, opts["delta0"], opts["epsilon"], c2) for t in taus
     ]
-    rng = np.random.default_rng(cfg.seed)
-    by_tau = {t: [] for t in taus}
-    for fields in draw_test_fields(regions, rng, opts["n_fields"]):
-        for reports in inequality_sweep_stack(fields, psi, params):
-            for t, rep in zip(taus, reports):
-                by_tau[t].append(rep)
-    rows = []
-    for t in taus:
-        reps = by_tau[t]
-        worst = min(r.margin for r in reps)
-        rows.append(
-            [
-                t,
-                float(np.mean([r.lhs_grad for r in reps])),
-                float(np.mean([r.lhs_zero for r in reps])),
-                float(np.mean([r.rhs_main for r in reps])),
-                worst,
-                all(r.passed for r in reps),
-            ]
+    s = sweep(psi, np.random.default_rng(cfg.seed), opts["n_fields"], params)
+    rows = [
+        [t, *(float(np.mean(a)) for a in means), float(margin.min()), bool(ok.all())]
+        for t, *means, margin, ok in zip(
+            taus, s.lhs_grad, s.lhs_zero, s.rhs_main, s.margin, s.passed
         )
+    ]
     write_table(
         outdir / "carleman_sweep.txt",
         ["tau", "lhs_grad_mean", "lhs_zero_mean", "rhs_mean", "worst_margin", "pass"],
         rows,
         _meta(cfg),
     )
-    tau0 = find_tau0(by_tau)
+    tau0 = find_tau0(taus, s.passed)
     summary = dict(
         _meta(cfg),
         rho=psi.rho,

@@ -84,15 +84,6 @@ class Grid:
             mask[:, -1] = True
         return mask
 
-    def same_as(self, other: "Grid") -> bool:
-        return (
-            self.shape == other.shape
-            and np.isclose(self.Lx, other.Lx)
-            and np.isclose(self.Ly, other.Ly)
-            and self.bc_x == other.bc_x
-            and self.bc_y == other.bc_y
-        )
-
 
 def build_grid(
     Lx: float,

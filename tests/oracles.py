@@ -90,13 +90,24 @@ class VectorField2:
         return np.sqrt(np.abs(self.u1) ** 2 + np.abs(self.u2) ** 2)
 
 
+def same_grid(a: Grid, b: Grid) -> bool:
+    """Same shape, boundary kinds and (to np.isclose) lengths."""
+    return (
+        a.shape == b.shape
+        and np.isclose(a.Lx, b.Lx)
+        and np.isclose(a.Ly, b.Ly)
+        and a.bc_x == b.bc_x
+        and a.bc_y == b.bc_y
+    )
+
+
 @dataclass
 class StateVector:
     phi: VectorField2
     xi: VectorField2
 
     def __post_init__(self):
-        if not self.phi.grid.same_as(self.xi.grid):
+        if not same_grid(self.phi.grid, self.xi.grid):
             raise ShapeError("state components live on different grids")
 
     @property
@@ -435,7 +446,7 @@ def build_commutators(
     guard layers; leakage beyond the transition band raises.
     """
     g = s.grid
-    if not chi.regions.grid.same_as(g) or not p.grid.same_as(g):
+    if not same_grid(chi.regions.grid, g) or not same_grid(p.grid, g):
         raise ShapeError("cutoff, state and pressure must share one grid")
     nu, eta = system.nu, system.eta
     chi2 = np.concatenate([chi.values.ravel()] * 2)

@@ -27,7 +27,8 @@ from mhdlab import (
     select_actuators,
     ucp_gram_test,
 )
-from mhdlab.carleman import draw_test_fields, find_tau0, inequality_sweep_stack
+from mhdlab import carleman
+from mhdlab.carleman import find_tau0
 from mhdlab.fields import divergence_matrix, dx_matrix, dy_matrix, wide_laplacian_matrix
 from oracles import ScalarField, StateVector, VectorField2, build_commutators
 from oracles import divergence_residual, gradient, halving_exponents, make_omega_vanishing_state
@@ -164,27 +165,20 @@ def carleman_sweep(regions32, psi32):
     spec = regions32.omega_spec
     diam = 2 * (spec.radius + regions32.omega1_width + regions32.omega_star_width)
     taus = [c * 4.0 / diam for c in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
-    rng = np.random.default_rng(777)
     params = [CarlemanParams.for_weight(t, psi32) for t in taus]
-    per_field = [
-        reports
-        for fields in draw_test_fields(regions32, rng, 100)
-        for reports in inequality_sweep_stack(fields, psi32, params)
-    ]
-    by_tau = {t: [reports[i] for reports in per_field] for i, t in enumerate(taus)}
-    return taus, by_tau
+    return taus, carleman.sweep(psi32, np.random.default_rng(777), 100, params)
 
 
 def test_criterion_6_integrated_inequality(carleman_sweep, psi32):
-    taus, by_tau = carleman_sweep
-    tau0 = find_tau0(by_tau)
+    taus, s = carleman_sweep
+    tau0 = find_tau0(taus, s.passed)
     pass_above = tau0 is not None and all(
-        r.passed for t in taus if t >= tau0 for r in by_tau[t]
+        passed.all() for t, passed in zip(taus, s.passed) if t >= tau0
     )
     slopes = []
-    for reps in zip(*(by_tau[t] for t in taus)):
+    for lhs_zero, integral_zero in zip(s.lhs_zero.T, s.integral_zero.T):
         xs = [np.log(t) for t in taus]
-        ys = [np.log(r.lhs_zero / r.integral_zero) for r in reps]
+        ys = np.log(lhs_zero / integral_zero)
         slopes.append(np.polyfit(xs, ys, 1)[0])
     slope_ok = all(abs(s - 3.0) <= 0.2 for s in slopes)
     ok = pass_above and slope_ok

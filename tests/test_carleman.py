@@ -7,14 +7,15 @@ from mhdlab import CarlemanParams, coefficients, compute_spectrum
 from mhdlab import carleman
 from mhdlab.carleman import (
     PASS_SLACK,
-    EstimateReport,
+    Sweep,
     calibrate_tau2_bound,
     coefficients,
     draw_test_fields,
     find_tau0,
     inequality_sweep_stack,
+    sweep,
 )
-from mhdlab.errors import CauchyDataError, ConfigurationError
+from mhdlab.errors import CauchyDataError, ConfigurationError, NumericalError
 from oracles import CutoffField, ScalarField, StateVector, VectorField2
 from oracles import assemble_chi_system_residual, gradient, halving_exponents, laplacian
 from oracles import make_omega_vanishing_state, pde_residual, pressure_from_state
@@ -77,35 +78,32 @@ class TestCoefficients:
 class TestIntegratedInequality:
     def test_zero_field_passes(self, regions32, psi32):
         w = np.zeros((1, 1, *regions32.grid.shape))
-        rep = inequality_sweep_stack(w, psi32, [CarlemanParams.for_weight(1.0, psi32)])[0][0]
-        assert rep.passed
-        assert rep.margin == 0.0
+        s = inequality_sweep_stack(w, psi32, [CarlemanParams.for_weight(1.0, psi32)])
+        assert s.passed[0, 0]
+        assert s.margin[0, 0] == 0.0
 
     def test_seeded_fields_pass_above_threshold(self, regions32, psi32):
         rng = np.random.default_rng(42)
         taus = tau_grid(regions32)
-        by_tau = {t: [] for t in taus}
         params = [CarlemanParams.for_weight(t, psi32) for t in taus]
-        for fields in draw_test_fields(regions32, rng, 30):
-            for reports in inequality_sweep_stack(fields, psi32, params):
-                for t, rep in zip(taus, reports):
-                    by_tau[t].append(rep)
-        tau0 = find_tau0(by_tau)
+        s = sweep(psi32, rng, 30, params)
+        assert s.passed.shape == (len(taus), 30)
+        tau0 = find_tau0(taus, s.passed)
         assert tau0 is not None
-        for t in taus:
+        for t, passed in zip(taus, s.passed):
             if t >= tau0:
-                assert all(r.passed for r in by_tau[t])
+                assert passed.all()
 
     def test_zero_order_scales_as_tau_cubed(self, regions32, psi32):
         rng = np.random.default_rng(43)
         w = next(draw_test_fields(regions32, rng, 1))
         taus = tau_grid(regions32)
         params = [CarlemanParams.for_weight(t, psi32) for t in taus]
-        reports = inequality_sweep_stack(w, psi32, params)
+        s = inequality_sweep_stack(w, psi32, params)
         logs_t, logs_v = [], []
-        for t, rep in zip(taus, reports[0]):
+        for t, lhs_zero, integral_zero in zip(taus, s.lhs_zero[:, 0], s.integral_zero[:, 0]):
             logs_t.append(np.log(t))
-            logs_v.append(np.log(rep.lhs_zero / rep.integral_zero))
+            logs_v.append(np.log(lhs_zero / integral_zero))
         slope = np.polyfit(logs_t, logs_v, 1)[0]
         assert slope == pytest.approx(3.0, abs=0.2)
 
@@ -116,15 +114,35 @@ class TestIntegratedInequality:
         w = next(draw_test_fields(regions32, rng, 1))
         taus = tau_grid(regions32)
         params = [CarlemanParams.for_weight(t, psi32) for t in taus]
-        reports = inequality_sweep_stack(w, psi32, params)
+        s = inequality_sweep_stack(w, psi32, params)
         logs_t, logs_r = [], []
-        for t, rep in zip(taus, reports[0]):
-            ratio = rep.rhs_main / rep.lhs_zero
-            weight_shift = rep.integral_rhs / rep.integral_zero
+        for i, t in enumerate(taus):
+            ratio = s.rhs_main[i, 0] / s.lhs_zero[i, 0]
+            weight_shift = s.integral_rhs[i, 0] / s.integral_zero[i, 0]
             logs_t.append(np.log(t))
             logs_r.append(np.log(ratio / weight_shift))
         slope = np.polyfit(logs_t, logs_r, 1)[0]
         assert slope == pytest.approx(-3.0, abs=0.2)
+
+    def test_underflowing_integral_raises_unless_the_field_is_zero(self, regions32, psi32):
+        # at tau = 130 on 32^2 the seeded field's weighted |w|^2 integral falls
+        # below the smallest normal float while its |grad w|^2 and |lap w|^2
+        # integrals stay near 1e-217: each of the three is checked on its own
+        w = next(draw_test_fields(regions32, np.random.default_rng(42), 1))
+        tiny = np.finfo(float).tiny
+        par = CarlemanParams.for_weight(130.0, psi32)
+        # the reference weighs the whole grid: off G the weight overflows to
+        # inf and its products to nan, which the integrals over G never read
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _reference_check(_as_field(regions32.grid, w[0]), psi32, par)
+        assert ref.integral_zero[0, 0] < tiny
+        assert ref.integral_grad[0, 0] > tiny and ref.integral_rhs[0, 0] > tiny
+        params = [CarlemanParams.for_weight(t, psi32) for t in (1.0, 130.0, 200.0)]
+        with pytest.raises(NumericalError, match="tau = 130"):
+            inequality_sweep_stack(w, psi32, params)
+        assert inequality_sweep_stack(w, psi32, params[:1]).passed.all()
+        s = inequality_sweep_stack(np.zeros_like(w), psi32, params)
+        assert s.passed.all() and not s.margin.any()
 
     def test_cauchy_precondition_enforced(self, regions32, psi32):
         w = np.ones((1, 1, *regions32.grid.shape))
@@ -134,8 +152,8 @@ class TestIntegratedInequality:
     def test_vector_fields_supported(self, regions32, psi32):
         rng = np.random.default_rng(45)
         w = next(draw_test_fields(regions32, rng, 1, kind="vector"))
-        rep = inequality_sweep_stack(w, psi32, [CarlemanParams.for_weight(2.0, psi32)])[0][0]
-        assert rep.rhs_main > 0
+        s = inequality_sweep_stack(w, psi32, [CarlemanParams.for_weight(2.0, psi32)])
+        assert s.rhs_main[0, 0] > 0
 
     def test_collar_geometry_inequality(self):
         # full-collar channel: the weight sign split holds and the inequality
@@ -154,21 +172,12 @@ class TestIntegratedInequality:
         assert psi.rho > 0 and psi.kgrad > 0
         rng = np.random.default_rng(50)
         taus = [c * 4.0 / 1.8 for c in (1.0, 2.0, 4.0, 8.0, 16.0)]
-        by_tau = {t: [] for t in taus}
         params = [CarlemanParams.for_weight(t, psi) for t in taus]
-        for fields in draw_test_fields(regions, rng, 10, h_ref=g.hy):
-            for reports in inequality_sweep_stack(fields, psi, params):
-                for t, rep in zip(taus, reports):
-                    by_tau[t].append(rep)
-        tau0 = find_tau0(by_tau)
+        s = sweep(psi, rng, 10, params, h_ref=g.hy)
+        tau0 = find_tau0(taus, s.passed)
         assert tau0 is not None
         # small rho: the gradient coefficient flags tau-too-small low in the grid
-        low = inequality_sweep_stack(
-            next(draw_test_fields(regions, rng, 1, h_ref=g.hy)),
-            psi,
-            [CarlemanParams.for_weight(0.05, psi)],
-        )[0][0]
-        assert low.tau_too_small
+        assert coefficients(CarlemanParams.for_weight(0.05, psi)).c_grad <= 0
 
     def test_calibrated_tau2_bound_nonnegative(self, regions32, psi32):
         c2 = calibrate_tau2_bound(psi32, tau_grid(regions32)[:4], n_fields=5)
@@ -176,12 +185,14 @@ class TestIntegratedInequality:
         rng = np.random.default_rng(46)
         w = next(draw_test_fields(regions32, rng, 1))
         par = CarlemanParams.for_weight(2.0, psi32, tau2_bound=c2)
-        rep = inequality_sweep_stack(w, psi32, [par])[0][0]
-        assert rep.tau2_bound == c2
+        s = inequality_sweep_stack(w, psi32, [par])
+        c_zero = coefficients(par).c_zero
+        assert s.lhs_zero[0, 0] == max(c_zero - c2 * 2.0**2, 0.0) * s.integral_zero[0, 0]
 
 
 def _reference_check(w, psi, params):
-    """One (field, tau) check written out with full-grid weighted norms."""
+    """One (field, tau) check written out with full-grid weighted norms, as
+    a Sweep of 1 x 1 arrays."""
     G, tau = psi.regions.G, params.tau
     shift = float(psi.psi[G].max())
     W = ScalarField(psi.grid, np.exp(2.0 * tau * (psi.psi - shift)))
@@ -197,18 +208,21 @@ def _reference_check(w, psi, params):
     lhs_zero = max(c_zero - params.tau2_bound * tau**2, 0.0) * I_zero
     rhs_main = c_rhs * I_rhs
     margin = rhs_main - (lhs_grad + lhs_zero)
-    return EstimateReport(
-        tau, lhs_grad, lhs_zero, rhs_main, margin,
-        bool(margin >= -PASS_SLACK * max(rhs_main, 1e-300)), bool(c_grad <= 0),
-        params.tau2_bound, shift, I_grad, I_zero, I_rhs,
-    )
+    passed = margin >= -PASS_SLACK * max(rhs_main, 1e-300)
+    return Sweep(*(np.array([[v]]) for v in (
+        lhs_grad, lhs_zero, rhs_main, margin, passed, I_grad, I_zero, I_rhs
+    )))
 
 
-def _bits(reports):
-    return [
-        tuple(float(v).hex() if isinstance(v, float) else v for v in vars(r).values())
-        for r in reports
-    ]
+def _reference_sweep(w, psi, params_seq):
+    """_reference_check at every entry of params_seq, rows stacked."""
+    checks = [_reference_check(w, psi, p) for p in params_seq]
+    return Sweep(*(np.concatenate(column) for column in zip(*checks)))
+
+
+def _bits(s):
+    """A Sweep's arrays as bytes, with their dtypes and shapes."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in s]
 
 
 class TestInequalitySweep:
@@ -218,12 +232,12 @@ class TestInequalitySweep:
         params = [CarlemanParams.for_weight(t, psi32, tau2_bound=0.3) for t in tau_grid(regions32)]
         for _ in range(3):
             w = next(draw_test_fields(regions32, rng, 1, kind))
-            swept = inequality_sweep_stack(w, psi32, params)[0]
-            assert len(swept) == 7
-            singles = [inequality_sweep_stack(w, psi32, [p])[0][0] for p in params]
-            assert _bits(swept) == _bits(singles)
+            swept = inequality_sweep_stack(w, psi32, params)
+            assert swept.margin.shape == (7, 1)
+            singles = [inequality_sweep_stack(w, psi32, [p]) for p in params]
+            assert _bits(swept) == _bits(Sweep(*map(np.concatenate, zip(*singles))))
             ref = _as_field(regions32.grid, w[0])
-            assert _bits([_reference_check(ref, psi32, p) for p in params]) == _bits(swept)
+            assert _bits(_reference_sweep(ref, psi32, params)) == _bits(swept)
 
     def test_boundary_trace_raises(self, regions32, psi32):
         w = np.ones((1, 1, *regions32.grid.shape))
@@ -245,11 +259,12 @@ class TestInequalitySweep:
             w = next(draw_test_fields(regions32, rng, 1, "scalar"))
             for t in taus:
                 par = CarlemanParams.for_weight(t, flat)
-                rep = inequality_sweep_stack(w, flat, [par])[0][0]
+                s = inequality_sweep_stack(w, flat, [par])
                 ref = _reference_check(_as_field(regions32.grid, w[0]), flat, par)
-                assert _bits([rep]) == _bits([ref])
-                if rep.margin < 0 and rep.integral_zero > 0:
-                    need = max(need, -rep.margin / (t**2 * rep.integral_zero))
+                assert _bits(s) == _bits(ref)
+                margin, integral_zero = float(s.margin[0, 0]), float(s.integral_zero[0, 0])
+                if margin < 0 and integral_zero > 0:
+                    need = max(need, -margin / (t**2 * integral_zero))
         assert need > 0
         c2 = calibrate_tau2_bound(flat, taus, n_fields=5, seed=9)
         assert c2.hex() == (1.05 * need).hex()
@@ -283,15 +298,11 @@ def _as_field(grid, v):
     return ScalarField(grid, v[0]) if len(v) == 1 else VectorField2(grid, v[0], v[1])
 
 
-def _swept(regions, psi, params, n_fields, seed):
-    """Per-field report lists of n_fields stacked test fields, and the
-    generator state after the draws."""
+def _swept(psi, params, n_fields, seed):
+    """The sweep of n_fields seeded test fields, as bytes, and the generator
+    state after the draws."""
     rng = np.random.default_rng(seed)
-    reports = [
-        r for fields in draw_test_fields(regions, rng, n_fields)
-        for r in inequality_sweep_stack(fields, psi, params)
-    ]
-    return [_bits(r) for r in reports], rng.bit_generator.state
+    return _bits(sweep(psi, rng, n_fields, params)), rng.bit_generator.state
 
 
 class TestFieldStacks:
@@ -336,12 +347,13 @@ class TestFieldStacks:
         params = [CarlemanParams.for_weight(t, psi32, tau2_bound=0.3) for t in tau_grid(regions32)]
         for fields in draw_test_fields(regions32, np.random.default_rng(6), 12, kind):
             stacked = inequality_sweep_stack(fields, psi32, params)
-            assert len(stacked) == len(fields)
-            for i, reports in enumerate(stacked):
+            assert stacked.margin.shape == (len(params), len(fields))
+            for i in range(len(fields)):
+                column = Sweep(*(a[:, [i]] for a in stacked))
                 w = _as_field(regions32.grid, fields[i])
-                alone = inequality_sweep_stack(fields[i][None], psi32, params)[0]
-                assert _bits(reports) == _bits(alone)
-                assert _bits(reports) == _bits([_reference_check(w, psi32, p) for p in params])
+                alone = inequality_sweep_stack(fields[i][None], psi32, params)
+                assert _bits(column) == _bits(alone)
+                assert _bits(column) == _bits(_reference_sweep(w, psi32, params))
 
     def test_first_failing_field_names_the_error(self, regions32, psi32):
         # one cell layer inside the inner ring: zero on the rings, but the
@@ -365,12 +377,12 @@ class TestFieldStacks:
         self, regions32, psi32, monkeypatch, fields_per_block
     ):
         params = [CarlemanParams.for_weight(t, psi32, tau2_bound=0.3) for t in tau_grid(regions32)]
-        ref = _swept(regions32, psi32, params, 20, 8)
+        ref = _swept(psi32, params, 20, 8)
         monkeypatch.setattr(
             carleman, "_BLOCK_CELLS", fields_per_block * regions32.grid.ncells
         )
         assert len(next(draw_test_fields(regions32, np.random.default_rng(0), 20))) == fields_per_block
-        assert _swept(regions32, psi32, params, 20, 8) == ref
+        assert _swept(psi32, params, 20, 8) == ref
 
     @pytest.mark.parametrize("fields_per_block", [1, 3])
     def test_calibration_does_not_depend_on_block_size(

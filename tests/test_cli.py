@@ -12,6 +12,7 @@ import pytest
 import mhdlab
 from mhdlab.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNCONTROLLABLE,
     Run,
@@ -168,6 +169,22 @@ class TestRunCarleman:
         assert code == EXIT_OK
         data = json.loads((tmp_path / "carleman_summary.json").read_text())
         assert data["tau_list"] == [1.0, 2.0]
+
+    def test_tau_whose_weighted_integrals_underflow_is_numerical_error(self, tmp_path):
+        # on the default 32^2 grid every weighted integral at tau = 200 is
+        # 0.0: the rows would be zeros that pass
+        code = main(["carleman", "--out", str(tmp_path), "--tau-list", "200"])
+        assert code == EXIT_NUMERICAL
+        error = json.loads((tmp_path / "error.json").read_text())
+        assert error["error_kind"] == "numerical_error"
+        assert "tau = 200" in error["message"]
+        assert not (tmp_path / "carleman_sweep.txt").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_tau_runs_without_warnings(self, tmp_path):
+        # psi exceeds its maximum over G outside G, where the weight at a
+        # large tau would overflow; it is formed on the cells of G only
+        assert main(["carleman", "--out", str(tmp_path), "--tau-list", "50"]) == EXIT_OK
 
 
 STAB_GEOM = {

@@ -12,6 +12,7 @@ import oracles
 from mhdlab.basis import SolenoidalBasis
 from mhdlab.equilibria import Equilibrium
 from mhdlab.geometry import WeightField
+from mhdlab.grid import Grid
 from mhdlab.operators import GeneratorOperator, MhdSystem
 from mhdlab.stabilize import UnstableProjection
 
@@ -34,12 +35,13 @@ MOVED = {
 MOVED_METHODS = ["pressure_from_state", "steady_rows", "pde_residual", "xi_row_leakage"]
 # (class, method) -> the oracle function that replaced it
 MOVED_TO_FUNCTIONS = {(GeneratorOperator, "to_state"): "to_state",
-                      (UnstableProjection, "apply"): "unstable_component"}
+                      (UnstableProjection, "apply"): "unstable_component",
+                      (Grid, "same_as"): "same_grid"}
 # a moved name as code names or calls it
 MOVED_USE = re.compile(
     r"\b(ScalarField|VectorField2|StateVector)\b"
-    r"|\b(inner|restrict|divergence|laplacian|to_state|unstable_component|forcings)\("
-    r"|\.apply\("
+    r"|\b(inner|restrict|divergence|laplacian|to_state|unstable_component|forcings|same_grid)\("
+    r"|\.(apply|same_as)\("
 )
 
 
@@ -61,7 +63,10 @@ def test_moved_names_live_in_the_oracles_only():
     # the equilibrium keeps its fields, not the forcings that make them steady
     assert not {"f", "g"} & {f.name for f in dataclasses.fields(Equilibrium)}
     # deleted with no replacement, or built for no stage
-    assert not hasattr(importlib.import_module("mhdlab.carleman"), "final_estimate_eval")
+    carleman = importlib.import_module("mhdlab.carleman")
+    for name in ("final_estimate_eval", "EstimateReport", "_normalized_weight"):
+        assert not hasattr(carleman, name), name
+        assert not hasattr(mhdlab, name), name
     assert not hasattr(Equilibrium, "sup_fields")
     assert not hasattr(WeightField, "as_scalar")
     assert not hasattr(SolenoidalBasis, "diffusion_symbol")
