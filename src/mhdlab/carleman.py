@@ -253,15 +253,14 @@ def sweep(
     rng: np.random.Generator,
     n_fields: int,
     params_seq: list[CarlemanParams],
-    kind: str = "scalar",
     h_ref: float | None = None,
 ) -> Sweep:
-    """The weighted inequality for n_fields seeded ``draw_test_fields``
-    fields at every entry of params_seq: the stacks' sweeps joined along
-    the field axis, in draw order."""
+    """The weighted inequality for n_fields seeded scalar
+    ``draw_test_fields`` fields at every entry of params_seq: the stacks'
+    sweeps joined along the field axis, in draw order."""
     stacks = [
         inequality_sweep_stack(fields, psi, params_seq)
-        for fields in draw_test_fields(psi.regions, rng, n_fields, kind, h_ref)
+        for fields in draw_test_fields(psi.regions, rng, n_fields, h_ref=h_ref)
     ]
     return Sweep(*(np.concatenate(column, axis=1) for column in zip(*stacks)))
 

@@ -214,10 +214,14 @@ def _reference_check(w, psi, params):
     )))
 
 
+def _rows(sweeps):
+    """Sweeps joined row-wise, one row per tau."""
+    return Sweep(*(np.concatenate(column) for column in zip(*sweeps)))
+
+
 def _reference_sweep(w, psi, params_seq):
     """_reference_check at every entry of params_seq, rows stacked."""
-    checks = [_reference_check(w, psi, p) for p in params_seq]
-    return Sweep(*(np.concatenate(column) for column in zip(*checks)))
+    return _rows([_reference_check(w, psi, p) for p in params_seq])
 
 
 def _bits(s):
@@ -235,7 +239,7 @@ class TestInequalitySweep:
             swept = inequality_sweep_stack(w, psi32, params)
             assert swept.margin.shape == (7, 1)
             singles = [inequality_sweep_stack(w, psi32, [p]) for p in params]
-            assert _bits(swept) == _bits(Sweep(*map(np.concatenate, zip(*singles))))
+            assert _bits(swept) == _bits(_rows(singles))
             ref = _as_field(regions32.grid, w[0])
             assert _bits(_reference_sweep(ref, psi32, params)) == _bits(swept)
 
