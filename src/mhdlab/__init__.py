@@ -16,14 +16,7 @@ from .geometry import (
 from .fields import BcTag, apply_bc
 from .projection import helmholtz_project
 from .equilibria import Equilibrium, make_equilibrium
-from .operators import (
-    GeneratorOperator,
-    MhdSystem,
-    assemble_adjoint,
-    assemble_generator,
-    oseen_minus,
-    oseen_plus,
-)
+from .operators import MhdSystem, oseen_minus, oseen_plus
 from .spectral import (
     EigenPair,
     GramMatrix,

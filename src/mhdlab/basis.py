@@ -196,6 +196,3 @@ class SolenoidalBasis:
     def dense(self) -> np.ndarray:
         """Materialize the basis as a (2*ncells, dim) array (small grids)."""
         return self.synthesize(np.eye(self.dim)).reshape(self.dim, -1).T
-
-    def state_dim(self) -> int:
-        return 2 * self.dim

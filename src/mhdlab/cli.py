@@ -40,7 +40,7 @@ from .errors import (
     UncontrollableError,
 )
 from .geometry import build_weight, transition_band
-from .operators import GeneratorOperator, MhdSystem
+from .operators import MhdSystem
 from .reports import write_summary, write_table
 from .spectral import (
     EigenPair,
@@ -71,8 +71,8 @@ class Run:
     """The inputs the stages of one invocation share, each built on first
     use and at most once.
 
-    One MhdSystem backs both the forward and the adjoint generator, so the
-    ambient blocks are assembled once.  The forward spectrum is solved once
+    One MhdSystem holds the generator R, which the adjoint stages read as
+    its transpose, so R is assembled once.  The forward spectrum is solved once
     and the adjoint eigenpairs are derived from it once, no matter how many
     stages read them; the same holds for the clusters' omega fields and
     omega-Gram reports, the actuators and the Kalman reports that ``ucp``
@@ -90,23 +90,15 @@ class Run:
         return MhdSystem(self.equilibrium, self.cfg.sigma)
 
     @cached_property
-    def generator(self) -> GeneratorOperator:
-        return GeneratorOperator(self.system, False)
-
-    @cached_property
-    def adjoint(self) -> GeneratorOperator:
-        return GeneratorOperator(self.system, True)
-
-    @cached_property
     def spectrum(self) -> SpectrumReport:
         opts = self.cfg.spectral_options()
-        return compute_spectrum(self.generator, opts["count"], opts["strategy"])
+        return compute_spectrum(self.system, opts["count"], opts["strategy"])
 
     @cached_property
     def adjoint_spectrum(self) -> SpectrumReport:
         """Adjoint pairs of the unstable forward clusters only: the stages
         read no others."""
-        return adjoint_eigenpairs(self.adjoint, self.spectrum.unstable_part())
+        return adjoint_eigenpairs(self.system, self.spectrum.unstable_part())
 
     @cached_property
     def clusters(self) -> list[list[EigenPair]]:
@@ -115,7 +107,7 @@ class Run:
     @cached_property
     def cluster_fields(self) -> list[np.ndarray]:
         """Each cluster's eigenfunctions restricted to omega, one array each."""
-        return [omega_fields(self.adjoint, cl, self.regions.omega) for cl in self.clusters]
+        return [omega_fields(self.system, cl, self.regions.omega) for cl in self.clusters]
 
     @cached_property
     def grams(self) -> list[GramMatrix]:
@@ -280,7 +272,7 @@ def run_stabilize(run: Run, outdir: Path) -> dict:
             f"Kalman rank defect: {[(k.rank, k.ell) for k in run.kalman]}"
         )
     out = closed_loop(
-        run.generator,
+        run.system,
         rep,
         run.adjoint_spectrum,
         run.actuators,

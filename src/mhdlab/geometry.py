@@ -250,10 +250,6 @@ class WeightField:
     # dataclasses.replace starts empty
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def grid(self) -> Grid:
-        return self.regions.grid
-
 
 def _discrete_hessian_min(psi: np.ndarray, g: Grid, mask: np.ndarray) -> float:
     """Smallest eigenvalue of the 2x2 second-difference Hessian over a mask.

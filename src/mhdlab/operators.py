@@ -1,4 +1,4 @@
-"""Oseen blocks and the coupled generator and its adjoint.
+"""Oseen blocks and the coupled generator.
 
 The generator acts on stacked solenoidal states (phi, xi).  Its ambient form
 is the sparse block matrix
@@ -14,6 +14,10 @@ off-subspace remainder of the xi row as a leakage diagnostic).
 sigma is an explicit artificial spectral shift used to manufacture unstable
 spectra on demand; it commutes with everything downstream.
 
+One ``MhdSystem`` holds the reduced generator R of a run.  R is real, so the
+adjoint is its transpose, read where it is needed as ``matrix.T``: a view of
+R's arrays, factored by the same ``shifted_lu`` as R.
+
 The diffusion blocks take a fourth-order stencil on fully periodic grids so
 that computed eigenvalues carry more accuracy than the generic second-order
 field operators, and a second-order one with walls; all other blocks are
@@ -22,7 +26,7 @@ second order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -127,11 +131,17 @@ def _fourier_parts(amb: sp.spmatrix, grid: Grid) -> Iterator[sp.csr_matrix]:
 
 @dataclass
 class MhdSystem:
-    """Discrete linearized MHD system around one equilibrium."""
+    """Discrete linearized MHD system around one equilibrium, and its reduced
+    generator R (shift included): the operator the pipeline multiplies by
+    and factors, read as R^T for the adjoint."""
 
     eq: Equilibrium
     sigma: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.sigma < 0:
+            raise ConfigurationError("the spectral shift sigma must be >= 0")
 
     @property
     def grid(self) -> Grid:
@@ -150,8 +160,9 @@ class MhdSystem:
         return SolenoidalBasis.for_grid(self.grid)
 
     @property
-    def state_dim(self) -> int:
-        return self.basis.state_dim()
+    def dim(self) -> int:
+        """Reduced state dimension: basis coefficients of phi and xi."""
+        return 2 * self.basis.dim
 
     # -- ambient blocks ----------------------------------------------------
     def blocks(self) -> dict[str, sp.csr_matrix]:
@@ -224,26 +235,14 @@ class MhdSystem:
             self._cache["reduced"] = (red + self.sigma * sp.identity(red.shape[0])).tocsr()
         return self._cache["reduced"]
 
-
-@dataclass
-class GeneratorOperator:
-    """Reduced generator (or its adjoint) exposed to the spectral module:
-    its sparse ``matrix`` is the operator the pipeline multiplies by and
-    factors."""
-
-    system: MhdSystem
-    adjoint: bool = False
-
     @property
-    def dim(self) -> int:
-        return self.system.state_dim
-
-    @property
-    def sigma(self) -> float:
-        return self.system.sigma
+    def matrix(self) -> sp.csr_matrix:
+        """The cached sparse R; its transpose ``matrix.T`` is a CSC view of
+        R's arrays, built without a copy."""
+        return self.reduced_matrix()
 
     def dense(self) -> np.ndarray:
-        """The reduced matrix as an array, for the dense spectral strategy."""
+        """R as an array, for the dense spectral strategy."""
         if self.dim > _DENSE_STATE_LIMIT:
             raise ConfigurationError(
                 f"reduced state dimension {self.dim} exceeds the dense cap "
@@ -251,30 +250,14 @@ class GeneratorOperator:
             )
         return self.matrix.toarray()
 
-    @property
-    def matrix(self) -> sp.csr_matrix | sp.csc_matrix:
-        """The cached sparse R, or for the adjoint its transpose: a CSC view
-        of R's arrays, built without a copy."""
-        red = self.system.reduced_matrix()
-        return red.T if self.adjoint else red
 
-    def lu(self, a: complex, b: float) -> spla.SuperLU:
-        """Sparse LU of a*I + b*matrix, the shifted solve shared by
-        shift-invert Arnoldi, inverse iteration and implicit time stepping."""
-        shifted = a * sp.identity(self.dim, format="csc") + b * self.matrix.tocsc()
-        try:
-            return spla.splu(shifted)
-        except RuntimeError as exc:  # splu: "Factor is exactly singular"
-            raise NumericalError(
-                f"shifted generator a*I + b*R is singular: {exc}", detail={"a": a, "b": b}
-            ) from exc
-
-
-def assemble_generator(eq: Equilibrium, shift: float = 0.0) -> GeneratorOperator:
-    if shift < 0:
-        raise ConfigurationError("the spectral shift sigma must be >= 0")
-    return GeneratorOperator(MhdSystem(eq, float(shift)), False)
-
-
-def assemble_adjoint(eq: Equilibrium, shift: float = 0.0) -> GeneratorOperator:
-    return replace(assemble_generator(eq, shift), adjoint=True)
+def shifted_lu(matrix: sp.spmatrix, a: complex, b: float) -> spla.SuperLU:
+    """Sparse LU of a*I + b*matrix, for R or R^T: the shifted solve shared by
+    shift-invert Arnoldi, inverse iteration and implicit time stepping."""
+    shifted = a * sp.identity(matrix.shape[0], format="csc") + b * matrix.tocsc()
+    try:
+        return spla.splu(shifted)
+    except RuntimeError as exc:  # splu: "Factor is exactly singular"
+        raise NumericalError(
+            f"shifted generator a*I + b*R is singular: {exc}", detail={"a": a, "b": b}
+        ) from exc

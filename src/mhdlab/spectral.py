@@ -3,7 +3,7 @@ unique continuation property.
 
 The forward spectrum is computed either densely (exact, small grids) or by
 a shift-inverted Arnoldi iteration whose inner solve is one refinement step
-of the shared sparse LU of R - si I (``GeneratorOperator.lu``, also used by
+of the shared sparse LU of R - si I (``operators.shifted_lu``, also used by
 the closed loop) against the FFT matvec ``MhdSystem.reduced_matvec``, with
 its residual checked on the sparse R: the LU solves the shifted system,
 advection included.  The step is the first iteration of scipy's GMRES with
@@ -36,7 +36,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericalError, UncontrollableError
-from .operators import GeneratorOperator
+from .operators import MhdSystem, shifted_lu
 
 RESIDUAL_BOUND = 1e-8
 CLUSTER_RTOL = 1e-6
@@ -139,7 +139,7 @@ def _complete_clusters(lams: np.ndarray, how_many: int) -> np.ndarray:
     return np.flatnonzero(dist <= tol)
 
 
-def _dense_eig(A: GeneratorOperator, how_many: int):
+def _dense_eig(A: MhdSystem, how_many: int):
     mat = A.dense()
     lams, vecs = sla.eig(mat)
     order = sorted(range(len(lams)), key=lambda i: _sort_key(lams[i]))
@@ -155,7 +155,7 @@ def _lu_solve(lu: spla.SuperLU, x: np.ndarray) -> np.ndarray:
 
 
 def _refine_shifted_solve(
-    A: GeneratorOperator, lu: spla.SuperLU, si: float, b: np.ndarray
+    A: MhdSystem, lu: spla.SuperLU, si: float, b: np.ndarray
 ) -> np.ndarray:
     """x with (R - si I) x = b: one refinement step of the real LU of
     R - si I against the FFT matvec.
@@ -174,7 +174,7 @@ def _refine_shifted_solve(
     v = _lu_solve(lu, b)
     beta = np.linalg.norm(v)
     v *= 1 / beta
-    w = _lu_solve(lu, A.system.reduced_matvec(v) - si * v)
+    w = _lu_solve(lu, A.reduced_matvec(v) - si * v)
     h0 = np.linalg.norm(w)
     h = np.vdot(v, w)
     w -= h * v
@@ -201,13 +201,13 @@ def _refine_shifted_solve(
     return x
 
 
-def _shift_invert_eig(A: GeneratorOperator, how_many: int):
+def _shift_invert_eig(A: MhdSystem, how_many: int):
     dim = A.dim
-    si = A.sigma + A.system.eq.grad_bound + 1.0
+    si = A.sigma + A.eq.grad_bound + 1.0
     # si is real, so R - si I is real: one real LU solves the real and
     # imaginary parts, and one refinement step against the FFT matvec
     # finishes each inner solve (_refine_shifted_solve).
-    lu = A.lu(-si, 1.0)
+    lu = shifted_lu(A.matrix, -si, 1.0)
     solves = 0
 
     def solve_shifted(b):
@@ -238,7 +238,7 @@ def _shift_invert_eig(A: GeneratorOperator, how_many: int):
 
 
 def compute_spectrum(
-    A: GeneratorOperator, how_many: int, strategy: str = "dense"
+    A: MhdSystem, how_many: int, strategy: str = "dense"
 ) -> SpectrumReport:
     """Leading (largest real part) eigenpairs of the reduced generator."""
     if how_many < 1 or how_many > A.dim:
@@ -248,27 +248,23 @@ def compute_spectrum(
     if strategy == "dense":
         lams, vecs = _dense_eig(A, how_many)
     elif strategy == "shift_invert":
-        if A.adjoint:
-            raise ConfigurationError(
-                "shift_invert solves the forward operator only; derive adjoint "
-                "pairs from a forward spectrum with adjoint_eigenpairs"
-            )
         lams, vecs = _shift_invert_eig(A, how_many)
     else:
         raise ConfigurationError(f"unknown spectral strategy {strategy!r}")
 
     keep = _complete_clusters(lams, how_many)
-    return _report(A, lams[keep], vecs[:, keep], strategy)
+    return _report(A.matrix, A.sigma, lams[keep], vecs[:, keep], strategy)
 
 
 def _report(
-    A: GeneratorOperator, lams: np.ndarray, vecs: np.ndarray, strategy: str
+    matrix, sigma: float, lams: np.ndarray, vecs: np.ndarray, strategy: str
 ) -> SpectrumReport:
-    """Checked, normalized eigenpairs and their cluster structure; the
-    residuals of all pairs come from one product with R (or R^T)."""
+    """Checked, normalized eigenpairs of ``matrix`` (R or R^T) and their
+    cluster structure; the residuals of all pairs come from one product with
+    it."""
     cols = [c / np.linalg.norm(c) for c in map(_phase_fix, vecs.T)]
     V = np.column_stack(cols)
-    residuals = np.linalg.norm(A.matrix @ V - V * lams, axis=0)
+    residuals = np.linalg.norm(matrix @ V - V * lams, axis=0)
     pairs = []
     for lam, c, res in zip(lams, cols, residuals.tolist()):
         if res > RESIDUAL_BOUND:
@@ -295,14 +291,14 @@ def _report(
         M=M,
         ell=ell,
         K=K,
-        sigma=A.sigma,
+        sigma=sigma,
         strategy=strategy,
     )
 
 
-def adjoint_eigenpairs(A_adj: GeneratorOperator, forward: SpectrumReport) -> SpectrumReport:
-    """Adjoint eigenpairs at the eigenvalues of a forward spectrum of the
-    same system, cluster by cluster.
+def adjoint_eigenpairs(A: MhdSystem, forward: SpectrumReport) -> SpectrumReport:
+    """Eigenpairs of the adjoint R^T (``A.matrix.T``) at the eigenvalues of
+    a forward spectrum of A, cluster by cluster.
 
     R is real, so R^T has the same eigenvalues as R, and a left eigenvector w
     pairs with the right one v at the same eigenvalue under the bilinear form
@@ -318,18 +314,16 @@ def adjoint_eigenpairs(A_adj: GeneratorOperator, forward: SpectrumReport) -> Spe
     spectrum, N = M = K = 0) has nothing to derive and stands for its
     adjoint.
     """
-    if not A_adj.adjoint:
-        raise ConfigurationError("adjoint_eigenpairs expects the adjoint operator")
     if not forward.pairs:
         return forward
-    Rt = A_adj.matrix
+    Rt = A.matrix.T
     ids = np.asarray(forward.cluster_ids)
     lams, vecs = [], []
     for ci in range(ids.max() + 1):
         members = np.flatnonzero(ids == ci)
         lam = np.mean([forward.pairs[i].lam for i in members])
         mu = lam + ADJOINT_SHIFT_RTOL * max(1.0, abs(lam))
-        lu = A_adj.lu(-mu, 1.0)
+        lu = shifted_lu(Rt, -mu, 1.0)
         Q = np.column_stack([forward.pairs[i].coeffs for i in members]).conj()
         Q = np.linalg.qr(Q.astype(complex))[0]
         for _ in range(ADJOINT_STEPS):
@@ -337,7 +331,7 @@ def adjoint_eigenpairs(A_adj: GeneratorOperator, forward: SpectrumReport) -> Spe
         T, Z = sla.schur(Q.conj().T @ (Rt @ Q), output="complex")
         lams.append(np.diag(T))
         vecs.append(Q @ Z)
-    return _report(A_adj, np.concatenate(lams), np.hstack(vecs), forward.strategy)
+    return _report(Rt, A.sigma, np.concatenate(lams), np.hstack(vecs), forward.strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +356,7 @@ class KalmanMatrix:
     threshold: float
 
 
-def omega_fields(A: GeneratorOperator, pairs: list[EigenPair], omega: np.ndarray) -> np.ndarray:
+def omega_fields(A: MhdSystem, pairs: list[EigenPair], omega: np.ndarray) -> np.ndarray:
     """The eigenfunctions of one cluster times the indicator of omega, as one
     (ell, 2, 2, nx, ny) array: pair, [phi, xi], component, grid.
 
@@ -372,7 +366,7 @@ def omega_fields(A: GeneratorOperator, pairs: list[EigenPair], omega: np.ndarray
     ``coeffs.reshape(2, -1)`` bit for bit.
     """
     C = np.stack([p.coeffs for p in pairs])
-    return A.system.basis.synthesize(C.reshape(len(pairs), 2, -1)) * omega
+    return A.basis.synthesize(C.reshape(len(pairs), 2, -1)) * omega
 
 
 def _inner(a: np.ndarray, b: np.ndarray, cell_area: float) -> complex:

@@ -31,7 +31,7 @@ from .errors import (
     UncontrollableError,
 )
 from .basis import SolenoidalBasis
-from .operators import GeneratorOperator
+from .operators import MhdSystem, shifted_lu
 from .spectral import CLUSTER_RTOL, EigenPair, SpectrumReport
 
 COND_LIMIT = 1e10
@@ -135,14 +135,6 @@ def project_unstable(
 class FeedbackGain:
     gain: np.ndarray            # (K, N) actuator amplitudes from unstable coords
     achieved_poles: np.ndarray
-
-    @property
-    def K(self) -> int:
-        return self.gain.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.gain.shape[1]
 
 
 def _pole_targets(open_loop: np.ndarray, gamma: float) -> np.ndarray:
@@ -264,7 +256,7 @@ def synthesize_feedback(
     return FeedbackGain(gain, achieved)
 
 
-def _real_block(proj: UnstableProjection, A: GeneratorOperator) -> np.ndarray:
+def _real_block(proj: UnstableProjection, A: MhdSystem) -> np.ndarray:
     """Unstable block in the real basis: diagonal for real spectra, else the
     projected operator itself."""
     if np.all(np.abs(np.imag(proj.lambdas)) < 1e-10):
@@ -282,7 +274,7 @@ class FeedbackDesign:
 
 
 def design_feedback(
-    A: GeneratorOperator,
+    A: MhdSystem,
     forward_pairs: list[EigenPair],
     adjoint_pairs: list[EigenPair],
     actuators: np.ndarray,
@@ -297,7 +289,7 @@ def design_feedback(
     reduced coordinates and leakage are kept for the closed loop.
     """
     proj = project_unstable(forward_pairs, adjoint_pairs)
-    basis = A.system.basis
+    basis = A.basis
     fields = control_fields(basis, actuators, m_mask)
     drive = basis.analyze(fields).reshape(len(fields), A.dim).T
     input_map = proj.coords(drive)
@@ -345,7 +337,7 @@ def control_fields(basis: SolenoidalBasis, actuators: np.ndarray, omega: np.ndar
 
 
 def simulate_closed_loop(
-    A: GeneratorOperator,
+    A: MhdSystem,
     design: FeedbackDesign | None,
     x0: np.ndarray,
     T: float,
@@ -372,7 +364,7 @@ def simulate_closed_loop(
                 f"dt*max|Re lambda| = {dt * rate:.3f} > 0.5; refine the time step"
             )
 
-    lu = A.lu(1.0, -dt)  # backward Euler step I - dt*A
+    lu = shifted_lu(A.matrix, 1.0, -dt)  # backward Euler step I - dt*A
     dim = A.dim
     drive = design.drive if design is not None else np.zeros((dim, 0))
 
@@ -445,7 +437,7 @@ def measure_decay(
 
 
 def initial_state(
-    A: GeneratorOperator, proj: UnstableProjection | None, rng: np.random.Generator
+    A: MhdSystem, proj: UnstableProjection | None, rng: np.random.Generator
 ) -> np.ndarray:
     """Reduced coefficients of the start of the stabilization experiment:
     every unstable mode at unit amplitude plus a 0.01 normal perturbation,
@@ -466,7 +458,7 @@ class ClosedLoop:
 
 
 def closed_loop(
-    A: GeneratorOperator,
+    A: MhdSystem,
     forward: SpectrumReport,
     adjoint: SpectrumReport,
     actuators: np.ndarray,

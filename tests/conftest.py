@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mhdlab import (
+    MhdSystem,
     OmegaSpec,
-    assemble_adjoint,
-    assemble_generator,
     build_grid,
     build_nested_regions,
     build_weight,
@@ -52,12 +51,7 @@ def eq_zero32(box32):
 
 @pytest.fixture(scope="session")
 def gen_shifted32(eq_zero32):
-    return assemble_generator(eq_zero32, 1.5)
-
-
-@pytest.fixture(scope="session")
-def adj_shifted32(eq_zero32):
-    return assemble_adjoint(eq_zero32, 1.5)
+    return MhdSystem(eq_zero32, 1.5)
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +62,7 @@ def spectrum_shifted32(gen_shifted32):
 
 
 @pytest.fixture(scope="session")
-def adj_spectrum_shifted32(adj_shifted32, spectrum_shifted32):
+def adj_spectrum_shifted32(gen_shifted32, spectrum_shifted32):
     from mhdlab import adjoint_eigenpairs
 
-    return adjoint_eigenpairs(adj_shifted32, spectrum_shifted32)
+    return adjoint_eigenpairs(gen_shifted32, spectrum_shifted32)

@@ -25,7 +25,7 @@ from mhdlab.fields import _apply, divergence_matrix, dx_matrix, dy_matrix, gradi
 from mhdlab.fields import laplacian_matrix, wide_laplacian_matrix
 from mhdlab.geometry import RegionSet, transition_band
 from mhdlab.grid import Grid
-from mhdlab.operators import GeneratorOperator, MhdSystem
+from mhdlab.operators import MhdSystem, shifted_lu
 from mhdlab.projection import _solver, helmholtz_project
 from mhdlab.stabilize import SimulationTrace, UnstableProjection
 
@@ -122,10 +122,10 @@ class StateVector:
         return float(np.sqrt(self.phi.norm() ** 2 + self.xi.norm() ** 2))
 
 
-def to_state(A: GeneratorOperator, x: np.ndarray) -> StateVector:
+def to_state(A: MhdSystem, x: np.ndarray) -> StateVector:
     """The (phi, xi) fields of reduced coefficients x."""
-    g = A.system.grid
-    phi, xi = A.system.basis.synthesize(np.asarray(x).reshape(2, -1))
+    g = A.grid
+    phi, xi = A.basis.synthesize(np.asarray(x).reshape(2, -1))
     return StateVector(VectorField2(g, *phi), VectorField2(g, *xi))
 
 
@@ -264,14 +264,14 @@ def unstable_component(proj: UnstableProjection, x: np.ndarray) -> np.ndarray:
 
 
 def stable_complement_residual(
-    trace: SimulationTrace, A: GeneratorOperator, proj: UnstableProjection, dt: float
+    trace: SimulationTrace, A: MhdSystem, proj: UnstableProjection, dt: float
 ) -> float:
     """Discrete variation-of-constants check for the stable complement.
 
     Recomputes each implicit step restricted to the complement and returns
     the largest mismatch against the stored trajectory.
     """
-    lu = A.lu(1.0, -dt)  # backward Euler step I - dt*A
+    lu = shifted_lu(A.matrix, 1.0, -dt)  # backward Euler step I - dt*A
     worst = 0.0
     for k in range(len(trace.times) - 1):
         x = trace.states[k]

@@ -12,8 +12,6 @@ from mhdlab import (
     MhdSystem,
     OmegaSpec,
     adjoint_eigenpairs,
-    assemble_adjoint,
-    assemble_generator,
     build_grid,
     build_nested_regions,
     closed_loop,
@@ -50,7 +48,7 @@ def ground_truth_spectra():
     for n in (32, 64):
         grid = build_grid(L, L, n, n)
         eq = make_equilibrium("zero", grid)
-        A = assemble_generator(eq, 0.0)
+        A = MhdSystem(eq, 0.0)
         out[n] = (A, compute_spectrum(A, 12, "shift_invert"))
     out["runtime"] = time.perf_counter() - t0
     return out
@@ -78,15 +76,13 @@ def test_criterion_2_eigenproblem_residual(ground_truth_spectra, gen_shifted32):
     for A, rep in (ground_truth_spectra[32], (None, None)):
         if rep is None:
             break
-        sys = A.system
         for pair in rep.pairs:
-            worst = max(worst, pde_residual(sys, pair.lam, to_state(A, pair.coeffs))["relative"])
+            worst = max(worst, pde_residual(A, pair.lam, to_state(A, pair.coeffs))["relative"])
             checked += 1
     rep_shift = compute_spectrum(gen_shifted32, 16, "shift_invert")
-    sys = gen_shifted32.system
     for pair in rep_shift.pairs:
         state = to_state(gen_shifted32, pair.coeffs)
-        worst = max(worst, pde_residual(sys, pair.lam, state)["relative"])
+        worst = max(worst, pde_residual(gen_shifted32, pair.lam, state)["relative"])
         checked += 1
     ok = worst <= 1e-6
     _report(2, ok, f"{checked} eigenpairs, max steady-form residual {worst:.2e} (<=1e-6)")
@@ -117,10 +113,10 @@ def test_criterion_3_helmholtz(box32):
     )
 
 
-def test_criterion_4_ucp_kalman(adj_shifted32, adj_spectrum_shifted32, regions32):
+def test_criterion_4_ucp_kalman(gen_shifted32, adj_spectrum_shifted32, regions32):
     omega, dA = regions32.omega, regions32.grid.cell_area
     clusters = [
-        omega_fields(adj_shifted32, cl, omega) for cl in adj_spectrum_shifted32.unstable_clusters()
+        omega_fields(gen_shifted32, cl, omega) for cl in adj_spectrum_shifted32.unstable_clusters()
     ]
     sigma_mins = []
     for F in clusters:
@@ -211,10 +207,9 @@ def test_criterion_7_commutator_support(box32, regions32, chi32, gen_shifted32):
         worst = max(worst, f.max_outside_omega_star / f.scale)
     rep = compute_spectrum(gen_shifted32, 4, "shift_invert")
     pair = rep.pairs[0]
-    sys = gen_shifted32.system
     state = to_state(gen_shifted32, pair.coeffs)
-    p = pressure_from_state(sys, state)
-    f = build_commutators(chi32, state, p, sys)
+    p = pressure_from_state(gen_shifted32, state)
+    f = build_commutators(chi32, state, p, gen_shifted32)
     worst = max(worst, f.max_outside_omega_star / f.scale)
     ok = worst <= 1e-12
     _report(7, ok, f"max |F|,|G|,|T| outside the transition band {worst:.2e} x scale (<=1e-12)")
@@ -226,14 +221,13 @@ def test_criterion_8_pressure_identity():
     for n in (32, 64):
         g = build_grid(L, L, n, n)
         eq = make_equilibrium("shear", g)
-        A = assemble_generator(eq, 0.0)
-        sys = A.system
+        A = MhdSystem(eq, 0.0)
         X, Y = g.meshgrid()
         phi = VectorField2(g, np.sin(X) * np.cos(Y), -np.cos(X) * np.sin(Y))
         xi = rot(ScalarField(g, np.cos(X) + np.sin(Y)))
         s = StateVector(phi, xi)
-        p = pressure_from_state(sys, s)
-        b = sys.blocks()
+        p = pressure_from_state(A, s)
+        b = A.blocks()
         D = divergence_matrix(g)
         rhs = -(D @ (b["L1"] @ phi.ravel())) + D @ (b["L2"] @ xi.ravel())
         res = np.abs(wide_laplacian_matrix(g) @ p.values.ravel() - rhs).max()
@@ -278,10 +272,9 @@ def test_criterion_10_closed_loop():
     grid = build_grid(L, np.pi, 32, 32)
     eq = make_equilibrium("zero", grid)
     sigma, gamma = 1.5, 1.0
-    A = assemble_generator(eq, sigma)
-    Aadj = assemble_adjoint(eq, sigma)
+    A = MhdSystem(eq, sigma)
     rep = compute_spectrum(A, 12, "shift_invert")
-    arep = adjoint_eigenpairs(Aadj, rep)
+    arep = adjoint_eigenpairs(A, rep)
     N = rep.N
     regions = build_nested_regions(
         grid,
@@ -290,7 +283,7 @@ def test_criterion_10_closed_loop():
         omega_star_width=0.08 * L,
     )
     omega = regions.omega
-    clusters = [omega_fields(Aadj, cl, omega) for cl in arep.unstable_clusters()]
+    clusters = [omega_fields(A, cl, omega) for cl in arep.unstable_clusters()]
     actuators = select_actuators(clusters, grid.cell_area)
     assert all(k.passed for k in kalman_rank(actuators, clusters, grid.cell_area))
 

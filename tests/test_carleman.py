@@ -195,7 +195,7 @@ def _reference_check(w, psi, params):
     a Sweep of 1 x 1 arrays."""
     G, tau = psi.regions.G, params.tau
     shift = float(psi.psi[G].max())
-    W = ScalarField(psi.grid, np.exp(2.0 * tau * (psi.psi - shift)))
+    W = ScalarField(psi.regions.grid, np.exp(2.0 * tau * (psi.psi - shift)))
     if isinstance(w, VectorField2):
         grads = [gradient(ScalarField(w.grid, w.u1)), gradient(ScalarField(w.grid, w.u2))]
         I_grad = sum(weighted_norm2(gr, W, G) for gr in grads)
@@ -405,29 +405,26 @@ class TestChiSystem:
     def test_exact_eigen_solution(self, gen_shifted32, chi32):
         rep = compute_spectrum(gen_shifted32, 6, "shift_invert")
         pair = rep.pairs[0]
-        sys = gen_shifted32.system
         state = to_state(gen_shifted32, pair.coeffs)
-        p = pressure_from_state(sys, state)
-        out = assemble_chi_system_residual(sys, pair.lam, state, p, chi32)
+        p = pressure_from_state(gen_shifted32, state)
+        out = assemble_chi_system_residual(gen_shifted32, pair.lam, state, p, chi32)
         assert out["relative"] <= 1e-6
 
     def test_unit_cutoff_reduces_to_bare_residual(self, gen_shifted32, regions32):
         rep = compute_spectrum(gen_shifted32, 4, "shift_invert")
         pair = rep.pairs[0]
-        sys = gen_shifted32.system
         state = to_state(gen_shifted32, pair.coeffs)
-        p = pressure_from_state(sys, state)
+        p = pressure_from_state(gen_shifted32, state)
         ones = CutoffField(regions32, np.ones(regions32.grid.shape), 0.0, 1.0)
-        out = assemble_chi_system_residual(sys, pair.lam, state, p, ones)
-        bare = pde_residual(sys, pair.lam, state, p)
+        out = assemble_chi_system_residual(gen_shifted32, pair.lam, state, p, ones)
+        bare = pde_residual(gen_shifted32, pair.lam, state, p)
         assert out["residual_phi"] == pytest.approx(bare["residual_phi"], abs=1e-10)
         assert out["residual_xi"] == pytest.approx(bare["residual_xi"], abs=1e-10)
 
     def test_zero_state(self, gen_shifted32, chi32):
-        sys = gen_shifted32.system
-        s = StateVector.zeros(sys.grid)
-        p = ScalarField(sys.grid, np.zeros(sys.grid.shape))
-        out = assemble_chi_system_residual(sys, 0.5, s, p, chi32)
+        s = StateVector.zeros(gen_shifted32.grid)
+        p = ScalarField(gen_shifted32.grid, np.zeros(gen_shifted32.grid.shape))
+        out = assemble_chi_system_residual(gen_shifted32, 0.5, s, p, chi32)
         assert out["max_norm"] == 0.0
 
 

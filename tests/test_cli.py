@@ -109,6 +109,23 @@ class TestRunCarleman:
         n_taus = len(cfg.carleman_options(cfg.build_regions())["tau_list"])
         assert len([l for l in table if not l.startswith("#")]) == n_taus
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 9: the 4_over_diam tau scale of a collar omega reads the disc "
+        "default radius (0.942) instead of the collar width (0.628)",
+    )
+    def test_collar_tau_scale_reads_the_collar_width(self):
+        cfg = _cfg(geometry={"nx": 64, "ny": 64, "bc_y": "wall", "case": "full_collar",
+                             "omega": {"shape": "collar", "width_frac": 0.1}})
+        regions = cfg.build_regions()
+        outer = regions.omega_spec.width + regions.omega1_width + regions.omega_star_width
+        tau = cfg.carleman_options(regions)["tau_list"][0]
+        # the first tau of the default grid, 0.5, times 4 / diam; it reads
+        # 0.33157, scaled by the disc radius
+        assert tau == pytest.approx(0.5 * 4.0 / (2.0 * outer), rel=1e-12)
+        assert tau == pytest.approx(0.37013, abs=1e-5)
+
     def test_empty_tau_list_is_config_error(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"carleman": {"tau_grid": []}}))
@@ -683,7 +700,7 @@ class TestSharedRun:
     @pytest.mark.parametrize("kind", ["zero", "shear"])
     def test_adjoint_pairs_are_the_unstable_clusters_of_the_full_derivation(self, kind):
         run = Run(_cfg(**dict(SHARED_CFG, equilibrium={"kind": kind})))
-        full = adjoint_eigenpairs(run.adjoint, run.spectrum)
+        full = adjoint_eigenpairs(run.system, run.spectrum)
         adj = run.adjoint_spectrum
         n = len(adj.pairs)
         assert 0 < n < len(full.pairs)

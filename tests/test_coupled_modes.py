@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from mhdlab import (
+    MhdSystem,
     OmegaSpec,
     adjoint_eigenpairs,
-    assemble_adjoint,
-    assemble_generator,
     build_grid,
     build_nested_regions,
     closed_loop,
@@ -71,7 +70,7 @@ def oracle_uniform_field_eigs(grid, nu, eta, sigma, b, count, order=4):
 
 def test_uniform_field_oscillatory_spectrum(box16):
     eq = _uniform_field_eq(box16)
-    A = assemble_generator(eq, 0.0)
+    A = MhdSystem(eq, 0.0)
     rep = compute_spectrum(A, 12, "dense")
     got = np.array([p.lam for p in rep.pairs[:12]])
     want = oracle_uniform_field_eigs(box16, 1.0, 1.0, 0.0, (1.0, 0.0), 12)
@@ -90,20 +89,19 @@ def test_uniform_field_pressure_and_residual_exact(box16):
     # constant-coefficient coupling keeps the solenoidal subspace exactly
     # invariant: the steady-form residual stays at solver level
     eq = _uniform_field_eq(box16)
-    A = assemble_generator(eq, 1.2)
+    A = MhdSystem(eq, 1.2)
     rep = compute_spectrum(A, 8, "dense")
-    sys = A.system
     for pair in rep.pairs[:8]:
         state = to_state(A, pair.coeffs)
-        out = pde_residual(sys, pair.lam, state)
+        out = pde_residual(A, pair.lam, state)
         assert out["relative"] < 1e-9
-        assert xi_row_leakage(sys, state) < 1e-10
+        assert xi_row_leakage(A, state) < 1e-10
 
 
 def test_uniform_field_complex_cluster_structure():
     grid = build_grid(L, L, 24, 24)
     eq = _uniform_field_eq(grid)
-    A = assemble_generator(eq, 1.2)
+    A = MhdSystem(eq, 1.2)
     rep = compute_spectrum(A, 12, "dense")
     # sigma - |k|^2 unstable only at |k|^2 = 1: conjugate advective pair from
     # (+-1, 0) plus a real 4-fold cluster from (0, +-1)
@@ -120,10 +118,9 @@ def test_uniform_field_closed_loop():
     grid = build_grid(L, L, 24, 24)
     eq = _uniform_field_eq(grid)
     sigma, gamma = 1.2, 0.8
-    A = assemble_generator(eq, sigma)
-    Aadj = assemble_adjoint(eq, sigma)
+    A = MhdSystem(eq, sigma)
     rep = compute_spectrum(A, 12, "dense")
-    arep = adjoint_eigenpairs(Aadj, rep)
+    arep = adjoint_eigenpairs(A, rep)
     regions = build_nested_regions(
         grid,
         OmegaSpec(shape="disc", radius=0.15 * L),
@@ -131,7 +128,7 @@ def test_uniform_field_closed_loop():
         omega_star_width=0.12 * L,
     )
     omega, dA = regions.omega, grid.cell_area
-    clusters = [omega_fields(Aadj, cl, omega) for cl in arep.unstable_clusters()]
+    clusters = [omega_fields(A, cl, omega) for cl in arep.unstable_clusters()]
     for F in clusters:
         assert ucp_gram_test(F, dA).passed
     actuators = select_actuators(clusters, dA)
@@ -144,7 +141,7 @@ def test_uniform_field_closed_loop():
     assert abs(out.decay_rate - target) <= 0.2 * target
     # realized actuator signals are real and the applied fields stay in omega
     assert np.isrealobj(out.trace.amplitudes)
-    fields = control_fields(A.system.basis, actuators, omega)
+    fields = control_fields(A.basis, actuators, omega)
     assert np.all(fields[:, 0, 0][:, ~omega] == 0.0)
 
 
@@ -153,25 +150,24 @@ def uniform24():
     """The closed-loop fixture above: clusters ell = (2, 2, 4), K = 4."""
     grid = build_grid(L, L, 24, 24)
     eq = _uniform_field_eq(grid)
-    A = assemble_generator(eq, 1.2)
-    Aadj = assemble_adjoint(eq, 1.2)
+    A = MhdSystem(eq, 1.2)
     rep = compute_spectrum(A, 12, "dense")
-    arep = adjoint_eigenpairs(Aadj, rep)
+    arep = adjoint_eigenpairs(A, rep)
     regions = build_nested_regions(
         grid,
         OmegaSpec(shape="disc", radius=0.15 * L),
         omega1_width=0.06 * L,
         omega_star_width=0.12 * L,
     )
-    return dict(A=A, Aadj=Aadj, rep=rep, arep=arep, omega=regions.omega)
+    return dict(A=A, rep=rep, arep=arep, omega=regions.omega)
 
 
 def test_uniform_field_control_fields_equal_the_poisson_projection(uniform24):
-    Aadj, omega = uniform24["Aadj"], uniform24["omega"]
-    grid = Aadj.system.grid
-    clusters = [omega_fields(Aadj, cl, omega) for cl in uniform24["arep"].unstable_clusters()]
+    A, omega = uniform24["A"], uniform24["omega"]
+    grid = A.grid
+    clusters = [omega_fields(A, cl, omega) for cl in uniform24["arep"].unstable_clusters()]
     actuators = select_actuators(clusters, grid.cell_area)
-    got = control_fields(Aadj.system.basis, actuators, omega)
+    got = control_fields(A.basis, actuators, omega)
     ref = poisson_control_fields(grid, actuators, omega)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -186,7 +182,7 @@ def _mixed_cluster(cluster, Q):
 def test_closed_loop_independent_of_cluster_basis(uniform24, seed):
     # LAPACK may return any basis of a degenerate cluster; certificates and
     # pole placement must not depend on which one
-    A, Aadj, omega, gamma = uniform24["A"], uniform24["Aadj"], uniform24["omega"], 0.8
+    A, omega, gamma = uniform24["A"], uniform24["omega"], 0.8
     rng = np.random.default_rng(seed)
     clusters = []
     for cl in uniform24["arep"].unstable_clusters():
@@ -199,8 +195,8 @@ def test_closed_loop_independent_of_cluster_basis(uniform24, seed):
         clusters.append(_mixed_cluster(cl, Q))
     assert sorted(len(c) for c in clusters) == [2, 2, 4]
 
-    fields = [omega_fields(Aadj, cl, omega) for cl in clusters]
-    dA = Aadj.system.grid.cell_area
+    fields = [omega_fields(A, cl, omega) for cl in clusters]
+    dA = A.grid.cell_area
     actuators = select_actuators(fields, dA)
     assert len(actuators) == 4
     for km in kalman_rank(actuators, fields, dA):
@@ -218,10 +214,10 @@ def test_kalman_rejects_actuators_missing_a_cluster(uniform24):
     # the first four orthonormalized omega-restrictions, taken in cluster
     # order, all come from the complex clusters and leave the real 4-fold
     # cluster only rounding-level pairings; those must not count as rank
-    omega, Aadj = uniform24["omega"], uniform24["Aadj"]
+    omega, A = uniform24["omega"], uniform24["A"]
     clusters = uniform24["arep"].unstable_clusters()
-    complex_cls = [omega_fields(Aadj, c, omega) for c in clusters if abs(c[0].lam.imag) > 1e-10]
-    real_cl = next(omega_fields(Aadj, c, omega) for c in clusters if abs(c[0].lam.imag) <= 1e-10)
+    complex_cls = [omega_fields(A, c, omega) for c in clusters if abs(c[0].lam.imag) > 1e-10]
+    real_cl = next(omega_fields(A, c, omega) for c in clusters if abs(c[0].lam.imag) <= 1e-10)
     assert len(real_cl) == 4
     candidates = []
     for f in (f for F in complex_cls for f in F):
@@ -229,7 +225,7 @@ def test_kalman_rejects_actuators_missing_a_cluster(uniform24):
         candidates += [r.real, r.imag]
     # Gram-Schmidt on omega (the restrictions vanish elsewhere)
     Q, _ = np.linalg.qr(np.column_stack(candidates[:4]))
-    grid = Aadj.system.grid
+    grid = A.grid
     actuators = Q.T.reshape((4, 2, 2) + grid.shape)
 
     reports = kalman_rank(actuators, [real_cl, *complex_cls], grid.cell_area)

@@ -5,10 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from mhdlab import (
-    GeneratorOperator,
     MhdSystem,
-    assemble_adjoint,
-    assemble_generator,
     build_grid,
     build_nested_regions,
     compute_spectrum,
@@ -19,6 +16,7 @@ from mhdlab import (
 from mhdlab.errors import ConfigurationError, NumericalError, ShapeError
 from mhdlab.fields import dx_matrix, dy_matrix
 from mhdlab.geometry import OmegaSpec
+from mhdlab.operators import shifted_lu
 from oracles import CommutatorSupportError, CutoffField, ScalarField, StateVector, VectorField2
 from oracles import build_commutators, build_cutoff, divergence, forcings, pde_residual
 from oracles import pressure_from_state, rot, to_state, xi_row_leakage
@@ -161,10 +159,19 @@ class TestOseen:
 
 
 class TestGenerator:
+    def test_cache_is_neither_an_argument_nor_compared(self, box16):
+        eq = make_equilibrium("zero", box16)
+        with pytest.raises(TypeError):
+            MhdSystem(eq, 0.0, {})
+        built, fresh = MhdSystem(eq, 0.0), MhdSystem(eq, 0.0)
+        assert built.matrix.nnz > 0
+        assert built == fresh
+        assert "_cache" not in repr(built)
+
     def test_zero_equilibrium_block_diagonal(self, box16):
         eq = make_equilibrium("zero", box16)
-        A = assemble_generator(eq, 0.0)
-        amb = A.system.ambient_matrix()
+        A = MhdSystem(eq, 0.0)
+        amb = A.ambient_matrix()
         n2 = 2 * box16.ncells
         off1 = amb[:n2, n2:]
         off2 = amb[n2:, :n2]
@@ -173,14 +180,14 @@ class TestGenerator:
 
     def test_shift_moves_spectrum_exactly(self, box16):
         eq = make_equilibrium("zero", box16)
-        lam0 = np.sort(np.linalg.eigvalsh(assemble_generator(eq, 0.0).dense()))
-        lam5 = np.sort(np.linalg.eigvalsh(assemble_generator(eq, 0.5).dense()))
+        lam0 = np.sort(np.linalg.eigvalsh(MhdSystem(eq, 0.0).dense()))
+        lam5 = np.sort(np.linalg.eigvalsh(MhdSystem(eq, 0.5).dense()))
         assert np.abs((lam0 + 0.5) - lam5).max() < 1e-10
 
     def test_shear_block_triangular(self, box16):
         eq = make_equilibrium("shear", box16)
-        A = assemble_generator(eq, 0.0)
-        amb = A.system.ambient_matrix()
+        A = MhdSystem(eq, 0.0)
+        amb = A.ambient_matrix()
         n2 = 2 * box16.ncells
         # B_e = 0 kills both coupling blocks; diagonal blocks differ
         assert np.abs(amb[:n2, n2:].data).max(initial=0.0) == 0.0
@@ -190,8 +197,8 @@ class TestGenerator:
 
     def test_negative_shift_rejected(self, box16):
         eq = make_equilibrium("zero", box16)
-        with pytest.raises(ConfigurationError):
-            assemble_generator(eq, -0.1)
+        with pytest.raises(ConfigurationError, match="sigma must be >= 0"):
+            MhdSystem(eq, -0.1)
 
 
 def _smooth_random(grid, rng, kmax=3):
@@ -236,35 +243,41 @@ class TestSparseReducedMatrix:
         rng = np.random.default_rng(2)
         # oracle: the FFT matvec, the independent path through the ambient
         # matrix; the adjoint's R^T is held to its transpose by pairing
-        A, Aadj = assemble_generator(eq, 0.4), assemble_adjoint(eq, 0.4)
+        A = MhdSystem(eq, 0.4)
         R = A.matrix
-        assert sp.issparse(R) and sp.issparse(Aadj.matrix)
+        assert sp.issparse(R) and sp.issparse(R.T)
         for x in rng.normal(size=(3, A.dim)):
-            want = A.system.reduced_matvec(x)
+            want = A.reduced_matvec(x)
             assert np.linalg.norm(R @ x - want) <= 1e-12 * np.linalg.norm(want)
             y = rng.normal(size=A.dim)
-            lhs, rhs = np.dot(want, y), np.dot(x, Aadj.matrix @ y)
+            lhs, rhs = np.dot(want, y), np.dot(x, R.T @ y)
             assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(want) * np.linalg.norm(y)
 
     def test_adjoint_is_a_view_of_r(self, box16):
-        A = assemble_generator(make_equilibrium("shear", box16), 0.4)
-        R = A.matrix
-        Rt = GeneratorOperator(A.system, True).matrix
+        A = MhdSystem(make_equilibrium("shear", box16), 0.4)
+        R, Rt = A.matrix, A.matrix.T
         assert Rt.format == "csc" and np.shares_memory(Rt.data, R.data)
         assert (Rt != R.T.tocsr()).nnz == 0
+
+    def test_shifted_lu_solves_r_and_its_transpose(self, box16):
+        A = MhdSystem(make_equilibrium("taylor_vortex", box16), 0.4)
+        b = np.random.default_rng(4).normal(size=A.dim)
+        for M in (A.matrix, A.matrix.T):
+            x = shifted_lu(M, -0.3, 2.0).solve(b)
+            assert np.linalg.norm(2.0 * (M @ x) - 0.3 * x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_singular_shift_is_a_numerical_error(self, box16):
         # on the zero equilibrium R is diagonal, so shifting by one of its
         # entries leaves a zero pivot
-        A = assemble_generator(make_equilibrium("zero", box16), 1.5)
+        A = MhdSystem(make_equilibrium("zero", box16), 1.5)
         a = -A.matrix[0, 0]
         with pytest.raises(NumericalError, match="singular") as exc:
-            A.lu(a, 1.0)
+            shifted_lu(A.matrix, a, 1.0)
         assert exc.value.detail == {"a": a, "b": 1.0}
 
     def test_sparse_in_the_basis(self, box32):
         nnz = {
-            kind: assemble_generator(make_equilibrium(kind, box32), 0.0).matrix.nnz
+            kind: MhdSystem(make_equilibrium(kind, box32), 0.0).matrix.nnz
             for kind in ("zero", "shear", "taylor_vortex")
         }
         assert nnz == {"zero": 2052, "shear": 5882, "taylor_vortex": 9684}
@@ -277,11 +290,11 @@ class TestReducedMatvec:
         # the ambient product and one analysis per field
         eq = make_equilibrium(kind, box16)
         rng = np.random.default_rng(3)
-        system = assemble_generator(eq, 0.4).system
+        system = MhdSystem(eq, 0.4)
         basis, m, n = system.basis, system.basis.dim, 2 * box16.ncells
         amb = system.ambient_matrix()
-        xr = rng.normal(size=system.state_dim)
-        for x in (xr, xr + 1j * rng.normal(size=system.state_dim)):
+        xr = rng.normal(size=system.dim)
+        for x in (xr, xr + 1j * rng.normal(size=system.dim)):
             flat = np.concatenate([basis.synthesize(x[:m]).ravel(), basis.synthesize(x[m:]).ravel()])
             out = amb @ flat
             want = np.concatenate([
@@ -295,26 +308,27 @@ class TestReducedMatvec:
 class TestAdjoint:
     def test_zero_equilibrium_self_adjoint(self, box16):
         eq = make_equilibrium("zero", box16)
-        A = assemble_generator(eq, 0.0).dense()
-        Astar = assemble_adjoint(eq, 0.0).dense()
+        system = MhdSystem(eq, 0.0)
+        A = system.dense()
+        Astar = system.matrix.T.toarray()
         assert np.abs(A - Astar).max() < 1e-11
 
     def test_pairing_identity(self, box16):
         eq = make_equilibrium("taylor_vortex", box16)
-        A = assemble_generator(eq, 0.3)
-        Aadj = assemble_adjoint(eq, 0.3)
+        A = MhdSystem(eq, 0.3)
         rng = np.random.default_rng(5)
         for _ in range(50):
             u = rng.normal(size=A.dim)
             v = rng.normal(size=A.dim)
-            lhs = np.dot(A.system.reduced_matvec(u), v)
-            rhs = np.dot(u, Aadj.matrix @ v)
+            lhs = np.dot(A.reduced_matvec(u), v)
+            rhs = np.dot(u, A.matrix.T @ v)
             assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(v)
 
     def test_adjoint_spectrum_conjugate(self, box16):
         eq = make_equilibrium("shear", box16)
-        lam = np.linalg.eigvals(assemble_generator(eq, 0.0).dense())
-        lam_adj = np.linalg.eigvals(assemble_adjoint(eq, 0.0).dense())
+        system = MhdSystem(eq, 0.0)
+        lam = np.linalg.eigvals(system.dense())
+        lam_adj = np.linalg.eigvals(system.matrix.T.toarray())
         key = lambda z: (round(z.real, 8), round(z.imag, 8))
         a = sorted(np.conj(lam_adj), key=key)
         b = sorted(lam, key=key)
@@ -323,31 +337,28 @@ class TestAdjoint:
 
 class TestPressure:
     def test_zero_state(self, gen_shifted32):
-        sys = gen_shifted32.system
-        s = StateVector.zeros(sys.grid)
-        p = pressure_from_state(sys, s)
+        s = StateVector.zeros(gen_shifted32.grid)
+        p = pressure_from_state(gen_shifted32, s)
         assert np.abs(p.values).max() == 0.0
 
     def test_zero_equilibrium_gives_zero_pressure(self, box32, gen_shifted32):
         rng = np.random.default_rng(6)
-        sys = gen_shifted32.system
         x = rng.normal(size=gen_shifted32.dim)
         s = to_state(gen_shifted32, x)
-        p = pressure_from_state(sys, s)
+        p = pressure_from_state(gen_shifted32, s)
         assert np.abs(p.values).max() < 1e-12
 
     def test_poisson_identity_residual(self, box32):
         from mhdlab.fields import divergence_matrix, wide_laplacian_matrix
 
         eq = make_equilibrium("taylor_vortex", box32)
-        A = assemble_generator(eq, 0.0)
-        sys = A.system
+        A = MhdSystem(eq, 0.0)
         rng = np.random.default_rng(7)
         psi1 = ScalarField(box32, rng.normal(size=box32.shape))
         psi2 = ScalarField(box32, rng.normal(size=box32.shape))
         s = StateVector(rot(psi1), rot(psi2))
-        p = pressure_from_state(sys, s)
-        b = sys.blocks()
+        p = pressure_from_state(A, s)
+        b = A.blocks()
         D = divergence_matrix(box32)
         rhs = -(D @ (b["L1"] @ s.phi.ravel())) + D @ (b["L2"] @ s.xi.ravel())
         resid = wide_laplacian_matrix(box32) @ p.values.ravel() - rhs
@@ -482,9 +493,8 @@ class TestCommutators:
 class TestPdeResidual:
     def test_eigenpair_residual_small(self, gen_shifted32):
         rep = compute_spectrum(gen_shifted32, 10, "shift_invert")
-        sys = gen_shifted32.system
         for pair in rep.pairs[:4]:
-            out = pde_residual(sys, pair.lam, to_state(gen_shifted32, pair.coeffs))
+            out = pde_residual(gen_shifted32, pair.lam, to_state(gen_shifted32, pair.coeffs))
             assert out["relative"] <= 1e-6
 
     def test_xi_leakage_reported_for_coupled_equilibrium(self, box16):
@@ -494,8 +504,8 @@ class TestPdeResidual:
             box16,
             {"B_e": (np.sin(Y), np.zeros(box16.shape))},
         )
-        A = assemble_generator(eq, 0.0)
+        A = MhdSystem(eq, 0.0)
         rep = compute_spectrum(A, 4, "dense")
-        leak = xi_row_leakage(A.system, to_state(A, rep.pairs[0].coeffs))
+        leak = xi_row_leakage(A, to_state(A, rep.pairs[0].coeffs))
         assert leak < 0.3  # O(h^2) scale, strictly a diagnostic
         assert leak > 0.0

@@ -13,8 +13,8 @@ from mhdlab.basis import SolenoidalBasis
 from mhdlab.equilibria import Equilibrium
 from mhdlab.geometry import WeightField
 from mhdlab.grid import Grid
-from mhdlab.operators import GeneratorOperator, MhdSystem
-from mhdlab.stabilize import UnstableProjection
+from mhdlab.operators import MhdSystem
+from mhdlab.stabilize import FeedbackGain, UnstableProjection
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,7 +34,7 @@ MOVED = {
 }
 MOVED_METHODS = ["pressure_from_state", "steady_rows", "pde_residual", "xi_row_leakage"]
 # (class, method) -> the oracle function that replaced it
-MOVED_TO_FUNCTIONS = {(GeneratorOperator, "to_state"): "to_state",
+MOVED_TO_FUNCTIONS = {(MhdSystem, "to_state"): "to_state",
                       (UnstableProjection, "apply"): "unstable_component",
                       (Grid, "same_as"): "same_grid"}
 # a moved name as code names or calls it
@@ -70,6 +70,21 @@ def test_moved_names_live_in_the_oracles_only():
     assert not hasattr(Equilibrium, "sup_fields")
     assert not hasattr(WeightField, "as_scalar")
     assert not hasattr(SolenoidalBasis, "diffusion_symbol")
+    # members no stage reads
+    assert not hasattr(SolenoidalBasis, "state_dim")
+    assert not hasattr(WeightField, "grid")
+    assert not {"K", "N"} & set(dir(FeedbackGain))
+
+
+def test_one_generator_object():
+    # MhdSystem is the generator R; the adjoint is read as its matrix.T
+    modules = [importlib.import_module(f"mhdlab.{p.stem}")
+               for p in (ROOT / "src" / "mhdlab").glob("[!_]*.py")]
+    assert modules
+    for name in ("GeneratorOperator", "assemble_generator", "assemble_adjoint"):
+        assert not hasattr(mhdlab, name), f"mhdlab.{name}"
+        for mod in modules:
+            assert not hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
 def test_basis_builds_no_laplacian_symbols(box16):

@@ -12,10 +12,8 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
 from mhdlab import (
-    GeneratorOperator,
+    MhdSystem,
     OmegaSpec,
-    assemble_adjoint,
-    assemble_generator,
     build_grid,
     build_nested_regions,
     compute_spectrum,
@@ -27,6 +25,7 @@ from mhdlab import (
 )
 from mhdlab import spectral
 from mhdlab.errors import ConfigurationError, NumericalError, UncontrollableError
+from mhdlab.operators import shifted_lu
 from mhdlab.spectral import (
     CLUSTER_RTOL,
     RESIDUAL_BOUND,
@@ -65,8 +64,8 @@ def _strategy_case(kind: str, n: int, sigma: float):
     grid = build_grid(L, L, n, n)
     if kind == "uniform_field":
         ones = np.ones(grid.shape)
-        return assemble_generator(make_equilibrium("custom", grid, {"B_e": (ones, 0 * ones)}), sigma)
-    return assemble_generator(make_equilibrium(kind, grid), sigma)
+        return MhdSystem(make_equilibrium("custom", grid, {"B_e": (ones, 0 * ones)}), sigma)
+    return MhdSystem(make_equilibrium(kind, grid), sigma)
 
 
 # (kind, n, sigma) where shift-invert Arnoldi, asked for 12 values with one
@@ -94,7 +93,7 @@ def _cluster_members(case) -> list[tuple[float, float, int, int]]:
 class TestSpectrum:
     def test_fourier_ground_truth_16(self, box16):
         eq = make_equilibrium("zero", box16)
-        A = assemble_generator(eq, 0.0)
+        A = MhdSystem(eq, 0.0)
         rep = compute_spectrum(A, 12, "dense")
         oracle = fourier_generator_eigenvalues(L, L, 1.0, 1.0, 0.0, 12)
         assert oracle == FROZEN_LEADING_12
@@ -150,10 +149,10 @@ class TestSpectrum:
     def test_shift_invert_inner_solves_take_few_matvecs(self, box16, monkeypatch):
         # the sparse LU solves the shifted system, advection included, so
         # each inner solve is one refinement step: one FFT matvec, no GMRES
-        A = assemble_generator(make_equilibrium("shear", box16), 1.5)
+        A = MhdSystem(make_equilibrium("shear", box16), 1.5)
         calls = {"matvec": 0, "gmres": 0}
         per_solve = []
-        matvec, refine, gmres = A.system.reduced_matvec, spectral._refine_shifted_solve, spla.gmres
+        matvec, refine, gmres = A.reduced_matvec, spectral._refine_shifted_solve, spla.gmres
 
         def counting_matvec(x):
             calls["matvec"] += 1
@@ -169,7 +168,7 @@ class TestSpectrum:
             calls["gmres"] += 1
             return gmres(*args, **kwargs)
 
-        monkeypatch.setattr(A.system, "reduced_matvec", counting_matvec)
+        monkeypatch.setattr(A, "reduced_matvec", counting_matvec)
         monkeypatch.setattr(spectral, "_refine_shifted_solve", counting_refine)
         monkeypatch.setattr(spla, "gmres", counting_gmres)
         compute_spectrum(A, 10, "shift_invert")
@@ -180,9 +179,9 @@ class TestSpectrum:
     def test_refine_shifted_solve_only_rescales_the_lu_solve(self, box32, kind):
         # the refinement step returns s times the bare LU solve, s within
         # rounding of 1: the LU already solves the shifted system
-        A = assemble_generator(make_equilibrium(kind, box32), 1.5)
-        si = A.sigma + A.system.eq.grad_bound + 1.0
-        lu = A.lu(-si, 1.0)
+        A = MhdSystem(make_equilibrium(kind, box32), 1.5)
+        si = A.sigma + A.eq.grad_bound + 1.0
+        lu = shifted_lu(A.matrix, -si, 1.0)
         rng = np.random.default_rng(17)
         for _ in range(4):
             b = rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)
@@ -197,7 +196,7 @@ class TestSpectrum:
         # by the same LU; on every right-hand side ARPACK passes, the one
         # refinement step must give the same bits, and the one two-column LU
         # solve the bits of two one-column solves
-        A = assemble_generator(make_equilibrium("shear", box16), 1.5)
+        A = MhdSystem(make_equilibrium("shear", box16), 1.5)
         rhs = []
         refine = spectral._refine_shifted_solve
 
@@ -211,7 +210,7 @@ class TestSpectrum:
         dim = A.dim
         for lu, si, b in rhs:
             op = spla.LinearOperator(
-                (dim, dim), matvec=lambda x: A.system.reduced_matvec(x) - si * x, dtype=complex
+                (dim, dim), matvec=lambda x: A.reduced_matvec(x) - si * x, dtype=complex
             )
             M = spla.LinearOperator(
                 (dim, dim), matvec=lambda x: lu.solve(x.real) + 1j * lu.solve(x.imag), dtype=complex
@@ -225,16 +224,15 @@ class TestSpectrum:
     def test_inner_solve_miss_is_numerical_error(self, box16, monkeypatch):
         # an LU of the wrong shift leaves a residual far above the inner
         # tolerance: one step cannot close it, and the run stops (exit 3)
-        A = assemble_generator(make_equilibrium("shear", box16), 1.5)
-        si = A.sigma + A.system.eq.grad_bound + 1.0
+        A = MhdSystem(make_equilibrium("shear", box16), 1.5)
+        si = A.sigma + A.eq.grad_bound + 1.0
         b = np.cos(0.7 * np.arange(A.dim)) + 0.3 + 0j
         with pytest.raises(NumericalError, match="inner solve") as exc:
-            spectral._refine_shifted_solve(A, A.lu(-1.01 * si, 1.0), si, b)
+            spectral._refine_shifted_solve(A, shifted_lu(A.matrix, -1.01 * si, 1.0), si, b)
         assert exc.value.detail["residual"] > 1e-12
         assert exc.value.detail["preconditioned_residual"] > 1e-12
 
-        lu = A.lu
-        monkeypatch.setattr(A, "lu", lambda a, b: lu(1.01 * a, b))
+        monkeypatch.setattr(spectral, "shifted_lu", lambda m, a, b: shifted_lu(m, 1.01 * a, b))
         with pytest.raises(NumericalError, match="inner solve") as exc:
             compute_spectrum(A, 10, "shift_invert")
         assert exc.value.detail["solves"] == 1
@@ -256,7 +254,7 @@ class TestSpectrum:
 
     def test_ordering_deterministic(self, box16):
         eq = make_equilibrium("shear", box16)
-        A = assemble_generator(eq, 0.5)
+        A = MhdSystem(eq, 0.5)
         r1 = compute_spectrum(A, 8, "dense")
         r2 = compute_spectrum(A, 8, "dense")
         for p1, p2 in zip(r1.pairs, r2.pairs):
@@ -286,7 +284,7 @@ class TestSpectrum:
 
     def test_how_many_validation(self, box16):
         eq = make_equilibrium("zero", box16)
-        A = assemble_generator(eq, 0.0)
+        A = MhdSystem(eq, 0.0)
         with pytest.raises(ConfigurationError):
             compute_spectrum(A, A.dim + 1)
         with pytest.raises(ConfigurationError):
@@ -294,65 +292,52 @@ class TestSpectrum:
 
     def test_wall_grids_rejected(self, channel):
         eq = make_equilibrium("zero", channel)
-        A = assemble_generator(eq, 0.0)
+        A = MhdSystem(eq, 0.0)
         with pytest.raises(ConfigurationError):
             compute_spectrum(A, 4, "dense")
 
     def test_residual_gate_names_the_eigenvalue(self, box16):
         # a pair off its eigenvalue by 1e-6 has residual 1e-6 on R, above
         # RESIDUAL_BOUND: the report refuses it and names the eigenvalue
-        A = assemble_generator(make_equilibrium("shear", box16), 0.4)
+        A = MhdSystem(make_equilibrium("shear", box16), 0.4)
         fwd = compute_spectrum(A, 4, "dense")
         lams = np.array([p.lam for p in fwd.pairs])
         vecs = np.column_stack([p.coeffs for p in fwd.pairs]).astype(complex)
-        assert [p.lam for p in spectral._report(A, lams, vecs, "dense").pairs] == list(lams)
+        report = spectral._report(A.matrix, A.sigma, lams, vecs, "dense")
+        assert [p.lam for p in report.pairs] == list(lams)
         lams[1] += 1e-6
         with pytest.raises(NumericalError, match="residual") as exc:
-            spectral._report(A, lams, vecs, "dense")
+            spectral._report(A.matrix, A.sigma, lams, vecs, "dense")
         assert exc.value.detail["lambda"] == lams[1]
 
 
 class TestAdjointSpectrum:
     def test_self_adjoint_case_identical(self, box16):
         eq = make_equilibrium("zero", box16)
-        fwd = compute_spectrum(assemble_generator(eq, 0.0), 8, "dense")
-        adj = adjoint_eigenpairs(assemble_adjoint(eq, 0.0), fwd)
+        A = MhdSystem(eq, 0.0)
+        fwd = compute_spectrum(A, 8, "dense")
+        adj = adjoint_eigenpairs(A, fwd)
         a = np.array([p.lam.real for p in fwd.pairs[:8]])
         b = np.array([p.lam.real for p in adj.pairs[:8]])
         assert np.abs(a - b).max() < 1e-9
 
     def test_conjugate_eigenvalues(self, box16):
         eq = make_equilibrium("taylor_vortex", box16)
-        fwd = compute_spectrum(assemble_generator(eq, 0.4), 10, "dense")
-        adj = adjoint_eigenpairs(assemble_adjoint(eq, 0.4), fwd)
+        A = MhdSystem(eq, 0.4)
+        fwd = compute_spectrum(A, 10, "dense")
+        adj = adjoint_eigenpairs(A, fwd)
         key = lambda z: (round(z.real, 7), round(z.imag, 7))
         a = sorted([np.conj(p.lam) for p in adj.pairs[:10]], key=key)
         b = sorted([p.lam for p in fwd.pairs[:10]], key=key)
         assert np.abs(np.array(a) - np.array(b)).max() < 1e-8
         assert fwd.N == adj.N
 
-    def test_requires_adjoint_operator(self, box16):
-        # The guard holds before the shortcut for a report without pairs.
-        eq = make_equilibrium("zero", box16)
-        A = assemble_generator(eq, 0.0)
-        unstable = compute_spectrum(A, 4, "dense").unstable_part()
-        with pytest.raises(ConfigurationError):
-            adjoint_eigenpairs(A, unstable)
-
-    def test_shift_invert_solves_the_forward_operator_only(self, box16):
-        Aadj = assemble_adjoint(make_equilibrium("shear", box16), 1.5)
-        with pytest.raises(ConfigurationError, match="adjoint_eigenpairs"):
-            compute_spectrum(Aadj, 4, "shift_invert")
-
-    def test_derivation_requires_adjoint_operator(self, gen_shifted32, spectrum_shifted32):
-        with pytest.raises(ConfigurationError):
-            adjoint_eigenpairs(gen_shifted32, spectrum_shifted32)
-
     def test_nothing_to_derive_for_a_stable_spectrum(self, box16):
         eq = make_equilibrium("zero", box16)
-        unstable = compute_spectrum(assemble_generator(eq, 0.0), 4, "dense").unstable_part()
+        A = MhdSystem(eq, 0.0)
+        unstable = compute_spectrum(A, 4, "dense").unstable_part()
         assert (unstable.pairs, unstable.N, unstable.M, unstable.K) == ([], 0, 0, 0)
-        assert adjoint_eigenpairs(assemble_adjoint(eq, 0.0), unstable) is unstable
+        assert adjoint_eigenpairs(A, unstable) is unstable
 
 
 def _uniform_b_eq(grid):
@@ -383,16 +368,15 @@ def derived(request):
     kind, n, sigma = ADJOINT_CASES[request.param]
     grid = build_grid(L, L, n, n)
     eq = kind(grid) if callable(kind) else make_equilibrium(kind, grid)
-    A = assemble_generator(eq, sigma)
-    Aadj = GeneratorOperator(A.system, True)
+    A = MhdSystem(eq, sigma)
     fwd = compute_spectrum(A, 12, "dense")
-    Rt = Aadj.dense()
+    Rt = A.matrix.T.toarray()
     lams, vecs = sla.eig(Rt)
     return dict(
         grid=grid,
-        Aadj=Aadj,
+        A=A,
         fwd=fwd,
-        adj=adjoint_eigenpairs(Aadj, fwd),
+        adj=adjoint_eigenpairs(A, fwd),
         Rt=Rt,
         oracle_lams=lams,
         oracle_vecs=vecs,
@@ -442,7 +426,7 @@ class TestDerivedAdjoint:
     def test_gram_independent_of_forward_cluster_basis(self, derived):
         # mixing each forward cluster by a unitary matrix changes the start
         # of the inverse iteration, not the subspace it converges to
-        fwd, Aadj = derived["fwd"], derived["Aadj"]
+        fwd, A = derived["fwd"], derived["A"]
         X, Y = derived["grid"].meshgrid()
         omega = (X - 0.5 * L) ** 2 + (Y - 0.45 * L) ** 2 <= (0.2 * L) ** 2
         rng = np.random.default_rng(3)
@@ -453,12 +437,12 @@ class TestDerivedAdjoint:
             mixed = np.column_stack([p.coeffs for p in cl]) @ U
             pairs += [replace(p, coeffs=c) for p, c in zip(cl, mixed.T)]
         ids = sorted(fwd.cluster_ids)
-        again = adjoint_eigenpairs(Aadj, replace(fwd, pairs=pairs, cluster_ids=ids))
+        again = adjoint_eigenpairs(A, replace(fwd, pairs=pairs, cluster_ids=ids))
         assert again.ell == derived["adj"].ell
         for a, b in zip(derived["adj"].unstable_clusters(), again.unstable_clusters()):
             dA = derived["grid"].cell_area
-            s0 = ucp_gram_test(omega_fields(Aadj, a, omega), dA).sigma_min
-            s1 = ucp_gram_test(omega_fields(Aadj, b, omega), dA).sigma_min
+            s0 = ucp_gram_test(omega_fields(A, a, omega), dA).sigma_min
+            s1 = ucp_gram_test(omega_fields(A, b, omega), dA).sigma_min
             assert abs(s1 - s0) <= 1e-10 * s0
 
 
@@ -493,15 +477,15 @@ class TestOmegaFields:
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
     def test_each_pair_synthesized_alone_bit_for_bit(
-        self, adj_shifted32, regions32, clusters, kind
+        self, gen_shifted32, regions32, clusters, kind
     ):
         omega = regions32.omega
         cl = clusters[kind]
-        F = omega_fields(adj_shifted32, cl, omega)
+        F = omega_fields(gen_shifted32, cl, omega)
         assert F.shape == (len(cl), 2, 2) + omega.shape
         assert np.isrealobj(F) == (kind == "real")
         for f, p in zip(F, cl):
-            st = to_state(adj_shifted32, p.coeffs)
+            st = to_state(gen_shifted32, p.coeffs)
             phi, xi = restrict(st.phi, omega), restrict(st.xi, omega)
             for got, want in zip(f.reshape(4, *omega.shape), (phi.u1, phi.u2, xi.u1, xi.u2)):
                 assert got.dtype == want.dtype
@@ -509,12 +493,12 @@ class TestOmegaFields:
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
     def test_gram_and_kalman_entries_match_field_inner_products(
-        self, adj_shifted32, regions32, clusters, kind
+        self, gen_shifted32, regions32, clusters, kind
     ):
         omega, grid = regions32.omega, regions32.grid
         cl = clusters[kind]
-        F = omega_fields(adj_shifted32, cl, omega)
-        states = [to_state(adj_shifted32, p.coeffs) for p in cl]
+        F = omega_fields(gen_shifted32, cl, omega)
+        states = [to_state(gen_shifted32, p.coeffs) for p in cl]
         G = np.array([[_omega_inner_reference(a, b, omega) for b in states] for a in states])
         assert np.array_equal(ucp_gram_test(F, grid.cell_area).entries, G)
         acts = select_actuators([F], grid.cell_area)
@@ -554,16 +538,16 @@ class TestGram:
         assert gm_full.sigma_min <= 1e-10
 
     def test_shifted_box_gram_vs_quadrature_oracle(
-        self, adj_shifted32, adj_spectrum_shifted32, regions32, box32
+        self, gen_shifted32, adj_spectrum_shifted32, regions32, box32
     ):
         cl = adj_spectrum_shifted32.unstable_clusters()[0]
-        gm = ucp_gram_test(omega_fields(adj_shifted32, cl, regions32.omega), box32.cell_area)
+        gm = ucp_gram_test(omega_fields(gen_shifted32, cl, regions32.omega), box32.cell_area)
         assert gm.passed and gm.sigma_min > 1e-6
         # quadrature oracle: raw cellwise sums, no package inner products
         omega = regions32.omega
         dA = box32.cell_area
         ell = len(cl)
-        states = [to_state(adj_shifted32, p.coeffs) for p in cl]
+        states = [to_state(gen_shifted32, p.coeffs) for p in cl]
         G = np.zeros((ell, ell), dtype=complex)
         for a in range(ell):
             for b in range(ell):
@@ -577,15 +561,15 @@ class TestGram:
         svals = np.linalg.svd(G, compute_uv=False)
         assert gm.sigma_min == pytest.approx(float(svals[-1]), rel=1e-10)
 
-    def test_gram_monotone_in_omega(self, adj_shifted32, adj_spectrum_shifted32, box32):
+    def test_gram_monotone_in_omega(self, gen_shifted32, adj_spectrum_shifted32, box32):
         cl = adj_spectrum_shifted32.unstable_clusters()[0]
         X, Y = box32.meshgrid()
         r = np.hypot(X - np.pi, Y - np.pi)
         small = r <= 0.12 * L
         big = r <= 0.18 * L
         assert np.all(big[small])
-        gm_small = ucp_gram_test(omega_fields(adj_shifted32, cl, small), box32.cell_area)
-        gm_big = ucp_gram_test(omega_fields(adj_shifted32, cl, big), box32.cell_area)
+        gm_small = ucp_gram_test(omega_fields(gen_shifted32, cl, small), box32.cell_area)
+        gm_big = ucp_gram_test(omega_fields(gen_shifted32, cl, big), box32.cell_area)
         assert gm_big.sigma_min >= gm_small.sigma_min - 1e-12
 
     def test_empty_cluster_rejected(self, box16):
@@ -612,9 +596,9 @@ class TestActuatorsAndKalman:
         ).real
         assert nrm == pytest.approx(1.0, rel=1e-10)
 
-    def test_constructed_rank_full(self, adj_shifted32, adj_spectrum_shifted32, regions32):
+    def test_constructed_rank_full(self, gen_shifted32, adj_spectrum_shifted32, regions32):
         clusters = [
-            omega_fields(adj_shifted32, cl, regions32.omega)
+            omega_fields(gen_shifted32, cl, regions32.omega)
             for cl in adj_spectrum_shifted32.unstable_clusters()
         ]
         dA = regions32.grid.cell_area

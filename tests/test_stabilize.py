@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from mhdlab import (
+    MhdSystem,
     OmegaSpec,
     adjoint_eigenpairs,
-    assemble_adjoint,
-    assemble_generator,
     build_grid,
     build_nested_regions,
     closed_loop,
@@ -31,7 +30,6 @@ from mhdlab.errors import (
 from mhdlab import projection, stabilize
 from mhdlab.cli import Run
 from mhdlab.config import RunConfig
-from mhdlab.operators import GeneratorOperator
 from mhdlab.stabilize import (
     SimulationTrace,
     control_fields,
@@ -48,10 +46,9 @@ def _zero_loop24():
     closed-loop experiment at gamma = 1 (seed 2)."""
     g = build_grid(L, L / 2, 24, 24)
     eq = make_equilibrium("zero", g)
-    A = assemble_generator(eq, 1.5)
-    Aadj = assemble_adjoint(eq, 1.5)
+    A = MhdSystem(eq, 1.5)
     rep = compute_spectrum(A, 10, "shift_invert")
-    arep = adjoint_eigenpairs(Aadj, rep)
+    arep = adjoint_eigenpairs(A, rep)
     regions = build_nested_regions(
         g,
         OmegaSpec(shape="disc", radius=0.08 * L),
@@ -59,7 +56,7 @@ def _zero_loop24():
         omega_star_width=0.08 * L,
     )
     omega = regions.omega
-    clusters = [omega_fields(Aadj, cl, omega) for cl in arep.unstable_clusters()]
+    clusters = [omega_fields(A, cl, omega) for cl in arep.unstable_clusters()]
     acts = select_actuators(clusters, g.cell_area)
     closed = closed_loop(A, rep, arep, acts, omega, 1.0, 8.0, 0.01, np.random.default_rng(2))
     design = closed.design
@@ -115,7 +112,7 @@ class TestSynthesizeFeedback:
 
     def test_empty_block(self):
         gain = synthesize_feedback(np.zeros((0, 0)), np.zeros((0, 0)), gamma=1.0)
-        assert gain.K == 0 and gain.N == 0
+        assert gain.gain.shape == (0, 0)
 
     def test_two_by_two_cluster(self):
         A = np.diag([0.5, 0.5])
@@ -159,7 +156,7 @@ class TestSimulation:
     def test_single_mode_decay_oracle(self, box16):
         # exact scalar ODE: one diffusive Fourier mode decays at rate 2|lam|
         eq = make_equilibrium("zero", box16)
-        A = assemble_generator(eq, 0.0)
+        A = MhdSystem(eq, 0.0)
         rep = compute_spectrum(A, 2, "shift_invert")
         pair = rep.pairs[0]
         trace = simulate_closed_loop(A, None, np.real(pair.coeffs), 3.0, 0.005)
@@ -193,7 +190,7 @@ class TestSimulation:
         _assert_decays_at_target(out)
 
     def test_control_localization_bitwise(self, loop24):
-        fields = control_fields(loop24["A"].system.basis, loop24["acts"], loop24["omega"])
+        fields = control_fields(loop24["A"].basis, loop24["acts"], loop24["omega"])
         assert fields.shape == loop24["acts"].shape
         assert np.all(fields[..., ~loop24["omega"]] == 0.0)
 
@@ -212,7 +209,7 @@ class TestSimulation:
 
     def test_blowup_guard(self, box16):
         eq = make_equilibrium("zero", box16)
-        A = assemble_generator(eq, 4.0)  # growth rate 3 on the slowest mode
+        A = MhdSystem(eq, 4.0)  # growth rate 3 on the slowest mode
         rep = compute_spectrum(A, 2, "shift_invert")
         with pytest.raises(NumericalError):
             simulate_closed_loop(A, None, np.real(rep.pairs[0].coeffs), 6.0, 0.01)
@@ -228,7 +225,7 @@ def _assert_decays_at_target(out):
 class TestControlFields:
     def test_equal_the_poisson_projection_on_zero(self, loop24):
         acts, omega = loop24["acts"], loop24["omega"]
-        got = control_fields(loop24["A"].system.basis, acts, omega)
+        got = control_fields(loop24["A"].basis, acts, omega)
         ref = poisson_control_fields(loop24["grid"], acts, omega)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -242,7 +239,7 @@ class TestControlFields:
     def test_leakage_is_the_share_the_drive_misses(self, loop24):
         # the drive keeps the basis coefficients of each applied field; the
         # leakage is the norm of the rest, relative to the field's
-        design, basis = loop24["design"], loop24["A"].system.basis
+        design, basis = loop24["design"], loop24["A"].basis
         dA = loop24["grid"].cell_area
         fields = control_fields(basis, loop24["acts"], loop24["omega"])
         assert len(design.leakage) == len(fields)
@@ -291,11 +288,11 @@ class TestMeasureDecay:
 def test_closed_loop_runs_past_the_dense_cap():
     # 48x48 gives a reduced state of 2 * (48**2 + 2) = 4612 coefficients
     g = build_grid(L, L, 48, 48)
-    A = assemble_generator(make_equilibrium("zero", g), 1.5)
+    A = MhdSystem(make_equilibrium("zero", g), 1.5)
     assert A.dim == 4612
     # on the zero equilibrium every basis column is an eigenvector, so a
     # backward Euler step scales it by exactly 1 / (1 - dt * lambda)
-    lam = 1.5 + laplacian_symbol(A.system.basis, 4)[0]
+    lam = 1.5 + laplacian_symbol(A.basis, 4)[0]
     x0 = np.zeros(A.dim)
     x0[0] = 1.0
     trace = simulate_closed_loop(A, None, x0, 1.0, 0.01)
@@ -310,9 +307,9 @@ def test_closed_loop_runs_past_the_dense_cap():
 
 def test_closed_loop_never_materializes_the_reduced_matrix(loop24, monkeypatch):
     def refuse(self):
-        raise AssertionError("GeneratorOperator.dense called")
+        raise AssertionError("MhdSystem.dense called")
 
-    monkeypatch.setattr(GeneratorOperator, "dense", refuse)
+    monkeypatch.setattr(MhdSystem, "dense", refuse)
     A, design = loop24["A"], loop24["design"]
     x0 = design.proj.V @ np.ones(design.proj.N)
     trace = simulate_closed_loop(A, design, x0, 1.0, 0.01, store_states=True)
