@@ -287,16 +287,11 @@ def run_stabilize(run: Run, outdir: Path) -> dict:
         mode="open_loop_stable", decay_rate=out.decay_rate, rate_half_width=out.rate_half_width
     )
     trace = out.trace
-    rows = [
-        [trace.times[k], trace.energies[k], trace.energies_unstable[k]]
-        + list(trace.amplitudes[k])
-        for k in range(len(trace.times))
-    ]
     write_table(
         outdir / "trace.txt",
         ["t", "energy_total", "energy_unstable"]
         + [f"a{j}" for j in range(trace.amplitudes.shape[1])],
-        rows,
+        np.column_stack([trace.times, trace.energies, trace.energies_unstable, trace.amplitudes]),
         _meta(cfg),
     )
     if out.design is not None:
@@ -315,7 +310,7 @@ def run_stabilize(run: Run, outdir: Path) -> dict:
             write_table(
                 outdir / "gain.txt",
                 [f"c{j}" for j in range(gain.gain.shape[1])],
-                [list(r) for r in gain.gain],
+                gain.gain,
                 _meta(cfg),
             )
     write_summary(outdir / "stabilize_summary.json", summary)

@@ -3,14 +3,18 @@ unique continuation property.
 
 The forward spectrum is computed either densely (exact, small grids) or by
 a shift-inverted Arnoldi iteration whose inner solve is one refinement step
-of the shared sparse LU of R - si I (``operators.shifted_lu``, also used by
-the closed loop) against the FFT matvec ``MhdSystem.reduced_matvec``, with
-its residual checked on the sparse R: the LU solves the shifted system,
-advection included.  The step is the first iteration of scipy's GMRES with
-the LU as preconditioner, bit for bit, and the pipeline's one FFT product;
-the eigen-residuals are taken on R, the operator the closed loop steps.
-Passing the bare LU to ARPACK instead would reorder a degenerate complex
-cluster, so it waits until the benchmark compares eigenvalues in any order.
+of a sparse LU of R - si I (``_forward_lu``) against the FFT matvec
+``MhdSystem.reduced_matvec``, with its residual checked on the sparse R:
+the LU solves the shifted system, advection included.  The step is the
+first iteration of scipy's GMRES with the LU as preconditioner, bit for
+bit, and the pipeline's one FFT product; the eigen-residuals are taken on
+R, the operator the closed loop steps.  Passing the bare LU to ARPACK
+instead would reorder a degenerate complex cluster, so it waits until the
+benchmark compares eigenvalues in any order.  Until then the forward
+factor is pinned too: it keeps SuperLU's default COLAMD ordering, where
+``operators.shifted_lu`` (the adjoint and the closed loop) runs in
+symmetric mode, because any other factor changes the Arnoldi's arithmetic,
+reorders that cluster or costs shifted solves.
 Shift-invert solves the forward operator only: the adjoint eigenfunctions
 are derived from the forward clusters by inverse iteration on one sparse LU
 per cluster.  Eigenvalues are clustered into distinct values with a
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericalError, UncontrollableError
@@ -154,6 +159,20 @@ def _lu_solve(lu: spla.SuperLU, x: np.ndarray) -> np.ndarray:
     return y[:, 0] + 1j * y[:, 1]
 
 
+def _forward_lu(A: MhdSystem, si: float) -> spla.SuperLU:
+    """The real LU of R - si I that the refinement step applies, in
+    SuperLU's default COLAMD ordering: the forward Arnoldi's factor, pinned
+    bit for bit with ``_refine_shifted_solve`` (in symmetric mode its
+    shear 32^2 run needs 160 shifted solves instead of 134)."""
+    shifted = -si * sp.identity(A.dim, format="csc") + A.matrix.tocsc()
+    try:
+        return spla.splu(shifted)
+    except RuntimeError as exc:  # splu: "Factor is exactly singular"
+        raise NumericalError(
+            f"shifted generator R - si*I is singular: {exc}", detail={"si": si}
+        ) from exc
+
+
 def _refine_shifted_solve(
     A: MhdSystem, lu: spla.SuperLU, si: float, b: np.ndarray
 ) -> np.ndarray:
@@ -207,7 +226,7 @@ def _shift_invert_eig(A: MhdSystem, how_many: int):
     # si is real, so R - si I is real: one real LU solves the real and
     # imaginary parts, and one refinement step against the FFT matvec
     # finishes each inner solve (_refine_shifted_solve).
-    lu = shifted_lu(A.matrix, -si, 1.0)
+    lu = _forward_lu(A, si)
     solves = 0
 
     def solve_shifted(b):

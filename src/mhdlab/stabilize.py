@@ -352,6 +352,12 @@ def simulate_closed_loop(
     open with no unstable projection.  Implicit in the stiff generator,
     explicit in the (bounded) control coupling; dt must resolve the fastest
     retained closed-loop rate.
+
+    A step touches the dim-sized state only through the energy x.x, the
+    product W^T x and the LU solve; the rest is N-dimensional.  The unstable
+    coordinates c = pairing^-1 W^T x of every step are kept, one row each,
+    and the unstable energies ||V c||^2 = c.(V^T V).c and the amplitudes
+    -gain c are read from them after the loop.
     """
     if T <= 0 or dt <= 0:
         raise ConfigurationError("simulation horizon and step must be positive")
@@ -365,30 +371,21 @@ def simulate_closed_loop(
             )
 
     lu = shifted_lu(A.matrix, 1.0, -dt)  # backward Euler step I - dt*A
-    dim = A.dim
-    drive = design.drive if design is not None else np.zeros((dim, 0))
-
     x = np.asarray(x0, dtype=float)
     nsteps = int(round(T / dt))
-    K = drive.shape[1]
-    times = np.zeros(nsteps + 1)
+    K = design.drive.shape[1] if design is not None else 0
+    times = dt * np.arange(nsteps + 1)
     energies = np.zeros(nsteps + 1)
-    energies_unstable = np.zeros(nsteps + 1)
-    amplitudes = np.zeros((nsteps + 1, K))
-    states = np.zeros((nsteps + 1, dim)) if store_states else None
+    states = np.zeros((nsteps + 1, A.dim)) if store_states else None
+    if proj is not None:
+        Wt, pinv = proj.W.T, np.linalg.inv(proj.pairing)
+        coords = np.zeros((nsteps + 1, proj.N))
+    if gain is not None:
+        dt_gain = dt * -gain.gain
 
     e0 = float(x @ x)
-    alpha = np.zeros(K)
     for k in range(nsteps + 1):
-        times[k] = k * dt
         energies[k] = float(x @ x)
-        if proj is not None:
-            c = proj.coords(x)
-            xu = proj.V @ c
-            energies_unstable[k] = float(xu @ xu)
-            if gain is not None:
-                alpha = -gain.gain @ c
-                amplitudes[k] = alpha
         if states is not None:
             states[k] = x
         if energies[k] > BLOWUP_FACTOR * max(e0, 1e-300):
@@ -396,11 +393,19 @@ def simulate_closed_loop(
                 "simulation energy exceeded the blow-up guard",
                 detail={"step": k, "energy": energies[k]},
             )
+        if proj is not None:
+            coords[k] = pinv @ (Wt @ x)
         if k == nsteps:
             break
-        rhs = x + dt * (drive @ alpha) if K else x.copy()
-        x = lu.solve(rhs)
+        if gain is not None:
+            x = x + design.drive @ (dt_gain @ coords[k])
+        x = lu.solve(x)
 
+    if proj is None:
+        energies_unstable = np.zeros(nsteps + 1)
+    else:
+        energies_unstable = np.einsum("ki,ij,kj->k", coords, proj.V.T @ proj.V, coords)
+    amplitudes = coords @ -gain.gain.T if gain is not None else np.zeros((nsteps + 1, K))
     trace = SimulationTrace(times, energies, energies_unstable, amplitudes, states)
     trace.validate()
     return trace

@@ -27,7 +27,7 @@ from mhdlab.geometry import RegionSet, transition_band
 from mhdlab.grid import Grid
 from mhdlab.operators import MhdSystem, shifted_lu
 from mhdlab.projection import _solver, helmholtz_project
-from mhdlab.stabilize import SimulationTrace, UnstableProjection
+from mhdlab.stabilize import FeedbackDesign, SimulationTrace, UnstableProjection
 
 # commutator forcing outside the transition band, relative to its largest
 # value, above which the cutoff's guard layers count as too thin
@@ -283,6 +283,33 @@ def stable_complement_residual(
         pred = lu.solve(zeta) + (step_in - unstable_component(proj, step_in))
         worst = max(worst, float(np.max(np.abs(pred - zeta_next))))
     return worst
+
+
+def stepwise_closed_loop(
+    A: MhdSystem, design: FeedbackDesign, x0: np.ndarray, T: float, dt: float
+) -> SimulationTrace:
+    """The closed loop of ``simulate_closed_loop`` computed step by step in
+    the state space: each step takes the unstable coordinates with
+    ``proj.coords``, the unstable energy as ||V c||^2 and the amplitudes
+    alpha = -gain c, and solves the backward Euler step for x + dt B alpha."""
+    proj, gain = design.proj, design.gain
+    lu = shifted_lu(A.matrix, 1.0, -dt)  # backward Euler step I - dt*A
+    nsteps = int(round(T / dt))
+    times = np.zeros(nsteps + 1)
+    energies = np.zeros(nsteps + 1)
+    energies_unstable = np.zeros(nsteps + 1)
+    amplitudes = np.zeros((nsteps + 1, design.drive.shape[1]))
+    x = np.asarray(x0, dtype=float)
+    for k in range(nsteps + 1):
+        times[k] = k * dt
+        energies[k] = float(x @ x)
+        c = proj.coords(x)
+        xu = proj.V @ c
+        energies_unstable[k] = float(xu @ xu)
+        amplitudes[k] = -gain.gain @ c
+        if k < nsteps:
+            x = lu.solve(x + dt * (design.drive @ amplitudes[k]))
+    return SimulationTrace(times, energies, energies_unstable, amplitudes)
 
 
 def poisson_control_fields(grid: Grid, actuators: np.ndarray, omega: np.ndarray) -> np.ndarray:

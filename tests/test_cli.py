@@ -25,6 +25,7 @@ from mhdlab.cli import (
 from mhdlab.carleman import CarlemanParams
 from mhdlab.config import DEFAULT_CONFIG, RunConfig
 from mhdlab.errors import ConfigurationError, FitError, UncontrollableError
+from mhdlab.reports import write_table
 from mhdlab.spectral import adjoint_eigenpairs
 from mhdlab.stabilize import SimulationTrace, measure_decay
 
@@ -327,6 +328,15 @@ class TestDeterminism:
         assert summary["version"] == __version__
         head = (tmp_path / "carleman_sweep.txt").read_text().splitlines()[:2]
         assert any(cfg.hash in line for line in head)
+
+    def test_float_array_rows_are_the_fmt_text(self, tmp_path):
+        # one format string per row gives the bytes of one fmt call per value
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(50, 6)) * 10.0 ** rng.integers(-320, 300, size=(50, 6))
+        rows[0] = [0.0, -0.0, 5e-324, -2.2e-308, np.inf, np.nan]
+        write_table(tmp_path / "array.txt", list("abcdef"), rows, {"k": 1})
+        write_table(tmp_path / "fmt.txt", list("abcdef"), [list(r) for r in rows], {"k": 1})
+        assert (tmp_path / "array.txt").read_bytes() == (tmp_path / "fmt.txt").read_bytes()
 
 
 def test_all_subcommand_runs_every_stage(tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mhdlab import (
     MhdSystem,
@@ -259,12 +260,24 @@ class TestSparseReducedMatrix:
         assert Rt.format == "csc" and np.shares_memory(Rt.data, R.data)
         assert (Rt != R.T.tocsr()).nnz == 0
 
-    def test_shifted_lu_solves_r_and_its_transpose(self, box16):
+    # a real shift, the closed loop's backward Euler step, and a complex
+    # shift as in the adjoint inverse iteration
+    @pytest.mark.parametrize("a, b", [(-0.3, 2.0), (1.0, -0.01), (-0.3 - 0.45j, 1.0)])
+    def test_shifted_lu_solves_r_and_its_transpose(self, box16, a, b):
         A = MhdSystem(make_equilibrium("taylor_vortex", box16), 0.4)
-        b = np.random.default_rng(4).normal(size=A.dim)
+        rng = np.random.default_rng(4)
+        rhs = rng.normal(size=A.dim) + (1j * rng.normal(size=A.dim) if np.iscomplex(a) else 0.0)
         for M in (A.matrix, A.matrix.T):
-            x = shifted_lu(M, -0.3, 2.0).solve(b)
-            assert np.linalg.norm(2.0 * (M @ x) - 0.3 * x - b) <= 1e-10 * np.linalg.norm(b)
+            x = shifted_lu(M, a, b).solve(rhs)
+            assert np.linalg.norm(b * (M @ x) + a * x - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+    def test_shifted_lu_fills_less_than_colamd(self, box32):
+        # symmetric mode on R's nearly symmetric pattern: the backward Euler
+        # factor on taylor_vortex keeps about 0.7 of COLAMD's L+U entries
+        R = MhdSystem(make_equilibrium("taylor_vortex", box32), 0.0).matrix
+        lu = shifted_lu(R, 1.0, -0.01)
+        colamd = spla.splu(sp.identity(R.shape[0], format="csc") - 0.01 * R.tocsc())
+        assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
 
     def test_singular_shift_is_a_numerical_error(self, box16):
         # on the zero equilibrium R is diagonal, so shifting by one of its

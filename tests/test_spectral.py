@@ -25,7 +25,6 @@ from mhdlab import (
 )
 from mhdlab import spectral
 from mhdlab.errors import ConfigurationError, NumericalError, UncontrollableError
-from mhdlab.operators import shifted_lu
 from mhdlab.spectral import (
     CLUSTER_RTOL,
     RESIDUAL_BOUND,
@@ -181,7 +180,7 @@ class TestSpectrum:
         # rounding of 1: the LU already solves the shifted system
         A = MhdSystem(make_equilibrium(kind, box32), 1.5)
         si = A.sigma + A.eq.grad_bound + 1.0
-        lu = shifted_lu(A.matrix, -si, 1.0)
+        lu = spectral._forward_lu(A, si)
         rng = np.random.default_rng(17)
         for _ in range(4):
             b = rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim)
@@ -228,11 +227,12 @@ class TestSpectrum:
         si = A.sigma + A.eq.grad_bound + 1.0
         b = np.cos(0.7 * np.arange(A.dim)) + 0.3 + 0j
         with pytest.raises(NumericalError, match="inner solve") as exc:
-            spectral._refine_shifted_solve(A, shifted_lu(A.matrix, -1.01 * si, 1.0), si, b)
+            spectral._refine_shifted_solve(A, spectral._forward_lu(A, 1.01 * si), si, b)
         assert exc.value.detail["residual"] > 1e-12
         assert exc.value.detail["preconditioned_residual"] > 1e-12
 
-        monkeypatch.setattr(spectral, "shifted_lu", lambda m, a, b: shifted_lu(m, 1.01 * a, b))
+        forward_lu = spectral._forward_lu
+        monkeypatch.setattr(spectral, "_forward_lu", lambda A, si: forward_lu(A, 1.01 * si))
         with pytest.raises(NumericalError, match="inner solve") as exc:
             compute_spectrum(A, 10, "shift_invert")
         assert exc.value.detail["solves"] == 1

@@ -36,16 +36,16 @@ from mhdlab.stabilize import (
     initial_state,
 )
 from oracles import laplacian_symbol, poisson_control_fields, stable_complement_residual
-from oracles import unstable_component
+from oracles import stepwise_closed_loop, unstable_component
 
 L = 2 * np.pi
 
 
-def _zero_loop24():
+def _loop24(kind="zero"):
     """Unstable rectangle with N=4, actuators, projection, gain, and the
     closed-loop experiment at gamma = 1 (seed 2)."""
     g = build_grid(L, L / 2, 24, 24)
-    eq = make_equilibrium("zero", g)
+    eq = make_equilibrium(kind, g)
     A = MhdSystem(eq, 1.5)
     rep = compute_spectrum(A, 10, "shift_invert")
     arep = adjoint_eigenpairs(A, rep)
@@ -68,7 +68,12 @@ def _zero_loop24():
 
 @pytest.fixture(scope="module")
 def loop24():
-    return _zero_loop24()
+    return _loop24()
+
+
+@pytest.fixture(scope="module")
+def shear_loop24():
+    return _loop24("shear")
 
 
 class TestUnstableProjection:
@@ -185,7 +190,7 @@ class TestSimulation:
             return init
 
         monkeypatch.setattr(projection.PoissonSolver, "__init__", refuse("PoissonSolver"))
-        out = _zero_loop24()["closed"]
+        out = _loop24()["closed"]
         assert np.max(out.design.gain.achieved_poles.real) <= -1.0 + 1e-8
         _assert_decays_at_target(out)
 
@@ -199,6 +204,36 @@ class TestSimulation:
         x0 = initial_state(A, proj, np.random.default_rng(3))
         trace = simulate_closed_loop(A, loop24["design"], x0, 1.0, 0.01, store_states=True)
         assert stable_complement_residual(trace, A, proj, 0.01) <= 1e-6
+
+    @pytest.mark.parametrize("skew", [False, True])
+    @pytest.mark.parametrize("fixture", ["loop24", "shear_loop24"])
+    def test_equals_the_stepwise_loop(self, fixture, skew, request):
+        # the loop keeps the unstable coordinates and reads the unstable
+        # energies and amplitudes from them after it; the oracle takes them
+        # at each step in the state space.  Both fixtures have V^T V = I, so
+        # the skewed case writes the same projector and loop in the basis
+        # V T (coordinates T^-1 c, gain K T), where it is not
+        loop = request.getfixturevalue(fixture)
+        A, design = loop["A"], loop["design"]
+        if skew:
+            proj = design.proj
+            T = np.eye(proj.N) + 0.3 * np.random.default_rng(6).normal(size=(proj.N, proj.N))
+            V = proj.V @ T
+            design = replace(
+                design,
+                proj=replace(proj, V=V, pairing=proj.W.T @ V),
+                gain=replace(design.gain, gain=design.gain.gain @ T),
+            )
+        x0 = initial_state(A, design.proj, np.random.default_rng(2))
+        got = simulate_closed_loop(A, design, x0, 8.0, 0.01)
+        ref = stepwise_closed_loop(A, design, x0, 8.0, 0.01)
+        assert np.array_equal(got.times, ref.times)
+        for name in ("energies", "energies_unstable"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.max(np.abs(a - b) / b) <= 1e-11, name
+        # an amplitude can pass through zero: relative to its step's vector
+        diff = np.linalg.norm(got.amplitudes - ref.amplitudes, axis=1)
+        assert np.max(diff / np.linalg.norm(ref.amplitudes, axis=1)) <= 1e-11
 
     def test_dt_guard(self, loop24):
         A, proj, B = loop24["A"], loop24["proj"], loop24["B"]
