@@ -2,7 +2,11 @@
 unique continuation property.
 
 The forward spectrum is computed either densely (exact, small grids) or by
-a shift-inverted Arnoldi iteration whose inner solve is one refinement step
+the shift-invert strategy.  That strategy reads the spectrum of a diagonal
+R off its diagonal: at rest the eigenfunctions are the basis' Fourier
+modes, so no solver runs, every cluster comes out whole and every residual
+is 0.  Every other R goes to a shift-inverted Arnoldi iteration whose inner
+solve is one refinement step
 of a sparse LU of R - si I (``_forward_lu``) against the FFT matvec
 ``MhdSystem.reduced_matvec``, with its residual checked on the sparse R:
 the LU solves the shifted system, advection included.  The step is the
@@ -152,6 +156,30 @@ def _dense_eig(A: MhdSystem, how_many: int):
     return lams[keep], vecs[:, keep]
 
 
+def _is_diagonal(matrix: sp.spmatrix) -> bool:
+    """Whether every nonzero entry of ``matrix`` lies on its diagonal;
+    explicitly stored zeros do not count."""
+    coo = matrix.tocoo()
+    return not np.any(coo.data[coo.row != coo.col])
+
+
+def _diagonal_eig(matrix: sp.spmatrix, how_many: int):
+    """The leading eigenpairs of a diagonal ``matrix``: its diagonal in sort
+    order, cut after how_many entries and completed over the whole diagonal
+    so that every cluster is whole, with unit coefficient vectors.
+
+    In-cluster order is index order, and no solver or BLAS call is made, so
+    the result depends on neither.
+    """
+    diag = matrix.diagonal().astype(complex)
+    values = diag.tolist()
+    order = np.array(sorted(range(len(values)), key=lambda i: _sort_key(values[i])))
+    keep = order[_complete_clusters(diag[order], how_many)]
+    vecs = np.zeros((len(values), len(keep)))
+    vecs[keep, np.arange(len(keep))] = 1.0
+    return diag[keep], vecs
+
+
 def _lu_solve(lu: spla.SuperLU, x: np.ndarray) -> np.ndarray:
     """A real LU applied to the real and imaginary parts of a complex x, as
     the two columns of one solve."""
@@ -259,11 +287,16 @@ def _shift_invert_eig(A: MhdSystem, how_many: int):
 def compute_spectrum(
     A: MhdSystem, how_many: int, strategy: str = "dense"
 ) -> SpectrumReport:
-    """Leading (largest real part) eigenpairs of the reduced generator."""
+    """Leading (largest real part) eigenpairs of the reduced generator.
+
+    Shift-invert reads the spectrum of a diagonal R off its diagonal, and
+    runs the Arnoldi iteration on every other R."""
     if how_many < 1 or how_many > A.dim:
         raise ConfigurationError(
             f"how_many={how_many} outside 1..{A.dim} for this operator"
         )
+    if strategy == "shift_invert" and _is_diagonal(A.matrix):
+        return _report(A.matrix, A.sigma, *_diagonal_eig(A.matrix, how_many), strategy)
     if strategy == "dense":
         lams, vecs = _dense_eig(A, how_many)
     elif strategy == "shift_invert":

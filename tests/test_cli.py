@@ -388,39 +388,58 @@ def test_console_entry_point(tmp_path):
     assert "spectrum: ok" in proc.stdout
 
 
-@pytest.mark.parametrize("nx, ny", [
-    pytest.param(48, 40, marks=pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="FOUND (CHANGES.md): on non-square grids the |k| = 1 cluster of zero splits "
-        "(M = 2, K = 4), placement passes the pole gate with a gain of Frobenius norm 2.8e7, "
-        "and the closed loop blows up at step 1 (exit 3)",
-    )),
-    (40, 48),
-])
-def test_non_square_grid_is_stabilized_or_uncontrollable(tmp_path, nx, ny):
-    # a fresh interpreter with one BLAS thread, as measured: with two
-    # threads the same config stops at the pole gate (exit 4) instead.
-    # Which side of the pole gate a placement with cond(X) ~ 5e8 lands on
-    # follows the last bits of the input map: 40x48 exits 4 there (pole
-    # -0.998876), 48x40 passes it and blows up (ROADMAP item 2)
-    cfgfile = tmp_path / "cfg.json"
+def _run_all_in_fresh_interpreter(out: Path, nx: int, ny: int, threads: int):
+    """``mhdlab all --seed 7`` on the zero nx x ny grid, with ``threads``
+    BLAS threads."""
+    out.mkdir(parents=True)
+    cfgfile = out.parent / f"{out.name}.json"
     cfgfile.write_text(json.dumps({"geometry": {"nx": nx, "ny": ny}}))
     src = str(Path(mhdlab.__file__).resolve().parents[1])
     env = dict(
         os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        OMP_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS=str(threads),
+        OMP_NUM_THREADS=str(threads),
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "mhdlab", "all", "--config", str(cfgfile), "--seed", "7",
-         "--out", str(tmp_path / "o")],
+         "--out", str(out)],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+@pytest.mark.parametrize("nx, ny", [
+    (48, 40),
+    pytest.param(40, 48, marks=pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="FOUND (CHANGES.md): on non-square grids the |k| = 1 cluster of zero splits "
+        "(M = 2, K = 4); at 40x48 placement passes the pole gate with a gain of Frobenius "
+        "norm 1.7e7, and the closed loop blows up at step 1 (exit 3)",
+    )),
+])
+def test_non_square_grid_is_stabilized_or_uncontrollable(tmp_path, nx, ny):
+    # a fresh interpreter with one BLAS thread, as measured.  Which side of
+    # the pole gate an ill-conditioned placement lands on follows the last
+    # bits of the input map: 48x40 exits 4 there (pole -0.998203, cond(X)
+    # 5.305e7), 40x48 passes it and blows up (ROADMAP item 2)
+    proc = _run_all_in_fresh_interpreter(tmp_path / "o", nx, ny, threads=1)
     assert proc.returncode in (EXIT_OK, EXIT_UNCONTROLLABLE), proc.stdout + proc.stderr
+
+
+def test_non_square_grid_runs_alike_at_one_and_two_threads(tmp_path):
+    # zero's spectrum is read off the diagonal of R, so neither it nor the
+    # adjoint and placement built on its unit vectors follow the BLAS
+    # thread count: every exit code and output file is the same
+    for nx, ny in [(48, 40), (40, 48)]:
+        runs = [_run_all_in_fresh_interpreter(tmp_path / f"{nx}x{ny}-{t}", nx, ny, threads=t)
+                for t in (1, 2)]
+        assert runs[0].returncode == runs[1].returncode, (nx, ny)
+        files = [{f.name: f.read_bytes() for f in (tmp_path / f"{nx}x{ny}-{t}").iterdir()}
+                 for t in (1, 2)]
+        assert files[0] == files[1], (nx, ny)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
@@ -619,11 +638,12 @@ def _assert_same(rep, snap):
 
 
 class TestSharedRun:
+    @pytest.mark.parametrize("kind", ["zero", "shear"])
     @pytest.mark.parametrize(
         "command, forward, adjoint",
         [("all", 1, 1), ("spectrum", 1, 0), ("ucp", 1, 1), ("carleman", 0, 0), ("stabilize", 1, 1)],
     )
-    def test_eigensolves_per_command(self, tmp_path, monkeypatch, command, forward, adjoint):
+    def test_eigensolves_per_command(self, tmp_path, monkeypatch, command, forward, adjoint, kind):
         cli = mhdlab.cli
         calls = {"forward": 0, "adjoint": 0, "arnoldi": 0}
 
@@ -642,12 +662,14 @@ class TestSharedRun:
             counted("arnoldi", mhdlab.spectral._shift_invert_eig),
         )
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(SHARED_CFG))
+        cfgfile.write_text(json.dumps({**SHARED_CFG, "equilibrium": {"kind": kind}}))
         code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == EXIT_OK
         # the adjoint is derived from the forward spectrum: one Arnoldi per
-        # forward solve and none for the adjoint
-        assert calls == {"forward": forward, "adjoint": adjoint, "arnoldi": forward}
+        # forward solve and none for the adjoint.  zero's R is diagonal, so
+        # its spectrum is read off the diagonal with no Arnoldi at all
+        arnoldi = forward if kind == "shear" else 0
+        assert calls == {"forward": forward, "adjoint": adjoint, "arnoldi": arnoldi}
 
     @pytest.mark.parametrize(
         "command, calls",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
@@ -33,7 +35,7 @@ from mhdlab.spectral import (
     _sort_key,
     adjoint_eigenpairs,
 )
-from oracles import StateVector, VectorField2, inner, restrict, to_state
+from oracles import StateVector, VectorField2, inner, laplacian_symbol, restrict, to_state
 
 L = 2 * np.pi
 
@@ -70,7 +72,9 @@ def _strategy_case(kind: str, n: int, sigma: float):
 # (kind, n, sigma) where shift-invert Arnoldi, asked for 12 values with one
 # BLAS thread, returns fewer members of a degenerate stable cluster than the
 # dense solve
-CLUSTER_GAP_CASES = [("zero", 16, 1.5), ("taylor_vortex", 16, 1.5), ("uniform_field", 24, 1.2)]
+CLUSTER_GAP_CASES = [("taylor_vortex", 16, 1.5), ("uniform_field", 24, 1.2)]
+# zero's R is diagonal, so shift-invert reads its spectrum off the diagonal
+DIAGONAL_CASE = ("zero", 16, 1.5)
 
 
 def _cluster_members(case) -> list[tuple[float, float, int, int]]:
@@ -87,6 +91,130 @@ def _cluster_members(case) -> list[tuple[float, float, int, int]]:
         (lam.real, lam.imag, *(int(np.sum(np.abs(lams - lam) <= tol)) for lams in (dense, si)))
         for lam in dense
     ]
+
+
+def _in_fresh_interpreter(call: str, threads: int):
+    """The JSON value of ``call``, an expression in this module's names,
+    evaluated in a fresh interpreter with ``threads`` BLAS threads."""
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=str(threads),
+        OMP_NUM_THREADS=str(threads),
+        PYTHONPATH=os.pathsep.join(filter(None, path)),
+    )
+    code = f"import json, test_spectral as t; print(json.dumps(t.{call}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+# grids of the zero equilibrium, whose R is diagonal in the solenoidal basis
+DIAGONAL_GRIDS = [(16, 16), (32, 32), (40, 48)]
+
+
+def _zero_system(nx: int, ny: int) -> MhdSystem:
+    return MhdSystem(make_equilibrium("zero", build_grid(L, L, nx, ny)), 1.5)
+
+
+def _diagonal_spectra(grids) -> list[list[str]]:
+    """The shift-invert spectra of zero on ``grids``, each pair as the hex
+    of its eigenvalue and residual and a digest of its coefficient bytes."""
+    return [
+        [
+            f"{p.lam.real.hex()} {p.lam.imag.hex()} {p.residual.hex()} "
+            + hashlib.sha256(p.coeffs.tobytes()).hexdigest()
+            for p in compute_spectrum(_zero_system(*g), 16, "shift_invert").pairs
+        ]
+        for g in grids
+    ]
+
+
+@pytest.fixture(scope="module", params=DIAGONAL_GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+def zero_diagonal(request):
+    A = _zero_system(*request.param)
+    return A, compute_spectrum(A, 16, "shift_invert")
+
+
+class TestDiagonalGenerator:
+    """Shift-invert on a diagonal R reads the spectrum off the diagonal."""
+
+    def test_no_arnoldi(self, zero_diagonal, monkeypatch):
+        A, rep = zero_diagonal
+
+        def refuse(*args):
+            raise AssertionError("the spectrum of a diagonal R ran the Arnoldi path")
+
+        monkeypatch.setattr(spectral, "_forward_lu", refuse)
+        monkeypatch.setattr(spectral, "_shift_invert_eig", refuse)
+        again = compute_spectrum(A, 16, "shift_invert")
+        assert [p.lam for p in again.pairs] == [p.lam for p in rep.pairs]
+
+    def test_eigenvalues_are_the_laplacian_symbol(self, zero_diagonal):
+        # as a multiset of whole clusters: the first value left out lies
+        # beyond the cluster tolerance of the last one kept
+        A, rep = zero_diagonal
+        sym = laplacian_symbol(A.basis, 4)
+        oracle = np.sort(np.concatenate([A.sigma + A.nu * sym, A.sigma + A.eta * sym]))[::-1]
+        got = np.sort([p.lam.real for p in rep.pairs])[::-1]
+        assert all(p.lam.imag == 0.0 for p in rep.pairs)
+        assert np.abs(got - oracle[: got.size]).max() <= 1e-12
+        assert got[-1] - oracle[got.size] > CLUSTER_RTOL * max(1.0, np.abs(oracle).max())
+
+    def test_matches_dense(self, zero_diagonal):
+        A, rep = zero_diagonal
+        dense = compute_spectrum(A, 16, "dense")
+        a, b = (np.array([p.lam for p in r.pairs]) for r in (rep, dense))
+        assert a.size == b.size
+        dist = np.abs(a[:, None] - b[None, :])
+        assert dist[linear_sum_assignment(dist)].max() <= 1e-12
+        assert (rep.N, rep.M, rep.ell, rep.K) == (dense.N, dense.M, dense.ell, dense.K)
+        # LAPACK's back substitution on a diagonal matrix gives unit vectors
+        # too, so both sides hold the same columns of the identity
+        cols = [sorted(np.flatnonzero(p.coeffs).tolist() for p in r.pairs) for r in (rep, dense)]
+        assert cols[0] == cols[1] and all(len(c) == 1 for c in cols[0])
+
+    def test_exact_pairs_on_unit_vectors(self, zero_diagonal):
+        A, rep = zero_diagonal
+        cols = []
+        for p in rep.pairs:
+            assert p.residual == 0.0
+            assert np.isrealobj(p.coeffs)
+            (j,) = np.flatnonzero(p.coeffs)
+            assert p.coeffs[j] == 1.0
+            assert A.matrix[j, j] == p.lam
+            cols.append(j)
+        assert len(set(cols)) == len(cols)
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        call = f"_diagonal_spectra({DIAGONAL_GRIDS!r})"
+        assert _in_fresh_interpreter(call, threads=1) == _in_fresh_interpreter(call, threads=2)
+
+    def test_stored_zeros_off_the_diagonal_do_not_count(self):
+        mat = sp.csr_matrix(([2.0, 0.0, 3.0], ([0, 0, 1], [0, 1, 1])), shape=(2, 2))
+        assert mat.nnz == 3
+        assert spectral._is_diagonal(mat)
+        mat.data[1] = 1e-300
+        assert not spectral._is_diagonal(mat)
+
+    @pytest.mark.parametrize(
+        "case",
+        [("shear", 16, 1.5), ("taylor_vortex", 16, 1.5), ("uniform_field", 24, 1.2)],
+        ids=lambda c: f"{c[0]}{c[1]}",
+    )
+    def test_other_generators_run_arnoldi_once(self, case, monkeypatch):
+        calls = []
+        arnoldi = spectral._shift_invert_eig
+
+        def counted(*args):
+            calls.append(1)
+            return arnoldi(*args)
+
+        monkeypatch.setattr(spectral, "_shift_invert_eig", counted)
+        compute_spectrum(_strategy_case(*case), 12, "shift_invert")
+        assert len(calls) == 1
 
 
 class TestSpectrum:
@@ -109,7 +237,7 @@ class TestSpectrum:
         # there only the unstable pairs are matched.  The order of clusters
         # with equal real parts follows roundoff too, so ell is compared
         # sorted.
-        for case in [("shear", 16, 1.5), *CLUSTER_GAP_CASES]:
+        for case in [("shear", 16, 1.5), DIAGONAL_CASE, *CLUSTER_GAP_CASES]:
             A = _strategy_case(*case)
             dense, si = (compute_spectrum(A, 10, s) for s in ("dense", "shift_invert"))
             a_all, b_all = (np.array([p.lam for p in r.pairs]) for r in (dense, si))
@@ -120,29 +248,26 @@ class TestSpectrum:
             counts = [(r.N, r.M, sorted(r.ell), r.K) for r in (dense, si)]
             assert counts[0] == counts[1], case
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="FOUND (CHANGES.md): shift-invert Arnoldi misses members of degenerate "
-        "stable clusters inside its disc, not only where k cuts a cluster",
+    @pytest.mark.parametrize(
+        "case",
+        [DIAGONAL_CASE]
+        + [
+            pytest.param(case, marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="FOUND (CHANGES.md): shift-invert Arnoldi misses members of degenerate "
+                "stable clusters inside its disc, not only where k cuts a cluster",
+            ))
+            for case in CLUSTER_GAP_CASES
+        ],
+        ids=lambda c: f"{c[0]}{c[1]}",
     )
-    @pytest.mark.parametrize("case", CLUSTER_GAP_CASES, ids=lambda c: f"{c[0]}{c[1]}")
     def test_shift_invert_returns_whole_clusters(self, case):
-        # in a fresh interpreter with one BLAS thread, as measured: the
-        # zero16 gap depends on the roundoff of the thread count
-        here = Path(__file__).resolve().parent
-        path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS="1",
-            OMP_NUM_THREADS="1",
-            PYTHONPATH=os.pathsep.join(filter(None, path)),
-        )
-        code = f"import json, test_spectral as t; print(json.dumps(t._cluster_members({case!r})))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        for re_lam, im_lam, in_dense, in_si in json.loads(proc.stdout):
+        # in a fresh interpreter with one BLAS thread, as measured: Arnoldi's
+        # gaps depend on the roundoff of the thread count
+        for re_lam, im_lam, in_dense, in_si in _in_fresh_interpreter(
+            f"_cluster_members({case!r})", threads=1
+        ):
             assert in_si == in_dense, f"cluster at {re_lam:.4f}{im_lam:+.4f}i"
 
     def test_shift_invert_inner_solves_take_few_matvecs(self, box16, monkeypatch):
@@ -468,37 +593,43 @@ def _omega_inner_reference(a, b, omega):
     )
 
 
+@pytest.fixture(scope="module")
+def shear_shifted32(box32):
+    """shear at sigma = 1.5 and its derived adjoint spectrum.  Its R is not
+    diagonal, and its unstable adjoint cluster is complex."""
+    A = MhdSystem(make_equilibrium("shear", box32), 1.5)
+    return A, adjoint_eigenpairs(A, compute_spectrum(A, 16, "shift_invert"))
+
+
 class TestOmegaFields:
     @pytest.fixture
-    def clusters(self, adj_spectrum_shifted32):
-        """The complex unstable cluster and a real one made of its real parts."""
-        cl = adj_spectrum_shifted32.unstable_clusters()[0]
-        return {"complex": cl, "real": [replace(p, coeffs=p.coeffs.real.copy()) for p in cl]}
+    def clusters(self, shear_shifted32):
+        """The system, its complex unstable cluster and a real one made of
+        its real parts."""
+        A, adj = shear_shifted32
+        cl = adj.unstable_clusters()[0]
+        return A, {"complex": cl, "real": [replace(p, coeffs=p.coeffs.real.copy()) for p in cl]}
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
-    def test_each_pair_synthesized_alone_bit_for_bit(
-        self, gen_shifted32, regions32, clusters, kind
-    ):
+    def test_each_pair_synthesized_alone_bit_for_bit(self, regions32, clusters, kind):
         omega = regions32.omega
-        cl = clusters[kind]
-        F = omega_fields(gen_shifted32, cl, omega)
+        A, cl = clusters[0], clusters[1][kind]
+        F = omega_fields(A, cl, omega)
         assert F.shape == (len(cl), 2, 2) + omega.shape
         assert np.isrealobj(F) == (kind == "real")
         for f, p in zip(F, cl):
-            st = to_state(gen_shifted32, p.coeffs)
+            st = to_state(A, p.coeffs)
             phi, xi = restrict(st.phi, omega), restrict(st.xi, omega)
             for got, want in zip(f.reshape(4, *omega.shape), (phi.u1, phi.u2, xi.u1, xi.u2)):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
-    def test_gram_and_kalman_entries_match_field_inner_products(
-        self, gen_shifted32, regions32, clusters, kind
-    ):
+    def test_gram_and_kalman_entries_match_field_inner_products(self, regions32, clusters, kind):
         omega, grid = regions32.omega, regions32.grid
-        cl = clusters[kind]
-        F = omega_fields(gen_shifted32, cl, omega)
-        states = [to_state(gen_shifted32, p.coeffs) for p in cl]
+        A, cl = clusters[0], clusters[1][kind]
+        F = omega_fields(A, cl, omega)
+        states = [to_state(A, p.coeffs) for p in cl]
         G = np.array([[_omega_inner_reference(a, b, omega) for b in states] for a in states])
         assert np.array_equal(ucp_gram_test(F, grid.cell_area).entries, G)
         acts = select_actuators([F], grid.cell_area)
