@@ -193,6 +193,13 @@ class SolenoidalBasis:
             shape=(2 * n, self.dim),
         )
 
-    def dense(self) -> np.ndarray:
-        """Materialize the basis as a (2*ncells, dim) array (small grids)."""
-        return self.synthesize(np.eye(self.dim)).reshape(self.dim, -1).T
+    def leray(self, fields: np.ndarray) -> np.ndarray:
+        """Discrete Leray projection of stacked fields: (..., 2, nx, ny) to
+        the same shape.
+
+        On the torus the kernel of the centered divergence is the span of
+        the basis plus the componentwise means, which the basis excludes, so
+        the orthogonal projector onto it is the basis projection with the
+        means added back.
+        """
+        return self.synthesize(self.analyze(fields)) + fields.mean(axis=(-2, -1), keepdims=True)

@@ -2,10 +2,14 @@
 
 Equilibria are chosen analytically divergence free, boundary conditions are
 applied on wall grids, and the result is Helmholtz-projected to make the
-discrete divergence exactly zero.  The body forcings that make such a pair
-steady are the residuals of the steady momentum/induction balance, so no
-nonlinear solve is involved; no stage reads them, and the tests compute them
-with the ``forcings`` oracle.  Both fields are real (2, nx, ny) arrays.
+discrete divergence vanish to roundoff.  On the torus that projection is the
+solenoidal basis's Leray projection, so no pressure Poisson problem is set up
+there.  A field whose discrete divergence is already exactly zero (``zero``,
+``shear``, a uniform field) comes back bit for bit.  The body
+forcings that make such a pair steady are the residuals of the steady
+momentum/induction balance, so no nonlinear solve is involved; no stage reads
+them, and the tests compute them with the ``forcings`` oracle.  Both fields
+are real (2, nx, ny) arrays.
 """
 
 from __future__ import annotations
@@ -124,10 +128,8 @@ def make_equilibrium(
         ye = apply_bc(grid, ye, BcTag.velocity_dirichlet)
         Be = apply_bc(grid, Be, BcTag.magnetic_tangential)
     scale = max(_magnitude(ye).max(), _magnitude(Be).max(), 1.0)
-    if ye.any():
-        ye = helmholtz_project(grid, ye)
-    if Be.any():
-        Be = helmholtz_project(grid, Be)
+    ye = helmholtz_project(grid, ye)
+    Be = helmholtz_project(grid, Be)
     if not grid.fully_periodic:
         ring = grid.boundary_mask()
         bc_err = max(

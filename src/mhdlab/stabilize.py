@@ -320,20 +320,15 @@ class SimulationTrace:
 
 def control_fields(basis: SolenoidalBasis, actuators: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Applied spatial profiles of the (K, 2, 2, nx, ny) actuator array:
-    indicator of omega times the Leray projection of each actuator, as an
-    array of the same shape.
+    indicator of omega times the Leray projection of each actuator
+    (``SolenoidalBasis.leray``), as an array of the same shape.
 
-    On the torus the discrete Leray projector is the orthogonal projector
-    onto the kernel of the centered divergence.  That kernel is the span of
-    the solenoidal basis plus the componentwise means, which the basis
-    excludes, so the means are added back to the basis projection.
     Projection first (it spreads support), localization last, so the
     applied field is exactly zero outside omega; the discarded
     non-solenoidal part (and the means) show up as reported leakage of the
     reduced drive.
     """
-    projected = basis.synthesize(basis.analyze(actuators))
-    return omega * (projected + actuators.mean(axis=(-2, -1), keepdims=True))
+    return omega * basis.leray(actuators)
 
 
 def simulate_closed_loop(

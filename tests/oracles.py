@@ -1,7 +1,8 @@
 """Test oracles: the parts of the continuation argument that no pipeline
 stage runs (the stages certify the Gram/Kalman ranks and the integrated
 weighted inequality).  Field containers and the field operators the stages
-never apply, the equilibrium forcings, the steady form of the eigenproblem,
+never apply, the equilibrium forcings, the dense basis matrix, the bordered
+pressure Poisson solve on the torus, the steady form of the eigenproblem,
 the quintic cutoff and its commutators, and the tau-sweep bounds back the
 acceptance criteria and unit tests.  The package itself takes and returns
 plain (2, nx, ny) arrays; ``VectorField2.array`` and ``VectorField2(grid,
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mhdlab.basis import SolenoidalBasis
 from mhdlab.carleman import _cosine_sums
@@ -26,7 +28,6 @@ from mhdlab.fields import laplacian_matrix, wide_laplacian_matrix
 from mhdlab.geometry import RegionSet, transition_band
 from mhdlab.grid import Grid
 from mhdlab.operators import MhdSystem, shifted_lu
-from mhdlab.projection import _solver, helmholtz_project
 from mhdlab.stabilize import FeedbackDesign, SimulationTrace, UnstableProjection
 
 # commutator forcing outside the transition band, relative to its largest
@@ -236,6 +237,11 @@ def forcings(eq: Equilibrium) -> tuple[VectorField2, VectorField2]:
     return f, g
 
 
+def dense_basis(basis: SolenoidalBasis) -> np.ndarray:
+    """The basis as a (2*ncells, dim) array of its columns (small grids)."""
+    return basis.synthesize(np.eye(basis.dim)).reshape(basis.dim, -1).T
+
+
 def laplacian_symbol(basis: SolenoidalBasis, order: int) -> np.ndarray:
     """Per-column symbol of the order-2 or order-4 Laplacian stencil, which
     the basis diagonalizes exactly.  A column's wavevector is decoded from
@@ -312,14 +318,100 @@ def stepwise_closed_loop(
     return SimulationTrace(times, energies, energies_unstable, amplitudes)
 
 
+# ---------------------------------------------------------------------------
+# Pressure Poisson problem on the torus
+# ---------------------------------------------------------------------------
+# The composed operator div(grad(.)) (the "wide" Laplacian) of the centered
+# matrices is singular on a fully periodic grid, with the grid-parity
+# constants as its null space; a bordered factorization solves it.  The
+# package projects through the solenoidal basis instead, and these solves
+# are the reference it is checked against.
+
+def _parity_null_vectors(grid: Grid) -> np.ndarray:
+    """Orthonormal null basis of the wide Laplacian on a fully periodic grid."""
+    def axis_nulls(n: int) -> list[np.ndarray]:
+        vecs = [np.ones(n)]
+        if n % 2 == 0:
+            vecs.append((-1.0) ** np.arange(n))
+        return vecs
+
+    cols = []
+    for ax in axis_nulls(grid.nx):
+        for ay in axis_nulls(grid.ny):
+            v = np.outer(ax, ay).ravel()
+            cols.append(v / np.linalg.norm(v))
+    return np.array(cols).T
+
+
+class PoissonSolver:
+    """Bordered direct solver for the wide Laplacian of one periodic grid."""
+
+    def __init__(self, grid: Grid, tol: float = 1e-12):
+        if not grid.fully_periodic:
+            raise ConfigurationError("the bordered Poisson solver needs a fully periodic grid")
+        self.grid = grid
+        self.tol = tol
+        self.L = wide_laplacian_matrix(grid)
+        V = _parity_null_vectors(grid)
+        self._nborder = V.shape[1]
+        bordered = sp.bmat([[self.L, sp.csr_matrix(V)], [sp.csr_matrix(V.T), None]], format="csc")
+        self._lu = spla.splu(bordered)
+
+    def solve(self, rhs: np.ndarray, ref: float | None = None) -> tuple[np.ndarray, float]:
+        """Return (solution, residual relative to max(|rhs|, ref)); zero mean.
+
+        ref guards the relative test when rhs is numerically zero (e.g. the
+        divergence of an already projected field).
+        """
+        rhs = np.asarray(rhs).ravel()
+        scale = max(np.linalg.norm(rhs), ref or 0.0)
+        if scale == 0.0:
+            return np.zeros_like(rhs), 0.0
+        x = self._solve_bordered(rhs)
+        # one refinement sweep buys ~3 digits on the composed operator
+        x = x + self._solve_bordered(rhs - self.L @ x)
+        res = np.linalg.norm(self.L @ x - rhs) / scale
+        return x - x.mean(), float(res)
+
+    def _solve_bordered(self, rhs: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(rhs):
+            return self._solve_bordered(rhs.real) + 1j * self._solve_bordered(rhs.imag)
+        aug = self._lu.solve(np.concatenate([rhs, np.zeros(self._nborder)]))
+        return aug[: rhs.size]
+
+
+def poisson_solver(grid: Grid) -> PoissonSolver:
+    """The grid's bordered Poisson solver, built once per grid."""
+    if "poisson_oracle" not in grid._cache:
+        grid._cache["poisson_oracle"] = PoissonSolver(grid)
+    return grid._cache["poisson_oracle"]
+
+
+def poisson_project(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Helmholtz projection v - grad(q) of a (2, nx, ny) field on the torus,
+    with div(grad(q)) = div(v) solved to the solver's tolerance."""
+    solver = poisson_solver(grid)
+    flat = v.reshape(-1)
+    # derivative-scaled reference keeps the tolerance meaningful for
+    # already-solenoidal inputs whose divergence is roundoff
+    ref = float(np.linalg.norm(flat)) * 2.0 / min(grid.hx, grid.hy)
+    q, res = solver.solve(divergence_matrix(grid) @ flat, ref)
+    if res > solver.tol:
+        raise NumericalError(
+            "pressure Poisson solve did not reach tolerance",
+            detail={"residual": res, "tol": solver.tol},
+        )
+    return (flat - gradient_matrix(grid) @ q).reshape(v.shape)
+
+
 def poisson_control_fields(grid: Grid, actuators: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """The applied control fields through the pressure Poisson problem:
-    ``helmholtz_project`` of each component of each actuator, then the
+    ``poisson_project`` of each component of each actuator, then the
     restriction to omega, in the (K, 2, 2, nx, ny) layout of the actuators."""
     out = np.empty_like(actuators)
     for j, actuator in enumerate(actuators):
         for c, field in enumerate(actuator):
-            out[j, c] = helmholtz_project(grid, field) * omega
+            out[j, c] = poisson_project(grid, field) * omega
     return out
 
 
@@ -338,7 +430,7 @@ def pressure_from_state(system: MhdSystem, s: StateVector) -> ScalarField:
     adv1 = b["L1"] @ s.phi.ravel()
     adv2 = b["L2"] @ s.xi.ravel()
     rhs = -(D @ adv1) + D @ adv2
-    solver = _solver(g)
+    solver = poisson_solver(g)
     # reference scale keeps the tolerance meaningful when the divergence
     # of the advective terms is exactly zero (constant-coefficient cases)
     ref = (np.linalg.norm(adv1) + np.linalg.norm(adv2)) * 2.0 / min(g.hx, g.hy)

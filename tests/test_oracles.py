@@ -29,7 +29,7 @@ MOVED = {
     "fields": ["gradient", "curl2d", "rot", "weighted_norm2", "ScalarField", "VectorField2",
                "StateVector", "inner", "restrict", "divergence", "laplacian"],
     "equilibria": ["_advect", "forcings"],
-    "projection": ["divergence_residual"],
+    "projection": ["divergence_residual", "PoissonSolver", "_parity_null_vectors"],
     "stabilize": ["stable_complement_residual"],
 }
 MOVED_METHODS = ["pressure_from_state", "steady_rows", "pde_residual", "xi_row_leakage"]
@@ -70,6 +70,11 @@ def test_moved_names_live_in_the_oracles_only():
     assert not hasattr(Equilibrium, "sup_fields")
     assert not hasattr(WeightField, "as_scalar")
     assert not hasattr(SolenoidalBasis, "diffusion_symbol")
+    # the torus projects through the basis alone: no Poisson factorization
+    projection = importlib.import_module("mhdlab.projection")
+    for name in ("_solver", "spla"):
+        assert not hasattr(projection, name), name
+    assert not hasattr(SolenoidalBasis, "dense") and callable(oracles.dense_basis)
     # members no stage reads
     assert not hasattr(SolenoidalBasis, "state_dim")
     assert not hasattr(WeightField, "grid")

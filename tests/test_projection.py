@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mhdlab import build_grid, helmholtz_project
+from mhdlab import build_grid, helmholtz_project, make_equilibrium
 from mhdlab.basis import SolenoidalBasis
+from mhdlab.equilibria import _DIV_TOL
 from mhdlab.fields import divergence_matrix, vector_laplacian_matrix
 from mhdlab.stabilize import control_fields
-from oracles import ScalarField, VectorField2, divergence_residual, gradient, laplacian_symbol
-from oracles import rot
+from oracles import ScalarField, VectorField2, dense_basis, divergence_residual, gradient
+from oracles import laplacian_symbol, poisson_project, rot
 
 L = 2 * np.pi
 
@@ -85,7 +86,10 @@ class TestHelmholtz:
         assert np.linalg.norm(ppv.ravel() - pv.ravel()) <= 1e-7 * np.linalg.norm(v.ravel())
 
 
-@pytest.mark.parametrize("shape", [(np.pi, 16, 12), (L, 32, 32)])
+TORUS_SHAPES = [(np.pi, 16, 12), (L, 32, 32)]
+
+
+@pytest.mark.parametrize("shape", TORUS_SHAPES)
 def test_leray_projection_is_the_basis_projection_plus_the_means(shape):
     # on the torus the kernel of the centered divergence is the span of the
     # solenoidal basis plus the componentwise means, so the Poisson
@@ -95,13 +99,74 @@ def test_leray_projection_is_the_basis_projection_plus_the_means(shape):
     b = SolenoidalBasis.for_grid(g)
     rng = np.random.default_rng(23)
     a = rng.normal(size=(3, 2, 2) + g.shape)
-    got = b.synthesize(b.analyze(a)) + a.mean(axis=(-2, -1), keepdims=True)
+    got = b.leray(a)
     for f, pf in zip(a.reshape((-1, 2) + g.shape), got.reshape((-1, 2) + g.shape)):
-        pv = helmholtz_project(g, f)
+        pv = poisson_project(g, f)
         assert np.abs(pf - pv).max() <= 1e-13 * np.abs(f).max()
     # on the whole torus the applied control fields are that projection
     whole = np.ones(g.shape, dtype=bool)
     assert control_fields(b, a, whole).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("shape", TORUS_SHAPES)
+def test_helmholtz_project_is_the_poisson_projection_on_the_torus(shape, cplx, no_poisson_problem):
+    # the package projects through the basis, without a Poisson problem of
+    # its own, and agrees with the bordered Poisson solve
+    Ly, nx, ny = shape
+    g = build_grid(L, Ly, nx, ny)
+    rng = np.random.default_rng(24)
+    for _ in range(3):
+        v = _random_field(g, rng, cplx)
+        pv = helmholtz_project(g, v)
+        assert pv.shape == v.shape and pv.dtype == v.dtype
+        assert np.abs(pv - poisson_project(g, v)).max() <= 1e-13 * np.abs(v).max()
+
+
+def _custom_pair(grid):
+    """A custom (y_e, B_e): a vortex plus a gradient, and a field whose
+    first component varies only in y and second only in x, so that its
+    centered divergence is exactly zero."""
+    X, Y = grid.meshgrid()
+    ye = (np.sin(X) * np.cos(Y) + np.sin(2 * X), -np.cos(X) * np.sin(Y) + np.cos(Y))
+    Be = (np.cos(Y), np.sin(2 * X))
+    return {"y_e": ye, "B_e": Be}
+
+
+class TestPeriodicEquilibria:
+    @pytest.mark.parametrize("kind", ["zero", "shear", "taylor_vortex", "custom"])
+    def test_set_up_no_poisson_problem(self, kind, no_poisson_problem):
+        g = build_grid(L, L, 24, 24)
+        params = _custom_pair(g) if kind == "custom" else None
+        make_equilibrium(kind, g, params)
+
+    def test_exactly_solenoidal_fields_come_back_bit_identical(self):
+        # shear, a uniform field and the custom B have exactly zero centered
+        # divergence, so they are their own projection, bit for bit
+        g = build_grid(L, L, 32, 32)
+        X, Y = g.meshgrid()
+        shear = make_equilibrium("shear", g, {"amplitude": 0.7, "mode": 2})
+        expect = np.array([0.7 * np.sin(2 * np.pi * 2 * Y / g.Ly), 0 * Y])
+        assert shear.y_e.tobytes() == expect.tobytes()
+        ones = np.ones(g.shape)
+        uniform = make_equilibrium("custom", g, {"B_e": (ones, 0.5 * ones)})
+        assert uniform.B_e.tobytes() == np.array([ones, 0.5 * ones]).tobytes()
+        assert not uniform.y_e.any()
+        custom = make_equilibrium("custom", g, _custom_pair(g))
+        assert custom.B_e.tobytes() == np.array(_custom_pair(g)["B_e"]).tobytes()
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_projected_equilibria_are_solenoidal(self, n):
+        g = build_grid(L, L, n, n)
+        D = divergence_matrix(g)
+        custom = make_equilibrium("custom", g, _custom_pair(g))
+        for eq in (make_equilibrium("taylor_vortex", g), custom):
+            scale = max(np.abs(eq.y_e).max(), np.abs(eq.B_e).max(), 1.0)
+            for v in (eq.y_e, eq.B_e):
+                assert np.abs(D @ v.ravel()).max() <= _DIV_TOL * scale
+        # the gradient part of the custom velocity is gone
+        ref = poisson_project(g, np.array(_custom_pair(g)["y_e"]))
+        assert np.abs(custom.y_e - ref).max() <= 1e-13
 
 
 class TestSolenoidalBasis:
@@ -112,7 +177,7 @@ class TestSolenoidalBasis:
     def test_columns_orthonormal_and_divfree(self):
         g = build_grid(L, L, 12, 12)
         b = SolenoidalBasis.for_grid(g)
-        Z = b.dense()
+        Z = dense_basis(b)
         gram = Z.T @ Z * g.cell_area
         assert np.abs(gram - np.eye(b.dim)).max() < 1e-12
         D = divergence_matrix(g)

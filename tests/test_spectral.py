@@ -72,9 +72,12 @@ def _strategy_case(kind: str, n: int, sigma: float):
 # (kind, n, sigma) where shift-invert Arnoldi, asked for 12 values with one
 # BLAS thread, returns fewer members of a degenerate stable cluster than the
 # dense solve
-CLUSTER_GAP_CASES = [("taylor_vortex", 16, 1.5), ("uniform_field", 24, 1.2)]
+CLUSTER_GAP_CASES = [("uniform_field", 24, 1.2)]
 # zero's R is diagonal, so shift-invert reads its spectrum off the diagonal
 DIAGONAL_CASE = ("zero", 16, 1.5)
+# shift-invert returns whole clusters here; on taylor_vortex that follows the
+# roundoff of the projected equilibrium and is no guarantee (ROADMAP item 1)
+WHOLE_CLUSTER_CASES = [DIAGONAL_CASE, ("taylor_vortex", 16, 1.5)]
 
 
 def _cluster_members(case) -> list[tuple[float, float, int, int]]:
@@ -237,7 +240,7 @@ class TestSpectrum:
         # there only the unstable pairs are matched.  The order of clusters
         # with equal real parts follows roundoff too, so ell is compared
         # sorted.
-        for case in [("shear", 16, 1.5), DIAGONAL_CASE, *CLUSTER_GAP_CASES]:
+        for case in [("shear", 16, 1.5), *WHOLE_CLUSTER_CASES, *CLUSTER_GAP_CASES]:
             A = _strategy_case(*case)
             dense, si = (compute_spectrum(A, 10, s) for s in ("dense", "shift_invert"))
             a_all, b_all = (np.array([p.lam for p in r.pairs]) for r in (dense, si))
@@ -250,7 +253,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize(
         "case",
-        [DIAGONAL_CASE]
+        WHOLE_CLUSTER_CASES
         + [
             pytest.param(case, marks=pytest.mark.xfail(
                 strict=True,
