@@ -16,7 +16,8 @@ spectra on demand; it commutes with everything downstream.
 
 One ``MhdSystem`` holds the reduced generator R of a run.  R is real, so the
 adjoint is its transpose, read where it is needed as ``matrix.T``: a view of
-R's arrays, factored by the same ``shifted_lu`` as R.
+R's arrays, solved by the same ``shifted_lu`` as R.  That solve is a sparse
+LU, or a division when the shifted operator is diagonal, as it is at rest.
 
 The diffusion blocks take a fourth-order stencil on fully periodic grids so
 that computed eigenvalues carry more accuracy than the generic second-order
@@ -69,13 +70,19 @@ def _gradient_coupling(grid: Grid, e: np.ndarray) -> sp.csr_matrix:
 
 def oseen_plus(grid: Grid, e: np.ndarray) -> sp.csr_matrix:
     """First-order Oseen operator v -> (e.grad)v + (v.grad)e on stacked
-    [v1; v2], for a (2, nx, ny) coefficient field e."""
+    [v1; v2], for a (2, nx, ny) coefficient field e; empty when e is
+    identically zero."""
+    if not np.any(e):
+        return sp.csr_matrix((2 * grid.ncells,) * 2)
     return _block_advection(grid, e) + _gradient_coupling(grid, e)
 
 
 def oseen_minus(grid: Grid, e: np.ndarray) -> sp.csr_matrix:
     """Sign-flipped Oseen operator v -> (e.grad)v - (v.grad)e on stacked
-    [v1; v2], for a (2, nx, ny) coefficient field e."""
+    [v1; v2], for a (2, nx, ny) coefficient field e; empty when e is
+    identically zero."""
+    if not np.any(e):
+        return sp.csr_matrix((2 * grid.ncells,) * 2)
     return _block_advection(grid, e) - _gradient_coupling(grid, e)
 
 
@@ -251,19 +258,75 @@ class MhdSystem:
         return self.matrix.toarray()
 
 
-def shifted_lu(matrix: sp.spmatrix, a: complex, b: float) -> spla.SuperLU:
-    """Sparse LU of a*I + b*matrix, for R or R^T: the shifted solve shared by
+def is_diagonal(matrix: sp.spmatrix) -> bool:
+    """Whether every nonzero entry of ``matrix`` lies on its diagonal;
+    explicitly stored zeros do not count."""
+    coo = matrix.tocoo()
+    return not np.any(coo.data[coo.row != coo.col])
+
+
+class DiagonalSolver:
+    """The solve of a diagonal shifted operator: a division by its diagonal,
+    in SuperLU's arithmetic."""
+
+    def __init__(self, diagonal: np.ndarray):
+        self.diagonal = diagonal
+        if np.iscomplexobj(diagonal):
+            # SuperLU's complex division (z_div) is Smith's: the larger part
+            # of each entry, real or imaginary, divides the other, and both
+            # parts of the quotient are divided by big * (1 + ratio^2)
+            self._small = np.abs(diagonal.real) <= np.abs(diagonal.imag)
+            big = np.where(self._small, diagonal.imag, diagonal.real)
+            self._ratio = np.where(self._small, diagonal.real, diagonal.imag) / big
+            self._den = big * (1 + self._ratio * self._ratio)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """rhs divided by the diagonal, row by row, for a 1-D or 2-D rhs."""
+        # transposed, rhs runs along the diagonal on its last axis
+        rhs_t = np.asarray(rhs).T
+        if not np.iscomplexobj(self.diagonal):
+            return (rhs_t / self.diagonal).T
+        small, ratio, den = self._small, self._ratio, self._den
+        re, im = rhs_t.real, rhs_t.imag
+        out = np.empty(rhs_t.shape, dtype=complex)
+        out.real = np.where(small, re * ratio + im, re + im * ratio) / den
+        out.imag = np.where(small, im * ratio - re, im - re * ratio) / den
+        return out.T
+
+
+def shifted_lu(matrix: sp.spmatrix, a: complex, b: float) -> spla.SuperLU | DiagonalSolver:
+    """Solver of a*I + b*matrix, for R or R^T: the shifted solve shared by
     the adjoint inverse iteration and implicit time stepping.
 
-    SuperLU runs in its symmetric mode: a minimum-degree ordering of
-    A^T + A, applied to rows and columns alike, with diagonal pivots
-    preferred and partial pivoting kept at the default threshold.  Advection
-    couples a Fourier mode q only to q +- m, so R's pattern is nearly
-    symmetric, the case that mode is made for: on taylor_vortex at 32^2
-    the backward Euler factor keeps 0.71 of the L+U entries of SuperLU's
-    default COLAMD factor, and a solve takes two thirds of the time.
+    A diagonal a*I + b*matrix (R on the zero equilibrium, whose solenoidal
+    Fourier modes are its eigenfunctions) gets a ``DiagonalSolver``, which
+    divides by the diagonal.  That keeps SuperLU's bits: it factors a
+    diagonal matrix as L = I and U = the diagonal, so its solve is one
+    division per entry too, and the complex division is written out as
+    SuperLU's own.
+
+    Every other matrix gets a sparse LU in SuperLU's symmetric mode: a
+    minimum-degree ordering of A^T + A, applied to rows and columns alike,
+    with diagonal pivots preferred and partial pivoting kept at the default
+    threshold.  Advection couples a Fourier mode q only to q +- m, so R's
+    pattern is nearly symmetric, the case that mode is made for: on
+    taylor_vortex at 32^2 the backward Euler factor keeps 0.71 of the L+U
+    entries of SuperLU's default COLAMD factor, and a solve takes two thirds
+    of the time.
+
+    A singular shift (on the diagonal path, a zero or unstored diagonal
+    entry) raises NumericalError.
     """
     shifted = a * sp.identity(matrix.shape[0], format="csc") + b * matrix.tocsc()
+    if is_diagonal(shifted):
+        diagonal = shifted.diagonal()
+        zeros = np.flatnonzero(diagonal == 0)
+        if zeros.size:
+            raise NumericalError(
+                f"shifted generator a*I + b*R is singular: zero diagonal entry {zeros[0]}",
+                detail={"a": a, "b": b},
+            )
+        return DiagonalSolver(diagonal)
     try:
         return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:  # splu: "Factor is exactly singular"

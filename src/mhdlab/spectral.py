@@ -20,11 +20,12 @@ factor is pinned too: it keeps SuperLU's default COLAMD ordering, where
 symmetric mode, because any other factor changes the Arnoldi's arithmetic,
 reorders that cluster or costs shifted solves.
 Shift-invert solves the forward operator only: the adjoint eigenfunctions
-are derived from the forward clusters by inverse iteration on one sparse LU
-per cluster.  Eigenvalues are clustered into distinct values with a
-relative tolerance, giving the unstable count N, the number of distinct
-unstable values M, their geometric multiplicities, and K = max
-multiplicity.
+are derived from the forward clusters by inverse iteration on one
+``shifted_lu`` per cluster, a sparse LU, or on a diagonal R a division by
+the shifted diagonal with SuperLU's bits.  Eigenvalues are clustered into
+distinct values with a relative tolerance, giving the unstable count N, the
+number of distinct unstable values M, their geometric multiplicities, and
+K = max multiplicity.
 
 The continuation test itself is algebraic: a cluster's adjoint eigenfunctions
 restricted to the control patch omega must stay linearly independent (their
@@ -45,7 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, NumericalError, UncontrollableError
-from .operators import MhdSystem, shifted_lu
+from .operators import MhdSystem, is_diagonal, shifted_lu
 
 RESIDUAL_BOUND = 1e-8
 CLUSTER_RTOL = 1e-6
@@ -141,9 +142,11 @@ def _complete_clusters(lams: np.ndarray, how_many: int) -> np.ndarray:
 
     Members of a cluster need not be adjacent in sort order (roundoff in
     the real parts interleaves conjugate clusters), so truncating at
-    how_many must not split one.
+    how_many must not split one.  The tolerance scales with the first
+    how_many values, which anchor the clusters, whatever the length of
+    ``lams`` (a diagonal R passes its whole diagonal).
     """
-    tol = CLUSTER_RTOL * max(1.0, float(np.abs(lams).max()))
+    tol = CLUSTER_RTOL * max(1.0, float(np.abs(lams[:how_many]).max()))
     dist = np.abs(lams[:, None] - lams[None, :how_many]).min(axis=1)
     return np.flatnonzero(dist <= tol)
 
@@ -154,13 +157,6 @@ def _dense_eig(A: MhdSystem, how_many: int):
     order = sorted(range(len(lams)), key=lambda i: _sort_key(lams[i]))
     keep = order[: min(how_many + 8, len(order))]
     return lams[keep], vecs[:, keep]
-
-
-def _is_diagonal(matrix: sp.spmatrix) -> bool:
-    """Whether every nonzero entry of ``matrix`` lies on its diagonal;
-    explicitly stored zeros do not count."""
-    coo = matrix.tocoo()
-    return not np.any(coo.data[coo.row != coo.col])
 
 
 def _diagonal_eig(matrix: sp.spmatrix, how_many: int):
@@ -295,7 +291,7 @@ def compute_spectrum(
         raise ConfigurationError(
             f"how_many={how_many} outside 1..{A.dim} for this operator"
         )
-    if strategy == "shift_invert" and _is_diagonal(A.matrix):
+    if strategy == "shift_invert" and is_diagonal(A.matrix):
         return _report(A.matrix, A.sigma, *_diagonal_eig(A.matrix, how_many), strategy)
     if strategy == "dense":
         lams, vecs = _dense_eig(A, how_many)
@@ -357,8 +353,8 @@ def adjoint_eigenpairs(A: MhdSystem, forward: SpectrumReport) -> SpectrumReport:
     w^T v.  The conjugates of a cluster's forward eigenvectors therefore
     start with a nonzero component on each wanted adjoint eigenvector (the
     pairing v^T conj(v) is ||v||^2).  A few steps of block inverse iteration
-    with one sparse LU of R^T - mu I, mu just off the cluster mean, converge
-    onto the cluster's invariant subspace; the Schur vectors of the
+    with one ``shifted_lu`` of R^T - mu I, mu just off the cluster mean,
+    converge onto the cluster's invariant subspace; the Schur vectors of the
     projected ell x ell matrix give an orthonormal basis of it, with the
     diagonal of the Schur form as the eigenvalues.  Clusters keep the
     forward order, and every pair passes the same checks as a forward one.

@@ -348,8 +348,11 @@ def simulate_closed_loop(
     explicit in the (bounded) control coupling; dt must resolve the fastest
     retained closed-loop rate.
 
-    A step touches the dim-sized state only through the energy x.x, the
-    product W^T x and the LU solve; the rest is N-dimensional.  The unstable
+    The implicit step solves with ``shifted_lu`` of I - dt*A, built once: a
+    sparse LU, or on a diagonal R (the zero equilibrium) a division by the
+    diagonal of I - dt*A, which gives the same bits as SuperLU's solve.  A
+    step touches the dim-sized state only through the energy x.x, the
+    product W^T x and that solve; the rest is N-dimensional.  The unstable
     coordinates c = pairing^-1 W^T x of every step are kept, one row each,
     and the unstable energies ||V c||^2 = c.(V^T V).c and the amplitudes
     -gain c are read from them after the loop.

@@ -269,6 +269,14 @@ def unstable_component(proj: UnstableProjection, x: np.ndarray) -> np.ndarray:
     return proj.V @ proj.coords(x)
 
 
+def symmetric_superlu(matrix: sp.spmatrix, a: complex, b: float) -> spla.SuperLU:
+    """SuperLU's symmetric-mode factor of a*I + b*matrix, diagonal or not:
+    the factor ``shifted_lu`` gives every non-diagonal shifted operator, and
+    the reference of its diagonal solves."""
+    shifted = a * sp.identity(matrix.shape[0], format="csc") + b * matrix.tocsc()
+    return spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
 def stable_complement_residual(
     trace: SimulationTrace, A: MhdSystem, proj: UnstableProjection, dt: float
 ) -> float:

@@ -17,10 +17,11 @@ from mhdlab import (
 from mhdlab.errors import ConfigurationError, NumericalError, ShapeError
 from mhdlab.fields import dx_matrix, dy_matrix
 from mhdlab.geometry import OmegaSpec
-from mhdlab.operators import shifted_lu
+from mhdlab import operators
+from mhdlab.operators import DiagonalSolver, is_diagonal, shifted_lu
 from oracles import CommutatorSupportError, CutoffField, ScalarField, StateVector, VectorField2
 from oracles import build_commutators, build_cutoff, divergence, forcings, pde_residual
-from oracles import pressure_from_state, rot, to_state, xi_row_leakage
+from oracles import pressure_from_state, rot, symmetric_superlu, to_state, xi_row_leakage
 
 L = 2 * np.pi
 
@@ -146,6 +147,25 @@ class TestOseen:
         assert np.abs(
             oseen_plus(box32, e) @ v - oseen_minus(box32, e) @ v
         ).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["zero", "shear", "taylor_vortex"])
+    def test_zero_field_skips_the_products_bit_for_bit(self, box32, kind):
+        # the empty operator of a zero field gives R the arrays of the full
+        # advection and gradient-coupling build of that zero field
+        eq = make_equilibrium(kind, box32)
+        zero = np.zeros((2,) + box32.shape)
+        for op in (oseen_plus, oseen_minus):
+            empty = op(box32, zero)
+            assert empty.format == "csr" and empty.shape == (2 * box32.ncells,) * 2
+            assert empty.nnz == 0
+        R = MhdSystem(eq, 1.5).matrix
+        with pytest.MonkeyPatch.context() as mp:
+            full = operators._block_advection, operators._gradient_coupling
+            mp.setattr(operators, "oseen_plus", lambda g, e: full[0](g, e) + full[1](g, e))
+            mp.setattr(operators, "oseen_minus", lambda g, e: full[0](g, e) - full[1](g, e))
+            built = MhdSystem(eq, 1.5).matrix
+        for name in ("data", "indices", "indptr"):
+            assert getattr(R, name).tobytes() == getattr(built, name).tobytes(), name
 
     def test_shear_on_constant_state(self, box32):
         _, Y = box32.meshgrid()
@@ -288,12 +308,69 @@ class TestSparseReducedMatrix:
             shifted_lu(A.matrix, a, 1.0)
         assert exc.value.detail == {"a": a, "b": 1.0}
 
+    def test_stored_zeros_off_the_diagonal_do_not_count(self):
+        # one predicate picks the diagonal spectrum and the diagonal solves
+        mat = sp.csr_matrix(([2.0, 0.0, 3.0], ([0, 0, 1], [0, 1, 1])), shape=(2, 2))
+        assert mat.nnz == 3
+        assert is_diagonal(mat)
+        assert isinstance(shifted_lu(mat, 1.0, -0.1), DiagonalSolver)
+        mat.data[1] = 1e-300
+        assert not is_diagonal(mat)
+        assert isinstance(shifted_lu(mat, 1.0, -0.1), spla.SuperLU)
+
     def test_sparse_in_the_basis(self, box32):
         nnz = {
             kind: MhdSystem(make_equilibrium(kind, box32), 0.0).matrix.nnz
             for kind in ("zero", "shear", "taylor_vortex")
         }
         assert nnz == {"zero": 2052, "shear": 5882, "taylor_vortex": 9684}
+
+
+class TestDiagonalShiftedSolve:
+    """On the zero equilibrium R is diagonal, and so is every shifted
+    operator; shifted_lu divides by its diagonal with SuperLU's bits."""
+
+    @pytest.fixture(scope="class")
+    def zero_r(self, box32):
+        return MhdSystem(make_equilibrium("zero", box32), 1.5).matrix
+
+    def test_backward_euler_step_keeps_superlu_bits(self, zero_r):
+        dt = 0.01
+        solver = shifted_lu(zero_r, 1.0, -dt)
+        assert isinstance(solver, DiagonalSolver)
+        lu = symmetric_superlu(zero_r, 1.0, -dt)
+        rng = np.random.default_rng(5)
+        for rhs in (rng.normal(size=zero_r.shape[0]), rng.normal(size=(zero_r.shape[0], 3))):
+            got, want = solver.solve(rhs), lu.solve(rhs)
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("complex_rhs", [False, True])
+    def test_complex_shift_keeps_superlu_bits(self, zero_r, complex_rhs):
+        # the adjoint's shift, just off a complex cluster mean; the division
+        # is SuperLU's complex one, so it agrees to the bit, not only to
+        # 1e-15 (numpy's own complex division can differ in the last one)
+        lam = -0.04 + 0.46j
+        mu = lam + 1e-5
+        rng = np.random.default_rng(6)
+        rhs = rng.normal(size=(zero_r.shape[0], 4))
+        if complex_rhs:
+            rhs = rhs + 1j * rng.normal(size=rhs.shape)
+        for M in (zero_r, zero_r.T):
+            solver = shifted_lu(M, -mu, 1.0)
+            assert isinstance(solver, DiagonalSolver)
+            got, want = solver.solve(rhs), symmetric_superlu(M, -mu, 1.0).solve(rhs)
+            assert got.dtype == want.dtype == np.complex128
+            assert got.tobytes() == want.tobytes()
+            assert solver.solve(rhs[:, 0]).tobytes() == want[:, 0].tobytes()
+
+    @pytest.mark.parametrize("kind", ["shear", "taylor_vortex"])
+    def test_non_diagonal_generators_get_superlu(self, box16, kind):
+        R = MhdSystem(make_equilibrium(kind, box16), 1.5).matrix
+        assert not is_diagonal(R)
+        for a, b in ((1.0, -0.01), (0.04 - 0.46j, 1.0)):
+            assert isinstance(shifted_lu(R, a, b), spla.SuperLU)
+            assert isinstance(shifted_lu(R.T, a, b), spla.SuperLU)
 
 
 class TestReducedMatvec:

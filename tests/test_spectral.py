@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import linear_sum_assignment
 
@@ -195,12 +194,18 @@ class TestDiagonalGenerator:
         call = f"_diagonal_spectra({DIAGONAL_GRIDS!r})"
         assert _in_fresh_interpreter(call, threads=1) == _in_fresh_interpreter(call, threads=2)
 
-    def test_stored_zeros_off_the_diagonal_do_not_count(self):
-        mat = sp.csr_matrix(([2.0, 0.0, 3.0], ([0, 0, 1], [0, 1, 1])), shape=(2, 2))
-        assert mat.nnz == 3
-        assert spectral._is_diagonal(mat)
-        mat.data[1] = 1e-300
-        assert not spectral._is_diagonal(mat)
+    def test_small_count_matches_dense_on_a_non_square_grid(self):
+        # at 40x48 the |k| = 1 values split into two groups 3.5e-6 apart;
+        # the cluster tolerance follows the first count values, not the
+        # whole diagonal, so count 4 keeps one group, as dense does
+        A = _zero_system(40, 48)
+        rep, dense = (compute_spectrum(A, 4, s) for s in ("shift_invert", "dense"))
+        counts = [(r.N, r.M, r.ell, r.K) for r in (rep, dense)]
+        assert counts == [(4, 1, [4], 4)] * 2
+        a, b = (np.array([p.lam for p in r.pairs]) for r in (rep, dense))
+        assert a.size == b.size == 4
+        dist = np.abs(a[:, None] - b[None, :])
+        assert dist[linear_sum_assignment(dist)].max() <= 1e-12
 
     @pytest.mark.parametrize(
         "case",

@@ -27,7 +27,7 @@ from mhdlab.errors import (
     ProjectionConditionError,
     UncontrollableError,
 )
-from mhdlab import stabilize
+from mhdlab import spectral, stabilize
 from mhdlab.cli import Run
 from mhdlab.config import RunConfig
 from mhdlab.stabilize import (
@@ -36,7 +36,7 @@ from mhdlab.stabilize import (
     initial_state,
 )
 from oracles import laplacian_symbol, poisson_control_fields, stable_complement_residual
-from oracles import stepwise_closed_loop, unstable_component
+from oracles import stepwise_closed_loop, symmetric_superlu, unstable_component
 
 L = 2 * np.pi
 
@@ -230,6 +230,24 @@ class TestSimulation:
         # an amplitude can pass through zero: relative to its step's vector
         diff = np.linalg.norm(got.amplitudes - ref.amplitudes, axis=1)
         assert np.max(diff / np.linalg.norm(ref.amplitudes, axis=1)) <= 1e-11
+
+    def test_diagonal_solves_keep_the_superlu_bits(self, loop24, monkeypatch):
+        # zero's R is diagonal, so shifted_lu divides; SuperLU forced in
+        # gives the adjoint and the closed-loop trace the same bits
+        A, rep, design = loop24["A"], loop24["rep"], loop24["design"]
+        x0 = initial_state(A, design.proj, np.random.default_rng(2))
+        got = simulate_closed_loop(A, design, x0, 8.0, 0.01)
+        monkeypatch.setattr(spectral, "shifted_lu", symmetric_superlu)
+        monkeypatch.setattr(stabilize, "shifted_lu", symmetric_superlu)
+        ref = simulate_closed_loop(A, design, x0, 8.0, 0.01)
+        for name in ("times", "energies", "energies_unstable", "amplitudes"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        arep = adjoint_eigenpairs(A, rep)
+        assert [(p.lam, p.residual) for p in arep.pairs] == [
+            (p.lam, p.residual) for p in loop24["arep"].pairs
+        ]
+        for p, q in zip(arep.pairs, loop24["arep"].pairs):
+            assert p.coeffs.tobytes() == q.coeffs.tobytes()
 
     def test_dt_guard(self, loop24):
         A, proj, B = loop24["A"], loop24["proj"], loop24["B"]
