@@ -56,59 +56,39 @@ class SolenoidalBasis:
     @classmethod
     def _build(cls, grid: Grid) -> "SolenoidalBasis":
         nx, ny = grid.nx, grid.ny
-        hx, hy = grid.hx, grid.hy
         kx_int = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)
         ky_int = np.fft.fftfreq(ny, d=1.0 / ny).astype(int)
 
-        reps = []
-        seen = set()
-        for mx in range(nx):
-            for my in range(ny):
-                if (mx, my) == (0, 0) or (mx, my) in seen:
-                    continue
-                conj = ((-mx) % nx, (-my) % ny)
-                seen.add((mx, my))
-                seen.add(conj)
-                reps.append((mx, my, conj == (mx, my)))
+        # one representative per conjugate pair, the one of smaller flat index
+        flat = np.arange(1, nx * ny)
+        mx, my = np.divmod(flat, ny)
+        negflat = ((-mx) % nx) * ny + (-my) % ny
+        keep = flat <= negflat
+        flat, mx, my, negflat = flat[keep], mx[keep], my[keep], negflat[keep]
         # deterministic ordering: by |k|^2 then integer components
-        reps.sort(key=lambda r: (kx_int[r[0]] ** 2 + ky_int[r[1]] ** 2, kx_int[r[0]], ky_int[r[1]]))
+        kx, ky = kx_int[mx], ky_int[my]
+        order = np.lexsort((ky, kx, kx**2 + ky**2))
+        flat, mx, my, negflat = flat[order], mx[order], my[order], negflat[order]
+        # every representative takes two consecutive columns
+        col = 2 * np.arange(flat.size)
+        pair = flat != negflat
 
-        p_kflat, p_nkflat, p_t, p_cos, p_sin = [], [], [], [], []
-        s_kflat, s_dir, s_col = [], [], []
-        col = 0
-        for mx, my, self_conj in reps:
-            sx = np.sin(2 * np.pi * mx / nx) / hx
-            sy = np.sin(2 * np.pi * my / ny) / hy
-            flat = mx * ny + my
-            if self_conj:
-                # symbol vanishes at self-conjugate points; keep both directions
-                for d in (0, 1):
-                    s_kflat.append(flat)
-                    s_dir.append(d)
-                    s_col.append(col)
-                    col += 1
-            else:
-                s = np.hypot(sx, sy)
-                t = np.array([-sy, sx]) / s
-                nflat = ((-mx) % nx) * ny + ((-my) % ny)
-                p_kflat.append(flat)
-                p_nkflat.append(nflat)
-                p_t.append(t)
-                p_cos.append(col)
-                p_sin.append(col + 1)
-                col += 2
-
+        sx = np.sin(2 * np.pi * mx[pair] / nx) / grid.hx
+        sy = np.sin(2 * np.pi * my[pair] / ny) / grid.hy
+        # the symbol vanishes at self-conjugate points; both directions enter
+        spec = ~pair
+        spec_dir = np.tile(np.arange(2), np.count_nonzero(spec))
         return cls(
             grid=grid,
-            dim=col,
-            pair_kflat=np.array(p_kflat, dtype=np.intp),
-            pair_negkflat=np.array(p_nkflat, dtype=np.intp),
-            pair_t=np.array(p_t) if p_t else np.zeros((0, 2)),
-            pair_cos_col=np.array(p_cos, dtype=np.intp),
-            pair_sin_col=np.array(p_sin, dtype=np.intp),
-            spec_kflat=np.array(s_kflat, dtype=np.intp),
-            spec_dir=np.array(s_dir, dtype=np.intp),
-            spec_col=np.array(s_col, dtype=np.intp),
+            dim=2 * flat.size,
+            pair_kflat=flat[pair],
+            pair_negkflat=negflat[pair],
+            pair_t=np.stack([-sy, sx], axis=1) / np.hypot(sx, sy)[:, None],
+            pair_cos_col=col[pair],
+            pair_sin_col=col[pair] + 1,
+            spec_kflat=np.repeat(flat[spec], 2),
+            spec_dir=spec_dir,
+            spec_col=np.repeat(col[spec], 2) + spec_dir,
         )
 
     # ------------------------------------------------------------------

@@ -305,7 +305,10 @@ def _cosine_sums(
     """
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij", sparse=True)
     draws = np.array([
-        (*rng.integers(-kmax, kmax + 1, size=2), rng.uniform(0, 2 * np.pi), rng.normal())
+        # two scalar draws give the stream of one size=2 draw, without its
+        # per-call size handling
+        (rng.integers(-kmax, kmax + 1), rng.integers(-kmax, kmax + 1),
+         rng.uniform(0, 2 * np.pi), rng.normal())
         for _ in range(count * n_modes)
     ]).reshape(count, n_modes, 4)
     f = np.zeros((count, *grid.shape))

@@ -80,45 +80,41 @@ def _d2_wall(n: int, h: float, order: int) -> sp.csr_matrix:
     return (m / h**2).tocsr()
 
 
-def _axis_ops(grid: Grid, order: int = 2):
-    key = ("ops", order)
-    if key not in grid._cache:
+def _first_derivatives(grid: Grid) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Dx and Dy, built once per grid for every stencil order."""
+    if "d1" not in grid._cache:
         d1x = (_d1_periodic if grid.bc_x is BcKind.periodic else _d1_wall)(grid.nx, grid.hx)
         d1y = (_d1_periodic if grid.bc_y is BcKind.periodic else _d1_wall)(grid.ny, grid.hy)
-        d2x = (
-            _d2_periodic(grid.nx, grid.hx, order)
-            if grid.bc_x is BcKind.periodic
-            else _d2_wall(grid.nx, grid.hx, order)
+        grid._cache["d1"] = (
+            sp.kron(d1x, sp.identity(grid.ny, format="csr"), format="csr"),
+            sp.kron(sp.identity(grid.nx, format="csr"), d1y, format="csr"),
         )
-        d2y = (
-            _d2_periodic(grid.ny, grid.hy, order)
-            if grid.bc_y is BcKind.periodic
-            else _d2_wall(grid.ny, grid.hy, order)
-        )
-        ix, iy = sp.identity(grid.nx, format="csr"), sp.identity(grid.ny, format="csr")
-        grid._cache[key] = {
-            "Dx": sp.kron(d1x, iy, format="csr"),
-            "Dy": sp.kron(ix, d1y, format="csr"),
-            "Lap": sp.kron(d2x, iy, format="csr") + sp.kron(ix, d2y, format="csr"),
-        }
-    return grid._cache[key]
+    return grid._cache["d1"]
 
 
 def dx_matrix(grid: Grid) -> sp.csr_matrix:
-    return _axis_ops(grid)["Dx"]
+    return _first_derivatives(grid)[0]
 
 
 def dy_matrix(grid: Grid) -> sp.csr_matrix:
-    return _axis_ops(grid)["Dy"]
+    return _first_derivatives(grid)[1]
 
 
 def laplacian_matrix(grid: Grid, order: int = 2) -> sp.csr_matrix:
-    return _axis_ops(grid, order)["Lap"]
+    key = ("lap", order)
+    if key not in grid._cache:
+        d2x = (_d2_periodic if grid.bc_x is BcKind.periodic else _d2_wall)(grid.nx, grid.hx, order)
+        d2y = (_d2_periodic if grid.bc_y is BcKind.periodic else _d2_wall)(grid.ny, grid.hy, order)
+        ix, iy = sp.identity(grid.nx, format="csr"), sp.identity(grid.ny, format="csr")
+        grid._cache[key] = sp.kron(d2x, iy, format="csr") + sp.kron(ix, d2y, format="csr")
+    return grid._cache[key]
 
 
 def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     """Maps stacked [u1; u2] to the scalar divergence."""
-    return sp.hstack([dx_matrix(grid), dy_matrix(grid)], format="csr")
+    if "div" not in grid._cache:
+        grid._cache["div"] = sp.hstack([dx_matrix(grid), dy_matrix(grid)], format="csr")
+    return grid._cache["div"]
 
 
 def gradient_matrix(grid: Grid) -> sp.csr_matrix:

@@ -100,7 +100,10 @@ def _fourier_parts(amb: sp.spmatrix, grid: Grid) -> Iterator[sp.csr_matrix]:
     n = grid.ncells
     nblk = amb.shape[1] // n
     coo = sp.coo_matrix(amb)
-    coo.sum_duplicates()
+    # each (term, row) below takes one entry, so duplicates must be summed
+    # first; a canonical matrix has none
+    if not getattr(amb, "has_canonical_format", False):
+        coo.sum_duplicates()
     rb, r = np.divmod(coo.row, n)
     cb, c = np.divmod(coo.col, n)
     # one coefficient field per (block, offset) term

@@ -168,10 +168,10 @@ def _diagonal_eig(matrix: sp.spmatrix, how_many: int):
     the result depends on neither.
     """
     diag = matrix.diagonal().astype(complex)
-    values = diag.tolist()
-    order = np.array(sorted(range(len(values)), key=lambda i: _sort_key(values[i])))
+    # lexsort is stable, so this is the _sort_key order with ties in index order
+    order = np.lexsort((diag.imag, -diag.real))
     keep = order[_complete_clusters(diag[order], how_many)]
-    vecs = np.zeros((len(values), len(keep)))
+    vecs = np.zeros((diag.size, len(keep)))
     vecs[keep, np.arange(len(keep))] = 1.0
     return diag[keep], vecs
 

@@ -1,12 +1,13 @@
 """Test oracles: the parts of the continuation argument that no pipeline
 stage runs (the stages certify the Gram/Kalman ranks and the integrated
 weighted inequality).  Field containers and the field operators the stages
-never apply, the equilibrium forcings, the dense basis matrix, the bordered
-pressure Poisson solve on the torus, the steady form of the eigenproblem,
-the quintic cutoff and its commutators, and the tau-sweep bounds back the
-acceptance criteria and unit tests.  The package itself takes and returns
-plain (2, nx, ny) arrays; ``VectorField2.array`` and ``VectorField2(grid,
-*a)`` cross between the two.
+never apply, the equilibrium forcings, the dense basis matrix and the
+per-mode loop that builds the basis, the Carleman draws with one size=2
+integer draw per wavevector, the bordered pressure Poisson solve on the
+torus, the steady form of the eigenproblem, the quintic cutoff and its
+commutators, and the tau-sweep bounds back the acceptance criteria and unit
+tests.  The package itself takes and returns plain (2, nx, ny) arrays;
+``VectorField2.array`` and ``VectorField2(grid, *a)`` cross between the two.
 """
 
 from __future__ import annotations
@@ -240,6 +241,78 @@ def forcings(eq: Equilibrium) -> tuple[VectorField2, VectorField2]:
 def dense_basis(basis: SolenoidalBasis) -> np.ndarray:
     """The basis as a (2*ncells, dim) array of its columns (small grids)."""
     return basis.synthesize(np.eye(basis.dim)).reshape(basis.dim, -1).T
+
+
+def solenoidal_basis_loop(grid: Grid) -> SolenoidalBasis:
+    """``SolenoidalBasis._build`` as a loop over the wavevectors: the
+    reference its array arithmetic is checked against, array for array."""
+    nx, ny = grid.nx, grid.ny
+    hx, hy = grid.hx, grid.hy
+    kx_int = np.fft.fftfreq(nx, d=1.0 / nx).astype(int)
+    ky_int = np.fft.fftfreq(ny, d=1.0 / ny).astype(int)
+
+    reps = []
+    seen = set()
+    for mx in range(nx):
+        for my in range(ny):
+            if (mx, my) == (0, 0) or (mx, my) in seen:
+                continue
+            conj = ((-mx) % nx, (-my) % ny)
+            seen.add((mx, my))
+            seen.add(conj)
+            reps.append((mx, my, conj == (mx, my)))
+    reps.sort(key=lambda r: (kx_int[r[0]] ** 2 + ky_int[r[1]] ** 2, kx_int[r[0]], ky_int[r[1]]))
+
+    p_kflat, p_nkflat, p_t, p_cos, p_sin = [], [], [], [], []
+    s_kflat, s_dir, s_col = [], [], []
+    col = 0
+    for mx, my, self_conj in reps:
+        sx = np.sin(2 * np.pi * mx / nx) / hx
+        sy = np.sin(2 * np.pi * my / ny) / hy
+        flat = mx * ny + my
+        if self_conj:
+            for d in (0, 1):
+                s_kflat.append(flat)
+                s_dir.append(d)
+                s_col.append(col)
+                col += 1
+        else:
+            s = np.hypot(sx, sy)
+            p_kflat.append(flat)
+            p_nkflat.append(((-mx) % nx) * ny + ((-my) % ny))
+            p_t.append(np.array([-sy, sx]) / s)
+            p_cos.append(col)
+            p_sin.append(col + 1)
+            col += 2
+
+    return SolenoidalBasis(
+        grid=grid,
+        dim=col,
+        pair_kflat=np.array(p_kflat, dtype=np.intp),
+        pair_negkflat=np.array(p_nkflat, dtype=np.intp),
+        pair_t=np.array(p_t) if p_t else np.zeros((0, 2)),
+        pair_cos_col=np.array(p_cos, dtype=np.intp),
+        pair_sin_col=np.array(p_sin, dtype=np.intp),
+        spec_kflat=np.array(s_kflat, dtype=np.intp),
+        spec_dir=np.array(s_dir, dtype=np.intp),
+        spec_col=np.array(s_col, dtype=np.intp),
+    )
+
+
+def cosine_sums_pairwise(
+    grid: Grid, rng: np.random.Generator, count: int, n_modes: int, kmax: int
+) -> np.ndarray:
+    """``carleman._cosine_sums`` with each wavevector drawn as one size=2
+    integer array: the reference for its two scalar draws."""
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij", sparse=True)
+    draws = np.array([
+        (*rng.integers(-kmax, kmax + 1, size=2), rng.uniform(0, 2 * np.pi), rng.normal())
+        for _ in range(count * n_modes)
+    ]).reshape(count, n_modes, 4)
+    f = np.zeros((count, *grid.shape))
+    for kx, ky, phase, amp in draws.transpose(1, 2, 0)[..., None, None]:
+        f += amp * np.cos(2 * np.pi * (kx * X / grid.Lx + ky * Y / grid.Ly) + phase)
+    return f
 
 
 def laplacian_symbol(basis: SolenoidalBasis, order: int) -> np.ndarray:

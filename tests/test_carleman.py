@@ -17,7 +17,8 @@ from mhdlab.carleman import (
 )
 from mhdlab.errors import CauchyDataError, ConfigurationError, NumericalError
 from oracles import CutoffField, ScalarField, StateVector, VectorField2
-from oracles import assemble_chi_system_residual, gradient, halving_exponents, laplacian
+from oracles import assemble_chi_system_residual, cosine_sums_pairwise, gradient
+from oracles import halving_exponents, laplacian
 from oracles import make_omega_vanishing_state, pde_residual, pressure_from_state
 from oracles import tau_sweep_vanishing, to_state, weighted_norm2
 
@@ -328,6 +329,17 @@ class TestFieldStacks:
             for a, b, c in zip(_components(w), _components(single), _components(r)):
                 assert np.array_equal(a, b) and np.array_equal(a, c)
         assert rng.bit_generator.state == one.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 501, 2024])
+    def test_cosine_sums_equal_pairwise_integer_draws(self, regions32, seed):
+        # two scalar integer draws consume the stream of one size=2 draw
+        g = regions32.grid
+        for count, n_modes, kmax in ((100, 6, 4), (5, 5, 3)):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = carleman._cosine_sums(g, rng, count, n_modes, kmax)
+            want = cosine_sums_pairwise(g, ref, count, n_modes, kmax)
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_omega_vanishing_state_matches_mode_by_mode_draws(self, regions32):
         rng, ref = np.random.default_rng(12), np.random.default_rng(12)

@@ -318,6 +318,25 @@ class TestSparseReducedMatrix:
         assert not is_diagonal(mat)
         assert isinstance(shifted_lu(mat, 1.0, -0.1), spla.SuperLU)
 
+    def test_fourier_parts_sum_duplicate_entries(self, box16):
+        # halving every entry and storing it twice gives the ambient matrix
+        # back exactly once the duplicates are summed
+        amb = MhdSystem(make_equilibrium("shear", box16), 0.0).ambient_matrix()
+        assert amb.has_canonical_format
+        twice = sp.csr_matrix(
+            (np.repeat(0.5 * amb.data, 2), np.repeat(amb.indices, 2), 2 * amb.indptr),
+            shape=amb.shape,
+        )
+        ref = list(operators._fourier_parts(amb, box16))
+        for dup in (twice, twice.tocoo()):
+            assert not dup.has_canonical_format
+            got = list(operators._fourier_parts(dup, box16))
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                for name in ("data", "indices", "indptr"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
     def test_sparse_in_the_basis(self, box32):
         nnz = {
             kind: MhdSystem(make_equilibrium(kind, box32), 0.0).matrix.nnz

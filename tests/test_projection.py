@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from mhdlab.equilibria import _DIV_TOL
 from mhdlab.fields import divergence_matrix, vector_laplacian_matrix
 from mhdlab.stabilize import control_fields
 from oracles import ScalarField, VectorField2, dense_basis, divergence_residual, gradient
-from oracles import laplacian_symbol, poisson_project, rot
+from oracles import laplacian_symbol, poisson_project, rot, solenoidal_basis_loop
 
 L = 2 * np.pi
 
@@ -198,6 +200,21 @@ class TestSolenoidalBasis:
         b = SolenoidalBasis.for_grid(box16)
         w = b.synthesize(b.analyze(np.stack([v.u1, v.u2])))
         assert np.abs(w.ravel() - v.ravel()).max() < 1e-11 * np.abs(v.ravel()).max()
+
+    @pytest.mark.parametrize(
+        "nx,ny", [(8, 8), (16, 12), (33, 31), (40, 48), (48, 40), (32, 32), (64, 64)]
+    )
+    def test_build_equals_the_loop_oracle(self, nx, ny):
+        # array arithmetic in place of the per-mode loop: the same modes in
+        # the same order, the same sines and the same dtypes, bit for bit
+        g = build_grid(L, 0.75 * L, nx, ny)
+        got, ref = SolenoidalBasis._build(g), solenoidal_basis_loop(g)
+        assert got.dim == ref.dim
+        for f in dataclasses.fields(SolenoidalBasis):
+            a, b = getattr(got, f.name), getattr(ref, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert a.tobytes() == b.tobytes(), f.name
 
     def test_diffusion_symbol_diagonalizes_laplacian(self, box16):
         _assert_symbol_diagonalizes_laplacian(box16)

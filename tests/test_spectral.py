@@ -207,6 +207,25 @@ class TestDiagonalGenerator:
         dist = np.abs(a[:, None] - b[None, :])
         assert dist[linear_sum_assignment(dist)].max() <= 1e-12
 
+    def test_order_is_the_sort_key_order(self):
+        # lexsort on (-Re, Im) is stable, so ties (here also between +0.0
+        # and -0.0) keep index order, as sorted(key=_sort_key) does; an
+        # ndarray's diagonal() keeps the signed zeros a sparse one would sum
+        rng = np.random.default_rng(4)
+        parts = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
+        ties = np.empty(80, complex)
+        ties.real, ties.imag = rng.choice(parts, 80), rng.choice(parts, 80)
+        zero = _zero_system(40, 48).matrix
+        cases = [(np.diag(ties), 80), (zero, 16), (zero, 400)]
+        for matrix, count in cases:
+            diag = matrix.diagonal().astype(complex)
+            values = diag.tolist()
+            order = np.array(sorted(range(len(values)), key=lambda i: _sort_key(values[i])))
+            keep = order[_complete_clusters(diag[order], count)]
+            lams, vecs = spectral._diagonal_eig(matrix, count)
+            assert vecs.argmax(axis=0).tolist() == keep.tolist()
+            assert lams.tobytes() == diag[keep].tobytes()
+
     @pytest.mark.parametrize(
         "case",
         [("shear", 16, 1.5), ("taylor_vortex", 16, 1.5), ("uniform_field", 24, 1.2)],
