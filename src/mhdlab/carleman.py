@@ -294,16 +294,23 @@ def _band_mollifier(regions: RegionSet, h_ref: float | None = None) -> np.ndarra
 
 
 def _cosine_sums(
-    grid: Grid, rng: np.random.Generator, count: int, n_modes: int, kmax: int
+    grid: Grid,
+    rng: np.random.Generator,
+    count: int,
+    n_modes: int,
+    kmax: int,
+    cells: np.ndarray,
 ) -> np.ndarray:
-    """count random smooth fields, each a sum of n_modes cosine modes.
+    """count random smooth fields, each a sum of n_modes cosine modes, on
+    the flat ``cells`` only: a (count, cells.size) array.
 
     The draws come sum by sum and, per mode, as integers (the wavevector),
     uniform (the phase), normal (the amplitude).  The cosines are then
-    evaluated on the whole (count, nx, ny) stack, mode by mode; the x and y
-    parts of each phase are formed on the axes and meet in one sum.
+    evaluated on the whole stack, mode by mode: the x and y parts of each
+    phase are formed on the axes, gathered at the cells and meet in one
+    sum, so a cell's value does not depend on which other cells are asked
+    for.
     """
-    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij", sparse=True)
     draws = np.array([
         # two scalar draws give the stream of one size=2 draw, without its
         # per-call size handling
@@ -311,9 +318,14 @@ def _cosine_sums(
          rng.uniform(0, 2 * np.pi), rng.normal())
         for _ in range(count * n_modes)
     ]).reshape(count, n_modes, 4)
-    f = np.zeros((count, *grid.shape))
-    for kx, ky, phase, amp in draws.transpose(1, 2, 0)[..., None, None]:
-        f += amp * np.cos(2 * np.pi * (kx * X / grid.Lx + ky * Y / grid.Ly) + phase)
+    i, j = np.divmod(cells, grid.ny)
+    f = np.zeros((count, i.size))
+    for kx, ky, phase, amp in draws.transpose(1, 2, 0)[..., None]:
+        # np.take gathers into C-contiguous arrays; np.cos runs slower on
+        # the strided ones that indexing with [:, i] gives
+        x = np.take(kx * grid.x / grid.Lx, i, axis=1)
+        y = np.take(ky * grid.y / grid.Ly, j, axis=1)
+        f += amp * np.cos(2 * np.pi * (x + y) + phase)
     return f
 
 
@@ -329,17 +341,24 @@ def draw_test_fields(
     _BLOCK_CELLS cells.  Each component is a sum of _FIELD_MODES cosines
     with wavenumbers up to _FIELD_KMAX, times the band mollifier.
 
-    A vector field draws u1 before u2.  The fields, and the draws they take
-    from rng, do not depend on the block size.
+    The cosines are evaluated only on the cells where the mollifier is
+    nonzero (``_cosine_sums`` on cells) and scattered into zero fields:
+    there each value is the whole-grid sum times the mollifier to the bit,
+    and elsewhere it is +0.0.  A vector field draws u1 before u2.  The
+    fields, and the draws they take from rng, do not depend on the block
+    size.
     """
     g = regions.grid
-    moll = _band_mollifier(regions, h_ref)
+    moll = _band_mollifier(regions, h_ref).ravel()
+    cells = np.flatnonzero(moll)
+    moll = moll[cells]
     ncomp = 1 if kind == "scalar" else 2
     step = max(1, _BLOCK_CELLS // (ncomp * g.ncells))
     for lo in range(0, n_fields, step):
         n = min(step, n_fields - lo)
-        f = _cosine_sums(g, rng, n * ncomp, _FIELD_MODES, _FIELD_KMAX)
-        yield moll * f.reshape(n, ncomp, *g.shape)
+        f = np.zeros((n * ncomp, g.ncells))
+        f[:, cells] = moll * _cosine_sums(g, rng, n * ncomp, _FIELD_MODES, _FIELD_KMAX, cells)
+        yield f.reshape(n, ncomp, *g.shape)
 
 
 def calibrate_tau2_bound(

@@ -17,7 +17,8 @@ spectra on demand; it commutes with everything downstream.
 One ``MhdSystem`` holds the reduced generator R of a run.  R is real, so the
 adjoint is its transpose, read where it is needed as ``matrix.T``: a view of
 R's arrays, solved by the same ``shifted_lu`` as R.  That solve is a sparse
-LU, or a division when the shifted operator is diagonal, as it is at rest.
+LU, or a division when the shifted operator is real and diagonal, as the
+closed loop's is at rest.
 
 The diffusion blocks take a fourth-order stencil on fully periodic grids so
 that computed eigenvalues carry more accuracy than the generic second-order
@@ -106,9 +107,14 @@ def _fourier_parts(amb: sp.spmatrix, grid: Grid) -> Iterator[sp.csr_matrix]:
         coo.sum_duplicates()
     rb, r = np.divmod(coo.row, n)
     cb, c = np.divmod(coo.col, n)
-    # one coefficient field per (block, offset) term
+    # one coefficient field per (block, offset) term, in key order; the keys
+    # lie below nblk^2 n, so a presence mask orders them without a sort
     offset = ((c // ny - r // ny) % nx) * ny + (c - r) % ny
-    terms, term = np.unique((rb * nblk + cb) * n + offset, return_inverse=True)
+    key = (rb * nblk + cb) * n + offset
+    present = np.zeros(nblk * nblk * n, dtype=bool)
+    present[key] = True
+    terms = np.flatnonzero(present)
+    term = np.searchsorted(terms, key)
     coef = np.zeros((terms.size, n))
     coef[term, r] = coo.data
     modes = np.fft.fft2(coef.reshape(-1, nx, ny)).reshape(terms.size, n) / n
@@ -118,13 +124,16 @@ def _fourier_parts(amb: sp.spmatrix, grid: Grid) -> Iterator[sp.csr_matrix]:
         kx, ky = np.divmod(flat, ny)
         return (kx + nx // 2) % nx - nx // 2, (ky + ny // 2) % ny - ny // 2
 
-    # signed offsets and frequencies make the phase at -q the exact
-    # conjugate of the one at q
-    (sx, sy), (qx, qy) = signed(terms % n), signed(np.arange(n))
+    # one phase row per distinct offset; signed offsets and frequencies make
+    # the phase at -q the exact conjugate of the one at q
+    offsets, at = np.unique(terms % n, return_inverse=True)
+    (sx, sy), (qx, qy) = signed(offsets), signed(np.arange(n))
     phase = np.exp(2j * np.pi * (np.outer(sx, qx) / nx + np.outer(sy, qy) / ny))
-    # the terms of one block that carry mode m act on amplitude q together
+    # the terms of one block that carry mode m act on amplitude q together;
+    # a block's terms are in offset order, so each row of weights sums its
+    # phases in term order
     groups, group = np.unique((terms[t] // n) * n + m, return_inverse=True)
-    weights = sp.csr_matrix((modes[t, m], (group, t)), shape=(groups.size, terms.size))
+    weights = sp.csr_matrix((modes[t, m], (group, at[t])), shape=(groups.size, offsets.size))
     (rblk, cblk), (mx, my) = np.divmod(groups // n, nblk), np.divmod(groups % n, ny)
     q = np.arange(n)
     step = max(1, _PART_ENTRIES // n)
@@ -269,44 +278,27 @@ def is_diagonal(matrix: sp.spmatrix) -> bool:
 
 
 class DiagonalSolver:
-    """The solve of a diagonal shifted operator: a division by its diagonal,
-    in SuperLU's arithmetic."""
+    """The solve of a real diagonal shifted operator: a division by its
+    diagonal, in SuperLU's arithmetic."""
 
     def __init__(self, diagonal: np.ndarray):
         self.diagonal = diagonal
-        if np.iscomplexobj(diagonal):
-            # SuperLU's complex division (z_div) is Smith's: the larger part
-            # of each entry, real or imaginary, divides the other, and both
-            # parts of the quotient are divided by big * (1 + ratio^2)
-            self._small = np.abs(diagonal.real) <= np.abs(diagonal.imag)
-            big = np.where(self._small, diagonal.imag, diagonal.real)
-            self._ratio = np.where(self._small, diagonal.real, diagonal.imag) / big
-            self._den = big * (1 + self._ratio * self._ratio)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """rhs divided by the diagonal, row by row, for a 1-D or 2-D rhs."""
         # transposed, rhs runs along the diagonal on its last axis
-        rhs_t = np.asarray(rhs).T
-        if not np.iscomplexobj(self.diagonal):
-            return (rhs_t / self.diagonal).T
-        small, ratio, den = self._small, self._ratio, self._den
-        re, im = rhs_t.real, rhs_t.imag
-        out = np.empty(rhs_t.shape, dtype=complex)
-        out.real = np.where(small, re * ratio + im, re + im * ratio) / den
-        out.imag = np.where(small, im * ratio - re, im - re * ratio) / den
-        return out.T
+        return (np.asarray(rhs).T / self.diagonal).T
 
 
 def shifted_lu(matrix: sp.spmatrix, a: complex, b: float) -> spla.SuperLU | DiagonalSolver:
     """Solver of a*I + b*matrix, for R or R^T: the shifted solve shared by
     the adjoint inverse iteration and implicit time stepping.
 
-    A diagonal a*I + b*matrix (R on the zero equilibrium, whose solenoidal
-    Fourier modes are its eigenfunctions) gets a ``DiagonalSolver``, which
-    divides by the diagonal.  That keeps SuperLU's bits: it factors a
-    diagonal matrix as L = I and U = the diagonal, so its solve is one
-    division per entry too, and the complex division is written out as
-    SuperLU's own.
+    A real diagonal a*I + b*matrix (R on the zero equilibrium, whose
+    solenoidal Fourier modes are its eigenfunctions, with a real shift as in
+    the closed loop) gets a ``DiagonalSolver``, which divides by the
+    diagonal.  That keeps SuperLU's bits: it factors a diagonal matrix as
+    L = I and U = the diagonal, so its solve is one division per entry too.
 
     Every other matrix gets a sparse LU in SuperLU's symmetric mode: a
     minimum-degree ordering of A^T + A, applied to rows and columns alike,
@@ -321,7 +313,7 @@ def shifted_lu(matrix: sp.spmatrix, a: complex, b: float) -> spla.SuperLU | Diag
     entry) raises NumericalError.
     """
     shifted = a * sp.identity(matrix.shape[0], format="csc") + b * matrix.tocsc()
-    if is_diagonal(shifted):
+    if np.isrealobj(shifted) and is_diagonal(shifted):
         diagonal = shifted.diagonal()
         zeros = np.flatnonzero(diagonal == 0)
         if zeros.size:

@@ -21,11 +21,11 @@ symmetric mode, because any other factor changes the Arnoldi's arithmetic,
 reorders that cluster or costs shifted solves.
 Shift-invert solves the forward operator only: the adjoint eigenfunctions
 are derived from the forward clusters by inverse iteration on one
-``shifted_lu`` per cluster, a sparse LU, or on a diagonal R a division by
-the shifted diagonal with SuperLU's bits.  Eigenvalues are clustered into
-distinct values with a relative tolerance, giving the unstable count N, the
-number of distinct unstable values M, their geometric multiplicities, and
-K = max multiplicity.
+``shifted_lu`` per cluster, a sparse LU.  A diagonal R is its own
+transpose, so there the forward report is the adjoint one and nothing is
+solved.  Eigenvalues are clustered into distinct values with a relative
+tolerance, giving the unstable count N, the number of distinct unstable
+values M, their geometric multiplicities, and K = max multiplicity.
 
 The continuation test itself is algebraic: a cluster's adjoint eigenfunctions
 restricted to the control patch omega must stay linearly independent (their
@@ -361,8 +361,14 @@ def adjoint_eigenpairs(A: MhdSystem, forward: SpectrumReport) -> SpectrumReport:
     A forward report without pairs (such as the unstable part of a stable
     spectrum, N = M = K = 0) has nothing to derive and stands for its
     adjoint.
+
+    A diagonal R (``is_diagonal``, the zero equilibrium) is its own
+    transpose, so its forward pairs are adjoint pairs exactly, residuals
+    included; from shift-invert they are real unit vectors on its diagonal
+    (``_diagonal_eig``).  The forward report is then returned as it was
+    given, and no shifted solve, QR or Schur step runs.
     """
-    if not forward.pairs:
+    if not forward.pairs or is_diagonal(A.matrix):
         return forward
     Rt = A.matrix.T
     ids = np.asarray(forward.cluster_ids)

@@ -352,7 +352,8 @@ def simulate_closed_loop(
     sparse LU, or on a diagonal R (the zero equilibrium) a division by the
     diagonal of I - dt*A, which gives the same bits as SuperLU's solve.  A
     step touches the dim-sized state only through the energy x.x, the
-    product W^T x and that solve; the rest is N-dimensional.  The unstable
+    product W^T x, the drive, written into one buffer and added in place,
+    and that solve; the rest is N-dimensional.  The unstable
     coordinates c = pairing^-1 W^T x of every step are kept, one row each,
     and the unstable energies ||V c||^2 = c.(V^T V).c and the amplitudes
     -gain c are read from them after the loop.
@@ -369,7 +370,7 @@ def simulate_closed_loop(
             )
 
     lu = shifted_lu(A.matrix, 1.0, -dt)  # backward Euler step I - dt*A
-    x = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float)  # stepped in place: the caller's x0 stays
     nsteps = int(round(T / dt))
     K = design.drive.shape[1] if design is not None else 0
     times = dt * np.arange(nsteps + 1)
@@ -380,6 +381,7 @@ def simulate_closed_loop(
         coords = np.zeros((nsteps + 1, proj.N))
     if gain is not None:
         dt_gain = dt * -gain.gain
+        push = np.empty(A.dim)
 
     e0 = float(x @ x)
     for k in range(nsteps + 1):
@@ -396,7 +398,7 @@ def simulate_closed_loop(
         if k == nsteps:
             break
         if gain is not None:
-            x = x + design.drive @ (dt_gain @ coords[k])
+            x += np.matmul(design.drive, dt_gain @ coords[k], out=push)
         x = lu.solve(x)
 
     if proj is None:

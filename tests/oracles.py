@@ -2,12 +2,13 @@
 stage runs (the stages certify the Gram/Kalman ranks and the integrated
 weighted inequality).  Field containers and the field operators the stages
 never apply, the equilibrium forcings, the dense basis matrix and the
-per-mode loop that builds the basis, the Carleman draws with one size=2
-integer draw per wavevector, the bordered pressure Poisson solve on the
-torus, the steady form of the eigenproblem, the quintic cutoff and its
-commutators, and the tau-sweep bounds back the acceptance criteria and unit
-tests.  The package itself takes and returns plain (2, nx, ny) arrays;
-``VectorField2.array`` and ``VectorField2(grid, *a)`` cross between the two.
+per-mode loop that builds the basis, the Fourier-space assembly parts
+found by sorting, the Carleman draws with one size=2 integer draw per
+wavevector, the bordered pressure Poisson solve on the torus, the steady
+form of the eigenproblem, the quintic cutoff and its commutators, and the
+tau-sweep bounds back the acceptance criteria and unit tests.  The package
+itself takes and returns plain (2, nx, ny) arrays; ``VectorField2.array``
+and ``VectorField2(grid, *a)`` cross between the two.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from mhdlab.fields import _apply, divergence_matrix, dx_matrix, dy_matrix, gradi
 from mhdlab.fields import laplacian_matrix, wide_laplacian_matrix
 from mhdlab.geometry import RegionSet, transition_band
 from mhdlab.grid import Grid
-from mhdlab.operators import MhdSystem, shifted_lu
+from mhdlab.operators import _PART_ENTRIES, _ROUNDOFF_RTOL, MhdSystem, shifted_lu
 from mhdlab.stabilize import FeedbackDesign, SimulationTrace, UnstableProjection
 
 # commutator forcing outside the transition band, relative to its largest
@@ -299,6 +300,43 @@ def solenoidal_basis_loop(grid: Grid) -> SolenoidalBasis:
     )
 
 
+def fourier_parts_unique(amb: sp.spmatrix, grid: Grid):
+    """``operators._fourier_parts`` with its terms and groups found by
+    ``np.unique`` and one phase row per term: the reference its presence
+    mask and per-offset phases are checked against, part for part."""
+    nx, ny = grid.shape
+    n = grid.ncells
+    nblk = amb.shape[1] // n
+    coo = sp.coo_matrix(amb)
+    if not getattr(amb, "has_canonical_format", False):
+        coo.sum_duplicates()
+    rb, r = np.divmod(coo.row, n)
+    cb, c = np.divmod(coo.col, n)
+    offset = ((c // ny - r // ny) % nx) * ny + (c - r) % ny
+    terms, term = np.unique((rb * nblk + cb) * n + offset, return_inverse=True)
+    coef = np.zeros((terms.size, n))
+    coef[term, r] = coo.data
+    modes = np.fft.fft2(coef.reshape(-1, nx, ny)).reshape(terms.size, n) / n
+    t, m = np.nonzero(np.abs(modes) >= _ROUNDOFF_RTOL * np.abs(modes).max(axis=1, keepdims=True))
+
+    def signed(flat):
+        kx, ky = np.divmod(flat, ny)
+        return (kx + nx // 2) % nx - nx // 2, (ky + ny // 2) % ny - ny // 2
+
+    (sx, sy), (qx, qy) = signed(terms % n), signed(np.arange(n))
+    phase = np.exp(2j * np.pi * (np.outer(sx, qx) / nx + np.outer(sy, qy) / ny))
+    groups, group = np.unique((terms[t] // n) * n + m, return_inverse=True)
+    weights = sp.csr_matrix((modes[t, m], (group, t)), shape=(groups.size, terms.size))
+    (rblk, cblk), (mx, my) = np.divmod(groups // n, nblk), np.divmod(groups % n, ny)
+    q = np.arange(n)
+    step = max(1, _PART_ENTRIES // n)
+    for g in (slice(lo, lo + step) for lo in range(0, groups.size, step)):
+        rows = rblk[g, None] * n + ((q // ny + mx[g, None]) % nx) * ny + (q + my[g, None]) % ny
+        cols = cblk[g, None] * n + q
+        vals = weights[g] @ phase
+        yield sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=amb.shape)
+
+
 def cosine_sums_pairwise(
     grid: Grid, rng: np.random.Generator, count: int, n_modes: int, kmax: int
 ) -> np.ndarray:
@@ -397,6 +435,30 @@ def stepwise_closed_loop(
         if k < nsteps:
             x = lu.solve(x + dt * (design.drive @ amplitudes[k]))
     return SimulationTrace(times, energies, energies_unstable, amplitudes)
+
+
+def allocating_closed_loop(
+    A: MhdSystem, design: FeedbackDesign, x0: np.ndarray, T: float, dt: float
+) -> SimulationTrace:
+    """``simulate_closed_loop`` with a new state array at every step,
+    x = solve(x + drive @ (dt_gain @ c)): the reference its in-place step is
+    checked against, bit for bit."""
+    proj, gain = design.proj, design.gain
+    lu = shifted_lu(A.matrix, 1.0, -dt)  # backward Euler step I - dt*A
+    nsteps = int(round(T / dt))
+    Wt, pinv, dt_gain = proj.W.T, np.linalg.inv(proj.pairing), dt * -gain.gain
+    energies = np.zeros(nsteps + 1)
+    coords = np.zeros((nsteps + 1, proj.N))
+    x = np.asarray(x0, dtype=float)
+    for k in range(nsteps + 1):
+        energies[k] = float(x @ x)
+        coords[k] = pinv @ (Wt @ x)
+        if k < nsteps:
+            x = lu.solve(x + design.drive @ (dt_gain @ coords[k]))
+    energies_unstable = np.einsum("ki,ij,kj->k", coords, proj.V.T @ proj.V, coords)
+    return SimulationTrace(
+        dt * np.arange(nsteps + 1), energies, energies_unstable, coords @ -gain.gain.T
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +814,8 @@ def make_omega_vanishing_state(
     lo = 2.0 * h
     t = np.clip((d - lo) / (4 * h), 0.0, 1.0)
     rise = np.where(d > lo, 10 * t**3 - 15 * t**4 + 6 * t**5, 0.0)
-    phi1, phi2, xi1, xi2, p = rise * _cosine_sums(g, rng, 5, 5, 3)
+    sums = _cosine_sums(g, rng, 5, 5, 3, np.arange(g.ncells))
+    phi1, phi2, xi1, xi2, p = rise * sums.reshape(5, *g.shape)
     return StateVector(VectorField2(g, phi1, phi2), VectorField2(g, xi1, xi2)), ScalarField(g, p)
 
 

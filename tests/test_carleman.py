@@ -15,6 +15,7 @@ from mhdlab.carleman import (
     inequality_sweep_stack,
     sweep,
 )
+from mhdlab.config import RunConfig
 from mhdlab.errors import CauchyDataError, ConfigurationError, NumericalError
 from oracles import CutoffField, ScalarField, StateVector, VectorField2
 from oracles import assemble_chi_system_residual, cosine_sums_pairwise, gradient
@@ -303,6 +304,24 @@ def _as_field(grid, v):
     return ScalarField(grid, v[0]) if len(v) == 1 else VectorField2(grid, v[0], v[1])
 
 
+# the grids of the CI runs: the default 32^2 disc, a non-square one, 64^2,
+# and the 64^2 full-collar channel
+SUPPORT_CASES = {
+    "32": {},
+    "40x48": {"geometry": {"nx": 40, "ny": 48}},
+    "64": {"geometry": {"nx": 64, "ny": 64}},
+    "collar64": {
+        "geometry": {
+            "nx": 64,
+            "ny": 64,
+            "bc_y": "wall",
+            "case": "full_collar",
+            "omega": {"shape": "collar", "width_frac": 0.1},
+        }
+    },
+}
+
+
 def _swept(psi, params, n_fields, seed):
     """The sweep of n_fields seeded test fields, as bytes, and the generator
     state after the draws."""
@@ -336,9 +355,31 @@ class TestFieldStacks:
         g = regions32.grid
         for count, n_modes, kmax in ((100, 6, 4), (5, 5, 3)):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = carleman._cosine_sums(g, rng, count, n_modes, kmax)
+            got = carleman._cosine_sums(g, rng, count, n_modes, kmax, np.arange(g.ncells))
+            got = got.reshape(count, *g.shape)
             want = cosine_sums_pairwise(g, ref, count, n_modes, kmax)
             assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("name", list(SUPPORT_CASES))
+    def test_support_fields_equal_the_whole_grid_sums(self, name):
+        # the cosines are evaluated only where the mollifier is nonzero:
+        # there each value is the whole grid's to the bit, elsewhere +0.0
+        # (the whole-grid product can give -0.0 there)
+        _, _, regions = RunConfig.from_dict(SUPPORT_CASES[name]).validate()
+        g = regions.grid
+        moll = carleman._band_mollifier(regions)
+        assert 0 < np.count_nonzero(moll) < g.ncells
+        for kind, ncomp in (("scalar", 1), ("vector", 2)):
+            rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+            for fields in draw_test_fields(regions, rng, 20, kind):
+                count = len(fields) * ncomp
+                sums = carleman._cosine_sums(
+                    g, ref, count, carleman._FIELD_MODES, carleman._FIELD_KMAX,
+                    np.arange(g.ncells),
+                )
+                want = moll * sums.reshape(fields.shape) + 0.0
+                assert fields.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_omega_vanishing_state_matches_mode_by_mode_draws(self, regions32):

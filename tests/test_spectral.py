@@ -491,6 +491,41 @@ class TestAdjointSpectrum:
         assert (unstable.pairs, unstable.N, unstable.M, unstable.K) == ([], 0, 0, 0)
         assert adjoint_eigenpairs(A, unstable) is unstable
 
+    @pytest.mark.parametrize("strategy", ["shift_invert", "dense"])
+    def test_diagonal_generator_is_its_own_adjoint(self, box16, monkeypatch, strategy):
+        # R^T = R, so the forward report is the adjoint one and nothing is
+        # solved: a shifted_lu call would raise
+        A = MhdSystem(make_equilibrium("zero", box16), 1.5)
+        fwd = compute_spectrum(A, 12, strategy).unstable_part()
+        assert fwd.N > 0
+
+        def no_solve(*args):
+            raise AssertionError("shifted_lu called for a diagonal R")
+
+        monkeypatch.setattr(spectral, "shifted_lu", no_solve)
+        assert adjoint_eigenpairs(A, fwd) is fwd
+        Rt = A.matrix.T
+        for p in fwd.pairs:
+            assert np.linalg.norm(Rt @ p.coeffs - p.lam * p.coeffs) <= p.residual
+
+    def test_non_diagonal_generator_runs_inverse_iteration(self, box16, monkeypatch):
+        A = MhdSystem(make_equilibrium("shear", box16), 1.5)
+        fwd = compute_spectrum(A, 12, "shift_invert").unstable_part()
+        calls, shifted_lu = [], spectral.shifted_lu
+
+        def counted(*args):
+            calls.append(args)
+            return shifted_lu(*args)
+
+        monkeypatch.setattr(spectral, "shifted_lu", counted)
+        adj = adjoint_eigenpairs(A, fwd)
+        assert adj is not fwd and len(calls) == fwd.M > 0
+        assert all(a is not f for a, f in zip(adj.pairs, fwd.pairs))
+        Rt = A.matrix.T
+        for p in adj.pairs:
+            assert p.residual <= RESIDUAL_BOUND
+            assert np.linalg.norm(Rt @ p.coeffs - p.lam * p.coeffs) <= RESIDUAL_BOUND
+
 
 def _uniform_b_eq(grid):
     ones = np.ones(grid.shape)

@@ -36,7 +36,8 @@ from mhdlab.stabilize import (
     initial_state,
 )
 from oracles import laplacian_symbol, poisson_control_fields, stable_complement_residual
-from oracles import stepwise_closed_loop, symmetric_superlu, unstable_component
+from oracles import allocating_closed_loop, stepwise_closed_loop, symmetric_superlu
+from oracles import unstable_component
 
 L = 2 * np.pi
 
@@ -103,6 +104,14 @@ class TestUnstableProjection:
         adj_far = [p for p in loop24["rep"].pairs if not p.unstable][: len(fwd)]
         with pytest.raises(ProjectionConditionError):
             project_unstable(fwd, adj_far)  # orthogonal bases: singular pairing
+
+    def test_self_adjoint_pairs_pair_to_exactly_the_identity(self, loop24):
+        # zero's adjoint report is its forward one: W has V's bytes, and its
+        # real unit columns pair to exactly I
+        fwd = [p for p in loop24["rep"].pairs if p.unstable]
+        for proj in (project_unstable(fwd, fwd), loop24["proj"]):
+            assert proj.W.tobytes() == proj.V.tobytes()
+            assert proj.pairing.tobytes() == np.eye(proj.N).tobytes() and proj.cond == 1.0
 
     def test_no_unstable_modes_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -231,9 +240,24 @@ class TestSimulation:
         diff = np.linalg.norm(got.amplitudes - ref.amplitudes, axis=1)
         assert np.max(diff / np.linalg.norm(ref.amplitudes, axis=1)) <= 1e-11
 
+    @pytest.mark.parametrize("fixture", ["loop24", "shear_loop24"])
+    def test_in_place_step_equals_the_allocating_loop(self, fixture, request):
+        # the step adds the drive into the state in place; x0 is copied
+        # once, and every trace array keeps the bits of a new state per step
+        loop = request.getfixturevalue(fixture)
+        A, design = loop["A"], loop["design"]
+        x0 = initial_state(A, design.proj, np.random.default_rng(2))
+        before = x0.copy()
+        got = simulate_closed_loop(A, design, x0, 8.0, 0.01)
+        assert x0.tobytes() == before.tobytes()
+        ref = allocating_closed_loop(A, design, x0, 8.0, 0.01)
+        for name in ("times", "energies", "energies_unstable", "amplitudes"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
     def test_diagonal_solves_keep_the_superlu_bits(self, loop24, monkeypatch):
         # zero's R is diagonal, so shifted_lu divides; SuperLU forced in
-        # gives the adjoint and the closed-loop trace the same bits
+        # gives the closed-loop trace the same bits (the adjoint, zero's
+        # forward report, solves nothing either way)
         A, rep, design = loop24["A"], loop24["rep"], loop24["design"]
         x0 = initial_state(A, design.proj, np.random.default_rng(2))
         got = simulate_closed_loop(A, design, x0, 8.0, 0.01)
