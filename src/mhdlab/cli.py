@@ -91,8 +91,7 @@ class Run:
 
     @cached_property
     def spectrum(self) -> SpectrumReport:
-        opts = self.cfg.spectral_options()
-        return compute_spectrum(self.system, opts["count"], opts["strategy"])
+        return compute_spectrum(self.system, self.cfg.spectral_options()["count"])
 
     @cached_property
     def adjoint_spectrum(self) -> SpectrumReport:
@@ -122,7 +121,7 @@ class Run:
                     f"omega-Gram of cluster at {cl[0].lam:.4g} is numerically singular; "
                     "cannot build independent actuators"
                 )
-        return select_actuators(self.cluster_fields, self.grid.cell_area, self.adjoint_spectrum.K)
+        return select_actuators(self.cluster_fields, self.grid.cell_area)
 
     @cached_property
     def kalman(self) -> list[KalmanMatrix]:
@@ -148,7 +147,6 @@ def run_spectrum(run: Run, outdir: Path) -> dict:
         ell=rep.ell,
         K=rep.K,
         sigma=rep.sigma,
-        strategy=rep.strategy,
         count=len(rep.pairs),
         max_residual=max((p.residual for p in rep.pairs), default=0.0),
         eigenvalues=[{"re": p.lam.real, "im": p.lam.imag} for p in rep.pairs],
@@ -337,28 +335,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", type=Path, default=None, help="JSON config path")
     parser.add_argument("--out", type=Path, default=Path("mhdlab_out"))
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument(
-        "--tau-list",
-        type=str,
-        default=None,
-        help="comma-separated absolute tau values (overrides the config grid)",
-    )
-    parser.add_argument("--gamma", type=float, default=None, help="override target decay")
     args = parser.parse_args(argv)
 
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig.from_dict()
         if args.seed is not None:
             cfg.raw["seed"] = args.seed
-        if args.tau_list is not None:
-            try:
-                taus = [float(t) for t in args.tau_list.split(",") if t.strip()]
-            except ValueError as exc:
-                raise ConfigurationError(f"bad --tau-list: {exc}") from exc
-            cfg.raw["carleman"]["tau_grid"] = taus
-            cfg.raw["carleman"]["tau_scale"] = "absolute"
-        if args.gamma is not None:
-            cfg.raw["stabilize"]["gamma"] = float(args.gamma)
         run = Run(cfg)
         stages = list(RUNNERS) if args.command == "all" else [args.command]
         if "carleman" in stages:

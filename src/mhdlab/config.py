@@ -55,7 +55,7 @@ DEFAULT_CONFIG: dict = {
     },
     "equilibrium": {"kind": "zero", "params": {}},
     "physics": {"nu": 1.0, "eta": 1.0, "sigma": 1.5},
-    "spectral": {"count": 16, "strategy": "shift_invert"},
+    "spectral": {"count": 16},
     "carleman": {
         "delta0": 0.5,
         "epsilon": 0.5,
@@ -76,7 +76,6 @@ _CHOICES = {
     "shape": ("disc", "collar"),
     "side": ("all", "x0", "x1", "y0", "y1"),
     "kind": ("zero", "shear", "taylor_vortex"),
-    "strategy": ("dense", "shift_invert"),
     "tau_scale": ("4_over_diam", "absolute"),
 }
 _PAIRS = ("center", "span")  # lists of exactly two numbers
@@ -131,8 +130,8 @@ def _length(block: dict, key: str, scale: float) -> float | None:
 @dataclass
 class RunConfig:
     """A run's config, every block filled in and checked against
-    DEFAULT_CONFIG.  ``validate`` checks it again, so values set on ``raw``
-    after loading (the CLI overrides) are held to the same schema."""
+    DEFAULT_CONFIG.  ``validate`` checks it again, so a value set on ``raw``
+    after loading (the CLI's ``--seed``) is held to the same schema."""
 
     raw: dict
 

@@ -41,7 +41,6 @@ from .errors import AssemblyError, ConfigurationError, NumericalError
 from .fields import dx_matrix, dy_matrix, vector_laplacian_matrix
 from .grid import Grid
 
-_DENSE_STATE_LIMIT = 4400  # reduced state dimension cap for the dense strategy
 # Fourier modes of a coefficient field, and entries of the reduced matrix,
 # below this share of the largest one are roundoff of exact zeros.
 _ROUNDOFF_RTOL = 1e-14
@@ -259,15 +258,6 @@ class MhdSystem:
         """The cached sparse R; its transpose ``matrix.T`` is a CSC view of
         R's arrays, built without a copy."""
         return self.reduced_matrix()
-
-    def dense(self) -> np.ndarray:
-        """R as an array, for the dense spectral strategy."""
-        if self.dim > _DENSE_STATE_LIMIT:
-            raise ConfigurationError(
-                f"reduced state dimension {self.dim} exceeds the dense cap "
-                f"{_DENSE_STATE_LIMIT} of the dense spectral strategy"
-            )
-        return self.matrix.toarray()
 
 
 def is_diagonal(matrix: sp.spmatrix) -> bool:

@@ -1,12 +1,10 @@
 """Eigenanalysis of the coupled generator and the rank tests behind the
 unique continuation property.
 
-The forward spectrum is computed either densely (exact, small grids) or by
-the shift-invert strategy.  That strategy reads the spectrum of a diagonal
-R off its diagonal: at rest the eigenfunctions are the basis' Fourier
-modes, so no solver runs, every cluster comes out whole and every residual
-is 0.  Every other R goes to a shift-inverted Arnoldi iteration whose inner
-solve is one refinement step
+The forward spectrum of a diagonal R is read off its diagonal: at rest the
+eigenfunctions are the basis' Fourier modes, so no solver runs, every
+cluster comes out whole and every residual is 0.  Every other R goes to a
+shift-inverted Arnoldi iteration whose inner solve is one refinement step
 of a sparse LU of R - si I (``_forward_lu``) against the FFT matvec
 ``MhdSystem.reduced_matvec``, with its residual checked on the sparse R:
 the LU solves the shifted system, advection included.  The step is the
@@ -82,7 +80,6 @@ class SpectrumReport:
     ell: list[int]
     K: int
     sigma: float = 0.0
-    strategy: str = "dense"
 
     def unstable_part(self) -> "SpectrumReport":
         """The report cut to its clusters 0..M-1, each whole: those with an
@@ -149,14 +146,6 @@ def _complete_clusters(lams: np.ndarray, how_many: int) -> np.ndarray:
     tol = CLUSTER_RTOL * max(1.0, float(np.abs(lams[:how_many]).max()))
     dist = np.abs(lams[:, None] - lams[None, :how_many]).min(axis=1)
     return np.flatnonzero(dist <= tol)
-
-
-def _dense_eig(A: MhdSystem, how_many: int):
-    mat = A.dense()
-    lams, vecs = sla.eig(mat)
-    order = sorted(range(len(lams)), key=lambda i: _sort_key(lams[i]))
-    keep = order[: min(how_many + 8, len(order))]
-    return lams[keep], vecs[:, keep]
 
 
 def _diagonal_eig(matrix: sp.spmatrix, how_many: int):
@@ -280,33 +269,21 @@ def _shift_invert_eig(A: MhdSystem, how_many: int):
     return lams[order], vecs[:, order]
 
 
-def compute_spectrum(
-    A: MhdSystem, how_many: int, strategy: str = "dense"
-) -> SpectrumReport:
-    """Leading (largest real part) eigenpairs of the reduced generator.
-
-    Shift-invert reads the spectrum of a diagonal R off its diagonal, and
-    runs the Arnoldi iteration on every other R."""
+def compute_spectrum(A: MhdSystem, how_many: int) -> SpectrumReport:
+    """Leading (largest real part) eigenpairs of the reduced generator: read
+    off the diagonal of a diagonal R, from shift-invert Arnoldi otherwise."""
     if how_many < 1 or how_many > A.dim:
         raise ConfigurationError(
             f"how_many={how_many} outside 1..{A.dim} for this operator"
         )
-    if strategy == "shift_invert" and is_diagonal(A.matrix):
-        return _report(A.matrix, A.sigma, *_diagonal_eig(A.matrix, how_many), strategy)
-    if strategy == "dense":
-        lams, vecs = _dense_eig(A, how_many)
-    elif strategy == "shift_invert":
-        lams, vecs = _shift_invert_eig(A, how_many)
-    else:
-        raise ConfigurationError(f"unknown spectral strategy {strategy!r}")
-
+    if is_diagonal(A.matrix):
+        return _report(A.matrix, A.sigma, *_diagonal_eig(A.matrix, how_many))
+    lams, vecs = _shift_invert_eig(A, how_many)
     keep = _complete_clusters(lams, how_many)
-    return _report(A.matrix, A.sigma, lams[keep], vecs[:, keep], strategy)
+    return _report(A.matrix, A.sigma, lams[keep], vecs[:, keep])
 
 
-def _report(
-    matrix, sigma: float, lams: np.ndarray, vecs: np.ndarray, strategy: str
-) -> SpectrumReport:
+def _report(matrix, sigma: float, lams: np.ndarray, vecs: np.ndarray) -> SpectrumReport:
     """Checked, normalized eigenpairs of ``matrix`` (R or R^T) and their
     cluster structure; the residuals of all pairs come from one product with
     it."""
@@ -340,7 +317,6 @@ def _report(
         ell=ell,
         K=K,
         sigma=sigma,
-        strategy=strategy,
     )
 
 
@@ -364,9 +340,9 @@ def adjoint_eigenpairs(A: MhdSystem, forward: SpectrumReport) -> SpectrumReport:
 
     A diagonal R (``is_diagonal``, the zero equilibrium) is its own
     transpose, so its forward pairs are adjoint pairs exactly, residuals
-    included; from shift-invert they are real unit vectors on its diagonal
-    (``_diagonal_eig``).  The forward report is then returned as it was
-    given, and no shifted solve, QR or Schur step runs.
+    included; they are real unit vectors on its diagonal (``_diagonal_eig``).
+    The forward report is then returned as it was given, and no shifted
+    solve, QR or Schur step runs.
     """
     if not forward.pairs or is_diagonal(A.matrix):
         return forward
@@ -385,7 +361,7 @@ def adjoint_eigenpairs(A: MhdSystem, forward: SpectrumReport) -> SpectrumReport:
         T, Z = sla.schur(Q.conj().T @ (Rt @ Q), output="complex")
         lams.append(np.diag(T))
         vecs.append(Q @ Z)
-    return _report(Rt, A.sigma, np.concatenate(lams), np.hstack(vecs), forward.strategy)
+    return _report(Rt, A.sigma, np.concatenate(lams), np.hstack(vecs))
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +425,7 @@ def ucp_gram_test(fields: np.ndarray, cell_area: float) -> GramMatrix:
     )
 
 
-def select_actuators(
-    cluster_fields: list[np.ndarray], cell_area: float, K: int | None = None
-) -> np.ndarray:
+def select_actuators(cluster_fields: list[np.ndarray], cell_area: float) -> np.ndarray:
     """K = max ell localized control fields, one per in-cluster index, as one
     real (K, 2, 2, nx, ny) array.
 
@@ -462,16 +436,9 @@ def select_actuators(
     ell actuators whatever the other clusters hold: the K = max ell
     construction of Barbu-Triggiani and Badra-Takahashi.  The K sums are
     orthonormalized on omega in order; each actuator is exactly zero outside
-    omega.  Asking for fewer than max ell actuators leaves the larger
-    clusters uncontrolled, which ``kalman_rank`` reports.
+    omega.
     """
-    max_ell = max((len(F) for F in cluster_fields), default=0)
-    if K is None:
-        K = max_ell
-    if K > max_ell:
-        raise ConfigurationError(
-            f"{K} actuators requested; the per-cluster sums give at most {max_ell}"
-        )
+    K = max((len(F) for F in cluster_fields), default=0)
     actuators = []
     for j in range(K):
         v = sum(np.real(F[j]) for F in cluster_fields if len(F) > j)

@@ -311,12 +311,6 @@ class SimulationTrace:
     amplitudes: np.ndarray          # (nsteps+1, K)
     states: np.ndarray | None = field(default=None, repr=False)
 
-    def validate(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ConfigurationError("trace times must be strictly increasing")
-        if np.any(self.energies < 0):
-            raise ConfigurationError("trace energies must be nonnegative")
-
 
 def control_fields(basis: SolenoidalBasis, actuators: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Applied spatial profiles of the (K, 2, 2, nx, ny) actuator array:
@@ -406,9 +400,7 @@ def simulate_closed_loop(
     else:
         energies_unstable = np.einsum("ki,ij,kj->k", coords, proj.V.T @ proj.V, coords)
     amplitudes = coords @ -gain.gain.T if gain is not None else np.zeros((nsteps + 1, K))
-    trace = SimulationTrace(times, energies, energies_unstable, amplitudes, states)
-    trace.validate()
-    return trace
+    return SimulationTrace(times, energies, energies_unstable, amplitudes, states)
 
 
 def measure_decay(

@@ -69,7 +69,7 @@ def gen_shifted32(eq_zero32):
 def spectrum_shifted32(gen_shifted32):
     from mhdlab import compute_spectrum
 
-    return compute_spectrum(gen_shifted32, 16, "shift_invert")
+    return compute_spectrum(gen_shifted32, 16)
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,13 @@
 stage runs (the stages certify the Gram/Kalman ranks and the integrated
 weighted inequality).  Field containers and the field operators the stages
 never apply, the equilibrium forcings, the dense basis matrix and the
-per-mode loop that builds the basis, the Fourier-space assembly parts
-found by sorting, the Carleman draws with one size=2 integer draw per
-wavevector, the bordered pressure Poisson solve on the torus, the steady
-form of the eigenproblem, the quintic cutoff and its commutators, and the
-tau-sweep bounds back the acceptance criteria and unit tests.  The package
-itself takes and returns plain (2, nx, ny) arrays; ``VectorField2.array``
-and ``VectorField2(grid, *a)`` cross between the two.
+per-mode loop that builds the basis, the dense eigensolver, the
+Fourier-space assembly parts found by sorting, the Carleman draws with one
+size=2 integer draw per wavevector, the bordered pressure Poisson solve on
+the torus, the steady form of the eigenproblem, the quintic cutoff and its
+commutators, and the tau-sweep bounds back the acceptance criteria and unit
+tests.  The package itself takes and returns plain (2, nx, ny) arrays;
+``VectorField2.array`` and ``VectorField2(grid, *a)`` cross between the two.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -30,6 +31,7 @@ from mhdlab.fields import laplacian_matrix, wide_laplacian_matrix
 from mhdlab.geometry import RegionSet, transition_band
 from mhdlab.grid import Grid
 from mhdlab.operators import _PART_ENTRIES, _ROUNDOFF_RTOL, MhdSystem, shifted_lu
+from mhdlab.spectral import SpectrumReport, _complete_clusters, _report, _sort_key
 from mhdlab.stabilize import FeedbackDesign, SimulationTrace, UnstableProjection
 
 # commutator forcing outside the transition band, relative to its largest
@@ -373,6 +375,20 @@ def laplacian_symbol(basis: SolenoidalBasis, order: int) -> np.ndarray:
     out[basis.pair_cos_col] = out[basis.pair_sin_col] = sym(basis.pair_kflat)
     out[basis.spec_col] = sym(basis.spec_kflat)
     return out
+
+
+def dense_spectrum(A: MhdSystem, how_many: int) -> SpectrumReport:
+    """The leading eigenpairs of R from a dense eigendecomposition (small
+    grids): every eigenvalue in sort order, cut after how_many + 8, with
+    every cluster of the first how_many kept whole, checked and clustered
+    by ``spectral._report``.  The multiplicity reference that
+    ``compute_spectrum`` is cross-checked against."""
+    lams, vecs = sla.eig(A.matrix.toarray())
+    order = sorted(range(len(lams)), key=lambda i: _sort_key(lams[i]))
+    keep = order[: min(how_many + 8, len(order))]
+    lams, vecs = lams[keep], vecs[:, keep]
+    keep = _complete_clusters(lams, how_many)
+    return _report(A.matrix, A.sigma, lams[keep], vecs[:, keep])
 
 
 def unstable_component(proj: UnstableProjection, x: np.ndarray) -> np.ndarray:

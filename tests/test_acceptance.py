@@ -49,7 +49,7 @@ def ground_truth_spectra():
         grid = build_grid(L, L, n, n)
         eq = make_equilibrium("zero", grid)
         A = MhdSystem(eq, 0.0)
-        out[n] = (A, compute_spectrum(A, 12, "shift_invert"))
+        out[n] = (A, compute_spectrum(A, 12))
     out["runtime"] = time.perf_counter() - t0
     return out
 
@@ -79,7 +79,7 @@ def test_criterion_2_eigenproblem_residual(ground_truth_spectra, gen_shifted32):
         for pair in rep.pairs:
             worst = max(worst, pde_residual(A, pair.lam, to_state(A, pair.coeffs))["relative"])
             checked += 1
-    rep_shift = compute_spectrum(gen_shifted32, 16, "shift_invert")
+    rep_shift = compute_spectrum(gen_shifted32, 16)
     for pair in rep_shift.pairs:
         state = to_state(gen_shifted32, pair.coeffs)
         worst = max(worst, pde_residual(gen_shifted32, pair.lam, state)["relative"])
@@ -205,7 +205,7 @@ def test_criterion_7_commutator_support(box32, regions32, chi32, gen_shifted32):
         p = ScalarField(box32, rng.normal(size=box32.shape))
         f = build_commutators(chi32, s, p, MhdSystem(eq_coupled))
         worst = max(worst, f.max_outside_omega_star / f.scale)
-    rep = compute_spectrum(gen_shifted32, 4, "shift_invert")
+    rep = compute_spectrum(gen_shifted32, 4)
     pair = rep.pairs[0]
     state = to_state(gen_shifted32, pair.coeffs)
     p = pressure_from_state(gen_shifted32, state)
@@ -273,7 +273,7 @@ def test_criterion_10_closed_loop():
     eq = make_equilibrium("zero", grid)
     sigma, gamma = 1.5, 1.0
     A = MhdSystem(eq, sigma)
-    rep = compute_spectrum(A, 12, "shift_invert")
+    rep = compute_spectrum(A, 12)
     arep = adjoint_eigenpairs(A, rep)
     N = rep.N
     regions = build_nested_regions(

@@ -456,7 +456,7 @@ class TestFieldStacks:
 
 class TestChiSystem:
     def test_exact_eigen_solution(self, gen_shifted32, chi32):
-        rep = compute_spectrum(gen_shifted32, 6, "shift_invert")
+        rep = compute_spectrum(gen_shifted32, 6)
         pair = rep.pairs[0]
         state = to_state(gen_shifted32, pair.coeffs)
         p = pressure_from_state(gen_shifted32, state)
@@ -464,7 +464,7 @@ class TestChiSystem:
         assert out["relative"] <= 1e-6
 
     def test_unit_cutoff_reduces_to_bare_residual(self, gen_shifted32, regions32):
-        rep = compute_spectrum(gen_shifted32, 4, "shift_invert")
+        rep = compute_spectrum(gen_shifted32, 4)
         pair = rep.pairs[0]
         state = to_state(gen_shifted32, pair.coeffs)
         p = pressure_from_state(gen_shifted32, state)

@@ -29,7 +29,7 @@ from mhdlab.reports import write_table
 from mhdlab.spectral import adjoint_eigenpairs
 from mhdlab.stabilize import SimulationTrace, measure_decay
 
-FAST_SPECTRAL = {"spectral": {"count": 10, "strategy": "shift_invert"}}
+FAST_SPECTRAL = {"spectral": {"count": 10}}
 # omega is the one cell at the domain centre: its 4 field values cannot tell
 # apart the eigenfunctions of a cluster of multiplicity above 4, so the Gram
 # test fails there and the run is uncontrollable
@@ -41,6 +41,19 @@ def _cfg(**over):
     for block in over:
         base[block] = over[block]
     return RunConfig.from_dict(base)
+
+
+def _absolute_taus(*taus):
+    """A config whose carleman stage checks exactly ``taus``."""
+    return {"carleman": {"tau_grid": list(taus), "tau_scale": "absolute"}}
+
+
+def _main_with_config(tmp_path, command, config, *flags):
+    """The exit status of ``main`` on ``config`` written to a file, and the
+    output directory."""
+    cfgfile, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfgfile.write_text(json.dumps(config))
+    return main([command, "--config", str(cfgfile), "--out", str(out), *flags]), out
 
 
 class TestRunSpectrum:
@@ -172,37 +185,29 @@ class TestRunCarleman:
         summary = run_carleman(Run(cfg), tmp_path)
         assert summary["tau2_bound"] >= 0.0
 
-    def test_tau_list_flag_overrides(self, tmp_path):
-        code = main(
-            [
-                "carleman",
-                "--out",
-                str(tmp_path),
-                "--tau-list",
-                "1.0,2.0",
-                "--seed",
-                "7",
-            ]
-        )
+    def test_absolute_tau_grid_is_used_as_given(self, tmp_path):
+        config = _absolute_taus(1.0, 2.0)
+        code, out = _main_with_config(tmp_path, "carleman", config, "--seed", "7")
         assert code == EXIT_OK
-        data = json.loads((tmp_path / "carleman_summary.json").read_text())
+        data = json.loads((out / "carleman_summary.json").read_text())
         assert data["tau_list"] == [1.0, 2.0]
 
     def test_tau_whose_weighted_integrals_underflow_is_numerical_error(self, tmp_path):
         # on the default 32^2 grid every weighted integral at tau = 200 is
         # 0.0: the rows would be zeros that pass
-        code = main(["carleman", "--out", str(tmp_path), "--tau-list", "200"])
+        code, out = _main_with_config(tmp_path, "carleman", _absolute_taus(200.0))
         assert code == EXIT_NUMERICAL
-        error = json.loads((tmp_path / "error.json").read_text())
+        error = json.loads((out / "error.json").read_text())
         assert error["error_kind"] == "numerical_error"
         assert "tau = 200" in error["message"]
-        assert not (tmp_path / "carleman_sweep.txt").exists()
+        assert not (out / "carleman_sweep.txt").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_large_tau_runs_without_warnings(self, tmp_path):
         # psi exceeds its maximum over G outside G, where the weight at a
         # large tau would overflow; it is formed on the cells of G only
-        assert main(["carleman", "--out", str(tmp_path), "--tau-list", "50"]) == EXIT_OK
+        code, _ = _main_with_config(tmp_path, "carleman", _absolute_taus(50.0))
+        assert code == EXIT_OK
 
 
 STAB_GEOM = {
@@ -237,22 +242,14 @@ class TestRunStabilize:
         assert summary["mode"] == "open_loop"
         assert summary["open_loop_growth"] is True
 
-    def test_gamma_flag_overrides_target(self, tmp_path):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(
-            json.dumps(
-                {
-                    "geometry": STAB_GEOM,
-                    "physics": {"sigma": 1.5},
-                    "spectral": {"count": 10, "strategy": "shift_invert"},
-                    "stabilize": {"T": 4.0},
-                }
-            )
-        )
-        out = tmp_path / "o"
-        code = main(
-            ["stabilize", "--config", str(cfgfile), "--out", str(out), "--gamma", "1.4"]
-        )
+    def test_config_gamma_sets_the_target(self, tmp_path):
+        config = {
+            "geometry": STAB_GEOM,
+            "physics": {"sigma": 1.5},
+            "spectral": {"count": 10},
+            "stabilize": {"T": 4.0, "gamma": 1.4},
+        }
+        code, out = _main_with_config(tmp_path, "stabilize", config)
         assert code == EXIT_OK
         data = json.loads((out / "stabilize_summary.json").read_text())
         assert data["gamma"] == 1.4
@@ -303,7 +300,7 @@ class TestDeterminism:
             json.dumps(
                 {
                     "carleman": {"n_fields": 3, "tau_grid": [1.0, 2.0, 4.0]},
-                    "spectral": {"count": 10, "strategy": "shift_invert"},
+                    "spectral": {"count": 10},
                 }
             )
         )
@@ -345,7 +342,7 @@ def test_all_subcommand_runs_every_stage(tmp_path):
     cfgfile.write_text(
         json.dumps(
             {
-                "spectral": {"count": 12, "strategy": "shift_invert"},
+                "spectral": {"count": 12},
                 "carleman": {"n_fields": 3, "tau_grid": [1.0, 4.0, 16.0]},
                 "stabilize": {"T": 3.0},
             }
@@ -365,7 +362,7 @@ def test_all_subcommand_runs_every_stage(tmp_path):
 
 def test_console_entry_point(tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"spectral": {"count": 8, "strategy": "shift_invert"}}))
+    cfgfile.write_text(json.dumps({"spectral": {"count": 8}}))
     # the child interpreter imports the same mhdlab as this test process
     src = str(Path(mhdlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -506,6 +503,7 @@ MISTYPED_CONFIGS = [
     _bad({"physic": {"sigma": 0.0}}, "physic"),
     _bad({"spectral": {"degenerate_fixtur": True}}, "degenerate_fixtur"),
     _bad({"spectral": {"degenerate_fixture": True}}, "degenerate_fixture"),
+    _bad({"spectral": {"strategy": "shift_invert"}}, "spectral.strategy"),
     _bad({"equilibrium": {"kind": "shear", "params": {"amplitud": 5}}}, "amplitud"),
     # values that ended in a traceback
     _bad({"geometry": {"omega": {"center": ["a", "b"]}}}, "center"),
@@ -530,6 +528,8 @@ MISTYPED_CONFIGS = [
     _bad({"spectral": {"count": True}}, "count"),
     _bad({"stabilize": {"gamma": True}}, "gamma"),
     _bad({"carleman": {"tau_grid": [1, float("nan")]}}, "tau_grid"),
+    _bad({"stabilize": {"gamma": float("inf")}}, "gamma"),
+    _bad({"stabilize": {"gamma": float("nan")}}, "gamma"),
     # non-finite values that failed in the numerics
     _bad({"physics": {"nu": "inf"}}, "nu"),
     _bad({"physics": {"sigma": float("nan")}}, "sigma"),
@@ -575,13 +575,14 @@ def test_negative_seed_flag_is_config_error(tmp_path):
     assert "seed" in json.loads((out / "error.json").read_text())["message"]
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--tau-list", "1,nan"), ("--gamma", "inf"), ("--gamma", "nan")]
-)
-def test_nonfinite_flag_is_config_error(tmp_path, flag, value):
-    out = tmp_path / "o"
-    assert main(["spectrum", flag, value, "--out", str(out)]) == EXIT_CONFIG
-    assert json.loads((out / "error.json").read_text())["error_kind"] == "config_error"
+@pytest.mark.parametrize("flag, value", [("--tau-list", "1.0,2.0"), ("--gamma", "1.4")])
+def test_removed_override_flags_are_usage_errors(tmp_path, capsys, flag, value):
+    # stabilize.gamma and carleman.tau_grid are set in the config only
+    with pytest.raises(SystemExit) as exc:
+        main(["all", flag, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _leaves(tree: dict, path=()):
@@ -617,7 +618,7 @@ def test_perfbench_setup_targets_resolve():
 
 # the default square box supports every stage
 SHARED_CFG = {
-    "spectral": {"count": 10, "strategy": "shift_invert"},
+    "spectral": {"count": 10},
     "carleman": {"n_fields": 2, "tau_grid": [1.0, 4.0]},
     "stabilize": {"T": 1.0},
 }

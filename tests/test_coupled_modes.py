@@ -23,7 +23,6 @@ from mhdlab import (
     build_grid,
     build_nested_regions,
     closed_loop,
-    compute_spectrum,
     design_feedback,
     kalman_rank,
     make_equilibrium,
@@ -33,7 +32,8 @@ from mhdlab import (
 )
 from mhdlab.spectral import EigenPair
 from mhdlab.stabilize import control_fields
-from oracles import pde_residual, poisson_control_fields, to_state, xi_row_leakage
+from oracles import dense_spectrum, pde_residual, poisson_control_fields, to_state
+from oracles import xi_row_leakage
 
 L = 2 * np.pi
 
@@ -71,7 +71,7 @@ def oracle_uniform_field_eigs(grid, nu, eta, sigma, b, count, order=4):
 def test_uniform_field_oscillatory_spectrum(box16):
     eq = _uniform_field_eq(box16)
     A = MhdSystem(eq, 0.0)
-    rep = compute_spectrum(A, 12, "dense")
+    rep = dense_spectrum(A, 12)
     got = np.array([p.lam for p in rep.pairs[:12]])
     want = oracle_uniform_field_eigs(box16, 1.0, 1.0, 0.0, (1.0, 0.0), 12)
     key = lambda z: (round(z.real, 9), round(z.imag, 9))
@@ -90,7 +90,7 @@ def test_uniform_field_pressure_and_residual_exact(box16):
     # invariant: the steady-form residual stays at solver level
     eq = _uniform_field_eq(box16)
     A = MhdSystem(eq, 1.2)
-    rep = compute_spectrum(A, 8, "dense")
+    rep = dense_spectrum(A, 8)
     for pair in rep.pairs[:8]:
         state = to_state(A, pair.coeffs)
         out = pde_residual(A, pair.lam, state)
@@ -102,7 +102,7 @@ def test_uniform_field_complex_cluster_structure():
     grid = build_grid(L, L, 24, 24)
     eq = _uniform_field_eq(grid)
     A = MhdSystem(eq, 1.2)
-    rep = compute_spectrum(A, 12, "dense")
+    rep = dense_spectrum(A, 12)
     # sigma - |k|^2 unstable only at |k|^2 = 1: conjugate advective pair from
     # (+-1, 0) plus a real 4-fold cluster from (0, +-1)
     assert rep.N == 8
@@ -119,7 +119,7 @@ def test_uniform_field_closed_loop():
     eq = _uniform_field_eq(grid)
     sigma, gamma = 1.2, 0.8
     A = MhdSystem(eq, sigma)
-    rep = compute_spectrum(A, 12, "dense")
+    rep = dense_spectrum(A, 12)
     arep = adjoint_eigenpairs(A, rep)
     regions = build_nested_regions(
         grid,
@@ -151,7 +151,7 @@ def uniform24():
     grid = build_grid(L, L, 24, 24)
     eq = _uniform_field_eq(grid)
     A = MhdSystem(eq, 1.2)
-    rep = compute_spectrum(A, 12, "dense")
+    rep = dense_spectrum(A, 12)
     arep = adjoint_eigenpairs(A, rep)
     regions = build_nested_regions(
         grid,

@@ -22,7 +22,7 @@ from mhdlab.operators import DiagonalSolver, is_diagonal, shifted_lu
 from oracles import CommutatorSupportError, CutoffField, ScalarField, StateVector, VectorField2
 from oracles import build_commutators, build_cutoff, divergence, forcings, pde_residual
 from oracles import fourier_parts_unique, pressure_from_state, rot, symmetric_superlu, to_state
-from oracles import xi_row_leakage
+from oracles import dense_spectrum, xi_row_leakage
 
 L = 2 * np.pi
 
@@ -202,8 +202,8 @@ class TestGenerator:
 
     def test_shift_moves_spectrum_exactly(self, box16):
         eq = make_equilibrium("zero", box16)
-        lam0 = np.sort(np.linalg.eigvalsh(MhdSystem(eq, 0.0).dense()))
-        lam5 = np.sort(np.linalg.eigvalsh(MhdSystem(eq, 0.5).dense()))
+        lam0 = np.sort(np.linalg.eigvalsh(MhdSystem(eq, 0.0).matrix.toarray()))
+        lam5 = np.sort(np.linalg.eigvalsh(MhdSystem(eq, 0.5).matrix.toarray()))
         assert np.abs((lam0 + 0.5) - lam5).max() < 1e-10
 
     def test_shear_block_triangular(self, box16):
@@ -439,7 +439,7 @@ class TestAdjoint:
     def test_zero_equilibrium_self_adjoint(self, box16):
         eq = make_equilibrium("zero", box16)
         system = MhdSystem(eq, 0.0)
-        A = system.dense()
+        A = system.matrix.toarray()
         Astar = system.matrix.T.toarray()
         assert np.abs(A - Astar).max() < 1e-11
 
@@ -457,7 +457,7 @@ class TestAdjoint:
     def test_adjoint_spectrum_conjugate(self, box16):
         eq = make_equilibrium("shear", box16)
         system = MhdSystem(eq, 0.0)
-        lam = np.linalg.eigvals(system.dense())
+        lam = np.linalg.eigvals(system.matrix.toarray())
         lam_adj = np.linalg.eigvals(system.matrix.T.toarray())
         key = lambda z: (round(z.real, 8), round(z.imag, 8))
         a = sorted(np.conj(lam_adj), key=key)
@@ -522,7 +522,7 @@ class TestPressure:
 
 class TestCommutators:
     def _eigpair(self, gen):
-        rep = compute_spectrum(gen, 4, "shift_invert")
+        rep = compute_spectrum(gen, 4)
         return rep.pairs[0]
 
     def test_constant_cutoff_gives_zero(self, box32, regions32, eq_zero32):
@@ -622,7 +622,7 @@ class TestCommutators:
 
 class TestPdeResidual:
     def test_eigenpair_residual_small(self, gen_shifted32):
-        rep = compute_spectrum(gen_shifted32, 10, "shift_invert")
+        rep = compute_spectrum(gen_shifted32, 10)
         for pair in rep.pairs[:4]:
             out = pde_residual(gen_shifted32, pair.lam, to_state(gen_shifted32, pair.coeffs))
             assert out["relative"] <= 1e-6
@@ -635,7 +635,7 @@ class TestPdeResidual:
             {"B_e": (np.sin(Y), np.zeros(box16.shape))},
         )
         A = MhdSystem(eq, 0.0)
-        rep = compute_spectrum(A, 4, "dense")
+        rep = dense_spectrum(A, 4)
         leak = xi_row_leakage(A, to_state(A, rep.pairs[0].coeffs))
         assert leak < 0.3  # O(h^2) scale, strictly a diagnostic
         assert leak > 0.0

@@ -75,6 +75,13 @@ def test_moved_names_live_in_the_oracles_only():
     for name in ("_solver", "spla"):
         assert not hasattr(projection, name), name
     assert not hasattr(SolenoidalBasis, "dense") and callable(oracles.dense_basis)
+    # one forward eigensolver path: the dense one is the tests' reference
+    spectral = importlib.import_module("mhdlab.spectral")
+    operators = importlib.import_module("mhdlab.operators")
+    assert not hasattr(MhdSystem, "dense") and callable(oracles.dense_spectrum)
+    assert not hasattr(spectral, "_dense_eig")
+    assert not hasattr(operators, "_DENSE_STATE_LIMIT")
+    assert "strategy" not in {f.name for f in dataclasses.fields(spectral.SpectrumReport)}
     # members no stage reads
     assert not hasattr(SolenoidalBasis, "state_dim")
     assert not hasattr(WeightField, "grid")

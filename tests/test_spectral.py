@@ -34,7 +34,8 @@ from mhdlab.spectral import (
     _sort_key,
     adjoint_eigenpairs,
 )
-from oracles import StateVector, VectorField2, inner, laplacian_symbol, restrict, to_state
+from oracles import StateVector, VectorField2, dense_spectrum, inner, laplacian_symbol, restrict
+from oracles import to_state
 
 L = 2 * np.pi
 
@@ -58,7 +59,7 @@ def fourier_generator_eigenvalues(Lx, Ly, nu, eta, sigma, count, kmax=8):
 FROZEN_LEADING_12 = [-1.0] * 8 + [-2.0] * 4
 
 
-def _strategy_case(kind: str, n: int, sigma: float):
+def _case_system(kind: str, n: int, sigma: float):
     """The shifted generator on the n x n box; "uniform_field" is the
     API-only constant magnetic equilibrium B_e = (1, 0)."""
     grid = build_grid(L, L, n, n)
@@ -83,10 +84,10 @@ def _cluster_members(case) -> list[tuple[float, float, int, int]]:
     """Per eigenvalue of the dense spectrum (count 12): its real and
     imaginary part, and how many members its cluster has in the dense and
     in the shift-invert spectrum."""
-    A = _strategy_case(*case)
+    A = _case_system(*case)
     dense, si = (
-        np.array([p.lam for p in compute_spectrum(A, 12, s).pairs])
-        for s in ("dense", "shift_invert")
+        np.array([p.lam for p in rep.pairs])
+        for rep in (dense_spectrum(A, 12), compute_spectrum(A, 12))
     )
     tol = CLUSTER_RTOL * max(1.0, np.abs(dense).max())
     return [
@@ -128,7 +129,7 @@ def _diagonal_spectra(grids) -> list[list[str]]:
         [
             f"{p.lam.real.hex()} {p.lam.imag.hex()} {p.residual.hex()} "
             + hashlib.sha256(p.coeffs.tobytes()).hexdigest()
-            for p in compute_spectrum(_zero_system(*g), 16, "shift_invert").pairs
+            for p in compute_spectrum(_zero_system(*g), 16).pairs
         ]
         for g in grids
     ]
@@ -137,7 +138,7 @@ def _diagonal_spectra(grids) -> list[list[str]]:
 @pytest.fixture(scope="module", params=DIAGONAL_GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
 def zero_diagonal(request):
     A = _zero_system(*request.param)
-    return A, compute_spectrum(A, 16, "shift_invert")
+    return A, compute_spectrum(A, 16)
 
 
 class TestDiagonalGenerator:
@@ -151,7 +152,7 @@ class TestDiagonalGenerator:
 
         monkeypatch.setattr(spectral, "_forward_lu", refuse)
         monkeypatch.setattr(spectral, "_shift_invert_eig", refuse)
-        again = compute_spectrum(A, 16, "shift_invert")
+        again = compute_spectrum(A, 16)
         assert [p.lam for p in again.pairs] == [p.lam for p in rep.pairs]
 
     def test_eigenvalues_are_the_laplacian_symbol(self, zero_diagonal):
@@ -167,7 +168,7 @@ class TestDiagonalGenerator:
 
     def test_matches_dense(self, zero_diagonal):
         A, rep = zero_diagonal
-        dense = compute_spectrum(A, 16, "dense")
+        dense = dense_spectrum(A, 16)
         a, b = (np.array([p.lam for p in r.pairs]) for r in (rep, dense))
         assert a.size == b.size
         dist = np.abs(a[:, None] - b[None, :])
@@ -199,7 +200,7 @@ class TestDiagonalGenerator:
         # the cluster tolerance follows the first count values, not the
         # whole diagonal, so count 4 keeps one group, as dense does
         A = _zero_system(40, 48)
-        rep, dense = (compute_spectrum(A, 4, s) for s in ("shift_invert", "dense"))
+        rep, dense = compute_spectrum(A, 4), dense_spectrum(A, 4)
         counts = [(r.N, r.M, r.ell, r.K) for r in (rep, dense)]
         assert counts == [(4, 1, [4], 4)] * 2
         a, b = (np.array([p.lam for p in r.pairs]) for r in (rep, dense))
@@ -240,7 +241,7 @@ class TestDiagonalGenerator:
             return arnoldi(*args)
 
         monkeypatch.setattr(spectral, "_shift_invert_eig", counted)
-        compute_spectrum(_strategy_case(*case), 12, "shift_invert")
+        compute_spectrum(_case_system(*case), 12)
         assert len(calls) == 1
 
 
@@ -248,7 +249,7 @@ class TestSpectrum:
     def test_fourier_ground_truth_16(self, box16):
         eq = make_equilibrium("zero", box16)
         A = MhdSystem(eq, 0.0)
-        rep = compute_spectrum(A, 12, "dense")
+        rep = dense_spectrum(A, 12)
         oracle = fourier_generator_eigenvalues(L, L, 1.0, 1.0, 0.0, 12)
         assert oracle == FROZEN_LEADING_12
         got = np.array([p.lam.real for p in rep.pairs])[:12]
@@ -265,8 +266,8 @@ class TestSpectrum:
         # with equal real parts follows roundoff too, so ell is compared
         # sorted.
         for case in [("shear", 16, 1.5), *WHOLE_CLUSTER_CASES, *CLUSTER_GAP_CASES]:
-            A = _strategy_case(*case)
-            dense, si = (compute_spectrum(A, 10, s) for s in ("dense", "shift_invert"))
+            A = _case_system(*case)
+            dense, si = dense_spectrum(A, 10), compute_spectrum(A, 10)
             a_all, b_all = (np.array([p.lam for p in r.pairs]) for r in (dense, si))
             cut = dense.N if case[0] == "uniform_field" else 10
             for a, b in ((a_all[:cut], b_all), (b_all[:cut], a_all)):
@@ -322,7 +323,7 @@ class TestSpectrum:
         monkeypatch.setattr(A, "reduced_matvec", counting_matvec)
         monkeypatch.setattr(spectral, "_refine_shifted_solve", counting_refine)
         monkeypatch.setattr(spla, "gmres", counting_gmres)
-        compute_spectrum(A, 10, "shift_invert")
+        compute_spectrum(A, 10)
         assert calls["gmres"] == 0
         assert per_solve and set(per_solve) == {1}
 
@@ -356,7 +357,7 @@ class TestSpectrum:
             return refine(A_, lu, si, b)
 
         monkeypatch.setattr(spectral, "_refine_shifted_solve", recording)
-        compute_spectrum(A, 10, "shift_invert")
+        compute_spectrum(A, 10)
         assert rhs
         dim = A.dim
         for lu, si, b in rhs:
@@ -386,7 +387,7 @@ class TestSpectrum:
         forward_lu = spectral._forward_lu
         monkeypatch.setattr(spectral, "_forward_lu", lambda A, si: forward_lu(A, 1.01 * si))
         with pytest.raises(NumericalError, match="inner solve") as exc:
-            compute_spectrum(A, 10, "shift_invert")
+            compute_spectrum(A, 10)
         assert exc.value.detail["solves"] == 1
 
     def test_unstable_counts_shifted(self, spectrum_shifted32):
@@ -407,8 +408,8 @@ class TestSpectrum:
     def test_ordering_deterministic(self, box16):
         eq = make_equilibrium("shear", box16)
         A = MhdSystem(eq, 0.5)
-        r1 = compute_spectrum(A, 8, "dense")
-        r2 = compute_spectrum(A, 8, "dense")
+        r1 = dense_spectrum(A, 8)
+        r2 = dense_spectrum(A, 8)
         for p1, p2 in zip(r1.pairs, r2.pairs):
             assert p1.lam == p2.lam
             assert np.array_equal(p1.coeffs, p2.coeffs)
@@ -437,29 +438,28 @@ class TestSpectrum:
     def test_how_many_validation(self, box16):
         eq = make_equilibrium("zero", box16)
         A = MhdSystem(eq, 0.0)
-        with pytest.raises(ConfigurationError):
-            compute_spectrum(A, A.dim + 1)
-        with pytest.raises(ConfigurationError):
-            compute_spectrum(A, 4, "magic")
+        for how_many in (0, A.dim + 1):
+            with pytest.raises(ConfigurationError, match="how_many"):
+                compute_spectrum(A, how_many)
 
     def test_wall_grids_rejected(self, channel):
         eq = make_equilibrium("zero", channel)
         A = MhdSystem(eq, 0.0)
         with pytest.raises(ConfigurationError):
-            compute_spectrum(A, 4, "dense")
+            compute_spectrum(A, 4)
 
     def test_residual_gate_names_the_eigenvalue(self, box16):
         # a pair off its eigenvalue by 1e-6 has residual 1e-6 on R, above
         # RESIDUAL_BOUND: the report refuses it and names the eigenvalue
         A = MhdSystem(make_equilibrium("shear", box16), 0.4)
-        fwd = compute_spectrum(A, 4, "dense")
+        fwd = dense_spectrum(A, 4)
         lams = np.array([p.lam for p in fwd.pairs])
         vecs = np.column_stack([p.coeffs for p in fwd.pairs]).astype(complex)
-        report = spectral._report(A.matrix, A.sigma, lams, vecs, "dense")
+        report = spectral._report(A.matrix, A.sigma, lams, vecs)
         assert [p.lam for p in report.pairs] == list(lams)
         lams[1] += 1e-6
         with pytest.raises(NumericalError, match="residual") as exc:
-            spectral._report(A.matrix, A.sigma, lams, vecs, "dense")
+            spectral._report(A.matrix, A.sigma, lams, vecs)
         assert exc.value.detail["lambda"] == lams[1]
 
 
@@ -467,7 +467,7 @@ class TestAdjointSpectrum:
     def test_self_adjoint_case_identical(self, box16):
         eq = make_equilibrium("zero", box16)
         A = MhdSystem(eq, 0.0)
-        fwd = compute_spectrum(A, 8, "dense")
+        fwd = dense_spectrum(A, 8)
         adj = adjoint_eigenpairs(A, fwd)
         a = np.array([p.lam.real for p in fwd.pairs[:8]])
         b = np.array([p.lam.real for p in adj.pairs[:8]])
@@ -476,7 +476,7 @@ class TestAdjointSpectrum:
     def test_conjugate_eigenvalues(self, box16):
         eq = make_equilibrium("taylor_vortex", box16)
         A = MhdSystem(eq, 0.4)
-        fwd = compute_spectrum(A, 10, "dense")
+        fwd = dense_spectrum(A, 10)
         adj = adjoint_eigenpairs(A, fwd)
         key = lambda z: (round(z.real, 7), round(z.imag, 7))
         a = sorted([np.conj(p.lam) for p in adj.pairs[:10]], key=key)
@@ -487,16 +487,18 @@ class TestAdjointSpectrum:
     def test_nothing_to_derive_for_a_stable_spectrum(self, box16):
         eq = make_equilibrium("zero", box16)
         A = MhdSystem(eq, 0.0)
-        unstable = compute_spectrum(A, 4, "dense").unstable_part()
+        unstable = dense_spectrum(A, 4).unstable_part()
         assert (unstable.pairs, unstable.N, unstable.M, unstable.K) == ([], 0, 0, 0)
         assert adjoint_eigenpairs(A, unstable) is unstable
 
-    @pytest.mark.parametrize("strategy", ["shift_invert", "dense"])
-    def test_diagonal_generator_is_its_own_adjoint(self, box16, monkeypatch, strategy):
+    @pytest.mark.parametrize(
+        "solver", [compute_spectrum, dense_spectrum], ids=["shift_invert", "dense"]
+    )
+    def test_diagonal_generator_is_its_own_adjoint(self, box16, monkeypatch, solver):
         # R^T = R, so the forward report is the adjoint one and nothing is
         # solved: a shifted_lu call would raise
         A = MhdSystem(make_equilibrium("zero", box16), 1.5)
-        fwd = compute_spectrum(A, 12, strategy).unstable_part()
+        fwd = solver(A, 12).unstable_part()
         assert fwd.N > 0
 
         def no_solve(*args):
@@ -510,7 +512,7 @@ class TestAdjointSpectrum:
 
     def test_non_diagonal_generator_runs_inverse_iteration(self, box16, monkeypatch):
         A = MhdSystem(make_equilibrium("shear", box16), 1.5)
-        fwd = compute_spectrum(A, 12, "shift_invert").unstable_part()
+        fwd = compute_spectrum(A, 12).unstable_part()
         calls, shifted_lu = [], spectral.shifted_lu
 
         def counted(*args):
@@ -556,7 +558,7 @@ def derived(request):
     grid = build_grid(L, L, n, n)
     eq = kind(grid) if callable(kind) else make_equilibrium(kind, grid)
     A = MhdSystem(eq, sigma)
-    fwd = compute_spectrum(A, 12, "dense")
+    fwd = dense_spectrum(A, 12)
     Rt = A.matrix.T.toarray()
     lams, vecs = sla.eig(Rt)
     return dict(
@@ -660,7 +662,7 @@ def shear_shifted32(box32):
     """shear at sigma = 1.5 and its derived adjoint spectrum.  Its R is not
     diagonal, and its unstable adjoint cluster is complex."""
     A = MhdSystem(make_equilibrium("shear", box32), 1.5)
-    return A, adjoint_eigenpairs(A, compute_spectrum(A, 16, "shift_invert"))
+    return A, adjoint_eigenpairs(A, compute_spectrum(A, 16))
 
 
 class TestOmegaFields:
