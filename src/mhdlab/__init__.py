@@ -1,6 +1,7 @@
 """Numerical laboratory for the linearized incompressible MHD system:
 unstable spectra, continuation rank tests, weighted-estimate verification,
-and localized feedback stabilization on periodic/wall rectangles."""
+and localized feedback stabilization on periodic rectangles, with the
+weighted-estimate checks also on rectangles with walls."""
 
 __version__ = "0.1.0"
 
@@ -13,7 +14,6 @@ from .geometry import (
     build_nested_regions,
     build_weight,
 )
-from .fields import BcTag, apply_bc
 from .projection import helmholtz_project
 from .equilibria import Equilibrium, make_equilibrium
 from .operators import MhdSystem, oseen_minus, oseen_plus

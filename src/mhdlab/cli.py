@@ -8,8 +8,9 @@ with a status that encodes the failure class:
     3 numerical error  4 uncontrollable (rank condition failed)
     5 other deliberate failure
 
-The stages of one invocation share one ``Run``, so ``all`` builds the grid,
-equilibrium and regions once (in validation), solves the forward spectrum
+The stages of one invocation share one ``Run``, so ``all`` builds the grid
+and regions once (in validation) and the equilibrium once (with the
+generator, which only the spectral stages read), solves the forward spectrum
 once and derives the adjoint eigenfunctions of its unstable clusters from it
 once.  Each unstable adjoint cluster is synthesized on omega once, and its
 omega-Gram computed once, for the UCP report and the actuators alike.  A
@@ -32,6 +33,7 @@ import numpy as np
 from . import __version__
 from .carleman import CarlemanParams, calibrate_tau2_bound, find_tau0, sweep
 from .config import RunConfig
+from .equilibria import Equilibrium
 from .errors import (
     ConfigurationError,
     GeometryError,
@@ -77,13 +79,20 @@ class Run:
     stages read them; the same holds for the clusters' omega fields and
     omega-Gram reports, the actuators and the Kalman reports that ``ucp``
     and ``stabilize`` both need.  Stages treat
-    everything here as read-only.  The grid, equilibrium and regions are
-    the ones ``RunConfig.validate`` builds when the Run is made.
+    everything here as read-only.  The grid and regions are the ones
+    ``RunConfig.validate`` builds when the Run is made; the equilibrium is
+    built with the generator, so a run of the carleman stage alone builds
+    none.  On a grid with walls that is the only stage that runs: building
+    the equilibrium there raises ConfigurationError.
     """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.grid, self.equilibrium, self.regions = cfg.validate()
+        self.grid, self.regions = cfg.validate()
+
+    @cached_property
+    def equilibrium(self) -> Equilibrium:
+        return self.cfg.build_equilibrium(self.grid)
 
     @cached_property
     def system(self) -> MhdSystem:

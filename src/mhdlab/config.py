@@ -3,8 +3,10 @@
 DEFAULT_CONFIG is the schema: a config may set only its keys, each to a
 value of the kind of its default.  Fractions (``*_frac``) are resolved
 against the domain size so one configuration scales across resolutions.
-Validation constructs the actual geometry/equilibrium objects eagerly so that
-every precondition fires before any expensive computation starts.
+Validation builds the grid and the regions, and reads the equilibrium block
+with the param reader that builds the equilibrium, so that every
+precondition fires before any expensive computation starts.  The
+equilibrium itself is built only where the generator is.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import Equilibrium, config_int, config_number, make_equilibrium
+from .equilibria import Equilibrium, config_int, config_number, make_equilibrium, read_params
 from .errors import ConfigurationError
 from .geometry import (
     OMEGA1_WIDTH_FRAC,
@@ -85,7 +87,7 @@ def _checked(default, val, path: tuple = ()):
     """val checked against the kind of its default, as a new tree in which
     every missing key holds its default and every number is a float or an
     int as its default is.  An empty default object takes any object: the
-    equilibrium params, which make_equilibrium checks."""
+    equilibrium params, which read_params checks."""
     name = ".".join(path) or "config"
     key = path[-1] if path else None
     if isinstance(default, dict):
@@ -232,17 +234,18 @@ class RunConfig:
                 )
         return dict(s)
 
-    def validate(self) -> tuple[Grid, Equilibrium, RegionSet]:
+    def validate(self) -> tuple[Grid, RegionSet]:
         """Check the whole config against DEFAULT_CONFIG and every block's
-        ranges before any computation, and return the grid, equilibrium and
-        regions that built."""
+        ranges before any computation, and return the grid and regions that
+        built.  The equilibrium block is read, not built."""
         self.raw = _checked(DEFAULT_CONFIG, self.raw)
         _ = self.seed
         grid = self.build_grid()
-        equilibrium = self.build_equilibrium(grid)
+        e, p = self.raw["equilibrium"], self.raw["physics"]
+        read_params(e["kind"], e["params"], p["nu"], p["eta"])
         regions = self.build_regions(grid)
         _ = self.sigma
         _ = self.spectral_options()
         _ = self.carleman_options(regions)
         _ = self.stabilize_options()
-        return grid, equilibrium, regions
+        return grid, regions

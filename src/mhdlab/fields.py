@@ -13,18 +13,11 @@ stacked [u1; u2] and a state to [phi; xi].
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .grid import BcKind, Grid
-
-
-class BcTag(str, Enum):
-    velocity_dirichlet = "velocity_dirichlet"
-    magnetic_tangential = "magnetic_tangential"
 
 
 # ---------------------------------------------------------------------------
@@ -117,67 +110,7 @@ def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     return grid._cache["div"]
 
 
-def gradient_matrix(grid: Grid) -> sp.csr_matrix:
-    """Maps a scalar to the stacked gradient [d/dx; d/dy]."""
-    return sp.vstack([dx_matrix(grid), dy_matrix(grid)], format="csr")
-
-
-def wide_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """Composition div(grad(.)), the Laplacian seen by the pressure space."""
-    key = "wide_lap"
-    if key not in grid._cache:
-        grid._cache[key] = (divergence_matrix(grid) @ gradient_matrix(grid)).tocsr()
-    return grid._cache[key]
-
-
 def vector_laplacian_matrix(grid: Grid, order: int = 2) -> sp.csr_matrix:
     lap = laplacian_matrix(grid, order)
     return sp.block_diag([lap, lap], format="csr")
 
-
-# ---------------------------------------------------------------------------
-# Boundary conditions
-# ---------------------------------------------------------------------------
-
-def _apply(grid: Grid, mat: sp.csr_matrix, arr: np.ndarray) -> np.ndarray:
-    return (mat @ arr.ravel()).reshape(grid.shape)
-
-
-def apply_bc(grid: Grid, v: np.ndarray, tag: BcTag | str) -> np.ndarray:
-    """Enforce the tagged boundary condition on the wall cell ring of a
-    (2, nx, ny) field; returns a new array.
-
-    velocity_dirichlet zeroes both components.  magnetic_tangential zeroes
-    the normal component and adjusts the tangential ring values so the
-    one-sided scalar curl vanishes on the ring (the in-plane reduction of
-    a vanishing tangential curl).  Fully periodic grids get a plain copy.
-    """
-    try:
-        tag = BcTag(tag)
-    except ValueError as exc:
-        raise ConfigurationError(f"unknown boundary tag {tag!r}") from exc
-    if grid.fully_periodic:
-        return v.copy()
-    out = v.astype(np.result_type(v, float))
-    u1, u2 = out
-    if tag is BcTag.velocity_dirichlet:
-        ring = grid.boundary_mask()
-        u1[ring] = 0.0
-        u2[ring] = 0.0
-        return out
-
-    # magnetic_tangential: xi . n = 0 and scalar curl = 0 on the ring
-    for _ in range(2):  # second sweep closes corner coupling on box domains
-        if grid.bc_x is BcKind.wall:
-            u1[0, :] = 0.0
-            u1[-1, :] = 0.0
-            dyu1 = _apply(grid, dy_matrix(grid), u1)
-            u2[0, :] = (4 * u2[1, :] - u2[2, :] - 2 * grid.hx * dyu1[0, :]) / 3.0
-            u2[-1, :] = (4 * u2[-2, :] - u2[-3, :] + 2 * grid.hx * dyu1[-1, :]) / 3.0
-        if grid.bc_y is BcKind.wall:
-            u2[:, 0] = 0.0
-            u2[:, -1] = 0.0
-            dxu2 = _apply(grid, dx_matrix(grid), u2)
-            u1[:, 0] = (4 * u1[:, 1] - u1[:, 2] - 2 * grid.hy * dxu2[:, 0]) / 3.0
-            u1[:, -1] = (4 * u1[:, -2] - u1[:, -3] + 2 * grid.hy * dxu2[:, -1]) / 3.0
-    return out

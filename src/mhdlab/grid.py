@@ -2,9 +2,9 @@
 
 Periodic directions carry points x_i = i*h (no boundary cells, wrap-around
 stencils).  Wall directions carry cell centers x_i = (i+1/2)*h with the walls
-on the faces x=0 and x=L; the outermost cell ring plays the role of the
-discrete boundary for boundary conditions and one-sided stencil closures.
-Both conventions keep h = L/n exactly.
+on the faces x=0 and x=L, and the outermost cell ring takes one-sided
+stencil closures.  Both conventions keep h = L/n exactly.  Wall grids carry
+the Carleman stage only; every other stage needs a fully periodic grid.
 """
 
 from __future__ import annotations
@@ -72,17 +72,6 @@ class Grid:
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x, self.y, indexing="ij")
-
-    def boundary_mask(self) -> np.ndarray:
-        """Cells forming the discrete boundary ring (wall directions only)."""
-        mask = np.zeros(self.shape, dtype=bool)
-        if self.bc_x is BcKind.wall:
-            mask[0, :] = True
-            mask[-1, :] = True
-        if self.bc_y is BcKind.wall:
-            mask[:, 0] = True
-            mask[:, -1] = True
-        return mask
 
 
 def build_grid(

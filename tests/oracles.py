@@ -26,8 +26,7 @@ from mhdlab.carleman import _cosine_sums
 from mhdlab.errors import CauchyDataError, ConfigurationError, MhdLabError, NumericalError
 from mhdlab.errors import ShapeError
 from mhdlab.equilibria import Equilibrium
-from mhdlab.fields import _apply, divergence_matrix, dx_matrix, dy_matrix, gradient_matrix
-from mhdlab.fields import laplacian_matrix, wide_laplacian_matrix
+from mhdlab.fields import divergence_matrix, dx_matrix, dy_matrix, laplacian_matrix
 from mhdlab.geometry import RegionSet, transition_band
 from mhdlab.grid import Grid
 from mhdlab.operators import _PART_ENTRIES, _ROUNDOFF_RTOL, MhdSystem, shifted_lu
@@ -152,6 +151,23 @@ def restrict(v: VectorField2, region: np.ndarray) -> VectorField2:
 # ---------------------------------------------------------------------------
 # Field operators and quadrature
 # ---------------------------------------------------------------------------
+
+def _apply(grid: Grid, mat: sp.csr_matrix, arr: np.ndarray) -> np.ndarray:
+    return (mat @ arr.ravel()).reshape(grid.shape)
+
+
+def gradient_matrix(grid: Grid) -> sp.csr_matrix:
+    """Maps a scalar to the stacked gradient [d/dx; d/dy]."""
+    return sp.vstack([dx_matrix(grid), dy_matrix(grid)], format="csr")
+
+
+def wide_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
+    """Composition div(grad(.)), the Laplacian seen by the pressure space."""
+    key = "wide_lap"
+    if key not in grid._cache:
+        grid._cache[key] = (divergence_matrix(grid) @ gradient_matrix(grid)).tocsr()
+    return grid._cache[key]
+
 
 def divergence(v: VectorField2) -> ScalarField:
     g = v.grid

@@ -27,10 +27,11 @@ from mhdlab import (
 )
 from mhdlab import carleman
 from mhdlab.carleman import find_tau0
-from mhdlab.fields import divergence_matrix, dx_matrix, dy_matrix, wide_laplacian_matrix
+from mhdlab.fields import divergence_matrix, dx_matrix, dy_matrix
 from oracles import ScalarField, StateVector, VectorField2, build_commutators
 from oracles import divergence_residual, gradient, halving_exponents, make_omega_vanishing_state
 from oracles import pde_residual, pressure_from_state, rot, tau_sweep_vanishing, to_state
+from oracles import wide_laplacian_matrix
 
 L = 2 * np.pi
 

@@ -366,7 +366,7 @@ class TestFieldStacks:
         # the cosines are evaluated only where the mollifier is nonzero:
         # there each value is the whole grid's to the bit, elsewhere +0.0
         # (the whole-grid product can give -0.0 there)
-        _, _, regions = RunConfig.from_dict(SUPPORT_CASES[name]).validate()
+        _, regions = RunConfig.from_dict(SUPPORT_CASES[name]).validate()
         g = regions.grid
         moll = carleman._band_mollifier(regions)
         assert 0 < np.count_nonzero(moll) < g.ncells

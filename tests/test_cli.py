@@ -34,6 +34,8 @@ FAST_SPECTRAL = {"spectral": {"count": 10}}
 # apart the eigenfunctions of a cluster of multiplicity above 4, so the Gram
 # test fails there and the run is uncontrollable
 ONE_CELL_OMEGA = {"omega": {"radius_frac": 0.01}}
+# a 32^2 channel, walls in y, whose omega is a collar along both walls
+COLLAR32 = {"bc_y": "wall", "case": "full_collar", "omega": {"shape": "collar", "width_frac": 0.1}}
 
 
 def _cfg(**over):
@@ -208,6 +210,32 @@ class TestRunCarleman:
         # large tau would overflow; it is formed on the cells of G only
         code, _ = _main_with_config(tmp_path, "carleman", _absolute_taus(50.0))
         assert code == EXIT_OK
+
+    def test_wall_grid_tables_are_the_same_for_every_equilibrium(self, tmp_path):
+        # a grid with walls carries the carleman stage only, which reads no
+        # equilibrium, so none is built: every kind writes the same tables
+        # but for the config hash
+        outs = {}
+        for kind in ("zero", "shear", "taylor_vortex"):
+            (tmp_path / kind).mkdir()
+            config = {"geometry": COLLAR32, "equilibrium": {"kind": kind}}
+            code, out = _main_with_config(tmp_path / kind, "carleman", config, "--seed", "7")
+            assert code == EXIT_OK, kind
+            outs[kind] = {
+                f.name: [l for l in f.read_text().splitlines() if "config_hash" not in l]
+                for f in out.iterdir()
+            }
+        assert set(outs["zero"]) == {"carleman_sweep.txt", "carleman_summary.json"}
+        assert outs["zero"] == outs["shear"] == outs["taylor_vortex"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "all"])
+    def test_wall_grid_spectral_stages_are_config_errors(self, tmp_path, command):
+        config = {"geometry": COLLAR32, "equilibrium": {"kind": "taylor_vortex"}}
+        code, out = _main_with_config(tmp_path, command, config)
+        assert code == EXIT_CONFIG
+        error = json.loads((out / "error.json").read_text())
+        assert error["error_kind"] == "config_error"
+        assert "fully periodic" in error["message"]
 
 
 STAB_GEOM = {
@@ -498,6 +526,10 @@ MISTYPED_CONFIGS = [
     _bad({"carleman": {"calibrate_tau2": 1}}, "calibrate_tau2"),
     _bad({"equilibrium": {"kind": "shear", "params": {"amplitude": "x"}}}, "amplitude"),
     _bad({"equilibrium": {"kind": "taylor_vortex", "params": {"mode_x": 1.5}}}, "mode_x"),
+    # read in validation although the equilibrium is built only with the
+    # generator, and on a grid with walls never
+    _bad({"geometry": COLLAR32, "equilibrium": {"kind": "shear", "params": {"mode": 1.5}}}, "mode"),
+    _bad({"physics": {"nu": -1.0}}, "nu"),
     # misspelled or retired keys
     _bad({"physics": {"sigmaa": 0.0}}, "sigmaa"),
     _bad({"physic": {"sigma": 0.0}}, "physic"),
@@ -549,6 +581,7 @@ def test_mistyped_config_value_is_config_error(tmp_path, command, config, key):
     cfgfile.write_text(json.dumps(config))
     out = tmp_path / "o"
     assert main([command, "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+    assert [f.name for f in out.iterdir()] == ["error.json"]
     error = json.loads((out / "error.json").read_text())
     assert error["error_kind"] == "config_error"
     assert key in error["message"]
@@ -755,8 +788,11 @@ class TestSharedRun:
         monkeypatch.setattr(RunConfig, "validate", counted)
         run = Run(_cfg(**SHARED_CFG))
         assert len(built) == 1
-        assert (run.grid, run.equilibrium, run.regions) == built[0]
+        assert (run.grid, run.regions) == built[0]
+        # the equilibrium is built with the generator, on the validated grid
+        assert "equilibrium" not in vars(run)
         assert run.system.eq is run.equilibrium
+        assert run.equilibrium.grid is run.grid
 
     def test_stages_leave_shared_spectra_unchanged(self, tmp_path):
         run = Run(_cfg(**SHARED_CFG))

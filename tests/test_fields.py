@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mhdlab import BcTag, apply_bc, build_grid
+from mhdlab import build_grid
 from mhdlab.errors import ShapeError
 from oracles import ScalarField, VectorField2, curl2d, divergence, gradient, laplacian, rot
 from oracles import weighted_norm2
@@ -84,42 +84,6 @@ class TestWallClosures:
             s = ScalarField(g, np.sin(X) * np.cos(2 * Y))
             errs[n] = _max_err(gradient(s).u1, np.cos(X) * np.cos(2 * Y))
         assert errs[32] / errs[64] == pytest.approx(4.0, rel=0.3)
-
-
-class TestApplyBc:
-    def test_velocity_dirichlet_zeroes_ring(self, channel):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=(2,) + channel.shape)
-        out = apply_bc(channel, v, BcTag.velocity_dirichlet)
-        ring = channel.boundary_mask()
-        assert np.all(out[0][ring] == 0.0)
-        assert np.all(out[1][ring] == 0.0)
-        inner = ~ring
-        assert np.array_equal(out[0][inner], v[0][inner])
-
-    def test_magnetic_tangential(self, channel):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=(2,) + channel.shape)
-        out = VectorField2(channel, *apply_bc(channel, v, BcTag.magnetic_tangential))
-        ring = channel.boundary_mask()
-        assert np.abs(out.u2[ring]).max() == 0.0  # normal component
-        scale = out.magnitude().max()
-        assert np.abs(curl2d(out).values[ring]).max() < 1e-10 * scale
-
-    def test_periodic_noop(self, box32):
-        rng = np.random.default_rng(2)
-        v = rng.normal(size=(2,) + box32.shape)
-        out = apply_bc(box32, v, "velocity_dirichlet")
-        assert out is not v
-        assert np.array_equal(out[0], v[0])
-        assert np.array_equal(out[1], v[1])
-
-    def test_unknown_tag(self, box32):
-        from mhdlab.errors import ConfigurationError
-
-        v = np.zeros((2,) + box32.shape)
-        with pytest.raises(ConfigurationError):
-            apply_bc(box32, v, "nonsense")
 
 
 class TestWeightedNorm:

@@ -120,14 +120,14 @@ class TestEquilibria:
         b = make_equilibrium("shear", box32, {"mode": 2, "amplitude": 3.0})
         assert np.array_equal(a.y_e[0], b.y_e[0])
 
-    def test_channel_shear_respects_walls(self, channel):
-        X, Y = channel.meshgrid()
-        prof = Y * (channel.Ly - Y)
-        eq = make_equilibrium(
-            "custom", channel, {"y_e": (prof, np.zeros(channel.shape))}
-        )
-        ring = channel.boundary_mask()
-        assert np.abs(eq.y_e[0][ring]).max() < 1e-8 * np.abs(eq.y_e[0]).max()
+    @pytest.mark.parametrize("kind", ["zero", "shear", "taylor_vortex", "custom"])
+    def test_wall_grids_build_no_equilibrium(self, channel, kind):
+        # a grid with walls carries the Carleman stage only, which reads no
+        # equilibrium; its params are still read first
+        with pytest.raises(ConfigurationError, match="fully periodic"):
+            make_equilibrium(kind, channel)
+        with pytest.raises(ConfigurationError, match="nu"):
+            make_equilibrium(kind, channel, nu=-1.0)
 
 
 class TestOseen:
@@ -479,7 +479,8 @@ class TestPressure:
         assert np.abs(p.values).max() < 1e-12
 
     def test_poisson_identity_residual(self, box32):
-        from mhdlab.fields import divergence_matrix, wide_laplacian_matrix
+        from mhdlab.fields import divergence_matrix
+        from oracles import wide_laplacian_matrix
 
         eq = make_equilibrium("taylor_vortex", box32)
         A = MhdSystem(eq, 0.0)
@@ -555,13 +556,17 @@ class TestCommutators:
 
     def test_laplacian_commutator_matches_leibniz(self, regions32, chi32, eq_zero32):
         # [chi,Lap]phi = -phi Lap chi - 2 grad chi . grad phi + O(h^2),
-        # compared on the transition band where all fields are smooth; walls
-        # in y give the system the second-order Laplacian of the expansion
-        from oracles import gradient, laplacian
+        # compared on the transition band where all fields are smooth; the
+        # expansion takes the fourth-order stencils of the system's Laplacian
+        from mhdlab.fields import laplacian_matrix
+
+        def d4(f, h, axis):
+            return (8 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
+                    - (np.roll(f, -2, axis) - np.roll(f, 2, axis))) / (12 * h)
 
         errs = {}
         for n in (32, 64):
-            g = build_grid(L, L, n, n, "periodic", "wall")
+            g = build_grid(L, L, n, n)
             regions = build_nested_regions(g, OmegaSpec(shape="disc", radius=0.15 * L))
             chi = build_cutoff(regions)
             eq = make_equilibrium("zero", g)
@@ -572,11 +577,10 @@ class TestCommutators:
             )
             p = ScalarField(g, np.zeros(g.shape))
             f = build_commutators(chi, s, p, MhdSystem(eq))
-            chi_s = ScalarField(g, chi.values)
-            lap_chi = laplacian(chi_s).values
-            gchi = gradient(chi_s)
-            gphi1 = gradient(ScalarField(g, s.phi.u1))
-            leib1 = -s.phi.u1 * lap_chi - 2.0 * (gchi.u1 * gphi1.u1 + gchi.u2 * gphi1.u2)
+            c, u = chi.values, s.phi.u1
+            lap_chi = (laplacian_matrix(g, 4) @ c.ravel()).reshape(g.shape)
+            grads = d4(c, g.hx, 0) * d4(u, g.hx, 0) + d4(c, g.hy, 1) * d4(u, g.hy, 1)
+            leib1 = -u * lap_chi - 2.0 * grads
             band = regions.omega_star
             errs[n] = np.abs(f.F_chi.u1 - leib1)[band].max()
         assert errs[32] < 0.2  # bounded constant at unit field scale

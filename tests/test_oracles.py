@@ -27,7 +27,8 @@ MOVED = {
                  "tau_sweep_vanishing", "halving_exponents", "_star_integrals",
                  "_grad_energy"],
     "fields": ["gradient", "curl2d", "rot", "weighted_norm2", "ScalarField", "VectorField2",
-               "StateVector", "inner", "restrict", "divergence", "laplacian"],
+               "StateVector", "inner", "restrict", "divergence", "laplacian",
+               "gradient_matrix", "wide_laplacian_matrix", "_apply"],
     "equilibria": ["_advect", "forcings"],
     "projection": ["divergence_residual", "PoissonSolver", "_parity_null_vectors"],
     "stabilize": ["stable_complement_residual"],
@@ -69,6 +70,16 @@ def test_moved_names_live_in_the_oracles_only():
         assert not hasattr(mhdlab, name), name
     assert not hasattr(Equilibrium, "sup_fields")
     assert not hasattr(WeightField, "as_scalar")
+    # the wall projection and boundary conditions: wall grids carry the
+    # Carleman stage only, which builds no equilibrium
+    for module, names in {"projection": ["_wall_pinv", "_DENSE_LIMIT"],
+                          "fields": ["apply_bc", "BcTag"],
+                          "equilibria": ["_BC_TOL"]}.items():
+        mod = importlib.import_module(f"mhdlab.{module}")
+        for name in names:
+            assert not hasattr(mod, name), f"mhdlab.{module}.{name}"
+            assert not hasattr(mhdlab, name), f"mhdlab.{name}"
+    assert not hasattr(Grid, "boundary_mask")
     assert not hasattr(SolenoidalBasis, "diffusion_symbol")
     # the torus projects through the basis alone: no Poisson factorization
     projection = importlib.import_module("mhdlab.projection")

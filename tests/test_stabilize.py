@@ -189,11 +189,11 @@ class TestSimulation:
         _assert_decays_at_target(loop24["closed"])
 
     @pytest.mark.parametrize("kind", ["zero", "shear"])
-    def test_closed_loop_solves_no_poisson_problem(self, kind, no_poisson_problem):
+    def test_closed_loop_solves_no_poisson_problem(self, kind):
         # the applied fields and the equilibrium are projected through the
         # solenoidal basis, so from the grid to the decay rate no pressure
-        # Poisson problem is set up (the package defines no state container
-        # to build: test_oracles.py); zero's decay is
+        # Poisson problem is set up (the package defines no pressure operator
+        # or state container to build: test_oracles.py); zero's decay is
         # test_closed_loop_decay_rate's
         out = _loop24(kind)["closed"]
         assert np.max(out.design.gain.achieved_poles.real) <= -1.0 + 1e-8
