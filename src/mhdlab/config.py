@@ -1,8 +1,10 @@
 """Run configuration: one self-describing JSON document per run.
 
 DEFAULT_CONFIG is the schema: a config may set only its keys, each to a
-value of the kind of its default.  Fractions (``*_frac``) are resolved
-against the domain size so one configuration scales across resolutions.
+value of the kind of its default.  Each length has one key, a fraction
+(``*_frac``) of min(Lx, Ly), so one configuration scales across boxes and
+resolutions; a disc omega reads ``radius_frac`` and a collar ``width_frac``,
+and an absolute length (``omega.radius``, say) is an unknown key.
 Validation builds the grid and the regions, and reads the equilibrium block
 with the param reader that builds the equilibrium, so that every
 precondition fires before any expensive computation starts.  The
@@ -43,17 +45,13 @@ DEFAULT_CONFIG: dict = {
         "omega": {
             "shape": "disc",
             "radius_frac": 0.15,
-            "radius": None,
             "center": None,
             "width_frac": None,
-            "width": None,
             "side": "all",
             "span": [0.0, 1.0],
         },
         "omega1_width_frac": OMEGA1_WIDTH_FRAC,
-        "omega1_width": None,
         "omega_star_width_frac": OMEGA_STAR_WIDTH_FRAC,
-        "omega_star_width": None,
     },
     "equilibrium": {"kind": "zero", "params": {}},
     "physics": {"nu": 1.0, "eta": 1.0, "sigma": 1.5},
@@ -121,14 +119,6 @@ def _checked(default, val, path: tuple = ()):
     return config_number(val, name)
 
 
-def _length(block: dict, key: str, scale: float) -> float | None:
-    """block[key], or else block[key + "_frac"] of scale; None if both are null."""
-    if block[key] is not None:
-        return block[key]
-    frac = block[key + "_frac"]
-    return None if frac is None else frac * scale
-
-
 @dataclass
 class RunConfig:
     """A run's config, every block filled in and checked against
@@ -170,15 +160,19 @@ class RunConfig:
         grid = grid or self.build_grid()
         g, o = self.raw["geometry"], self.raw["geometry"]["omega"]
         minL = min(grid.Lx, grid.Ly)
+        disc = o["shape"] == "disc"
+        frac = o["radius_frac"] if disc else o["width_frac"]
+        if frac is None:
+            raise ConfigurationError("a collar omega needs geometry.omega.width_frac")
         spec = OmegaSpec(
             shape=o["shape"],
             center=None if o["center"] is None else tuple(o["center"]),
-            radius=_length(o, "radius", grid.Lx),
-            width=_length(o, "width", minL),
+            radius=frac * minL if disc else None,
+            width=None if disc else frac * minL,
             side=o["side"],
             span=tuple(o["span"]),
         )
-        w1, ws = _length(g, "omega1_width", minL), _length(g, "omega_star_width", minL)
+        w1, ws = g["omega1_width_frac"] * minL, g["omega_star_width_frac"] * minL
         return build_nested_regions(grid, spec, g["case"], w1, ws)
 
     def build_equilibrium(self, grid: Grid | None = None) -> Equilibrium:
@@ -206,9 +200,7 @@ class RunConfig:
         if any(t <= 0 for t in taus):
             raise ConfigurationError("tau values must be positive")
         if c["tau_scale"] == "4_over_diam":
-            spec = regions.omega_spec
-            outer = (spec.radius or spec.width or 0.0) + regions.omega1_width + regions.omega_star_width
-            diam = 2.0 * outer
+            diam = 2.0 * (regions.omega_spec.size + regions.omega1_width + regions.omega_star_width)
             taus = [t * 4.0 / diam for t in taus]
         if not (0 < c["delta0"] < 1) or c["epsilon"] <= 0:
             raise ConfigurationError("need 0 < delta0 < 1 and epsilon > 0")

@@ -25,7 +25,7 @@ bands is geometry-dependent and is validated and reported, not enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -52,14 +52,24 @@ class GeometryCase(str, Enum):
 
 @dataclass(frozen=True)
 class OmegaSpec:
-    """Control region: a disc (interior case) or a boundary collar."""
+    """Control region: a disc of a radius (interior case) or a boundary collar of a width."""
 
     shape: str = "disc"                    # "disc" | "collar"
-    center: tuple[float, float] | None = None
+    center: tuple[float, float] | None = None  # disc; None: the domain centre
     radius: float | None = None
     width: float | None = None             # collar depth
     side: str = "all"                      # collar: "all" or one of x0,x1,y0,y1
     span: tuple[float, float] = (0.0, 1.0)  # partial collar: fraction along the side
+
+    def __post_init__(self):
+        own, other = ("radius", "width") if self.shape == "disc" else ("width", "radius")
+        if getattr(self, own) is None or getattr(self, other) is not None:
+            raise GeometryError(f"a {self.shape} omega takes a {own} and no {other}")
+
+    @property
+    def size(self) -> float:
+        """The disc's radius or the collar's width."""
+        return self.radius if self.shape == "disc" else self.width
 
 
 @dataclass
@@ -70,10 +80,10 @@ class RegionSet:
     omega_star: np.ndarray
     omega0: np.ndarray
     geometry_case: GeometryCase
+    omega_spec: OmegaSpec  # its center resolved
     dist_to_omega: np.ndarray = field(repr=False)
     omega1_width: float = 0.0
     omega_star_width: float = 0.0
-    omega_spec: OmegaSpec | None = None
 
     @property
     def G(self) -> np.ndarray:
@@ -102,13 +112,13 @@ class RegionSet:
 def _omega_mask(grid: Grid, spec: OmegaSpec, case: GeometryCase) -> np.ndarray:
     X, Y = grid.meshgrid()
     if case is GeometryCase.interior_patch:
-        if spec.shape != "disc" or spec.radius is None:
-            raise GeometryError("interior_patch needs a disc omega with a radius")
-        cx, cy = spec.center if spec.center is not None else (grid.Lx / 2, grid.Ly / 2)
+        if spec.shape != "disc":
+            raise GeometryError("interior_patch needs a disc omega")
+        cx, cy = spec.center
         return np.hypot(X - cx, Y - cy) <= spec.radius
 
-    if spec.width is None:
-        raise GeometryError("collar cases need a collar width")
+    if spec.shape != "collar":
+        raise GeometryError("collar cases need a collar omega")
     if grid.fully_periodic:
         raise GeometryError("collar geometry needs at least one wall direction")
     d_wall = np.full(grid.shape, np.inf)
@@ -170,6 +180,9 @@ def build_nested_regions(
     w1 = omega1_width if omega1_width is not None else OMEGA1_WIDTH_FRAC * minL
     ws = omega_star_width if omega_star_width is not None else OMEGA_STAR_WIDTH_FRAC * minL
 
+    if omega_spec.center is None:
+        omega_spec = replace(omega_spec, center=(grid.Lx / 2, grid.Ly / 2))
+
     omega = _omega_mask(grid, omega_spec, case)
     if not omega.any():
         raise GeometryError("omega is empty at this resolution")
@@ -182,12 +195,8 @@ def build_nested_regions(
     if case is GeometryCase.interior_patch:
         # keep the whole nest strictly inside the box (also guards the
         # non-periodic distance transform against wrap-around artifacts)
-        cx, cy = (
-            omega_spec.center
-            if omega_spec.center is not None
-            else (grid.Lx / 2, grid.Ly / 2)
-        )
-        outer = (omega_spec.radius or 0.0) + w1 + ws
+        cx, cy = omega_spec.center
+        outer = omega_spec.radius + w1 + ws
         margin = min(cx, grid.Lx - cx, cy, grid.Ly - cy)
         if outer >= margin:
             raise GeometryError(
@@ -293,11 +302,8 @@ def build_weight(regions: RegionSet) -> WeightField:
     stretch = (1.0, 1.0)
 
     if case is GeometryCase.interior_patch:
-        ax_, ay_ = (
-            spec.center if spec and spec.center is not None else (g.Lx / 2, g.Ly / 2)
-        )
-        r_omega = spec.radius if spec and spec.radius is not None else 0.0
-        r0_sq = (r_omega + regions.omega1_width) ** 2
+        ax_, ay_ = spec.center
+        r0_sq = (spec.radius + regions.omega1_width) ** 2
     elif case is GeometryCase.full_collar:
         ax_, ay_ = g.Lx / 2, g.Ly / 2
         one_wall_pair = (g.bc_x is BcKind.wall) != (g.bc_y is BcKind.wall)
@@ -317,14 +323,13 @@ def build_weight(regions: RegionSet) -> WeightField:
         r0_sq = None
     else:  # partial_collar: anchor beyond the opposite boundary
         depth = max(g.Lx, g.Ly)
-        side = spec.side if spec else "y0"
         anchors = {
             "y0": (g.Lx / 2, g.Ly + depth),
             "y1": (g.Lx / 2, -depth),
             "x0": (g.Lx + depth, g.Ly / 2),
             "x1": (-depth, g.Ly / 2),
         }
-        ax_, ay_ = anchors[side]
+        ax_, ay_ = anchors[spec.side]
         r0_sq = None
 
     sx, sy = stretch

@@ -139,6 +139,34 @@ class TestRegions:
                 box32, OmegaSpec(shape="collar", width=0.3), GeometryCase.full_collar
             )
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(shape="disc", radius=0.9, width=0.3),
+            dict(shape="collar", width=0.3, radius=0.9),
+            dict(shape="disc"),
+            dict(shape="collar"),
+        ],
+    )
+    def test_omega_spec_carries_its_shape_size_only(self, spec):
+        with pytest.raises(GeometryError, match=f"a {spec['shape']} omega takes a"):
+            OmegaSpec(**spec)
+
+    @pytest.mark.parametrize(
+        "spec, case",
+        [
+            (OmegaSpec(shape="collar", width=0.3), "interior_patch"),
+            (OmegaSpec(shape="disc", radius=0.3), "full_collar"),
+        ],
+    )
+    def test_omega_shape_must_match_the_case(self, spec, case):
+        channel = build_grid(L, 2.0, 32, 16, "periodic", "wall")
+        with pytest.raises(GeometryError, match=r"need.? a (disc|collar) omega"):
+            build_nested_regions(channel, spec, case)
+
+    def test_default_center_is_the_domain_centre(self, regions32):
+        assert regions32.omega_spec.center == (L / 2, L / 2)
+
 
 class TestCutoff:
     def test_plateau_values_exact(self, regions32, chi32):
