@@ -314,6 +314,7 @@ def run_stabilize(run: Run, outdir: Path) -> dict:
             else None,
         )
         if gain is not None:
+            summary.update(gain_norm=gain.gain_norm, sylvester_cond=gain.cond_x)
             write_table(
                 outdir / "gain.txt",
                 [f"c{j}" for j in range(gain.gain.shape[1])],

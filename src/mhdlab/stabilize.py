@@ -43,6 +43,11 @@ BLOWUP_FACTOR = 1e6
 HAUTUS_RTOL = 1e-6
 # Relative spacing of the pole targets below -gamma.
 POLE_SPREAD = 0.02
+# Largest Frobenius norm of a gain the closed loop is run with.  The stock
+# placements on zero and shear at 32^2-64^2 need 28-37; the gains measured
+# to blow the loop up (5.9e4 and more) came from a nearly singular
+# Sylvester X.
+GAIN_LIMIT = 1e4
 
 
 @dataclass
@@ -135,6 +140,8 @@ def project_unstable(
 class FeedbackGain:
     gain: np.ndarray            # (K, N) actuator amplitudes from unstable coords
     achieved_poles: np.ndarray
+    gain_norm: float            # Frobenius norm of gain
+    cond_x: float               # condition number of the Sylvester solution X
 
 
 def _pole_targets(open_loop: np.ndarray, gamma: float) -> np.ndarray:
@@ -227,12 +234,16 @@ def synthesize_feedback(
     Systems & Control Letters 1982): with F a real matrix whose eigenvalues
     are the targets and G = B^T, the solution X of A X - X F = B G gives
     gain = G X^-1 and A - B gain = X F X^-1.  The closed-loop block is
-    verified to satisfy Re(lambda) <= -gamma + POLE_TOL.
+    verified to satisfy Re(lambda) <= -gamma + POLE_TOL, and the gain to
+    have a Frobenius norm of at most GAIN_LIMIT: a placement that passes
+    the pole test only through a nearly singular X drives the loop with
+    gains whose rounding the simulation cannot follow.  Either failure is
+    an UncontrollableError that names cond(X).
     """
     A = np.atleast_2d(np.asarray(unstable_block, dtype=float))
     N = A.shape[0]
     if N == 0:
-        return FeedbackGain(np.zeros((0, 0)), np.zeros(0))
+        return FeedbackGain(np.zeros((0, 0)), np.zeros(0), 0.0, 1.0)
     B = np.atleast_2d(np.asarray(input_map, dtype=float))
     if B.shape[0] != N:
         raise ConfigurationError("input map row count must match the block size")
@@ -248,12 +259,19 @@ def synthesize_feedback(
     except sla.LinAlgError as exc:
         raise UncontrollableError(f"pole placement failed: {exc}") from exc
     achieved = np.linalg.eigvals(A - B @ gain)
+    cond_x = float(np.linalg.cond(X))
     if np.max(achieved.real) > -gamma + POLE_TOL:
         raise UncontrollableError(
             f"closed-loop block kept an eigenvalue at {np.max(achieved.real):.6f} "
-            f"(Sylvester solution cond {np.linalg.cond(X):.3e})"
+            f"(Sylvester solution cond {cond_x:.3e})"
         )
-    return FeedbackGain(gain, achieved)
+    gain_norm = float(np.linalg.norm(gain))
+    if gain_norm > GAIN_LIMIT:
+        raise UncontrollableError(
+            f"pole placement needs a gain of Frobenius norm {gain_norm:.3e} > {GAIN_LIMIT:.0e} "
+            f"(Sylvester solution cond {cond_x:.3e})"
+        )
+    return FeedbackGain(gain, achieved, gain_norm, cond_x)
 
 
 def _real_block(proj: UnstableProjection, A: MhdSystem) -> np.ndarray:

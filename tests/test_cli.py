@@ -273,6 +273,9 @@ class TestRunStabilize:
         assert abs(summary["decay_rate"] - target) <= 0.15 * target
         assert (tmp_path / "trace.txt").exists()
         assert (tmp_path / "gain.txt").exists()
+        gain = np.loadtxt(tmp_path / "gain.txt", ndmin=2)
+        assert summary["gain_norm"] == pytest.approx(np.linalg.norm(gain), rel=1e-11)
+        assert 1.0 <= summary["sylvester_cond"] < 1e3
 
     def test_gain_off_documents_growth(self, tmp_path):
         cfg = _cfg(
@@ -428,12 +431,12 @@ def test_console_entry_point(tmp_path):
     assert "spectrum: ok" in proc.stdout
 
 
-def _run_all_in_fresh_interpreter(out: Path, nx: int, ny: int, threads: int):
-    """``mhdlab all --seed 7`` on the zero nx x ny grid, with ``threads``
-    BLAS threads."""
+def _run_all_in_fresh_interpreter(out: Path, nx: int, ny: int, threads: int, kind: str = "zero"):
+    """``mhdlab all --seed 7`` on the ``kind`` equilibrium on the nx x ny
+    grid, with ``threads`` BLAS threads."""
     out.mkdir(parents=True)
     cfgfile = out.parent / f"{out.name}.json"
-    cfgfile.write_text(json.dumps({"geometry": {"nx": nx, "ny": ny}}))
+    cfgfile.write_text(json.dumps({"equilibrium": {"kind": kind}, "geometry": {"nx": nx, "ny": ny}}))
     src = str(Path(mhdlab.__file__).resolve().parents[1])
     env = dict(
         os.environ,
@@ -450,36 +453,35 @@ def _run_all_in_fresh_interpreter(out: Path, nx: int, ny: int, threads: int):
     )
 
 
-@pytest.mark.parametrize("nx, ny", [
-    (48, 40),
-    pytest.param(40, 48, marks=pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="FOUND (CHANGES.md): on non-square grids the |k| = 1 cluster of zero splits "
-        "(M = 2, K = 4); at 40x48 placement passes the pole gate with a gain of Frobenius "
-        "norm 1.7e7, and the closed loop blows up at step 1 (exit 3)",
-    )),
-])
-def test_non_square_grid_is_stabilized_or_uncontrollable(tmp_path, nx, ny):
-    # a fresh interpreter with one BLAS thread, as measured.  Which side of
-    # the pole gate an ill-conditioned placement lands on follows the last
-    # bits of the input map: 48x40 exits 4 there (pole -0.998203, cond(X)
-    # 5.305e7), 40x48 passes it and blows up (ROADMAP item 2)
-    proc = _run_all_in_fresh_interpreter(tmp_path / "o", nx, ny, threads=1)
+@pytest.mark.parametrize(
+    "kind, nx, ny",
+    [("zero", 48, 40), ("zero", 40, 48), ("shear", 48, 40), ("shear", 40, 48)],
+    ids=["48-40", "40-48", "shear-48-40", "shear-40-48"],
+)
+def test_non_square_grid_is_stabilized_or_uncontrollable(tmp_path, kind, nx, ny):
+    # a fresh interpreter with one BLAS thread, as measured.  On non-square
+    # grids the placement is ill-conditioned (ROADMAP item 2): zero passes
+    # the pole gate with a gain of Frobenius norm 1.7e7 and shear with about
+    # 1e5, and the gain gate stops both (exit 4) before the closed loop
+    # blows up (exit 3)
+    proc = _run_all_in_fresh_interpreter(tmp_path / "o", nx, ny, threads=1, kind=kind)
     assert proc.returncode in (EXIT_OK, EXIT_UNCONTROLLABLE), proc.stdout + proc.stderr
 
 
 def test_non_square_grid_runs_alike_at_one_and_two_threads(tmp_path):
     # zero's spectrum is read off the diagonal of R, so neither it nor the
     # adjoint and placement built on its unit vectors follow the BLAS
-    # thread count: every exit code and output file is the same
-    for nx, ny in [(48, 40), (40, 48)]:
-        runs = [_run_all_in_fresh_interpreter(tmp_path / f"{nx}x{ny}-{t}", nx, ny, threads=t)
-                for t in (1, 2)]
-        assert runs[0].returncode == runs[1].returncode, (nx, ny)
-        files = [{f.name: f.read_bytes() for f in (tmp_path / f"{nx}x{ny}-{t}").iterdir()}
-                 for t in (1, 2)]
-        assert files[0] == files[1], (nx, ny)
+    # thread count: every exit code and output file is the same.  shear's
+    # Arnoldi bases do follow it, so only its exit codes must agree
+    for kind in ("zero", "shear"):
+        for nx, ny in [(48, 40), (40, 48)]:
+            outs = [tmp_path / f"{kind}{nx}x{ny}-{t}" for t in (1, 2)]
+            runs = [_run_all_in_fresh_interpreter(o, nx, ny, threads=t, kind=kind)
+                    for o, t in zip(outs, (1, 2))]
+            assert runs[0].returncode == runs[1].returncode, (kind, nx, ny)
+            if kind == "zero":
+                files = [{f.name: f.read_bytes() for f in o.iterdir()} for o in outs]
+                assert files[0] == files[1], (nx, ny)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

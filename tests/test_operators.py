@@ -14,6 +14,8 @@ from mhdlab import (
     oseen_minus,
     oseen_plus,
 )
+from mhdlab.basis import SolenoidalBasis
+from mhdlab.cli import main
 from mhdlab.errors import ConfigurationError, NumericalError, ShapeError
 from mhdlab.fields import dx_matrix, dy_matrix
 from mhdlab.geometry import OmegaSpec
@@ -369,6 +371,73 @@ class TestSparseReducedMatrix:
             for kind in ("zero", "shear", "taylor_vortex")
         }
         assert nnz == {"zero": 2052, "shear": 5882, "taylor_vortex": 9684}
+
+
+def _mode_values(basis, diagonal):
+    """A block's diagonal entries by flat fft2 index: both members of a
+    conjugate pair read their cos column, a self-conjugate mode its e_x
+    column; the zero mode reads nan."""
+    vals = np.full(basis.grid.ncells, np.nan)
+    vals[basis.pair_kflat] = vals[basis.pair_negkflat] = diagonal[basis.pair_cos_col]
+    x = basis.spec_dir == 0
+    vals[basis.spec_kflat[x]] = diagonal[basis.spec_col[x]]
+    return vals
+
+
+class TestRestSymbols:
+    """At rest R is sigma + diag(nu*s, eta*s), read off the Laplacian
+    symbol with no ambient operator built."""
+
+    @pytest.mark.parametrize(
+        "Lx,Ly,nx,ny",
+        [(L, 0.75 * L, 16, 12), (L, 0.75 * L, 12, 16), (L, L, 32, 32), (L, np.pi, 24, 24)],
+    )
+    def test_equals_the_ambient_reduction(self, Lx, Ly, nx, ny):
+        g = build_grid(Lx, Ly, nx, ny)
+        A = MhdSystem(make_equilibrium("zero", g, nu=0.7, eta=1.3), 1.5)
+        assert A.at_rest
+        ref = operators._reduce_ambient(A.ambient_matrix(), A.basis)
+        ref = ref + A.sigma * sp.identity(ref.shape[0])
+        R = A.matrix
+        assert is_diagonal(R) and R.nnz == A.dim
+        assert abs(R - ref).max() <= 1e-14 * abs(ref).max()
+
+    def test_a_zero_custom_pair_is_at_rest(self, box16):
+        zeros = np.zeros((2,) + box16.shape)
+        custom = MhdSystem(make_equilibrium("custom", box16, {"y_e": zeros, "B_e": zeros}), 1.5)
+        zero = MhdSystem(make_equilibrium("zero", box16), 1.5)
+        assert custom.at_rest
+        for name in ("data", "indices", "indptr"):
+            assert getattr(custom.matrix, name).tobytes() == getattr(zero.matrix, name).tobytes()
+        assert not MhdSystem(make_equilibrium("shear", box16), 1.5).at_rest
+
+    def test_zero_run_builds_no_ambient_operator(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a zero run built part of the ambient operator")
+
+        monkeypatch.setattr(operators.MhdSystem, "ambient_matrix", refuse)
+        monkeypatch.setattr(operators, "_fourier_parts", refuse)
+        monkeypatch.setattr(operators, "vector_laplacian_matrix", refuse)
+        monkeypatch.setattr(SolenoidalBasis, "synthesis_matrix", refuse)
+        assert main(["all", "--seed", "7", "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("nx,ny", [(16, 12), (32, 32), (33, 31)])
+    def test_mirrored_modes_get_equal_bits(self, nx, ny):
+        # the symbol is even in each frequency, and so are its bits:
+        # (mx, my) and its mirrors (-mx, my), (mx, -my), and on a square box
+        # (my, mx), share one diagonal entry
+        g = build_grid(L, L if nx == ny else 0.75 * L, nx, ny)
+        A = MhdSystem(make_equilibrium("zero", g, nu=0.7, eta=1.3), 1.5)
+        diag, m = A.matrix.diagonal(), A.basis.dim
+        mx, my = np.divmod(np.arange(g.ncells), ny)
+        mirrors = [((-mx) % nx) * ny + my, mx * ny + (-my) % ny]
+        if nx == ny:
+            mirrors.append(my * ny + mx)
+        for block in (diag[:m], diag[m:]):
+            vals = _mode_values(A.basis, block)
+            assert np.isnan(vals[0]) and not np.isnan(vals[1:]).any()
+            for mirror in mirrors:
+                assert vals[1:].tobytes() == vals[mirror][1:].tobytes()
 
 
 class TestDiagonalShiftedSolve:

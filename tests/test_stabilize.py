@@ -123,6 +123,15 @@ class TestSynthesizeFeedback:
         gain = synthesize_feedback(np.array([[0.5]]), np.array([[1.0]]), gamma=2.0)
         assert gain.gain[0, 0] == pytest.approx(2.5, rel=1e-10)
         assert gain.achieved_poles[0].real == pytest.approx(-2.0, rel=1e-10)
+        assert gain.gain_norm == pytest.approx(2.5, rel=1e-10)
+        assert gain.cond_x == 1.0
+
+    def test_gain_past_the_limit_is_uncontrollable(self):
+        # a weak input places the pole exactly, with a gain of 2.5e5
+        B = np.array([[1e-5]])
+        with pytest.raises(UncontrollableError, match=r"Frobenius norm 2\.500e\+05 > 1e\+04.*cond"):
+            synthesize_feedback(np.array([[0.5]]), B, gamma=2.0)
+        assert synthesize_feedback(np.array([[0.5]]), 1e4 * B, gamma=2.0).gain_norm < stabilize.GAIN_LIMIT
 
     def test_empty_block(self):
         gain = synthesize_feedback(np.zeros((0, 0)), np.zeros((0, 0)), gamma=1.0)
