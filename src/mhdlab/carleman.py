@@ -249,18 +249,14 @@ def inequality_sweep_stack(
 
 
 def sweep(
-    psi: WeightField,
-    rng: np.random.Generator,
-    n_fields: int,
-    params_seq: list[CarlemanParams],
-    h_ref: float | None = None,
+    psi: WeightField, rng: np.random.Generator, n_fields: int, params_seq: list[CarlemanParams]
 ) -> Sweep:
     """The weighted inequality for n_fields seeded scalar
     ``draw_test_fields`` fields at every entry of params_seq: the stacks'
     sweeps joined along the field axis, in draw order."""
     stacks = [
         inequality_sweep_stack(fields, psi, params_seq)
-        for fields in draw_test_fields(psi.regions, rng, n_fields, h_ref=h_ref)
+        for fields in draw_test_fields(psi.regions, rng, n_fields)
     ]
     return Sweep(*(np.concatenate(column, axis=1) for column in zip(*stacks)))
 
@@ -269,22 +265,16 @@ def sweep(
 # Seeded test fields
 # ---------------------------------------------------------------------------
 
-def _band_mollifier(regions: RegionSet, h_ref: float | None = None) -> np.ndarray:
-    """C^2 bump over the band G, exactly zero within _MARGIN_CELLS cells of dG.
-
-    h_ref sets the cell size the margin is measured in; the default (the
-    larger spacing) is safe for isotropic nests, while strongly anisotropic
-    collars can pass the band-normal spacing instead.
-    """
-    g = regions.grid
-    h = h_ref if h_ref is not None else max(g.hx, g.hy)
+def _band_mollifier(regions: RegionSet) -> np.ndarray:
+    """C^2 bump over the band G, exactly zero within _MARGIN_CELLS cells
+    (of ``regions.band_cell``) of dG."""
+    h = regions.band_cell
     d = regions.dist_to_omega
     lo = _MARGIN_CELLS * h
     hi = regions.omega1_width + regions.omega_star_width - _MARGIN_CELLS * h
     if hi - lo <= 0:
         raise ConfigurationError(
-            "band too thin for the requested Cauchy margin; widen the bands "
-            "or pass a smaller h_ref"
+            "band too thin for the Cauchy margin of the test fields; widen the bands or refine"
         )
     t = (d - lo) / (hi - lo)
     prof = np.where((t > 0) & (t < 1), (np.clip(t, 0, 1) * (1 - np.clip(t, 0, 1))) ** 3, 0.0)
@@ -330,11 +320,7 @@ def _cosine_sums(
 
 
 def draw_test_fields(
-    regions: RegionSet,
-    rng: np.random.Generator,
-    n_fields: int,
-    kind: str = "scalar",
-    h_ref: float | None = None,
+    regions: RegionSet, rng: np.random.Generator, n_fields: int, kind: str = "scalar"
 ) -> Iterator[np.ndarray]:
     """n_fields random smooth bumps compactly supported in G with zero
     Cauchy data, in (field, component, x, y) stacks of at most about
@@ -349,7 +335,7 @@ def draw_test_fields(
     size.
     """
     g = regions.grid
-    moll = _band_mollifier(regions, h_ref).ravel()
+    moll = _band_mollifier(regions).ravel()
     cells = np.flatnonzero(moll)
     moll = moll[cells]
     ncomp = 1 if kind == "scalar" else 2

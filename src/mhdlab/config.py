@@ -4,7 +4,8 @@ DEFAULT_CONFIG is the schema: a config may set only its keys, each to a
 value of the kind of its default.  Each length has one key, a fraction
 (``*_frac``) of min(Lx, Ly), so one configuration scales across boxes and
 resolutions; a disc omega reads ``radius_frac`` and a collar ``width_frac``,
-and an absolute length (``omega.radius``, say) is an unknown key.
+an absolute length (``omega.radius``, say) is an unknown key, and an omega
+key that the shape or case does not read must keep its default.
 Validation builds the grid and the regions, and reads the equilibrium block
 with the param reader that builds the equilibrium, so that every
 precondition fires before any expensive computation starts.  The
@@ -18,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import Equilibrium, config_int, config_number, make_equilibrium, read_params
+from .equilibria import (
+    STOCK_KINDS,
+    Equilibrium,
+    config_int,
+    config_number,
+    make_equilibrium,
+    read_params,
+)
 from .errors import ConfigurationError
 from .geometry import (
     OMEGA1_WIDTH_FRAC,
@@ -59,8 +67,7 @@ DEFAULT_CONFIG: dict = {
     "carleman": {
         "delta0": 0.5,
         "epsilon": 0.5,
-        "tau_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-        "tau_scale": "4_over_diam",
+        "tau_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],  # in units of 4 / diameter
         "n_fields": 100,
         "tau2_bound": 0.0,
         "calibrate_tau2": False,
@@ -75,8 +82,7 @@ _CHOICES = {
     "case": tuple(c.value for c in GeometryCase),
     "shape": ("disc", "collar"),
     "side": ("all", "x0", "x1", "y0", "y1"),
-    "kind": ("zero", "shear", "taylor_vortex"),
-    "tau_scale": ("4_over_diam", "absolute"),
+    "kind": STOCK_KINDS,
 }
 _PAIRS = ("center", "span")  # lists of exactly two numbers
 
@@ -161,14 +167,20 @@ class RunConfig:
         g, o = self.raw["geometry"], self.raw["geometry"]["omega"]
         minL = min(grid.Lx, grid.Ly)
         disc = o["shape"] == "disc"
-        frac = o["radius_frac"] if disc else o["width_frac"]
-        if frac is None:
+        if not disc and o["width_frac"] is None:
             raise ConfigurationError("a collar omega needs geometry.omega.width_frac")
+        # radius_frac, a number by default, cannot be told unset on a collar
+        partial = g["case"] == GeometryCase.partial_collar.value
+        read = {"width_frac": not disc, "center": disc, "side": partial, "span": partial}
+        for key in (k for k, r in read.items() if not r):
+            if o[key] != DEFAULT_CONFIG["geometry"]["omega"][key]:
+                raise ConfigurationError(
+                    f"geometry.omega.{key} is not read by a {o['shape']} omega in {g['case']}"
+                )
         spec = OmegaSpec(
             shape=o["shape"],
+            size=(o["radius_frac"] if disc else o["width_frac"]) * minL,
             center=None if o["center"] is None else tuple(o["center"]),
-            radius=frac * minL if disc else None,
-            width=None if disc else frac * minL,
             side=o["side"],
             span=tuple(o["span"]),
         )
@@ -192,23 +204,20 @@ class RunConfig:
         return dict(self.raw["spectral"])
 
     def carleman_options(self, regions: RegionSet) -> dict:
-        """The carleman block, with ``tau_list`` the tau grid as scaled."""
+        """The carleman block, with ``tau_list`` the tau grid times 4 / diameter."""
         c = self.raw["carleman"]
         taus = c["tau_grid"]
         if not taus:
             raise ConfigurationError("carleman tau_grid must be nonempty")
         if any(t <= 0 for t in taus):
             raise ConfigurationError("tau values must be positive")
-        if c["tau_scale"] == "4_over_diam":
-            diam = 2.0 * (regions.omega_spec.size + regions.omega1_width + regions.omega_star_width)
-            taus = [t * 4.0 / diam for t in taus]
         if not (0 < c["delta0"] < 1) or c["epsilon"] <= 0:
             raise ConfigurationError("need 0 < delta0 < 1 and epsilon > 0")
         if c["n_fields"] < 1:
             raise ConfigurationError("carleman n_fields must be >= 1")
         if c["tau2_bound"] < 0:
             raise ConfigurationError("carleman tau2_bound must be >= 0")
-        return dict(c, tau_list=taus)
+        return dict(c, tau_list=[t * 4.0 / regions.diameter for t in taus])
 
     def stabilize_options(self) -> dict:
         s = self.raw["stabilize"]

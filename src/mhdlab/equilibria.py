@@ -76,6 +76,8 @@ _PARAMS = {
     "taylor_vortex": {"amplitude": config_number, "mode_x": config_int, "mode_y": config_int},
     "custom": {"y_e": None, "B_e": None},
 }
+# the kinds a config names; custom fields are given through the API only
+STOCK_KINDS = tuple(k for k in _PARAMS if k != "custom")
 
 
 def read_params(

@@ -50,26 +50,15 @@ class GeometryCase(str, Enum):
     partial_collar = "partial_collar"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class OmegaSpec:
-    """Control region: a disc of a radius (interior case) or a boundary collar of a width."""
+    """Control region: a disc (interior case) or a boundary collar, of one size."""
 
     shape: str = "disc"                    # "disc" | "collar"
+    size: float                            # the disc's radius or the collar's depth
     center: tuple[float, float] | None = None  # disc; None: the domain centre
-    radius: float | None = None
-    width: float | None = None             # collar depth
     side: str = "all"                      # collar: "all" or one of x0,x1,y0,y1
     span: tuple[float, float] = (0.0, 1.0)  # partial collar: fraction along the side
-
-    def __post_init__(self):
-        own, other = ("radius", "width") if self.shape == "disc" else ("width", "radius")
-        if getattr(self, own) is None or getattr(self, other) is not None:
-            raise GeometryError(f"a {self.shape} omega takes a {own} and no {other}")
-
-    @property
-    def size(self) -> float:
-        """The disc's radius or the collar's width."""
-        return self.radius if self.shape == "disc" else self.width
 
 
 @dataclass
@@ -89,6 +78,20 @@ class RegionSet:
     def G(self) -> np.ndarray:
         """Working band Omega1 u OmegaStar."""
         return self.omega1 | self.omega_star
+
+    @property
+    def diameter(self) -> float:
+        """Diameter of the nest: twice omega's size plus both band widths."""
+        return 2.0 * (self.omega_spec.size + self.omega1_width + self.omega_star_width)
+
+    @property
+    def band_cell(self) -> float:
+        """Cell size the band margins count in: the wall-normal spacing for
+        a full collar on one wall pair, the larger spacing otherwise."""
+        g = self.grid
+        if self.geometry_case is GeometryCase.full_collar and g.bc_x is not g.bc_y:
+            return g.hy if g.bc_y is BcKind.wall else g.hx
+        return max(g.hx, g.hy)
 
     def validate(self) -> None:
         total = (
@@ -115,7 +118,7 @@ def _omega_mask(grid: Grid, spec: OmegaSpec, case: GeometryCase) -> np.ndarray:
         if spec.shape != "disc":
             raise GeometryError("interior_patch needs a disc omega")
         cx, cy = spec.center
-        return np.hypot(X - cx, Y - cy) <= spec.radius
+        return np.hypot(X - cx, Y - cy) <= spec.size
 
     if spec.shape != "collar":
         raise GeometryError("collar cases need a collar omega")
@@ -136,7 +139,7 @@ def _omega_mask(grid: Grid, spec: OmegaSpec, case: GeometryCase) -> np.ndarray:
         chosen = [spec.side]
     for k in chosen:
         d_wall = np.minimum(d_wall, sides[k][1])
-    mask = d_wall <= spec.width
+    mask = d_wall <= spec.size
     if case is GeometryCase.partial_collar:
         lo, hi = spec.span
         along = X / grid.Lx if spec.side in ("y0", "y1") else Y / grid.Ly
@@ -196,7 +199,7 @@ def build_nested_regions(
         # keep the whole nest strictly inside the box (also guards the
         # non-periodic distance transform against wrap-around artifacts)
         cx, cy = omega_spec.center
-        outer = omega_spec.radius + w1 + ws
+        outer = omega_spec.size + w1 + ws
         margin = min(cx, grid.Lx - cx, cy, grid.Ly - cy)
         if outer >= margin:
             raise GeometryError(
@@ -227,14 +230,13 @@ def build_nested_regions(
 def transition_band(regions: RegionSet) -> tuple[float, float]:
     """Distances (lo, hi) from omega over which the cutoff falls from 1 to
     0, inside the guard layers of OmegaStar; raises ResolutionError when the
-    band is narrower than MIN_TRANSITION_CELLS cells."""
-    g = regions.grid
-    hmax = max(g.hx, g.hy)
-    lo = regions.omega1_width + CHI_ONE_LAYER_CELLS * hmax
-    hi = regions.omega1_width + regions.omega_star_width - CHI_ZERO_LAYER_CELLS * hmax
-    if hi - lo < MIN_TRANSITION_CELLS * hmax:
+    band is narrower than MIN_TRANSITION_CELLS cells of ``band_cell``."""
+    h = regions.band_cell
+    lo = regions.omega1_width + CHI_ONE_LAYER_CELLS * h
+    hi = regions.omega1_width + regions.omega_star_width - CHI_ZERO_LAYER_CELLS * h
+    if hi - lo < MIN_TRANSITION_CELLS * h:
         raise ResolutionError(
-            f"cutoff transition band is {(hi - lo) / hmax:.2f} cells wide; "
+            f"cutoff transition band is {(hi - lo) / h:.2f} cells wide; "
             f"need at least {MIN_TRANSITION_CELLS} (widen omega_star or refine)"
         )
     return lo, hi
@@ -303,7 +305,7 @@ def build_weight(regions: RegionSet) -> WeightField:
 
     if case is GeometryCase.interior_patch:
         ax_, ay_ = spec.center
-        r0_sq = (spec.radius + regions.omega1_width) ** 2
+        r0_sq = (spec.size + regions.omega1_width) ** 2
     elif case is GeometryCase.full_collar:
         ax_, ay_ = g.Lx / 2, g.Ly / 2
         one_wall_pair = (g.bc_x is BcKind.wall) != (g.bc_y is BcKind.wall)

@@ -31,7 +31,7 @@ def channel():
 
 @pytest.fixture(scope="session")
 def regions32(box32):
-    return build_nested_regions(box32, OmegaSpec(shape="disc", radius=0.15 * L))
+    return build_nested_regions(box32, OmegaSpec(shape="disc", size=0.15 * L))
 
 
 @pytest.fixture(scope="session")

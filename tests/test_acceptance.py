@@ -159,9 +159,7 @@ def test_criterion_5_carleman_coefficients():
 
 @pytest.fixture(scope="module")
 def carleman_sweep(regions32, psi32):
-    spec = regions32.omega_spec
-    diam = 2 * (spec.radius + regions32.omega1_width + regions32.omega_star_width)
-    taus = [c * 4.0 / diam for c in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
+    taus = [c * 4.0 / regions32.diameter for c in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
     params = [CarlemanParams.for_weight(t, psi32) for t in taus]
     return taus, carleman.sweep(psi32, np.random.default_rng(777), 100, params)
 
@@ -279,7 +277,7 @@ def test_criterion_10_closed_loop():
     N = rep.N
     regions = build_nested_regions(
         grid,
-        OmegaSpec(shape="disc", radius=0.08 * L),
+        OmegaSpec(shape="disc", size=0.08 * L),
         omega1_width=0.04 * L,
         omega_star_width=0.08 * L,
     )

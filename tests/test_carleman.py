@@ -25,9 +25,7 @@ from oracles import tau_sweep_vanishing, to_state, weighted_norm2
 
 
 def tau_grid(regions):
-    spec = regions.omega_spec
-    diam = 2 * (spec.radius + regions.omega1_width + regions.omega_star_width)
-    return [c * 4.0 / diam for c in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
+    return [c * 4.0 / regions.diameter for c in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
 
 
 class TestCoefficients:
@@ -165,7 +163,7 @@ class TestIntegratedInequality:
         g = build_grid(2 * np.pi, 2.0, 32, 32, "periodic", "wall")
         regions = build_nested_regions(
             g,
-            OmegaSpec(shape="collar", width=0.25),
+            OmegaSpec(shape="collar", size=0.25),
             GeometryCase.full_collar,
             omega1_width=0.2,
             omega_star_width=0.4,
@@ -175,7 +173,7 @@ class TestIntegratedInequality:
         rng = np.random.default_rng(50)
         taus = [c * 4.0 / 1.8 for c in (1.0, 2.0, 4.0, 8.0, 16.0)]
         params = [CarlemanParams.for_weight(t, psi) for t in taus]
-        s = sweep(psi, rng, 10, params, h_ref=g.hy)
+        s = sweep(psi, rng, 10, params)
         tau0 = find_tau0(taus, s.passed)
         assert tau0 is not None
         # small rho: the gradient coefficient flags tau-too-small low in the grid

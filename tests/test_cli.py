@@ -36,6 +36,21 @@ FAST_SPECTRAL = {"spectral": {"count": 10}}
 ONE_CELL_OMEGA = {"omega": {"radius_frac": 0.01}}
 # a 32^2 channel, walls in y, whose omega is a collar along both walls
 COLLAR32 = {"bc_y": "wall", "case": "full_collar", "omega": {"shape": "collar", "width_frac": 0.1}}
+# a 2pi x 2 channel on 32^2 cells: its wall-normal cells are about three
+# times finer than its periodic ones
+FINE_WALL_CHANNEL = {
+    "Ly": 2.0,
+    "bc_y": "wall",
+    "case": "full_collar",
+    "omega": {"shape": "collar", "width_frac": 0.125},
+    "omega1_width_frac": 0.1,
+    "omega_star_width_frac": 0.26,
+}
+
+
+def _collar32(**omega):
+    """COLLAR32 with these omega keys set as well."""
+    return dict(COLLAR32, omega={**COLLAR32["omega"], **omega})
 
 
 def _cfg(**over):
@@ -45,9 +60,11 @@ def _cfg(**over):
     return RunConfig.from_dict(base)
 
 
-def _absolute_taus(*taus):
-    """A config whose carleman stage checks exactly ``taus``."""
-    return {"carleman": {"tau_grid": list(taus), "tau_scale": "absolute"}}
+def _default_taus(*taus):
+    """A config whose carleman stage checks ``taus`` on the default nest:
+    its tau grid is ``taus`` in units of 4 / the nest's diameter."""
+    unit = 4.0 / RunConfig.from_dict().build_regions().diameter
+    return {"carleman": {"tau_grid": [t / unit for t in taus]}}
 
 
 def _main_with_config(tmp_path, command, config, *flags):
@@ -129,12 +146,21 @@ class TestRunCarleman:
         cfg = _cfg(geometry={"nx": 64, "ny": 64, "bc_y": "wall", "case": "full_collar",
                              "omega": {"shape": "collar", "width_frac": 0.1}})
         regions = cfg.build_regions()
-        outer = regions.omega_spec.width + regions.omega1_width + regions.omega_star_width
+        assert regions.diameter == pytest.approx(2.0 * (0.1 + 0.07 + 0.26) * 2 * np.pi, rel=1e-12)
         tau = cfg.carleman_options(regions)["tau_list"][0]
-        # the first tau of the default grid, 0.5, times 4 / diam; scaled by
-        # the disc default radius instead, it would read 0.33157
-        assert tau == pytest.approx(0.5 * 4.0 / (2.0 * outer), rel=1e-12)
+        # the first tau of the default grid, 0.5, times 4 / diameter; scaled
+        # by the disc default radius instead, it would read 0.33157
+        assert tau == 0.5 * 4.0 / regions.diameter
         assert tau == pytest.approx(0.37013, abs=1e-5)
+
+    def test_channel_with_finer_wall_cells_passes(self, tmp_path):
+        # the band margins count in the wall-normal cells: counted in the
+        # larger periodic ones, the transition band was -2.35 cells wide
+        config = {"geometry": FINE_WALL_CHANNEL}
+        code, out = _main_with_config(tmp_path, "carleman", config, "--seed", "7")
+        assert code == EXIT_OK
+        summary = json.loads((out / "carleman_summary.json").read_text())
+        assert summary["all_pass"] and summary["tau0"] is not None
 
     @pytest.mark.xfail(
         strict=True,
@@ -202,17 +228,18 @@ class TestRunCarleman:
         summary = run_carleman(Run(cfg), tmp_path)
         assert summary["tau2_bound"] >= 0.0
 
-    def test_absolute_tau_grid_is_used_as_given(self, tmp_path):
-        config = _absolute_taus(1.0, 2.0)
+    def test_tau_grid_is_in_units_of_4_over_diameter(self, tmp_path):
+        config = {"carleman": {"tau_grid": [1.0, 2.0]}}
         code, out = _main_with_config(tmp_path, "carleman", config, "--seed", "7")
         assert code == EXIT_OK
         data = json.loads((out / "carleman_summary.json").read_text())
-        assert data["tau_list"] == [1.0, 2.0]
+        diameter = RunConfig.from_dict().build_regions().diameter
+        assert data["tau_list"] == [1.0 * 4.0 / diameter, 2.0 * 4.0 / diameter]
 
     def test_tau_whose_weighted_integrals_underflow_is_numerical_error(self, tmp_path):
         # on the default 32^2 grid every weighted integral at tau = 200 is
         # 0.0: the rows would be zeros that pass
-        code, out = _main_with_config(tmp_path, "carleman", _absolute_taus(200.0))
+        code, out = _main_with_config(tmp_path, "carleman", _default_taus(200.0))
         assert code == EXIT_NUMERICAL
         error = json.loads((out / "error.json").read_text())
         assert error["error_kind"] == "numerical_error"
@@ -223,7 +250,7 @@ class TestRunCarleman:
     def test_large_tau_runs_without_warnings(self, tmp_path):
         # psi exceeds its maximum over G outside G, where the weight at a
         # large tau would overflow; it is formed on the cells of G only
-        code, _ = _main_with_config(tmp_path, "carleman", _absolute_taus(50.0))
+        code, _ = _main_with_config(tmp_path, "carleman", _default_taus(50.0))
         assert code == EXIT_OK
 
     def test_wall_grid_tables_are_the_same_for_every_equilibrium(self, tmp_path):
@@ -520,11 +547,9 @@ def test_default_config_validates():
 
 
 def test_every_length_is_a_fraction_of_the_shorter_side():
-    # a 2pi x pi box: the disc radius and both bands scale with Ly, and the
-    # disc carries no width
+    # a 2pi x pi box: the disc radius and both bands scale with Ly
     regions = _cfg(geometry=STAB_GEOM).build_regions()
-    assert regions.omega_spec.radius == 0.16 * np.pi
-    assert regions.omega_spec.width is None
+    assert regions.omega_spec.size == 0.16 * np.pi
     assert regions.omega1_width == 0.05 * np.pi
     assert regions.omega_star_width == 0.10 * np.pi
 
@@ -562,12 +587,19 @@ MISTYPED_CONFIGS = [
     _bad({"spectral": {"degenerate_fixtur": True}}, "degenerate_fixtur"),
     _bad({"spectral": {"degenerate_fixture": True}}, "degenerate_fixture"),
     _bad({"spectral": {"strategy": "shift_invert"}}, "spectral.strategy"),
+    _bad({"carleman": {"tau_scale": "absolute"}}, "carleman.tau_scale"),
     # the absolute lengths: each length is set only as a fraction of min(Lx, Ly)
     _bad({"geometry": {"omega": {"radius": 0.9}}}, "geometry.omega.radius"),
     _bad({"geometry": {"omega": {"width": 0.6}}}, "geometry.omega.width"),
     _bad({"geometry": {"omega1_width": 0.4}}, "geometry.omega1_width"),
     _bad({"geometry": {"omega_star_width": 1.6}}, "geometry.omega_star_width"),
     _bad({"equilibrium": {"kind": "shear", "params": {"amplitud": 5}}}, "amplitud"),
+    # omega keys that the shape or case does not read
+    _bad({"geometry": _collar32(side="y0")}, "geometry.omega.side"),
+    _bad({"geometry": _collar32(span=[0.25, 0.75])}, "geometry.omega.span"),
+    _bad({"geometry": {"omega": {"side": "x0"}}}, "geometry.omega.side"),
+    _bad({"geometry": {"omega": {"width_frac": 0.1}}}, "geometry.omega.width_frac"),
+    _bad({"geometry": _collar32(center=[1.0, 1.0])}, "geometry.omega.center"),
     # values that ended in a traceback
     _bad({"geometry": {"omega": {"center": ["a", "b"]}}}, "center"),
     _bad({"geometry": {"omega": {"center": [1.0]}}}, "center"),
@@ -602,6 +634,8 @@ MISTYPED_CONFIGS = [
     # choice strings
     _bad({"geometry": {"case": "bogus"}}, "case"),
     _bad({"geometry": {"bc_x": "bogus"}}, "bc_x"),
+    # custom equilibria take arrays: the API builds them, a config cannot
+    _bad({"equilibrium": {"kind": "custom"}}, "kind"),
 ]
 
 

@@ -705,7 +705,7 @@ class TestOmegaFields:
 
 class TestGram:
     def test_single_mode_gram_is_norm(self, box16, regions16=None):
-        regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
+        regions = build_nested_regions(box16, OmegaSpec(shape="disc", size=0.15 * L))
         f = _synthetic_field(box16, 1)
         gm = ucp_gram_test((f * regions.omega)[None], box16.cell_area)
         p = _state(box16, f)
@@ -717,7 +717,7 @@ class TestGram:
         assert gm.passed
 
     def test_degenerate_fixture_fails(self, box16):
-        regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
+        regions = build_nested_regions(box16, OmegaSpec(shape="disc", size=0.15 * L))
         omega = regions.omega
         a = _synthetic_field(box16, 2)
         b_deg = _synthetic_field(box16, 3)
@@ -776,7 +776,7 @@ class TestActuatorsAndKalman:
         assert len(select_actuators([], regions32.grid.cell_area)) == 0
 
     def test_single_mode_actuator(self, box16):
-        regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
+        regions = build_nested_regions(box16, OmegaSpec(shape="disc", size=0.15 * L))
         f = _synthetic_field(box16, 4)
         acts = select_actuators([(f * regions.omega)[None]], box16.cell_area)
         assert len(acts) == 1
@@ -801,14 +801,14 @@ class TestActuatorsAndKalman:
             assert km.passed and km.rank == km.ell
 
     def test_zeroed_actuators_rank_zero(self, box16):
-        regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
+        regions = build_nested_regions(box16, OmegaSpec(shape="disc", size=0.15 * L))
         f = _synthetic_field(box16, 5) * regions.omega
         zero_act = np.zeros((1, 2, 2) + box16.shape)
         km = kalman_rank(zero_act, [f[None]], box16.cell_area)[0]
         assert km.rank == 0 and not km.passed
 
     def test_restricted_eigenfunction_row(self, box16):
-        regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
+        regions = build_nested_regions(box16, OmegaSpec(shape="disc", size=0.15 * L))
         omega = regions.omega
         f = _synthetic_field(box16, 6)
         u = (f * omega)[None]
@@ -823,7 +823,7 @@ class TestActuatorsAndKalman:
 
     def test_multiplicity_2_1_synthetic(self, box16):
         # two distinct clusters with ell = (2, 1): per-cluster rank equals ell
-        regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
+        regions = build_nested_regions(box16, OmegaSpec(shape="disc", size=0.15 * L))
         omega = regions.omega
         c1 = np.array([_synthetic_field(box16, 7), _synthetic_field(box16, 8)]) * omega
         c2 = _synthetic_field(box16, 9)[None] * omega
@@ -837,7 +837,7 @@ class TestActuatorsAndKalman:
     def test_gram_failure_blocks_actuators(self, box16):
         # an identical copy: the omega-Gram is singular and the second
         # actuator lies in the span of the first
-        regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
+        regions = build_nested_regions(box16, OmegaSpec(shape="disc", size=0.15 * L))
         a = _synthetic_field(box16, 10) * regions.omega
         with pytest.raises(UncontrollableError):
             select_actuators([np.array([a, a.copy()])], box16.cell_area)
@@ -845,7 +845,7 @@ class TestActuatorsAndKalman:
     def test_gram_kalman_agreement_randomized(self, box16):
         # with actuators = omega-restricted eigenfunctions, Kalman rank
         # succeeds exactly when the omega-Gram is nondegenerate
-        regions = build_nested_regions(box16, OmegaSpec(shape="disc", radius=0.15 * L))
+        regions = build_nested_regions(box16, OmegaSpec(shape="disc", size=0.15 * L))
         omega = regions.omega
         rng = np.random.default_rng(123)
         agreements = 0

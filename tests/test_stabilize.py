@@ -52,7 +52,7 @@ def _loop24(kind="zero"):
     arep = adjoint_eigenpairs(A, rep)
     regions = build_nested_regions(
         g,
-        OmegaSpec(shape="disc", radius=0.08 * L),
+        OmegaSpec(shape="disc", size=0.08 * L),
         omega1_width=0.04 * L,
         omega_star_width=0.08 * L,
     )
