@@ -5,8 +5,8 @@ Two checks live here:
 * coefficient formulas of the pointwise estimate (exact arithmetic in the
   inputs);
 * the integrated inequality over the working band G for fields with zero
-  Cauchy data on its boundary, with an empirically located threshold tau0
-  and an optional calibrated tau^2 correction bound.  ``sweep`` draws the
+  Cauchy data on its boundary, checked with the coefficients exactly as
+  stated, and an empirically located threshold tau0.  ``sweep`` draws the
   seeded test fields and checks them at every tau in one call, and returns
   a ``Sweep`` of (tau, field) arrays.
 
@@ -55,7 +55,6 @@ class CarlemanParams:
     epsilon: float = 0.5
     rho: float = 1.0
     kgrad: float = 1.0
-    tau2_bound: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.delta0 < 1.0):
@@ -64,12 +63,10 @@ class CarlemanParams:
             raise ConfigurationError("epsilon must be positive")
         if self.tau <= 0.0:
             raise ConfigurationError("tau must be positive")
-        if self.tau2_bound < 0.0:
-            raise ConfigurationError("tau2_bound must be >= 0")
 
     @classmethod
-    def for_weight(cls, tau: float, weight: WeightField, delta0=0.5, epsilon=0.5, tau2_bound=0.0):
-        return cls(tau, delta0, epsilon, weight.rho, weight.kgrad, tau2_bound)
+    def for_weight(cls, tau: float, weight: WeightField, delta0=0.5, epsilon=0.5):
+        return cls(tau, delta0, epsilon, weight.rho, weight.kgrad)
 
 
 class Coefficients(NamedTuple):
@@ -82,8 +79,9 @@ def coefficients(p: CarlemanParams) -> Coefficients:
     """Pointwise-estimate coefficients; c_grad <= 0 signals tau too small.
 
     c_grad = delta0*(2*rho*tau - eps/2), c_zero = 4*rho*k^2*tau^3*(1-delta0)
-    (leading order; the tau^2 correction is carried separately as a bound),
-    c_rhs = 1 + 1/eps.
+    (leading order), c_rhs = 1 + 1/eps.  The sweep checks the integrated
+    inequality with these coefficients as they stand: no lower-order tau^2
+    term weakens c_zero.
     """
     c_grad = p.delta0 * (2.0 * p.rho * p.tau - p.epsilon / 2.0)
     c_zero = 4.0 * p.rho * p.kgrad**2 * p.tau**3 * (1.0 - p.delta0)
@@ -128,23 +126,21 @@ def _dilate(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_weight(psi: WeightField, G: np.ndarray, tau: float) -> np.ndarray:
-    """The normalized weight at tau on the cells of G; built once per
-    (G, tau) and kept on psi."""
-    key = (G.tobytes(), tau)
-    if key not in psi._cache:
-        on_G = psi.psi[G]
-        psi._cache[key] = np.exp(2.0 * tau * (on_G - float(on_G.max())))
-    return psi._cache[key]
+def _band_weight(psi: WeightField, tau: float) -> np.ndarray:
+    """The normalized weight at tau on the cells of psi's band G; built
+    once per tau and kept on psi."""
+    if tau not in psi._cache:
+        on_G = psi.psi[psi.regions.G]
+        psi._cache[tau] = np.exp(2.0 * tau * (on_G - float(on_G.max())))
+    return psi._cache[tau]
 
 
-def _band_rings(psi: WeightField, G: np.ndarray) -> np.ndarray:
-    """The boundary rings of G as a flat cell mask; built once per G and
-    kept on psi."""
-    key = ("rings", G.tobytes())
-    if key not in psi._cache:
-        psi._cache[key] = _boundary_rings(G).ravel()
-    return psi._cache[key]
+def _band_rings(psi: WeightField) -> np.ndarray:
+    """The boundary rings of psi's band G as a flat cell mask; built once
+    and kept on psi."""
+    if "rings" not in psi._cache:
+        psi._cache["rings"] = _boundary_rings(psi.regions.G).ravel()
+    return psi._cache["rings"]
 
 
 def _stencils(grid: Grid) -> sp.csr_matrix:
@@ -213,7 +209,7 @@ def inequality_sweep_stack(
     dx, dy, lap = (_stencils(g) @ cols.reshape(g.ncells, -1)).reshape(3, *cols.shape)
     grad2 = np.abs(dx) ** 2 + np.abs(dy) ** 2  # |grad w_c|^2 per component c
     mag = np.abs(cols[:, 0]) if ncomp == 1 else np.sqrt(_density(cols))
-    _check_cauchy(mag, np.sqrt(grad2).max(axis=1), _band_rings(psi, G))
+    _check_cauchy(mag, np.sqrt(grad2).max(axis=1), _band_rings(psi))
     # per field: |grad w_c|^2 for each c, |w|^2, |lap w|^2, on the cells of G
     on_G = G.ravel()
     rows = np.concatenate(
@@ -229,7 +225,7 @@ def inequality_sweep_stack(
     per_tau = []
     for params in params_seq:
         tau = params.tau
-        S = np.multiply(_band_weight(psi, G, tau), rows, out=prod).sum(axis=2) * dA
+        S = np.multiply(_band_weight(psi, tau), rows, out=prod).sum(axis=2) * dA
         I_grad, I_zero, I_rhs = S[:, :ncomp].sum(axis=1), S[:, ncomp], S[:, ncomp + 1]
         if (positive & (np.stack([I_grad, I_zero, I_rhs]) < np.finfo(float).tiny)).any():
             raise NumericalError(
@@ -238,9 +234,8 @@ def inequality_sweep_stack(
                 {"tau": tau},
             )
         c_grad, c_zero, c_rhs = coefficients(params)
-        c_zero_eff = max(c_zero - params.tau2_bound * tau**2, 0.0)
         lhs_grad = c_grad * I_grad
-        lhs_zero = c_zero_eff * I_zero
+        lhs_zero = c_zero * I_zero
         rhs_main = c_rhs * I_rhs
         margin = rhs_main - (lhs_grad + lhs_zero)
         passed = margin >= -PASS_SLACK * np.maximum(rhs_main, 1e-300)
@@ -345,25 +340,6 @@ def draw_test_fields(
         f = np.zeros((n * ncomp, g.ncells))
         f[:, cells] = moll * _cosine_sums(g, rng, n * ncomp, _FIELD_MODES, _FIELD_KMAX, cells)
         yield f.reshape(n, ncomp, *g.shape)
-
-
-def calibrate_tau2_bound(
-    psi: WeightField,
-    tau_list: list[float],
-    delta0: float = 0.5,
-    epsilon: float = 0.5,
-    n_fields: int = 20,
-    seed: int = 7,
-) -> float:
-    """Smallest c2 >= 0 such that the inequality holds on n_fields seeded
-    ``draw_test_fields`` fields (cosine sums times the band mollifier) after
-    weakening the zero-order coefficient by c2*tau^2."""
-    params = [CarlemanParams.for_weight(tau, psi, delta0, epsilon) for tau in tau_list]
-    s = sweep(psi, np.random.default_rng(seed), n_fields, params)
-    tau2 = np.array([tau**2 for tau in tau_list])[:, None]
-    short = (s.margin < 0) & (s.integral_zero > 0)
-    need = (-s.margin[short] / (tau2 * s.integral_zero)[short]).max(initial=0.0)
-    return 1.05 * float(need)
 
 
 def find_tau0(taus: list[float], passed: np.ndarray) -> float | None:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .carleman import CarlemanParams, calibrate_tau2_bound, find_tau0, sweep
+from .carleman import CarlemanParams, find_tau0, sweep
 from .config import RunConfig
 from .equilibria import Equilibrium
 from .errors import (
@@ -231,12 +231,7 @@ def run_carleman(run: Run, outdir: Path) -> dict:
     psi = build_weight(regions)
     opts = cfg.carleman_options(regions)
     taus = opts["tau_list"]
-    c2 = opts["tau2_bound"]
-    if opts["calibrate_tau2"]:
-        c2 = max(c2, calibrate_tau2_bound(psi, taus, opts["delta0"], opts["epsilon"]))
-    params = [
-        CarlemanParams.for_weight(t, psi, opts["delta0"], opts["epsilon"], c2) for t in taus
-    ]
+    params = [CarlemanParams.for_weight(t, psi, opts["delta0"], opts["epsilon"]) for t in taus]
     s = sweep(psi, np.random.default_rng(cfg.seed), opts["n_fields"], params)
     rows = [
         [t, *(float(np.mean(a)) for a in means), float(margin.min()), bool(ok.all())]
@@ -257,7 +252,6 @@ def run_carleman(run: Run, outdir: Path) -> dict:
         kgrad=psi.kgrad,
         delta0=opts["delta0"],
         epsilon=opts["epsilon"],
-        tau2_bound=c2,
         tau_list=taus,
         n_fields=opts["n_fields"],
         tau0=tau0,

@@ -69,8 +69,6 @@ DEFAULT_CONFIG: dict = {
         "epsilon": 0.5,
         "tau_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],  # in units of 4 / diameter
         "n_fields": 100,
-        "tau2_bound": 0.0,
-        "calibrate_tau2": False,
     },
     "stabilize": {"gamma": 1.0, "T": 8.0, "dt": 0.01, "gain_on": True},
 }
@@ -169,9 +167,11 @@ class RunConfig:
         disc = o["shape"] == "disc"
         if not disc and o["width_frac"] is None:
             raise ConfigurationError("a collar omega needs geometry.omega.width_frac")
-        # radius_frac, a number by default, cannot be told unset on a collar
         partial = g["case"] == GeometryCase.partial_collar.value
-        read = {"width_frac": not disc, "center": disc, "side": partial, "span": partial}
+        read = {
+            "radius_frac": disc, "width_frac": not disc, "center": disc,
+            "side": partial, "span": partial,
+        }
         for key in (k for k, r in read.items() if not r):
             if o[key] != DEFAULT_CONFIG["geometry"]["omega"][key]:
                 raise ConfigurationError(
@@ -215,8 +215,6 @@ class RunConfig:
             raise ConfigurationError("need 0 < delta0 < 1 and epsilon > 0")
         if c["n_fields"] < 1:
             raise ConfigurationError("carleman n_fields must be >= 1")
-        if c["tau2_bound"] < 0:
-            raise ConfigurationError("carleman tau2_bound must be >= 0")
         return dict(c, tau_list=[t * 4.0 / regions.diameter for t in taus])
 
     def stabilize_options(self) -> dict:

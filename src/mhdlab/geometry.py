@@ -253,8 +253,6 @@ class WeightField:
     rho: float      # min Hessian eigenvalue over G
     kgrad: float    # min |grad psi| over G
     anchor: tuple[float, float]
-    r0_sq: float
-    stretch: tuple[float, float] = (1.0, 1.0)
     sign_violations_omega1: int = 0
     sign_violations_outer: int = 0
     # derived arrays (Carleman band weights per tau); a copy made with
@@ -366,8 +364,6 @@ def build_weight(regions: RegionSet) -> WeightField:
         rho=rho,
         kgrad=kgrad,
         anchor=(float(ax_), float(ay_)),
-        r0_sq=float(r0_sq),
-        stretch=stretch,
         sign_violations_omega1=viol1,
         sign_violations_outer=viol_out,
     )

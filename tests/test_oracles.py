@@ -65,11 +65,14 @@ def test_moved_names_live_in_the_oracles_only():
     assert not {"f", "g"} & {f.name for f in dataclasses.fields(Equilibrium)}
     # deleted with no replacement, or built for no stage
     carleman = importlib.import_module("mhdlab.carleman")
-    for name in ("final_estimate_eval", "EstimateReport", "_normalized_weight"):
+    for name in ("final_estimate_eval", "EstimateReport", "_normalized_weight",
+                 "calibrate_tau2_bound"):
         assert not hasattr(carleman, name), name
         assert not hasattr(mhdlab, name), name
+    assert "tau2_bound" not in {f.name for f in dataclasses.fields(carleman.CarlemanParams)}
     assert not hasattr(Equilibrium, "sup_fields")
     assert not hasattr(WeightField, "as_scalar")
+    assert not {"stretch", "r0_sq"} & {f.name for f in dataclasses.fields(WeightField)}
     # the wall projection and boundary conditions: wall grids carry the
     # Carleman stage only, which builds no equilibrium
     for module, names in {"projection": ["_wall_pinv", "_DENSE_LIMIT"],

@@ -281,7 +281,6 @@ class TestSpectrum:
         WHOLE_CLUSTER_CASES
         + [
             pytest.param(case, marks=pytest.mark.xfail(
-                strict=True,
                 raises=AssertionError,
                 reason="FOUND (CHANGES.md): shift-invert Arnoldi misses members of degenerate "
                 "stable clusters inside its disc, not only where k cuts a cluster",
