@@ -65,8 +65,8 @@ class CarlemanParams:
             raise ConfigurationError("tau must be positive")
 
     @classmethod
-    def for_weight(cls, tau: float, weight: WeightField, delta0=0.5, epsilon=0.5):
-        return cls(tau, delta0, epsilon, weight.rho, weight.kgrad)
+    def for_weight(cls, tau: float, weight: WeightField):
+        return cls(tau, rho=weight.rho, kgrad=weight.kgrad)
 
 
 class Coefficients(NamedTuple):

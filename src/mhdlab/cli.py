@@ -231,7 +231,7 @@ def run_carleman(run: Run, outdir: Path) -> dict:
     psi = build_weight(regions)
     opts = cfg.carleman_options(regions)
     taus = opts["tau_list"]
-    params = [CarlemanParams.for_weight(t, psi, opts["delta0"], opts["epsilon"]) for t in taus]
+    params = [CarlemanParams.for_weight(t, psi) for t in taus]
     s = sweep(psi, np.random.default_rng(cfg.seed), opts["n_fields"], params)
     rows = [
         [t, *(float(np.mean(a)) for a in means), float(margin.min()), bool(ok.all())]
@@ -250,8 +250,8 @@ def run_carleman(run: Run, outdir: Path) -> dict:
         _meta(cfg),
         rho=psi.rho,
         kgrad=psi.kgrad,
-        delta0=opts["delta0"],
-        epsilon=opts["epsilon"],
+        delta0=params[0].delta0,
+        epsilon=params[0].epsilon,
         tau_list=taus,
         n_fields=opts["n_fields"],
         tau0=tau0,

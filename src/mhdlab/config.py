@@ -65,8 +65,6 @@ DEFAULT_CONFIG: dict = {
     "physics": {"nu": 1.0, "eta": 1.0, "sigma": 1.5},
     "spectral": {"count": 16},
     "carleman": {
-        "delta0": 0.5,
-        "epsilon": 0.5,
         "tau_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],  # in units of 4 / diameter
         "n_fields": 100,
     },
@@ -211,8 +209,6 @@ class RunConfig:
             raise ConfigurationError("carleman tau_grid must be nonempty")
         if any(t <= 0 for t in taus):
             raise ConfigurationError("tau values must be positive")
-        if not (0 < c["delta0"] < 1) or c["epsilon"] <= 0:
-            raise ConfigurationError("need 0 < delta0 < 1 and epsilon > 0")
         if c["n_fields"] < 1:
             raise ConfigurationError("carleman n_fields must be >= 1")
         return dict(c, tau_list=[t * 4.0 / regions.diameter for t in taus])

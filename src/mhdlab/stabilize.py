@@ -1,13 +1,15 @@
 """Unstable-subspace projection, feedback synthesis, closed-loop simulation.
 
 The unstable component is isolated with the biorthogonal forward/adjoint
-eigenbasis; complex conjugate pairs are folded into real columns so gains
-and actuator signals stay real.  Feedback places the poles of the reduced
-unstable block at or below -gamma with one Sylvester solve; the loop is
-closed through omega-localized actuator fields and simulated with an
-implicit step for the stiff generator and an explicit step for the control
-coupling.  ``closed_loop`` runs the whole stabilization experiment from a
-forward spectrum and its derived adjoint.
+eigenbasis of the spectrum's unstable clusters; a cluster above the real
+axis gives the real columns (Re, Im) of its members, so gains and actuator
+signals stay real, and the adjoint columns are scaled so that W^T V = I.
+Feedback places the poles of the reduced unstable block at or below -gamma
+with one Sylvester solve; the loop is closed through omega-localized
+actuator fields and simulated with an implicit step for the stiff generator
+and an explicit step for the control coupling.  ``closed_loop`` runs the
+whole stabilization experiment from a forward spectrum and its derived
+adjoint.
 
 States are real arrays of reduced (basis) coefficients from the initial
 state to the trace, and the applied fields are one real (K, 2, 2, nx, ny)
@@ -18,7 +20,6 @@ and no pressure Poisson problem is solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,9 +33,11 @@ from .errors import (
 )
 from .basis import SolenoidalBasis
 from .operators import MhdSystem, shifted_lu
-from .spectral import CLUSTER_RTOL, EigenPair, SpectrumReport
+from .spectral import EigenPair, SpectrumReport
 
 COND_LIMIT = 1e10
+# An eigenvalue (or a cluster's mean) with |Im| below this is real.
+REAL_ATOL = 1e-10
 MIN_FIT_SAMPLES = 10  # samples measure_decay needs in its window
 POLE_TOL = 1e-8
 BLOWUP_FACTOR = 1e6
@@ -52,74 +55,57 @@ GAIN_LIMIT = 1e4
 
 @dataclass
 class UnstableProjection:
-    """Real biorthogonal bases of the unstable subspace (reduced coords)."""
+    """Real biorthonormal bases of the unstable subspace (reduced coords):
+    W^T V = I, so V W^T is the projector and W^T x the unstable coordinates."""
 
     V: np.ndarray          # forward basis columns, (dim, N)
     W: np.ndarray          # adjoint basis columns, (dim, N)
-    pairing: np.ndarray    # W^T V, (N, N)
-    cond: float
+    cond: float            # condition number of the unit columns' pairing
     lambdas: np.ndarray    # open-loop unstable eigenvalues
 
     @property
     def N(self) -> int:
         return self.V.shape[1]
 
-    @cached_property
-    def _pairing_lu(self):
-        return sla.lu_factor(self.pairing)
-
     def coords(self, x: np.ndarray) -> np.ndarray:
-        return sla.lu_solve(self._pairing_lu, self.W.T @ x)
+        return self.W.T @ x
 
 
-def _realify(pairs: list[EigenPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Real column basis from eigenpairs; conjugate pairs give (Re, Im).
+def _real_basis(clusters: list[list[EigenPair]]) -> tuple[np.ndarray, np.ndarray]:
+    """Real column basis of whole eigenvalue clusters, and its eigenvalues.
 
-    The ell pairs of one real cluster (eigenvalues equal within CLUSTER_RTOL)
-    give the first ell left singular vectors of [Re C, Im C], C their
-    eigenvectors: an orthonormal real basis of the cluster's eigenspace
-    whichever complex basis of it the eigensolver returned.
+    A real cluster (|Im| of its mean below REAL_ATOL) of ell pairs gives the
+    first ell left singular vectors of [Re C, Im C], C its eigenvectors: an
+    orthonormal real basis of its eigenspace whichever complex basis of it
+    the eigensolver returned.  A cluster above the real axis gives the unit
+    columns Re and Im of each member, which span its conjugate cluster's
+    eigenspace too, so a cluster below the axis adds nothing.
     """
-    tol = CLUSTER_RTOL * max(1.0, max(abs(p.lam) for p in pairs))
     cols, lams = [], []
-    used = [False] * len(pairs)
-    for i, p in enumerate(pairs):
-        if used[i]:
-            continue
-        if abs(p.lam.imag) < 1e-10:
-            members = [
-                j for j in range(i, len(pairs))
-                if not used[j] and abs(pairs[j].lam.imag) < 1e-10
-                and abs(pairs[j].lam - p.lam) <= tol
-            ]
-            C = np.column_stack([pairs[j].coeffs for j in members])
+    for cl in clusters:
+        lam = np.mean([p.lam for p in cl])
+        if abs(lam.imag) < REAL_ATOL:
+            C = np.column_stack([p.coeffs for p in cl])
             U = np.linalg.svd(np.hstack([np.real(C), np.imag(C)]), full_matrices=False)[0]
-            cols.extend(U[:, : len(members)].T)
-            lam = float(np.mean([pairs[j].lam.real for j in members]))
-            lams.extend([lam] * len(members))
-            for j in members:
-                used[j] = True
-        else:
-            for j in range(i + 1, len(pairs)):
-                if not used[j] and abs(pairs[j].lam - np.conj(p.lam)) < 1e-8:
-                    used[j] = True
-                    break
-            re, im = np.real(p.coeffs), np.imag(p.coeffs)
-            cols.append(re / np.linalg.norm(re))
-            cols.append(im / np.linalg.norm(im))
-            lams.extend([p.lam, np.conj(p.lam)])
-            used[i] = True
+            cols.extend(U[:, : len(cl)].T)
+            lams.extend([float(np.mean([p.lam.real for p in cl]))] * len(cl))
+        elif lam.imag > 0:
+            for p in cl:
+                re, im = np.real(p.coeffs), np.imag(p.coeffs)
+                cols.extend([re / np.linalg.norm(re), im / np.linalg.norm(im)])
+                lams.extend([p.lam, np.conj(p.lam)])
     return np.array(cols).T, np.asarray(lams)
 
 
 def project_unstable(
-    forward_pairs: list[EigenPair], adjoint_pairs: list[EigenPair]
+    forward_clusters: list[list[EigenPair]], adjoint_clusters: list[list[EigenPair]]
 ) -> UnstableProjection:
-    """Biorthogonal projector onto the span of the unstable eigenfunctions."""
-    if not forward_pairs:
+    """Biorthogonal projector onto the span of the unstable eigenfunctions,
+    from the unstable clusters of a forward spectrum and of its adjoint."""
+    if not any(forward_clusters):
         raise ConfigurationError("no unstable eigenpairs to project onto")
-    V, lams = _realify(forward_pairs)
-    W, _ = _realify(adjoint_pairs)
+    V, lams = _real_basis(forward_clusters)
+    W, _ = _real_basis(adjoint_clusters)
     if V.shape != W.shape:
         raise ConfigurationError(
             "forward and adjoint unstable bases have mismatched dimensions"
@@ -133,7 +119,8 @@ def project_unstable(
         raise ProjectionConditionError(
             f"biorthogonal pairing condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
         )
-    return UnstableProjection(V, W, pairing, cond, lams)
+    # W (W^T V)^-T pairs to I; a pairing of exactly I leaves W's bits
+    return UnstableProjection(V, np.linalg.solve(pairing, W.T).T, cond, lams)
 
 
 @dataclass
@@ -142,40 +129,6 @@ class FeedbackGain:
     achieved_poles: np.ndarray
     gain_norm: float            # Frobenius norm of gain
     cond_x: float               # condition number of the Sylvester solution X
-
-
-def _pole_targets(open_loop: np.ndarray, gamma: float) -> np.ndarray:
-    """Distinct targets with real parts <= -gamma, keeping pair frequencies.
-
-    Real eigenvalues move to spread real targets; complex pairs keep their
-    imaginary parts (moving an oscillation onto the real axis costs large
-    gains for weakly coupled inputs, and only the real part matters).
-    """
-    targets = []
-    used = np.zeros(len(open_loop), dtype=bool)
-    slot = 0
-    for i, lam in enumerate(open_loop):
-        if used[i]:
-            continue
-        if abs(lam.imag) < 1e-9:
-            targets.append(-gamma * (1.0 + POLE_SPREAD * slot))
-            used[i] = True
-            slot += 1
-        else:
-            for j in range(i + 1, len(open_loop)):
-                if not used[j] and abs(open_loop[j] - np.conj(lam)) < 1e-7:
-                    used[j] = True
-                    break
-            re = -gamma * (1.0 + POLE_SPREAD * slot)
-            im = abs(lam.imag) * (1.0 + 0.5 * POLE_SPREAD * slot)
-            targets.extend([re + 1j * im, re - 1j * im])
-            used[i] = True
-            slot += 1
-    if len(targets) != len(open_loop):
-        raise UncontrollableError(
-            "open-loop block eigenvalues do not pair into conjugates"
-        )
-    return np.asarray(targets)
 
 
 def _hautus_check(A: np.ndarray, B: np.ndarray, eigenvalues: np.ndarray) -> None:
@@ -201,20 +154,28 @@ def _hautus_check(A: np.ndarray, B: np.ndarray, eigenvalues: np.ndarray) -> None
             )
 
 
-def _target_matrix(targets: np.ndarray) -> np.ndarray:
-    """Real matrix with the given spectrum: a diagonal entry per real target
-    and a block [[re, im], [-im, re]] per conjugate pair (adjacent targets)."""
-    F = np.zeros((len(targets), len(targets)))
-    i = 0
-    while i < len(targets):
-        re, im = targets[i].real, targets[i].imag
-        if im == 0.0:
-            F[i, i] = re
-            i += 1
+def _target_matrix(open_loop: np.ndarray, gamma: float) -> np.ndarray:
+    """Real matrix whose eigenvalues are distinct targets with real parts
+    <= -gamma, one slot per real eigenvalue or conjugate pair of the block.
+
+    A real eigenvalue gives a diagonal entry, spread below -gamma by its
+    slot.  A pair gives a block [[re, im], [-im, re]] at its upper member,
+    keeping its frequency (moving an oscillation onto the real axis costs
+    large gains for weakly coupled inputs, and only the real part matters).
+    ``np.linalg.eigvals`` of a real block returns exact conjugate pairs, so
+    every lower member's partner gives its block.
+    """
+    blocks = []
+    for lam in open_loop:
+        if lam.imag <= -REAL_ATOL:
+            continue
+        re = -gamma * (1.0 + POLE_SPREAD * len(blocks))
+        if lam.imag < REAL_ATOL:
+            blocks.append([[re]])
         else:
-            F[i : i + 2, i : i + 2] = [[re, im], [-im, re]]
-            i += 2
-    return F
+            im = lam.imag * (1.0 + 0.5 * POLE_SPREAD * len(blocks))
+            blocks.append([[re, im], [-im, re]])
+    return sla.block_diag(*blocks)
 
 
 def synthesize_feedback(
@@ -251,9 +212,8 @@ def synthesize_feedback(
         raise ConfigurationError("target decay rate gamma must be positive")
     open_loop = np.linalg.eigvals(A)
     _hautus_check(A, B, open_loop)
-    targets = _pole_targets(open_loop, gamma)
     G = B.T
-    X = sla.solve_sylvester(A, -_target_matrix(targets), B @ G)
+    X = sla.solve_sylvester(A, -_target_matrix(open_loop, gamma), B @ G)
     try:
         gain = sla.solve(X.T, G.T).T
     except sla.LinAlgError as exc:
@@ -277,9 +237,9 @@ def synthesize_feedback(
 def _real_block(proj: UnstableProjection, A: MhdSystem) -> np.ndarray:
     """Unstable block in the real basis: diagonal for real spectra, else the
     projected operator itself."""
-    if np.all(np.abs(np.imag(proj.lambdas)) < 1e-10):
+    if np.all(np.abs(np.imag(proj.lambdas)) < REAL_ATOL):
         return np.diag(np.real(proj.lambdas))
-    return np.real(proj.coords(A.matrix @ proj.V))
+    return proj.coords(A.matrix @ proj.V)
 
 
 @dataclass
@@ -293,8 +253,8 @@ class FeedbackDesign:
 
 def design_feedback(
     A: MhdSystem,
-    forward_pairs: list[EigenPair],
-    adjoint_pairs: list[EigenPair],
+    forward_clusters: list[list[EigenPair]],
+    adjoint_clusters: list[list[EigenPair]],
     actuators: np.ndarray,
     m_mask: np.ndarray,
     gamma: float | None,
@@ -306,7 +266,7 @@ def design_feedback(
     actually applies (``control_fields``), not of the raw actuators; their
     reduced coordinates and leakage are kept for the closed loop.
     """
-    proj = project_unstable(forward_pairs, adjoint_pairs)
+    proj = project_unstable(forward_clusters, adjoint_clusters)
     basis = A.basis
     fields = control_fields(basis, actuators, m_mask)
     drive = basis.analyze(fields).reshape(len(fields), A.dim).T
@@ -366,7 +326,7 @@ def simulate_closed_loop(
     step touches the dim-sized state only through the energy x.x, the
     product W^T x, the drive, written into one buffer and added in place,
     and that solve; the rest is N-dimensional.  The unstable
-    coordinates c = pairing^-1 W^T x of every step are kept, one row each,
+    coordinates c = W^T x of every step (W^T V = I) are kept, one row each,
     and the unstable energies ||V c||^2 = c.(V^T V).c and the amplitudes
     -gain c are read from them after the loop.
     """
@@ -389,7 +349,7 @@ def simulate_closed_loop(
     energies = np.zeros(nsteps + 1)
     states = np.zeros((nsteps + 1, A.dim)) if store_states else None
     if proj is not None:
-        Wt, pinv = proj.W.T, np.linalg.inv(proj.pairing)
+        Wt = proj.W.T
         coords = np.zeros((nsteps + 1, proj.N))
     if gain is not None:
         dt_gain = dt * -gain.gain
@@ -406,7 +366,7 @@ def simulate_closed_loop(
                 detail={"step": k, "energy": energies[k]},
             )
         if proj is not None:
-            coords[k] = pinv @ (Wt @ x)
+            coords[k] = Wt @ x
         if k == nsteps:
             break
         if gain is not None:
@@ -483,7 +443,7 @@ def closed_loop(
     dt: float,
     rng: np.random.Generator,
 ) -> ClosedLoop:
-    """The stabilization experiment on the unstable pairs of a forward
+    """The stabilization experiment on the unstable clusters of a forward
     spectrum and its adjoint.
 
     Designs the feedback (no gain when gamma is None: open loop), starts
@@ -497,8 +457,8 @@ def closed_loop(
     if forward.N > 0:
         design = design_feedback(
             A,
-            [p for p in forward.pairs if p.unstable],
-            [p for p in adjoint.pairs if p.unstable],
+            forward.unstable_clusters(),
+            adjoint.unstable_clusters(),
             actuators,
             m_mask,
             gamma,

@@ -478,13 +478,13 @@ def allocating_closed_loop(
     proj, gain = design.proj, design.gain
     lu = shifted_lu(A.matrix, 1.0, -dt)  # backward Euler step I - dt*A
     nsteps = int(round(T / dt))
-    Wt, pinv, dt_gain = proj.W.T, np.linalg.inv(proj.pairing), dt * -gain.gain
+    Wt, dt_gain = proj.W.T, dt * -gain.gain
     energies = np.zeros(nsteps + 1)
     coords = np.zeros((nsteps + 1, proj.N))
     x = np.asarray(x0, dtype=float)
     for k in range(nsteps + 1):
         energies[k] = float(x @ x)
-        coords[k] = pinv @ (Wt @ x)
+        coords[k] = Wt @ x
         if k < nsteps:
             x = lu.solve(x + design.drive @ (dt_gain @ coords[k]))
     energies_unstable = np.einsum("ki,ij,kj->k", coords, proj.V.T @ proj.V, coords)

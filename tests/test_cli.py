@@ -571,6 +571,9 @@ MISTYPED_CONFIGS = [
     # the tau^2 weakening of the zero-order coefficient
     _bad({"carleman": {"tau2_bound": 0.0}}, "carleman.tau2_bound"),
     _bad({"carleman": {"calibrate_tau2": 1}}, "carleman.calibrate_tau2"),
+    # the estimate's constants, which no run set: CarlemanParams holds them
+    _bad({"carleman": {"delta0": 0.5}}, "carleman.delta0"),
+    _bad({"carleman": {"epsilon": 0.5}}, "carleman.epsilon"),
     # the absolute lengths: each length is set only as a fraction of min(Lx, Ly)
     _bad({"geometry": {"omega": {"radius": 0.9}}}, "geometry.omega.radius"),
     _bad({"geometry": {"omega": {"width": 0.6}}}, "geometry.omega.width"),
@@ -699,7 +702,7 @@ def test_readme_schema_shows_every_default():
     shown = json.loads(re.sub(r"//[^\n]*", "", block))
     assert dict(_leaves(shown)) == dict(_leaves(DEFAULT_CONFIG))
     # the schema's size: a new key is a decision, made here and in the README
-    assert len(dict(_leaves(DEFAULT_CONFIG))) == 30
+    assert len(dict(_leaves(DEFAULT_CONFIG))) == 28
 
 
 def test_perfbench_setup_targets_resolve():

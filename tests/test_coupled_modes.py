@@ -27,6 +27,7 @@ from mhdlab import (
     kalman_rank,
     make_equilibrium,
     omega_fields,
+    project_unstable,
     select_actuators,
     ucp_gram_test,
 )
@@ -159,7 +160,8 @@ def uniform24():
         omega1_width=0.06 * L,
         omega_star_width=0.12 * L,
     )
-    return dict(A=A, rep=rep, arep=arep, omega=regions.omega)
+    proj = project_unstable(rep.unstable_clusters(), arep.unstable_clusters())
+    return dict(A=A, rep=rep, arep=arep, omega=regions.omega, projector=proj.V @ proj.W.T)
 
 
 def test_uniform_field_control_fields_equal_the_poisson_projection(uniform24):
@@ -202,12 +204,15 @@ def test_closed_loop_independent_of_cluster_basis(uniform24, seed):
     for km in kalman_rank(actuators, fields, dA):
         assert km.passed and km.rank == km.ell
 
-    fwd = [p for p in uniform24["rep"].pairs if p.unstable]
-    adj = [p for c in clusters for p in c]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no non-converged pole placement
-        design = design_feedback(A, fwd, adj, actuators, omega, gamma)
+        design = design_feedback(
+            A, uniform24["rep"].unstable_clusters(), clusters, actuators, omega, gamma
+        )
     assert np.max(design.gain.achieved_poles.real) <= -gamma + 1e-8
+    # the whole oblique projector, not only the poles, is the unrotated one
+    P, ref = design.proj.V @ design.proj.W.T, uniform24["projector"]
+    assert np.linalg.norm(P - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_kalman_rejects_actuators_missing_a_cluster(uniform24):

@@ -100,6 +100,11 @@ def test_moved_names_live_in_the_oracles_only():
     assert not hasattr(SolenoidalBasis, "state_dim")
     assert not hasattr(WeightField, "grid")
     assert not {"K", "N"} & set(dir(FeedbackGain))
+    # the projection reads the spectrum's clusters, and W^T V = I
+    stabilize = importlib.import_module("mhdlab.stabilize")
+    for name in ("_realify", "_pole_targets"):
+        assert not hasattr(stabilize, name), name
+    assert "pairing" not in {f.name for f in dataclasses.fields(UnstableProjection)}
 
 
 def test_one_generator_object():

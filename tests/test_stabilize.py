@@ -100,18 +100,26 @@ class TestUnstableProjection:
         assert np.abs(twice - once).max() <= 1e-8 * np.linalg.norm(x)
 
     def test_condition_guard(self, loop24):
-        fwd = [p for p in loop24["rep"].pairs if p.unstable]
-        adj_far = [p for p in loop24["rep"].pairs if not p.unstable][: len(fwd)]
+        rep = loop24["rep"]
+        fwd = rep.unstable_clusters()
+        adj_far = [[p for p in rep.pairs if not p.unstable][: rep.N]]
         with pytest.raises(ProjectionConditionError):
             project_unstable(fwd, adj_far)  # orthogonal bases: singular pairing
 
     def test_self_adjoint_pairs_pair_to_exactly_the_identity(self, loop24):
         # zero's adjoint report is its forward one: W has V's bytes, and its
         # real unit columns pair to exactly I
-        fwd = [p for p in loop24["rep"].pairs if p.unstable]
+        fwd = loop24["rep"].unstable_clusters()
         for proj in (project_unstable(fwd, fwd), loop24["proj"]):
             assert proj.W.tobytes() == proj.V.tobytes()
-            assert proj.pairing.tobytes() == np.eye(proj.N).tobytes() and proj.cond == 1.0
+            assert (proj.W.T @ proj.V).tobytes() == np.eye(proj.N).tobytes()
+            assert proj.cond == 1.0
+
+    @pytest.mark.parametrize("fixture", ["loop24", "shear_loop24"])
+    def test_adjoint_basis_is_biorthonormal(self, fixture, request):
+        # W is scaled so that W^T V = I, and W^T x is the unstable coordinate
+        proj = request.getfixturevalue(fixture)["proj"]
+        assert np.abs(proj.W.T @ proj.V - np.eye(proj.N)).max() <= 1e-12
 
     def test_no_unstable_modes_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -235,7 +243,7 @@ class TestSimulation:
             V = proj.V @ T
             design = replace(
                 design,
-                proj=replace(proj, V=V, pairing=proj.W.T @ V),
+                proj=replace(proj, V=V, W=proj.W @ np.linalg.inv(T).T),
                 gain=replace(design.gain, gain=design.gain.gain @ T),
             )
         x0 = initial_state(A, design.proj, np.random.default_rng(2))
