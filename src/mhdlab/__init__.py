@@ -22,15 +22,16 @@ from .spectral import (
     GramMatrix,
     KalmanMatrix,
     SpectrumReport,
+    UcpCertificate,
     adjoint_eigenpairs,
     compute_spectrum,
     kalman_rank,
     omega_fields,
     select_actuators,
+    ucp_certificate,
     ucp_gram_test,
 )
 from .carleman import (
-    CarlemanParams,
     Coefficients,
     Sweep,
     coefficients,

@@ -3,12 +3,13 @@
 Two checks live here:
 
 * coefficient formulas of the pointwise estimate (exact arithmetic in the
-  inputs);
-* the integrated inequality over the working band G for fields with zero
-  Cauchy data on its boundary, checked with the coefficients exactly as
-  stated, and an empirically located threshold tau0.  ``sweep`` draws the
-  seeded test fields and checks them at every tau in one call, and returns
-  a ``Sweep`` of (tau, field) arrays.
+  inputs), at the fixed constants delta0 = epsilon = 1/2;
+* the integrated inequality over the working band G for scalar fields with
+  zero Cauchy data on its boundary, checked with the coefficients exactly
+  as stated, and an empirically located threshold tau0.  ``sweep`` draws
+  the seeded test fields and checks them at every tau in one call, with
+  rho and kgrad read from the weight, and returns a ``Sweep`` of (tau,
+  field) arrays.
 
 The cutoff-system residual and the tau-sweep bounds are test oracles, in
 the tests' ``oracles`` module.
@@ -24,7 +25,6 @@ field's weighted integrals underflow; the check then raises
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,35 +38,20 @@ from .grid import Grid
 PASS_SLACK = 1e-8
 CAUCHY_TOL = 1e-10
 # Test fields are drawn and checked in stacks of at most about this many
-# grid cells (fields x components x cells), so the memory of a sweep does
-# not grow with the number of fields.
+# grid cells (fields x cells), so the memory of a sweep does not grow with
+# the number of fields.
 _BLOCK_CELLS = 1 << 14
-# Seeded test fields: cosine modes per component, their largest wavenumber,
+# Seeded test fields: cosine modes per field, their largest wavenumber,
 # and the cells next to dG on which a field and its gradient vanish.
 _FIELD_MODES = 6
 _FIELD_KMAX = 4
 _MARGIN_CELLS = 2.5
 
 
-@dataclass
-class CarlemanParams:
-    tau: float
-    delta0: float = 0.5
-    epsilon: float = 0.5
-    rho: float = 1.0
-    kgrad: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.delta0 < 1.0):
-            raise ConfigurationError("delta0 must lie in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ConfigurationError("epsilon must be positive")
-        if self.tau <= 0.0:
-            raise ConfigurationError("tau must be positive")
-
-    @classmethod
-    def for_weight(cls, tau: float, weight: WeightField):
-        return cls(tau, rho=weight.rho, kgrad=weight.kgrad)
+# The pointwise estimate's split of the gradient term (delta0) and its
+# Young constant (epsilon).
+DELTA0 = 0.5
+EPSILON = 0.5
 
 
 class Coefficients(NamedTuple):
@@ -75,23 +60,24 @@ class Coefficients(NamedTuple):
     c_rhs: float
 
 
-def coefficients(p: CarlemanParams) -> Coefficients:
-    """Pointwise-estimate coefficients; c_grad <= 0 signals tau too small.
+def coefficients(tau: float, rho: float, kgrad: float) -> Coefficients:
+    """Pointwise-estimate coefficients at tau for a weight of convexity rho
+    and gradient bound kgrad; c_grad <= 0 signals tau too small.
 
     c_grad = delta0*(2*rho*tau - eps/2), c_zero = 4*rho*k^2*tau^3*(1-delta0)
-    (leading order), c_rhs = 1 + 1/eps.  The sweep checks the integrated
-    inequality with these coefficients as they stand: no lower-order tau^2
-    term weakens c_zero.
+    (leading order), c_rhs = 1 + 1/eps, with delta0 = DELTA0 and
+    eps = EPSILON.  The sweep checks the integrated inequality with these
+    coefficients as they stand: no lower-order tau^2 term weakens c_zero.
     """
-    c_grad = p.delta0 * (2.0 * p.rho * p.tau - p.epsilon / 2.0)
-    c_zero = 4.0 * p.rho * p.kgrad**2 * p.tau**3 * (1.0 - p.delta0)
-    c_rhs = 1.0 + 1.0 / p.epsilon
+    c_grad = DELTA0 * (2.0 * rho * tau - EPSILON / 2.0)
+    c_zero = 4.0 * rho * kgrad**2 * tau**3 * (1.0 - DELTA0)
+    c_rhs = 1.0 + 1.0 / EPSILON
     return Coefficients(c_grad, c_zero, c_rhs)
 
 
 class Sweep(NamedTuple):
     """The weighted inequality per (tau, field): each entry is an
-    (n_tau, n_fields) array, row i for params_seq[i].  The lhs terms carry
+    (n_tau, n_fields) array, row i for taus[i].  The lhs terms carry
     their coefficients, the integrals over G do not; ``margin`` is rhs_main
     minus both lhs terms."""
 
@@ -156,11 +142,6 @@ def _stencils(grid: Grid) -> sp.csr_matrix:
     return grid._cache[key]
 
 
-def _density(v: np.ndarray) -> np.ndarray:
-    """Pointwise |f|^2, summed over the component axis 1."""
-    return (np.abs(v) ** 2).sum(axis=1)
-
-
 def _check_cauchy(mag: np.ndarray, gmag: np.ndarray, ring: np.ndarray) -> None:
     """Raise unless each field's magnitude ``mag`` and gradient magnitude
     ``gmag`` (cells x fields) vanish on the ring cells, relative to their
@@ -180,22 +161,17 @@ def _check_cauchy(mag: np.ndarray, gmag: np.ndarray, ring: np.ndarray) -> None:
         )
 
 
-def inequality_sweep_stack(
-    fields: np.ndarray,
-    psi: WeightField,
-    params_seq: list[CarlemanParams],
-) -> Sweep:
-    """Weighted inequality over G for every field of a stack, each with zero
-    Cauchy data on dG, at every entry of params_seq.  The stack is (field,
-    component, x, y) on psi's grid, with one component for scalar fields and
-    two (u1, u2) for vector fields.
+def inequality_sweep_stack(fields: np.ndarray, psi: WeightField, taus: list[float]) -> Sweep:
+    """Weighted inequality over G for every field of a (field, x, y) stack
+    on psi's grid, each with zero Cauchy data on dG, at every tau of taus,
+    with the coefficients of psi's rho and kgrad.
 
     One sparse product gives the gradients and Laplacians of the whole
-    stack, held as cells x components x fields.  The squared integrands on
-    G become the C-contiguous rows of one array, and each tau reduces its
-    weight against every row, so each sum runs over the same terms in the
-    same order as for the field alone: the results do not depend on how
-    the fields are stacked.
+    stack, held as cells x fields.  The squared integrands on G become the
+    C-contiguous rows of one array, and each tau reduces its weight against
+    every row, so each sum runs over the same terms in the same order as for
+    the field alone: the results do not depend on how the fields are
+    stacked.
 
     Raises NumericalError naming tau when a field's integral of |grad w|^2,
     |w|^2 or |lap w|^2 over G is positive but its weighted integral at tau
@@ -203,37 +179,31 @@ def inequality_sweep_stack(
     pass on zeros.
     """
     g = psi.regions.grid
-    G = psi.regions.G
-    n, ncomp = fields.shape[:2]
-    cols = fields.reshape(n, ncomp, g.ncells).transpose(2, 1, 0)
-    dx, dy, lap = (_stencils(g) @ cols.reshape(g.ncells, -1)).reshape(3, *cols.shape)
-    grad2 = np.abs(dx) ** 2 + np.abs(dy) ** 2  # |grad w_c|^2 per component c
-    mag = np.abs(cols[:, 0]) if ncomp == 1 else np.sqrt(_density(cols))
-    _check_cauchy(mag, np.sqrt(grad2).max(axis=1), _band_rings(psi))
-    # per field: |grad w_c|^2 for each c, |w|^2, |lap w|^2, on the cells of G
-    on_G = G.ravel()
-    rows = np.concatenate(
-        [grad2[on_G], _density(cols[on_G])[:, None], _density(lap[on_G])[:, None]], axis=1
-    )
-    rows = np.ascontiguousarray(rows.transpose(2, 1, 0))
+    n = len(fields)
+    cols = fields.reshape(n, g.ncells).T
+    dx, dy, lap = (_stencils(g) @ cols).reshape(3, g.ncells, n)
+    grad2 = np.abs(dx) ** 2 + np.abs(dy) ** 2
+    _check_cauchy(np.abs(cols), np.sqrt(grad2), _band_rings(psi))
+    # per field: |grad w|^2, |w|^2, |lap w|^2, on the cells of G
+    on_G = psi.regions.G.ravel()
+    rows = np.stack([grad2[on_G], np.abs(cols[on_G]) ** 2, np.abs(lap[on_G]) ** 2])
+    rows = np.ascontiguousarray(rows.transpose(2, 0, 1))
     prod = np.empty_like(rows)
     # the three integrals over G without the weight, per field
-    U = rows.sum(axis=2)
-    positive = np.stack([U[:, :ncomp].sum(axis=1), U[:, ncomp], U[:, ncomp + 1]]) > 0
+    positive = rows.sum(axis=2).T > 0
 
     dA = g.cell_area
     per_tau = []
-    for params in params_seq:
-        tau = params.tau
-        S = np.multiply(_band_weight(psi, tau), rows, out=prod).sum(axis=2) * dA
-        I_grad, I_zero, I_rhs = S[:, :ncomp].sum(axis=1), S[:, ncomp], S[:, ncomp + 1]
-        if (positive & (np.stack([I_grad, I_zero, I_rhs]) < np.finfo(float).tiny)).any():
+    for tau in taus:
+        S = np.multiply(_band_weight(psi, tau), rows, out=prod).sum(axis=2).T * dA
+        if (positive & (S < np.finfo(float).tiny)).any():
             raise NumericalError(
                 f"weighted integrals over G underflow at tau = {tau:g}; "
                 "tau lies above the range this grid resolves",
                 {"tau": tau},
             )
-        c_grad, c_zero, c_rhs = coefficients(params)
+        I_grad, I_zero, I_rhs = S
+        c_grad, c_zero, c_rhs = coefficients(tau, psi.rho, psi.kgrad)
         lhs_grad = c_grad * I_grad
         lhs_zero = c_zero * I_zero
         rhs_main = c_rhs * I_rhs
@@ -243,14 +213,12 @@ def inequality_sweep_stack(
     return Sweep(*(np.array(column) for column in zip(*per_tau)))
 
 
-def sweep(
-    psi: WeightField, rng: np.random.Generator, n_fields: int, params_seq: list[CarlemanParams]
-) -> Sweep:
-    """The weighted inequality for n_fields seeded scalar
-    ``draw_test_fields`` fields at every entry of params_seq: the stacks'
-    sweeps joined along the field axis, in draw order."""
+def sweep(psi: WeightField, rng: np.random.Generator, n_fields: int, taus: list[float]) -> Sweep:
+    """The weighted inequality for n_fields seeded ``draw_test_fields``
+    fields at every tau of taus: the stacks' sweeps joined along the field
+    axis, in draw order."""
     stacks = [
-        inequality_sweep_stack(fields, psi, params_seq)
+        inequality_sweep_stack(fields, psi, taus)
         for fields in draw_test_fields(psi.regions, rng, n_fields)
     ]
     return Sweep(*(np.concatenate(column, axis=1) for column in zip(*stacks)))
@@ -315,31 +283,29 @@ def _cosine_sums(
 
 
 def draw_test_fields(
-    regions: RegionSet, rng: np.random.Generator, n_fields: int, kind: str = "scalar"
+    regions: RegionSet, rng: np.random.Generator, n_fields: int
 ) -> Iterator[np.ndarray]:
-    """n_fields random smooth bumps compactly supported in G with zero
-    Cauchy data, in (field, component, x, y) stacks of at most about
-    _BLOCK_CELLS cells.  Each component is a sum of _FIELD_MODES cosines
-    with wavenumbers up to _FIELD_KMAX, times the band mollifier.
+    """n_fields random smooth scalar bumps compactly supported in G with
+    zero Cauchy data, in (field, x, y) stacks of at most about _BLOCK_CELLS
+    cells.  Each field is a sum of _FIELD_MODES cosines with wavenumbers up
+    to _FIELD_KMAX, times the band mollifier.
 
     The cosines are evaluated only on the cells where the mollifier is
     nonzero (``_cosine_sums`` on cells) and scattered into zero fields:
     there each value is the whole-grid sum times the mollifier to the bit,
-    and elsewhere it is +0.0.  A vector field draws u1 before u2.  The
-    fields, and the draws they take from rng, do not depend on the block
-    size.
+    and elsewhere it is +0.0.  The fields, and the draws they take from
+    rng, do not depend on the block size.
     """
     g = regions.grid
     moll = _band_mollifier(regions).ravel()
     cells = np.flatnonzero(moll)
     moll = moll[cells]
-    ncomp = 1 if kind == "scalar" else 2
-    step = max(1, _BLOCK_CELLS // (ncomp * g.ncells))
+    step = max(1, _BLOCK_CELLS // g.ncells)
     for lo in range(0, n_fields, step):
         n = min(step, n_fields - lo)
-        f = np.zeros((n * ncomp, g.ncells))
-        f[:, cells] = moll * _cosine_sums(g, rng, n * ncomp, _FIELD_MODES, _FIELD_KMAX, cells)
-        yield f.reshape(n, ncomp, *g.shape)
+        f = np.zeros((n, g.ncells))
+        f[:, cells] = moll * _cosine_sums(g, rng, n, _FIELD_MODES, _FIELD_KMAX, cells)
+        yield f.reshape(n, *g.shape)
 
 
 def find_tau0(taus: list[float], passed: np.ndarray) -> float | None:

@@ -12,13 +12,15 @@ The stages of one invocation share one ``Run``, so ``all`` builds the grid
 and regions once (in validation) and the equilibrium once (with the
 generator, which only the spectral stages read), solves the forward spectrum
 once and derives the adjoint eigenfunctions of its unstable clusters from it
-once.  Each unstable adjoint cluster is synthesized on omega once, and its
-omega-Gram computed once, for the UCP report and the actuators alike.  A
-command that runs the carleman stage checks the width of the
-cutoff's transition band before the first stage writes anything.  The
-computing is the library's: a stage reads what the Run holds, calls the
-library (``stabilize`` gates on the Kalman reports and runs
-``stabilize.closed_loop``), and writes the tables and the summary.
+once, and builds their UCP certificate (``spectral.ucp_certificate``) once,
+for the UCP report and the closed loop alike.  A forward spectrum without a
+stable pair is a configuration error before any stage writes a file, and
+so is, in a command that runs the carleman stage, a cutoff whose
+transition band is too thin.  The computing and its gates are the
+library's: a stage reads what the Run holds, calls the library (``ucp``
+reports the certificate, ``stabilize`` hands it to
+``stabilize.closed_loop``, which refuses one that failed), and writes the
+tables and the summary.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .carleman import CarlemanParams, find_tau0, sweep
+from .carleman import DELTA0, EPSILON, find_tau0, sweep
 from .config import RunConfig
 from .equilibria import Equilibrium
 from .errors import (
@@ -45,16 +47,11 @@ from .geometry import build_weight, transition_band
 from .operators import MhdSystem
 from .reports import write_summary, write_table
 from .spectral import (
-    EigenPair,
-    GramMatrix,
-    KalmanMatrix,
     SpectrumReport,
+    UcpCertificate,
     adjoint_eigenpairs,
     compute_spectrum,
-    kalman_rank,
-    omega_fields,
-    select_actuators,
-    ucp_gram_test,
+    ucp_certificate,
 )
 from .stabilize import closed_loop
 
@@ -76,9 +73,9 @@ class Run:
     One MhdSystem holds the generator R, which the adjoint stages read as
     its transpose, so R is assembled once.  The forward spectrum is solved once
     and the adjoint eigenpairs are derived from it once, no matter how many
-    stages read them; the same holds for the clusters' omega fields and
-    omega-Gram reports, the actuators and the Kalman reports that ``ucp``
-    and ``stabilize`` both need.  Stages treat
+    stages read them; the same holds for the UCP certificate (its Gram and
+    Kalman reports and the actuators) that ``ucp`` and ``stabilize`` both
+    need.  Stages treat
     everything here as read-only.  The grid and regions are the ones
     ``RunConfig.validate`` builds when the Run is made; the equilibrium is
     built with the generator, so a run of the carleman stage alone builds
@@ -100,7 +97,24 @@ class Run:
 
     @cached_property
     def spectrum(self) -> SpectrumReport:
-        return compute_spectrum(self.system, self.cfg.spectral_options()["count"])
+        """The forward spectrum of ``spectral.count`` pairs, which must hold
+        a stable pair: otherwise the cut may lie inside the unstable
+        spectrum, and every certificate would pass on the clusters above it.
+
+        On a diagonal R the check is exact: the pairs are the diagonal's in
+        order of real part, so a stable pair means every unstable one is in.
+        On the Arnoldi path it is necessary but not sufficient, as
+        shift-invert finds the eigenvalues nearest its shift, not those of
+        largest real part; ROADMAP item 1's Bendixson cut certifies it.
+        """
+        count = self.cfg.spectral_options()["count"]
+        rep = compute_spectrum(self.system, count)
+        if rep.lambda_next_stable() is None:
+            raise ConfigurationError(
+                f"spectral.count = {count} gives {len(rep.pairs)} eigenpairs, all unstable: "
+                "the cut may lie inside the unstable spectrum; raise spectral.count"
+            )
+        return rep
 
     @cached_property
     def adjoint_spectrum(self) -> SpectrumReport:
@@ -109,32 +123,8 @@ class Run:
         return adjoint_eigenpairs(self.system, self.spectrum.unstable_part())
 
     @cached_property
-    def clusters(self) -> list[list[EigenPair]]:
-        return self.adjoint_spectrum.unstable_clusters()
-
-    @cached_property
-    def cluster_fields(self) -> list[np.ndarray]:
-        """Each cluster's eigenfunctions restricted to omega, one array each."""
-        return [omega_fields(self.system, cl, self.regions.omega) for cl in self.clusters]
-
-    @cached_property
-    def grams(self) -> list[GramMatrix]:
-        return [ucp_gram_test(F, self.grid.cell_area) for F in self.cluster_fields]
-
-    @cached_property
-    def actuators(self) -> np.ndarray:
-        """The actuators, once every cluster's omega-Gram has passed."""
-        for cl, gm in zip(self.clusters, self.grams):
-            if not gm.passed:
-                raise UncontrollableError(
-                    f"omega-Gram of cluster at {cl[0].lam:.4g} is numerically singular; "
-                    "cannot build independent actuators"
-                )
-        return select_actuators(self.cluster_fields, self.grid.cell_area)
-
-    @cached_property
-    def kalman(self) -> list[KalmanMatrix]:
-        return kalman_rank(self.actuators, self.cluster_fields, self.grid.cell_area)
+    def ucp(self) -> UcpCertificate:
+        return ucp_certificate(self.system, self.adjoint_spectrum, self.regions.omega)
 
 
 def run_spectrum(run: Run, outdir: Path) -> dict:
@@ -165,37 +155,23 @@ def run_spectrum(run: Run, outdir: Path) -> dict:
 
 
 def run_ucp(run: Run, outdir: Path) -> dict:
-    cfg, arep = run.cfg, run.adjoint_spectrum
-    rows, cluster_summaries = [], []
-    all_gram = True
-    for ci, (cl, gm) in enumerate(zip(run.clusters, run.grams)):
-        all_gram &= gm.passed
-        cluster_summaries.append(
-            {
-                "cluster": ci,
-                "lambda": {"re": cl[0].lam.real, "im": cl[0].lam.imag},
-                "ell": len(cl),
-                "sigma_min": gm.sigma_min,
-                "gram_passed": gm.passed,
-            }
-        )
-    if arep.N > 0 and all_gram:
-        for ci, k in enumerate(run.kalman):
-            cluster_summaries[ci]["kalman_rank"] = k.rank
-            cluster_summaries[ci]["kalman_passed"] = k.passed
-    for cs in cluster_summaries:
-        rows.append(
-            [
-                cs["cluster"],
-                cs["lambda"]["re"],
-                cs["lambda"]["im"],
-                cs["ell"],
-                cs["sigma_min"],
-                cs["gram_passed"],
-                cs.get("kalman_rank", -1),
-                cs.get("kalman_passed", False),
-            ]
-        )
+    cfg, arep, cert = run.cfg, run.adjoint_spectrum, run.ucp
+    cluster_summaries, rows = [], []
+    kalman = cert.kalman or [None] * len(cert.grams)
+    for ci, (cl, gm, k) in enumerate(zip(cert.clusters, cert.grams, kalman)):
+        lam = cl[0].lam
+        cs = {
+            "cluster": ci,
+            "lambda": {"re": lam.real, "im": lam.imag},
+            "ell": len(cl),
+            "sigma_min": gm.sigma_min,
+            "gram_passed": gm.passed,
+        }
+        if k is not None:
+            cs.update(kalman_rank=k.rank, kalman_passed=k.passed)
+        cluster_summaries.append(cs)
+        rank, passed = (k.rank, k.passed) if k is not None else (-1, False)
+        rows.append([ci, lam.real, lam.imag, len(cl), gm.sigma_min, gm.passed, rank, passed])
     write_table(
         outdir / "ucp_report.txt",
         ["cluster", "re", "im", "ell", "sigma_min", "gram_pass", "kalman_rank", "kalman_pass"],
@@ -210,12 +186,8 @@ def run_ucp(run: Run, outdir: Path) -> dict:
         K=arep.K,
         clusters=cluster_summaries,
         vacuous=bool(arep.N == 0),
-        all_gram_passed=bool(all_gram),
-        all_kalman_passed=bool(
-            all(cs.get("kalman_passed", False) for cs in cluster_summaries)
-        )
-        if (arep.N > 0 and all_gram)
-        else bool(arep.N == 0),
+        all_gram_passed=not failed,
+        all_kalman_passed=cert.kalman_passed,
         failed_clusters=failed,
     )
     write_summary(outdir / "ucp_summary.json", summary)
@@ -231,8 +203,7 @@ def run_carleman(run: Run, outdir: Path) -> dict:
     psi = build_weight(regions)
     opts = cfg.carleman_options(regions)
     taus = opts["tau_list"]
-    params = [CarlemanParams.for_weight(t, psi) for t in taus]
-    s = sweep(psi, np.random.default_rng(cfg.seed), opts["n_fields"], params)
+    s = sweep(psi, np.random.default_rng(cfg.seed), opts["n_fields"], taus)
     rows = [
         [t, *(float(np.mean(a)) for a in means), float(margin.min()), bool(ok.all())]
         for t, *means, margin, ok in zip(
@@ -250,8 +221,8 @@ def run_carleman(run: Run, outdir: Path) -> dict:
         _meta(cfg),
         rho=psi.rho,
         kgrad=psi.kgrad,
-        delta0=params[0].delta0,
-        epsilon=params[0].epsilon,
+        delta0=DELTA0,
+        epsilon=EPSILON,
         tau_list=taus,
         n_fields=opts["n_fields"],
         tau0=tau0,
@@ -268,16 +239,10 @@ def run_carleman(run: Run, outdir: Path) -> dict:
 def run_stabilize(run: Run, outdir: Path) -> dict:
     cfg, rep = run.cfg, run.spectrum
     sopts = cfg.stabilize_options()
-    if not all(k.passed for k in run.kalman):
-        raise UncontrollableError(
-            f"Kalman rank defect: {[(k.rank, k.ell) for k in run.kalman]}"
-        )
     out = closed_loop(
         run.system,
         rep,
-        run.adjoint_spectrum,
-        run.actuators,
-        run.regions.omega,
+        run.ucp,
         sopts["gamma"] if sopts["gain_on"] else None,
         sopts["T"],
         sopts["dt"],

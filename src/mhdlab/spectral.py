@@ -29,9 +29,11 @@ The continuation test itself is algebraic: a cluster's adjoint eigenfunctions
 restricted to the control patch omega must stay linearly independent (their
 omega-Gram matrix must be far from singular), and actuators built from those
 restrictions must give a full-rank pairing matrix per cluster, which is the
-finite-dimensional controllability condition.  The three certificates read
-one array per cluster, its eigenfunctions synthesized at once and restricted
-to omega (``omega_fields``).
+finite-dimensional controllability condition.  ``ucp_certificate`` runs that
+chain once per adjoint spectrum and holds its reports and the actuators it
+certifies; ``stabilize.closed_loop`` runs only on a certificate that passed.
+Its steps read one array per cluster, its eigenfunctions synthesized at once
+and restricted to omega (``omega_fields``).
 """
 
 from __future__ import annotations
@@ -489,3 +491,61 @@ def kalman_rank(
             )
         )
     return out
+
+
+@dataclass
+class UcpCertificate:
+    """The unique continuation test of one adjoint spectrum on omega, and
+    the actuators it certifies.
+
+    ``clusters`` are the adjoint's unstable clusters and ``grams`` their
+    omega-Gram reports.  The actuators and their per-cluster Kalman
+    reports are built only when every Gram passes, and are None otherwise.
+    """
+
+    clusters: list[list[EigenPair]]
+    omega: np.ndarray
+    grams: list[GramMatrix]
+    actuators: np.ndarray | None
+    kalman: list[KalmanMatrix] | None
+
+    @property
+    def kalman_passed(self) -> bool:
+        return self.kalman is not None and all(k.passed for k in self.kalman)
+
+    def require(self) -> None:
+        """Raise UncontrollableError unless every cluster's omega-Gram and
+        Kalman report passed: the first failed Gram names its cluster, else
+        the message lists every (rank, ell)."""
+        for cl, gm in zip(self.clusters, self.grams):
+            if not gm.passed:
+                raise UncontrollableError(
+                    f"omega-Gram of cluster at {cl[0].lam:.4g} is numerically singular; "
+                    "cannot build independent actuators"
+                )
+        if not self.kalman_passed:
+            raise UncontrollableError(
+                f"Kalman rank defect: {[(k.rank, k.ell) for k in self.kalman]}"
+            )
+
+
+def ucp_certificate(A: MhdSystem, adjoint: SpectrumReport, omega: np.ndarray) -> UcpCertificate:
+    """The UCP certificate of the unstable clusters of an adjoint spectrum
+    of A on the control patch omega.
+
+    Each cluster is synthesized on omega once (``omega_fields``) and its
+    omega-Gram tested (``ucp_gram_test``).  When every Gram passes, the
+    actuators are built from the same fields (``select_actuators``) and
+    checked cluster by cluster (``kalman_rank``).  An adjoint without
+    unstable pairs gives a vacuous certificate that passes: no clusters,
+    and an empty actuator array and Kalman list.
+    """
+    clusters = adjoint.unstable_clusters()
+    cell_area = A.grid.cell_area
+    fields = [omega_fields(A, cl, omega) for cl in clusters]
+    grams = [ucp_gram_test(F, cell_area) for F in fields]
+    actuators = kalman = None
+    if all(gm.passed for gm in grams):
+        actuators = select_actuators(fields, cell_area)
+        kalman = kalman_rank(actuators, fields, cell_area)
+    return UcpCertificate(clusters, omega, grams, actuators, kalman)

@@ -8,8 +8,9 @@ Feedback places the poles of the reduced unstable block at or below -gamma
 with one Sylvester solve; the loop is closed through omega-localized
 actuator fields and simulated with an implicit step for the stiff generator
 and an explicit step for the control coupling.  ``closed_loop`` runs the
-whole stabilization experiment from a forward spectrum and its derived
-adjoint.
+whole stabilization experiment from a forward spectrum and the UCP
+certificate of its derived adjoint (``spectral.ucp_certificate``), and only
+on a certificate that passed.
 
 States are real arrays of reduced (basis) coefficients from the initial
 state to the trace, and the applied fields are one real (K, 2, 2, nx, ny)
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .basis import SolenoidalBasis
 from .operators import MhdSystem, shifted_lu
-from .spectral import EigenPair, SpectrumReport
+from .spectral import EigenPair, SpectrumReport, UcpCertificate
 
 COND_LIMIT = 1e10
 # An eigenvalue (or a cluster's mean) with |Im| below this is real.
@@ -254,21 +255,21 @@ class FeedbackDesign:
 def design_feedback(
     A: MhdSystem,
     forward_clusters: list[list[EigenPair]],
-    adjoint_clusters: list[list[EigenPair]],
-    actuators: np.ndarray,
-    m_mask: np.ndarray,
+    certificate: UcpCertificate,
     gamma: float | None,
 ) -> FeedbackDesign:
     """Unstable projection, input map and block, and the gain placing the
-    block's poles below -gamma (no gain when gamma is None: open loop).
+    block's poles below -gamma (no gain when gamma is None: open loop), on
+    the forward clusters and the certificate's adjoint clusters, actuators
+    and omega.
 
     The input map holds the unstable coordinates of the fields the loop
     actually applies (``control_fields``), not of the raw actuators; their
     reduced coordinates and leakage are kept for the closed loop.
     """
-    proj = project_unstable(forward_clusters, adjoint_clusters)
+    proj = project_unstable(forward_clusters, certificate.clusters)
     basis = A.basis
-    fields = control_fields(basis, actuators, m_mask)
+    fields = control_fields(basis, certificate.actuators, certificate.omega)
     drive = basis.analyze(fields).reshape(len(fields), A.dim).T
     input_map = proj.coords(drive)
     # the basis is orthonormal, so the kept part of a field has the norm of
@@ -435,34 +436,28 @@ class ClosedLoop:
 def closed_loop(
     A: MhdSystem,
     forward: SpectrumReport,
-    adjoint: SpectrumReport,
-    actuators: np.ndarray,
-    m_mask: np.ndarray,
+    certificate: UcpCertificate,
     gamma: float | None,
     T: float,
     dt: float,
     rng: np.random.Generator,
 ) -> ClosedLoop:
     """The stabilization experiment on the unstable clusters of a forward
-    spectrum and its adjoint.
+    spectrum and the UCP certificate of its adjoint.
 
-    Designs the feedback (no gain when gamma is None: open loop), starts
-    from ``initial_state`` drawn from rng, marches to T and fits the energy
-    decay over (T/2, T).  The energy of the closed loop decays at twice its
+    A certificate whose Gram or Kalman test failed raises
+    UncontrollableError (``UcpCertificate.require``) before anything is
+    designed or simulated.  Designs the feedback (no gain when gamma is
+    None: open loop), starts from ``initial_state`` drawn from rng, marches
+    to T and fits the energy decay over (T/2, T).  The energy of the closed loop decays at twice its
     slowest rate, the placed -gamma or the first stable eigenvalue, so the
     target is 2 min(gamma, |Re lambda_next|).  Without unstable pairs
     nothing is designed and the loop runs open.
     """
+    certificate.require()
     design = None
     if forward.N > 0:
-        design = design_feedback(
-            A,
-            forward.unstable_clusters(),
-            adjoint.unstable_clusters(),
-            actuators,
-            m_mask,
-            gamma,
-        )
+        design = design_feedback(A, forward.unstable_clusters(), certificate, gamma)
     x0 = initial_state(A, design.proj if design is not None else None, rng)
     trace = simulate_closed_loop(A, design, x0, T, dt)
     rate, hw = measure_decay(trace, (T / 2, T))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mhdlab import (
-    CarlemanParams,
     MhdSystem,
     OmegaSpec,
     adjoint_eigenpairs,
@@ -18,11 +17,10 @@ from mhdlab import (
     coefficients,
     compute_spectrum,
     helmholtz_project,
-    kalman_rank,
     make_equilibrium,
     omega_fields,
     oseen_plus,
-    select_actuators,
+    ucp_certificate,
     ucp_gram_test,
 )
 from mhdlab import carleman
@@ -116,19 +114,13 @@ def test_criterion_3_helmholtz(box32):
 
 def test_criterion_4_ucp_kalman(gen_shifted32, adj_spectrum_shifted32, regions32):
     omega, dA = regions32.omega, regions32.grid.cell_area
-    clusters = [
-        omega_fields(gen_shifted32, cl, omega) for cl in adj_spectrum_shifted32.unstable_clusters()
-    ]
-    sigma_mins = []
-    for F in clusters:
-        gm = ucp_gram_test(F, dA)
-        sigma_mins.append(gm.sigma_min)
-    actuators = select_actuators(clusters, dA)
-    ranks_ok = all(k.passed for k in kalman_rank(actuators, clusters, dA))
+    cert = ucp_certificate(gen_shifted32, adj_spectrum_shifted32, omega)
+    sigma_mins = [gm.sigma_min for gm in cert.grams]
+    ranks_ok = cert.kalman_passed
 
     # synthetic omega-degenerate fixture must fail: the second eigenfunction
     # takes the first one's values on omega
-    degenerate = clusters[0][:2].copy()
+    degenerate = omega_fields(gen_shifted32, cert.clusters[0][:2], omega)
     degenerate[1][..., omega] = degenerate[0][..., omega]
     gm_deg = ucp_gram_test(degenerate, dA)
     ok = (
@@ -152,7 +144,7 @@ def test_criterion_5_carleman_coefficients():
     ]
     ok = True
     for (rho, k, tau), expect in cases:
-        got = coefficients(CarlemanParams(tau, 0.5, 0.5, rho, k))
+        got = coefficients(tau, rho, k)
         ok &= got.c_grad == expect[0] and got.c_zero == expect[1] and got.c_rhs == expect[2]
     _report(5, ok, "coefficients(rho,k,tau,1/2,1/2) == (rho*tau - 1/8, 2*rho*k^2*tau^3, 3) exactly")
 
@@ -160,8 +152,7 @@ def test_criterion_5_carleman_coefficients():
 @pytest.fixture(scope="module")
 def carleman_sweep(regions32, psi32):
     taus = [c * 4.0 / regions32.diameter for c in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
-    params = [CarlemanParams.for_weight(t, psi32) for t in taus]
-    return taus, carleman.sweep(psi32, np.random.default_rng(777), 100, params)
+    return taus, carleman.sweep(psi32, np.random.default_rng(777), 100, taus)
 
 
 def test_criterion_6_integrated_inequality(carleman_sweep, psi32):
@@ -281,15 +272,12 @@ def test_criterion_10_closed_loop():
         omega1_width=0.04 * L,
         omega_star_width=0.08 * L,
     )
-    omega = regions.omega
-    clusters = [omega_fields(A, cl, omega) for cl in arep.unstable_clusters()]
-    actuators = select_actuators(clusters, grid.cell_area)
-    assert all(k.passed for k in kalman_rank(actuators, clusters, grid.cell_area))
+    cert = ucp_certificate(A, arep, regions.omega)
 
     def experiment(g, T):
         # one seed, so the open and the closed loop start from the same state
         rng = np.random.default_rng(8)
-        return closed_loop(A, rep, arep, actuators, omega, g, T, 0.01, rng)
+        return closed_loop(A, rep, cert, g, T, 0.01, rng)
 
     closed, opened = experiment(gamma, 8.0), experiment(None, 2.0)
     gain, rate, target = closed.design.gain, closed.decay_rate, closed.energy_rate_target

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhdlab import CarlemanParams, coefficients, compute_spectrum
+from mhdlab import compute_spectrum
 from mhdlab import carleman
 from mhdlab.carleman import (
+    DELTA0,
     PASS_SLACK,
     Sweep,
     coefficients,
@@ -31,61 +32,41 @@ class TestCoefficients:
     def test_canonical_half_half(self):
         # delta0 = eps = 1/2 collapses the general coefficients to
         # (rho*tau - 1/8, 2*rho*k^2*tau^3, 3)
-        assert coefficients(CarlemanParams(1.0, 0.5, 0.5, 1.0, 1.0)) == (0.875, 2.0, 3.0)
-        assert coefficients(CarlemanParams(10.0, 0.5, 0.5, 2.0, 3.0)) == (
-            19.875,
-            36000.0,
-            3.0,
-        )
+        assert coefficients(1.0, 1.0, 1.0) == (0.875, 2.0, 3.0)
+        assert coefficients(10.0, 2.0, 3.0) == (19.875, 36000.0, 3.0)
 
     def test_exact_formula_random(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             rho, k, tau = rng.uniform(0.5, 4, size=3)
-            p = CarlemanParams(tau, 0.5, 0.5, rho, k)
-            c = coefficients(p)
+            c = coefficients(tau, rho, k)
             assert c.c_grad == rho * tau - 0.125
             assert c.c_zero == 2.0 * rho * k**2 * tau**3
             assert c.c_rhs == 3.0
 
-    def test_degenerate_split(self):
-        c = coefficients(CarlemanParams(2.0, 1.0 - 1e-12, 0.5, 1.0, 1.0))
-        assert c.c_zero == pytest.approx(0.0, abs=1e-10)
-
     def test_scaling_invariance(self):
         # (rho, tau) -> (rho/c, c*tau) leaves the leading 2*delta0*rho*tau
         # term bit-identical for binary scale factors
-        base = CarlemanParams(3.0, 0.5, 0.5, 2.0, 1.0)
-        lead = lambda p: p.delta0 * (2.0 * p.rho * p.tau)
+        lead = lambda tau, rho: DELTA0 * (2.0 * rho * tau)
         for c in (2.0, 4.0, 8.0):
-            scaled = CarlemanParams(3.0 * c, 0.5, 0.5, 2.0 / c, 1.0)
-            assert lead(scaled) == lead(base)
+            assert lead(3.0 * c, 2.0 / c) == lead(3.0, 2.0)
 
     def test_tau_too_small_signal(self):
-        c = coefficients(CarlemanParams(1e-6, 0.5, 4.0, 1.0, 1.0))
+        c = coefficients(1e-6, 1.0, 1.0)
         assert c.c_grad <= 0  # reported, not raised
-
-    def test_param_validation(self):
-        with pytest.raises(ConfigurationError):
-            CarlemanParams(1.0, 1.5, 0.5)
-        with pytest.raises(ConfigurationError):
-            CarlemanParams(1.0, 0.5, -1.0)
-        with pytest.raises(ConfigurationError):
-            CarlemanParams(-1.0, 0.5, 0.5)
 
 
 class TestIntegratedInequality:
     def test_zero_field_passes(self, regions32, psi32):
-        w = np.zeros((1, 1, *regions32.grid.shape))
-        s = inequality_sweep_stack(w, psi32, [CarlemanParams.for_weight(1.0, psi32)])
+        w = np.zeros((1, *regions32.grid.shape))
+        s = inequality_sweep_stack(w, psi32, [1.0])
         assert s.passed[0, 0]
         assert s.margin[0, 0] == 0.0
 
     def test_seeded_fields_pass_above_threshold(self, regions32, psi32):
         rng = np.random.default_rng(42)
         taus = tau_grid(regions32)
-        params = [CarlemanParams.for_weight(t, psi32) for t in taus]
-        s = sweep(psi32, rng, 30, params)
+        s = sweep(psi32, rng, 30, taus)
         assert s.passed.shape == (len(taus), 30)
         tau0 = find_tau0(taus, s.passed)
         assert tau0 is not None
@@ -97,8 +78,7 @@ class TestIntegratedInequality:
         rng = np.random.default_rng(43)
         w = next(draw_test_fields(regions32, rng, 1))
         taus = tau_grid(regions32)
-        params = [CarlemanParams.for_weight(t, psi32) for t in taus]
-        s = inequality_sweep_stack(w, psi32, params)
+        s = inequality_sweep_stack(w, psi32, taus)
         logs_t, logs_v = [], []
         for t, lhs_zero, integral_zero in zip(taus, s.lhs_zero[:, 0], s.integral_zero[:, 0]):
             logs_t.append(np.log(t))
@@ -112,8 +92,7 @@ class TestIntegratedInequality:
         rng = np.random.default_rng(44)
         w = next(draw_test_fields(regions32, rng, 1))
         taus = tau_grid(regions32)
-        params = [CarlemanParams.for_weight(t, psi32) for t in taus]
-        s = inequality_sweep_stack(w, psi32, params)
+        s = inequality_sweep_stack(w, psi32, taus)
         logs_t, logs_r = [], []
         for i, t in enumerate(taus):
             ratio = s.rhs_main[i, 0] / s.lhs_zero[i, 0]
@@ -129,30 +108,23 @@ class TestIntegratedInequality:
         # integrals stay near 1e-217: each of the three is checked on its own
         w = next(draw_test_fields(regions32, np.random.default_rng(42), 1))
         tiny = np.finfo(float).tiny
-        par = CarlemanParams.for_weight(130.0, psi32)
         # the reference weighs the whole grid: off G the weight overflows to
         # inf and its products to nan, which the integrals over G never read
         with np.errstate(over="ignore", invalid="ignore"):
-            ref = _reference_check(_as_field(regions32.grid, w[0]), psi32, par)
+            ref = _reference_check(ScalarField(regions32.grid, w[0]), psi32, 130.0)
         assert ref.integral_zero[0, 0] < tiny
         assert ref.integral_grad[0, 0] > tiny and ref.integral_rhs[0, 0] > tiny
-        params = [CarlemanParams.for_weight(t, psi32) for t in (1.0, 130.0, 200.0)]
+        taus = [1.0, 130.0, 200.0]
         with pytest.raises(NumericalError, match="tau = 130"):
-            inequality_sweep_stack(w, psi32, params)
-        assert inequality_sweep_stack(w, psi32, params[:1]).passed.all()
-        s = inequality_sweep_stack(np.zeros_like(w), psi32, params)
+            inequality_sweep_stack(w, psi32, taus)
+        assert inequality_sweep_stack(w, psi32, taus[:1]).passed.all()
+        s = inequality_sweep_stack(np.zeros_like(w), psi32, taus)
         assert s.passed.all() and not s.margin.any()
 
     def test_cauchy_precondition_enforced(self, regions32, psi32):
-        w = np.ones((1, 1, *regions32.grid.shape))
+        w = np.ones((1, *regions32.grid.shape))
         with pytest.raises(CauchyDataError):
-            inequality_sweep_stack(w, psi32, [CarlemanParams.for_weight(1.0, psi32)])
-
-    def test_vector_fields_supported(self, regions32, psi32):
-        rng = np.random.default_rng(45)
-        w = next(draw_test_fields(regions32, rng, 1, kind="vector"))
-        s = inequality_sweep_stack(w, psi32, [CarlemanParams.for_weight(2.0, psi32)])
-        assert s.rhs_main[0, 0] > 0
+            inequality_sweep_stack(w, psi32, [1.0])
 
     def test_collar_geometry_inequality(self):
         # full-collar channel: the weight sign split holds and the inequality
@@ -171,39 +143,34 @@ class TestIntegratedInequality:
         assert psi.rho > 0 and psi.kgrad > 0
         rng = np.random.default_rng(50)
         taus = [c * 4.0 / 1.8 for c in (1.0, 2.0, 4.0, 8.0, 16.0)]
-        params = [CarlemanParams.for_weight(t, psi) for t in taus]
-        s = sweep(psi, rng, 10, params)
+        s = sweep(psi, rng, 10, taus)
         tau0 = find_tau0(taus, s.passed)
         assert tau0 is not None
         # small rho: the gradient coefficient flags tau-too-small low in the grid
-        assert coefficients(CarlemanParams.for_weight(0.05, psi)).c_grad <= 0
+        assert coefficients(0.05, psi.rho, psi.kgrad).c_grad <= 0
 
     def test_zero_order_term_is_c_zero_times_its_integral(self, regions32, psi32):
         # the sweep checks the stated estimate: no tau^2 weakening of c_zero
         rng = np.random.default_rng(46)
         w = next(draw_test_fields(regions32, rng, 1))
-        params = [CarlemanParams.for_weight(t, psi32) for t in tau_grid(regions32)]
-        s = inequality_sweep_stack(w, psi32, params)
-        for i, par in enumerate(params):
-            c_zero = coefficients(par).c_zero
+        taus = tau_grid(regions32)
+        s = inequality_sweep_stack(w, psi32, taus)
+        for i, tau in enumerate(taus):
+            c_zero = coefficients(tau, psi32.rho, psi32.kgrad).c_zero
             assert c_zero > 0
             assert s.lhs_zero[i, 0] == c_zero * s.integral_zero[i, 0]
 
 
-def _reference_check(w, psi, params):
+def _reference_check(w, psi, tau):
     """One (field, tau) check written out with full-grid weighted norms, as
     a Sweep of 1 x 1 arrays."""
-    G, tau = psi.regions.G, params.tau
+    G = psi.regions.G
     shift = float(psi.psi[G].max())
     W = ScalarField(psi.regions.grid, np.exp(2.0 * tau * (psi.psi - shift)))
-    if isinstance(w, VectorField2):
-        grads = [gradient(ScalarField(w.grid, w.u1)), gradient(ScalarField(w.grid, w.u2))]
-        I_grad = sum(weighted_norm2(gr, W, G) for gr in grads)
-    else:
-        I_grad = weighted_norm2(gradient(w), W, G)
+    I_grad = weighted_norm2(gradient(w), W, G)
     I_zero = weighted_norm2(w, W, G)
     I_rhs = weighted_norm2(laplacian(w), W, G)
-    c_grad, c_zero, c_rhs = coefficients(params)
+    c_grad, c_zero, c_rhs = coefficients(tau, psi.rho, psi.kgrad)
     lhs_grad = c_grad * I_grad
     lhs_zero = c_zero * I_zero
     rhs_main = c_rhs * I_rhs
@@ -219,9 +186,9 @@ def _rows(sweeps):
     return Sweep(*(np.concatenate(column) for column in zip(*sweeps)))
 
 
-def _reference_sweep(w, psi, params_seq):
-    """_reference_check at every entry of params_seq, rows stacked."""
-    return _rows([_reference_check(w, psi, p) for p in params_seq])
+def _reference_sweep(w, psi, taus):
+    """_reference_check at every tau of taus, rows stacked."""
+    return _rows([_reference_check(w, psi, t) for t in taus])
 
 
 def _bits(s):
@@ -230,24 +197,22 @@ def _bits(s):
 
 
 class TestInequalitySweep:
-    @pytest.mark.parametrize("kind", ["scalar", "vector"])
-    def test_sweep_equals_single_tau_checks(self, regions32, psi32, kind):
+    def test_sweep_equals_single_tau_checks(self, regions32, psi32):
         rng = np.random.default_rng(47)
-        params = [CarlemanParams.for_weight(t, psi32) for t in tau_grid(regions32)]
+        taus = tau_grid(regions32)
         for _ in range(3):
-            w = next(draw_test_fields(regions32, rng, 1, kind))
-            swept = inequality_sweep_stack(w, psi32, params)
+            w = next(draw_test_fields(regions32, rng, 1))
+            swept = inequality_sweep_stack(w, psi32, taus)
             assert swept.margin.shape == (7, 1)
-            singles = [inequality_sweep_stack(w, psi32, [p]) for p in params]
+            singles = [inequality_sweep_stack(w, psi32, [t]) for t in taus]
             assert _bits(swept) == _bits(_rows(singles))
-            ref = _as_field(regions32.grid, w[0])
-            assert _bits(_reference_sweep(ref, psi32, params)) == _bits(swept)
+            ref = ScalarField(regions32.grid, w[0])
+            assert _bits(_reference_sweep(ref, psi32, taus)) == _bits(swept)
 
     def test_boundary_trace_raises(self, regions32, psi32):
-        w = np.ones((1, 1, *regions32.grid.shape))
-        params = [CarlemanParams.for_weight(t, psi32) for t in tau_grid(regions32)]
+        w = np.ones((1, *regions32.grid.shape))
         with pytest.raises(CauchyDataError):
-            inequality_sweep_stack(w, psi32, params)
+            inequality_sweep_stack(w, psi32, tau_grid(regions32))
 
     def test_failing_checks_match_single_reference_checks(self, regions32, psi32):
         # the disc weight passes every check, so compare against a flat
@@ -255,48 +220,30 @@ class TestInequalitySweep:
         # fail; psi32's weights are cached first, and the copy must not
         # reuse them
         taus = tau_grid(regions32)
-        params = [CarlemanParams.for_weight(t, psi32) for t in taus]
-        sweep(psi32, np.random.default_rng(9), 1, params)
+        sweep(psi32, np.random.default_rng(9), 1, taus)
         flat = replace(psi32, psi=np.zeros_like(psi32.psi))
         rng = np.random.default_rng(9)
         failed = 0
         for _ in range(5):
-            w = next(draw_test_fields(regions32, rng, 1, "scalar"))
+            w = next(draw_test_fields(regions32, rng, 1))
             for t in taus:
-                par = CarlemanParams.for_weight(t, flat)
-                s = inequality_sweep_stack(w, flat, [par])
-                ref = _reference_check(_as_field(regions32.grid, w[0]), flat, par)
+                s = inequality_sweep_stack(w, flat, [t])
+                ref = _reference_check(ScalarField(regions32.grid, w[0]), flat, t)
                 assert _bits(s) == _bits(ref)
                 failed += not s.passed[0, 0]
         assert failed > 0
 
 
-def _reference_field(regions, rng, kind="scalar", n_modes=6, kmax=4):
+def _reference_field(regions, rng, n_modes=6, kmax=4):
     """One test field drawn mode by mode on the full meshgrid."""
     g = regions.grid
     X, Y = g.meshgrid()
-    moll = carleman._band_mollifier(regions)
-
-    def smooth():
-        f = np.zeros(g.shape)
-        for _ in range(n_modes):
-            kx, ky = rng.integers(-kmax, kmax + 1, size=2)
-            phase = rng.uniform(0, 2 * np.pi)
-            f += rng.normal() * np.cos(2 * np.pi * (kx * X / g.Lx + ky * Y / g.Ly) + phase)
-        return f
-
-    if kind == "scalar":
-        return ScalarField(g, moll * smooth())
-    return VectorField2(g, moll * smooth(), moll * smooth())
-
-
-def _components(w):
-    return [w.u1, w.u2] if isinstance(w, VectorField2) else [w.values]
-
-
-def _as_field(grid, v):
-    """One (component, x, y) entry of a stack as a scalar or vector field."""
-    return ScalarField(grid, v[0]) if len(v) == 1 else VectorField2(grid, v[0], v[1])
+    f = np.zeros(g.shape)
+    for _ in range(n_modes):
+        kx, ky = rng.integers(-kmax, kmax + 1, size=2)
+        phase = rng.uniform(0, 2 * np.pi)
+        f += rng.normal() * np.cos(2 * np.pi * (kx * X / g.Lx + ky * Y / g.Ly) + phase)
+    return carleman._band_mollifier(regions) * f
 
 
 # the grids of the CI runs: the default 32^2 disc, a non-square one, 64^2,
@@ -317,31 +264,25 @@ SUPPORT_CASES = {
 }
 
 
-def _swept(psi, params, n_fields, seed):
+def _swept(psi, taus, n_fields, seed):
     """The sweep of n_fields seeded test fields, as bytes, and the generator
     state after the draws."""
     rng = np.random.default_rng(seed)
-    return _bits(sweep(psi, rng, n_fields, params)), rng.bit_generator.state
+    return _bits(sweep(psi, rng, n_fields, taus)), rng.bit_generator.state
 
 
 class TestFieldStacks:
-    @pytest.mark.parametrize("kind", ["scalar", "vector"])
-    def test_stacks_equal_fields_drawn_one_at_a_time(self, regions32, kind):
+    def test_stacks_equal_fields_drawn_one_at_a_time(self, regions32):
         rng = np.random.default_rng(5)
-        blocks = list(draw_test_fields(regions32, rng, 20, kind))
+        blocks = list(draw_test_fields(regions32, rng, 20))
         assert len(blocks) > 1 and 20 % len(blocks[0]) != 0
-        stacked = [_as_field(regions32.grid, v) for fields in blocks for v in fields]
+        stacked = [w for fields in blocks for w in fields]
         one, ref = np.random.default_rng(5), np.random.default_rng(5)
-        singles = [
-            _as_field(regions32.grid, next(draw_test_fields(regions32, one, 1, kind))[0])
-            for _ in range(20)
-        ]
-        refs = [_reference_field(regions32, ref, kind) for _ in range(20)]
+        singles = [next(draw_test_fields(regions32, one, 1))[0] for _ in range(20)]
+        refs = [_reference_field(regions32, ref) for _ in range(20)]
         assert len(stacked) == 20
         for w, single, r in zip(stacked, singles, refs):
-            assert type(w) is type(r)
-            for a, b, c in zip(_components(w), _components(single), _components(r)):
-                assert np.array_equal(a, b) and np.array_equal(a, c)
+            assert np.array_equal(w, single) and np.array_equal(w, r)
         assert rng.bit_generator.state == one.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 501, 2024])
@@ -365,17 +306,15 @@ class TestFieldStacks:
         g = regions.grid
         moll = carleman._band_mollifier(regions)
         assert 0 < np.count_nonzero(moll) < g.ncells
-        for kind, ncomp in (("scalar", 1), ("vector", 2)):
-            rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-            for fields in draw_test_fields(regions, rng, 20, kind):
-                count = len(fields) * ncomp
-                sums = carleman._cosine_sums(
-                    g, ref, count, carleman._FIELD_MODES, carleman._FIELD_KMAX,
-                    np.arange(g.ncells),
-                )
-                want = moll * sums.reshape(fields.shape) + 0.0
-                assert fields.tobytes() == want.tobytes()
-            assert rng.bit_generator.state == ref.bit_generator.state
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for fields in draw_test_fields(regions, rng, 20):
+            sums = carleman._cosine_sums(
+                g, ref, len(fields), carleman._FIELD_MODES, carleman._FIELD_KMAX,
+                np.arange(g.ncells),
+            )
+            want = moll * sums.reshape(fields.shape) + 0.0
+            assert fields.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_omega_vanishing_state_matches_mode_by_mode_draws(self, regions32):
         rng, ref = np.random.default_rng(12), np.random.default_rng(12)
@@ -394,18 +333,17 @@ class TestFieldStacks:
                 f += ref.normal() * np.cos(2 * np.pi * (kx * X / g.Lx + ky * Y / g.Ly) + phase)
             assert np.array_equal(got, rise * f)
 
-    @pytest.mark.parametrize("kind", ["scalar", "vector"])
-    def test_stacked_sweep_equals_per_field_reports(self, regions32, psi32, kind):
-        params = [CarlemanParams.for_weight(t, psi32) for t in tau_grid(regions32)]
-        for fields in draw_test_fields(regions32, np.random.default_rng(6), 12, kind):
-            stacked = inequality_sweep_stack(fields, psi32, params)
-            assert stacked.margin.shape == (len(params), len(fields))
+    def test_stacked_sweep_equals_per_field_reports(self, regions32, psi32):
+        taus = tau_grid(regions32)
+        for fields in draw_test_fields(regions32, np.random.default_rng(6), 12):
+            stacked = inequality_sweep_stack(fields, psi32, taus)
+            assert stacked.margin.shape == (len(taus), len(fields))
             for i in range(len(fields)):
                 column = Sweep(*(a[:, [i]] for a in stacked))
-                w = _as_field(regions32.grid, fields[i])
-                alone = inequality_sweep_stack(fields[i][None], psi32, params)
+                w = ScalarField(regions32.grid, fields[i])
+                alone = inequality_sweep_stack(fields[i][None], psi32, taus)
                 assert _bits(column) == _bits(alone)
-                assert _bits(column) == _bits(_reference_sweep(w, psi32, params))
+                assert _bits(column) == _bits(_reference_sweep(w, psi32, taus))
 
     def test_first_failing_field_names_the_error(self, regions32, psi32):
         # one cell layer inside the inner ring: zero on the rings, but the
@@ -414,27 +352,26 @@ class TestFieldStacks:
         eroded = carleman._erode(G)
         layer = eroded & ~carleman._erode(eroded)
         assert layer.any() and not (layer & carleman._boundary_rings(G)).any()
-        params = [CarlemanParams.for_weight(1.0, psi32)]
         fields = next(draw_test_fields(regions32, np.random.default_rng(7), 3))
-        fields[1, 0] += layer
-        fields[2, 0] += 1.0
+        fields[1] += layer
+        fields[2] += 1.0
         with pytest.raises(CauchyDataError, match="normal-derivative"):
-            inequality_sweep_stack(fields, psi32, params)
+            inequality_sweep_stack(fields, psi32, [1.0])
         fields[[1, 2]] = fields[[2, 1]]
         with pytest.raises(CauchyDataError, match="field trace"):
-            inequality_sweep_stack(fields, psi32, params)
+            inequality_sweep_stack(fields, psi32, [1.0])
 
     @pytest.mark.parametrize("fields_per_block", [1, 3, 20])
     def test_reports_do_not_depend_on_block_size(
         self, regions32, psi32, monkeypatch, fields_per_block
     ):
-        params = [CarlemanParams.for_weight(t, psi32) for t in tau_grid(regions32)]
-        ref = _swept(psi32, params, 20, 8)
+        taus = tau_grid(regions32)
+        ref = _swept(psi32, taus, 20, 8)
         monkeypatch.setattr(
             carleman, "_BLOCK_CELLS", fields_per_block * regions32.grid.ncells
         )
         assert len(next(draw_test_fields(regions32, np.random.default_rng(0), 20))) == fields_per_block
-        assert _swept(psi32, params, 20, 8) == ref
+        assert _swept(psi32, taus, 20, 8) == ref
 
 
 class TestChiSystem:

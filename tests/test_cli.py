@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,29 @@ class TestRunSpectrum:
         # sigma - |k|^2 >= 0 only for |k|^2 = 1: four wavevectors, two fields
         assert summary["N"] == 8
 
+    def test_count_inside_the_unstable_spectrum_is_config_error(self, tmp_path):
+        # sigma 2.5 puts two 8-fold clusters above the axis, at 1.5 and 0.5;
+        # count 8 stops after the first, and no stage may certify the rest
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"physics": {"sigma": 2.5}, "spectral": {"count": 8}}))
+        out = tmp_path / "o"
+        assert main(["all", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+        assert [f.name for f in out.iterdir()] == ["error.json"]
+        err = json.loads((out / "error.json").read_text())
+        assert err["error_kind"] == "config_error" and "spectral.count" in err["message"]
+        # a count that reaches the stable spectrum finds both clusters
+        summary = run_spectrum(Run(_cfg(physics={"sigma": 2.5}, spectral={"count": 24})), out)
+        assert (summary["N"], summary["M"]) == (16, 2)
+
+    def test_arnoldi_count_without_a_stable_pair_is_config_error(self):
+        # shear's 6-fold cluster at 0.5 fills a count of 6; shift-invert
+        # returns no stable pair beside it, and the run refuses the cut
+        shear = {"kind": "shear"}
+        with pytest.raises(ConfigurationError, match="spectral.count = 6"):
+            Run(_cfg(equilibrium=shear, spectral={"count": 6})).spectrum
+        rep = Run(_cfg(equilibrium=shear, spectral={"count": 7})).spectrum
+        assert rep.N == 6 and rep.lambda_next_stable() is not None
+
     def test_malformed_config_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -137,6 +161,7 @@ class TestRunCarleman:
         summary = run_carleman(Run(cfg), tmp_path)
         assert summary["tau0"] is not None
         assert summary["all_pass"]
+        assert (summary["delta0"], summary["epsilon"]) == (0.5, 0.5)
         table = (tmp_path / "carleman_sweep.txt").read_text().splitlines()
         n_taus = len(cfg.carleman_options(cfg.build_regions())["tau_list"])
         assert len([l for l in table if not l.startswith("#")]) == n_taus
@@ -416,7 +441,7 @@ def test_all_subcommand_runs_every_stage(tmp_path):
 
 def test_console_entry_point(tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"spectral": {"count": 8}}))
+    cfgfile.write_text(json.dumps(FAST_SPECTRAL))
     # the child interpreter imports the same mhdlab as this test process
     src = str(Path(mhdlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -571,7 +596,7 @@ MISTYPED_CONFIGS = [
     # the tau^2 weakening of the zero-order coefficient
     _bad({"carleman": {"tau2_bound": 0.0}}, "carleman.tau2_bound"),
     _bad({"carleman": {"calibrate_tau2": 1}}, "carleman.calibrate_tau2"),
-    # the estimate's constants, which no run set: CarlemanParams holds them
+    # the estimate's constants, which no run set: carleman.DELTA0 and EPSILON
     _bad({"carleman": {"delta0": 0.5}}, "carleman.delta0"),
     _bad({"carleman": {"epsilon": 0.5}}, "carleman.epsilon"),
     # the absolute lengths: each length is set only as a fraction of min(Lx, Ly)
@@ -781,11 +806,11 @@ class TestSharedRun:
         [("all", 1), ("spectrum", 0), ("ucp", 1), ("carleman", 0), ("stabilize", 1)],
     )
     def test_actuators_and_kalman_per_command(self, tmp_path, monkeypatch, command, calls):
-        cli = mhdlab.cli
+        spectral = mhdlab.spectral
         counts = {"select_actuators": 0, "kalman_rank": 0}
 
         def counted(name):
-            fn = getattr(cli, name)
+            fn = getattr(spectral, name)
 
             def wrapper(*args, **kwargs):
                 counts[name] += 1
@@ -794,12 +819,20 @@ class TestSharedRun:
             return wrapper
 
         for name in counts:
-            monkeypatch.setattr(cli, name, counted(name))
+            monkeypatch.setattr(spectral, name, counted(name))
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(SHARED_CFG))
         code = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert code == EXIT_OK
         assert counts == {"select_actuators": calls, "kalman_rank": calls}
+
+    def test_run_holds_the_ucp_chain_as_one_certificate(self):
+        # the chain's steps and gates are the library's: cli imports none
+        # of them, and the Run caches the certificate alone
+        for name in ("omega_fields", "ucp_gram_test", "select_actuators", "kalman_rank"):
+            assert not hasattr(mhdlab.cli, name), name
+        cached = {name for name, v in vars(Run).items() if isinstance(v, cached_property)}
+        assert cached == {"equilibrium", "system", "spectrum", "adjoint_spectrum", "ucp"}
 
     def test_all_computes_each_cluster_gram_once(self, tmp_path, monkeypatch):
         # the UCP report and the actuators' guard read the same Gram reports
@@ -810,7 +843,6 @@ class TestSharedRun:
             calls.append(1)
             return gram(*args, **kwargs)
 
-        monkeypatch.setattr(mhdlab.cli, "ucp_gram_test", counted)
         monkeypatch.setattr(mhdlab.spectral, "ucp_gram_test", counted)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(SHARED_CFG))

@@ -12,6 +12,7 @@ eigenpair handling through clustering, continuation tests and feedback.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +29,8 @@ from mhdlab import (
     make_equilibrium,
     omega_fields,
     project_unstable,
-    select_actuators,
-    ucp_gram_test,
+    ucp_certificate,
 )
-from mhdlab.spectral import EigenPair
 from mhdlab.stabilize import control_fields
 from oracles import dense_spectrum, pde_residual, poisson_control_fields, to_state
 from oracles import xi_row_leakage
@@ -128,21 +127,17 @@ def test_uniform_field_closed_loop():
         omega1_width=0.06 * L,
         omega_star_width=0.12 * L,
     )
-    omega, dA = regions.omega, grid.cell_area
-    clusters = [omega_fields(A, cl, omega) for cl in arep.unstable_clusters()]
-    for F in clusters:
-        assert ucp_gram_test(F, dA).passed
-    actuators = select_actuators(clusters, dA)
-    assert all(k.passed for k in kalman_rank(actuators, clusters, dA))
+    omega = regions.omega
+    cert = ucp_certificate(A, arep, omega)
 
-    out = closed_loop(A, rep, arep, actuators, omega, gamma, 8.0, 0.01, np.random.default_rng(21))
+    out = closed_loop(A, rep, cert, gamma, 8.0, 0.01, np.random.default_rng(21))
     assert out.design.proj.N == 8
     assert np.max(out.design.gain.achieved_poles.real) <= -gamma + 1e-8
     target = out.energy_rate_target
     assert abs(out.decay_rate - target) <= 0.2 * target
     # realized actuator signals are real and the applied fields stay in omega
     assert np.isrealobj(out.trace.amplitudes)
-    fields = control_fields(A.basis, actuators, omega)
+    fields = control_fields(A.basis, cert.actuators, omega)
     assert np.all(fields[:, 0, 0][:, ~omega] == 0.0)
 
 
@@ -166,18 +161,30 @@ def uniform24():
 
 def test_uniform_field_control_fields_equal_the_poisson_projection(uniform24):
     A, omega = uniform24["A"], uniform24["omega"]
-    grid = A.grid
-    clusters = [omega_fields(A, cl, omega) for cl in uniform24["arep"].unstable_clusters()]
-    actuators = select_actuators(clusters, grid.cell_area)
+    actuators = ucp_certificate(A, uniform24["arep"], omega).actuators
     got = control_fields(A.basis, actuators, omega)
-    ref = poisson_control_fields(grid, actuators, omega)
+    ref = poisson_control_fields(A.grid, actuators, omega)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def _mixed_cluster(cluster, Q):
-    """The cluster's eigenbasis mixed by Q: new vector a is sum_b Q[b, a] v_b."""
-    C = np.column_stack([p.coeffs for p in cluster]) @ Q
-    return [EigenPair(p.lam, p.residual, C[:, a]) for a, p in enumerate(cluster)]
+def _mixed_report(rep, rng):
+    """The report with each unstable cluster's eigenbasis mixed by a random
+    unitary (orthogonal for a real cluster) Q: new vector a is
+    sum_b Q[b, a] v_b."""
+    pairs = list(rep.pairs)
+    ids = np.asarray(rep.cluster_ids)
+    for ci in range(rep.M):
+        members = np.flatnonzero(ids == ci)
+        ell = len(members)
+        if abs(pairs[members[0]].lam.imag) > 1e-10:
+            Z = rng.normal(size=(ell, ell)) + 1j * rng.normal(size=(ell, ell))
+        else:
+            Z = rng.normal(size=(ell, ell))
+        Q, _ = np.linalg.qr(Z)
+        C = np.column_stack([pairs[i].coeffs for i in members]) @ Q
+        for a, i in enumerate(members):
+            pairs[i] = replace(pairs[i], coeffs=C[:, a])
+    return replace(rep, pairs=pairs)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -185,30 +192,16 @@ def test_closed_loop_independent_of_cluster_basis(uniform24, seed):
     # LAPACK may return any basis of a degenerate cluster; certificates and
     # pole placement must not depend on which one
     A, omega, gamma = uniform24["A"], uniform24["omega"], 0.8
-    rng = np.random.default_rng(seed)
-    clusters = []
-    for cl in uniform24["arep"].unstable_clusters():
-        ell = len(cl)
-        if abs(cl[0].lam.imag) > 1e-10:
-            Z = rng.normal(size=(ell, ell)) + 1j * rng.normal(size=(ell, ell))
-        else:
-            Z = rng.normal(size=(ell, ell))
-        Q, _ = np.linalg.qr(Z)
-        clusters.append(_mixed_cluster(cl, Q))
-    assert sorted(len(c) for c in clusters) == [2, 2, 4]
-
-    fields = [omega_fields(A, cl, omega) for cl in clusters]
-    dA = A.grid.cell_area
-    actuators = select_actuators(fields, dA)
-    assert len(actuators) == 4
-    for km in kalman_rank(actuators, fields, dA):
-        assert km.passed and km.rank == km.ell
+    mixed = _mixed_report(uniform24["arep"], np.random.default_rng(seed))
+    cert = ucp_certificate(A, mixed, omega)
+    assert sorted(len(c) for c in cert.clusters) == [2, 2, 4]
+    assert len(cert.actuators) == 4 and cert.kalman_passed
+    for km in cert.kalman:
+        assert km.rank == km.ell
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no non-converged pole placement
-        design = design_feedback(
-            A, uniform24["rep"].unstable_clusters(), clusters, actuators, omega, gamma
-        )
+        design = design_feedback(A, uniform24["rep"].unstable_clusters(), cert, gamma)
     assert np.max(design.gain.achieved_poles.real) <= -gamma + 1e-8
     # the whole oblique projector, not only the poles, is the unrotated one
     P, ref = design.proj.V @ design.proj.W.T, uniform24["projector"]

@@ -66,10 +66,9 @@ def test_moved_names_live_in_the_oracles_only():
     # deleted with no replacement, or built for no stage
     carleman = importlib.import_module("mhdlab.carleman")
     for name in ("final_estimate_eval", "EstimateReport", "_normalized_weight",
-                 "calibrate_tau2_bound"):
+                 "calibrate_tau2_bound", "CarlemanParams"):
         assert not hasattr(carleman, name), name
         assert not hasattr(mhdlab, name), name
-    assert "tau2_bound" not in {f.name for f in dataclasses.fields(carleman.CarlemanParams)}
     assert not hasattr(Equilibrium, "sup_fields")
     assert not hasattr(WeightField, "as_scalar")
     assert not {"stretch", "r0_sq"} & {f.name for f in dataclasses.fields(WeightField)}

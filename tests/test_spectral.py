@@ -22,6 +22,7 @@ from mhdlab import (
     make_equilibrium,
     omega_fields,
     select_actuators,
+    ucp_certificate,
     ucp_gram_test,
 )
 from mhdlab import spectral
@@ -790,14 +791,20 @@ class TestActuatorsAndKalman:
         assert nrm == pytest.approx(1.0, rel=1e-10)
 
     def test_constructed_rank_full(self, gen_shifted32, adj_spectrum_shifted32, regions32):
-        clusters = [
-            omega_fields(gen_shifted32, cl, regions32.omega)
-            for cl in adj_spectrum_shifted32.unstable_clusters()
-        ]
-        dA = regions32.grid.cell_area
-        acts = select_actuators(clusters, dA)
-        for km in kalman_rank(acts, clusters, dA):
+        cert = ucp_certificate(gen_shifted32, adj_spectrum_shifted32, regions32.omega)
+        assert len(cert.kalman) == len(cert.clusters) > 0
+        for km in cert.kalman:
             assert km.passed and km.rank == km.ell
+
+    def test_certificate_without_unstable_pairs_is_vacuous(self, regions32):
+        # a stable spectrum leaves nothing to test: no clusters, no
+        # actuators, no Kalman reports, and the certificate passes
+        A = MhdSystem(make_equilibrium("zero", regions32.grid), 0.0)
+        adj = adjoint_eigenpairs(A, compute_spectrum(A, 4).unstable_part())
+        cert = ucp_certificate(A, adj, regions32.omega)
+        assert cert.clusters == [] and cert.grams == [] and cert.kalman == []
+        assert len(cert.actuators) == 0 and cert.kalman_passed
+        cert.require()
 
     def test_zeroed_actuators_rank_zero(self, box16):
         regions = build_nested_regions(box16, OmegaSpec(shape="disc", size=0.15 * L))

@@ -14,11 +14,10 @@ from mhdlab import (
     compute_spectrum,
     make_equilibrium,
     measure_decay,
-    omega_fields,
     project_unstable,
-    select_actuators,
     simulate_closed_loop,
     synthesize_feedback,
+    ucp_certificate,
 )
 from mhdlab.errors import (
     ConfigurationError,
@@ -43,8 +42,8 @@ L = 2 * np.pi
 
 
 def _loop24(kind="zero"):
-    """Unstable rectangle with N=4, actuators, projection, gain, and the
-    closed-loop experiment at gamma = 1 (seed 2)."""
+    """Unstable rectangle with N=4, its UCP certificate and actuators,
+    projection, gain, and the closed-loop experiment at gamma = 1 (seed 2)."""
     g = build_grid(L, L / 2, 24, 24)
     eq = make_equilibrium(kind, g)
     A = MhdSystem(eq, 1.5)
@@ -57,13 +56,12 @@ def _loop24(kind="zero"):
         omega_star_width=0.08 * L,
     )
     omega = regions.omega
-    clusters = [omega_fields(A, cl, omega) for cl in arep.unstable_clusters()]
-    acts = select_actuators(clusters, g.cell_area)
-    closed = closed_loop(A, rep, arep, acts, omega, 1.0, 8.0, 0.01, np.random.default_rng(2))
+    cert = ucp_certificate(A, arep, omega)
+    closed = closed_loop(A, rep, cert, 1.0, 8.0, 0.01, np.random.default_rng(2))
     design = closed.design
     return dict(
-        grid=g, A=A, rep=rep, arep=arep, omega=omega, proj=design.proj, acts=acts,
-        B=design.input_map, design=design, closed=closed,
+        grid=g, A=A, rep=rep, arep=arep, omega=omega, proj=design.proj, cert=cert,
+        acts=cert.actuators, B=design.input_map, design=design, closed=closed,
     )
 
 
@@ -196,14 +194,49 @@ class TestSimulation:
         assert rate == pytest.approx(2.0, rel=2.5e-2)
 
     def test_open_loop_growth(self, loop24):
-        rep, arep, acts, omega = (loop24[k] for k in ("rep", "arep", "acts", "omega"))
         rng = np.random.default_rng(1)
-        out = closed_loop(loop24["A"], rep, arep, acts, omega, None, 2.0, 0.01, rng)
+        out = closed_loop(loop24["A"], loop24["rep"], loop24["cert"], None, 2.0, 0.01, rng)
         assert out.design.gain is None and out.energy_rate_target is None
         assert out.trace.energies[-1] > out.trace.energies[0]
 
     def test_closed_loop_decay_rate(self, loop24):
         _assert_decays_at_target(loop24["closed"])
+
+    def test_failed_certificate_stops_the_loop_before_it_runs(self, loop24, monkeypatch):
+        # a failed Gram and a failed Kalman report each raise their message
+        # before anything is designed or simulated
+        def refuse(*args, **kwargs):
+            raise AssertionError("designed or simulated on a failed certificate")
+
+        monkeypatch.setattr(stabilize, "design_feedback", refuse)
+        monkeypatch.setattr(stabilize, "simulate_closed_loop", refuse)
+        A, rep, cert = loop24["A"], loop24["rep"], loop24["cert"]
+        gm = replace(cert.grams[0], passed=False)
+        no_gram = replace(cert, grams=[gm, *cert.grams[1:]], actuators=None, kalman=None)
+        km = replace(cert.kalman[0], rank=cert.kalman[0].ell - 1, passed=False)
+        no_rank = replace(cert, kalman=[km, *cert.kalman[1:]])
+        lam = cert.clusters[0][0].lam
+        cases = [
+            (no_gram, f"omega-Gram of cluster at {lam:.4g} is numerically singular; "
+                      "cannot build independent actuators"),
+            (no_rank, f"Kalman rank defect: {[(k.rank, k.ell) for k in no_rank.kalman]}"),
+        ]
+        for failed, message in cases:
+            with pytest.raises(UncontrollableError) as info:
+                closed_loop(A, rep, failed, 1.0, 8.0, 0.01, np.random.default_rng(2))
+            assert str(info.value) == message
+
+    def test_one_cell_omega_certificate_fails_its_gram(self, loop24):
+        # the real failure: omega one cell wide cannot tell the 4-fold
+        # cluster's eigenfunctions apart, and no actuators are built
+        A, arep = loop24["A"], loop24["arep"]
+        omega = np.zeros(loop24["grid"].shape, dtype=bool)
+        omega[12, 6] = True
+        cert = ucp_certificate(A, arep, omega)
+        assert not all(gm.passed for gm in cert.grams)
+        assert cert.actuators is None and cert.kalman is None and not cert.kalman_passed
+        with pytest.raises(UncontrollableError, match="numerically singular"):
+            cert.require()
 
     @pytest.mark.parametrize("kind", ["zero", "shear"])
     def test_closed_loop_solves_no_poisson_problem(self, kind):
@@ -321,7 +354,7 @@ class TestControlFields:
 
     def test_equal_the_poisson_projection_on_shear(self):
         run = Run(RunConfig.from_dict({"equilibrium": {"kind": "shear"}}))
-        acts, omega = run.actuators, run.regions.omega
+        acts, omega = run.ucp.actuators, run.regions.omega
         got = control_fields(run.system.basis, acts, omega)
         ref = poisson_control_fields(run.grid, acts, omega)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
