@@ -3,9 +3,10 @@
 DEFAULT_CONFIG is the schema: a config may set only its keys, each to a
 value of the kind of its default.  Each length has one key, a fraction
 (``*_frac``) of min(Lx, Ly), so one configuration scales across boxes and
-resolutions; a disc omega reads ``radius_frac`` and a collar ``width_frac``,
-an absolute length (``omega.radius``, say) is an unknown key, and an omega
-key that the shape or case does not read must keep its default.
+resolutions: omega's is ``size_frac``, the radius of the disc that the
+interior case places or the depth of the collar that the collar cases lay
+along the walls.  An absolute length (``omega.radius``, say) is an unknown
+key, and an omega key that the case does not read must keep its default.
 Validation builds the grid and the regions, and reads the equilibrium block
 with the param reader that builds the equilibrium, so that every
 precondition fires before any expensive computation starts.  The
@@ -51,10 +52,8 @@ DEFAULT_CONFIG: dict = {
         "bc_y": "periodic",
         "case": "interior_patch",
         "omega": {
-            "shape": "disc",
-            "radius_frac": 0.15,
+            "size_frac": 0.15,
             "center": None,
-            "width_frac": None,
             "side": "all",
             "span": [0.0, 1.0],
         },
@@ -76,7 +75,6 @@ _CHOICES = {
     "bc_x": ("periodic", "wall"),
     "bc_y": ("periodic", "wall"),
     "case": tuple(c.value for c in GeometryCase),
-    "shape": ("disc", "collar"),
     "side": ("all", "x0", "x1", "y0", "y1"),
     "kind": STOCK_KINDS,
 }
@@ -162,28 +160,28 @@ class RunConfig:
         grid = grid or self.build_grid()
         g, o = self.raw["geometry"], self.raw["geometry"]["omega"]
         minL = min(grid.Lx, grid.Ly)
-        disc = o["shape"] == "disc"
-        if not disc and o["width_frac"] is None:
-            raise ConfigurationError("a collar omega needs geometry.omega.width_frac")
-        partial = g["case"] == GeometryCase.partial_collar.value
-        read = {
-            "radius_frac": disc, "width_frac": not disc, "center": disc,
-            "side": partial, "span": partial,
-        }
+        for key, frac in (("omega.size_frac", o["size_frac"]),
+                          ("omega1_width_frac", g["omega1_width_frac"]),
+                          ("omega_star_width_frac", g["omega_star_width_frac"])):
+            if frac <= 0:
+                raise ConfigurationError(f"geometry.{key} must be > 0, got {frac}")
+        lo, hi = o["span"]
+        if not 0 <= lo < hi <= 1:
+            raise ConfigurationError(f"geometry.omega.span needs 0 <= lo < hi <= 1, got {lo, hi}")
+        case = GeometryCase(g["case"])
+        partial = case is GeometryCase.partial_collar
+        read = {"center": case is GeometryCase.interior_patch, "side": partial, "span": partial}
         for key in (k for k, r in read.items() if not r):
             if o[key] != DEFAULT_CONFIG["geometry"]["omega"][key]:
-                raise ConfigurationError(
-                    f"geometry.omega.{key} is not read by a {o['shape']} omega in {g['case']}"
-                )
+                raise ConfigurationError(f"geometry.omega.{key} is not read in {case.value}")
         spec = OmegaSpec(
-            shape=o["shape"],
-            size=(o["radius_frac"] if disc else o["width_frac"]) * minL,
+            size=o["size_frac"] * minL,
             center=None if o["center"] is None else tuple(o["center"]),
             side=o["side"],
-            span=tuple(o["span"]),
+            span=(lo, hi),
         )
         w1, ws = g["omega1_width_frac"] * minL, g["omega_star_width_frac"] * minL
-        return build_nested_regions(grid, spec, g["case"], w1, ws)
+        return build_nested_regions(grid, spec, case, w1, ws)
 
     def build_equilibrium(self, grid: Grid | None = None) -> Equilibrium:
         grid = grid or self.build_grid()

@@ -52,9 +52,10 @@ class GeometryCase(str, Enum):
 
 @dataclass(frozen=True, kw_only=True)
 class OmegaSpec:
-    """Control region: a disc (interior case) or a boundary collar, of one size."""
+    """Control region of one size.  The geometry case sets its shape: a disc
+    of radius ``size`` in the interior case, a collar of depth ``size`` along
+    the walls in the collar cases."""
 
-    shape: str = "disc"                    # "disc" | "collar"
     size: float                            # the disc's radius or the collar's depth
     center: tuple[float, float] | None = None  # disc; None: the domain centre
     side: str = "all"                      # collar: "all" or one of x0,x1,y0,y1
@@ -115,13 +116,9 @@ class RegionSet:
 def _omega_mask(grid: Grid, spec: OmegaSpec, case: GeometryCase) -> np.ndarray:
     X, Y = grid.meshgrid()
     if case is GeometryCase.interior_patch:
-        if spec.shape != "disc":
-            raise GeometryError("interior_patch needs a disc omega")
         cx, cy = spec.center
         return np.hypot(X - cx, Y - cy) <= spec.size
 
-    if spec.shape != "collar":
-        raise GeometryError("collar cases need a collar omega")
     if grid.fully_periodic:
         raise GeometryError("collar geometry needs at least one wall direction")
     d_wall = np.full(grid.shape, np.inf)

@@ -268,7 +268,7 @@ def test_criterion_10_closed_loop():
     N = rep.N
     regions = build_nested_regions(
         grid,
-        OmegaSpec(shape="disc", size=0.08 * L),
+        OmegaSpec(size=0.08 * L),
         omega1_width=0.04 * L,
         omega_star_width=0.08 * L,
     )

@@ -134,7 +134,7 @@ class TestIntegratedInequality:
         g = build_grid(2 * np.pi, 2.0, 32, 32, "periodic", "wall")
         regions = build_nested_regions(
             g,
-            OmegaSpec(shape="collar", size=0.25),
+            OmegaSpec(size=0.25),
             GeometryCase.full_collar,
             omega1_width=0.2,
             omega_star_width=0.4,
@@ -258,7 +258,7 @@ SUPPORT_CASES = {
             "ny": 64,
             "bc_y": "wall",
             "case": "full_collar",
-            "omega": {"shape": "collar", "width_frac": 0.1},
+            "omega": {"size_frac": 0.1},
         }
     },
 }

@@ -33,16 +33,16 @@ FAST_SPECTRAL = {"spectral": {"count": 10}}
 # omega is the one cell at the domain centre: its 4 field values cannot tell
 # apart the eigenfunctions of a cluster of multiplicity above 4, so the Gram
 # test fails there and the run is uncontrollable
-ONE_CELL_OMEGA = {"omega": {"radius_frac": 0.01}}
+ONE_CELL_OMEGA = {"omega": {"size_frac": 0.01}}
 # a 32^2 channel, walls in y, whose omega is a collar along both walls
-COLLAR32 = {"bc_y": "wall", "case": "full_collar", "omega": {"shape": "collar", "width_frac": 0.1}}
+COLLAR32 = {"bc_y": "wall", "case": "full_collar", "omega": {"size_frac": 0.1}}
 # a 2pi x 2 channel on 32^2 cells: its wall-normal cells are about three
 # times finer than its periodic ones
 FINE_WALL_CHANNEL = {
     "Ly": 2.0,
     "bc_y": "wall",
     "case": "full_collar",
-    "omega": {"shape": "collar", "width_frac": 0.125},
+    "omega": {"size_frac": 0.125},
     "omega1_width_frac": 0.1,
     "omega_star_width_frac": 0.26,
 }
@@ -51,6 +51,11 @@ FINE_WALL_CHANNEL = {
 def _collar32(**omega):
     """COLLAR32 with these omega keys set as well."""
     return dict(COLLAR32, omega={**COLLAR32["omega"], **omega})
+
+
+def _partial_collar32(**omega):
+    """COLLAR32 as a partial collar on the y0 wall, with these omega keys set."""
+    return dict(_collar32(side="y0", **omega), case="partial_collar")
 
 
 def _cfg(**over):
@@ -168,7 +173,7 @@ class TestRunCarleman:
 
     def test_collar_tau_scale_reads_the_collar_width(self):
         cfg = _cfg(geometry={"nx": 64, "ny": 64, "bc_y": "wall", "case": "full_collar",
-                             "omega": {"shape": "collar", "width_frac": 0.1}})
+                             "omega": {"size_frac": 0.1}})
         regions = cfg.build_regions()
         assert regions.diameter == pytest.approx(2.0 * (0.1 + 0.07 + 0.26) * 2 * np.pi, rel=1e-12)
         tau = cfg.carleman_options(regions)["tau_list"][0]
@@ -195,16 +200,18 @@ class TestRunCarleman:
     )
     def test_partial_collar_carleman_runs(self, tmp_path):
         config = {"geometry": {"nx": 64, "ny": 64, "bc_y": "wall", "case": "partial_collar",
-                               "omega": {"shape": "collar", "width_frac": 0.1, "side": "y0",
-                                         "span": [0.25, 0.75]}}}
+                               "omega": {"size_frac": 0.1, "side": "y0", "span": [0.25, 0.75]}}}
         code, _ = _main_with_config(tmp_path, "carleman", config, "--seed", "7")
         assert code == EXIT_OK
 
-    def test_collar_without_width_is_config_error(self, tmp_path):
-        config = {"geometry": dict(COLLAR32, omega={"shape": "collar"})}
-        code, out = _main_with_config(tmp_path, "carleman", config)
-        assert code == EXIT_CONFIG
-        assert "geometry.omega.width_frac" in json.loads((out / "error.json").read_text())["message"]
+    def test_collar_at_the_default_size_runs(self, tmp_path):
+        # the case sets omega's shape and size_frac its size, for a collar
+        # as for a disc: the default 0.15 lays a collar of that depth
+        config = {"geometry": {"bc_y": "wall", "case": "full_collar"}}
+        code, out = _main_with_config(tmp_path, "carleman", config, "--seed", "7")
+        assert code == EXIT_OK
+        summary = json.loads((out / "carleman_summary.json").read_text())
+        assert summary["all_pass"] and summary["tau0"] is not None
 
     def test_empty_tau_list_is_config_error(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -290,7 +297,7 @@ STAB_GEOM = {
     "Ly": float(np.pi),
     "ny": 24,
     "nx": 24,
-    "omega": {"radius_frac": 0.16},
+    "omega": {"size_frac": 0.16},
     "omega1_width_frac": 0.05,
     "omega_star_width_frac": 0.10,
 }
@@ -575,7 +582,7 @@ MISTYPED_CONFIGS = [
     _bad({"seed": "x"}, "seed"),
     _bad({"physics": {"sigma": "abc"}}, "sigma"),
     _bad({"spectral": {"count": "x"}}, "count"),
-    _bad({"geometry": {"omega": {"radius_frac": "a"}}}, "radius_frac"),
+    _bad({"geometry": {"omega": {"size_frac": "a"}}}, "size_frac"),
     _bad({"carleman": {"tau_grid": 5}}, "tau_grid"),
     _bad({"equilibrium": {"kind": "shear", "params": 3}}, "params"),
     _bad({"stabilize": {"gain_on": "false"}}, "gain_on"),
@@ -605,13 +612,27 @@ MISTYPED_CONFIGS = [
     _bad({"geometry": {"omega1_width": 0.4}}, "geometry.omega1_width"),
     _bad({"geometry": {"omega_star_width": 1.6}}, "geometry.omega_star_width"),
     _bad({"equilibrium": {"kind": "shear", "params": {"amplitud": 5}}}, "amplitud"),
-    # omega keys that the shape or case does not read
+    # omega keys that the case does not read
     _bad({"geometry": _collar32(side="y0")}, "geometry.omega.side"),
     _bad({"geometry": _collar32(span=[0.25, 0.75])}, "geometry.omega.span"),
     _bad({"geometry": {"omega": {"side": "x0"}}}, "geometry.omega.side"),
-    _bad({"geometry": {"omega": {"width_frac": 0.1}}}, "geometry.omega.width_frac"),
     _bad({"geometry": _collar32(center=[1.0, 1.0])}, "geometry.omega.center"),
-    _bad({"geometry": _collar32(radius_frac=0.3)}, "geometry.omega.radius_frac"),
+    # omega's shape and its per-shape sizes: the case sets the shape, size_frac the size
+    _bad({"geometry": {"omega": {"shape": "disc"}}}, "geometry.omega.shape"),
+    _bad({"geometry": {"omega": {"radius_frac": 0.15}}}, "geometry.omega.radius_frac"),
+    _bad({"geometry": {"omega": {"width_frac": 0.1}}}, "geometry.omega.width_frac"),
+    _bad(
+        {"geometry": {"bc_y": "wall", "case": "full_collar",
+                      "omega": {"shape": "disc", "width_frac": 0.1}}},
+        "geometry.omega.shape",
+    ),
+    # lengths of 0 or below, and a partial collar span outside 0 <= lo < hi <= 1
+    _bad({"geometry": {"omega": {"size_frac": 0.0}}}, "geometry.omega.size_frac must be > 0"),
+    _bad({"geometry": {"omega": {"size_frac": -0.1}}}, "geometry.omega.size_frac must be > 0"),
+    _bad({"geometry": {"omega1_width_frac": -0.05}}, "geometry.omega1_width_frac"),
+    _bad({"geometry": {"omega_star_width_frac": 0.0}}, "geometry.omega_star_width_frac"),
+    _bad({"geometry": _partial_collar32(span=[0.8, 0.2])}, "geometry.omega.span"),
+    _bad({"geometry": _partial_collar32(span=[-3.0, 9.0])}, "geometry.omega.span"),
     # values that ended in a traceback
     _bad({"geometry": {"omega": {"center": ["a", "b"]}}}, "center"),
     _bad({"geometry": {"omega": {"center": [1.0]}}}, "center"),
@@ -620,7 +641,7 @@ MISTYPED_CONFIGS = [
             "geometry": {
                 "bc_y": "wall",
                 "case": "partial_collar",
-                "omega": {"shape": "collar", "width_frac": 0.1, "span": ["x", 1]},
+                "omega": {"size_frac": 0.1, "span": ["x", 1]},
             }
         },
         "span",
@@ -667,11 +688,10 @@ def test_mistyped_config_value_is_config_error(tmp_path, command, config, key):
 @pytest.mark.parametrize(
     "geometry, key, default",
     [(COLLAR32, key, DEFAULT_CONFIG["geometry"]["omega"][key])
-     for key in ("radius_frac", "center", "side", "span")]
-    + [({}, "width_frac", None)],
+     for key in ("center", "side", "span")],
 )
 def test_unread_omega_key_at_its_default_changes_nothing(geometry, key, default):
-    # a key the omega's shape does not read is refused only when it differs
+    # a key the case does not read is refused only when it differs
     # from its default
     plain = RunConfig.from_dict({"geometry": geometry}).build_regions()
     omega = {**geometry.get("omega", {}), key: default}
@@ -727,7 +747,7 @@ def test_readme_schema_shows_every_default():
     shown = json.loads(re.sub(r"//[^\n]*", "", block))
     assert dict(_leaves(shown)) == dict(_leaves(DEFAULT_CONFIG))
     # the schema's size: a new key is a decision, made here and in the README
-    assert len(dict(_leaves(DEFAULT_CONFIG))) == 28
+    assert len(dict(_leaves(DEFAULT_CONFIG))) == 26
 
 
 def test_perfbench_setup_targets_resolve():

@@ -123,7 +123,7 @@ def test_uniform_field_closed_loop():
     arep = adjoint_eigenpairs(A, rep)
     regions = build_nested_regions(
         grid,
-        OmegaSpec(shape="disc", size=0.15 * L),
+        OmegaSpec(size=0.15 * L),
         omega1_width=0.06 * L,
         omega_star_width=0.12 * L,
     )
@@ -151,7 +151,7 @@ def uniform24():
     arep = adjoint_eigenpairs(A, rep)
     regions = build_nested_regions(
         grid,
-        OmegaSpec(shape="disc", size=0.15 * L),
+        OmegaSpec(size=0.15 * L),
         omega1_width=0.06 * L,
         omega_star_width=0.12 * L,
     )

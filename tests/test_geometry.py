@@ -67,7 +67,7 @@ class TestRegions:
     def test_full_collar_ordered_inward(self, channel):
         regions = build_nested_regions(
             channel,
-            OmegaSpec(shape="collar", size=0.25),
+            OmegaSpec(size=0.25),
             GeometryCase.full_collar,
             omega1_width=0.25,
             omega_star_width=0.375,
@@ -83,7 +83,7 @@ class TestRegions:
     def test_partial_collar(self, channel):
         regions = build_nested_regions(
             channel,
-            OmegaSpec(shape="collar", size=0.25, side="y0", span=(0.25, 0.75)),
+            OmegaSpec(size=0.25, side="y0", span=(0.25, 0.75)),
             GeometryCase.partial_collar,
             omega1_width=0.25,
             omega_star_width=0.375,
@@ -95,18 +95,18 @@ class TestRegions:
     @pytest.mark.parametrize(
         "grid_args, spec, case",
         [
-            ((L, L, 32, 32), OmegaSpec(shape="disc", size=0.15 * L), "interior_patch"),
-            ((L, 4.0, 40, 24), OmegaSpec(shape="disc", size=0.5), "interior_patch"),
-            ((L, 2.0, 32, 16, "periodic", "wall"), OmegaSpec(shape="collar", size=0.25), "full_collar"),
-            ((3.0, 2.0, 36, 20, "wall", "wall"), OmegaSpec(shape="collar", size=0.3), "full_collar"),
+            ((L, L, 32, 32), OmegaSpec(size=0.15 * L), "interior_patch"),
+            ((L, 4.0, 40, 24), OmegaSpec(size=0.5), "interior_patch"),
+            ((L, 2.0, 32, 16, "periodic", "wall"), OmegaSpec(size=0.25), "full_collar"),
+            ((3.0, 2.0, 36, 20, "wall", "wall"), OmegaSpec(size=0.3), "full_collar"),
             (
                 (L, 2.0, 32, 16, "periodic", "wall"),
-                OmegaSpec(shape="collar", size=0.25, side="y0", span=(0.25, 0.75)),
+                OmegaSpec(size=0.25, side="y0", span=(0.25, 0.75)),
                 "partial_collar",
             ),
             (
                 (2.0, 3.0, 20, 28, "wall", "periodic"),
-                OmegaSpec(shape="collar", size=0.3, side="x1", span=(0.1, 0.6)),
+                OmegaSpec(size=0.3, side="x1", span=(0.1, 0.6)),
                 "partial_collar",
             ),
         ],
@@ -131,39 +131,39 @@ class TestRegions:
 
     def test_omega_too_large(self, box32):
         with pytest.raises(GeometryError):
-            build_nested_regions(box32, OmegaSpec(shape="disc", size=0.9 * L))
+            build_nested_regions(box32, OmegaSpec(size=0.9 * L))
 
     def test_collar_needs_wall(self, box32):
         with pytest.raises(GeometryError):
             build_nested_regions(
-                box32, OmegaSpec(shape="collar", size=0.3), GeometryCase.full_collar
+                box32, OmegaSpec(size=0.3), GeometryCase.full_collar
             )
 
     @pytest.mark.parametrize(
         "spec",
         [
-            dict(shape="disc", radius=0.9),
-            dict(shape="collar", width=0.3),
-            dict(shape="disc"),
-            dict(shape="collar"),
+            dict(shape="disc", size=0.3),
+            dict(shape="collar", size=0.3),
+            dict(radius=0.9),
+            dict(width=0.3),
+            dict(),
         ],
     )
     def test_omega_spec_carries_its_shape_size_only(self, spec):
-        # one size, the disc's radius or the collar's depth, set by keyword
-        with pytest.raises(TypeError, match="size|radius|width"):
+        # one size, the disc's radius or the collar's depth, set by keyword;
+        # the case sets the shape, so a spec has none
+        with pytest.raises(TypeError, match="shape|size|radius|width"):
             OmegaSpec(**spec)
 
-    @pytest.mark.parametrize(
-        "spec, case",
-        [
-            (OmegaSpec(shape="collar", size=0.3), "interior_patch"),
-            (OmegaSpec(shape="disc", size=0.3), "full_collar"),
-        ],
-    )
-    def test_omega_shape_must_match_the_case(self, spec, case):
+    def test_the_case_sets_omega_shape(self):
+        # one spec: a disc about the centre in the interior case, a collar
+        # along both walls in the full-collar case
         channel = build_grid(L, 2.0, 32, 16, "periodic", "wall")
-        with pytest.raises(GeometryError, match=r"need.? a (disc|collar) omega"):
-            build_nested_regions(channel, spec, case)
+        X, Y = channel.meshgrid()
+        disc = build_nested_regions(channel, OmegaSpec(size=0.3), "interior_patch")
+        collar = build_nested_regions(channel, OmegaSpec(size=0.3), "full_collar")
+        assert np.array_equal(disc.omega, np.hypot(X - L / 2, Y - 1.0) <= 0.3)
+        assert np.array_equal(collar.omega, np.minimum(Y, 2.0 - Y) <= 0.3)
 
     @pytest.mark.parametrize(
         "bcs, cells, side, cell",
@@ -180,11 +180,11 @@ class TestRegions:
         # margins count in the wall-normal cells, here the finer ones
         grid = build_grid(3.0, 4.0, *cells, *bcs)
         if side is None:
-            spec, case = OmegaSpec(shape="disc", size=0.3), "interior_patch"
+            spec, case = OmegaSpec(size=0.3), "interior_patch"
         elif side == "all":
-            spec, case = OmegaSpec(shape="collar", size=0.3), "full_collar"
+            spec, case = OmegaSpec(size=0.3), "full_collar"
         else:
-            spec = OmegaSpec(shape="collar", size=0.3, side=side, span=(0.25, 0.75))
+            spec = OmegaSpec(size=0.3, side=side, span=(0.25, 0.75))
             case = "partial_collar"
         regions = build_nested_regions(grid, spec, case)
         want = max(grid.hx, grid.hy) if cell == "max" else getattr(grid, cell)
@@ -239,7 +239,7 @@ class TestCutoff:
     def test_transition_too_thin(self, box32):
         regions = build_nested_regions(
             box32,
-            OmegaSpec(shape="disc", size=0.15 * L),
+            OmegaSpec(size=0.15 * L),
             omega1_width=0.07 * L,
             omega_star_width=0.17 * L,  # 8.7 cells < 2 + 3 + 3 guard cells
         )
@@ -271,7 +271,7 @@ class TestWeight:
     def test_collar_sign_pattern_matches_bands(self, channel):
         regions = build_nested_regions(
             channel,
-            OmegaSpec(shape="collar", size=0.25),
+            OmegaSpec(size=0.25),
             GeometryCase.full_collar,
             omega1_width=0.25,
             omega_star_width=0.375,
@@ -286,7 +286,7 @@ class TestWeight:
     def test_partial_collar_weight_valid(self, channel):
         regions = build_nested_regions(
             channel,
-            OmegaSpec(shape="collar", size=0.25, side="y0", span=(0.25, 0.75)),
+            OmegaSpec(size=0.25, side="y0", span=(0.25, 0.75)),
             GeometryCase.partial_collar,
             omega1_width=0.25,
             omega_star_width=0.375,
@@ -321,7 +321,7 @@ class TestWeight:
         vals = {}
         for n in (32, 64):
             g = build_grid(L, L, n, n)
-            regions = build_nested_regions(g, OmegaSpec(shape="disc", size=0.15 * L))
+            regions = build_nested_regions(g, OmegaSpec(size=0.15 * L))
             w = build_weight(regions)
             vals[n] = (w.rho, w.kgrad)
         assert vals[64][0] == pytest.approx(vals[32][0], rel=1e-9)

@@ -636,7 +636,7 @@ class TestCommutators:
         errs = {}
         for n in (32, 64):
             g = build_grid(L, L, n, n)
-            regions = build_nested_regions(g, OmegaSpec(shape="disc", size=0.15 * L))
+            regions = build_nested_regions(g, OmegaSpec(size=0.15 * L))
             chi = build_cutoff(regions)
             eq = make_equilibrium("zero", g)
             X, Y = g.meshgrid()
